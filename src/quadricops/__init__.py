@@ -15,8 +15,8 @@ Modules:
   cli         command-line entry point
 """
 
-from .poly import (Poly, QLaurent, b_form_value, divides_exactly,
-                   normal_form_mod_single, q_form, reduce_mod)
+from .poly import (Poly, QLaurent, divides_exactly, normal_form_mod_single,
+                   q_form, reduce_mod)
 from .weyl import (LocalWeylOp, NotDivisible, WeylOp, euler_op,
                    is_zero_extensional, laplacian_op)
 from .lie import (DegenerateCell, GroupElt, LieElt, NotQLaurent, basis,
@@ -37,7 +37,7 @@ from .exprparse import ParseError, parse, to_text
 from .suites import SuiteReport, UnknownSuite, emit, run_suite
 
 __all__ = [
-    "Poly", "QLaurent", "b_form_value", "divides_exactly",
+    "Poly", "QLaurent", "divides_exactly",
     "normal_form_mod_single", "q_form", "reduce_mod",
     "LocalWeylOp", "NotDivisible", "WeylOp", "euler_op",
     "is_zero_extensional", "laplacian_op",

@@ -17,10 +17,8 @@ generators, swapping coordinates with the second-order operators XX_i, YY_i.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .lie import LieElt
-from .poly import Poly, default_names, mono_key, q_form, reduce_mod
+from .poly import Poly, default_names, mono_key, q_form, qcoef, qdiv, reduce_mod
 from .weyl import (NotDivisible, WeylOp, euler_op, laplacian_op,
                    monomials_up_to)
 
@@ -37,16 +35,6 @@ def b_form_poly(k: int, vec) -> Poly:
     for i in range(n):
         if vec[i]:
             out = out + Poly.var(n, _dual(n, i), vec[i])
-    return out
-
-
-def coord_poly(k: int, vec) -> Poly:
-    """The plain coordinate pairing <vec, .> as a linear polynomial."""
-    n = 2 * k
-    out = Poly.zero(n)
-    for i in range(n):
-        if vec[i]:
-            out = out + Poly.var(n, i, vec[i])
     return out
 
 
@@ -371,7 +359,7 @@ def letter_lie_preimage(k: int, letter) -> LieElt:
     if kind == "Etil":
         return LieElt(k, alpha=-1)
     # Levi letters: the matrix X with sum X[a][b] v_a d_b equal to the operator
-    X = [[Fraction(0)] * n for _ in range(n)]
+    X = [[0] * n for _ in range(n)]
     if kind == "D":
         i, j = letter[1], letter[2]
         X[j - 1][i - 1] += 1
@@ -412,15 +400,15 @@ class GenWord:
 
     def __init__(self, k: int, terms: dict | None = None):
         self.k = k
-        self.terms = {w: Fraction(c) for w, c in (terms or {}).items() if c != 0}
+        self.terms = {w: qcoef(c) for w, c in (terms or {}).items() if c}
 
     @classmethod
     def letter(cls, k: int, letter, c=1) -> "GenWord":
-        return cls(k, {(tuple(letter),): Fraction(c)})
+        return cls(k, {(tuple(letter),): qcoef(c)})
 
     @classmethod
     def const(cls, k: int, c) -> "GenWord":
-        return cls(k, {(): Fraction(c)})
+        return cls(k, {(): qcoef(c)})
 
     def __add__(self, other: "GenWord") -> "GenWord":
         terms = dict(self.terms)
@@ -436,7 +424,8 @@ class GenWord:
         return self + other.scale(-1)
 
     def scale(self, c) -> "GenWord":
-        return GenWord(self.k, {w: Fraction(c) * v for w, v in self.terms.items()})
+        c = qcoef(c)
+        return GenWord(self.k, {w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other: "GenWord") -> "GenWord":
         terms: dict = {}
@@ -520,6 +509,6 @@ def grading(a: ConeOp):
     base = can.get(beta)
     if base is None or base.coeff(m) == 0:
         return "Mixed"
-    d = c / base.coeff(m)
+    d = qdiv(c, base.coeff(m))
     scaled = {b: q.scale(d) for b, q in can.items()}
     return int(d) if (d.denominator == 1 and scaled == com) else "Mixed"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .poly import (Poly, QLaurent, normal_form_mod_single, q_form,
+from .poly import (Poly, QLaurent, normal_form_mod_single, q_form, qdiv,
                    reduce_mod)
 from .weyl import (LocalWeylOp, NotDivisible, WeylOp, euler_op, laplacian_op,
                    monomials_up_to)
@@ -99,8 +99,8 @@ def _nullspace(rows, ncols):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        p = m[r][c]
+        m[r] = [qdiv(x, p) for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c]:
                 f = m[i][c]
@@ -112,8 +112,8 @@ def _nullspace(rows, ncols):
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        vec = [0] * ncols
+        vec[fc] = 1
         for i, pc in enumerate(pivots):
             vec[pc] = -m[i][fc]
         basis.append(vec)
@@ -144,14 +144,14 @@ def harmonic_decompose(d: int, k: int):
         target = sym_monomials(k, d - 2)
         trow = {m: i for i, m in enumerate(target)}
         # matrix of Delta: rows = Sym^{d-2} monomials, cols = Sym^d monomials
-        rows = [[Fraction(0)] * len(monos) for _ in target]
+        rows = [[0] * len(monos) for _ in target]
         for m in monos:
             img = lap.apply(Poly.monomial(m))
             for m2, c in img.terms.items():
                 rows[trow[m2]][col[m]] = c
         null, _ = _nullspace(rows, len(monos))
     else:
-        null = [[Fraction(1) if i == j else Fraction(0) for i in range(len(monos))]
+        null = [[1 if i == j else 0 for i in range(len(monos))]
                 for j in range(len(monos))]
     harm = [Poly(n, {m: vec[col[m]] for m in monos if vec[col[m]]})
             for vec in null]
@@ -216,9 +216,9 @@ def twisted_laplacian(p: Poly, k: int) -> Poly:
 def bessel_series(k: int, M: int):
     """Coefficients a_0..a_M of the normalized series solution:
     a_0 = 1 and a_{m+1} (m+1)(m+k-1) = a_m."""
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for m in range(M):
-        coeffs.append(coeffs[-1] / ((m + 1) * (m + k - 1)))
+        coeffs.append(qdiv(coeffs[-1], (m + 1) * (m + k - 1)))
     return coeffs
 
 

@@ -15,20 +15,18 @@ g^T J+ g = J+.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .poly import Poly, QLaurent, divides_exactly, q_form
+from .poly import Poly, QLaurent, divides_exactly, q_form, qcoef, qdiv
 
 
 def _frac_vec(v, n):
-    v = [Fraction(c) for c in v]
+    v = [qcoef(c) for c in v]
     if len(v) != n:
         raise ValueError("wrong vector length")
     return v
 
 
 def _zeros(n, m):
-    return [[Fraction(0)] * m for _ in range(n)]
+    return [[0] * m for _ in range(n)]
 
 
 def mat_mul(a, b):
@@ -53,15 +51,15 @@ def mat_sub(a, b):
 def mat_inv(a):
     """Exact inverse by Gauss-Jordan elimination over the rationals."""
     n = len(a)
-    m = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+    m = [row[:] + [1 if i == j else 0 for j in range(n)]
          for i, row in enumerate(a)]
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col] != 0), None)
         if piv is None:
             raise ValueError("singular matrix")
         m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
+        p = m[col][col]
+        m[col] = [qdiv(x, p) for x in m[col]]
         for r in range(n):
             if r != col and m[r][col]:
                 f = m[r][col]
@@ -74,7 +72,7 @@ def jv_matrix(k: int):
     n = 2 * k
     j = _zeros(n, n)
     for i in range(n):
-        j[i][n - 1 - i] = Fraction(1)
+        j[i][n - 1 - i] = 1
     return j
 
 
@@ -82,17 +80,16 @@ def jplus_matrix(k: int):
     n = 2 * k + 2
     j = _zeros(n, n)
     for i in range(n):
-        j[i][n - 1 - i] = Fraction(1)
+        j[i][n - 1 - i] = 1
     return j
 
 
-def b_pair(k: int, a, b) -> Fraction:
-    return sum((Fraction(a[i]) * Fraction(b[2 * k - 1 - i]) for i in range(2 * k)),
-               Fraction(0))
+def b_pair(k: int, a, b):
+    return sum(qcoef(a[i]) * qcoef(b[2 * k - 1 - i]) for i in range(2 * k))
 
 
-def q_val(k: int, v) -> Fraction:
-    return b_pair(k, v, v) / 2
+def q_val(k: int, v):
+    return qdiv(b_pair(k, v, v), 2)
 
 
 class LieElt:
@@ -103,10 +100,10 @@ class LieElt:
     def __init__(self, k, alpha=0, mu=None, X=None, lam=None, tag=None):
         n = 2 * k
         self.k = k
-        self.alpha = Fraction(alpha)
-        self.mu = _frac_vec(mu, n) if mu is not None else [Fraction(0)] * n
-        self.lam = _frac_vec(lam, n) if lam is not None else [Fraction(0)] * n
-        self.X = ([[Fraction(c) for c in row] for row in X]
+        self.alpha = qcoef(alpha)
+        self.mu = _frac_vec(mu, n) if mu is not None else [0] * n
+        self.lam = _frac_vec(lam, n) if lam is not None else [0] * n
+        self.X = ([[qcoef(c) for c in row] for row in X]
                   if X is not None else _zeros(n, n))
         self.tag = tag
         # X^T J_V + J_V X = 0 reads entrywise X[a][b] = -X[nbar(b)][nbar(a)]
@@ -158,7 +155,7 @@ class LieElt:
         return LieElt(self.k, -self.alpha, self.lam, self.X, self.mu, tag=self.tag)
 
     def scale(self, c) -> "LieElt":
-        c = Fraction(c)
+        c = qcoef(c)
         return LieElt(self.k, c * self.alpha, [c * v for v in self.mu],
                       [[c * v for v in row] for row in self.X],
                       [c * v for v in self.lam], tag=self.tag)
@@ -200,8 +197,8 @@ def so_q_basis(k: int):
                 continue
             seen.add(key)
             X = _zeros(n, n)
-            X[a][b] += Fraction(1)
-            X[n - 1 - b][n - 1 - a] -= Fraction(1)
+            X[a][b] += 1
+            X[n - 1 - b][n - 1 - a] -= 1
             out.append(X)
     return out
 
@@ -231,7 +228,7 @@ class GroupElt:
     def __init__(self, k: int, m):
         n = 2 * k + 2
         self.k = k
-        self.m = [[Fraction(c) for c in row] for row in m]
+        self.m = [[qcoef(c) for c in row] for row in m]
         jp = jplus_matrix(k)
         mt = [[self.m[j][i] for j in range(n)] for i in range(n)]
         if mat_mul(mt, mat_mul(jp, self.m)) != jp:
@@ -260,10 +257,10 @@ def w0(k: int) -> GroupElt:
     """The Weyl inversion: swaps the two ends, fixes the middle block."""
     n = 2 * k + 2
     m = _zeros(n, n)
-    m[0][n - 1] = Fraction(1)
-    m[n - 1][0] = Fraction(1)
+    m[0][n - 1] = 1
+    m[n - 1][0] = 1
     for i in range(1, n - 1):
-        m[i][i] = Fraction(1)
+        m[i][i] = 1
     return GroupElt(k, m)
 
 
@@ -273,13 +270,13 @@ def u(k: int, v) -> GroupElt:
     v = _frac_vec(v, n)
     jv = jv_matrix(k)
     m = _zeros(n + 2, n + 2)
-    m[0][0] = Fraction(1)
-    m[n + 1][n + 1] = Fraction(1)
+    m[0][0] = 1
+    m[n + 1][n + 1] = 1
     vflip = [sum(v[i] * jv[i][j] for i in range(n)) for j in range(n)]
     for j in range(n):
         m[0][1 + j] = -vflip[j]
         m[1 + j][n + 1] = v[j]
-        m[1 + j][1 + j] = Fraction(1)
+        m[1 + j][1 + j] = 1
     m[0][n + 1] = -q_val(k, v)
     return GroupElt(k, m)
 
@@ -290,13 +287,13 @@ def u_op(k: int, v) -> GroupElt:
     v = _frac_vec(v, n)
     jv = jv_matrix(k)
     m = _zeros(n + 2, n + 2)
-    m[0][0] = Fraction(1)
-    m[n + 1][n + 1] = Fraction(1)
+    m[0][0] = 1
+    m[n + 1][n + 1] = 1
     vflip = [sum(v[i] * jv[i][j] for i in range(n)) for j in range(n)]
     for j in range(n):
         m[1 + j][0] = v[j]
         m[n + 1][1 + j] = -vflip[j]
-        m[1 + j][1 + j] = Fraction(1)
+        m[1 + j][1 + j] = 1
     m[n + 1][0] = -q_val(k, v)
     return GroupElt(k, m)
 
@@ -304,13 +301,13 @@ def u_op(k: int, v) -> GroupElt:
 def levi(k: int, a, h) -> GroupElt:
     """Levi element diag(a, h, a^{-1}) with h preserving the middle form."""
     n = 2 * k
-    a = Fraction(a)
+    a = qcoef(a)
     m = _zeros(n + 2, n + 2)
     m[0][0] = a
-    m[n + 1][n + 1] = 1 / a
+    m[n + 1][n + 1] = qdiv(1, a)
     for i in range(n):
         for j in range(n):
-            m[1 + i][1 + j] = Fraction(h[i][j])
+            m[1 + i][1 + j] = h[i][j]
     return GroupElt(k, m)
 
 
@@ -382,14 +379,14 @@ def _q_power_inverse(p: Poly, k: int) -> QLaurent:
     if cm is None:
         raise NotQLaurent("pivot is not a constant multiple of a Q power")
     c, m = cm
-    return QLaurent(k, Poly.const(2 * k, 1 / c), m)
+    return QLaurent(k, Poly.const(2 * k, qdiv(1, c)), m)
 
 
-def chi0_at(g: GroupElt, point) -> Fraction:
+def chi0_at(g: GroupElt, point):
     """chi0(p(g, v)) at a rational point v: the pivot of g^{-1} u_v^op."""
     k = g.k
     ginv = mat_inv(g.m)
-    col = [Fraction(1)] + [Fraction(c) for c in point] + [-q_val(k, point)]
+    col = [1] + [qcoef(c) for c in point] + [-q_val(k, point)]
     return sum(ginv[0][j] * col[j] for j in range(2 * k + 2))
 
 
@@ -397,9 +394,9 @@ def act_at(g: GroupElt, point):
     """The rational action g(v) at a rational point, via the factorization."""
     k = g.k
     ginv = mat_inv(g.m)
-    col = [Fraction(1)] + [Fraction(c) for c in point] + [-q_val(k, point)]
+    col = [1] + [qcoef(c) for c in point] + [-q_val(k, point)]
     vals = [sum(ginv[i][j] * col[j] for j in range(2 * k + 2))
             for i in range(2 * k + 2)]
     if vals[0] == 0:
         raise DegenerateCell("point outside the big cell for this g")
-    return [v / vals[0] for v in vals[1:2 * k + 1]]
+    return [qdiv(v, vals[0]) for v in vals[1:2 * k + 1]]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lie import LieElt
-from .poly import Poly, normal_form_mod_single, q_form
+from .poly import Poly, normal_form_mod_single, qcoef, qdiv
 
 
 def _dual(n: int, i: int) -> int:
@@ -258,7 +258,7 @@ def _det3(M, rows, cols) -> Poly:
 def orbit_matrix_at(k: int, v_point, w_point):
     """Numeric specialization of the orbit matrix."""
     M = orbit_matrix(k)
-    point = [Fraction(c) for c in list(v_point) + list(w_point)]
+    point = [qcoef(c) for c in list(v_point) + list(w_point)]
     return [[entry.eval(point) for entry in row] for row in M]
 
 
@@ -306,7 +306,7 @@ def symbol_invariant(xi: LieElt) -> Poly:
         for j in range(n):
             if xi.X[i][j]:
                 wedge = w[i] * v[_dual(n, j)] - v[i] * w[_dual(n, j)]
-                out = out + wedge.scale(Fraction(xi.X[i][j], 2))
+                out = out + wedge.scale(qdiv(xi.X[i][j], 2))
     return out
 
 

@@ -6,27 +6,62 @@ monomial order used everywhere is graded lexicographic with
 x1 > ... > xk > y1 > ... > yk, which makes the leading term of
 Q* = x1*yk + ... + xk*y1 equal to x1*yk.
 
-All coefficients are ``fractions.Fraction``; nothing is ever rounded.
+Coefficients are exact rationals of type ``int`` or ``fractions.Fraction``,
+never ``float``; nothing is ever rounded.  Constructors store an integral
+value as an ``int`` (``qcoef``), and so does scaling by a ``Fraction``;
+sums and products of a ``Fraction`` may still leave an integral
+``Fraction``.  The two types agree on ``==`` and ``hash``, so equality,
+hashing, printing and the JSON ``num``/``den`` fields do not depend on which
+one a coefficient carries.  Every true division in the package goes through
+``qdiv``, because ``int / int`` is a ``float``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, sub
 
 Mono = tuple  # exponent vector, length 2k (or other fixed width per context)
 
 
+def qcoef(c):
+    """c as a coefficient: an ``int`` when integral, a ``Fraction`` otherwise.
+
+    Raises TypeError for anything that is not an int or a Fraction, floats
+    included.
+    """
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficient must be int or Fraction, not {type(c).__name__}")
+
+
+def qdiv(a, b):
+    """The exact quotient a / b: an ``int`` when integral, a ``Fraction`` otherwise.
+
+    The package's only true division.  Raises TypeError when an operand is
+    not an int or a Fraction (floats included) and ZeroDivisionError when b
+    is zero.
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = Fraction(a, b)  # TypeError unless both operands are rational
+    return q.numerator if q.denominator == 1 else q
+
+
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(i + j for i, j in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
     """True when the monomial with exponents a divides the one with b."""
-    return all(i <= j for i, j in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
-    return tuple(i - j for i, j in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_key(m: Mono):
@@ -35,7 +70,7 @@ def mono_key(m: Mono):
 
 
 class Poly:
-    """Sparse polynomial: map from exponent tuple to nonzero Fraction."""
+    """Sparse polynomial: map from exponent tuple to nonzero int or Fraction."""
 
     __slots__ = ("nvars", "terms")
 
@@ -44,7 +79,7 @@ class Poly:
         if terms is None:
             terms = {}
         # prune zeros defensively; most call sites already avoid storing them
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms = {m: c for m, c in terms.items() if c}
 
     # -- constructors -------------------------------------------------------
 
@@ -54,7 +89,7 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, c) -> "Poly":
-        c = Fraction(c)
+        c = qcoef(c)
         if c == 0:
             return cls(nvars, {})
         return cls(nvars, {(0,) * nvars: c})
@@ -63,11 +98,11 @@ class Poly:
     def var(cls, nvars: int, i: int, c=1) -> "Poly":
         m = [0] * nvars
         m[i] = 1
-        return cls(nvars, {tuple(m): Fraction(c)})
+        return cls(nvars, {tuple(m): qcoef(c)})
 
     @classmethod
     def monomial(cls, m: Mono, c=1) -> "Poly":
-        c = Fraction(c)
+        c = qcoef(c)
         if c == 0:
             return cls(len(m), {})
         return cls(len(m), {tuple(m): c})
@@ -90,11 +125,11 @@ class Poly:
         m = max(self.terms, key=mono_key)
         return m, self.terms[m]
 
-    def coeff(self, m: Mono) -> Fraction:
-        return self.terms.get(tuple(m), Fraction(0))
+    def coeff(self, m: Mono):
+        return self.terms.get(tuple(m), 0)
 
-    def constant(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+    def constant(self):
+        return self.terms.get((0,) * self.nvars, 0)
 
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
@@ -170,10 +205,15 @@ class Poly:
         return NotImplemented
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = qcoef(c)
         out = Poly.__new__(Poly)
         out.nvars = self.nvars
-        out.terms = {} if c == 0 else {m: c * v for m, v in self.terms.items()}
+        if c == 0:
+            out.terms = {}
+        elif type(c) is int:
+            out.terms = {m: c * v for m, v in self.terms.items()}
+        else:
+            out.terms = {m: qcoef(c * v) for m, v in self.terms.items()}
         return out
 
     def __pow__(self, n: int) -> "Poly":
@@ -198,16 +238,17 @@ class Poly:
                 terms[m2] = terms.get(m2, 0) + c * e
         return Poly(self.nvars, terms)
 
-    def eval(self, point) -> Fraction:
+    def eval(self, point):
         """Evaluate at a tuple of rationals."""
-        total = Fraction(0)
+        point = [qcoef(p) for p in point]
+        total = 0
         for m, c in self.terms.items():
             v = c
             for e, p in zip(m, point):
                 if e:
-                    v *= Fraction(p) ** e
+                    v *= p ** e
             total += v
-        return total
+        return qcoef(total)
 
     def subs_vars(self, images: list) -> "Poly":
         """Substitute variable i by the polynomial images[i]."""
@@ -268,7 +309,11 @@ class Poly:
     def from_json(cls, nvars: int, data: list) -> "Poly":
         terms = {}
         for t in data:
-            terms[tuple(t["exponents"])] = Fraction(t["num"], t["den"])
+            m = tuple(t["exponents"])
+            if len(m) != nvars:
+                raise ValueError(
+                    f"exponent vector {list(m)} has width {len(m)}, expected {nvars}")
+            terms[m] = qdiv(t["num"], t["den"])
         return cls(nvars, terms)
 
     def __repr__(self):
@@ -293,16 +338,8 @@ def q_form(k: int) -> Poly:
         m = [0] * (2 * k)
         m[i] = 1
         m[2 * k - 1 - i] = 1
-        terms[tuple(m)] = Fraction(1)
+        terms[tuple(m)] = 1
     return Poly(2 * k, terms)
-
-
-def b_form_value(k: int, a, b) -> Fraction:
-    """The symmetric bilinear form B with Q(v) = B(v,v)/2, on rational tuples."""
-    total = Fraction(0)
-    for i in range(2 * k):
-        total += Fraction(a[i]) * Fraction(b[2 * k - 1 - i])
-    return total
 
 
 def normal_form_mod_single(p: Poly, d: Poly):
@@ -324,7 +361,7 @@ def normal_form_mod_single(p: Poly, d: Poly):
         m = max(work, key=mono_key)
         c = work.pop(m)
         if mono_divides(lm, m):
-            factor = Poly.monomial(mono_div(m, lm), c / lc)
+            factor = Poly.monomial(mono_div(m, lm), qdiv(c, lc))
             quotient = quotient + factor
             for m2, c2 in (factor * d).terms.items():
                 if m2 == m:
@@ -435,11 +472,6 @@ class QLaurent:
 
     def div_by_q(self, m: int = 1) -> "QLaurent":
         return QLaurent(self.k, self.num, self.qexp + m)
-
-    def mul_by_q(self, m: int = 1) -> "QLaurent":
-        if m >= self.qexp:
-            return QLaurent(self.k, self.num * q_form(self.k) ** (m - self.qexp), 0)
-        return QLaurent(self.k, self.num, self.qexp - m)
 
     def deriv(self, i: int) -> "QLaurent":
         # quotient rule: d(n/Q^m) = (n' Q - m n Q_i) / Q^(m+1)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 
 from .coneops import ConeOp, xx_op, yy_op
-from .poly import Poly, q_form, reduce_mod
+from .poly import Poly, q_form, qcoef, qdiv, reduce_mod
 from .weyl import WeylOp, euler_op
 
 
@@ -28,7 +28,7 @@ class EulerPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [qcoef(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = coeffs
@@ -68,7 +68,7 @@ class EulerPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return EulerPoly([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
@@ -80,10 +80,10 @@ class EulerPoly:
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
+        quo = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
         d = other.coeffs
         while len(rem) >= len(d) and rem:
-            f = rem[-1] / d[-1]
+            f = qdiv(rem[-1], d[-1])
             pos = len(rem) - len(d)
             quo[pos] = f
             for i, c in enumerate(d):
@@ -92,12 +92,12 @@ class EulerPoly:
                 rem.pop()
         return EulerPoly(quo), EulerPoly(rem)
 
-    def eval(self, x) -> Fraction:
-        x = Fraction(x)
-        total = Fraction(0)
+    def eval(self, x):
+        x = qcoef(x)
+        total = 0
         for c in reversed(self.coeffs):
             total = total * x + c
-        return total
+        return qcoef(total)
 
     def subs_linear(self, a, b) -> "EulerPoly":
         """Substitute E -> a*E + b."""
@@ -113,7 +113,7 @@ class EulerPoly:
         if self.is_zero():
             return self
         lead = self.coeffs[-1]
-        return EulerPoly([c / lead for c in self.coeffs])
+        return EulerPoly([qdiv(c, lead) for c in self.coeffs])
 
     def to_weyl(self, k: int) -> WeylOp:
         """Substitute the Euler operator for E."""
@@ -165,8 +165,7 @@ def xgcd(a: EulerPoly, b: EulerPoly):
         t0, t1 = t1, t0 - q * t1
     if r0.is_zero():
         return r0, s0, t0
-    lead = r0.coeffs[-1]
-    inv = 1 / lead
+    inv = qdiv(1, r0.coeffs[-1])
     return r0.monic(), s0 * inv, t0 * inv
 
 
@@ -212,9 +211,9 @@ def shapovalov_expand(d: int, k: int) -> ConeOp:
     YY = [yy_op(k, i + 1) for i in range(k)]
     for ab in _compositions(d, 2 * k):
         alpha, beta = ab[:k], ab[k:]
-        coef = Fraction(factorial(d))
+        coef = factorial(d)
         for e in ab:
-            coef /= factorial(e)
+            coef = qdiv(coef, factorial(e))
         mono = [0] * n
         op = WeylOp.identity(n)
         for i in range(k):
@@ -232,7 +231,7 @@ class NotScalar(Exception):
     """The operator does not act by a scalar on the graded piece."""
 
 
-def scalar_on_graded(op: ConeOp, r: int) -> Fraction:
+def scalar_on_graded(op: ConeOp, r: int):
     """The scalar by which a degree-0 operator acts on the r-th graded piece.
 
     Probes with x1^r and cross-checks on a second vector in the same piece;
@@ -244,7 +243,7 @@ def scalar_on_graded(op: ConeOp, r: int) -> Fraction:
     probe = Poly.monomial((r,) + (0,) * (n - 1))
     img = reduce_mod(op.op.apply(probe), qs)
     if img.is_zero():
-        c = Fraction(0)
+        c = 0
     else:
         c = img.coeff((r,) + (0,) * (n - 1))
         if img != probe.scale(c):
@@ -270,8 +269,8 @@ def fourier_roots_bezout(d: int, k: int):
     g, s, t = xgcd(p, q)
     if g.degree() != 0:
         raise ArithmeticError("Shapovalov polynomials are not coprime")
-    c = g.coeffs[0]
-    a, b = s * (1 / c), t * (1 / c)
+    inv = qdiv(1, g.coeffs[0])
+    a, b = s * inv, t * inv
     # verify the certificate exactly and at a sample point
     ident = a * p + b * q
     assert ident == EulerPoly([1]), "Bezout certificate failed"

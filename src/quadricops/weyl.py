@@ -16,8 +16,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, factorial
+from operator import add, sub
 
-from .poly import Poly, QLaurent, default_names, divides_exactly, mono_key
+from .poly import Poly, QLaurent, default_names, divides_exactly, mono_key, qcoef
 
 
 class NotDivisible(Exception):
@@ -25,7 +26,12 @@ class NotDivisible(Exception):
 
 
 class WeylOp:
-    """Sparse normal-ordered operator: map (alpha, beta) -> Fraction."""
+    """Sparse normal-ordered operator: map (alpha, beta) -> coefficient.
+
+    Coefficients are nonzero ``int`` or ``Fraction`` values, never ``float``;
+    the constructors store integral constants as ``int``, and any division
+    of coefficients goes through ``poly.qdiv``.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -33,7 +39,7 @@ class WeylOp:
         self.nvars = nvars
         if terms is None:
             terms = {}
-        self.terms = {ab: c for ab, c in terms.items() if c != 0}
+        self.terms = {ab: c for ab, c in terms.items() if c}
 
     # -- constructors --------------------------------------------------------
 
@@ -43,7 +49,7 @@ class WeylOp:
 
     @classmethod
     def const(cls, nvars: int, c) -> "WeylOp":
-        c = Fraction(c)
+        c = qcoef(c)
         z = (0,) * nvars
         return cls(nvars, {(z, z): c} if c else {})
 
@@ -62,14 +68,14 @@ class WeylOp:
         z = (0,) * nvars
         b = list(z)
         b[i] = 1
-        return cls(nvars, {(z, tuple(b)): Fraction(c)})
+        return cls(nvars, {(z, tuple(b)): qcoef(c)})
 
     @classmethod
     def from_dleft(cls, nvars: int, coeffs: dict) -> "WeylOp":
         """Rebuild from a d-left form {beta: Poly coefficient}."""
         out = cls.zero(nvars)
         for beta, poly in coeffs.items():
-            dpart = cls(nvars, {((0,) * nvars, tuple(beta)): Fraction(1)})
+            dpart = cls(nvars, {((0,) * nvars, tuple(beta)): 1})
             out = out + dpart * cls.mult(poly)
         return out
 
@@ -133,10 +139,15 @@ class WeylOp:
         return (-self) + other
 
     def scale(self, c) -> "WeylOp":
-        c = Fraction(c)
+        c = qcoef(c)
         out = WeylOp.__new__(WeylOp)
         out.nvars = self.nvars
-        out.terms = {} if c == 0 else {ab: c * v for ab, v in self.terms.items()}
+        if c == 0:
+            out.terms = {}
+        elif type(c) is int:
+            out.terms = {ab: c * v for ab, v in self.terms.items()}
+        else:
+            out.terms = {ab: qcoef(c * v) for ab, v in self.terms.items()}
         return out
 
     # -- multiplication ------------------------------------------------------
@@ -150,9 +161,11 @@ class WeylOp:
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 # reorder d^b1 x^a2 into x-left form variable by variable
+                a12 = tuple(map(add, a1, a2))
+                b12 = tuple(map(add, b1, b2))
                 for t, w in _exchange_terms(b1, a2):
-                    alpha = tuple(a1[i] + a2[i] - t[i] for i in range(n))
-                    beta = tuple(b1[i] + b2[i] - t[i] for i in range(n))
+                    alpha = tuple(map(sub, a12, t))
+                    beta = tuple(map(sub, b12, t))
                     c = c1 * c2 * w
                     s = terms.get((alpha, beta), 0) + c
                     if s:
@@ -251,13 +264,6 @@ class WeylOp:
         for (a, b), c in self.terms.items():
             out.setdefault(a, {})[b] = c
         return {alpha: Poly(n, tm) for alpha, tm in out.items()}
-
-    def symbol_poly(self) -> Poly:
-        """Full commutative symbol: x^alpha d^beta read as a polynomial in 4k
-        variables ordered (x-block, d-block)."""
-        n = self.nvars
-        terms = {a + b: c for (a, b), c in self.terms.items()}
-        return Poly(2 * n, terms)
 
     def divide_right_by_mult(self, q: Poly) -> "WeylOp":
         """Solve w = u * (mult by q); raise NotDivisible if impossible.
@@ -389,7 +395,7 @@ def _exchange_terms(b, a):
             ranges.append(range(m + 1))
     n = len(b)
     if not hot:
-        yield (0,) * n, Fraction(1)
+        yield (0,) * n, 1
         return
     for combo in itertools.product(*ranges):
         t = [0] * n
@@ -398,7 +404,7 @@ def _exchange_terms(b, a):
             t[i] = ti
             if ti:
                 w *= comb(b[i], ti) * comb(a[i], ti) * factorial(ti)
-        yield tuple(t), Fraction(w)
+        yield tuple(t), w
 
 
 # -- standard operators -------------------------------------------------------
@@ -411,7 +417,7 @@ def euler_op(k: int) -> WeylOp:
     for i in range(n):
         a = [0] * n
         a[i] = 1
-        terms[(tuple(a), tuple(a))] = Fraction(1)
+        terms[(tuple(a), tuple(a))] = 1
     return WeylOp(n, terms)
 
 
@@ -424,7 +430,7 @@ def laplacian_op(k: int) -> WeylOp:
         b = [0] * n
         b[i] = 1
         b[n - 1 - i] = 1
-        terms[(z, tuple(b))] = Fraction(1)
+        terms[(z, tuple(b))] = 1
     return WeylOp(n, terms)
 
 

@@ -1,0 +1,136 @@
+"""The coefficient rule: every coefficient is an int or a Fraction, never a
+float, and every true division goes through ``poly.qdiv``."""
+
+import ast
+import json
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import chain
+from pathlib import Path
+
+import pytest
+
+import quadricops
+from quadricops.coneops import GenWord
+from quadricops.lie import GroupElt, LieElt
+from quadricops.poly import Poly, qcoef, qdiv
+from quadricops.shapovalov import EulerPoly
+from quadricops.suites import run_suite
+from quadricops.weyl import WeylOp
+
+SRC = Path(quadricops.__file__).parent
+
+
+def test_true_division_only_inside_qdiv():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "poly.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "qdiv":
+                    allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.Div) and id(node) not in allowed):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_qdiv_is_exact():
+    assert qdiv(6, 3) == 2 and type(qdiv(6, 3)) is int
+    assert qdiv(-7, 2) == Fraction(-7, 2)
+    assert qdiv(Fraction(3, 2), Fraction(1, 2)) == 3
+    assert type(qdiv(Fraction(3, 2), Fraction(1, 2))) is int
+    assert qdiv(1, Fraction(3)) == Fraction(1, 3)
+    with pytest.raises(ZeroDivisionError):
+        qdiv(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        qdiv(Fraction(1, 2), 0)
+
+
+def test_floats_are_rejected():
+    with pytest.raises(TypeError):
+        qdiv(1, 0.5)
+    with pytest.raises(TypeError):
+        qdiv(0.5, 1)
+    with pytest.raises(TypeError):
+        Poly.const(4, 0.5)
+    with pytest.raises(TypeError):
+        WeylOp.const(4, 0.5)
+    with pytest.raises(TypeError):
+        Poly.var(4, 0).scale(0.5)
+
+
+def test_integral_constants_are_stored_as_int():
+    assert qcoef(Fraction(4, 2)) == 2 and type(qcoef(Fraction(4, 2))) is int
+    assert type(Poly.const(4, Fraction(6, 3)).constant()) is int
+    assert type(Poly.var(4, 0).scale(Fraction(2)).coeff((1, 0, 0, 0))) is int
+    one = Poly.var(4, 0).scale(2).scale(Fraction(1, 2))
+    assert type(one.coeff((1, 0, 0, 0))) is int
+
+
+# where each class keeps its coefficients
+COEFFICIENTS = {
+    Poly: lambda p: p.terms.values(),
+    WeylOp: lambda w: w.terms.values(),
+    GenWord: lambda g: g.terms.values(),
+    EulerPoly: lambda e: e.coeffs,
+    LieElt: lambda x: chain([x.alpha], x.mu, x.lam, *x.X),
+    GroupElt: lambda g: chain(*g.m),
+}
+
+
+def walk_suite_objects() -> dict:
+    """Inspect every coefficient-holding object that run_suite("all", 2) builds.
+
+    Each class's ``__new__`` is hooked so that building an object first
+    inspects the previous object of that class, which is complete by then:
+    no constructor of these classes builds another object of its own class.
+    A hooked ``__new__`` cannot be fully undone in CPython, so this runs in
+    a process of its own (see the test below).
+    """
+    last: dict = {}
+    seen = dict.fromkeys(COEFFICIENTS, 0)
+    bad = []
+
+    def inspect(cls, obj):
+        try:
+            coeffs = list(COEFFICIENTS[cls](obj))
+        except AttributeError:
+            return  # its constructor raised before the object was complete
+        seen[cls] += len(coeffs)
+        bad.extend(f"{cls.__name__}: {c!r}" for c in coeffs
+                   if type(c) not in (int, Fraction))
+
+    def hook(cls):
+        def new(subcls, *args, **kwargs):
+            if cls in last:
+                inspect(cls, last[cls])
+            obj = object.__new__(subcls)
+            last[cls] = obj
+            return obj
+        return staticmethod(new)
+
+    for cls in COEFFICIENTS:
+        cls.__new__ = hook(cls)
+    report = run_suite("all", 2)
+    for cls, obj in last.items():
+        inspect(cls, obj)
+    return {"exit_status": report.exit_status, "bad": bad[:20],
+            "seen": {cls.__name__: count for cls, count in seen.items()}}
+
+
+def test_suite_objects_hold_only_int_or_fraction():
+    proc = subprocess.run([sys.executable, __file__], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["exit_status"] == 0
+    assert result["bad"] == []
+    assert all(result["seen"].values()), result["seen"]
+
+
+if __name__ == "__main__":
+    print(json.dumps(walk_suite_objects()))

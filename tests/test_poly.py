@@ -102,3 +102,11 @@ def test_text_and_json_roundtrip():
     p = Poly(N, {(1, 0, 0, 1): Fraction(3, 2), (0, 0, 0, 0): Fraction(-1)})
     assert Poly.from_json(N, p.to_json()) == p
     assert "3/2" in p.text()
+
+
+def test_from_json_rejects_wrong_width():
+    short = [{"exponents": [1, 0, 1], "num": 1, "den": 1}]
+    long = [{"exponents": [1, 0, 0, 1, 0], "num": 1, "den": 1}]
+    for data in (short, long):
+        with pytest.raises(ValueError):
+            Poly.from_json(N, data)
