@@ -1,8 +1,8 @@
 """Exact-arithmetic engine for differential operators on the quadric cone.
 
 Modules:
-  poly        sparse rational polynomials, single-divisor normal forms,
-              and the Q-Laurent function class
+  poly        sparse rational polynomials on packed exponent vectors,
+              single-divisor normal forms, and the Q-Laurent function class
   weyl        the Weyl algebra: normal orders, one-sided divisions, symbols
   lie         the conformal orthogonal Lie algebra and its rational group
   coneops     operators on the cone, the three realizations, generator
@@ -15,8 +15,8 @@ Modules:
   cli         command-line entry point
 """
 
-from .poly import (Poly, QLaurent, divides_exactly, normal_form_mod_single,
-                   q_form, reduce_mod)
+from .poly import (ExponentOverflow, Poly, QLaurent, divides_exactly,
+                   normal_form_mod_single, q_form, reduce_mod)
 from .weyl import (LocalWeylOp, NotDivisible, WeylOp, euler_op,
                    is_zero_extensional, laplacian_op)
 from .lie import (DegenerateCell, GroupElt, LieElt, NotQLaurent, basis,
@@ -37,7 +37,7 @@ from .exprparse import ParseError, parse, to_text
 from .suites import SuiteReport, UnknownSuite, emit, run_suite
 
 __all__ = [
-    "Poly", "QLaurent", "divides_exactly",
+    "ExponentOverflow", "Poly", "QLaurent", "divides_exactly",
     "normal_form_mod_single", "q_form", "reduce_mod",
     "LocalWeylOp", "NotDivisible", "WeylOp", "euler_op",
     "is_zero_extensional", "laplacian_op",

@@ -16,7 +16,7 @@ from .harmonic import (bessel_check, boundary_phase_check,
                        kelvin_intertwine_defect, n2_counterexample)
 from .lie import basis
 from .momentorbit import check_descent, verify_orbit_relations
-from .poly import Poly, QLaurent
+from .poly import ExponentOverflow, Poly, QLaurent, mdegree
 from .shapovalov import (fourier_roots_bezout, shapovalov_closed,
                          shapovalov_expand)
 from .suites import (CheckResult, SuiteReport, UnknownSuite, emit,
@@ -39,7 +39,7 @@ def cmd_reduce(args) -> int:
     tree = exprparse.parse(args.expr, args.k)
     op = exprparse.eval_weyl(tree, args.k)
     cap = 2 * max_degree_cap()
-    coef_degree = max((sum(a) for a, _ in op.terms), default=0)
+    coef_degree = max((mdegree(a, op.nvars) for a, _ in op.terms), default=0)
     if op.order() > cap or coef_degree > cap:
         return _usage_error("expression exceeds the max-degree safety cap")
     cone = ConeOp(op)
@@ -141,7 +141,7 @@ def cmd_kelvin(args) -> int:
     tree = exprparse.parse(args.expr, args.k)
     op = exprparse.eval_weyl(tree, args.k)
     for (_, b) in op.terms:
-        if any(b):
+        if b:  # a nonzero derivative multi-index
             return _usage_error("kelvin expects a polynomial expression "
                                 "(no derivatives)")
     poly = Poly(2 * args.k, {a: c for (a, b), c in op.terms.items()})
@@ -341,6 +341,8 @@ def main(argv=None) -> int:
         return _usage_error("--k must be at least 2")
     try:
         return args.func(args)
+    except ExponentOverflow:
+        return _usage_error("expression exceeds the max-degree safety cap")
     except (exprparse.ParseError, IndexError) as exc:
         return _usage_error(f"parse error: {exc}")
     except exprparse.NotGeneratorWord as exc:

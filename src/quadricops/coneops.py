@@ -18,7 +18,8 @@ generators, swapping coordinates with the second-order operators XX_i, YY_i.
 from __future__ import annotations
 
 from .lie import LieElt
-from .poly import Poly, default_names, mono_key, q_form, qcoef, qdiv, reduce_mod
+from .poly import (Poly, default_names, q_form, qcoef, qdiv, reduce_mod,
+                   unpack)
 from .weyl import (NotDivisible, WeylOp, euler_op, laplacian_op,
                    monomials_up_to)
 
@@ -95,6 +96,7 @@ def tau(a: WeylOp) -> WeylOp:
     n = a.nvars
     out = WeylOp.zero(n)
     for (alpha, beta), c in a.terms.items():
+        alpha, beta = unpack(alpha, n), unpack(beta, n)
         word = WeylOp.const(n, c)
         for i in range(n):
             for _ in range(alpha[i]):
@@ -197,10 +199,10 @@ class ConeOp:
         n = 2 * self.k
         names = default_names(n)
         parts = []
-        for beta in sorted(can, key=lambda b: (sum(b), mono_key(b))):
+        for beta in sorted(can):
             dfac = "*".join(
                 f"d{names[i]}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(beta) if e
+                for i, e in enumerate(unpack(beta, n)) if e
             )
             coef = can[beta].text()
             if dfac:
@@ -212,8 +214,8 @@ class ConeOp:
     def canonical_json(self) -> list:
         can = self.canonical()
         return [
-            {"d": list(beta), "coefficient": can[beta].to_json()}
-            for beta in sorted(can, key=lambda b: (sum(b), mono_key(b)))
+            {"d": list(unpack(beta, 2 * self.k)), "coefficient": can[beta].to_json()}
+            for beta in sorted(can)
         ]
 
     def __repr__(self):

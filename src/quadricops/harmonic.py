@@ -11,12 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .poly import (Poly, QLaurent, normal_form_mod_single, q_form, qdiv,
-                   reduce_mod)
+from .poly import (Poly, QLaurent, mdegree, normal_form_mod_single, pack,
+                   q_form, qdiv, reduce_mod)
 from .weyl import (LocalWeylOp, NotDivisible, WeylOp, euler_op, laplacian_op,
                    monomials_up_to)
 from .coneops import xx_op, yy_op
-from .momentorbit import b_poly, q_poly, v_vector, x_vector
+from .momentorbit import q_poly, x_vector
 
 
 class SymmetryCert:
@@ -55,14 +55,15 @@ def kelvin(f: QLaurent, k: int | None = None) -> QLaurent:
     """
     if k is None:
         k = f.k
+    n = 2 * k
     q = q_form(k)
     deg = max(f.num.degree(), 0)
     # numerator(-v/Q) * Q^deg, collected by total degree
-    num = Poly.zero(2 * k)
+    num = Poly.zero(n)
     for m, c in f.num.terms.items():
-        d = sum(m)
+        d = mdegree(m, n)
         sign = -1 if d % 2 else 1
-        num = num + Poly.monomial(m, c * sign) * q ** (deg - d)
+        num = num + Poly(n, {m: c * sign}) * q ** (deg - d)
     # Q(-v/Q) = 1/Q, so the original denominator contributes Q^{+qexp}
     sign = -1 if (k - 1) % 2 else 1
     shift = (k - 1) + deg - f.qexp
@@ -138,15 +139,15 @@ def harmonic_decompose(d: int, k: int):
         raise ValueError("degree must be nonnegative")
     n = 2 * k
     lap = laplacian_op(k)
-    monos = sym_monomials(k, d)
+    monos = [pack(m) for m in sym_monomials(k, d)]
     col = {m: i for i, m in enumerate(monos)}
+    target = [pack(m) for m in sym_monomials(k, d - 2)] if d >= 2 else []
     if d >= 2:
-        target = sym_monomials(k, d - 2)
         trow = {m: i for i, m in enumerate(target)}
         # matrix of Delta: rows = Sym^{d-2} monomials, cols = Sym^d monomials
         rows = [[0] * len(monos) for _ in target]
         for m in monos:
-            img = lap.apply(Poly.monomial(m))
+            img = lap.apply(Poly(n, {m: 1}))
             for m2, c in img.terms.items():
                 rows[trow[m2]][col[m]] = c
         null, _ = _nullspace(rows, len(monos))
@@ -156,12 +157,9 @@ def harmonic_decompose(d: int, k: int):
     harm = [Poly(n, {m: vec[col[m]] for m in monos if vec[col[m]]})
             for vec in null]
     q = q_form(k)
-    qmult = ([q * Poly.monomial(m) for m in sym_monomials(k, d - 2)]
-             if d >= 2 else [])
+    qmult = [q * Poly(n, {m: 1}) for m in target]
     # independence of the combined spans
-    combined = []
-    for p in harm + qmult:
-        combined.append([p.coeff(m) for m in monos])
+    combined = [[p.terms.get(m, 0) for m in monos] for p in harm + qmult]
     # transpose into rows-as-vectors and row reduce to count the rank
     _, pivots = _nullspace(_transpose(combined, len(monos)), len(combined))
     rank = len(pivots)
@@ -241,7 +239,8 @@ def bessel_check(k: int, M: int) -> dict:
         f = f + Poly.monomial(tuple(mono), c)
     op = xx_op(k, 1) - WeylOp.identity(n)
     residue = op.apply(f)
-    low = Poly(n, {m: c for m, c in residue.terms.items() if sum(m) < M - 1})
+    low = Poly(n, {m: c for m, c in residue.terms.items()
+                   if mdegree(m, n) < M - 1})
     lap_zero = laplacian_op(k).apply(f).is_zero()
     # E f = t f'
     ef = euler_op(k).apply(f)

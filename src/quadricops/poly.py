@@ -1,10 +1,30 @@
 """Sparse multivariate polynomials over exact rationals.
 
 Variables come in conjugate pairs (x1..xk, y1..yk), so a polynomial in the
-standard setup lives in 2k variables.  Exponent vectors are plain tuples; the
-monomial order used everywhere is graded lexicographic with
-x1 > ... > xk > y1 > ... > yk, which makes the leading term of
-Q* = x1*yk + ... + xk*y1 equal to x1*yk.
+standard setup lives in 2k variables.  The monomial order used everywhere is
+graded lexicographic with x1 > ... > xk > y1 > ... > yk, which makes the
+leading term of Q* = x1*yk + ... + xk*y1 equal to x1*yk.
+
+Monomials are packed exponent vectors (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", 2007):
+one ``int`` per monomial.  In n variables it has n + 1 fields of 16 bits,
+each 15 value bits under a guard bit that stays clear.  The top field holds
+the total degree, then come the exponents of x1, ..., down to the last
+variable in the lowest field.  Hence
+
+- the product of monomials is ``+`` and the quotient is ``-``;
+- a divides b exactly when ``(b - a) & guard(n)`` is 0, since a field that
+  would go negative borrows and sets its guard bit;
+- graded lex order is plain ``int`` order, and the zero vector packs to 0.
+
+Every exponent and every total degree is at most ``EMAX`` = 32767.  Each
+product and each derivative action checks that bound before it stores a
+term and raises ``ExponentOverflow`` instead of wrapping; so does ``pack``.
+The layout is private to this module: other modules go through ``pack``,
+``unpack``, ``mdegree``, ``unit``, ``support``, ``guard`` and the helpers
+below.  Exponent tuples remain at the boundary: ``Poly.monomial``,
+``coeff``, ``leading``, ``from_exponents``, ``exponent_items``,
+``sorted_terms``, ``text`` and the JSON form take or return tuples.
 
 Coefficients are exact rationals of type ``int`` or ``fractions.Fraction``,
 never ``float``; nothing is ever rounded.  Constructors store an integral
@@ -19,9 +39,15 @@ one a coefficient carries.  Every true division in the package goes through
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, le, sub
+from functools import lru_cache
+from math import perm
 
-Mono = tuple  # exponent vector, length 2k (or other fixed width per context)
+FIELD = 16                      # bits per field: 15 value bits, 1 guard bit
+EMAX = (1 << (FIELD - 1)) - 1   # largest exponent and total degree: 32767
+
+
+class ExponentOverflow(OverflowError):
+    """An exponent or a total degree would exceed EMAX."""
 
 
 def qcoef(c):
@@ -51,26 +77,106 @@ def qdiv(a, b):
     return q.numerator if q.denominator == 1 else q
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(map(add, a, b))
+# -- packed monomials ------------------------------------------------------
 
 
-def mono_divides(a: Mono, b: Mono) -> bool:
-    """True when the monomial with exponents a divides the one with b."""
-    return all(map(le, a, b))
+@lru_cache(maxsize=None)
+def _layout(n: int):
+    """(field shifts of x1..x_n, guard bits of the n variable fields)."""
+    shifts = tuple(FIELD * (n - 1 - i) for i in range(n))
+    return shifts, sum(EMAX + 1 << s for s in shifts)
 
 
-def mono_div(a: Mono, b: Mono) -> Mono:
-    return tuple(map(sub, a, b))
+def pack(m, n: int | None = None) -> int:
+    """The packed monomial of the exponent tuple m.
+
+    With n given, raises ValueError unless m has n exponents.
+    """
+    if n is not None and len(m) != n:
+        raise ValueError(
+            f"exponent vector {list(m)} has width {len(m)}, expected {n}")
+    out = deg = 0
+    for e in m:
+        if e < 0:
+            raise ValueError(f"negative exponent in {tuple(m)}")
+        out = out << FIELD | e
+        deg += e
+    if deg > EMAX:
+        raise ExponentOverflow(
+            f"total degree {deg} exceeds the exponent bound {EMAX}")
+    return deg << FIELD * len(m) | out
 
 
-def mono_key(m: Mono):
-    """Sort key realizing graded lex; larger key = larger monomial."""
-    return (sum(m), m)
+def unpack(m: int, n: int) -> tuple:
+    """The exponent tuple of the packed monomial m in n variables."""
+    return tuple(m >> s & EMAX for s in _layout(n)[0])
+
+
+def mdegree(m: int, n: int) -> int:
+    """Total degree of the packed monomial m in n variables."""
+    return m >> FIELD * n
+
+
+def unit(n: int, i: int) -> int:
+    """The packed monomial of variable i."""
+    return 1 << FIELD * n | 1 << FIELD * (n - 1 - i)
+
+
+def guard(n: int) -> int:
+    """Guard bits of all fields: a divides b iff (b - a) & guard(n) == 0."""
+    return _layout(n)[1] | EMAX + 1 << FIELD * n
+
+
+def support(m: int, n: int) -> int:
+    """Guard bits set at the variables with a nonzero exponent in m.
+
+    Two monomials share a variable iff their supports intersect.
+    """
+    g = _layout(n)[1]
+    low = g - (g >> FIELD - 1)
+    return ((m & low) + low) & g
+
+
+def restrict(m: int, s: int) -> int:
+    """m with every exponent outside the guard bits s (from ``support``) set
+    to 0, and no total degree: a key for data that depends on those
+    exponents only."""
+    return m & s - (s >> FIELD - 1)
+
+
+def check_degrees(a: int, b: int, n: int) -> None:
+    """Raise ExponentOverflow unless mdegree(a) + mdegree(b) <= EMAX.
+
+    With a and b the largest monomials of two factors, this bounds every
+    exponent of their product, so no field can spill into its guard bit.
+    """
+    d = (a >> FIELD * n) + (b >> FIELD * n)
+    if d > EMAX:
+        raise ExponentOverflow(
+            f"total degree {d} exceeds the exponent bound {EMAX}")
+
+
+@lru_cache(maxsize=1 << 12)
+def falling_spec(b: int, n: int) -> tuple:
+    """The nonzero fields of b, in the form ``falling`` reads."""
+    return tuple((s, e) for s, e in zip(_layout(n)[0], unpack(b, n)) if e)
+
+
+def falling(m: int, spec: tuple) -> int:
+    """prod_i m_i! / (m_i - b_i)! for spec = falling_spec(b, n): the weight
+    with which d^b sends x^m to x^(m-b)."""
+    w = 1
+    for s, e in spec:
+        w *= perm(m >> s & EMAX, e)
+    return w
 
 
 class Poly:
-    """Sparse polynomial: map from exponent tuple to nonzero int or Fraction."""
+    """Sparse polynomial: map from packed monomial to nonzero int or Fraction.
+
+    ``Poly(nvars, terms)`` takes packed keys; ``from_exponents`` takes
+    exponent tuples.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -92,20 +198,24 @@ class Poly:
         c = qcoef(c)
         if c == 0:
             return cls(nvars, {})
-        return cls(nvars, {(0,) * nvars: c})
+        return cls(nvars, {0: c})
 
     @classmethod
     def var(cls, nvars: int, i: int, c=1) -> "Poly":
-        m = [0] * nvars
-        m[i] = 1
-        return cls(nvars, {tuple(m): qcoef(c)})
+        return cls(nvars, {unit(nvars, i): qcoef(c)})
 
     @classmethod
-    def monomial(cls, m: Mono, c=1) -> "Poly":
+    def monomial(cls, m, c=1) -> "Poly":
         c = qcoef(c)
         if c == 0:
             return cls(len(m), {})
-        return cls(len(m), {tuple(m): c})
+        return cls(len(m), {pack(m): c})
+
+    @classmethod
+    def from_exponents(cls, nvars: int, terms: dict) -> "Poly":
+        """Build from {exponent tuple: coefficient}."""
+        return cls(nvars, {pack(m, nvars): qcoef(c)
+                           for m, c in terms.items()})
 
     # -- basic queries -------------------------------------------------------
 
@@ -116,23 +226,29 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(m) for m in self.terms)
+        return mdegree(max(self.terms), self.nvars)
 
     def leading(self):
-        """(monomial, coefficient) maximal in graded lex."""
+        """(exponent tuple, coefficient) maximal in graded lex."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=mono_key)
-        return m, self.terms[m]
+        m = max(self.terms)
+        return unpack(m, self.nvars), self.terms[m]
 
-    def coeff(self, m: Mono):
-        return self.terms.get(tuple(m), 0)
+    def coeff(self, m):
+        """The coefficient of the monomial with exponent tuple m."""
+        return self.terms.get(pack(m, self.nvars), 0)
 
     def constant(self):
-        return self.terms.get((0,) * self.nvars, 0)
+        return self.terms.get(0, 0)
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        return self.terms.keys() <= {0}
+
+    def exponent_items(self):
+        """The terms as (exponent tuple, coefficient) pairs."""
+        n = self.nvars
+        return ((unpack(m, n), c) for m, c in self.terms.items())
 
     def __bool__(self):
         return bool(self.terms)
@@ -152,7 +268,9 @@ class Poly:
             raise ValueError("polynomials live in different variable sets")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.const(self.nvars, other)
         self._check(other)
         terms = dict(self.terms)
@@ -175,26 +293,42 @@ class Poly:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.nvars, other)
+        if not isinstance(other, (Poly, int, Fraction)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             return self.scale(other)
         self._check(other)
+        t1, t2 = self.terms, other.terms
+        if len(t1) > len(t2):
+            t1, t2 = t2, t1
         terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = terms.get(m, 0) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
+        if len(t1) == 1:
+            # a monomial times a polynomial: no two products collide
+            ((m1, c1),) = t1.items()
+            check_degrees(m1, max(t2), self.nvars)
+            terms = {m1 + m2: c1 * c2 for m2, c2 in t2.items()}
+        elif t1:
+            check_degrees(max(t1), max(t2), self.nvars)
+            items = list(t2.items())
+            get = terms.get
+            for m1, c1 in t1.items():
+                for m2, c2 in items:
+                    m = m1 + m2
+                    s = get(m, 0) + c1 * c2
+                    if s:
+                        terms[m] = s
+                    else:
+                        del terms[m]
         out = Poly.__new__(Poly)
         out.nvars, out.terms = self.nvars, terms
         return out
@@ -230,19 +364,19 @@ class Poly:
 
     def deriv(self, i: int) -> "Poly":
         """Partial derivative with respect to variable index i."""
-        terms: dict = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e:
-                m2 = m[:i] + (e - 1,) + m[i + 1:]
-                terms[m2] = terms.get(m2, 0) + c * e
-        return Poly(self.nvars, terms)
+        n = self.nvars
+        s, u = FIELD * (n - 1 - i), unit(n, i)
+        out = Poly.__new__(Poly)
+        out.nvars = n
+        out.terms = {m - u: c * (m >> s & EMAX)
+                     for m, c in self.terms.items() if m >> s & EMAX}
+        return out
 
     def eval(self, point):
         """Evaluate at a tuple of rationals."""
         point = [qcoef(p) for p in point]
         total = 0
-        for m, c in self.terms.items():
+        for m, c in self.exponent_items():
             v = c
             for e, p in zip(m, point):
                 if e:
@@ -254,7 +388,7 @@ class Poly:
         """Substitute variable i by the polynomial images[i]."""
         nv = images[0].nvars
         total = Poly.zero(nv)
-        for m, c in self.terms.items():
+        for m, c in self.exponent_items():
             term = Poly.const(nv, c)
             for i, e in enumerate(m):
                 for _ in range(e):
@@ -266,12 +400,16 @@ class Poly:
         """Re-index into a larger variable set starting at ``offset``."""
         pad_l = (0,) * offset
         pad_r = (0,) * (nvars - offset - self.nvars)
-        return Poly(nvars, {pad_l + m + pad_r: c for m, c in self.terms.items()})
+        return Poly(nvars, {pack(pad_l + m + pad_r): c
+                            for m, c in self.exponent_items()})
 
     # -- printing ------------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: mono_key(mc[0]), reverse=True)
+        """(exponent tuple, coefficient) pairs, largest monomial first."""
+        n = self.nvars
+        return [(unpack(m, n), self.terms[m])
+                for m in sorted(self.terms, reverse=True)]
 
     def text(self, names: list | None = None) -> str:
         if not self.terms:
@@ -307,14 +445,8 @@ class Poly:
 
     @classmethod
     def from_json(cls, nvars: int, data: list) -> "Poly":
-        terms = {}
-        for t in data:
-            m = tuple(t["exponents"])
-            if len(m) != nvars:
-                raise ValueError(
-                    f"exponent vector {list(m)} has width {len(m)}, expected {nvars}")
-            terms[m] = qdiv(t["num"], t["den"])
-        return cls(nvars, terms)
+        return cls.from_exponents(
+            nvars, {tuple(t["exponents"]): qdiv(t["num"], t["den"]) for t in data})
 
     def __repr__(self):
         return f"Poly({self.text()})"
@@ -333,13 +465,15 @@ def default_names(nvars: int) -> list:
 
 def q_form(k: int) -> Poly:
     """Q = x1*yk + x2*y_{k-1} + ... + xk*y1 in 2k variables."""
-    terms = {}
-    for i in range(k):
-        m = [0] * (2 * k)
-        m[i] = 1
-        m[2 * k - 1 - i] = 1
-        terms[tuple(m)] = 1
-    return Poly(2 * k, terms)
+    out = Poly.__new__(Poly)
+    out.nvars, out.terms = 2 * k, dict(_q_terms(k))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _q_terms(k: int) -> tuple:
+    n = 2 * k
+    return tuple((unit(n, i) + unit(n, n - 1 - i), 1) for i in range(k))
 
 
 def normal_form_mod_single(p: Poly, d: Poly):
@@ -353,27 +487,31 @@ def normal_form_mod_single(p: Poly, d: Poly):
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    lm, lc = d.leading()
-    quotient = Poly.zero(p.nvars)
-    remainder_terms: dict = {}
+    p._check(d)
+    g = guard(p.nvars)
+    lm = max(d.terms)
+    lc = d.terms[lm]
+    # q*lm + (m2 - lm) = q*m2: the offsets stay valid monomials once added
+    tail = [(m2 - lm, c2) for m2, c2 in d.terms.items() if m2 != lm]
+    quotient: dict = {}
+    remainder: dict = {}
     work = dict(p.terms)
     while work:
-        m = max(work, key=mono_key)
+        m = max(work)
         c = work.pop(m)
-        if mono_divides(lm, m):
-            factor = Poly.monomial(mono_div(m, lm), qdiv(c, lc))
-            quotient = quotient + factor
-            for m2, c2 in (factor * d).terms.items():
-                if m2 == m:
-                    continue
-                s = work.get(m2, 0) - c2
-                if s:
-                    work[m2] = s
-                else:
-                    work.pop(m2, None)
-        else:
-            remainder_terms[m] = c
-    return quotient, Poly(p.nvars, remainder_terms)
+        if (m - lm) & g:
+            remainder[m] = c
+            continue
+        f = qdiv(c, lc)
+        quotient[m - lm] = f
+        for off, c2 in tail:
+            m2 = m + off
+            s = work.get(m2, 0) - f * c2
+            if s:
+                work[m2] = s
+            else:
+                del work[m2]
+    return Poly(p.nvars, quotient), Poly(p.nvars, remainder)
 
 
 def reduce_mod(p: Poly, d: Poly) -> Poly:

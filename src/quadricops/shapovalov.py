@@ -13,7 +13,6 @@ disjoint for k >= 2, which the Bezout certificate witnesses.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import factorial
 

@@ -21,12 +21,11 @@ from fractions import Fraction
 from . import exprparse
 from .coneops import (ConeOp, GenWord, a_correction, grading, letter_op,
                       phi, rho_amb, rho_tilde, tau, xx_op, yy_op,
-                      b_form_poly, d_op, b_op, c_op, euler_weight_op)
+                      b_form_poly, d_op, b_op, c_op)
 from .harmonic import (bessel_check, boundary_phase_check, dirac_relations,
                        exp_harmonicity_defect, harmonic_decompose,
                        harmonic_dimension, is_higher_symmetry, kelvin,
-                       kelvin_intertwine_defect, n2_counterexample,
-                       sym_monomials)
+                       kelvin_intertwine_defect, n2_counterexample)
 from .lie import (DegenerateCell, act_at, basis, bruhat_factor, chi0_at, levi,
                   u, u_op, w0)
 from .momentorbit import (check_descent, phase_euler, poisson, q_poly,
@@ -133,7 +132,7 @@ def _rand_poly(rng: random.Random, nvars: int, deg: int, nterms: int = 5) -> Pol
         for _ in range(rng.randint(0, deg)):
             m[rng.randrange(nvars)] += 1
         terms[tuple(m)] = qdiv(rng.randint(-9, 9), rng.randint(1, 4))
-    return Poly(nvars, {m: c for m, c in terms.items() if c})
+    return Poly.from_exponents(nvars, terms)
 
 
 def _rand_weyl(rng: random.Random, nvars: int, deg: int = 3, nterms: int = 4) -> WeylOp:
@@ -146,7 +145,7 @@ def _rand_weyl(rng: random.Random, nvars: int, deg: int = 3, nterms: int = 4) ->
         for _ in range(rng.randint(0, deg)):
             b[rng.randrange(nvars)] += 1
         terms[(tuple(a), tuple(b))] = qdiv(rng.randint(-6, 6), rng.randint(1, 3))
-    return WeylOp(nvars, {ab: c for ab, c in terms.items() if c})
+    return WeylOp.from_exponents(nvars, terms)
 
 
 # ---------------------------------------------------------------- algebra-core

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
-from operator import add, sub
 
-from .poly import Poly, QLaurent, default_names, divides_exactly, mono_key, qcoef
+from .poly import (Poly, QLaurent, check_degrees, default_names,
+                   divides_exactly, falling, falling_spec, guard, mdegree,
+                   pack, qcoef, restrict, support, unit, unpack)
 
 
 class NotDivisible(Exception):
@@ -27,6 +29,15 @@ class NotDivisible(Exception):
 
 class WeylOp:
     """Sparse normal-ordered operator: map (alpha, beta) -> coefficient.
+
+    The key (alpha, beta) stands for the term x^alpha d^beta.  alpha and
+    beta are packed monomials in the ``Poly`` layout of nvars variables
+    (see ``poly``): so each is one ``int`` with the total degree in its top
+    field, every exponent and total degree at most ``poly.EMAX``, and a
+    product or an action that would exceed it raises ``ExponentOverflow``.
+    ``WeylOp(nvars, terms)`` takes packed keys; ``from_exponents`` takes
+    exponent tuples, and ``sorted_terms``, ``text`` and ``to_json`` give
+    tuples back.
 
     Coefficients are nonzero ``int`` or ``Fraction`` values, never ``float``;
     the constructors store integral constants as ``int``, and any division
@@ -50,8 +61,7 @@ class WeylOp:
     @classmethod
     def const(cls, nvars: int, c) -> "WeylOp":
         c = qcoef(c)
-        z = (0,) * nvars
-        return cls(nvars, {(z, z): c} if c else {})
+        return cls(nvars, {(0, 0): c} if c else {})
 
     @classmethod
     def identity(cls, nvars: int) -> "WeylOp":
@@ -60,22 +70,25 @@ class WeylOp:
     @classmethod
     def mult(cls, p: Poly) -> "WeylOp":
         """Multiplication by the polynomial p."""
-        z = (0,) * p.nvars
-        return cls(p.nvars, {(m, z): c for m, c in p.terms.items()})
+        return cls(p.nvars, {(m, 0): c for m, c in p.terms.items()})
 
     @classmethod
     def partial(cls, nvars: int, i: int, c=1) -> "WeylOp":
-        z = (0,) * nvars
-        b = list(z)
-        b[i] = 1
-        return cls(nvars, {(z, tuple(b)): qcoef(c)})
+        return cls(nvars, {(0, unit(nvars, i)): qcoef(c)})
+
+    @classmethod
+    def from_exponents(cls, nvars: int, terms: dict) -> "WeylOp":
+        """Build from {(alpha tuple, beta tuple): coefficient}."""
+        return cls(nvars, {
+            (pack(a, nvars), pack(b, nvars)): qcoef(c)
+            for (a, b), c in terms.items()})
 
     @classmethod
     def from_dleft(cls, nvars: int, coeffs: dict) -> "WeylOp":
-        """Rebuild from a d-left form {beta: Poly coefficient}."""
+        """Rebuild from a d-left form {packed beta: Poly coefficient}."""
         out = cls.zero(nvars)
         for beta, poly in coeffs.items():
-            dpart = cls(nvars, {((0,) * nvars, tuple(beta)): 1})
+            dpart = cls(nvars, {(0, beta): 1})
             out = out + dpart * cls.mult(poly)
         return out
 
@@ -85,7 +98,7 @@ class WeylOp:
         """Maximal |beta|; -1 for the zero operator."""
         if not self.terms:
             return -1
-        return max(sum(b) for _, b in self.terms)
+        return mdegree(max(b for _, b in self.terms), self.nvars)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -108,7 +121,9 @@ class WeylOp:
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, WeylOp):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = WeylOp.const(self.nvars, other)
         self._check(other)
         terms = dict(self.terms)
@@ -131,11 +146,13 @@ class WeylOp:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylOp.const(self.nvars, other)
+        if not isinstance(other, (WeylOp, int, Fraction)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return (-self) + other
 
     def scale(self, c) -> "WeylOp":
@@ -153,25 +170,44 @@ class WeylOp:
     # -- multiplication ------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, WeylOp):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             return self.scale(other)
         self._check(other)
         n = self.nvars
         terms: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                # reorder d^b1 x^a2 into x-left form variable by variable
-                a12 = tuple(map(add, a1, a2))
-                b12 = tuple(map(add, b1, b2))
-                for t, w in _exchange_terms(b1, a2):
-                    alpha = tuple(map(sub, a12, t))
-                    beta = tuple(map(sub, b12, t))
-                    c = c1 * c2 * w
-                    s = terms.get((alpha, beta), 0) + c
-                    if s:
-                        terms[(alpha, beta)] = s
+        if self.terms and other.terms:
+            check_degrees(max(a for a, _ in self.terms),
+                          max(a for a, _ in other.terms), n)
+            check_degrees(max(b for _, b in self.terms),
+                          max(b for _, b in other.terms), n)
+            items = [(a2, b2, c2, support(a2, n))
+                     for (a2, b2), c2 in other.terms.items()]
+            get = terms.get
+            for (a1, b1), c1 in self.terms.items():
+                s1 = support(b1, n)
+                for a2, b2, c2, s2 in items:
+                    shared = s1 & s2
+                    if shared:
+                        # reorder d^b1 x^a2 into x-left form
+                        a12, b12, c12 = a1 + a2, b1 + b2, c1 * c2
+                        for t, w in _exchange_terms(restrict(b1, shared),
+                                                    restrict(a2, shared), n):
+                            ab = (a12 - t, b12 - t)
+                            s = get(ab, 0) + c12 * w
+                            if s:
+                                terms[ab] = s
+                            else:
+                                del terms[ab]
                     else:
-                        del terms[(alpha, beta)]
+                        # d^b1 and x^a2 share no variable: they commute
+                        ab = (a1 + a2, b1 + b2)
+                        s = get(ab, 0) + c1 * c2
+                        if s:
+                            terms[ab] = s
+                        else:
+                            del terms[ab]
         out = WeylOp.__new__(WeylOp)
         out.nvars, out.terms = n, terms
         return out
@@ -204,52 +240,47 @@ class WeylOp:
         if isinstance(f, Poly):
             return self._apply_poly(f)
         if isinstance(f, QLaurent):
-            return self._apply_qlaurent(f)
+            return LocalWeylOp.from_weyl(self).apply(f)
         raise TypeError(f"cannot apply operator to {type(f).__name__}")
 
     def _apply_poly(self, f: Poly) -> Poly:
         n = self.nvars
-        terms: dict = {}
+        out = Poly.__new__(Poly)
+        out.nvars = n
+        out.terms = terms = {}
+        if not self.terms or not f.terms:
+            return out
+        check_degrees(max(a for a, _ in self.terms), max(f.terms), n)
+        g = guard(n)
+        items = list(f.terms.items())
+        get = terms.get
         for (a, b), c in self.terms.items():
-            for m, cm in f.terms.items():
-                if any(b[i] > m[i] for i in range(n)):
-                    continue
-                w = c * cm
-                for i in range(n):
-                    for j in range(b[i]):
-                        w *= m[i] - j
-                mono = tuple(m[i] - b[i] + a[i] for i in range(n))
-                s = terms.get(mono, 0) + w
+            spec = falling_spec(b, n)
+            for m, cm in items:
+                if (m - b) & g:
+                    continue  # d^b kills x^m
+                w = c * cm * falling(m, spec) if spec else c * cm
+                mono = m - b + a
+                s = get(mono, 0) + w
                 if s:
                     terms[mono] = s
                 else:
                     del terms[mono]
-        return Poly(n, terms)
-
-    def _apply_qlaurent(self, f: QLaurent) -> QLaurent:
-        k = f.k
-        total = QLaurent(k, Poly.zero(2 * k), 0)
-        for (a, b), c in self.terms.items():
-            g = f
-            for i in range(self.nvars):
-                for _ in range(b[i]):
-                    g = g.deriv(i)
-            g = g * Poly.monomial(a, c)
-            total = total + g
-        return total
+        return out
 
     # -- normal forms and division --------------------------------------------
 
     def dleft(self) -> dict:
-        """The d-left normal form as a map {beta: Poly coefficient}."""
+        """The d-left normal form as a map {packed beta: Poly coefficient}."""
         n = self.nvars
         out: dict = {}
         for (a, b), c in self.terms.items():
-            for t, w in _exchange_terms(b, a):
-                sign = -1 if sum(t) % 2 else 1
-                beta = tuple(b[i] - t[i] for i in range(n))
-                alpha = tuple(a[i] - t[i] for i in range(n))
-                bucket = out.setdefault(beta, {})
+            shared = support(b, n) & support(a, n)
+            for t, w in _exchange_terms(restrict(b, shared),
+                                        restrict(a, shared), n):
+                sign = -1 if mdegree(t, n) % 2 else 1
+                bucket = out.setdefault(b - t, {})
+                alpha = a - t
                 s = bucket.get(alpha, 0) + sign * w * c
                 if s:
                     bucket[alpha] = s
@@ -258,7 +289,7 @@ class WeylOp:
         return {beta: Poly(n, tm) for beta, tm in out.items() if tm}
 
     def xleft_coeffs(self) -> dict:
-        """The stored x-left form as {alpha: Poly in the d-symbols}."""
+        """The stored x-left form as {packed alpha: Poly in the d-symbols}."""
         n = self.nvars
         out: dict = {}
         for (a, b), c in self.terms.items():
@@ -279,7 +310,8 @@ class WeylOp:
         for beta, v in coeffs.items():
             u = divides_exactly(q, v)
             if u is None:
-                raise NotDivisible(f"d-left coefficient at beta={beta} not divisible")
+                raise NotDivisible("d-left coefficient at "
+                                   f"beta={unpack(beta, self.nvars)} not divisible")
             quo[beta] = u
         return WeylOp.from_dleft(self.nvars, quo)
 
@@ -290,8 +322,7 @@ class WeylOp:
         multiplies each q_alpha by the symbol polynomial of d, so the quotient
         exists iff every q_alpha is divisible by that symbol.
         """
-        z = (0,) * self.nvars
-        if any(a != z for a, _ in d.terms):
+        if any(a for a, _ in d.terms):
             raise ValueError("divisor must have constant coefficients")
         if d.is_zero():
             raise ZeroDivisionError("division by the zero operator")
@@ -300,7 +331,8 @@ class WeylOp:
         for alpha, qa in self.xleft_coeffs().items():
             u = divides_exactly(dsym, qa)
             if u is None:
-                raise NotDivisible(f"x-left coefficient at alpha={alpha} not divisible")
+                raise NotDivisible("x-left coefficient at "
+                                   f"alpha={unpack(alpha, self.nvars)} not divisible")
             part = WeylOp(self.nvars, {(alpha, b): c for b, c in u.terms.items()})
             out = out + part
         return out
@@ -320,13 +352,14 @@ class WeylOp:
         if r < 0:
             return Poly(2 * n, {})
         for (a, b), c in self.terms.items():
-            if sum(b) != r:
+            if mdegree(b, n) != r:
                 continue
+            d = unpack(b, n)
             fiber = [0] * n
             for i in range(k):
-                fiber[2 * k - 1 - i] += b[i]          # d_{x_i} -> y_{k+1-i}(v)
-                fiber[k - 1 - i] += b[k + i]          # d_{y_i} -> x_{k+1-i}(v)
-            mono = a + tuple(fiber)
+                fiber[2 * k - 1 - i] += d[i]          # d_{x_i} -> y_{k+1-i}(v)
+                fiber[k - 1 - i] += d[k + i]          # d_{y_i} -> x_{k+1-i}(v)
+            mono = pack(unpack(a, n) + tuple(fiber))
             s = terms.get(mono, 0) + c
             if s:
                 terms[mono] = s
@@ -337,10 +370,10 @@ class WeylOp:
     # -- printing --------------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda tc: (sum(tc[0][1]), mono_key(tc[0][1]), mono_key(tc[0][0])),
-        )
+        """((alpha tuple, beta tuple), coefficient) by beta, then alpha."""
+        n = self.nvars
+        return [((unpack(a, n), unpack(b, n)), c) for (b, a), c in
+                sorted(((b, a), c) for (a, b), c in self.terms.items())]
 
     def text(self) -> str:
         if not self.terms:
@@ -383,28 +416,26 @@ class WeylOp:
         return f"WeylOp({self.text()})"
 
 
-def _exchange_terms(b, a):
-    """Terms of d^b x^a in x-left order: yields (t, weight) over 0 <= t <= min(b,a)
-    with weight = prod C(b_i,t_i) C(a_i,t_i) t_i!; the caller assembles exponents."""
-    ranges = []
-    hot = []
-    for i, (bi, ai) in enumerate(zip(b, a)):
-        m = min(bi, ai)
-        if m:
-            hot.append(i)
-            ranges.append(range(m + 1))
-    n = len(b)
-    if not hot:
-        yield (0,) * n, 1
-        return
-    for combo in itertools.product(*ranges):
+@lru_cache(maxsize=1 << 12)
+def _exchange_terms(b: int, a: int, n: int) -> tuple:
+    """Terms of d^b x^a in x-left order: (t, weight) over 0 <= t <= min(b, a)
+    with weight = prod C(b_i,t_i) C(a_i,t_i) t_i!, t packed; the caller
+    assembles x^(a-t) d^(b-t).
+
+    Only the variables that b and a share matter, so callers pass both
+    restricted to them, which keeps the memo small.
+    """
+    b, a = unpack(b, n), unpack(a, n)
+    hot = [i for i in range(n) if b[i] and a[i]]
+    out = []
+    for combo in itertools.product(*(range(min(b[i], a[i]) + 1) for i in hot)):
         t = [0] * n
         w = 1
         for i, ti in zip(hot, combo):
             t[i] = ti
-            if ti:
-                w *= comb(b[i], ti) * comb(a[i], ti) * factorial(ti)
-        yield tuple(t), w
+            w *= comb(b[i], ti) * comb(a[i], ti) * factorial(ti)
+        out.append((pack(t), w))
+    return tuple(out)
 
 
 # -- standard operators -------------------------------------------------------
@@ -413,25 +444,13 @@ def _exchange_terms(b, a):
 def euler_op(k: int) -> WeylOp:
     """E = sum x_i d_{x_i} + y_i d_{y_i}."""
     n = 2 * k
-    terms = {}
-    for i in range(n):
-        a = [0] * n
-        a[i] = 1
-        terms[(tuple(a), tuple(a))] = 1
-    return WeylOp(n, terms)
+    return WeylOp(n, {(unit(n, i), unit(n, i)): 1 for i in range(n)})
 
 
 def laplacian_op(k: int) -> WeylOp:
     """Delta = sum_i d_{x_i} d_{y_{k+1-i}}."""
     n = 2 * k
-    z = (0,) * n
-    terms = {}
-    for i in range(k):
-        b = [0] * n
-        b[i] = 1
-        b[n - 1 - i] = 1
-        terms[(z, tuple(b))] = 1
-    return WeylOp(n, terms)
+    return WeylOp(n, {(0, unit(n, i) + unit(n, n - 1 - i)): 1 for i in range(k)})
 
 
 def monomials_up_to(nvars: int, degree: int):
@@ -475,13 +494,13 @@ class LocalWeylOp:
     @classmethod
     def from_weyl(cls, op: WeylOp) -> "LocalWeylOp":
         # group the x-left form by derivative part: coefficient acts after d^beta
-        k = op.nvars // 2
+        n = op.nvars
         buckets: dict = {}
         for (a, b), c in op.terms.items():
             buckets.setdefault(b, {})[a] = c
         return cls(
-            k,
-            [(QLaurent.from_poly(Poly(op.nvars, tm)), b) for b, tm in buckets.items()],
+            n // 2,
+            [(QLaurent.from_poly(Poly(n, tm)), unpack(b, n)) for b, tm in buckets.items()],
         )
 
     def apply(self, f: QLaurent) -> QLaurent:

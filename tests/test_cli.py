@@ -77,6 +77,13 @@ def test_exit_code_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["reduce", "kelvin"])
+def test_exponent_overflow_is_a_usage_error(capsys, command):
+    # x1^40000 is past the largest exponent a packed monomial holds
+    assert cli.main([command, "x1^40000", "--k", "2"]) == 2
+    assert "max-degree safety cap" in capsys.readouterr().err
+
+
 def test_argparse_usage_exit_code():
     proc = subprocess.run([sys.executable, "-m", "quadricops.cli",
                            "no-such-command"], capture_output=True)

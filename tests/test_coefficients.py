@@ -63,6 +63,28 @@ def test_floats_are_rejected():
         Poly.var(4, 0).scale(0.5)
 
 
+def _binary_ops(a, b):
+    return [lambda: a + b, lambda: b + a, lambda: a - b, lambda: b - a,
+            lambda: a * b, lambda: b * a]
+
+
+@pytest.mark.parametrize("make", [lambda: Poly.var(4, 0),
+                                  lambda: WeylOp.partial(4, 0)],
+                         ids=["Poly", "WeylOp"])
+@pytest.mark.parametrize("other", [0.5, 1.0, "x1", None, [1]],
+                         ids=["float", "integral-float", "str", "None", "list"])
+def test_arithmetic_rejects_other_operands(make, other):
+    for op in _binary_ops(make(), other):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_poly_and_weylop_do_not_mix():
+    for op in _binary_ops(Poly.var(4, 0), WeylOp.partial(4, 0)):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_integral_constants_are_stored_as_int():
     assert qcoef(Fraction(4, 2)) == 2 and type(qcoef(Fraction(4, 2))) is int
     assert type(Poly.const(4, Fraction(6, 3)).constant()) is int

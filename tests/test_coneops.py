@@ -9,7 +9,7 @@ from quadricops.coneops import (ConeOp, GenWord, NotNormalizing,
                                 a_correction, euler_weight_op, grading,
                                 is_ideal_preserving, letter_op,
                                 letter_lie_preimage, phi, rho_amb, rho_tilde,
-                                tau, tau_hat, xx_op, yy_op, d_op, b_op, c_op)
+                                tau, tau_hat, xx_op, yy_op, d_op)
 from quadricops.lie import LieElt, basis
 from quadricops.poly import Poly, q_form
 from quadricops.weyl import WeylOp, euler_op, laplacian_op

@@ -2,8 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
-
 from quadricops.coneops import phi, b_form_poly
 from quadricops.harmonic import (bessel_check, bessel_series,
                                  boundary_phase_check, dirac_relations,
@@ -11,7 +9,7 @@ from quadricops.harmonic import (bessel_check, bessel_series,
                                  harmonic_dimension, is_higher_symmetry,
                                  kelvin, kelvin_intertwine_defect,
                                  n2_counterexample)
-from quadricops.lie import LieElt, basis
+from quadricops.lie import basis
 from quadricops.poly import Poly, QLaurent, q_form
 from quadricops.weyl import LocalWeylOp, WeylOp, laplacian_op
 

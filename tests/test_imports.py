@@ -1,0 +1,45 @@
+"""Static check: no unused imports in the package or in the tests."""
+
+import ast
+from pathlib import Path
+
+import quadricops
+
+ROOTS = [Path(quadricops.__file__).parent, Path(__file__).parent]
+
+
+def unused_imports(path: Path) -> list:
+    """Imported names that the module never reads.
+
+    A name counts as read when it occurs as an ``ast.Name`` anywhere in the
+    module (annotations included) or is listed in a top-level ``__all__``.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}"
+            for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_unused_imports():
+    offenders = [u for root in ROOTS for path in sorted(root.glob("*.py"))
+                 for u in unused_imports(path)]
+    assert offenders == []
+
+
+def test_scan_sees_an_unused_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import os\nfrom math import comb, perm\n"
+                     "__all__ = ['perm']\nprint(comb(3, 1))\n")
+    assert unused_imports(probe) == ["probe.py:1: os"]

@@ -6,8 +6,8 @@ import pytest
 
 from quadricops import exprparse as ep
 from quadricops.coneops import ConeOp, xx_op
-from quadricops.poly import Poly, q_form
-from quadricops.weyl import WeylOp, euler_op, laplacian_op
+from quadricops.poly import q_form
+from quadricops.weyl import WeylOp, euler_op
 
 K = 2
 

@@ -1,12 +1,16 @@
 """Polynomial core: arithmetic, normal forms, and the Q-Laurent class."""
 
 from fractions import Fraction
+from operator import add, le
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadricops.poly import (Poly, QLaurent, divides_exactly,
-                             normal_form_mod_single, q_form, reduce_mod)
+from quadricops.poly import (EMAX, ExponentOverflow, Poly, QLaurent,
+                             divides_exactly, guard, mdegree,
+                             normal_form_mod_single, pack, q_form, reduce_mod,
+                             support, unit, unpack)
+from quadricops.weyl import WeylOp
 
 K = 2
 N = 2 * K
@@ -22,7 +26,7 @@ def polys(nvars=N, deg=4):
         monomials(nvars, deg),
         st.fractions(min_value=-9, max_value=9, max_denominator=4),
         max_size=5,
-    ).map(lambda d: Poly(nvars, d))
+    ).map(lambda d: Poly.from_exponents(nvars, d))
 
 
 def test_leading_term_of_dual_form():
@@ -99,7 +103,8 @@ def test_qlaurent_normalization_unique(p, a, b):
 
 
 def test_text_and_json_roundtrip():
-    p = Poly(N, {(1, 0, 0, 1): Fraction(3, 2), (0, 0, 0, 0): Fraction(-1)})
+    p = Poly.from_exponents(N, {(1, 0, 0, 1): Fraction(3, 2),
+                                (0, 0, 0, 0): Fraction(-1)})
     assert Poly.from_json(N, p.to_json()) == p
     assert "3/2" in p.text()
 
@@ -110,3 +115,85 @@ def test_from_json_rejects_wrong_width():
     for data in (short, long):
         with pytest.raises(ValueError):
             Poly.from_json(N, data)
+
+
+# -- packed exponent vectors --------------------------------------------------
+
+
+@st.composite
+def exponent_vectors(draw, count=1, top=EMAX):
+    """count exponent tuples of one width whose total degrees sum to <= top."""
+    n = draw(st.integers(1, 8))
+    cap = top // (n * count)
+    return tuple(tuple(draw(st.lists(st.integers(0, cap), min_size=n, max_size=n)))
+                 for _ in range(count))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_vectors())
+def test_pack_unpack_roundtrip(vecs):
+    (m,) = vecs
+    n = len(m)
+    assert unpack(pack(m), n) == m
+    assert mdegree(pack(m), n) == sum(m)
+    assert pack(m) == sum(e * unit(n, i) for i, e in enumerate(m))
+
+
+def test_pack_extremes():
+    for m in [(EMAX,), (EMAX, 0, 0), (0, 0, EMAX), (0,) * 6]:
+        assert unpack(pack(m), len(m)) == m
+    with pytest.raises(ExponentOverflow):
+        pack((EMAX, 1))
+    with pytest.raises(ValueError):
+        pack((1, -1))
+    with pytest.raises(ValueError):
+        pack((1, 0), 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_vectors(count=2))
+def test_packed_sum_is_tuple_sum(vecs):
+    a, b = vecs
+    assert pack(a) + pack(b) == pack(tuple(map(add, a, b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_vectors(count=2, top=48))
+def test_guard_test_is_divisibility(vecs):
+    a, b = vecs
+    n = len(a)
+    assert ((pack(b) - pack(a)) & guard(n) == 0) == all(map(le, a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_vectors(count=2, top=48))
+def test_int_order_is_graded_lex(vecs):
+    a, b = vecs
+    assert (pack(a) < pack(b)) == ((sum(a), a) < (sum(b), b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_vectors(count=2, top=48))
+def test_support_meets_on_shared_variables(vecs):
+    a, b = vecs
+    n = len(a)
+    shared = any(x and y for x, y in zip(a, b))
+    assert bool(support(pack(a), n) & support(pack(b), n)) == shared
+
+
+def test_exponent_overflow_raises():
+    x = Poly.var(4, 0)
+    assert (x ** EMAX).leading() == ((EMAX, 0, 0, 0), 1)
+    with pytest.raises(ExponentOverflow):
+        x ** 40000
+    with pytest.raises(ExponentOverflow):
+        Poly.monomial((EMAX + 1, 0, 0, 0))
+    with pytest.raises(ExponentOverflow):
+        Poly.monomial((EMAX, 0, 0, 0)) * Poly.var(4, 3)
+    top = WeylOp.mult(Poly.monomial((EMAX, 0, 0, 0)))
+    with pytest.raises(ExponentOverflow):
+        top * WeylOp.mult(x)
+    with pytest.raises(ExponentOverflow):
+        WeylOp.partial(4, 1) ** (EMAX + 1)
+    with pytest.raises(ExponentOverflow):
+        WeylOp.mult(x).apply(Poly.monomial((0, EMAX, 0, 0)))

@@ -1,7 +1,5 @@
 """The invariant pairing element as an Euler polynomial."""
 
-from fractions import Fraction
-
 import pytest
 
 from quadricops.coneops import ConeOp, d_op

@@ -1,10 +1,14 @@
-"""Differential tests of the polynomial kernels against sympy.
+"""Differential tests of the polynomial and Weyl kernels against sympy.
 
 Products and single-divisor remainders modulo the split form Q are checked
 on random polynomials whose coefficients mix ``int`` and ``Fraction``, at
 k = 2 and k = 3.  Graded lex on (x1..xk, y1..yk) is the engine's monomial
 order, and sympy's ``grlex`` on the same generator order matches it, so the
 remainders must agree term for term.
+
+The action of a Weyl operator sum c x^alpha d^beta is checked against
+sympy.diff, and so is the action of a product, which must be the action of
+one factor after the other.
 """
 
 from fractions import Fraction
@@ -12,7 +16,8 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from quadricops.poly import Poly, normal_form_mod_single, q_form
+from quadricops.poly import Poly, normal_form_mod_single, q_form, support
+from quadricops.weyl import WeylOp
 
 COEFFS = st.one_of(
     st.integers(-9, 9),
@@ -28,7 +33,7 @@ def poly_pairs(draw):
         lambda m: sum(m) <= 4)
 
     def poly():
-        return Poly(n, draw(st.dictionaries(mono, COEFFS, max_size=6)))
+        return Poly.from_exponents(n, draw(st.dictionaries(mono, COEFFS, max_size=6)))
 
     return k, poly(), poly()
 
@@ -40,13 +45,13 @@ def gens(k):
 
 def to_sympy(p: Poly, k: int) -> sympy.Poly:
     terms = {m: sympy.Rational(c.numerator, c.denominator)
-             for m, c in p.terms.items()}
+             for m, c in p.exponent_items()}
     return sympy.Poly.from_dict(terms, *gens(k), domain="QQ")
 
 
 def from_sympy(p: sympy.Poly, k: int) -> Poly:
     terms = {m: Fraction(int(c.p), int(c.q)) for m, c in p.as_dict().items()}
-    return Poly(2 * k, terms)
+    return Poly.from_exponents(2 * k, terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -71,3 +76,81 @@ def test_remainder_mod_q_matches_sympy(case):
     assert quo * q + rem == p
     assert all(type(c) in (int, Fraction)
                for part in (quo, rem) for c in part.terms.values())
+
+
+@st.composite
+def weyl_cases(draw):
+    """(k, a, b, f, overlap): operators a and b and a polynomial f.
+
+    With overlap, a has a d-part in a variable where b has an x-part, so
+    a * b reorders through the exchange formula; without, the d-parts of a
+    and the x-parts of b use disjoint variables and every term pair of
+    a * b is a single commuting term.
+    """
+    k = draw(st.sampled_from([2, 3]))
+    n = 2 * k
+    overlap = draw(st.booleans())
+    split = draw(st.integers(1, n - 1))
+
+    def expvec(lo, hi):
+        return st.tuples(*[st.integers(0, 2) if lo <= i < hi else st.just(0)
+                           for i in range(n)]).filter(lambda m: sum(m) <= 3)
+
+    def op(xs, ds):
+        return draw(st.dictionaries(st.tuples(expvec(*xs), expvec(*ds)),
+                                    COEFFS, max_size=4))
+
+    a = op((0, n), (0, split))
+    b = op((split, n) if not overlap else (0, n), (0, n))
+    if overlap:
+        i = draw(st.integers(0, n - 1))
+        e = tuple(int(j == i) for j in range(n))
+        a[((0,) * n, e)] = draw(st.integers(1, 5))
+        b[(e, (0,) * n)] = draw(st.integers(1, 5))
+    mono = st.tuples(*[st.integers(0, 3) for _ in range(n)]).filter(
+        lambda m: sum(m) <= 5)
+    f = Poly.from_exponents(n, draw(st.dictionaries(mono, COEFFS, max_size=5)))
+    return (k, WeylOp.from_exponents(n, a), WeylOp.from_exponents(n, b), f,
+            overlap)
+
+
+def sympy_apply(op: WeylOp, f, k: int):
+    """sum c x^alpha d^beta f, with the derivatives taken by sympy.diff."""
+    xs = gens(k)
+    total = sympy.Integer(0)
+    for (alpha, beta), c in op.sorted_terms():
+        term = f
+        for x, e in zip(xs, beta):
+            if e:
+                term = sympy.diff(term, x, e)
+        for x, e in zip(xs, alpha):
+            term = term * x ** e
+        total += sympy.Rational(c.numerator, c.denominator) * term
+    return sympy.expand(total)
+
+
+def shares_variable(a: WeylOp, b: WeylOp) -> bool:
+    n = a.nvars
+    return any(support(d, n) & support(x, n)
+               for (_, d) in a.terms for (x, _) in b.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weyl_cases())
+def test_weyl_action_matches_sympy_diff(case):
+    k, a, b, f, _ = case
+    expr = to_sympy(f, k).as_expr()
+    for op in (a, b):
+        expected = sympy.Poly(sympy_apply(op, expr, k), *gens(k), domain="QQ")
+        assert op.apply(f) == from_sympy(expected, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weyl_cases())
+def test_weyl_product_acts_as_composition(case):
+    k, a, b, f, overlap = case
+    assert shares_variable(a, b) == overlap
+    composed = a.apply(b.apply(f))
+    assert (a * b).apply(f) == composed
+    expr = sympy_apply(a, sympy_apply(b, to_sympy(f, k).as_expr(), k), k)
+    assert composed == from_sympy(sympy.Poly(expr, *gens(k), domain="QQ"), k)

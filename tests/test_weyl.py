@@ -1,7 +1,5 @@
 """Weyl algebra: normal orders, divisions, symbols, extensional tests."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +19,7 @@ def weyl_ops(nvars=N, deg=2):
         st.tuples(expvec, expvec),
         st.fractions(min_value=-6, max_value=6, max_denominator=3),
         max_size=4,
-    ).map(lambda d: WeylOp(nvars, d))
+    ).map(lambda d: WeylOp.from_exponents(nvars, d))
 
 
 def small_polys():
@@ -29,7 +27,7 @@ def small_polys():
         lambda m: sum(m) <= 4)
     return st.dictionaries(
         mono, st.fractions(min_value=-6, max_value=6, max_denominator=3),
-        max_size=4).map(lambda d: Poly(N, d))
+        max_size=4).map(lambda d: Poly.from_exponents(N, d))
 
 
 def test_canonical_commutator():
@@ -86,6 +84,14 @@ def test_weyl_associativity(a, b, c):
 @given(weyl_ops(), weyl_ops(), small_polys())
 def test_weyl_module_action(a, b, f):
     assert (a * b).apply(f) == a.apply(b.apply(f))
+
+
+@settings(max_examples=20, deadline=None)
+@given(weyl_ops(), small_polys())
+def test_action_on_laurent_polynomials(a, f):
+    # the QLaurent action goes through LocalWeylOp; on polynomials it must
+    # agree with the polynomial action
+    assert a.apply(QLaurent.from_poly(f)) == QLaurent.from_poly(a.apply(f))
 
 
 @settings(max_examples=20, deadline=None)
