@@ -18,45 +18,28 @@ generators, swapping coordinates with the second-order operators XX_i, YY_i.
 from __future__ import annotations
 
 from .lie import LieElt
-from .poly import (Poly, default_names, q_form, qcoef, qdiv, reduce_mod,
-                   unpack)
+from .poly import (Poly, b_pair, default_names, dual, mono_text, q_form,
+                   qcoef, qdiv, reduce_mod, signed_text, unit, unpack)
 from .weyl import (NotDivisible, WeylOp, euler_op, laplacian_op,
                    monomials_up_to)
-
-
-def _dual(n: int, i: int) -> int:
-    """Index pairing of the split form: x_i <-> y_{k+1-i}."""
-    return n - 1 - i
 
 
 def b_form_poly(k: int, vec) -> Poly:
     """B(vec, .) as a linear polynomial for a rational vector vec."""
     n = 2 * k
-    out = Poly.zero(n)
-    for i in range(n):
-        if vec[i]:
-            out = out + Poly.var(n, _dual(n, i), vec[i])
-    return out
+    return b_pair(vec, [Poly.var(n, i) for i in range(n)])
 
 
 def grad_pair(k: int, vec) -> WeylOp:
     """Directional derivative sum vec_i d_i."""
     n = 2 * k
-    out = WeylOp.zero(n)
-    for i in range(n):
-        if vec[i]:
-            out = out + WeylOp.partial(n, i, vec[i])
-    return out
+    return WeylOp(n, {(0, unit(n, i)): qcoef(c) for i, c in enumerate(vec)})
 
 
 def grad_flip(k: int, vec) -> WeylOp:
-    """The split-form-twisted directional derivative: e_{x_i} -> d_{y_{k+1-i}}."""
-    n = 2 * k
-    out = WeylOp.zero(n)
-    for i in range(n):
-        if vec[i]:
-            out = out + WeylOp.partial(n, _dual(n, i), vec[i])
-    return out
+    """The split-form-twisted directional derivative: e_{x_i} -> d_{y_{k+1-i}},
+    that is, the derivative along J_V vec, the reversed vector."""
+    return grad_pair(k, vec[::-1])
 
 
 def phi(xi: LieElt) -> WeylOp:
@@ -145,12 +128,9 @@ class ConeOp:
     def canonical(self) -> dict:
         if self._canonical is None:
             qs = q_form(self.k)
-            buckets: dict = {}
-            for (a, b), c in self.op.terms.items():
-                buckets.setdefault(b, {})[a] = c
             out = {}
-            for beta, tm in buckets.items():
-                r = reduce_mod(Poly(2 * self.k, tm), qs)
+            for beta, p in self.op.xleft().items():
+                r = reduce_mod(p, qs)
                 if not r.is_zero():
                     out[beta] = r
             self._canonical = out
@@ -197,13 +177,10 @@ class ConeOp:
         if not can:
             return "0"
         n = 2 * self.k
-        names = default_names(n)
+        dnames = ["d" + nm for nm in default_names(n)]
         parts = []
         for beta in sorted(can):
-            dfac = "*".join(
-                f"d{names[i]}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(unpack(beta, n)) if e
-            )
+            dfac = mono_text(unpack(beta, n), dnames)
             coef = can[beta].text()
             if dfac:
                 parts.append(f"({coef})*{dfac}")
@@ -280,14 +257,14 @@ def euler_weight_op(k: int) -> WeylOp:
 def xx_op(k: int, i: int) -> WeylOp:
     """XX_i = (E + k - 1) d_{y_{k+1-i}} - x_i Delta   (i is 1-based)."""
     n = 2 * k
-    return (euler_weight_op(k) * WeylOp.partial(n, n - i)
+    return (euler_weight_op(k) * WeylOp.partial(n, dual(n, i - 1))
             - WeylOp.mult(Poly.var(n, i - 1)) * laplacian_op(k))
 
 
 def yy_op(k: int, i: int) -> WeylOp:
     """YY_i = (E + k - 1) d_{x_{k+1-i}} - y_i Delta   (i is 1-based)."""
     n = 2 * k
-    return (euler_weight_op(k) * WeylOp.partial(n, k - i)
+    return (euler_weight_op(k) * WeylOp.partial(n, dual(n, k + i - 1))
             - WeylOp.mult(Poly.var(n, k + i - 1)) * laplacian_op(k))
 
 
@@ -295,21 +272,22 @@ def d_op(k: int, i: int, j: int) -> WeylOp:
     """D_ij = x_j d_{x_i} - y_{k+1-i} d_{y_{k+1-j}}   (1-based indices)."""
     n = 2 * k
     return (WeylOp.mult(Poly.var(n, j - 1)) * WeylOp.partial(n, i - 1)
-            - WeylOp.mult(Poly.var(n, n - i)) * WeylOp.partial(n, n - j))
+            - WeylOp.mult(Poly.var(n, dual(n, i - 1)))
+            * WeylOp.partial(n, dual(n, j - 1)))
 
 
 def b_op(k: int, i: int, j: int) -> WeylOp:
     """B_ij = y_{k+1-j} d_{x_i} - y_{k+1-i} d_{x_j}   (1-based, i < j)."""
     n = 2 * k
-    return (WeylOp.mult(Poly.var(n, n - j)) * WeylOp.partial(n, i - 1)
-            - WeylOp.mult(Poly.var(n, n - i)) * WeylOp.partial(n, j - 1))
+    return (WeylOp.mult(Poly.var(n, dual(n, j - 1))) * WeylOp.partial(n, i - 1)
+            - WeylOp.mult(Poly.var(n, dual(n, i - 1))) * WeylOp.partial(n, j - 1))
 
 
 def c_op(k: int, i: int, j: int) -> WeylOp:
     """C_ij = x_j d_{y_{k+1-i}} - x_i d_{y_{k+1-j}}   (1-based, i < j)."""
     n = 2 * k
-    return (WeylOp.mult(Poly.var(n, j - 1)) * WeylOp.partial(n, n - i)
-            - WeylOp.mult(Poly.var(n, i - 1)) * WeylOp.partial(n, n - j))
+    return (WeylOp.mult(Poly.var(n, j - 1)) * WeylOp.partial(n, dual(n, i - 1))
+            - WeylOp.mult(Poly.var(n, i - 1)) * WeylOp.partial(n, dual(n, j - 1)))
 
 
 # letters of generator words: ("x", i), ("y", i), ("XX", i), ("YY", i),
@@ -362,20 +340,18 @@ def letter_lie_preimage(k: int, letter) -> LieElt:
         return LieElt(k, alpha=-1)
     # Levi letters: the matrix X with sum X[a][b] v_a d_b equal to the operator
     X = [[0] * n for _ in range(n)]
-    if kind == "D":
-        i, j = letter[1], letter[2]
-        X[j - 1][i - 1] += 1
-        X[n - i][n - j] -= 1
-    elif kind == "B":
-        i, j = letter[1], letter[2]
-        X[n - j][i - 1] += 1
-        X[n - i][j - 1] -= 1
-    elif kind == "C":
-        i, j = letter[1], letter[2]
-        X[j - 1][n - i] += 1
-        X[i - 1][n - j] -= 1
-    else:
+    if kind not in ("D", "B", "C"):
         raise ValueError(f"unknown generator letter {letter!r}")
+    i, j = letter[1] - 1, letter[2] - 1
+    if kind == "D":
+        X[j][i] += 1
+        X[dual(n, i)][dual(n, j)] -= 1
+    elif kind == "B":
+        X[dual(n, j)][i] += 1
+        X[dual(n, i)][j] -= 1
+    else:
+        X[j][dual(n, i)] += 1
+        X[i][dual(n, j)] -= 1
     return LieElt(k, X=X)
 
 
@@ -473,26 +449,17 @@ class GenWord:
             total = total + op
         return ConeOp(total)
 
+    def sorted_terms(self):
+        """(word, coefficient) pairs, shorter words first."""
+        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
+
     def text(self) -> str:
-        if not self.terms:
-            return "0"
         def letter_text(letter):
-            kind = letter[0]
-            if kind == "Etil":
+            if letter[0] == "Etil":
                 return "(E+k-1)"
-            return kind + "".join(str(i) for i in letter[1:])
-        parts = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[word]
-            body = "*".join(letter_text(l) for l in word) if word else "1"
-            if abs(c) != 1 or not word:
-                body = f"{abs(c)}*{body}" if word else str(abs(c))
-            parts.append(("-" if c < 0 else "+", body))
-        head_sign, head = parts[0]
-        s = ("-" if head_sign == "-" else "") + head
-        for sign, body in parts[1:]:
-            s += f" {sign} {body}"
-        return s
+            return letter[0] + "".join(str(i) for i in letter[1:])
+        return signed_text((c, "*".join(map(letter_text, w)))
+                           for w, c in self.sorted_terms())
 
     def __repr__(self):
         return f"GenWord({self.text()})"

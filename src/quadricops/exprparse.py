@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 
 from .coneops import b_op, c_op, d_op, xx_op, yy_op, GenWord
-from .poly import Poly, q_form
+from .poly import Poly, q_form, signed_text
 from .weyl import WeylOp, euler_op, laplacian_op
 
 
@@ -282,8 +282,6 @@ def to_genword(node, k: int) -> GenWord:
 
 def genword_to_expr_text(w: GenWord, k: int) -> str:
     """Render a generator word back in the expression grammar."""
-    if not w.terms:
-        return "0"
     def letter_text(letter):
         kind = letter[0]
         if kind == "Etil":
@@ -291,15 +289,5 @@ def genword_to_expr_text(w: GenWord, k: int) -> str:
         if kind in ("D", "B", "C"):
             return f"{kind}op{letter[1]}{letter[2]}"
         return kind + "".join(str(i) for i in letter[1:])
-    parts = []
-    for word in sorted(w.terms, key=lambda ww: (len(ww), ww)):
-        c = w.terms[word]
-        body = "*".join(letter_text(l) for l in word) if word else "1"
-        if abs(c) != 1 or not word:
-            body = f"{abs(c)}*{body}" if word else str(abs(c))
-        parts.append(("-" if c < 0 else "+", body))
-    head_sign, head = parts[0]
-    s = ("-" if head_sign == "-" else "") + head
-    for sign, body in parts[1:]:
-        s += f" {sign} {body}"
-    return s
+    return signed_text((c, "*".join(map(letter_text, word)))
+                       for word, c in w.sorted_terms())

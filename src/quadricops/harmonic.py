@@ -8,11 +8,10 @@ polynomial identities.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
-from .poly import (Poly, QLaurent, mdegree, normal_form_mod_single, pack,
-                   q_form, qdiv, reduce_mod)
+from .poly import (Poly, QLaurent, b_pair, dual, mdegree,
+                   normal_form_mod_single, pack, q_form, qdiv, reduce_mod)
 from .weyl import (LocalWeylOp, NotDivisible, WeylOp, euler_op, laplacian_op,
                    monomials_up_to)
 from .coneops import xx_op, yy_op
@@ -187,7 +186,7 @@ def exp_harmonicity_defect(k: int) -> Poly:
     x = x_vector(k)
     one = Poly.const(4 * k, 1)
     defect = twisted_laplacian(one, k)
-    qx = q_poly(k, x)
+    qx = q_poly(x)
     return normal_form_mod_single(defect, qx)[1]
 
 
@@ -201,10 +200,10 @@ def twisted_laplacian(p: Poly, k: int) -> Poly:
     x = x_vector(k)
     # l = -B(x, v): dl/dv_i = -x_{dual(i)}
     def dl(i):
-        return -x[n - 1 - i]
+        return -x[dual(n, i)]
     out = Poly.zero(4 * k)
     for i in range(k):
-        a, b = i, n - 1 - i  # the pair (x_i, y_{k+1-i})
+        a, b = i, dual(n, i)  # the pair (x_i, y_{k+1-i})
         out = out + p.deriv(a).deriv(b)
         out = out + dl(a) * p.deriv(b) + dl(b) * p.deriv(a)
         out = out + dl(a) * dl(b) * p
@@ -269,18 +268,9 @@ def boundary_phase_check(k: int) -> dict:
     lam = Poly.var(nv, 2 * n)
     eps = Poly.var(nv, 2 * n + 1)
     w = [lam * xi + eps * ui for xi, ui in zip(x, u)]
-
-    def b(a, bb):
-        out = Poly.zero(nv)
-        for i in range(n):
-            out = out + a[i] * bb[n - 1 - i]
-        return out
-
-    qx = b(x, x).scale(Fraction(1, 2))
-    qu = b(u, u).scale(Fraction(1, 2))
-    qw = b(w, w).scale(Fraction(1, 2))
-    bxw = b(x, w)
-    bxu = b(x, u)
+    qx, qu, qw = q_poly(x), q_poly(u), q_poly(w)
+    bxw = b_pair(x, w)
+    bxu = b_pair(x, u)
 
     def red(p):
         return normal_form_mod_single(p, qx)[1]

@@ -15,7 +15,10 @@ g^T J+ g = J+.
 
 from __future__ import annotations
 
-from .poly import Poly, QLaurent, divides_exactly, q_form, qcoef, qdiv
+from operator import mul
+
+from .poly import (Poly, QLaurent, b_pair, divides_exactly, dual, q_form,
+                   qcoef, qdiv)
 
 
 def _frac_vec(v, n):
@@ -67,29 +70,17 @@ def mat_inv(a):
     return [row[n:] for row in m]
 
 
-def jv_matrix(k: int):
-    """J_V: sends e_{x_i} to e_{y_{k+1-i}} and back."""
-    n = 2 * k
-    j = _zeros(n, n)
-    for i in range(n):
-        j[i][n - 1 - i] = 1
-    return j
-
-
 def jplus_matrix(k: int):
     n = 2 * k + 2
     j = _zeros(n, n)
     for i in range(n):
-        j[i][n - 1 - i] = 1
+        j[i][dual(n, i)] = 1
     return j
 
 
-def b_pair(k: int, a, b):
-    return sum(qcoef(a[i]) * qcoef(b[2 * k - 1 - i]) for i in range(2 * k))
-
-
-def q_val(k: int, v):
-    return qdiv(b_pair(k, v, v), 2)
+def q_val(v):
+    """Q(v) = B(v, v)/2 for a vector of rationals."""
+    return qdiv(b_pair(v, v), 2)
 
 
 class LieElt:
@@ -109,20 +100,18 @@ class LieElt:
         # X^T J_V + J_V X = 0 reads entrywise X[a][b] = -X[nbar(b)][nbar(a)]
         for a in range(n):
             for b in range(n):
-                if self.X[a][b] + self.X[n - 1 - b][n - 1 - a] != 0:
+                if self.X[a][b] + self.X[dual(n, b)][dual(n, a)] != 0:
                     raise ValueError("X is not skew for the split form")
 
     def matrix(self):
-        k, n = self.k, 2 * self.k
-        jv = jv_matrix(k)
+        n = 2 * self.k
         m = _zeros(n + 2, n + 2)
         m[0][0] = self.alpha
         m[n + 1][n + 1] = -self.alpha
-        lam_flip = [sum(self.lam[i] * jv[i][j] for i in range(n)) for j in range(n)]
-        mu_flip = [sum(self.mu[i] * jv[i][j] for i in range(n)) for j in range(n)]
+        # lambda^T J_V and mu^T J_V: J_V reverses a vector
         for j in range(n):
-            m[0][1 + j] = -lam_flip[j]
-            m[n + 1][1 + j] = -mu_flip[j]
+            m[0][1 + j] = -self.lam[dual(n, j)]
+            m[n + 1][1 + j] = -self.mu[dual(n, j)]
         for i in range(n):
             m[1 + i][0] = self.mu[i]
             m[1 + i][n + 1] = self.lam[i]
@@ -190,15 +179,15 @@ def so_q_basis(k: int):
     seen = set()
     for a in range(n):
         for b in range(n):
-            if b == n - 1 - a:
+            if b == dual(n, a):
                 continue
-            key = frozenset({(a, b), (n - 1 - b, n - 1 - a)})
+            key = frozenset({(a, b), (dual(n, b), dual(n, a))})
             if key in seen:
                 continue
             seen.add(key)
             X = _zeros(n, n)
             X[a][b] += 1
-            X[n - 1 - b][n - 1 - a] -= 1
+            X[dual(n, b)][dual(n, a)] -= 1
             out.append(X)
     return out
 
@@ -268,16 +257,14 @@ def u(k: int, v) -> GroupElt:
     """Upper unipotent attached to v."""
     n = 2 * k
     v = _frac_vec(v, n)
-    jv = jv_matrix(k)
     m = _zeros(n + 2, n + 2)
     m[0][0] = 1
     m[n + 1][n + 1] = 1
-    vflip = [sum(v[i] * jv[i][j] for i in range(n)) for j in range(n)]
     for j in range(n):
-        m[0][1 + j] = -vflip[j]
+        m[0][1 + j] = -v[dual(n, j)]
         m[1 + j][n + 1] = v[j]
         m[1 + j][1 + j] = 1
-    m[0][n + 1] = -q_val(k, v)
+    m[0][n + 1] = -q_val(v)
     return GroupElt(k, m)
 
 
@@ -285,16 +272,14 @@ def u_op(k: int, v) -> GroupElt:
     """Opposite unipotent attached to v (parametrizes the big cell)."""
     n = 2 * k
     v = _frac_vec(v, n)
-    jv = jv_matrix(k)
     m = _zeros(n + 2, n + 2)
     m[0][0] = 1
     m[n + 1][n + 1] = 1
-    vflip = [sum(v[i] * jv[i][j] for i in range(n)) for j in range(n)]
     for j in range(n):
         m[1 + j][0] = v[j]
-        m[n + 1][1 + j] = -vflip[j]
+        m[n + 1][1 + j] = -v[dual(n, j)]
         m[1 + j][1 + j] = 1
-    m[n + 1][0] = -q_val(k, v)
+    m[n + 1][0] = -q_val(v)
     return GroupElt(k, m)
 
 
@@ -382,21 +367,21 @@ def _q_power_inverse(p: Poly, k: int) -> QLaurent:
     return QLaurent(k, Poly.const(2 * k, qdiv(1, c)), m)
 
 
+def _uop_column(g: GroupElt, point):
+    """The first column of g^{-1} u_v^op at a rational point v."""
+    point = _frac_vec(point, 2 * g.k)
+    col = [1] + point + [-q_val(point)]
+    return [sum(map(mul, row, col)) for row in mat_inv(g.m)]
+
+
 def chi0_at(g: GroupElt, point):
     """chi0(p(g, v)) at a rational point v: the pivot of g^{-1} u_v^op."""
-    k = g.k
-    ginv = mat_inv(g.m)
-    col = [1] + [qcoef(c) for c in point] + [-q_val(k, point)]
-    return sum(ginv[0][j] * col[j] for j in range(2 * k + 2))
+    return _uop_column(g, point)[0]
 
 
 def act_at(g: GroupElt, point):
     """The rational action g(v) at a rational point, via the factorization."""
-    k = g.k
-    ginv = mat_inv(g.m)
-    col = [1] + [qcoef(c) for c in point] + [-q_val(k, point)]
-    vals = [sum(ginv[i][j] * col[j] for j in range(2 * k + 2))
-            for i in range(2 * k + 2)]
+    vals = _uop_column(g, point)
     if vals[0] == 0:
         raise DegenerateCell("point outside the big cell for this g")
-    return [qdiv(v, vals[0]) for v in vals[1:2 * k + 1]]
+    return [qdiv(v, vals[0]) for v in vals[1:-1]]

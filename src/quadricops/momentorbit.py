@@ -14,11 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lie import LieElt
-from .poly import Poly, normal_form_mod_single, qcoef, qdiv
-
-
-def _dual(n: int, i: int) -> int:
-    return n - 1 - i
+from .poly import Poly, b_pair, dual, normal_form_mod_single, qcoef, qdiv
 
 
 def block_var(k: int, block: int, i: int, extra: int = 0) -> Poly:
@@ -27,19 +23,9 @@ def block_var(k: int, block: int, i: int, extra: int = 0) -> Poly:
     return Poly.var(2 * n + extra, block * n + i)
 
 
-def b_poly(k: int, a: list, b: list) -> Poly:
-    """B(a, b) for vectors of polynomials."""
-    n = 2 * k
-    out = None
-    for i in range(n):
-        term = a[i] * b[_dual(n, i)]
-        out = term if out is None else out + term
-    return out
-
-
-def q_poly(k: int, a: list) -> Poly:
+def q_poly(a: list) -> Poly:
     """Q(a) = B(a, a)/2 for a vector of polynomials."""
-    return b_poly(k, a, a).scale(Fraction(1, 2))
+    return b_pair(a, a).scale(Fraction(1, 2))
 
 
 def v_vector(k: int, extra: int = 0) -> list:
@@ -79,13 +65,13 @@ def moment(xi: LieElt, extra: int = 0) -> Poly:
     x = x_vector(k, extra)
     mu = const_vector(k, xi.mu, nv)
     lam = const_vector(k, xi.lam, nv)
-    out = b_poly(k, x, mu)
-    out = out + b_poly(k, x, apply_matrix(xi.X, v))
+    out = b_pair(x, mu)
+    out = out + b_pair(x, apply_matrix(xi.X, v))
     if xi.alpha:
-        out = out - b_poly(k, x, v).scale(xi.alpha)
+        out = out - b_pair(x, v).scale(xi.alpha)
     if any(xi.lam):
-        out = out + b_poly(k, lam, v) * b_poly(k, x, v)
-        out = out - q_poly(k, v) * b_poly(k, x, lam)
+        out = out + b_pair(lam, v) * b_pair(x, v)
+        out = out - q_poly(v) * b_pair(x, lam)
     return out
 
 
@@ -104,7 +90,7 @@ def check_descent(xi: LieElt) -> Poly:
     sheared = [vi + t * xi_ for vi, xi_ in zip(v, x)]
     images = sheared + x + [t]
     phi1 = phi0.subs_vars(images)
-    qx = q_poly(k, x)
+    qx = q_poly(x)
     _, defect = normal_form_mod_single(phi1 - phi0, qx)
     return defect
 
@@ -120,8 +106,8 @@ def orbit_matrix(k: int):
     nv = 4 * k
     v = v_vector(k)
     w = x_vector(k)
-    alpha = b_poly(k, v, w)
-    mu = [alpha * v[i] - q_poly(k, v) * w[i] for i in range(n)]
+    alpha = b_pair(v, w)
+    mu = [alpha * v[i] - q_poly(v) * w[i] for i in range(n)]
     zero = Poly.zero(nv)
     m = [[zero for _ in range(n + 2)] for _ in range(n + 2)]
     m[0][0] = alpha
@@ -130,11 +116,11 @@ def orbit_matrix(k: int):
         m[1 + i][0] = mu[i]
         m[1 + i][n + 1] = w[i]
         # -w^T J_V in the top row, -mu^T J_V in the bottom row
-        m[0][1 + i] = -w[_dual(n, i)]
-        m[n + 1][1 + i] = -mu[_dual(n, i)]
+        m[0][1 + i] = -w[dual(n, i)]
+        m[n + 1][1 + i] = -mu[dual(n, i)]
         for j in range(n):
             # (v wedge w)[i][j] = w_i (v^T J)_j - v_i (w^T J)_j
-            m[1 + i][1 + j] = w[i] * v[_dual(n, j)] - v[i] * w[_dual(n, j)]
+            m[1 + i][1 + j] = w[i] * v[dual(n, j)] - v[i] * w[dual(n, j)]
     return m
 
 
@@ -170,12 +156,12 @@ def verify_orbit_relations(k: int) -> list:
     n = 2 * k
     v = v_vector(k)
     w = x_vector(k)
-    alpha = b_poly(k, v, w)
-    qv = q_poly(k, v)
+    alpha = b_pair(v, w)
+    qv = q_poly(v)
     mu = [alpha * v[i] - qv * w[i] for i in range(n)]
-    X = [[w[i] * v[_dual(n, i2)] - v[i] * w[_dual(n, i2)] for i2 in range(n)]
+    X = [[w[i] * v[dual(n, i2)] - v[i] * w[dual(n, i2)] for i2 in range(n)]
          for i in range(n)]
-    qw = q_poly(k, w)
+    qw = q_poly(w)
 
     def red(p: Poly) -> Poly:
         return normal_form_mod_single(p, qw)[1]
@@ -187,8 +173,8 @@ def verify_orbit_relations(k: int) -> list:
         results.append((name, r.is_zero(), r.text()))
 
     record("Q(w)", qw)
-    record("Q(mu)", q_poly(k, mu))
-    record("B(mu,w)-alpha^2", b_poly(k, mu, w) - alpha * alpha)
+    record("Q(mu)", q_poly(mu))
+    record("B(mu,w)-alpha^2", b_pair(mu, w) - alpha * alpha)
     for i in range(n):
         xw = sum((X[i][j] * w[j] for j in range(n)), Poly.zero(4 * k))
         record(f"(Xw-alpha*w)[{i}]", xw - alpha * w[i])
@@ -198,17 +184,17 @@ def verify_orbit_relations(k: int) -> list:
     X2 = _mat_poly_mul(X, X)
     for i in range(n):
         for j in range(n):
-            outer_sym = w[i] * mu[_dual(n, j)] + mu[i] * w[_dual(n, j)]
+            outer_sym = w[i] * mu[dual(n, j)] + mu[i] * w[dual(n, j)]
             record(f"(X^2-outer)[{i}][{j}]", X2[i][j] - outer_sym)
-            outer_skw = w[i] * mu[_dual(n, j)] - mu[i] * w[_dual(n, j)]
+            outer_skw = w[i] * mu[dual(n, j)] - mu[i] * w[dual(n, j)]
             record(f"(alpha*X-outer)[{i}][{j}]", alpha * X[i][j] - outer_skw)
     # Pluecker relations on the middle block, bar(i) = 2k+1-i
     ok_pluecker = True
     worst = ""
     for (i, j, l, m_) in combinations(range(n), 4):
-        p = (X[i][_dual(n, j)] * X[l][_dual(n, m_)]
-             - X[i][_dual(n, l)] * X[j][_dual(n, m_)]
-             + X[i][_dual(n, m_)] * X[j][_dual(n, l)])
+        p = (X[i][dual(n, j)] * X[l][dual(n, m_)]
+             - X[i][dual(n, l)] * X[j][dual(n, m_)]
+             + X[i][dual(n, m_)] * X[j][dual(n, l)])
         r = red(p)
         if not r.is_zero():
             ok_pluecker = False
@@ -271,7 +257,7 @@ def poisson(a: Poly, b: Poly, k: int) -> Poly:
     n = 2 * k
     out = Poly.zero(4 * k)
     for j in range(n):
-        pj = n + _dual(n, j)
+        pj = n + dual(n, j)
         out = out + a.deriv(pj) * b.deriv(j) - a.deriv(j) * b.deriv(pj)
     return out
 
@@ -290,7 +276,7 @@ def symbol_invariant(xi: LieElt) -> Poly:
     n = 2 * k
     w = v_vector(k)  # block 0: base point on the cone
     v = x_vector(k)  # block 1: fiber point
-    alpha = b_poly(k, v, w)
+    alpha = b_pair(v, w)
     out = Poly.zero(4 * k)
     if xi.alpha:
         out = out - alpha.scale(xi.alpha)
@@ -298,14 +284,14 @@ def symbol_invariant(xi: LieElt) -> Poly:
         if xi.mu[i]:
             out = out + w[i].scale(xi.mu[i])
     if any(xi.lam):
-        qv = q_poly(k, v)
+        qv = q_poly(v)
         for i in range(n):
             if xi.lam[i]:
                 out = out + (alpha * v[i] - qv * w[i]).scale(xi.lam[i])
     for i in range(n):
         for j in range(n):
             if xi.X[i][j]:
-                wedge = w[i] * v[_dual(n, j)] - v[i] * w[_dual(n, j)]
+                wedge = w[i] * v[dual(n, j)] - v[i] * w[dual(n, j)]
                 out = out + wedge.scale(qdiv(xi.X[i][j], 2))
     return out
 
@@ -315,5 +301,5 @@ def phase_euler(k: int) -> Poly:
     n = 2 * k
     out = Poly.zero(4 * k)
     for j in range(n):
-        out = out + block_var(k, 0, j) * block_var(k, 1, _dual(n, j))
+        out = out + block_var(k, 0, j) * block_var(k, 1, dual(n, j))
     return out

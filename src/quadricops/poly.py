@@ -26,6 +26,14 @@ below.  Exponent tuples remain at the boundary: ``Poly.monomial``,
 ``coeff``, ``leading``, ``from_exponents``, ``exponent_items``,
 ``sorted_terms``, ``text`` and the JSON form take or return tuples.
 
+This module is also the single home of the split form and of term printing.
+``dual`` names the index that the split form pairs with a coordinate,
+``b_pair`` is the form on vectors of numbers or of polynomials, and
+``q_form`` is its quadratic form Q.  ``mono_text`` prints a monomial and
+``signed_text`` a signed sum of terms; every term printer of the package
+(polynomials, operators, Euler polynomials, generator words) goes through
+them.
+
 Coefficients are exact rationals of type ``int`` or ``fractions.Fraction``,
 never ``float``; nothing is ever rounded.  Constructors store an integral
 value as an ``int`` (``qcoef``), and so does scaling by a ``Fraction``;
@@ -39,8 +47,9 @@ one a coefficient carries.  Every true division in the package goes through
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import perm
+from operator import add, mul
 
 FIELD = 16                      # bits per field: 15 value bits, 1 guard bit
 EMAX = (1 << (FIELD - 1)) - 1   # largest exponent and total degree: 32767
@@ -186,6 +195,9 @@ class Poly:
             terms = {}
         # prune zeros defensively; most call sites already avoid storing them
         self.terms = {m: c for m, c in terms.items() if c}
+        if self.terms and not isinstance(next(iter(self.terms)), int):
+            raise TypeError("Poly keys are packed monomials; build from "
+                            "exponent tuples with Poly.from_exponents")
 
     # -- constructors -------------------------------------------------------
 
@@ -412,30 +424,10 @@ class Poly:
                 for m in sorted(self.terms, reverse=True)]
 
     def text(self, names: list | None = None) -> str:
-        if not self.terms:
-            return "0"
         if names is None:
             names = default_names(self.nvars)
-        parts = []
-        for m, c in self.sorted_terms():
-            factors = []
-            for i, e in enumerate(m):
-                if e == 1:
-                    factors.append(names[i])
-                elif e > 1:
-                    factors.append(f"{names[i]}^{e}")
-            if not factors:
-                body = str(abs(c))
-            else:
-                mono = "*".join(factors)
-                body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        head_sign, head = parts[0]
-        s = ("-" if head_sign == "-" else "") + head
-        for sign, body in parts[1:]:
-            s += f" {sign} {body}"
-        return s
+        return signed_text((c, mono_text(m, names))
+                           for m, c in self.sorted_terms())
 
     def to_json(self) -> list:
         return [
@@ -460,7 +452,41 @@ def default_names(nvars: int) -> list:
     return [f"v{i+1}" for i in range(nvars)]
 
 
+def mono_text(exps, names) -> str:
+    """The monomial with exponent tuple exps, as ``x1^2*y1``; "" for 1."""
+    return "*".join(nm if e == 1 else f"{nm}^{e}"
+                    for nm, e in zip(names, exps) if e)
+
+
+def signed_text(terms) -> str:
+    """(coefficient, monomial text) pairs as a signed sum; "0" for none.
+
+    A monomial text of "" stands for 1, and a coefficient of 1 or -1 before
+    a nonempty monomial shows as its sign only: ``-x1 + 3/2*y1 - 2``.
+    """
+    text = ""
+    for c, mono in terms:
+        a = abs(c)
+        body = str(a) if not mono else mono if a == 1 else f"{a}*{mono}"
+        text += f" - {body}" if c < 0 else f" + {body}"
+    if not text:
+        return "0"
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]
+
+
 # -- the split quadratic form and its dual ----------------------------------
+
+
+def dual(n: int, i: int) -> int:
+    """The index that the split form on n = 2k coordinates pairs with i:
+    x_i <-> y_{k+1-i}.  With n = 2k + 2 it is the pairing of the extended
+    form J+ as well."""
+    return n - 1 - i
+
+
+def b_pair(a, b):
+    """B(a, b) = sum_i a_i b_dual(i), for vectors of numbers or of Poly."""
+    return reduce(add, map(mul, a, reversed(b)))
 
 
 def q_form(k: int) -> Poly:
@@ -473,7 +499,7 @@ def q_form(k: int) -> Poly:
 @lru_cache(maxsize=None)
 def _q_terms(k: int) -> tuple:
     n = 2 * k
-    return tuple((unit(n, i) + unit(n, n - 1 - i), 1) for i in range(k))
+    return tuple((unit(n, i) + unit(n, dual(n, i)), 1) for i in range(k))
 
 
 def normal_form_mod_single(p: Poly, d: Poly):
@@ -571,14 +597,20 @@ class QLaurent:
         return hash((self.k, self.qexp, self.num))
 
     def _lift(self, other):
+        """other as a QLaurent, or NotImplemented when it is none of
+        QLaurent, Poly, int or Fraction."""
+        if isinstance(other, QLaurent):
+            return other
         if isinstance(other, Poly):
-            other = QLaurent.from_poly(other)
-        elif isinstance(other, (int, Fraction)):
-            other = QLaurent(self.k, Poly.const(2 * self.k, other), 0)
-        return other
+            return QLaurent.from_poly(other)
+        if isinstance(other, (int, Fraction)):
+            return QLaurent(self.k, Poly.const(2 * self.k, other), 0)
+        return NotImplemented
 
     def __add__(self, other):
         other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
         q = q_form(self.k)
         m = max(self.qexp, other.qexp)
         a = self.num * q ** (m - self.qexp)
@@ -593,10 +625,15 @@ class QLaurent:
         return out
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
 
     def __mul__(self, other):
         other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
         return QLaurent(self.k, self.num * other.num, self.qexp + other.qexp)
 
     __rmul__ = __mul__

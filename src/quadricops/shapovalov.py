@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import factorial
 
 from .coneops import ConeOp, xx_op, yy_op
-from .poly import Poly, q_form, qcoef, qdiv, reduce_mod
+from .poly import (Poly, mono_text, q_form, qcoef, qdiv, reduce_mod,
+                   signed_text)
 from .weyl import WeylOp, euler_op
 
 
@@ -126,24 +127,9 @@ class EulerPoly:
         return out
 
     def text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                body = str(abs(c))
-            else:
-                e = "E" if i == 1 else f"E^{i}"
-                body = e if abs(c) == 1 else f"{abs(c)}*{e}"
-            parts.append(("-" if c < 0 else "+", body))
-        head_sign, head = parts[0]
-        s = ("-" if head_sign == "-" else "") + head
-        for sign, body in parts[1:]:
-            s += f" {sign} {body}"
-        return s
+        return signed_text((c, mono_text((i,), ("E",)))
+                           for i, c in reversed(list(enumerate(self.coeffs)))
+                           if c)
 
     def to_json(self) -> list:
         return [{"num": c.numerator, "den": c.denominator} for c in self.coeffs]

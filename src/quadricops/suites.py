@@ -31,7 +31,7 @@ from .lie import (DegenerateCell, act_at, basis, bruhat_factor, chi0_at, levi,
 from .momentorbit import (check_descent, phase_euler, poisson, q_poly,
                           symbol_invariant, v_vector, verify_orbit_relations,
                           x_vector)
-from .poly import Poly, QLaurent, normal_form_mod_single, q_form, qdiv
+from .poly import Poly, QLaurent, dual, normal_form_mod_single, q_form, qdiv
 from .shapovalov import (fourier_roots_bezout, scalar_on_graded,
                          shapovalov_closed, shapovalov_expand)
 from .weyl import (LocalWeylOp, NotDivisible, WeylOp, euler_op,
@@ -322,7 +322,7 @@ def lie_orthogonal_checks(k: int) -> list:
         h = [[0] * n for _ in range(n)]
         for i in range(k):
             h[i][i] = d[i]
-            h[n - 1 - i][n - 1 - i] = qdiv(1, d[i])
+            h[dual(n, i)][dual(n, i)] = qdiv(1, d[i])
         return h
 
     gens = [w0(k),
@@ -603,8 +603,8 @@ def moment_orbit_checks(k: int) -> list:
                       "when the top order survives", ok, res))
 
     # on T*V the dual form lives on the momentum block and the form on the base
-    qstar = q_poly(k, x_vector(k))
-    qbase = q_poly(k, v_vector(k))
+    qstar = q_poly(x_vector(k))
+    qbase = q_poly(v_vector(k))
     bracket = poisson(qstar, qbase, k)
     out.append(_check("moment-euler-pairing",
                       "the Poisson bracket of the dual form against the form is the "

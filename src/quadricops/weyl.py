@@ -19,8 +19,9 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .poly import (Poly, QLaurent, check_degrees, default_names,
-                   divides_exactly, falling, falling_spec, guard, mdegree,
-                   pack, qcoef, restrict, support, unit, unpack)
+                   divides_exactly, dual, falling, falling_spec, guard,
+                   mdegree, mono_text, pack, qcoef, restrict, signed_text,
+                   support, unit, unpack)
 
 
 class NotDivisible(Exception):
@@ -51,6 +52,13 @@ class WeylOp:
         if terms is None:
             terms = {}
         self.terms = {ab: c for ab, c in terms.items() if c}
+        if self.terms:
+            key = next(iter(self.terms))
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and all(isinstance(m, int) for m in key)):
+                raise TypeError("WeylOp keys are pairs of packed monomials; "
+                                "build from exponent tuples with "
+                                "WeylOp.from_exponents")
 
     # -- constructors --------------------------------------------------------
 
@@ -288,6 +296,15 @@ class WeylOp:
                     del bucket[alpha]
         return {beta: Poly(n, tm) for beta, tm in out.items() if tm}
 
+    def xleft(self) -> dict:
+        """The stored x-left form grouped by derivative part, as
+        {packed beta: Poly coefficient}; the coefficient acts after d^beta."""
+        n = self.nvars
+        out: dict = {}
+        for (a, b), c in self.terms.items():
+            out.setdefault(b, {})[a] = c
+        return {beta: Poly(n, tm) for beta, tm in out.items()}
+
     def xleft_coeffs(self) -> dict:
         """The stored x-left form as {packed alpha: Poly in the d-symbols}."""
         n = self.nvars
@@ -346,7 +363,6 @@ class WeylOp:
         sigma(E) = B(v, w).
         """
         n = self.nvars
-        k = n // 2
         r = self.order()
         terms: dict = {}
         if r < 0:
@@ -354,12 +370,8 @@ class WeylOp:
         for (a, b), c in self.terms.items():
             if mdegree(b, n) != r:
                 continue
-            d = unpack(b, n)
-            fiber = [0] * n
-            for i in range(k):
-                fiber[2 * k - 1 - i] += d[i]          # d_{x_i} -> y_{k+1-i}(v)
-                fiber[k - 1 - i] += d[k + i]          # d_{y_i} -> x_{k+1-i}(v)
-            mono = pack(unpack(a, n) + tuple(fiber))
+            # d_j goes to the fiber coordinate dual(n, j): reverse the vector
+            mono = pack(unpack(a, n) + unpack(b, n)[::-1])
             s = terms.get(mono, 0) + c
             if s:
                 terms[mono] = s
@@ -376,35 +388,10 @@ class WeylOp:
                 sorted(((b, a), c) for (a, b), c in self.terms.items())]
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        n = self.nvars
-        names = default_names(n)
-        dnames = ["d" + nm for nm in names]
-        parts = []
-        for (a, b), c in self.sorted_terms():
-            factors = []
-            for i, e in enumerate(a):
-                if e == 1:
-                    factors.append(names[i])
-                elif e > 1:
-                    factors.append(f"{names[i]}^{e}")
-            for i, e in enumerate(b):
-                if e == 1:
-                    factors.append(dnames[i])
-                elif e > 1:
-                    factors.append(f"{dnames[i]}^{e}")
-            if not factors:
-                body = str(abs(c))
-            else:
-                mono = "*".join(factors)
-                body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-            parts.append(("-" if c < 0 else "+", body))
-        head_sign, head = parts[0]
-        s = ("-" if head_sign == "-" else "") + head
-        for sign, body in parts[1:]:
-            s += f" {sign} {body}"
-        return s
+        names = default_names(self.nvars)
+        names += ["d" + nm for nm in names]
+        return signed_text((c, mono_text(a + b, names))
+                           for (a, b), c in self.sorted_terms())
 
     def to_json(self) -> list:
         return [
@@ -450,7 +437,7 @@ def euler_op(k: int) -> WeylOp:
 def laplacian_op(k: int) -> WeylOp:
     """Delta = sum_i d_{x_i} d_{y_{k+1-i}}."""
     n = 2 * k
-    return WeylOp(n, {(0, unit(n, i) + unit(n, n - 1 - i)): 1 for i in range(k)})
+    return WeylOp(n, {(0, unit(n, i) + unit(n, dual(n, i))): 1 for i in range(k)})
 
 
 def monomials_up_to(nvars: int, degree: int):
@@ -493,15 +480,9 @@ class LocalWeylOp:
 
     @classmethod
     def from_weyl(cls, op: WeylOp) -> "LocalWeylOp":
-        # group the x-left form by derivative part: coefficient acts after d^beta
         n = op.nvars
-        buckets: dict = {}
-        for (a, b), c in op.terms.items():
-            buckets.setdefault(b, {})[a] = c
-        return cls(
-            n // 2,
-            [(QLaurent.from_poly(Poly(n, tm)), unpack(b, n)) for b, tm in buckets.items()],
-        )
+        return cls(n // 2, [(QLaurent.from_poly(p), unpack(b, n))
+                            for b, p in op.xleft().items()])
 
     def apply(self, f: QLaurent) -> QLaurent:
         total = QLaurent(self.k, Poly.zero(2 * self.k), 0)

@@ -127,8 +127,8 @@ def test_criterion_07_symbol_bridge():
         for xi in basis(k):
             assert rho_tilde(xi).op.principal_symbol() == symbol_invariant(xi), \
                 (k, xi.tag)
-        qstar = q_poly(k, x_vector(k))
-        qbase = q_poly(k, v_vector(k))
+        qstar = q_poly(x_vector(k))
+        qbase = q_poly(v_vector(k))
         assert poisson(qstar, qbase, k) == phase_euler(k), k
     _report(7, "principal symbols match the invariant table; the form "
                "bracket is the phase-space Euler function")

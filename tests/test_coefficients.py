@@ -14,7 +14,7 @@ import pytest
 import quadricops
 from quadricops.coneops import GenWord
 from quadricops.lie import GroupElt, LieElt
-from quadricops.poly import Poly, qcoef, qdiv
+from quadricops.poly import Poly, QLaurent, qcoef, qdiv
 from quadricops.shapovalov import EulerPoly
 from quadricops.suites import run_suite
 from quadricops.weyl import WeylOp
@@ -61,6 +61,9 @@ def test_floats_are_rejected():
         WeylOp.const(4, 0.5)
     with pytest.raises(TypeError):
         Poly.var(4, 0).scale(0.5)
+    for op in _binary_ops(QLaurent.one_over_q(2), 0.5):
+        with pytest.raises(TypeError):
+            op()
 
 
 def _binary_ops(a, b):
@@ -69,8 +72,9 @@ def _binary_ops(a, b):
 
 
 @pytest.mark.parametrize("make", [lambda: Poly.var(4, 0),
-                                  lambda: WeylOp.partial(4, 0)],
-                         ids=["Poly", "WeylOp"])
+                                  lambda: WeylOp.partial(4, 0),
+                                  lambda: QLaurent.one_over_q(2)],
+                         ids=["Poly", "WeylOp", "QLaurent"])
 @pytest.mark.parametrize("other", [0.5, 1.0, "x1", None, [1]],
                          ids=["float", "integral-float", "str", "None", "list"])
 def test_arithmetic_rejects_other_operands(make, other):

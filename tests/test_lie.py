@@ -102,6 +102,15 @@ def test_degenerate_cell_detected():
         act_at(w0(K), [0, 0, 0, 0])
 
 
+def test_point_must_be_rational_of_width_2k():
+    g = u(K, [1, 0, 0, 1])
+    for at in (chi0_at, act_at):
+        with pytest.raises(TypeError):
+            at(g, [0.5, 0, 0, 1])
+        with pytest.raises(ValueError):
+            at(g, [1, 2, 3])
+
+
 def test_action_matches_inversion():
     v = [1, 2, 1, -1]
     qv = Fraction(1) * 1 * (-1) + 2 * 1  # B(v,v)/2 = v1 v4 + v2 v3

@@ -57,8 +57,8 @@ def test_symbol_bridge_full_basis():
 
 
 def test_euler_pairing():
-    qstar = q_poly(K, x_vector(K))   # dual form on the momentum block
-    qbase = q_poly(K, v_vector(K))
+    qstar = q_poly(x_vector(K))   # dual form on the momentum block
+    qbase = q_poly(v_vector(K))
     assert poisson(qstar, qbase, K) == phase_euler(K)
 
 

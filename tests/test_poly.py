@@ -117,6 +117,12 @@ def test_from_json_rejects_wrong_width():
             Poly.from_json(N, data)
 
 
+def test_constructor_rejects_tuple_keys():
+    with pytest.raises(TypeError, match="from_exponents"):
+        Poly(N, {(1, 0, 0, 0): 1})
+    assert Poly.from_exponents(N, {(1, 0, 0, 0): 1}) == Poly.var(N, 0)
+
+
 # -- packed exponent vectors --------------------------------------------------
 
 

@@ -130,6 +130,13 @@ def test_extensional_determinacy():
     assert is_zero_extensional(mimic - e)
 
 
+def test_constructor_rejects_tuple_keys():
+    key = ((0, 0, 0, 0), (1, 0, 0, 0))
+    with pytest.raises(TypeError, match="from_exponents"):
+        WeylOp(4, {key: 1})
+    assert WeylOp.from_exponents(4, {key: 1}) == WeylOp.partial(4, 0)
+
+
 def test_monomials_up_to():
     ms = list(monomials_up_to(2, 2))
     assert sorted(ms) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
