@@ -11,7 +11,8 @@ from __future__ import annotations
 from math import comb
 
 from .poly import (Poly, QLaurent, b_pair, dual, mdegree,
-                   normal_form_mod_single, pack, q_form, qdiv, reduce_mod)
+                   normal_form_mod_single, pack, q_form, qcoef, qdiv,
+                   reduce_mod)
 from .weyl import (LocalWeylOp, NotDivisible, WeylOp, euler_op, laplacian_op,
                    monomials_up_to)
 from .coneops import xx_op, yy_op
@@ -88,36 +89,39 @@ def sym_monomials(k: int, d: int):
     return out
 
 
-def _nullspace(rows, ncols):
-    """Exact rational nullspace of the matrix given as a list of rows."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
+def _subtract(row, f, other):
+    """row -= f * other in place, dropping the entries that cancel."""
+    for j, v in other.items():
+        x = row.get(j, 0) - f * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def _rref(rows):
+    """Exact reduced row echelon form of sparse rows {col: value}.
+
+    Returns {pivot column: row}: each row is 1 at its pivot column, its
+    least column, and 0 at every other pivot column.  The form is unique, so
+    it does not depend on the order of the rows.
+    """
+    piv = {}
+    for row in rows:
+        row = dict(row)
+        # the pivot rows vanish on each other's pivot columns: one pass
+        for c in [c for c in row if c in piv]:
+            _subtract(row, row[c], piv[c])
+        if not row:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        m[r] = [qdiv(x, p) for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
-        basis.append(vec)
-    return basis, pivots
+        c = min(row)
+        p = row[c]
+        row = {j: qdiv(v, p) for j, v in row.items()}
+        for other in piv.values():
+            if c in other:
+                _subtract(other, other[c], row)
+        piv[c] = row
+    return piv
 
 
 def harmonic_dimension(d: int, k: int) -> int:
@@ -131,8 +135,15 @@ def harmonic_dimension(d: int, k: int) -> int:
 def harmonic_decompose(d: int, k: int):
     """Exact splitting of Sym^d into harmonics and Q * Sym^{d-2}.
 
-    Returns (harmonic basis, Q-multiple basis) as lists of Poly; the two
-    spans are checked to intersect trivially and to fill Sym^d.
+    Returns (harmonic basis, Q-multiple basis) as lists of Poly.  With R the
+    reduced row echelon form of the Laplacian matrix, P its pivot columns
+    and F the free ones, the harmonic basis is e_f - sum_p R[p][f] e_p for f
+    in F.  It is the identity on F, so subtracting from each Q-multiple q
+    its F-entries times the harmonics leaves the vector R q, zero on F.
+    Hence the rank of harmonics and Q-multiples together is |F| + rank S,
+    with S the block of the rows R q on P; the splitting is certified by
+    that rank, computed exactly, equalling both the number of vectors and
+    dim Sym^d.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -140,37 +151,37 @@ def harmonic_decompose(d: int, k: int):
     lap = laplacian_op(k)
     monos = [pack(m) for m in sym_monomials(k, d)]
     col = {m: i for i, m in enumerate(monos)}
-    target = [pack(m) for m in sym_monomials(k, d - 2)] if d >= 2 else []
-    if d >= 2:
-        trow = {m: i for i, m in enumerate(target)}
-        # matrix of Delta: rows = Sym^{d-2} monomials, cols = Sym^d monomials
-        rows = [[0] * len(monos) for _ in target]
-        for m in monos:
-            img = lap.apply(Poly(n, {m: 1}))
-            for m2, c in img.terms.items():
-                rows[trow[m2]][col[m]] = c
-        null, _ = _nullspace(rows, len(monos))
-    else:
-        null = [[1 if i == j else 0 for i in range(len(monos))]
-                for j in range(len(monos))]
-    harm = [Poly(n, {m: vec[col[m]] for m in monos if vec[col[m]]})
-            for vec in null]
+    target = [pack(m) for m in sym_monomials(k, d - 2)]
+    trow = {m: i for i, m in enumerate(target)}
+    # matrix of Delta: rows = Sym^{d-2} monomials, cols = Sym^d monomials
+    rows = [{} for _ in target]
+    for m in monos:
+        for m2, c in lap.apply(Poly(n, {m: 1})).terms.items():
+            rows[trow[m2]][col[m]] = c
+    rref = _rref(rows)
+    # the columns of R as {pivot: entry}
+    rcols = [{} for _ in monos]
+    for p, row in rref.items():
+        for c, v in row.items():
+            rcols[c][p] = v
+    harm = []
+    for f, m in enumerate(monos):
+        if f not in rref:
+            vec = {monos[p]: qcoef(-v) for p, v in rcols[f].items()}
+            vec[m] = 1
+            harm.append(Poly(n, vec))
     q = q_form(k)
     qmult = [q * Poly(n, {m: 1}) for m in target]
-    # independence of the combined spans
-    combined = [[p.terms.get(m, 0) for m in monos] for p in harm + qmult]
-    # transpose into rows-as-vectors and row reduce to count the rank
-    _, pivots = _nullspace(_transpose(combined, len(monos)), len(combined))
-    rank = len(pivots)
+    block = []
+    for p in qmult:
+        s = {}
+        for m, c in p.terms.items():
+            _subtract(s, -c, rcols[col[m]])
+        block.append(s)
+    rank = len(harm) + len(_rref(block))
     if rank != len(harm) + len(qmult) or rank != len(monos):
         raise ArithmeticError("harmonic decomposition is not a direct sum")
     return harm, qmult
-
-
-def _transpose(rows, ncols):
-    if not rows:
-        return []
-    return [[row[c] for row in rows] for c in range(ncols)]
 
 
 def exp_harmonicity_defect(k: int) -> Poly:

@@ -630,6 +630,12 @@ class QLaurent:
             return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
     def __mul__(self, other):
         other = self._lift(other)
         if other is NotImplemented:

@@ -1,5 +1,6 @@
 """CLI: golden outputs, exit codes, and the suite runner."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -42,6 +43,14 @@ def test_golden_output(capsys, golden, argv):
     code, out = run_cli(capsys, argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_harmonic_d6_k3_output_is_pinned(capsys):
+    code, out = run_cli(capsys, ["harmonic", "--d", "6", "--k", "3",
+                                 "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4e2ee10a955c13a7b627932f956c88550bf587a7114b585e7166bbd9fbe8c54c")
 
 
 def test_golden_output_is_deterministic(capsys):

@@ -83,6 +83,16 @@ def test_arithmetic_rejects_other_operands(make, other):
             op()
 
 
+@pytest.mark.parametrize("other", [2, Fraction(1, 2), Poly.var(4, 0)],
+                         ids=["int", "Fraction", "Poly"])
+def test_qlaurent_takes_rationals_and_polys_in_either_order(other):
+    q = QLaurent.one_over_q(2)
+    lifted = QLaurent(2, Poly.const(4, 0) + other, 0)
+    assert q + other == other + q == q + lifted
+    assert other - q == lifted - q == -(q - other)
+    assert q * other == other * q == q * lifted
+
+
 def test_poly_and_weylop_do_not_mix():
     for op in _binary_ops(Poly.var(4, 0), WeylOp.partial(4, 0)):
         with pytest.raises(TypeError):

@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import pytest
+
+from quadricops import harmonic
 from quadricops.coneops import phi, b_form_poly
 from quadricops.harmonic import (bessel_check, bessel_series,
                                  boundary_phase_check, dirac_relations,
@@ -62,12 +65,21 @@ def test_harmonic_dimensions():
     assert harmonic_dimension(0, 2) == 1
     assert harmonic_dimension(1, 2) == 4
     assert harmonic_dimension(2, 2) == 9
-    for d in range(5):
-        harm, qmult = harmonic_decompose(d, K)
-        assert len(harm) == harmonic_dimension(d, K)
-        lap = laplacian_op(K)
+    for d, k in [(d, K) for d in range(5)] + [(6, 3), (7, 3), (8, 3)]:
+        harm, qmult = harmonic_decompose(d, k)
+        assert len(harm) == harmonic_dimension(d, k)
+        lap = laplacian_op(k)
         for h in harm:
             assert lap.apply(h).is_zero()
+
+
+def test_harmonic_quadric_breaks_the_direct_sum(monkeypatch):
+    # x1*x2 is harmonic, so its multiples meet the harmonics
+    monkeypatch.setattr(harmonic, "q_form",
+                        lambda k: Poly.var(2 * k, 0) * Poly.var(2 * k, 1))
+    for d in (2, 4):
+        with pytest.raises(ArithmeticError):
+            harmonic_decompose(d, K)
 
 
 def test_kelvin_preserves_harmonicity():

@@ -6,7 +6,7 @@ import pytest
 
 from quadricops.lie import (DegenerateCell, LieElt, basis,
                             bruhat_factor, chi0_at, act_at, jplus_matrix,
-                            levi, mat_mul, mat_sub, u, u_op, w0)
+                            levi, mat_inv, mat_mul, mat_sub, u, u_op, w0)
 from quadricops.poly import Poly, QLaurent
 
 K = 2
@@ -72,14 +72,29 @@ def test_unipotent_factorization_polynomial():
         bruhat_factor(u(K, [1, 0, 0, 0]))
 
 
-def test_cocycle_at_rational_points():
+def cocycle_generators():
     h = [[Fraction(0)] * N for _ in range(N)]
     diag = [Fraction(2), Fraction(1, 3)]
     for i in range(K):
         h[i][i] = diag[i]
         h[N - 1 - i][N - 1 - i] = 1 / diag[i]
-    gens = [w0(K), u(K, [1, -1, 0, 2]), u_op(K, [0, 1, 1, 0]),
+    return [w0(K), u(K, [1, -1, 0, 2]), u_op(K, [0, 1, 1, 0]),
             levi(K, Fraction(3, 2), h)]
+
+
+def test_inverse_matches_gauss_jordan():
+    # the group elements this file builds, and their pairwise products
+    elts = cocycle_generators() + [
+        u(K, [1, 0, -2, 3]), levi(K, 2, [[1 if i == j else 0 for j in range(N)]
+                                         for i in range(N)]),
+        u_op(K, [1, 0, -2, 0]), u(K, [1, 0, 0, 0]), u(K, [1, 0, 0, 1])]
+    elts += [g1 * g2 for g1 in elts for g2 in elts]
+    for g in elts:
+        assert g.inv().m == mat_inv(g.m)
+
+
+def test_cocycle_at_rational_points():
+    gens = cocycle_generators()
     points = [[1, 2, 3, 4], [Fraction(1, 2), 0, -1, 1], [2, -1, 1, 3]]
     tested = 0
     for g1 in gens:

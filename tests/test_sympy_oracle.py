@@ -9,13 +9,18 @@ remainders must agree term for term.
 The action of a Weyl operator sum c x^alpha d^beta is checked against
 sympy.diff, and so is the action of a product, which must be the action of
 one factor after the other.
+
+The harmonic basis is checked against sympy's nullspace of the Laplacian
+matrix, which reads its vectors off the reduced row echelon form too.
 """
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from quadricops.harmonic import harmonic_decompose, sym_monomials
 from quadricops.poly import Poly, normal_form_mod_single, q_form, support
 from quadricops.weyl import WeylOp
 
@@ -154,3 +159,21 @@ def test_weyl_product_acts_as_composition(case):
     assert (a * b).apply(f) == composed
     expr = sympy_apply(a, sympy_apply(b, to_sympy(f, k).as_expr(), k), k)
     assert composed == from_sympy(sympy.Poly(expr, *gens(k), domain="QQ"), k)
+
+
+@pytest.mark.parametrize("k,d", [(k, d) for k in (2, 3) for d in range(6)])
+def test_harmonic_basis_is_sympy_nullspace(k, d):
+    xs = gens(k)
+    n = 2 * k
+    monos = sym_monomials(k, d)
+    rows = {m: i for i, m in enumerate(sym_monomials(k, d - 2))}
+    # Delta = sum_i d/dx_i d/dy_{k+1-i}, applied by sympy.diff
+    lap = sympy.zeros(len(rows), len(monos))
+    for j, m in enumerate(monos):
+        f = sympy.Mul(*[x ** e for x, e in zip(xs, m)])
+        image = sum(sympy.diff(f, xs[i], xs[n - 1 - i]) for i in range(k))
+        for m2, c in sympy.Poly(image, *xs).as_dict().items():
+            lap[rows[m2], j] = c
+    harm, _ = harmonic_decompose(d, k)
+    assert [[h.coeff(m) for m in monos] for h in harm] == [
+        [Fraction(int(c.p), int(c.q)) for c in v] for v in lap.nullspace()]
