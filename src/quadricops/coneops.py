@@ -371,6 +371,16 @@ def fourier_letter(letter):
     return letter, 1
 
 
+def index_text(indices) -> str:
+    """The printed indices of a letter or grammar atom.
+
+    A pair prints as ``12`` while both indices are single digits and as
+    ``1_10`` once one has two, so that the grammar can read it back.
+    """
+    sep = "_" if len(indices) == 2 and max(indices) >= 10 else ""
+    return sep.join(map(str, indices))
+
+
 class GenWord:
     """Formal rational combination of words in the tagged generators."""
 
@@ -457,7 +467,7 @@ class GenWord:
         def letter_text(letter):
             if letter[0] == "Etil":
                 return "(E+k-1)"
-            return letter[0] + "".join(str(i) for i in letter[1:])
+            return letter[0] + index_text(letter[1:])
         return signed_text((c, "*".join(map(letter_text, w)))
                            for w, c in self.sorted_terms())
 

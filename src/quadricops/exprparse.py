@@ -6,6 +6,12 @@ Bop<i><j>, Cop<i><j>; integer literals; + - * ^ ( ).  Whitespace is
 insignificant.  Precedence: ^ binds tightest, then *, then + and -;
 multiplication is noncommutative and kept left-to-right.
 
+A single index may have any number of digits (XX10).  An index pair is
+either two single digits (Dop12) or two numbers joined by an underscore
+(Dop1_10, Dop1_2); a pair of single digits followed by a further digit
+(Dop110) is a ParseError.  The printers write the underscore only when an
+index is >= 10, so text for k <= 9 never contains one.
+
 The AST is a tree of tuples:
   ("int", n), ("var", name, i), ("gen", name, *indices),
   ("add", a, b), ("sub", a, b), ("mul", a, b), ("pow", a, n), ("neg", a).
@@ -15,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from .coneops import b_op, c_op, d_op, xx_op, yy_op, GenWord
+from .coneops import b_op, c_op, d_op, index_text, xx_op, yy_op, GenWord
 from .poly import Poly, q_form, signed_text
 from .weyl import WeylOp, euler_op, laplacian_op
 
@@ -27,10 +33,11 @@ class ParseError(ValueError):
         self.expected = tuple(expected)
 
 
+_PAIR = r"(?:(\d+)_(\d+)|(\d)(\d))"
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<XX>XX(\d+))|(?P<YY>YY(\d+))|"
-    r"(?P<Dop>Dop(\d)(\d))|(?P<Bop>Bop(\d)(\d))|(?P<Cop>Cop(\d)(\d))|"
+    rf"(?P<Dop>Dop{_PAIR})|(?P<Bop>Bop{_PAIR})|(?P<Cop>Cop{_PAIR})|"
     r"(?P<dx>dx(\d+))|(?P<dy>dy(\d+))|"
     r"(?P<x>x(\d+))|(?P<y>y(\d+))|"
     r"(?P<E>E)|(?P<Delta>Delta)|(?P<Q>Q)|"
@@ -58,6 +65,11 @@ def tokenize(src: str, k: int):
                     f"index {i} out of range for k={k} in {m.group().strip()!r}")
             out.append((m.lastgroup, (i,), m.start()))
         elif m.lastgroup in ("Dop", "Bop", "Cop"):
+            if src[m.end():m.end() + 1].isdigit():
+                raise ParseError(
+                    f"digit after {m.group().strip()!r}; write the pair as "
+                    f"{m.lastgroup}<i>_<j> when an index has two digits",
+                    m.end(), expected=("_",))
             i, j = int(groups[1]), int(groups[2])
             if not (1 <= i <= k and 1 <= j <= k):
                 raise IndexError(
@@ -174,7 +186,7 @@ def to_text(node) -> str:
         if kind == "var":
             return f"{n[1]}{n[2]}"
         if kind == "gen":
-            return n[1] + "".join(str(i) for i in n[2:])
+            return n[1] + index_text(n[2:])
         if kind == "neg":
             # unary - binds like ^'s operand, so guard mul/add bodies
             body = f"-{render(n[1], 3)}"
@@ -287,7 +299,7 @@ def genword_to_expr_text(w: GenWord, k: int) -> str:
         if kind == "Etil":
             return f"(E + {k - 1})"
         if kind in ("D", "B", "C"):
-            return f"{kind}op{letter[1]}{letter[2]}"
-        return kind + "".join(str(i) for i in letter[1:])
+            return f"{kind}op{index_text(letter[1:])}"
+        return kind + index_text(letter[1:])
     return signed_text((c, "*".join(map(letter_text, word)))
                        for word, c in w.sorted_terms())

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +10,7 @@ import pytest
 
 from quadricops import cli
 from quadricops.suites import (CheckResult, SuiteReport, SUITES, emit,
-                               run_suite)
+                               max_degree_cap, run_suite)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -99,20 +98,30 @@ def test_argparse_usage_exit_code():
     assert proc.returncode == 2
 
 
-def test_max_degree_cap_env(capsys):
-    old = os.environ.get("QUADRICOPS_MAX_DEGREE")
-    os.environ["QUADRICOPS_MAX_DEGREE"] = "1"
-    try:
-        assert cli.main(["reduce", "x1^6 * dx1"]) == 2
-        assert cli.main(["harmonic", "--d", "5"]) == 2
-        code, _ = run_cli(capsys, ["verify", "algebra-core"])
-        assert code == 0  # suites shrink their corpora under the cap
-    finally:
-        if old is None:
-            del os.environ["QUADRICOPS_MAX_DEGREE"]
-        else:
-            os.environ["QUADRICOPS_MAX_DEGREE"] = old
-    capsys.readouterr()
+def test_max_degree_cap_env(capsys, monkeypatch):
+    monkeypatch.delenv("QUADRICOPS_MAX_DEGREE", raising=False)
+    assert max_degree_cap() == 6
+    monkeypatch.setenv("QUADRICOPS_MAX_DEGREE", "1")
+    assert cli.main(["reduce", "x1^6 * dx1"]) == 2
+    assert cli.main(["harmonic", "--d", "5"]) == 2
+    code, _ = run_cli(capsys, ["verify", "algebra-core"])
+    assert code == 0  # suites shrink their corpora under the cap
+    for bad in ["abc", "0", "-3", ""]:
+        monkeypatch.setenv("QUADRICOPS_MAX_DEGREE", bad)
+        with pytest.raises(ValueError, match="QUADRICOPS_MAX_DEGREE"):
+            max_degree_cap()
+        assert cli.main(["verify", "algebra-core"]) == 2
+        assert "QUADRICOPS_MAX_DEGREE" in capsys.readouterr().err
+
+
+def test_two_digit_pair_indices(capsys):
+    code, _ = run_cli(capsys, ["verify", "cli", "--k", "10"])
+    assert code == 0
+    code, out = run_cli(capsys, ["reduce", "Dop1_10", "--k", "12",
+                                 "--format", "json"])
+    assert code == 0 and json.loads(out)["expr"] == "Dop1_10"
+    assert cli.main(["reduce", "Dop110", "--k", "12"]) == 2
+    assert "Dop<i>_<j>" in capsys.readouterr().err
 
 
 def test_emit_empty_suite():

@@ -1,6 +1,10 @@
-"""Static check: no unused imports in the package or in the tests."""
+"""Imports: no unused imports in the package or in the tests, and no heavy
+standard modules at CLI start-up."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import quadricops
@@ -43,3 +47,14 @@ def test_scan_sees_an_unused_import(tmp_path):
     probe.write_text("import os\nfrom math import comb, perm\n"
                      "__all__ = ['perm']\nprint(comb(3, 1))\n")
     assert unused_imports(probe) == ["probe.py:1: os"]
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # every CLI process pays for what `import quadricops.cli` loads; -S keeps
+    # site-packages start-up from loading these modules on its own
+    env = dict(os.environ, PYTHONPATH=str(ROOTS[0].parent))
+    code = ("import sys, quadricops.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -69,6 +69,16 @@ def test_index_out_of_range():
     assert ep.parse("x3", 3) == ("var", "x", 3)
 
 
+def test_two_digit_pair_indices():
+    assert ep.parse("Dop1_10", 12) == ("gen", "Dop", 1, 10)
+    assert ep.parse("Bop1_2", K) == ep.parse("Bop12", K)
+    # the underscore is printed only when an index has two digits
+    assert ep.to_text(ep.parse("Dop1_2 + Cop9_11", 12)) == "Dop12 + Cop9_11"
+    for src in ["Dop110", "Bop310", "Cop1_10 + Dop123"]:
+        with pytest.raises(ep.ParseError, match="op<i>_<j>"):
+            ep.parse(src, 12)
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ep.ParseError) as exc:
         ep.parse("x1 + ", K)

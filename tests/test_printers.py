@@ -65,6 +65,11 @@ CASES = [
      lambda: genword_to_expr_text(
          to_genword(parse("-x1*YY2 + 3*Dop12 - 1", 3), 3), 3),
      "-1 + 3*Dop12 - x1*YY2"),
+    ("genword-two-digit",
+     lambda: to_genword(parse("Dop1_10*XX10", 12), 12).text(), "D1_10*XX10"),
+    ("expr-two-digit",
+     lambda: genword_to_expr_text(to_genword(parse("Cop9_11", 12), 12), 12),
+     "Cop9_11"),
 ]
 
 
