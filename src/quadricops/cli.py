@@ -1,6 +1,9 @@
 """Command-line interface: expression reduction, transforms, and suites.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error
+(including an expression whose degree or order bound exceeds the safety cap),
+3 internal error: an engine exception that no other code covers, reported
+as one ``internal error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from .harmonic import (bessel_check, boundary_phase_check,
                        kelvin_intertwine_defect, n2_counterexample)
 from .lie import basis
 from .momentorbit import check_descent, verify_orbit_relations
-from .poly import ExponentOverflow, Poly, QLaurent, mdegree
+from .poly import ExponentOverflow, Poly, QLaurent
 from .shapovalov import (fourier_roots_bezout, shapovalov_closed,
                          shapovalov_expand)
-from .suites import (CheckResult, SuiteReport, UnknownSuite, emit,
+from .suites import (CheckResult, SuiteReport, emit,
                      max_degree_cap, run_suite, SUITES)
 
 
@@ -35,13 +38,18 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
+def _within_cap(tree) -> bool:
+    """The degree and order bounds of the expression are at most twice the
+    max-degree cap, so evaluating it is bounded."""
+    cap = 2 * max_degree_cap()
+    return all(b <= cap for b in exprparse.bound(tree))
+
+
 def cmd_reduce(args) -> int:
     tree = exprparse.parse(args.expr, args.k)
-    op = exprparse.eval_weyl(tree, args.k)
-    cap = 2 * max_degree_cap()
-    coef_degree = max((mdegree(a, op.nvars) for a, _ in op.terms), default=0)
-    if op.order() > cap or coef_degree > cap:
+    if not _within_cap(tree):
         return _usage_error("expression exceeds the max-degree safety cap")
+    op = exprparse.eval_weyl(tree, args.k)
     cone = ConeOp(op)
     obj = {
         "expr": exprparse.to_text(tree),
@@ -63,6 +71,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_fourier_transform(args) -> int:
     tree = exprparse.parse(args.expr, args.k)
+    if not _within_cap(tree):
+        return _usage_error("expression exceeds the max-degree safety cap")
     word = exprparse.to_genword(tree, args.k)
     image = word.fourier()
     image_expr = exprparse.genword_to_expr_text(image, args.k)
@@ -139,14 +149,14 @@ def cmd_moment(args) -> int:
 
 def cmd_kelvin(args) -> int:
     tree = exprparse.parse(args.expr, args.k)
+    if not _within_cap(tree):
+        return _usage_error("polynomial exceeds the max-degree safety cap")
     op = exprparse.eval_weyl(tree, args.k)
     for (_, b) in op.terms:
         if b:  # a nonzero derivative multi-index
             return _usage_error("kelvin expects a polynomial expression "
                                 "(no derivatives)")
     poly = Poly(2 * args.k, {a: c for (a, b), c in op.terms.items()})
-    if poly.degree() > 2 * max_degree_cap():
-        return _usage_error("polynomial exceeds the max-degree safety cap")
     f = QLaurent(args.k, poly, 0)
     kf = kelvin(f)
     defect = kelvin_intertwine_defect(f)
@@ -343,14 +353,14 @@ def main(argv=None) -> int:
         return args.func(args)
     except ExponentOverflow:
         return _usage_error("expression exceeds the max-degree safety cap")
-    except (exprparse.ParseError, IndexError) as exc:
+    except (exprparse.ParseError, exprparse.IndexOutOfRange) as exc:
         return _usage_error(f"parse error: {exc}")
-    except exprparse.NotGeneratorWord as exc:
+    except ValueError as exc:  # NotGeneratorWord, UnknownSuite, bad cap
         return _usage_error(str(exc))
-    except UnknownSuite as exc:
-        return _usage_error(str(exc))
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    except Exception as exc:
+        detail = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        sys.stderr.write(f"internal error: {detail}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -316,45 +316,6 @@ def letter_op(k: int, letter) -> WeylOp:
     raise ValueError(f"unknown generator letter {letter!r}")
 
 
-def letter_lie_preimage(k: int, letter) -> LieElt:
-    """The Lie algebra element realized as this generator by rho_tilde."""
-    n = 2 * k
-    kind = letter[0]
-    if kind == "x":
-        e = [0] * n
-        e[letter[1] - 1] = 1
-        return LieElt(k, mu=e)
-    if kind == "y":
-        e = [0] * n
-        e[k + letter[1] - 1] = 1
-        return LieElt(k, mu=e)
-    if kind == "XX":
-        e = [0] * n
-        e[letter[1] - 1] = 1
-        return LieElt(k, lam=e)
-    if kind == "YY":
-        e = [0] * n
-        e[k + letter[1] - 1] = 1
-        return LieElt(k, lam=e)
-    if kind == "Etil":
-        return LieElt(k, alpha=-1)
-    # Levi letters: the matrix X with sum X[a][b] v_a d_b equal to the operator
-    X = [[0] * n for _ in range(n)]
-    if kind not in ("D", "B", "C"):
-        raise ValueError(f"unknown generator letter {letter!r}")
-    i, j = letter[1] - 1, letter[2] - 1
-    if kind == "D":
-        X[j][i] += 1
-        X[dual(n, i)][dual(n, j)] -= 1
-    elif kind == "B":
-        X[dual(n, j)][i] += 1
-        X[dual(n, i)][j] -= 1
-    else:
-        X[j][dual(n, i)] += 1
-        X[i][dual(n, j)] -= 1
-    return LieElt(k, X=X)
-
-
 def fourier_letter(letter):
     """Image of one letter under the quadric Fourier automorphism, with sign."""
     kind = letter[0]

@@ -33,6 +33,10 @@ class ParseError(ValueError):
         self.expected = tuple(expected)
 
 
+class IndexOutOfRange(IndexError):
+    """An index outside 1..k, or a Bop/Cop pair that is not increasing."""
+
+
 _PAIR = r"(?:(\d+)_(\d+)|(\d)(\d))"
 _TOKEN_RE = re.compile(
     r"\s*(?:"
@@ -61,7 +65,7 @@ def tokenize(src: str, k: int):
         if m.lastgroup in ("XX", "YY", "dx", "dy", "x", "y"):
             i = int(groups[1])
             if not 1 <= i <= k:
-                raise IndexError(
+                raise IndexOutOfRange(
                     f"index {i} out of range for k={k} in {m.group().strip()!r}")
             out.append((m.lastgroup, (i,), m.start()))
         elif m.lastgroup in ("Dop", "Bop", "Cop"):
@@ -72,10 +76,10 @@ def tokenize(src: str, k: int):
                     m.end(), expected=("_",))
             i, j = int(groups[1]), int(groups[2])
             if not (1 <= i <= k and 1 <= j <= k):
-                raise IndexError(
+                raise IndexOutOfRange(
                     f"indices ({i},{j}) out of range for k={k}")
             if m.lastgroup in ("Bop", "Cop") and not i < j:
-                raise IndexError(
+                raise IndexOutOfRange(
                     f"{m.lastgroup} requires i < j, got ({i},{j})")
             out.append((m.lastgroup, (i, j), m.start()))
         elif m.lastgroup == "int":
@@ -164,7 +168,7 @@ class _Parser:
 
 
 def parse(src: str, k: int = 2):
-    """Parse an expression; raises ParseError / IndexError on bad input."""
+    """Parse an expression; raises ParseError / IndexOutOfRange on bad input."""
     p = _Parser(tokenize(src, k))
     node = p.parse_sum()
     tok = p.peek()
@@ -205,6 +209,37 @@ def to_text(node) -> str:
             return f"({body})" if parent_prec > 3 else body
         raise ValueError(f"unknown node {kind!r}")
     return render(node, 0)
+
+
+# (coefficient degree, order) of each atom's operator
+_ATOM_BOUND = {"x": (1, 0), "y": (1, 0), "dx": (0, 1), "dy": (0, 1),
+               "E": (1, 1), "Delta": (0, 2), "Q": (2, 0), "XX": (1, 2),
+               "YY": (1, 2), "Dop": (1, 1), "Bop": (1, 1), "Cop": (1, 1)}
+
+
+def bound(node) -> tuple:
+    """Upper bounds (coefficient degree, order) of the operator of the AST.
+
+    Read off the tree without evaluating it: a product adds the bounds of
+    its factors (reordering d^b x^a into x-left form only lowers both), a
+    power multiplies them and a sum takes the larger.
+    """
+    kind = node[0]
+    if kind == "int":
+        return (0, 0)
+    if kind in ("var", "gen"):
+        return _ATOM_BOUND[node[1]]
+    if kind == "neg":
+        return bound(node[1])
+    if kind == "pow":
+        d, o = bound(node[1])
+        return (d * node[2], o * node[2])
+    (d1, o1), (d2, o2) = bound(node[1]), bound(node[2])
+    if kind == "mul":
+        return (d1 + d2, o1 + o2)
+    if kind in ("add", "sub"):
+        return (max(d1, d2), max(o1, o2))
+    raise ValueError(f"unknown node {kind!r}")
 
 
 def eval_weyl(node, k: int) -> WeylOp:

@@ -8,6 +8,7 @@ polynomial identities.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 from .poly import (Poly, QLaurent, b_pair, dual, mdegree,
@@ -72,13 +73,45 @@ def kelvin(f: QLaurent, k: int | None = None) -> QLaurent:
     return QLaurent(k, num.scale(sign) * q ** (-shift), 0)
 
 
+class CertificateError(ArithmeticError):
+    """An identity that a closed form rests on failed its exact check."""
+
+
+@lru_cache(maxsize=64)
+def _laplacian_shift(q: Poly, m: int) -> WeylOp:
+    """R = Q Delta - m E + m(m+1-k), proven to satisfy Q^(m+1) Delta = R Q^m.
+
+    The Weyl identity is checked with exact operator products, once per
+    (Q, m); CertificateError when it fails.
+    """
+    k = q.nvars // 2
+    lap = laplacian_op(k)
+    qm = q ** m
+    r = WeylOp.mult(q) * lap - euler_op(k).scale(m) + m * (m + 1 - k)
+    if WeylOp.mult(q * qm) * lap != r * WeylOp.mult(qm):
+        raise CertificateError(f"Q^{m + 1} Delta != (Q Delta - {m} E + "
+                               f"{m * (m + 1 - k)}) Q^{m} for k={k}")
+    return r
+
+
+def laplacian_qlaurent(f: QLaurent) -> QLaurent:
+    """Delta(n/Q^m) = (Q Delta n - m E n + m(m+1-k) n) / Q^(m+1), exactly.
+
+    Applying the Weyl identity Q^(m+1) Delta = R Q^m, R = Q Delta - m E +
+    m(m+1-k), to n/Q^m gives Delta(n/Q^m) = R(n) / Q^(m+1) (Delta Q = k and
+    B(grad Q, grad Q) = Q for the split form).  R is applied only after the
+    identity is proven; m = 0 is the polynomial Laplacian.
+    """
+    k, m = f.k, f.qexp
+    if m == 0:
+        return QLaurent(k, laplacian_op(k).apply(f.num), 0)
+    return QLaurent(k, _laplacian_shift(q_form(k), m).apply(f.num), m + 1)
+
+
 def kelvin_intertwine_defect(f: QLaurent) -> QLaurent:
     """Delta(Kf) - Q^{-2} K(Delta f); identically zero on the Laurent class."""
-    k = f.k
-    lap = LocalWeylOp.from_weyl(laplacian_op(k))
-    lhs = lap.apply(kelvin(f))
-    rhs = lap.apply(f)
-    rhs = kelvin(rhs).div_by_q(2)
+    lhs = laplacian_qlaurent(kelvin(f))
+    rhs = kelvin(laplacian_qlaurent(f)).div_by_q(2)
     return lhs - rhs
 
 

@@ -150,10 +150,6 @@ class LieElt:
         a, b = self.matrix(), other.matrix()
         return LieElt.from_matrix(self.k, mat_sub(mat_mul(a, b), mat_mul(b, a)))
 
-    def ad_w0(self) -> "LieElt":
-        """Conjugation by the Weyl inversion: swaps mu and lambda, flips alpha."""
-        return LieElt(self.k, -self.alpha, self.lam, self.X, self.mu, tag=self.tag)
-
     def scale(self, c) -> "LieElt":
         c = qcoef(c)
         return LieElt(self.k, c * self.alpha, [c * v for v in self.mu],

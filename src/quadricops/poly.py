@@ -408,13 +408,6 @@ class Poly:
             total = total + term
         return total
 
-    def embed(self, nvars: int, offset: int) -> "Poly":
-        """Re-index into a larger variable set starting at ``offset``."""
-        pad_l = (0,) * offset
-        pad_r = (0,) * (nvars - offset - self.nvars)
-        return Poly(nvars, {pack(pad_l + m + pad_r): c
-                            for m, c in self.exponent_items()})
-
     # -- printing ------------------------------------------------------------
 
     def sorted_terms(self):

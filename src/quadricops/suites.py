@@ -33,7 +33,8 @@ from .coneops import (ConeOp, GenWord, a_correction, grading, index_text,
 from .harmonic import (bessel_check, boundary_phase_check, dirac_relations,
                        exp_harmonicity_defect, harmonic_decompose,
                        harmonic_dimension, is_higher_symmetry, kelvin,
-                       kelvin_intertwine_defect, n2_counterexample)
+                       kelvin_intertwine_defect, laplacian_qlaurent,
+                       n2_counterexample)
 from .lie import (DegenerateCell, act_at, basis, bruhat_factor, chi0_at, levi,
                   u, u_op, w0)
 from .momentorbit import (check_descent, phase_euler, poisson, q_poly,
@@ -42,7 +43,7 @@ from .momentorbit import (check_descent, phase_euler, poisson, q_poly,
 from .poly import Poly, QLaurent, dual, normal_form_mod_single, q_form, qdiv
 from .shapovalov import (fourier_roots_bezout, scalar_on_graded,
                          shapovalov_closed, shapovalov_expand)
-from .weyl import (LocalWeylOp, NotDivisible, WeylOp, euler_op,
+from .weyl import (NotDivisible, WeylOp, euler_op,
                    is_zero_extensional, laplacian_op, monomials_up_to)
 
 
@@ -631,7 +632,7 @@ def harmonic_kelvin_checks(k: int) -> list:
                 return f"intertwine defect on {f.text()}: {defect.text()}"
 
     kone = kelvin(QLaurent(k, Poly.const(n, 1), 0))
-    ok = LocalWeylOp.from_weyl(lap).apply(kone).is_zero()
+    ok = laplacian_qlaurent(kone).is_zero()
     out.append(_check("kelvin-fundamental-solution",
                       "the Kelvin image of 1 is annihilated by the Laplacian",
                       None if ok else kone.text()))
@@ -652,7 +653,7 @@ def harmonic_kelvin_checks(k: int) -> list:
             for d in range(4):
                 harm, _ = harmonic_decompose(d, k)
                 for h in harm:
-                    img = LocalWeylOp.from_weyl(lap).apply(kelvin(QLaurent(k, h, 0)))
+                    img = laplacian_qlaurent(kelvin(QLaurent(k, h, 0)))
                     if not img.is_zero():
                         return f"d={d}: {img.text()}"
 

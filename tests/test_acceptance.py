@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import nonvanishing_minor
 from quadricops.coneops import (ConeOp, GenWord, a_correction, b_form_poly,
                                 phi, rho_amb, rho_tilde, tau, xx_op, yy_op)
 from quadricops.harmonic import (bessel_check, boundary_phase_check,
@@ -118,6 +119,8 @@ def test_criterion_06_moment_descent_and_orbit():
             assert check_descent(xi).is_zero(), (k, xi.tag)
         for name, ok, residue in verify_orbit_relations(k):
             assert ok, (k, name, residue)
+        # the minors line is proven by a factorization; expand them too
+        assert nonvanishing_minor(k) is None, k
     _report(6, "fiber-shear invariance and all orbit relations, including "
                "3x3 minors and the matrix square, k in {2,3}")
 

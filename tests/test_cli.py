@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from quadricops import cli
+from quadricops import cli, exprparse, harmonic, shapovalov
+from quadricops.coneops import NotNormalizing
+from quadricops.poly import Poly
+from quadricops.shapovalov import EulerPoly
 from quadricops.suites import (CheckResult, SuiteReport, SUITES, emit,
                                max_degree_cap, run_suite)
 
@@ -52,6 +55,20 @@ def test_harmonic_d6_k3_output_is_pinned(capsys):
         "4e2ee10a955c13a7b627932f956c88550bf587a7114b585e7166bbd9fbe8c54c")
 
 
+@pytest.mark.parametrize("suite,digest", [
+    ("harmonic-kelvin",
+     "9e20ec828f143a3975879bd852885e22ea648f1d8eb267b328bbc81f3354a704"),
+    ("moment-orbit",
+     "7b5e0645f71d51f30267f2fc94d46b764e6aea2e7a6a252723bab49eb7ad85b6"),
+], ids=["harmonic-kelvin", "moment-orbit"])
+def test_k4_suite_report_is_pinned(capsys, suite, digest):
+    # recorded before the Kelvin and minors checks were proven by certificate
+    code, out = run_cli(capsys, ["verify", suite, "--k", "4",
+                                 "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_golden_output_is_deterministic(capsys):
     _, first = run_cli(capsys, ["verify", "cli", "--format", "json"])
     _, second = run_cli(capsys, ["verify", "cli", "--format", "json"])
@@ -90,6 +107,54 @@ def test_exponent_overflow_is_a_usage_error(capsys, command):
     # x1^40000 is past the largest exponent a packed monomial holds
     assert cli.main([command, "x1^40000", "--k", "2"]) == 2
     assert "max-degree safety cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fourier-transform", "x1^3000000"],
+    ["reduce", "(x1 + y1 + x2 + y2 + dx1 + dy1)^14"],
+    ["reduce", "dx1^13"],
+    ["kelvin", "(x1 + y2)^13"],
+    ["kelvin", "dx1^13 - dx1^13"],
+])
+def test_cost_is_bounded_before_evaluation(capsys, monkeypatch, argv):
+    def no_evaluation(*args):
+        raise AssertionError("evaluated an expression over the cap")
+
+    monkeypatch.setattr(exprparse, "eval_weyl", no_evaluation)
+    monkeypatch.setattr(exprparse, "to_genword", no_evaluation)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("exceeds the max-degree safety cap\n")
+
+
+def _raiser(exc):
+    def raise_(*args, **kwargs):
+        raise exc
+    return raise_
+
+
+def test_engine_errors_exit_3(capsys, monkeypatch):
+    # the assert in fourier_roots_bezout, reached by a wrong Bezout pair
+    one, zero = EulerPoly([1]), EulerPoly([0])
+    monkeypatch.setattr(shapovalov, "xgcd", lambda p, q: (one, one, zero))
+    # the ArithmeticError of harmonic_decompose, reached through x1*x2 as Q
+    monkeypatch.setattr(harmonic, "q_form",
+                        lambda k: Poly.var(2 * k, 0) * Poly.var(2 * k, 1))
+    monkeypatch.setattr(cli, "ConeOp", _raiser(NotNormalizing("not normal")))
+    monkeypatch.setattr(cli, "run_suite", _raiser(IndexError("off the end")))
+    cases = [
+        (["shapovalov", "--d", "1"], "AssertionError: Bezout certificate failed"),
+        (["harmonic", "--d", "2"],
+         "ArithmeticError: harmonic decomposition is not a direct sum"),
+        (["reduce", "x1"], "NotNormalizing: not normal"),
+        (["verify", "weyl"], "IndexError: off the end"),
+    ]
+    for argv, detail in cases:
+        assert cli.main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {detail}\n"
 
 
 def test_argparse_usage_exit_code():

@@ -7,11 +7,11 @@ import pytest
 
 from quadricops.coneops import (ConeOp, GenWord, NotNormalizing,
                                 a_correction, euler_weight_op, grading,
-                                is_ideal_preserving, letter_op,
-                                letter_lie_preimage, phi, rho_amb, rho_tilde,
-                                tau, tau_hat, xx_op, yy_op, d_op)
+                                is_ideal_preserving, letter_op, phi,
+                                rho_amb, rho_tilde, tau, tau_hat, xx_op, yy_op,
+                                d_op)
 from quadricops.lie import LieElt, basis
-from quadricops.poly import Poly, q_form
+from quadricops.poly import Poly, dual, q_form
 from quadricops.weyl import WeylOp, euler_op, laplacian_op
 
 K = 2
@@ -143,6 +143,31 @@ def test_fourier_word_involution_and_values():
                  Fraction(rng.randint(-4, 4) or 1) for _ in range(2)}
         word = GenWord(K, terms)
         assert word.fourier().fourier() == word
+
+
+def letter_lie_preimage(k: int, letter) -> LieElt:
+    """The Lie algebra element realized as this generator by rho_tilde."""
+    n = 2 * k
+    kind = letter[0]
+    if kind in ("x", "y", "XX", "YY"):
+        e = [0] * n
+        e[(0 if kind in ("x", "XX") else k) + letter[1] - 1] = 1
+        return LieElt(k, mu=e) if kind in ("x", "y") else LieElt(k, lam=e)
+    if kind == "Etil":
+        return LieElt(k, alpha=-1)
+    # Levi letters: the matrix X with sum X[a][b] v_a d_b equal to the operator
+    X = [[0] * n for _ in range(n)]
+    i, j = letter[1] - 1, letter[2] - 1
+    if kind == "D":
+        X[j][i] += 1
+        X[dual(n, i)][dual(n, j)] -= 1
+    elif kind == "B":
+        X[dual(n, j)][i] += 1
+        X[dual(n, i)][j] -= 1
+    else:
+        X[j][dual(n, i)] += 1
+        X[i][dual(n, j)] -= 1
+    return LieElt(k, X=X)
 
 
 def test_letter_preimages_realize_letters():

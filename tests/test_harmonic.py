@@ -4,17 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from quadricops import harmonic
+from quadricops import cli, harmonic
 from quadricops.coneops import phi, b_form_poly
 from quadricops.harmonic import (bessel_check, bessel_series,
                                  boundary_phase_check, dirac_relations,
                                  exp_harmonicity_defect, harmonic_decompose,
                                  harmonic_dimension, is_higher_symmetry,
                                  kelvin, kelvin_intertwine_defect,
-                                 n2_counterexample)
+                                 laplacian_qlaurent, n2_counterexample)
 from quadricops.lie import basis
 from quadricops.poly import Poly, QLaurent, q_form
-from quadricops.weyl import LocalWeylOp, WeylOp, laplacian_op
+from quadricops.weyl import (LocalWeylOp, WeylOp, laplacian_op,
+                             monomials_up_to)
 
 K = 2
 N = 2 * K
@@ -45,6 +46,30 @@ def test_kelvin_intertwine_on_samples():
     samples.append(QLaurent.one_over_q(K))
     for f in samples:
         assert kelvin_intertwine_defect(f).is_zero()
+
+
+def test_laplacian_closed_form_matches_the_generic_action():
+    # the corpus of kelvin-involution-intertwine and its Kelvin images
+    for k in (2, 3):
+        tests = [QLaurent(k, Poly.monomial(m), 0)
+                 for m in monomials_up_to(2 * k, 6)]
+        tests.append(QLaurent.one_over_q(k))
+        lap = LocalWeylOp.from_weyl(laplacian_op(k))
+        for f in tests + [kelvin(f) for f in tests]:
+            assert laplacian_qlaurent(f) == lap.apply(f), (k, f.text())
+
+
+def test_harmonic_quadric_breaks_the_laplacian_shift(monkeypatch, capsys):
+    # Delta(x1*x2) = 0, not k, so the shift identity fails for x1*x2
+    monkeypatch.setattr(harmonic, "q_form",
+                        lambda k: Poly.var(2 * k, 0) * Poly.var(2 * k, 1))
+    with pytest.raises(harmonic.CertificateError):
+        laplacian_qlaurent(QLaurent.one_over_q(K))
+    # an engine error, not a failed verification
+    assert cli.main(["kelvin", "x1", "--k", str(K)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: CertificateError: ")
+    assert err.count("\n") == 1
 
 
 def test_higher_symmetry_certificates():

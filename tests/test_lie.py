@@ -35,12 +35,23 @@ def test_bracket_is_matrix_commutator():
             assert xi.bracket(eta).matrix() == comm
 
 
+def ad_w0(xi: LieElt) -> LieElt:
+    """Conjugation by the Weyl inversion: swaps mu and lambda, flips alpha."""
+    return LieElt(xi.k, -xi.alpha, xi.lam, xi.X, xi.mu, tag=xi.tag)
+
+
 def test_ad_w0_swaps_blocks():
     e = [0] * N
     e[0] = 1
     xi = LieElt(K, alpha=2, mu=e)
-    img = xi.ad_w0()
+    img = ad_w0(xi)
     assert img.alpha == -2 and img.lam == xi.mu and not any(img.mu)
+    # the block swap is conjugation by the group element w0
+    for k in (2, 3):
+        g = w0(k)
+        for xi in basis(k):
+            assert (mat_mul(g.m, mat_mul(xi.matrix(), g.inv().m))
+                    == ad_w0(xi).matrix()), xi.tag
 
 
 def test_group_elements_preserve_form():

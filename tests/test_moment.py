@@ -2,13 +2,15 @@
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import nonvanishing_minor
+from quadricops import momentorbit
 from quadricops.coneops import rho_tilde
 from quadricops.lie import basis
-from quadricops.momentorbit import (check_descent, moment, orbit_matrix_at,
-                                    phase_euler, poisson, q_poly,
-                                    symbol_invariant, v_vector,
+from quadricops.momentorbit import (block_var, check_descent, moment,
+                                    orbit_matrix, phase_euler, poisson,
+                                    q_poly, symbol_invariant, v_vector,
                                     verify_orbit_relations, x_vector)
-from quadricops.poly import Poly
+from quadricops.poly import Poly, qcoef
 
 K = 2
 NV = 4 * K
@@ -38,6 +40,26 @@ def test_moment_degrees():
 def test_orbit_relations_pass():
     for name, ok, residue in verify_orbit_relations(K):
         assert ok, f"{name}: {residue}"
+
+
+def test_perturbed_entry_fails_the_minors_line(monkeypatch):
+    def perturbed(k):
+        M = orbit_matrix(k)
+        M[2][3] = M[2][3] + block_var(k, 0, 0) * block_var(k, 1, 0)
+        return M
+
+    assert nonvanishing_minor(K, perturbed(K)) is not None
+    monkeypatch.setattr(momentorbit, "orbit_matrix", perturbed)
+    lines = {name: (ok, residue)
+             for name, ok, residue in verify_orbit_relations(K)}
+    assert lines["3x3 minors"] == (
+        False, "rank-2 factorization fails at [2][3]: x1*y1")
+
+
+def orbit_matrix_at(k: int, v_point, w_point):
+    """Numeric specialization of the orbit matrix."""
+    point = [qcoef(c) for c in list(v_point) + list(w_point)]
+    return [[entry.eval(point) for entry in row] for row in orbit_matrix(k)]
 
 
 def test_orbit_matrix_squares_to_zero_numerically():

@@ -6,7 +6,7 @@ import pytest
 
 from quadricops import exprparse as ep
 from quadricops.coneops import ConeOp, xx_op
-from quadricops.poly import q_form
+from quadricops.poly import mdegree, q_form
 from quadricops.weyl import WeylOp, euler_op
 
 K = 2
@@ -35,6 +35,26 @@ def test_roundtrip_corpus():
         assert ep.parse(ep.to_text(tree), K) == tree
 
 
+def measured(op):
+    """(coefficient degree, order) of an evaluated operator."""
+    degree = max((mdegree(a, op.nvars) for a, _ in op.terms), default=0)
+    return degree, max(op.order(), 0)
+
+
+def test_bound_is_exact_on_atoms_and_bounds_every_tree():
+    for k, atoms in [(K, ATOMS), (3, ["XX3", "YY2", "Dop31", "Bop23",
+                                      "Cop13", "E", "Delta", "Q"])]:
+        for atom in atoms:
+            tree = ep.parse(atom, k)
+            assert ep.bound(tree) == measured(ep.eval_weyl(tree, k)), atom
+    rng = random.Random(20261018)
+    for _ in range(300):
+        tree = rand_tree(rng, 3)
+        degree, order = measured(ep.eval_weyl(tree, K))
+        bd, bo = ep.bound(tree)
+        assert degree <= bd and order <= bo, ep.to_text(tree)
+
+
 def test_precedence():
     # ^ binds tighter than *, which binds tighter than +
     t = ep.parse("x1 + x2*dy1^2", K)
@@ -60,11 +80,11 @@ def test_eval_examples():
 
 
 def test_index_out_of_range():
-    with pytest.raises(IndexError):
+    with pytest.raises(ep.IndexOutOfRange):
         ep.parse("x5", K)
-    with pytest.raises(IndexError):
+    with pytest.raises(ep.IndexOutOfRange):
         ep.parse("Bop21", K)
-    with pytest.raises(IndexError):
+    with pytest.raises(ep.IndexOutOfRange):
         ep.parse("Dop13", K)
     assert ep.parse("x3", 3) == ("var", "x", 3)
 

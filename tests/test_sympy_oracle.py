@@ -11,7 +11,9 @@ sympy.diff, and so is the action of a product, which must be the action of
 one factor after the other.
 
 The harmonic basis is checked against sympy's nullspace of the Laplacian
-matrix, which reads its vectors off the reduced row echelon form too.
+matrix, which reads its vectors off the reduced row echelon form too, and
+the closed form of the Laplacian on n/Q^m against sympy.diff of the
+rational function.
 """
 
 from fractions import Fraction
@@ -20,8 +22,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from quadricops.harmonic import harmonic_decompose, sym_monomials
-from quadricops.poly import Poly, normal_form_mod_single, q_form, support
+from quadricops.harmonic import (harmonic_decompose, laplacian_qlaurent,
+                                 sym_monomials)
+from quadricops.poly import (Poly, QLaurent, normal_form_mod_single, q_form,
+                             support)
 from quadricops.weyl import WeylOp
 
 COEFFS = st.one_of(
@@ -177,3 +181,27 @@ def test_harmonic_basis_is_sympy_nullspace(k, d):
     harm, _ = harmonic_decompose(d, k)
     assert [[h.coeff(m) for m in monos] for h in harm] == [
         [Fraction(int(c.p), int(c.q)) for c in v] for v in lap.nullspace()]
+
+
+@st.composite
+def laurent_cases(draw):
+    k = draw(st.sampled_from([2, 3]))
+    mono = st.lists(st.integers(0, 2), min_size=2 * k,
+                    max_size=2 * k).map(tuple).filter(lambda m: sum(m) <= 4)
+    num = Poly.from_exponents(2 * k, draw(st.dictionaries(mono, COEFFS,
+                                                          max_size=4)))
+    return k, num, draw(st.integers(0, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(laurent_cases())
+def test_laplacian_of_q_laurent_matches_sympy(case):
+    k, num, m = case
+    x = gens(k)
+    q = to_sympy(q_form(k), k).as_expr()
+    f = to_sympy(num, k).as_expr() / q ** m
+    # Delta pairs x_i with y_{k+1-i}
+    lap = sum(sympy.diff(f, x[i], x[2 * k - 1 - i]) for i in range(k))
+    got = laplacian_qlaurent(QLaurent(k, num, m))
+    cleared = sympy.Poly(sympy.cancel(lap * q ** got.qexp), *x, domain="QQ")
+    assert got.num == from_sympy(cleared, k)
