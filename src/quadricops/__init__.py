@@ -24,16 +24,17 @@ from .lie import (DegenerateCell, GroupElt, LieElt, NotQLaurent, basis,
 from .coneops import (ConeOp, GenWord, NotNormalizing, grading,
                       is_ideal_preserving, phi, rho_amb, rho_tilde, tau,
                       tau_hat, xx_op, yy_op)
-from .shapovalov import (EulerPoly, NotScalar, fourier_euler_image,
-                         fourier_roots_bezout, scalar_on_graded,
-                         shapovalov_closed, shapovalov_expand)
+from .shapovalov import (EulerPoly, FactorsDoNotCommute, NotScalar,
+                         fourier_euler_image, fourier_roots_bezout,
+                         scalar_on_graded, shapovalov_closed,
+                         shapovalov_expand, shapovalov_series)
 from .momentorbit import (check_descent, moment, orbit_matrix, phase_euler,
                           poisson, symbol_invariant, verify_orbit_relations)
 from .harmonic import (SymmetryCert, bessel_check, boundary_phase_check,
                        exp_harmonicity_defect, harmonic_decompose,
                        harmonic_dimension, is_higher_symmetry, kelvin,
                        kelvin_intertwine_defect, n2_counterexample)
-from .exprparse import ParseError, parse, to_text
+from .exprparse import ParseError, UsageError, parse, to_text
 from .suites import SuiteReport, UnknownSuite, emit, run_suite
 
 __all__ = [
@@ -46,15 +47,16 @@ __all__ = [
     "ConeOp", "GenWord", "NotNormalizing", "grading",
     "is_ideal_preserving", "phi", "rho_amb", "rho_tilde", "tau",
     "tau_hat", "xx_op", "yy_op",
-    "EulerPoly", "NotScalar", "fourier_euler_image", "fourier_roots_bezout",
-    "scalar_on_graded", "shapovalov_closed", "shapovalov_expand",
+    "EulerPoly", "FactorsDoNotCommute", "NotScalar", "fourier_euler_image",
+    "fourier_roots_bezout", "scalar_on_graded", "shapovalov_closed",
+    "shapovalov_expand", "shapovalov_series",
     "check_descent", "moment", "orbit_matrix", "phase_euler", "poisson",
     "symbol_invariant", "verify_orbit_relations",
     "SymmetryCert", "bessel_check", "boundary_phase_check",
     "exp_harmonicity_defect", "harmonic_decompose", "harmonic_dimension",
     "is_higher_symmetry", "kelvin", "kelvin_intertwine_defect",
     "n2_counterexample",
-    "ParseError", "parse", "to_text",
+    "ParseError", "UsageError", "parse", "to_text",
     "SuiteReport", "UnknownSuite", "emit", "run_suite",
 ]
 

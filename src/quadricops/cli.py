@@ -1,9 +1,10 @@
 """Command-line interface: expression reduction, transforms, and suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
-(including an expression whose degree or order bound exceeds the safety cap),
-3 internal error: an engine exception that no other code covers, reported
-as one ``internal error:`` line on stderr.
+(including an expression whose degree or order bound, or for
+``fourier-transform`` whose word count bound, exceeds its safety cap), 3
+internal error: an engine exception that no other code covers, a
+``ValueError`` included, reported as one ``internal error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from .shapovalov import (fourier_roots_bezout, shapovalov_closed,
                          shapovalov_expand)
 from .suites import (CheckResult, SuiteReport, emit,
                      max_degree_cap, run_suite, SUITES)
+
+# the most generator words a fourier-transform input may expand into: the
+# words of a power of a sum multiply, and each is transformed and evaluated
+MAX_WORDS = 256
 
 
 def _emit_obj(obj: dict, fmt: str, text_lines) -> None:
@@ -73,6 +78,9 @@ def cmd_fourier_transform(args) -> int:
     tree = exprparse.parse(args.expr, args.k)
     if not _within_cap(tree):
         return _usage_error("expression exceeds the max-degree safety cap")
+    if exprparse.word_bound(tree) > MAX_WORDS:
+        return _usage_error("expression exceeds the word-count safety cap "
+                            f"of {MAX_WORDS} generator words")
     word = exprparse.to_genword(tree, args.k)
     image = word.fourier()
     image_expr = exprparse.genword_to_expr_text(image, args.k)
@@ -355,7 +363,7 @@ def main(argv=None) -> int:
         return _usage_error("expression exceeds the max-degree safety cap")
     except (exprparse.ParseError, exprparse.IndexOutOfRange) as exc:
         return _usage_error(f"parse error: {exc}")
-    except ValueError as exc:  # NotGeneratorWord, UnknownSuite, bad cap
+    except exprparse.UsageError as exc:
         return _usage_error(str(exc))
     except Exception as exc:
         detail = f"{type(exc).__name__}: {exc}".replace("\n", " ")

@@ -26,6 +26,12 @@ from .poly import Poly, q_form, signed_text
 from .weyl import WeylOp, euler_op, laplacian_op
 
 
+class UsageError(ValueError):
+    """Bad input from the user, as opposed to a failure of the engine: the
+    CLI exits 2 on it.  NotGeneratorWord, suites.UnknownSuite and a bad
+    QUADRICOPS_MAX_DEGREE are usage errors."""
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, pos: int, expected=()):
         super().__init__(f"{message} at position {pos}")
@@ -242,6 +248,30 @@ def bound(node) -> tuple:
     raise ValueError(f"unknown node {kind!r}")
 
 
+def word_bound(node) -> int:
+    """Upper bound on the number of words of ``to_genword(node)``.
+
+    Read off the tree without building a word: a sum adds the bounds of its
+    operands, a product multiplies them and a power raises; E is two words,
+    (E + k - 1) and a constant.
+    """
+    kind = node[0]
+    if kind in ("int", "var"):
+        return 1
+    if kind == "gen":
+        return 2 if node[1] == "E" else 1
+    if kind == "neg":
+        return word_bound(node[1])
+    if kind == "pow":
+        return word_bound(node[1]) ** node[2]
+    a, b = word_bound(node[1]), word_bound(node[2])
+    if kind == "mul":
+        return a * b
+    if kind in ("add", "sub"):
+        return a + b
+    raise ValueError(f"unknown node {kind!r}")
+
+
 def eval_weyl(node, k: int) -> WeylOp:
     """Evaluate the AST to an ambient operator on the dual space."""
     n = 2 * k
@@ -287,7 +317,7 @@ def eval_weyl(node, k: int) -> WeylOp:
     raise ValueError(f"unknown node {kind!r}")
 
 
-class NotGeneratorWord(ValueError):
+class NotGeneratorWord(UsageError):
     """Expression uses atoms outside the generator alphabet."""
 
 

@@ -382,8 +382,14 @@ def _uop_column(g: GroupElt, point):
 
 
 def chi0_at(g: GroupElt, point):
-    """chi0(p(g, v)) at a rational point v: the pivot of g^{-1} u_v^op."""
-    return _uop_column(g, point)[0]
+    """chi0(p(g, v)) at a rational point v: the pivot of g^{-1} u_v^op.
+
+    Row 0 of g^{-1} = J+ g^T J+ is the last column of g read bottom to top,
+    so the pivot is one dot product.
+    """
+    point = _frac_vec(point, 2 * g.k)
+    col = [1] + point + [-q_val(point)]
+    return sum(row[-1] * c for row, c in zip(reversed(g.m), col))
 
 
 def act_at(g: GroupElt, point):

@@ -42,7 +42,7 @@ from .momentorbit import (check_descent, phase_euler, poisson, q_poly,
                           x_vector)
 from .poly import Poly, QLaurent, dual, normal_form_mod_single, q_form, qdiv
 from .shapovalov import (fourier_roots_bezout, scalar_on_graded,
-                         shapovalov_closed, shapovalov_expand)
+                         shapovalov_closed, shapovalov_series)
 from .weyl import (NotDivisible, WeylOp, euler_op,
                    is_zero_extensional, laplacian_op, monomials_up_to)
 
@@ -61,8 +61,8 @@ def max_degree_cap() -> int:
             return cap
     except ValueError:
         pass
-    raise ValueError("QUADRICOPS_MAX_DEGREE must be an integer >= 1, "
-                     f"got {raw!r}")
+    raise exprparse.UsageError(
+        f"QUADRICOPS_MAX_DEGREE must be an integer >= 1, got {raw!r}")
 
 
 CheckResult = namedtuple("CheckResult", "check_id anchor ok residue",
@@ -106,7 +106,7 @@ class SuiteReport:
                 and self.checks == other.checks)
 
 
-class UnknownSuite(ValueError):
+class UnknownSuite(exprparse.UsageError):
     pass
 
 
@@ -478,13 +478,13 @@ def cone_ops_checks(k: int, with_lie_hom: bool = True) -> list:
 def shapovalov_checks(k: int) -> list:
     out = []
     dmax = min(3, max_degree_cap())
+    series = shapovalov_series(dmax, k)
 
     @_run(out, "shapovalov-expand-vs-closed",
           "the multinomial expansion equals the factored Euler polynomial "
           "as canonical classes, d = 1..3")
     def first_failure():
-        for d in range(1, dmax + 1):
-            expanded = shapovalov_expand(d, k)
+        for d, expanded in enumerate(series, 1):
             closed = ConeOp(shapovalov_closed(d, k).to_weyl(k))
             if expanded != closed:
                 return f"d={d}"
@@ -493,8 +493,7 @@ def shapovalov_checks(k: int) -> list:
           "the expansion acts on each graded piece by the closed-form scalar, "
           "enough points to pin the polynomial")
     def first_failure():
-        for d in range(1, dmax + 1):
-            expanded = shapovalov_expand(d, k)
+        for d, expanded in enumerate(series, 1):
             closed = shapovalov_closed(d, k)
             for r in range(2 * d + 2):
                 if scalar_on_graded(expanded, r) != closed.eval(r):
@@ -507,15 +506,14 @@ def shapovalov_checks(k: int) -> list:
         for d in range(1, dmax + 1):
             try:
                 fourier_roots_bezout(d, k)
-            except (ArithmeticError, AssertionError) as exc:
+            except ArithmeticError as exc:
                 return f"d={d}: {exc}"
 
     @_run(out, "shapovalov-weight-zero",
           "the element commutes with the Euler operator and the Levi generators")
     def first_failure():
         levi_ops = [euler_op(k), d_op(k, 1, 2), b_op(k, 1, 2), c_op(k, 1, 2)]
-        for d in range(1, min(2, dmax) + 1):
-            bop = shapovalov_expand(d, k)
+        for d, bop in enumerate(series[:2], 1):
             for op in levi_ops:
                 c = bop.commutator(ConeOp(op))
                 if not c.is_zero_class():

@@ -1,14 +1,19 @@
-"""Brute-force references for identities the engine proves by certificate.
+"""Brute-force references for what the engine computes by a shorter route.
 
 The orbit relations prove that every 3x3 minor of the invariant matrix
-vanishes modulo Q(w) by a rank-2 factorization of the matrix; the functions
-here expand the minors one by one instead.
+vanishes modulo Q(w) by a rank-2 factorization of the matrix; ``det3`` and
+``nonvanishing_minor`` expand the minors one by one instead.  The Shapovalov
+elements come from a recursion in d that rests on the second-order factors
+commuting; ``shapovalov_multinomial`` expands the d-th power term by term.
 """
 
 from itertools import combinations
+from math import factorial
 
+from quadricops.coneops import xx_op, yy_op
 from quadricops.momentorbit import orbit_matrix, q_poly, x_vector
-from quadricops.poly import Poly, normal_form_mod_single
+from quadricops.poly import Poly, normal_form_mod_single, qdiv
+from quadricops.weyl import WeylOp
 
 
 def det3(M, rows, cols) -> Poly:
@@ -31,3 +36,36 @@ def nonvanishing_minor(k: int, M=None):
             if not normal_form_mod_single(det3(M, rows, cols), qw)[1].is_zero():
                 return rows, cols
     return None
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def shapovalov_multinomial(d: int, k: int) -> WeylOp:
+    """B_d by the multinomial expansion of B((x,y),(u,v))^d, with u_j -> XX_j
+    and v_j -> YY_j: one product Y^alpha X^beta per composition of d into 2k
+    parts, built from the identity, times the multinomial coefficient and
+    the monomial x^alpha y^beta on the left."""
+    n = 2 * k
+    total = WeylOp.zero(n)
+    XX = [xx_op(k, i + 1) for i in range(k)]
+    YY = [yy_op(k, i + 1) for i in range(k)]
+    for ab in _compositions(d, 2 * k):
+        alpha, beta = ab[:k], ab[k:]
+        coef = factorial(d)
+        for e in ab:
+            coef = qdiv(coef, factorial(e))
+        op = WeylOp.identity(n)
+        for i in range(k):
+            for _ in range(alpha[i]):
+                op = op * YY[k - 1 - i]
+            for _ in range(beta[i]):
+                op = op * XX[k - 1 - i]
+        total = total + WeylOp.mult(Poly.monomial(ab, coef)) * op
+    return total

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -60,9 +61,14 @@ def test_harmonic_d6_k3_output_is_pinned(capsys):
      "9e20ec828f143a3975879bd852885e22ea648f1d8eb267b328bbc81f3354a704"),
     ("moment-orbit",
      "7b5e0645f71d51f30267f2fc94d46b764e6aea2e7a6a252723bab49eb7ad85b6"),
-], ids=["harmonic-kelvin", "moment-orbit"])
+    ("shapovalov",
+     "dcd24fd88a8c98478895746148f8fc4351657c5daee6c472c65af189b77ff4e9"),
+    ("lie-orthogonal",
+     "f86ab3d8e1a9ccff93e2d93e6212546ef9b6857195112b5b132c04c694ca392b"),
+], ids=["harmonic-kelvin", "moment-orbit", "shapovalov", "lie-orthogonal"])
 def test_k4_suite_report_is_pinned(capsys, suite, digest):
-    # recorded before the Kelvin and minors checks were proven by certificate
+    # recorded before the Kelvin and minors checks were proven by certificate,
+    # and before the Shapovalov recursion and the one-row cocycle character
     code, out = run_cli(capsys, ["verify", suite, "--k", "4",
                                  "--format", "json"])
     assert code == 0
@@ -135,7 +141,7 @@ def _raiser(exc):
 
 
 def test_engine_errors_exit_3(capsys, monkeypatch):
-    # the assert in fourier_roots_bezout, reached by a wrong Bezout pair
+    # the certificate check in fourier_roots_bezout, reached by a wrong pair
     one, zero = EulerPoly([1]), EulerPoly([0])
     monkeypatch.setattr(shapovalov, "xgcd", lambda p, q: (one, one, zero))
     # the ArithmeticError of harmonic_decompose, reached through x1*x2 as Q
@@ -143,18 +149,45 @@ def test_engine_errors_exit_3(capsys, monkeypatch):
                         lambda k: Poly.var(2 * k, 0) * Poly.var(2 * k, 1))
     monkeypatch.setattr(cli, "ConeOp", _raiser(NotNormalizing("not normal")))
     monkeypatch.setattr(cli, "run_suite", _raiser(IndexError("off the end")))
+    # an engine ValueError is not a usage error
+    monkeypatch.setattr(cli, "kelvin",
+                        _raiser(ValueError("certificate identity fails")))
     cases = [
-        (["shapovalov", "--d", "1"], "AssertionError: Bezout certificate failed"),
+        (["shapovalov", "--d", "1"], "ArithmeticError: Bezout certificate failed"),
         (["harmonic", "--d", "2"],
          "ArithmeticError: harmonic decomposition is not a direct sum"),
         (["reduce", "x1"], "NotNormalizing: not normal"),
         (["verify", "weyl"], "IndexError: off the end"),
+        (["kelvin", "x1"], "ValueError: certificate identity fails"),
     ]
     for argv, detail in cases:
         assert cli.main(argv) == 3, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"internal error: {detail}\n"
+
+
+def test_word_count_is_bounded_before_building_words(capsys, monkeypatch):
+    # a power of a sum of four letters expands into 4^6 words
+    monkeypatch.setattr(exprparse, "to_genword", _raiser(AssertionError(
+        "built the words of an expression over the cap")))
+    start = time.perf_counter()
+    assert cli.main(["fourier-transform", "(x1 + x2 + y1 + y2)^6"]) == 2
+    assert time.perf_counter() - start < 0.1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: expression exceeds the word-count safety "
+                            f"cap of {cli.MAX_WORDS} generator words\n")
+
+
+@pytest.mark.parametrize("expr,words", [
+    ("x1*y2 - 3*E", 3), ("(x1 + x2 + y1 + y2)^4", 256), ("E^3", 8),
+    ("-(XX1 + 2)*(Dop12 - E)^0", 2), ("(x1 + x2 + y1 + y2)^6", 4096)])
+def test_word_bound_covers_the_words(expr, words):
+    tree = exprparse.parse(expr, 2)
+    assert exprparse.word_bound(tree) == words
+    if words <= cli.MAX_WORDS:
+        assert len(exprparse.to_genword(tree, 2).terms) <= words
 
 
 def test_argparse_usage_exit_code():

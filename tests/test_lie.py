@@ -1,10 +1,11 @@
 """Conformal orthogonal Lie algebra and its rational group elements."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from quadricops.lie import (DegenerateCell, LieElt, basis,
+from quadricops.lie import (DegenerateCell, LieElt, _uop_column, basis,
                             bruhat_factor, chi0_at, act_at, jplus_matrix,
                             levi, mat_inv, mat_mul, mat_sub, u, u_op, w0)
 from quadricops.poly import Poly, QLaurent
@@ -120,6 +121,35 @@ def test_cocycle_at_rational_points():
                 tested += 1
                 assert lhs == rhs
     assert tested >= 20
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_chi0_is_the_pivot_of_the_full_column(k):
+    # chi0_at reads row 0 of g^{-1} off the last column of g; the full
+    # column g^{-1} (1, v, -Q(v)) is the reference.  The six generators are
+    # those of the lie-cocycle check, drawn from its seed.
+    rng = random.Random(300 + k)
+    n = 2 * k
+    gens = [w0(k), u(k, [rng.randint(-2, 2) for _ in range(n)]),
+            u_op(k, [rng.randint(-2, 2) for _ in range(n)])]
+    d = [Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(k)]
+    h = [[0] * n for _ in range(n)]
+    for i in range(k):
+        h[i][i], h[n - 1 - i][n - 1 - i] = d[i], 1 / d[i]
+    gens.append(levi(k, Fraction(3, 2), h))
+    gens += [gens[0] * gens[1], gens[3] * gens[2]]
+    elts = gens + [g1 * g2 for g1 in gens for g2 in gens]
+    # the origin and an isotropic point lie outside the big cell of w0
+    points = [[0] * n, [1] + [0] * (n - 1)]
+    points += [[Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                for _ in range(n)] for _ in range(6)]
+    outside = 0
+    for g in elts:
+        for v in points:
+            pivot = chi0_at(g, v)
+            assert pivot == _uop_column(g, v)[0]
+            outside += pivot == 0
+    assert outside >= 2
 
 
 def test_degenerate_cell_detected():

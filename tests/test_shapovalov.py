@@ -1,11 +1,20 @@
 """The invariant pairing element as an Euler polynomial."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from oracles import shapovalov_multinomial
+from quadricops import cli, shapovalov
 from quadricops.coneops import ConeOp, d_op
-from quadricops.shapovalov import (EulerPoly, NotScalar, fourier_euler_image,
-                                   fourier_roots_bezout, scalar_on_graded,
-                                   shapovalov_closed, shapovalov_expand, xgcd)
+from quadricops.poly import Poly
+from quadricops.shapovalov import (EulerPoly, FactorsDoNotCommute, NotScalar,
+                                   fourier_euler_image, fourier_roots_bezout,
+                                   scalar_on_graded, shapovalov_closed,
+                                   shapovalov_expand, shapovalov_series, xgcd)
 from quadricops.weyl import WeylOp, euler_op
 
 K = 2
@@ -41,6 +50,29 @@ def test_expand_equals_closed_small():
         assert expanded == closed
 
 
+@pytest.mark.parametrize("k,dmax", [(2, 3), (3, 4)])
+def test_series_equals_multinomial_expansion(k, dmax):
+    # term for term, not only as cone classes
+    for d, bop in enumerate(shapovalov_series(dmax, k), 1):
+        assert bop.op.terms == shapovalov_multinomial(d, k).terms, d
+    assert shapovalov_expand(2, k).op == shapovalov_series(2, k)[-1].op
+
+
+def test_noncommuting_factors_are_refused(capsys, monkeypatch):
+    # the recursion holds only because the factors commute: with x1 and d_x1
+    # as two of them it must refuse, and the CLI reports an engine error
+    monkeypatch.setattr(shapovalov, "xx_op", lambda k, i: (
+        WeylOp.partial(2 * k, 0) if i == 1 else WeylOp.mult(Poly.var(2 * k, 0))))
+    with pytest.raises(FactorsDoNotCommute, match="do not commute"):
+        shapovalov_series(1, K)
+    assert issubclass(FactorsDoNotCommute, ArithmeticError)
+    for argv in (["shapovalov", "--d", "1"], ["verify", "shapovalov"]):
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: FactorsDoNotCommute")
+
+
 def test_scalar_on_graded_matches():
     d = 2
     expanded = shapovalov_expand(d, K)
@@ -63,6 +95,22 @@ def test_bezout_certificate():
         p = shapovalov_closed(d, K)
         q = fourier_euler_image(p, K)
         assert a * p + b * q == EulerPoly([1])
+
+
+def test_bezout_certificate_is_checked_under_O():
+    # a wrong pair must raise even when assert statements are stripped
+    code = ("from quadricops import shapovalov as s\n"
+            "one = s.EulerPoly([1])\n"
+            "s.xgcd = lambda p, q: (one, one, s.EulerPoly([0]))\n"
+            "try:\n"
+            "    s.fourier_roots_bezout(1, 2)\n"
+            "except ArithmeticError as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(shapovalov.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "Bezout certificate failed\n", proc.stderr
 
 
 def test_xgcd_generic():
