@@ -33,7 +33,8 @@ def b_form_poly(k: int, vec) -> Poly:
 def grad_pair(k: int, vec) -> WeylOp:
     """Directional derivative sum vec_i d_i."""
     n = 2 * k
-    return WeylOp(n, {(0, unit(n, i)): qcoef(c) for i, c in enumerate(vec)})
+    return WeylOp._of(n, {(0, unit(n, i)): qcoef(c)
+                          for i, c in enumerate(vec) if c})
 
 
 def grad_flip(k: int, vec) -> WeylOp:

@@ -12,6 +12,10 @@ either two single digits (Dop12) or two numbers joined by an underscore
 (Dop110) is a ParseError.  The printers write the underscore only when an
 index is >= 10, so text for k <= 9 never contains one.
 
+An expression of more than ``MAX_TOKENS`` tokens is a ParseError before
+any node is built: the parser and every walker of the tree recurse once
+per nesting level, and a long flat sum still builds a left-deep tree.
+
 The AST is a tree of tuples:
   ("int", n), ("var", name, i), ("gen", name, *indices),
   ("add", a, b), ("sub", a, b), ("mul", a, b), ("pow", a, n), ("neg", a).
@@ -24,6 +28,9 @@ import re
 from .coneops import b_op, c_op, d_op, index_text, xx_op, yy_op, GenWord
 from .poly import Poly, q_form, signed_text
 from .weyl import WeylOp, euler_op, laplacian_op
+
+
+MAX_TOKENS = 256
 
 
 class UsageError(ValueError):
@@ -66,6 +73,9 @@ def tokenize(src: str, k: int):
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}",
                              pos, expected=("token",))
+        if len(out) == MAX_TOKENS:
+            raise ParseError(f"expression has more than {MAX_TOKENS} tokens",
+                             m.start(), expected=("end",))
         kind = m.lastgroup if m.lastgroup != "op" else m.group("op")
         groups = [g for g in m.groups() if g is not None]
         if m.lastgroup in ("XX", "YY", "dx", "dy", "x", "y"):
@@ -174,7 +184,8 @@ class _Parser:
 
 
 def parse(src: str, k: int = 2):
-    """Parse an expression; raises ParseError / IndexOutOfRange on bad input."""
+    """Parse an expression; raises ParseError / IndexOutOfRange on bad input,
+    and ParseError on more than MAX_TOKENS tokens."""
     p = _Parser(tokenize(src, k))
     node = p.parse_sum()
     tok = p.peek()

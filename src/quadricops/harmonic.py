@@ -64,7 +64,7 @@ def kelvin(f: QLaurent, k: int | None = None) -> QLaurent:
     for m, c in f.num.terms.items():
         d = mdegree(m, n)
         sign = -1 if d % 2 else 1
-        num = num + Poly(n, {m: c * sign}) * q ** (deg - d)
+        num = num + Poly._of(n, {m: c * sign}) * q ** (deg - d)
     # Q(-v/Q) = 1/Q, so the original denominator contributes Q^{+qexp}
     sign = -1 if (k - 1) % 2 else 1
     shift = (k - 1) + deg - f.qexp
@@ -189,7 +189,7 @@ def harmonic_decompose(d: int, k: int):
     # matrix of Delta: rows = Sym^{d-2} monomials, cols = Sym^d monomials
     rows = [{} for _ in target]
     for m in monos:
-        for m2, c in lap.apply(Poly(n, {m: 1})).terms.items():
+        for m2, c in lap.apply(Poly._of(n, {m: 1})).terms.items():
             rows[trow[m2]][col[m]] = c
     rref = _rref(rows)
     # the columns of R as {pivot: entry}
@@ -202,9 +202,9 @@ def harmonic_decompose(d: int, k: int):
         if f not in rref:
             vec = {monos[p]: qcoef(-v) for p, v in rcols[f].items()}
             vec[m] = 1
-            harm.append(Poly(n, vec))
+            harm.append(Poly._of(n, vec))
     q = q_form(k)
-    qmult = [q * Poly(n, {m: 1}) for m in target]
+    qmult = [q * Poly._of(n, {m: 1}) for m in target]
     block = []
     for p in qmult:
         s = {}

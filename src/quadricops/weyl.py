@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .poly import (Poly, QLaurent, check_degrees, default_names,
+from .poly import (Poly, QLaurent, TermMap, check_degrees, default_names,
                    divides_exactly, dual, falling, falling_spec, guard,
                    mdegree, mono_text, pack, qcoef, restrict, signed_text,
                    support, unit, unpack)
@@ -28,7 +28,7 @@ class NotDivisible(Exception):
     """Raised when a right-division has no exact quotient."""
 
 
-class WeylOp:
+class WeylOp(TermMap):
     """Sparse normal-ordered operator: map (alpha, beta) -> coefficient.
 
     The key (alpha, beta) stands for the term x^alpha d^beta.  alpha and
@@ -38,38 +38,23 @@ class WeylOp:
     product or an action that would exceed it raises ``ExponentOverflow``.
     ``WeylOp(nvars, terms)`` takes packed keys; ``from_exponents`` takes
     exponent tuples, and ``sorted_terms``, ``text`` and ``to_json`` give
-    tuples back.
-
-    Coefficients are nonzero ``int`` or ``Fraction`` values, never ``float``;
-    the constructors store integral constants as ``int``, and any division
-    of coefficients goes through ``poly.qdiv``.
+    tuples back.  Coefficients, sums and scaling are those of
+    ``poly.TermMap``.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ()
 
-    def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = nvars
-        if terms is None:
-            terms = {}
-        self.terms = {ab: c for ab, c in terms.items() if c}
-        if self.terms:
-            key = next(iter(self.terms))
-            if not (isinstance(key, tuple) and len(key) == 2
-                    and all(isinstance(m, int) for m in key)):
-                raise TypeError("WeylOp keys are pairs of packed monomials; "
-                                "build from exponent tuples with "
-                                "WeylOp.from_exponents")
+    ONE = (0, 0)
+
+    @staticmethod
+    def _monomials(key):
+        """key for a pair of ints (alpha, beta), else None."""
+        if (isinstance(key, tuple) and len(key) == 2
+                and isinstance(key[0], int) and isinstance(key[1], int)):
+            return key
+        return None
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "WeylOp":
-        return cls(nvars, {})
-
-    @classmethod
-    def const(cls, nvars: int, c) -> "WeylOp":
-        c = qcoef(c)
-        return cls(nvars, {(0, 0): c} if c else {})
 
     @classmethod
     def identity(cls, nvars: int) -> "WeylOp":
@@ -78,25 +63,25 @@ class WeylOp:
     @classmethod
     def mult(cls, p: Poly) -> "WeylOp":
         """Multiplication by the polynomial p."""
-        return cls(p.nvars, {(m, 0): c for m, c in p.terms.items()})
+        return cls._of(p.nvars, {(m, 0): c for m, c in p.terms.items()})
 
     @classmethod
     def partial(cls, nvars: int, i: int, c=1) -> "WeylOp":
-        return cls(nvars, {(0, unit(nvars, i)): qcoef(c)})
+        c = qcoef(c)
+        return cls._of(nvars, {(0, unit(nvars, i)): c} if c else {})
 
     @classmethod
     def from_exponents(cls, nvars: int, terms: dict) -> "WeylOp":
         """Build from {(alpha tuple, beta tuple): coefficient}."""
-        return cls(nvars, {
-            (pack(a, nvars), pack(b, nvars)): qcoef(c)
-            for (a, b), c in terms.items()})
+        return cls(nvars, {(pack(a, nvars), pack(b, nvars)): c
+                           for (a, b), c in terms.items()})
 
     @classmethod
     def from_dleft(cls, nvars: int, coeffs: dict) -> "WeylOp":
         """Rebuild from a d-left form {packed beta: Poly coefficient}."""
         out = cls.zero(nvars)
         for beta, poly in coeffs.items():
-            dpart = cls(nvars, {(0, beta): 1})
+            dpart = cls._of(nvars, {(0, beta): 1})
             out = out + dpart * cls.mult(poly)
         return out
 
@@ -107,73 +92,6 @@ class WeylOp:
         if not self.terms:
             return -1
         return mdegree(max(b for _, b in self.terms), self.nvars)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def _check(self, other: "WeylOp"):
-        if self.nvars != other.nvars:
-            raise ValueError("operators live in different variable sets")
-
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, WeylOp):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = WeylOp.const(self.nvars, other)
-        self._check(other)
-        terms = dict(self.terms)
-        for ab, c in other.terms.items():
-            s = terms.get(ab, 0) + c
-            if s:
-                terms[ab] = s
-            else:
-                terms.pop(ab, None)
-        out = WeylOp.__new__(WeylOp)
-        out.nvars, out.terms = self.nvars, terms
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = WeylOp.__new__(WeylOp)
-        out.nvars = self.nvars
-        out.terms = {ab: -c for ab, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, (WeylOp, int, Fraction)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return (-self) + other
-
-    def scale(self, c) -> "WeylOp":
-        c = qcoef(c)
-        out = WeylOp.__new__(WeylOp)
-        out.nvars = self.nvars
-        if c == 0:
-            out.terms = {}
-        elif type(c) is int:
-            out.terms = {ab: c * v for ab, v in self.terms.items()}
-        else:
-            out.terms = {ab: qcoef(c * v) for ab, v in self.terms.items()}
-        return out
 
     # -- multiplication ------------------------------------------------------
 
@@ -216,27 +134,7 @@ class WeylOp:
                             terms[ab] = s
                         else:
                             del terms[ab]
-        out = WeylOp.__new__(WeylOp)
-        out.nvars, out.terms = n, terms
-        return out
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "WeylOp":
-        if n < 0:
-            raise ValueError("negative operator power")
-        result = WeylOp.identity(self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+        return WeylOp._of(n, terms)
 
     def commutator(self, other: "WeylOp") -> "WeylOp":
         return self * other - other * self
@@ -253,11 +151,9 @@ class WeylOp:
 
     def _apply_poly(self, f: Poly) -> Poly:
         n = self.nvars
-        out = Poly.__new__(Poly)
-        out.nvars = n
-        out.terms = terms = {}
+        terms: dict = {}
         if not self.terms or not f.terms:
-            return out
+            return Poly._of(n, terms)
         check_degrees(max(a for a, _ in self.terms), max(f.terms), n)
         g = guard(n)
         items = list(f.terms.items())
@@ -274,7 +170,7 @@ class WeylOp:
                     terms[mono] = s
                 else:
                     del terms[mono]
-        return out
+        return Poly._of(n, terms)
 
     # -- normal forms and division --------------------------------------------
 
@@ -294,7 +190,7 @@ class WeylOp:
                     bucket[alpha] = s
                 else:
                     del bucket[alpha]
-        return {beta: Poly(n, tm) for beta, tm in out.items() if tm}
+        return {beta: Poly._of(n, tm) for beta, tm in out.items() if tm}
 
     def xleft(self) -> dict:
         """The stored x-left form grouped by derivative part, as
@@ -303,7 +199,7 @@ class WeylOp:
         out: dict = {}
         for (a, b), c in self.terms.items():
             out.setdefault(b, {})[a] = c
-        return {beta: Poly(n, tm) for beta, tm in out.items()}
+        return {beta: Poly._of(n, tm) for beta, tm in out.items()}
 
     def xleft_coeffs(self) -> dict:
         """The stored x-left form as {packed alpha: Poly in the d-symbols}."""
@@ -311,7 +207,7 @@ class WeylOp:
         out: dict = {}
         for (a, b), c in self.terms.items():
             out.setdefault(a, {})[b] = c
-        return {alpha: Poly(n, tm) for alpha, tm in out.items()}
+        return {alpha: Poly._of(n, tm) for alpha, tm in out.items()}
 
     def divide_right_by_mult(self, q: Poly) -> "WeylOp":
         """Solve w = u * (mult by q); raise NotDivisible if impossible.
@@ -343,14 +239,15 @@ class WeylOp:
             raise ValueError("divisor must have constant coefficients")
         if d.is_zero():
             raise ZeroDivisionError("division by the zero operator")
-        dsym = Poly(self.nvars, {b: c for (_, b), c in d.terms.items()})
+        dsym = Poly._of(self.nvars, {b: c for (_, b), c in d.terms.items()})
         out = WeylOp.zero(self.nvars)
         for alpha, qa in self.xleft_coeffs().items():
             u = divides_exactly(dsym, qa)
             if u is None:
                 raise NotDivisible("x-left coefficient at "
                                    f"alpha={unpack(alpha, self.nvars)} not divisible")
-            part = WeylOp(self.nvars, {(alpha, b): c for b, c in u.terms.items()})
+            part = WeylOp._of(self.nvars,
+                              {(alpha, b): c for b, c in u.terms.items()})
             out = out + part
         return out
 
@@ -366,7 +263,7 @@ class WeylOp:
         r = self.order()
         terms: dict = {}
         if r < 0:
-            return Poly(2 * n, {})
+            return Poly.zero(2 * n)
         for (a, b), c in self.terms.items():
             if mdegree(b, n) != r:
                 continue
@@ -377,7 +274,7 @@ class WeylOp:
                 terms[mono] = s
             else:
                 del terms[mono]
-        return Poly(2 * n, terms)
+        return Poly._of(2 * n, terms)
 
     # -- printing --------------------------------------------------------------
 
@@ -431,13 +328,14 @@ def _exchange_terms(b: int, a: int, n: int) -> tuple:
 def euler_op(k: int) -> WeylOp:
     """E = sum x_i d_{x_i} + y_i d_{y_i}."""
     n = 2 * k
-    return WeylOp(n, {(unit(n, i), unit(n, i)): 1 for i in range(n)})
+    return WeylOp._of(n, {(unit(n, i), unit(n, i)): 1 for i in range(n)})
 
 
 def laplacian_op(k: int) -> WeylOp:
     """Delta = sum_i d_{x_i} d_{y_{k+1-i}}."""
     n = 2 * k
-    return WeylOp(n, {(0, unit(n, i) + unit(n, dual(n, i))): 1 for i in range(k)})
+    return WeylOp._of(n, {(0, unit(n, i) + unit(n, dual(n, i))): 1
+                          for i in range(k)})
 
 
 def monomials_up_to(nvars: int, degree: int):

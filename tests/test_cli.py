@@ -167,6 +167,24 @@ def test_engine_errors_exit_3(capsys, monkeypatch):
         assert captured.err == f"internal error: {detail}\n"
 
 
+@pytest.mark.parametrize("expr", ["(" * 3000 + "x1" + ")" * 3000,
+                                  " + ".join(["x1"] * 1500)],
+                         ids=["nested", "flat-sum"])
+def test_token_count_is_bounded_before_parsing(capsys, expr):
+    # both once overflowed the recursive parser and tree walkers
+    start = time.perf_counter()
+    assert cli.main(["reduce", expr]) == 2
+    assert time.perf_counter() - start < 0.1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: parse error: expression has more "
+                                   f"than {exprparse.MAX_TOKENS} tokens")
+    # the deepest nesting under the cap still goes through
+    depth = (exprparse.MAX_TOKENS - 1) // 2
+    assert cli.main(["reduce", "(" * depth + "x1" + ")" * depth]) == 0
+    capsys.readouterr()
+
+
 def test_word_count_is_bounded_before_building_words(capsys, monkeypatch):
     # a power of a sum of four letters expands into 4^6 words
     monkeypatch.setattr(exprparse, "to_genword", _raiser(AssertionError(

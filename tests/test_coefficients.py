@@ -61,6 +61,10 @@ def test_floats_are_rejected():
         WeylOp.const(4, 0.5)
     with pytest.raises(TypeError):
         Poly.var(4, 0).scale(0.5)
+    with pytest.raises(TypeError):
+        Poly(4, {0: 0.5})
+    with pytest.raises(TypeError):
+        WeylOp(4, {(0, 0): 0.5})
     for op in _binary_ops(QLaurent.one_over_q(2), 0.5):
         with pytest.raises(TypeError):
             op()
@@ -102,6 +106,7 @@ def test_poly_and_weylop_do_not_mix():
 def test_integral_constants_are_stored_as_int():
     assert qcoef(Fraction(4, 2)) == 2 and type(qcoef(Fraction(4, 2))) is int
     assert type(Poly.const(4, Fraction(6, 3)).constant()) is int
+    assert type(Poly(4, {0: Fraction(6, 3)}).constant()) is int
     assert type(Poly.var(4, 0).scale(Fraction(2)).coeff((1, 0, 0, 0))) is int
     one = Poly.var(4, 0).scale(2).scale(Fraction(1, 2))
     assert type(one.coeff((1, 0, 0, 0))) is int

@@ -120,6 +120,9 @@ def test_from_json_rejects_wrong_width():
 def test_constructor_rejects_tuple_keys():
     with pytest.raises(TypeError, match="from_exponents"):
         Poly(N, {(1, 0, 0, 0): 1})
+    # packed for 3 variables, this key would read as x1*x2 of degree 0
+    with pytest.raises(ValueError, match="from_exponents"):
+        Poly(N, {pack((1, 0, 0)): 1})
     assert Poly.from_exponents(N, {(1, 0, 0, 0): 1}) == Poly.var(N, 0)
 
 

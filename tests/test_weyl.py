@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadricops.poly import Poly, QLaurent, q_form
+from quadricops.poly import Poly, QLaurent, pack, q_form, qdiv
 from quadricops.weyl import (LocalWeylOp, NotDivisible, WeylOp, euler_op,
                              is_zero_extensional, laplacian_op,
                              monomials_up_to)
@@ -28,6 +28,24 @@ def small_polys():
     return st.dictionaries(
         mono, st.fractions(min_value=-6, max_value=6, max_denominator=3),
         max_size=4).map(lambda d: Poly.from_exponents(N, d))
+
+
+@pytest.mark.parametrize("elements", [small_polys(), weyl_ops()],
+                         ids=["Poly", "WeylOp"])
+@given(data=st.data())
+def test_linear_structure_and_powers(elements, data):
+    a, b = data.draw(elements), data.draw(elements)
+    c = data.draw(st.one_of(st.integers(-5, 5),
+                            st.fractions(-5, 5, max_denominator=4))
+                  .filter(bool))
+    powers = [type(a).const(N, 1)]
+    for _ in range(4):
+        powers.append(powers[-1] * a)
+    assert [a ** n for n in range(5)] == powers
+    assert (a - b) + b == a and -(-a) == a
+    assert c + a == a + c and c - a == -(a - c)
+    back = a.scale(c).scale(qdiv(1, c))
+    assert back == a and hash(back) == hash(a)
 
 
 def test_canonical_commutator():
@@ -135,6 +153,8 @@ def test_constructor_rejects_tuple_keys():
     key = ((0, 0, 0, 0), (1, 0, 0, 0))
     with pytest.raises(TypeError, match="from_exponents"):
         WeylOp(4, {key: 1})
+    with pytest.raises(ValueError, match="from_exponents"):
+        WeylOp(4, {(0, pack((1, 0, 0))): 1})
     assert WeylOp.from_exponents(4, {key: 1}) == WeylOp.partial(4, 0)
 
 
