@@ -27,6 +27,14 @@ def run_cli(capsys, argv):
 GOLDEN_CASES = [
     ("verify_algebra_core_k2.json",
      ["verify", "algebra-core", "--k", "2", "--format", "json"]),
+    ("verify_lie_orthogonal_k2.json",
+     ["verify", "lie-orthogonal", "--k", "2", "--format", "json"]),
+    ("verify_lie_hom_k2.json",
+     ["verify", "lie-hom", "--k", "2", "--format", "json"]),
+    ("verify_cone_ops_k2.json",
+     ["verify", "cone-ops", "--k", "2", "--format", "json"]),
+    ("verify_moment_orbit_k2.json",
+     ["verify", "moment-orbit", "--k", "2", "--format", "json"]),
     ("shapovalov_d1_k2.json",
      ["shapovalov", "--d", "1", "--k", "2", "--format", "json"]),
     ("reduce_commutator_k2.json",
