@@ -217,16 +217,28 @@ def is_ideal_preserving(a: WeylOp) -> bool:
     return True
 
 
+_RHO_TILDE: dict = {}
+_RHO_TILDE_MAX = 1024  # images held; the oldest goes first
+
+
 def rho_tilde(xi: LieElt) -> ConeOp:
     """The corrected cone realization rho_amb(xi) - A_xi.
 
     The correction removes the ideal defect of the ambient formula, making
     the image a genuine operator on the cone; fails loudly if the resulting
-    operator does not normalize (Q*).
+    operator does not normalize (Q*).  Images are memoized by the exact value
+    of xi, and an image enters the memo only once it is proven to normalize,
+    so a failing element raises on every call.  The images are shared:
+    callers must not change them.
     """
-    out = ConeOp(rho_amb(xi) - a_correction(xi))
-    if not out.preserves_ideal():
-        raise NotNormalizing("corrected realization does not normalize (Q*)")
+    out = _RHO_TILDE.get(xi)
+    if out is None:
+        out = ConeOp(rho_amb(xi) - a_correction(xi))
+        if not out.preserves_ideal():
+            raise NotNormalizing("corrected realization does not normalize (Q*)")
+        if len(_RHO_TILDE) >= _RHO_TILDE_MAX:
+            del _RHO_TILDE[next(iter(_RHO_TILDE))]
+        _RHO_TILDE[xi] = out
     return out
 
 

@@ -9,13 +9,12 @@ assembles to
      [ mu,     X,             lambda ],
      [ 0,     -mu^T J_V,     -alpha  ]]
 
-with X skew for J_V.  Group elements are exact rational matrices g with
-g^T J+ g = J+.
+with X skew for J_V.  The blocks are tuples, so an element is hashable by
+value and its entries cannot change in place.  Group elements are exact
+rational matrices g with g^T J+ g = J+.
 """
 
 from __future__ import annotations
-
-from operator import mul
 
 from .poly import (Poly, QLaurent, b_pair, divides_exactly, dual, q_form,
                    qcoef, qdiv)
@@ -81,14 +80,6 @@ def _inverse(m):
     return [[m[dual(n, j)][dual(n, i)] for j in range(n)] for i in range(n)]
 
 
-def jplus_matrix(k: int):
-    n = 2 * k + 2
-    j = _zeros(n, n)
-    for i in range(n):
-        j[i][dual(n, i)] = 1
-    return j
-
-
 def q_val(v):
     """Q(v) = B(v, v)/2 for a vector of rationals."""
     return qdiv(b_pair(v, v), 2)
@@ -103,16 +94,16 @@ class LieElt:
         n = 2 * k
         self.k = k
         self.alpha = qcoef(alpha)
-        self.mu = _frac_vec(mu, n) if mu is not None else [0] * n
-        self.lam = _frac_vec(lam, n) if lam is not None else [0] * n
-        self.X = ([[qcoef(c) for c in row] for row in X]
-                  if X is not None else _zeros(n, n))
+        self.mu = tuple(_frac_vec(mu, n)) if mu is not None else (0,) * n
+        self.lam = tuple(_frac_vec(lam, n)) if lam is not None else (0,) * n
+        self.X = (tuple(tuple(qcoef(c) for c in row) for row in X)
+                  if X is not None else ((0,) * n,) * n)
         self.tag = tag
-        # X^T J_V + J_V X = 0 reads entrywise X[a][b] = -X[nbar(b)][nbar(a)]
-        for a in range(n):
-            for b in range(n):
-                if self.X[a][b] + self.X[dual(n, b)][dual(n, a)] != 0:
-                    raise ValueError("X is not skew for the split form")
+        # X^T J_V + J_V X = 0 reads entrywise X[a][b] = -X[nbar(b)][nbar(a)]:
+        # X is minus its transpose about the anti-diagonal
+        if self.X != tuple(zip(*((-c for c in row[::-1])
+                                 for row in self.X[::-1]))):
+            raise ValueError("X is not skew for the split form")
 
     def matrix(self):
         n = 2 * self.k
@@ -130,25 +121,42 @@ class LieElt:
                 m[1 + i][1 + j] = self.X[i][j]
         return m
 
-    @classmethod
-    def from_matrix(cls, k: int, m, tag=None) -> "LieElt":
-        n = 2 * k
-        alpha = m[0][0]
-        mu = [m[1 + i][0] for i in range(n)]
-        lam = [m[1 + i][n + 1] for i in range(n)]
-        X = [[m[1 + i][1 + j] for j in range(n)] for i in range(n)]
-        elt = cls(k, alpha, mu, X, lam, tag=tag)
-        # consistency of the redundant blocks
-        assembled = elt.matrix()
-        for i in range(n + 2):
-            for j in range(n + 2):
-                if assembled[i][j] != m[i][j]:
-                    raise ValueError("matrix is not in the conformal Lie algebra")
-        return elt
-
     def bracket(self, other: "LieElt") -> "LieElt":
-        a, b = self.matrix(), other.matrix()
-        return LieElt.from_matrix(self.k, mat_sub(mat_mul(a, b), mat_mul(b, a)))
+        """[self, other] in block coordinates, touching only nonzero entries.
+
+        With B(u, v) = u^T J_V v and (u v^T J_V)[i][j] = u_i v_dual(j):
+            alpha  = B(l', m) - B(l, m')
+            mu     = X m' - X' m + a' m - a m'
+            lambda = X l' - X' l + a l' - a' l
+            X      = [X, X'] - m l'^T J_V - l m'^T J_V + m' l^T J_V + l' m^T J_V
+        """
+        n = 2 * self.k
+        a, m, x, l = self.alpha, self.mu, self.X, self.lam
+        a2, m2, x2, l2 = other.alpha, other.mu, other.X, other.lam
+        mu = [a2 * p - a * q for p, q in zip(m, m2)]
+        lam = [a * q - a2 * p for p, q in zip(l, l2)]
+        z = _zeros(n, n)
+        # [X, X'] and the X-parts of mu and lambda, from the nonzero entries
+        for s, left, right, vm, vl in ((1, x, x2, m2, l2), (-1, x2, x, m, l)):
+            for i, row in enumerate(left):
+                zi = z[i]
+                for j, c in enumerate(row):
+                    if c:
+                        c = s * c
+                        mu[i] += c * vm[j]
+                        lam[i] += c * vl[j]
+                        for t, d in enumerate(right[j]):
+                            if d:
+                                zi[t] += c * d
+        for s, u, v in ((-1, m, l2), (-1, l, m2), (1, m2, l), (1, l2, m)):
+            nz = [(dual(n, t), s * c) for t, c in enumerate(v) if c]
+            if nz:
+                for i, c in enumerate(u):
+                    if c:
+                        zi = z[i]
+                        for j, d in nz:
+                            zi[j] += c * d
+        return LieElt(self.k, b_pair(l2, m) - b_pair(l, m2), mu, z, lam)
 
     def scale(self, c) -> "LieElt":
         c = qcoef(c)
@@ -169,6 +177,9 @@ class LieElt:
         return (self.k == other.k and self.alpha == other.alpha
                 and self.mu == other.mu and self.X == other.X
                 and self.lam == other.lam)
+
+    def __hash__(self):
+        return hash((self.k, self.alpha, self.mu, self.X, self.lam))
 
     def is_zero(self) -> bool:
         return (self.alpha == 0 and not any(self.mu) and not any(self.lam)
@@ -225,10 +236,20 @@ class GroupElt:
         n = 2 * k + 2
         self.k = k
         self.m = [[qcoef(c) for c in row] for row in m]
-        jp = jplus_matrix(k)
-        mt = [[self.m[j][i] for j in range(n)] for i in range(n)]
-        if mat_mul(mt, mat_mul(jp, self.m)) != jp:
-            raise ValueError("matrix does not preserve the extended form")
+        # (m^T J+ m)[i][j] = sum_l m[l][i] m[dual l][j], since J+ is the
+        # involutive permutation l -> dual l
+        form = _zeros(n, n)
+        for l, row in enumerate(self.m):
+            other = [(j, d) for j, d in enumerate(self.m[dual(n, l)]) if d]
+            for i, c in enumerate(row):
+                if c:
+                    fi = form[i]
+                    for j, d in other:
+                        fi[j] += c * d
+        for i, row in enumerate(form):
+            for j, c in enumerate(row):
+                if c != (1 if j == dual(n, i) else 0):
+                    raise ValueError("matrix does not preserve the extended form")
 
     def __mul__(self, other: "GroupElt") -> "GroupElt":
         return GroupElt(self.k, mat_mul(self.m, other.m))
@@ -375,10 +396,16 @@ def _q_power_inverse(p: Poly, k: int) -> QLaurent:
 
 
 def _uop_column(g: GroupElt, point):
-    """The first column of g^{-1} u_v^op at a rational point v."""
-    point = _frac_vec(point, 2 * g.k)
+    """The first column of g^{-1} u_v^op at a rational point v.
+
+    Row i of g^{-1} = J+ g^T J+ is column dual(i) of g read bottom to top.
+    """
+    n = 2 * g.k + 2
+    point = _frac_vec(point, n - 2)
     col = [1] + point + [-q_val(point)]
-    return [sum(map(mul, row, col)) for row in _inverse(g.m)]
+    rows = g.m[::-1]
+    return [sum(row[dual(n, i)] * c for row, c in zip(rows, col))
+            for i in range(n)]
 
 
 def chi0_at(g: GroupElt, point):

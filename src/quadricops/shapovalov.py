@@ -200,8 +200,13 @@ def shapovalov_series(dmax: int, k: int) -> list:
         terms: dict = {}
         for shift, _, f in factors:
             for (a, b), c in (prev * f).terms.items():
-                terms[a + shift, b] = terms.get((a + shift, b), 0) + c
-        prev = WeylOp(n, terms)  # the constructor drops cancelled terms
+                key = a + shift, b
+                c += terms.get(key, 0)
+                if c:
+                    terms[key] = c
+                else:
+                    del terms[key]
+        prev = WeylOp._of(n, terms)
         series.append(ConeOp(prev))
     return series
 

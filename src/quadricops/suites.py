@@ -36,7 +36,7 @@ from .harmonic import (bessel_check, boundary_phase_check, dirac_relations,
                        kelvin_intertwine_defect, laplacian_qlaurent,
                        n2_counterexample)
 from .lie import (DegenerateCell, act_at, basis, bruhat_factor, chi0_at, levi,
-                  u, u_op, w0)
+                  mat_mul, mat_sub, u, u_op, w0)
 from .momentorbit import (check_descent, phase_euler, poisson, q_poly,
                           symbol_invariant, v_vector, verify_orbit_relations,
                           x_vector)
@@ -303,12 +303,9 @@ def lie_orthogonal_checks(k: int) -> list:
     def first_failure():
         for i, xi in enumerate(bas):
             for eta in bas[i:]:
-                br = xi.bracket(eta)
                 a, b = xi.matrix(), eta.matrix()
-                comm = [[sum(a[r][l] * b[l][c] - b[r][l] * a[l][c]
-                             for l in range(n + 2)) for c in range(n + 2)]
-                        for r in range(n + 2)]
-                if br.matrix() != comm:
+                comm = mat_sub(mat_mul(a, b), mat_mul(b, a))
+                if xi.bracket(eta).matrix() != comm:
                     return f"pair {xi.tag} {eta.tag}"
 
     # sampled rational group elements and points for the character cocycle
@@ -361,13 +358,9 @@ def lie_orthogonal_checks(k: int) -> list:
 # -------------------------------------------------------------------- cone-ops
 
 
-def _rho_tilde_table(k: int):
+def lie_hom_checks(k: int) -> list:
     bas = basis(k)
-    return bas, [rho_tilde(xi) for xi in bas]
-
-
-def lie_hom_checks(k: int, table=None) -> list:
-    bas, images = table if table is not None else _rho_tilde_table(k)
+    images = [rho_tilde(xi) for xi in bas]
     out = []
 
     @_run(out, "cone-lie-homomorphism",
@@ -383,15 +376,12 @@ def lie_hom_checks(k: int, table=None) -> list:
     return out
 
 
-def cone_ops_checks(k: int, with_lie_hom: bool = True) -> list:
+def cone_ops_checks(k: int) -> list:
     rng = random.Random(400 + k)
     n = 2 * k
     qs = q_form(k)
-    bas, images = _rho_tilde_table(k)
-    out = []
-
-    if with_lie_hom:
-        out.extend(lie_hom_checks(k, (bas, images)))
+    bas = basis(k)
+    out = lie_hom_checks(k)
 
     @_run(out, "cone-fourier-bridge",
           "the letterwise Fourier transform of the vector-field realization "
@@ -466,8 +456,8 @@ def cone_ops_checks(k: int, with_lie_hom: bool = True) -> list:
           "principal symbols of the corrected realization match the "
           "invariant-function table per block type")
     def first_failure():
-        for xi, img in zip(bas, images):
-            if img.op.principal_symbol() != symbol_invariant(xi):
+        for xi in bas:
+            if rho_tilde(xi).op.principal_symbol() != symbol_invariant(xi):
                 return f"element {xi.tag}"
     return out
 

@@ -5,12 +5,15 @@ vanishes modulo Q(w) by a rank-2 factorization of the matrix; ``det3`` and
 ``nonvanishing_minor`` expand the minors one by one instead.  The Shapovalov
 elements come from a recursion in d that rests on the second-order factors
 commuting; ``shapovalov_multinomial`` expands the d-th power term by term.
+The Lie bracket is computed in block coordinates; ``matrix_bracket`` takes
+the commutator of the assembled matrices and reads the blocks back.
 """
 
 from itertools import combinations
 from math import factorial
 
 from quadricops.coneops import xx_op, yy_op
+from quadricops.lie import LieElt
 from quadricops.momentorbit import orbit_matrix, q_poly, x_vector
 from quadricops.poly import Poly, normal_form_mod_single, qdiv
 from quadricops.weyl import WeylOp
@@ -69,3 +72,20 @@ def shapovalov_multinomial(d: int, k: int) -> WeylOp:
                 op = op * XX[k - 1 - i]
         total = total + WeylOp.mult(Poly.monomial(ab, coef)) * op
     return total
+
+
+def matrix_bracket(xi: LieElt, eta: LieElt) -> LieElt:
+    """[xi, eta] as the commutator of the (2k+2)-square matrices, by dense
+    products, read back into blocks; raises ValueError when the commutator
+    does not assemble from its blocks (it left the conformal Lie algebra)."""
+    k, n = xi.k, 2 * xi.k + 2
+    a, b = xi.matrix(), eta.matrix()
+    m = [[sum(a[r][l] * b[l][c] - b[r][l] * a[l][c] for l in range(n))
+          for c in range(n)] for r in range(n)]
+    mid = range(1, n - 1)
+    elt = LieElt(k, m[0][0], [m[i][0] for i in mid],
+                 [[m[i][j] for j in mid] for i in mid],
+                 [m[i][n - 1] for i in mid])
+    if elt.matrix() != m:
+        raise ValueError("matrix is not in the conformal Lie algebra")
+    return elt

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadricops import coneops
 from quadricops.coneops import (ConeOp, GenWord, NotNormalizing,
                                 a_correction, euler_weight_op, grading,
                                 is_ideal_preserving, letter_op, phi,
@@ -12,6 +13,7 @@ from quadricops.coneops import (ConeOp, GenWord, NotNormalizing,
                                 d_op)
 from quadricops.lie import LieElt, basis
 from quadricops.poly import Poly, dual, q_form
+from quadricops.suites import run_suite
 from quadricops.weyl import WeylOp, euler_op, laplacian_op
 
 K = 2
@@ -74,6 +76,40 @@ def test_rho_tilde_normalizes_ideal():
     for xi in basis(K):
         assert rho_tilde(xi).preserves_ideal()
     assert not is_ideal_preserving(WeylOp.partial(N, 0))
+
+
+def test_memoized_images_are_unchanged():
+    # the suites share the memoized images; none may change one
+    run_suite("all", 3)
+    run_suite("lie-hom", 3)
+    bas = basis(3)
+    distinct = set(bas) | {xi.bracket(eta) for i, xi in enumerate(bas)
+                           for eta in bas[i + 1:]}
+    assert len(distinct) == 64 and distinct <= coneops._RHO_TILDE.keys()
+    for xi, img in coneops._RHO_TILDE.items():
+        fresh = rho_amb(xi) - a_correction(xi)
+        assert img.op.terms == fresh.terms, xi
+        assert img.canonical() == ConeOp(fresh).canonical(), xi
+
+
+def test_failing_element_is_never_memoized(monkeypatch):
+    monkeypatch.setattr(coneops, "_RHO_TILDE", {})
+    monkeypatch.setattr(coneops, "a_correction",
+                        lambda xi: WeylOp.zero(2 * xi.k))
+    for _ in range(2):
+        with pytest.raises(NotNormalizing):
+            rho_tilde(elt_lam(0))
+    assert not coneops._RHO_TILDE
+
+
+def test_memo_drops_its_oldest_image(monkeypatch):
+    monkeypatch.setattr(coneops, "_RHO_TILDE", {})
+    monkeypatch.setattr(coneops, "_RHO_TILDE_MAX", 2)
+    first, second, third = elt_mu(0), elt_mu(1), elt_lam(0)
+    for xi in (first, second, third):
+        rho_tilde(xi)
+    assert list(coneops._RHO_TILDE) == [second, third]
+    assert rho_tilde(first) == ConeOp(WeylOp.mult(Poly.var(N, 0)))
 
 
 def test_tau_hat_values():

@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from quadricops.lie import (DegenerateCell, LieElt, _uop_column, basis,
-                            bruhat_factor, chi0_at, act_at, jplus_matrix,
-                            levi, mat_inv, mat_mul, mat_sub, u, u_op, w0)
-from quadricops.poly import Poly, QLaurent
+from oracles import matrix_bracket
+from quadricops.lie import (DegenerateCell, GroupElt, LieElt, _uop_column,
+                            basis, bruhat_factor, chi0_at, act_at, levi,
+                            mat_inv, mat_mul, mat_sub, u, u_op, w0)
+from quadricops.poly import Poly, QLaurent, dual
 
 K = 2
 N = 2 * K
@@ -27,6 +29,33 @@ def test_skew_constraint_enforced():
         LieElt(K, X=X)
 
 
+def jplus_matrix(k: int):
+    n = 2 * k + 2
+    j = [[0] * n for _ in range(n)]
+    for i in range(n):
+        j[i][dual(n, i)] = 1
+    return j
+
+
+def random_combination(rng, k):
+    """A rational combination of basis elements with every block nonzero:
+    the alpha element, one mu, one lambda and one Levi element, and each
+    other basis element with probability 1/2.  Basis elements have disjoint
+    supports, so no block cancels."""
+    bas = basis(k)
+    kinds = {}
+    for i, xi in enumerate(bas):
+        kinds.setdefault(xi.tag[0], []).append(i)
+    chosen = {rng.choice(idx) for idx in kinds.values()}
+    chosen |= {i for i in range(len(bas)) if rng.random() < 0.5}
+    out = LieElt(k)
+    for i in sorted(chosen):
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+        out = out + bas[i].scale(c)
+    assert out.alpha and any(out.mu) and any(out.lam) and any(map(any, out.X))
+    return out
+
+
 def test_bracket_is_matrix_commutator():
     bas = basis(K)
     for xi in bas[:6]:
@@ -34,6 +63,49 @@ def test_bracket_is_matrix_commutator():
             a, b = xi.matrix(), eta.matrix()
             comm = mat_sub(mat_mul(a, b), mat_mul(b, a))
             assert xi.bracket(eta).matrix() == comm
+    # every basis pair at k = 2, 3
+    for k in (2, 3):
+        bas = basis(k)
+        for xi in bas:
+            for eta in bas:
+                assert xi.bracket(eta) == matrix_bracket(xi, eta), (xi.tag,
+                                                                    eta.tag)
+    # 20 random rational combinations per k, each bracketed with the next
+    rng = random.Random(17)
+    for k in (2, 3, 4):
+        elts = [random_combination(rng, k) for _ in range(20)]
+        for xi, eta in zip(elts, elts[1:] + elts[:1]):
+            assert xi.bracket(eta) == matrix_bracket(xi, eta)
+
+
+class CornerOnly(LieElt):
+    """Assembles to E_00, which lacks the -alpha corner: not in the algebra."""
+
+    __slots__ = ()
+
+    def matrix(self):
+        return [[int(i == j == 0) for j in range(N + 2)] for i in range(N + 2)]
+
+
+def test_matrix_bracket_checks_the_redundant_blocks():
+    # [E_00, mu_1] = -E_10 has a mu block whose -mu^T J_V row is missing
+    eta = basis(K)[1]
+    assert eta.tag == ("mu", 0)
+    with pytest.raises(ValueError):
+        matrix_bracket(CornerOnly(K), eta)
+
+
+def test_elements_hash_by_value_and_are_frozen():
+    e = [0] * N
+    e[1] = 1
+    a = LieElt(K, mu=e, tag=("mu", 1))
+    b = LieElt(K, mu=[Fraction(0), Fraction(2, 2), 0, 0])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, LieElt(K, lam=e)}) == 2
+    with pytest.raises(TypeError):
+        a.mu[0] = 1
+    with pytest.raises(TypeError):
+        a.X[0][0] = 1
 
 
 def ad_w0(xi: LieElt) -> LieElt:
@@ -64,6 +136,22 @@ def test_group_elements_preserve_form():
     assert mat_mul(gt, mat_mul(jp, g.m)) == jp
     identity = [[1 if i == j else 0 for j in range(N + 2)] for i in range(N + 2)]
     assert (g * g.inv()).m == identity
+
+
+def test_group_element_must_preserve_the_form():
+    n = N + 2
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    GroupElt(K, eye)
+    stretched = [row[:] for row in eye]
+    stretched[1][1] = 2  # breaks the pairing of e_1 with e_dual(1) only
+    sheared = [row[:] for row in eye]
+    sheared[1][2] = 1  # e_2 -> e_2 + e_1 leaves B(e_2, e_dual(1)) = 1
+    for m in ([[2 * c for c in row] for row in eye], stretched, sheared):
+        jp = jplus_matrix(K)
+        mt = [list(col) for col in zip(*m)]
+        assert mat_mul(mt, mat_mul(jp, m)) != jp
+        with pytest.raises(ValueError):
+            GroupElt(K, m)
 
 
 def test_w0_factorization_is_inversion():
@@ -145,9 +233,14 @@ def test_chi0_is_the_pivot_of_the_full_column(k):
                 for _ in range(n)] for _ in range(6)]
     outside = 0
     for g in elts:
+        ginv = mat_inv(g.m)
         for v in points:
             pivot = chi0_at(g, v)
-            assert pivot == _uop_column(g, v)[0]
+            column = _uop_column(g, v)
+            assert pivot == column[0]
+            # the full column against Gauss-Jordan's inverse
+            col = [1] + v + [-Fraction(sum(map(mul, v, reversed(v))), 2)]
+            assert column == [sum(map(mul, row, col)) for row in ginv]
             outside += pivot == 0
     assert outside >= 2
 

@@ -10,7 +10,7 @@ import pytest
 from oracles import shapovalov_multinomial
 from quadricops import cli, shapovalov
 from quadricops.coneops import ConeOp, d_op
-from quadricops.poly import Poly
+from quadricops.poly import Poly, is_packed
 from quadricops.shapovalov import (EulerPoly, FactorsDoNotCommute, NotScalar,
                                    fourier_euler_image, fourier_roots_bezout,
                                    scalar_on_graded, shapovalov_closed,
@@ -58,6 +58,22 @@ def test_series_equals_multinomial_expansion(k, dmax):
     assert shapovalov_expand(2, k).op == shapovalov_series(2, k)[-1].op
 
 
+def test_series_terms_are_packed_and_nonzero(monkeypatch):
+    # the recursion drops cancelled terms itself and builds B_d unchecked
+    for bop in shapovalov_series(3, 3):
+        n = bop.op.nvars
+        assert bop.op.terms
+        for (a, b), c in bop.op.terms.items():
+            assert c != 0 and is_packed(a, n) and is_packed(b, n)
+    # no term cancels in the true series; with x_i paired with y_i and y_i
+    # with -x_i, every term of B_1 = sum_i (x_i y_i - y_i x_i) cancels
+    monkeypatch.setattr(shapovalov, "yy_op", lambda k, j: WeylOp.mult(
+        Poly.var(2 * k, 2 * k - j)))
+    monkeypatch.setattr(shapovalov, "xx_op", lambda k, j: WeylOp.mult(
+        Poly.var(2 * k, k - j, -1)))
+    assert [bop.op.terms for bop in shapovalov_series(2, K)] == [{}, {}]
+
+
 def test_noncommuting_factors_are_refused(capsys, monkeypatch):
     # the recursion holds only because the factors commute: with x1 and d_x1
     # as two of them it must refuse, and the CLI reports an engine error
@@ -84,7 +100,7 @@ def test_scalar_on_graded_matches():
 def test_scalar_rejects_non_scalar_operator():
     # multiplication by a coordinate does not act by a scalar on degree 1
     with pytest.raises(NotScalar):
-        from quadricops.poly import Poly
+        from quadricops.poly import Poly, is_packed
         scalar_on_graded(ConeOp(WeylOp.mult(Poly.var(2 * K, 0))
                                 * WeylOp.partial(2 * K, 1)), 1)
 
