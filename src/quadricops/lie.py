@@ -21,7 +21,7 @@ from .poly import (Poly, QLaurent, b_pair, divides_exactly, dual, q_form,
 
 
 def _frac_vec(v, n):
-    v = [qcoef(c) for c in v]
+    v = list(map(qcoef, v))
     if len(v) != n:
         raise ValueError("wrong vector length")
     return v
@@ -96,14 +96,29 @@ class LieElt:
         self.alpha = qcoef(alpha)
         self.mu = tuple(_frac_vec(mu, n)) if mu is not None else (0,) * n
         self.lam = tuple(_frac_vec(lam, n)) if lam is not None else (0,) * n
-        self.X = (tuple(tuple(qcoef(c) for c in row) for row in X)
+        self.X = (tuple(tuple(map(qcoef, row)) for row in X)
                   if X is not None else ((0,) * n,) * n)
         self.tag = tag
-        # X^T J_V + J_V X = 0 reads entrywise X[a][b] = -X[nbar(b)][nbar(a)]:
-        # X is minus its transpose about the anti-diagonal
-        if self.X != tuple(zip(*((-c for c in row[::-1])
-                                 for row in self.X[::-1]))):
-            raise ValueError("X is not skew for the split form")
+        self._check_skew()
+
+    @classmethod
+    def _of(cls, k, alpha, mu, X, lam) -> "LieElt":
+        """The trusted constructor, for blocks the engine computed from
+        checked elements: tuples of int or Fraction.  X is still checked."""
+        out = cls.__new__(cls)
+        out.k, out.alpha, out.mu, out.X, out.lam = k, alpha, mu, X, lam
+        out.tag = None
+        out._check_skew()
+        return out
+
+    def _check_skew(self):
+        # X^T J_V + J_V X = 0 reads entrywise X[a][b] = -X[nbar(b)][nbar(a)];
+        # where it holds at every nonzero entry, it holds at the zero ones
+        n, x = 2 * self.k, self.X
+        for a, row in enumerate(x):
+            for b, c in enumerate(row):
+                if c and x[dual(n, b)][dual(n, a)] != -c:
+                    raise ValueError("X is not skew for the split form")
 
     def matrix(self):
         n = 2 * self.k
@@ -156,7 +171,8 @@ class LieElt:
                         zi = z[i]
                         for j, d in nz:
                             zi[j] += c * d
-        return LieElt(self.k, b_pair(l2, m) - b_pair(l, m2), mu, z, lam)
+        return LieElt._of(self.k, b_pair(l2, m) - b_pair(l, m2), tuple(mu),
+                          tuple(map(tuple, z)), tuple(lam))
 
     def scale(self, c) -> "LieElt":
         c = qcoef(c)
