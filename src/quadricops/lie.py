@@ -259,13 +259,10 @@ class GroupElt:
             other = [(j, d) for j, d in enumerate(self.m[dual(n, l)]) if d]
             for i, c in enumerate(row):
                 if c:
-                    fi = form[i]
                     for j, d in other:
-                        fi[j] += c * d
-        for i, row in enumerate(form):
-            for j, c in enumerate(row):
-                if c != (1 if j == dual(n, i) else 0):
-                    raise ValueError("matrix does not preserve the extended form")
+                        form[i][j] += c * d
+        if form != [[int(j == dual(n, i)) for j in range(n)] for i in range(n)]:
+            raise ValueError("matrix does not preserve the extended form")
 
     def __mul__(self, other: "GroupElt") -> "GroupElt":
         return GroupElt(self.k, mat_mul(self.m, other.m))

@@ -27,6 +27,9 @@ def test_skew_constraint_enforced():
          for i in range(N)]
     with pytest.raises(ValueError):
         LieElt(K, X=X)
+    # the trusted constructor of bracket results checks it too
+    with pytest.raises(ValueError):
+        LieElt._of(K, 0, (0,) * N, tuple(map(tuple, X)), (0,) * N)
 
 
 def jplus_matrix(k: int):
@@ -68,8 +71,8 @@ def test_bracket_is_matrix_commutator():
         bas = basis(k)
         for xi in bas:
             for eta in bas:
-                assert xi.bracket(eta) == matrix_bracket(xi, eta), (xi.tag,
-                                                                    eta.tag)
+                br = xi.bracket(eta)
+                assert br == matrix_bracket(xi, eta), (xi.tag, eta.tag)
     # 20 random rational combinations per k, each bracketed with the next
     rng = random.Random(17)
     for k in (2, 3, 4):
@@ -88,7 +91,8 @@ class CornerOnly(LieElt):
 
 
 def test_matrix_bracket_checks_the_redundant_blocks():
-    # [E_00, mu_1] = -E_10 has a mu block whose -mu^T J_V row is missing
+    # [E_00, eta] = -E_10 for the first mu element: a mu block without
+    # its -mu^T J_V row
     eta = basis(K)[1]
     assert eta.tag == ("mu", 0)
     with pytest.raises(ValueError):
@@ -145,7 +149,7 @@ def test_group_element_must_preserve_the_form():
     stretched = [row[:] for row in eye]
     stretched[1][1] = 2  # breaks the pairing of e_1 with e_dual(1) only
     sheared = [row[:] for row in eye]
-    sheared[1][2] = 1  # e_2 -> e_2 + e_1 leaves B(e_2, e_dual(1)) = 1
+    sheared[1][2] = 1  # e_2 -> e_1 + e_2 now pairs with e_dual(1)
     for m in ([[2 * c for c in row] for row in eye], stretched, sheared):
         jp = jplus_matrix(K)
         mt = [list(col) for col in zip(*m)]
