@@ -21,7 +21,7 @@ from .poly import (Poly, QLaurent, b_pair, divides_exactly, dual, q_form,
 
 
 def _frac_vec(v, n):
-    v = list(map(qcoef, v))
+    v = [qcoef(c) for c in v]
     if len(v) != n:
         raise ValueError("wrong vector length")
     return v
