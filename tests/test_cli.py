@@ -35,6 +35,8 @@ GOLDEN_CASES = [
      ["verify", "cone-ops", "--k", "2", "--format", "json"]),
     ("verify_moment_orbit_k2.json",
      ["verify", "moment-orbit", "--k", "2", "--format", "json"]),
+    ("verify_harmonic_kelvin_k2.json",
+     ["verify", "harmonic-kelvin", "--k", "2", "--format", "json"]),
     ("shapovalov_d1_k2.json",
      ["shapovalov", "--d", "1", "--k", "2", "--format", "json"]),
     ("reduce_commutator_k2.json",
@@ -81,6 +83,15 @@ def test_k4_suite_report_is_pinned(capsys, suite, digest):
                                  "--format", "json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_k3_harmonic_kelvin_report_is_pinned(capsys):
+    # recorded before the Kelvin check was proven on orbit representatives
+    code, out = run_cli(capsys, ["verify", "harmonic-kelvin", "--k", "3",
+                                 "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6a475a53827790e15ff6315e92bdba75327fd64aac42b669d4f77a9617b26337")
 
 
 def test_golden_output_is_deterministic(capsys):
