@@ -13,7 +13,7 @@ from math import comb
 
 from .poly import (Poly, QLaurent, b_pair, dual, mdegree,
                    normal_form_mod_single, pack, q_form, qcoef, qdiv,
-                   reduce_mod)
+                   reduce_mod, unpack)
 from .weyl import (LocalWeylOp, NotDivisible, WeylOp, euler_op, laplacian_op,
                    monomials_up_to)
 from .coneops import xx_op, yy_op
@@ -53,6 +53,12 @@ def kelvin(f: QLaurent, k: int | None = None) -> QLaurent:
 
     Substituting v -> -v/Q sends a degree-d term p_d to (-1)^d p_d Q^{-d};
     the result stays in the Q-Laurent class and K is an involution.
+
+    As code, K commutes with every permutation of the variables that fixes
+    Q, the group O(Q) meets in the permutations: it reads a term only
+    through its total degree and Q, never through a variable index.  The
+    Kelvin check of the harmonic-kelvin suite relies on this to test one
+    monomial per orbit (``orbit_representatives``).
     """
     if k is None:
         k = f.k
@@ -71,6 +77,77 @@ def kelvin(f: QLaurent, k: int | None = None) -> QLaurent:
     if shift >= 0:
         return QLaurent(k, num.scale(sign), shift)
     return QLaurent(k, num.scale(sign) * q ** (-shift), 0)
+
+
+def pair_generators(k: int) -> list:
+    """Generators of the hyperoctahedral group of order 2^k k! as
+    permutations of the 2k variable indices, variable i going to perm[i].
+
+    The group permutes the k pairs (x_i, y_{k+1-i}) and swaps the two
+    coordinates within a pair.  It is generated by the swap x1 <-> yk and
+    the k - 1 transpositions of adjacent pairs, listed in that order.
+    """
+    n = 2 * k
+    swap = list(range(n))
+    swap[0], swap[-1] = n - 1, 0
+    gens = [tuple(swap)]
+    for i in range(k - 1):
+        perm = list(range(n))
+        perm[i], perm[i + 1] = i + 1, i
+        perm[dual(n, i)], perm[dual(n, i + 1)] = dual(n, i + 1), dual(n, i)
+        gens.append(tuple(perm))
+    return gens
+
+
+def permute_vars(f, perm):
+    """The Poly or WeylOp f with variable i renamed to variable perm[i].
+
+    For an operator this is the conjugate sigma f sigma^-1 by the linear
+    change of coordinates sigma, which renames x_i and d_i alike.
+    """
+    n = f.nvars
+
+    def rename(m):
+        e = [0] * n
+        for i, x in enumerate(unpack(m, n)):
+            e[perm[i]] = x
+        return pack(e)
+
+    if isinstance(f, WeylOp):
+        return WeylOp._of(n, {(rename(a), rename(b)): c
+                              for (a, b), c in f.terms.items()})
+    return Poly._of(n, {rename(m): c for m, c in f.terms.items()})
+
+
+def orbit_representatives(k: int, deg: int) -> list:
+    """One exponent tuple per orbit of the monomials of degree <= deg in 2k
+    variables under the group of ``pair_generators(k)``, sorted.
+
+    An orbit is fixed by the multiset of the unordered exponent pairs
+    {e(x_i), e(y_{k+1-i})}: the group sorts the pairs and orders each one.
+    The representative of the multiset carries its pairs (a, b), a >= b,
+    in nonincreasing order, pair i as x_i^a y_{k+1-i}^b.
+    """
+    n = 2 * k
+    pairs = sorted(((a, d - a) for d in range(deg + 1)
+                    for a in range((d + 1) // 2, d + 1)), reverse=True)
+    out = []
+
+    def extend(chosen, start, budget):
+        if len(chosen) == k:
+            e = [0] * n
+            for i, (a, b) in enumerate(chosen):
+                e[i], e[dual(n, i)] = a, b
+            out.append(tuple(e))
+            return
+        for j in range(start, len(pairs)):
+            a, b = pairs[j]
+            if a + b <= budget:
+                extend(chosen + [pairs[j]], j, budget - a - b)
+
+    extend([], 0, deg)
+    out.sort()
+    return out
 
 
 class CertificateError(ArithmeticError):

@@ -34,7 +34,8 @@ from .harmonic import (bessel_check, boundary_phase_check, dirac_relations,
                        exp_harmonicity_defect, harmonic_decompose,
                        harmonic_dimension, is_higher_symmetry, kelvin,
                        kelvin_intertwine_defect, laplacian_qlaurent,
-                       n2_counterexample)
+                       n2_counterexample, orbit_representatives,
+                       pair_generators, permute_vars)
 from .lie import (DegenerateCell, act_at, basis, bruhat_factor, chi0_at, levi,
                   mat_mul, mat_sub, u, u_op, w0)
 from .momentorbit import (check_descent, phase_euler, poisson, q_poly,
@@ -44,7 +45,7 @@ from .poly import Poly, QLaurent, dual, normal_form_mod_single, q_form, qdiv
 from .shapovalov import (fourier_roots_bezout, scalar_on_graded,
                          shapovalov_closed, shapovalov_series)
 from .weyl import (NotDivisible, WeylOp, euler_op,
-                   is_zero_extensional, laplacian_op, monomials_up_to)
+                   is_zero_extensional, laplacian_op)
 
 
 DEFAULT_MAX_DEGREE = 6
@@ -609,8 +610,17 @@ def harmonic_kelvin_checks(k: int) -> list:
           f"the Kelvin transform is an involution and intertwines the "
           f"Laplacian on all monomials of degree <= {deg} and on 1/Q")
     def first_failure():
+        # kelvin reads only degrees and Q, and laplacian_qlaurent is Delta:
+        # both commute with a renaming that fixes Q and Delta, so one
+        # monomial per orbit of the renamings stands for the whole orbit
+        q = q_form(k)
+        for perm in pair_generators(k):
+            if permute_vars(q, perm) != q:
+                return f"the renaming {perm} does not fix Q"
+            if permute_vars(lap, perm) != lap:
+                return f"the renaming {perm} does not fix the Laplacian"
         tests = [QLaurent(k, Poly.monomial(m), 0)
-                 for m in monomials_up_to(n, deg)]
+                 for m in orbit_representatives(k, deg)]
         tests.append(QLaurent.one_over_q(k))
         for f in tests:
             if kelvin(kelvin(f)) != f:

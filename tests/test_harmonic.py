@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from quadricops import cli, harmonic
+from quadricops import cli, harmonic, suites
 from quadricops.coneops import phi, b_form_poly
 from quadricops.harmonic import (bessel_check, bessel_series,
                                  boundary_phase_check, dirac_relations,
                                  exp_harmonicity_defect, harmonic_decompose,
                                  harmonic_dimension, is_higher_symmetry,
                                  kelvin, kelvin_intertwine_defect,
-                                 laplacian_qlaurent, n2_counterexample)
+                                 laplacian_qlaurent, n2_counterexample,
+                                 orbit_representatives, pair_generators,
+                                 permute_vars)
 from quadricops.lie import basis
 from quadricops.poly import Poly, QLaurent, q_form
 from quadricops.weyl import (LocalWeylOp, WeylOp, laplacian_op,
@@ -57,6 +59,78 @@ def test_laplacian_closed_form_matches_the_generic_action():
         lap = LocalWeylOp.from_weyl(laplacian_op(k))
         for f in tests + [kelvin(f) for f in tests]:
             assert laplacian_qlaurent(f) == lap.apply(f), (k, f.text())
+
+
+def _orbit(m, gens):
+    """The orbit of the exponent tuple m under the renamings gens."""
+    seen, todo = {m}, [m]
+    while todo:
+        p = Poly.monomial(todo.pop())
+        for perm in gens:
+            img = permute_vars(p, perm).leading()[0]
+            if img not in seen:
+                seen.add(img)
+                todo.append(img)
+    return seen
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_orbit_representatives_partition_the_monomials(k):
+    gens = pair_generators(k)
+    covered = set()
+    for m in orbit_representatives(k, 6):
+        orbit = _orbit(m, gens)
+        assert not orbit & covered, m  # one representative per orbit
+        covered |= orbit
+    assert covered == set(monomials_up_to(2 * k, 6))
+
+
+def test_orbit_representative_counts():
+    counts = {k: len(orbit_representatives(k, 6)) for k in range(2, 7)}
+    assert counts == {2: 43, 3: 62, 4: 70, 5: 73, 6: 74}
+
+
+@pytest.mark.parametrize("k,order", [(2, 8), (3, 48)])
+def test_pair_generators_generate_the_hyperoctahedral_group(k, order):
+    gens = pair_generators(k)
+    group, todo = {tuple(range(2 * k))}, [tuple(range(2 * k))]
+    while todo:
+        g = todo.pop()
+        for s in gens:
+            h = tuple(s[i] for i in g)
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    assert len(group) == order
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_kelvin_commutes_with_the_pair_generators(k):
+    # the code property the orbit proof rests on, on the full corpus
+    tests = [QLaurent(k, Poly.monomial(m), 0)
+             for m in monomials_up_to(2 * k, 6)]
+    tests.append(QLaurent.one_over_q(k))
+    for perm in pair_generators(k):
+        for f in tests:
+            sf = QLaurent(k, permute_vars(f.num, perm), f.qexp)
+            kf = kelvin(f)
+            assert kelvin(sf) == QLaurent(k, permute_vars(kf.num, perm),
+                                          kf.qexp), (perm, f.text())
+
+
+def test_renaming_that_moves_q_fails_the_kelvin_check(monkeypatch, capsys):
+    # x1 <-> x2 does not fix Q = x1*y2 + x2*y1
+    gens = pair_generators(K)
+    monkeypatch.setattr(suites, "pair_generators",
+                        lambda k: gens + [(1, 0, 2, 3)])
+    report = suites.run_suite("harmonic-kelvin", K)
+    (check,) = [c for c in report.checks
+                if c.check_id == "kelvin-involution-intertwine"]
+    assert not check.ok
+    assert check.residue == "the renaming (1, 0, 2, 3) does not fix Q"
+    assert [c.check_id for c in report.checks if not c.ok] == [check.check_id]
+    assert cli.main(["verify", "harmonic-kelvin", "--k", str(K)]) == 1
+    capsys.readouterr()
 
 
 def test_harmonic_quadric_breaks_the_laplacian_shift(monkeypatch, capsys):
