@@ -16,6 +16,8 @@ rational matrices g with g^T J+ g = J+.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .poly import (Poly, QLaurent, b_pair, divides_exactly, dual, q_form,
                    qcoef, qdiv)
 
@@ -408,17 +410,29 @@ def _q_power_inverse(p: Poly, k: int) -> QLaurent:
     return QLaurent(k, Poly.const(2 * k, qdiv(1, c)), m)
 
 
+@lru_cache(maxsize=64)
+def _point_column(point: tuple) -> tuple:
+    """The first column (1, v, -Q(v)) of u_v^op at a rational point v.
+
+    Memoized, so calls at one point compute Q(v) once: the cocycle check
+    reads this column up to three times per sample.
+    """
+    return (1, *point, -q_val(point))
+
+
 def _uop_column(g: GroupElt, point):
     """The first column of g^{-1} u_v^op at a rational point v.
 
     Row i of g^{-1} = J+ g^T J+ is column dual(i) of g read bottom to top.
     """
     n = 2 * g.k + 2
-    point = _frac_vec(point, n - 2)
-    col = [1] + point + [-q_val(point)]
+    col = _point_column(tuple(_frac_vec(point, n - 2)))
     rows = g.m[::-1]
-    return [sum(row[dual(n, i)] * c for row, c in zip(rows, col))
-            for i in range(n)]
+    out = []
+    for i in range(n):
+        j = dual(n, i)
+        out.append(sum(row[j] * c for row, c in zip(rows, col) if row[j]))
+    return out
 
 
 def chi0_at(g: GroupElt, point):
@@ -427,9 +441,8 @@ def chi0_at(g: GroupElt, point):
     Row 0 of g^{-1} = J+ g^T J+ is the last column of g read bottom to top,
     so the pivot is one dot product.
     """
-    point = _frac_vec(point, 2 * g.k)
-    col = [1] + point + [-q_val(point)]
-    return sum(row[-1] * c for row, c in zip(reversed(g.m), col))
+    col = _point_column(tuple(_frac_vec(point, 2 * g.k)))
+    return sum(row[-1] * c for row, c in zip(reversed(g.m), col) if row[-1])
 
 
 def act_at(g: GroupElt, point):
