@@ -425,13 +425,31 @@ class GenWord:
         return GenWord(self.k, out)
 
     def eval(self) -> ConeOp:
-        total = WeylOp.zero(2 * self.k)
-        for word, c in self.terms.items():
-            op = WeylOp.const(2 * self.k, c)
-            for letter in word:
-                op = op * letter_op(self.k, letter)
-            total = total + op
-        return ConeOp(total)
+        """The operator of the combination.
+
+        The words are multiplied out in sorted order, keeping the products
+        of the prefixes of the last word, so words with a common prefix
+        share its product; the terms are summed into one dict.
+        """
+        n = 2 * self.k
+        last, prefix = (), [WeylOp.identity(n)]  # prefix[i]: last[:i]
+        total: dict = {}
+        for word in sorted(self.terms):
+            keep = 0
+            while keep < min(len(word), len(last)) and word[keep] == last[keep]:
+                keep += 1
+            del prefix[keep + 1:]
+            for letter in word[keep:]:
+                prefix.append(prefix[-1] * letter_op(self.k, letter))
+            last = word
+            c = self.terms[word]
+            for key, v in prefix[-1].terms.items():
+                s = total.get(key, 0) + c * v
+                if s:
+                    total[key] = s
+                else:
+                    del total[key]
+        return ConeOp(WeylOp._of(n, total))
 
     def sorted_terms(self):
         """(word, coefficient) pairs, shorter words first."""

@@ -181,6 +181,26 @@ def test_fourier_word_involution_and_values():
         assert word.fourier().fourier() == word
 
 
+def test_word_evaluation_shares_prefixes_exactly():
+    # eval multiplies shared prefixes once; word-by-word is the reference
+    rng = random.Random(11)
+    letters = [("x", 1), ("y", 2), ("XX", 2), ("YY", 1), ("Etil",),
+               ("D", 1, 2), ("B", 1, 2), ("C", 1, 2)]
+    for _ in range(40):
+        terms = {tuple(rng.choice(letters[:rng.randint(1, 8)])
+                       for _ in range(rng.randint(0, 4))):
+                 Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 12))}
+        word = GenWord(K, terms)
+        want = WeylOp.zero(N)
+        for w, c in word.terms.items():
+            op = WeylOp.const(N, c)
+            for letter in w:
+                op = op * letter_op(K, letter)
+            want = want + op
+        assert word.eval().op == want
+
+
 def letter_lie_preimage(k: int, letter) -> LieElt:
     """The Lie algebra element realized as this generator by rho_tilde."""
     n = 2 * k
