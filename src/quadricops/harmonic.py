@@ -54,11 +54,11 @@ def kelvin(f: QLaurent, k: int | None = None) -> QLaurent:
     Substituting v -> -v/Q sends a degree-d term p_d to (-1)^d p_d Q^{-d};
     the result stays in the Q-Laurent class and K is an involution.
 
-    As code, K commutes with every permutation of the variables that fixes
-    Q, the group O(Q) meets in the permutations: it reads a term only
-    through its total degree and Q, never through a variable index.  The
-    Kelvin check of the harmonic-kelvin suite relies on this to test one
-    monomial per orbit (``orbit_representatives``).
+    As code, K commutes with every renaming of the variables that fixes Q
+    (such a renaming lies in O(Q)): it reads a term only through its total
+    degree and Q, never through a variable index.  The Kelvin check of the
+    harmonic-kelvin suite relies on this to test one monomial per orbit
+    (``orbit_representatives``).
     """
     if k is None:
         k = f.k
@@ -121,7 +121,7 @@ def permute_vars(f, perm):
 
 def orbit_representatives(k: int, deg: int) -> list:
     """One exponent tuple per orbit of the monomials of degree <= deg in 2k
-    variables under the group of ``pair_generators(k)``, sorted.
+    variables under the group of ``pair_generators(k)``.
 
     An orbit is fixed by the multiset of the unordered exponent pairs
     {e(x_i), e(y_{k+1-i})}: the group sorts the pairs and orders each one.
@@ -129,8 +129,8 @@ def orbit_representatives(k: int, deg: int) -> list:
     in nonincreasing order, pair i as x_i^a y_{k+1-i}^b.
     """
     n = 2 * k
-    pairs = sorted(((a, d - a) for d in range(deg + 1)
-                    for a in range((d + 1) // 2, d + 1)), reverse=True)
+    pairs = [(a, b) for a in range(deg, -1, -1)
+             for b in range(min(a, deg - a), -1, -1)]
     out = []
 
     def extend(chosen, start, budget):
@@ -146,7 +146,6 @@ def orbit_representatives(k: int, deg: int) -> list:
                 extend(chosen + [pairs[j]], j, budget - a - b)
 
     extend([], 0, deg)
-    out.sort()
     return out
 
 
