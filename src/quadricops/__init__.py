@@ -17,8 +17,8 @@ Modules:
 
 from .poly import (ExponentOverflow, Poly, QLaurent, divides_exactly,
                    normal_form_mod_single, q_form, reduce_mod)
-from .weyl import (LocalWeylOp, NotDivisible, WeylOp, euler_op,
-                   is_zero_extensional, laplacian_op)
+from .weyl import (NotDivisible, WeylOp, euler_op, is_zero_extensional,
+                   laplacian_op)
 from .lie import (DegenerateCell, GroupElt, LieElt, NotQLaurent, basis,
                   bruhat_factor, levi, so_q_basis, u, u_op, w0)
 from .coneops import (ConeOp, GenWord, NotNormalizing, grading,
@@ -30,18 +30,19 @@ from .shapovalov import (EulerPoly, FactorsDoNotCommute, NotScalar,
                          shapovalov_expand, shapovalov_series)
 from .momentorbit import (check_descent, moment, orbit_matrix, phase_euler,
                           poisson, symbol_invariant, verify_orbit_relations)
-from .harmonic import (SymmetryCert, bessel_check, boundary_phase_check,
-                       exp_harmonicity_defect, harmonic_decompose,
-                       harmonic_dimension, is_higher_symmetry, kelvin,
-                       kelvin_intertwine_defect, n2_counterexample)
+from .harmonic import (CertificateError, SymmetryCert, bessel_check,
+                       boundary_phase_check, exp_harmonicity_defect,
+                       harmonic_decompose, harmonic_dimension,
+                       is_higher_symmetry, kelvin, kelvin_intertwine_defect,
+                       laplacian_qlaurent, n2_counterexample)
 from .exprparse import ParseError, UsageError, parse, to_text
 from .suites import SuiteReport, UnknownSuite, emit, run_suite
 
 __all__ = [
     "ExponentOverflow", "Poly", "QLaurent", "divides_exactly",
     "normal_form_mod_single", "q_form", "reduce_mod",
-    "LocalWeylOp", "NotDivisible", "WeylOp", "euler_op",
-    "is_zero_extensional", "laplacian_op",
+    "NotDivisible", "WeylOp", "euler_op", "is_zero_extensional",
+    "laplacian_op",
     "DegenerateCell", "GroupElt", "LieElt", "NotQLaurent", "basis",
     "bruhat_factor", "levi", "so_q_basis", "u", "u_op", "w0",
     "ConeOp", "GenWord", "NotNormalizing", "grading",
@@ -52,10 +53,10 @@ __all__ = [
     "shapovalov_expand", "shapovalov_series",
     "check_descent", "moment", "orbit_matrix", "phase_euler", "poisson",
     "symbol_invariant", "verify_orbit_relations",
-    "SymmetryCert", "bessel_check", "boundary_phase_check",
-    "exp_harmonicity_defect", "harmonic_decompose", "harmonic_dimension",
-    "is_higher_symmetry", "kelvin", "kelvin_intertwine_defect",
-    "n2_counterexample",
+    "CertificateError", "SymmetryCert", "bessel_check",
+    "boundary_phase_check", "exp_harmonicity_defect", "harmonic_decompose",
+    "harmonic_dimension", "is_higher_symmetry", "kelvin",
+    "kelvin_intertwine_defect", "laplacian_qlaurent", "n2_counterexample",
     "ParseError", "UsageError", "parse", "to_text",
     "SuiteReport", "UnknownSuite", "emit", "run_suite",
 ]

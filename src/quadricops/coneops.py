@@ -145,10 +145,6 @@ class ConeOp:
             self._preserves = is_ideal_preserving(self.op)
         return self._preserves
 
-    def apply(self, f: Poly) -> Poly:
-        """Action on the canonical form of a cone function."""
-        return reduce_mod(self.op.apply(f), q_form(self.k))
-
     def __eq__(self, other):
         if not isinstance(other, ConeOp):
             return NotImplemented
@@ -157,18 +153,6 @@ class ConeOp:
     def __hash__(self):
         can = self.canonical()
         return hash((self.k, frozenset((b, hash(p)) for b, p in can.items())))
-
-    def __add__(self, other: "ConeOp") -> "ConeOp":
-        return ConeOp(self.op + other.op)
-
-    def __sub__(self, other: "ConeOp") -> "ConeOp":
-        return ConeOp(self.op - other.op)
-
-    def __mul__(self, other: "ConeOp") -> "ConeOp":
-        return ConeOp(self.op * other.op)
-
-    def scale(self, c) -> "ConeOp":
-        return ConeOp(self.op.scale(c))
 
     def commutator(self, other: "ConeOp") -> "ConeOp":
         return ConeOp(self.op.commutator(other.op))

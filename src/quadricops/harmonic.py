@@ -14,7 +14,7 @@ from math import comb
 from .poly import (Poly, QLaurent, b_pair, dual, mdegree,
                    normal_form_mod_single, pack, q_form, qcoef, qdiv,
                    reduce_mod, unpack)
-from .weyl import (LocalWeylOp, NotDivisible, WeylOp, euler_op, laplacian_op,
+from .weyl import (NotDivisible, WeylOp, euler_op, laplacian_op,
                    monomials_up_to)
 from .coneops import xx_op, yy_op
 from .momentorbit import q_poly, x_vector
@@ -48,7 +48,7 @@ def is_higher_symmetry(xi: WeylOp):
     return SymmetryCert(xi, delta)
 
 
-def kelvin(f: QLaurent, k: int | None = None) -> QLaurent:
+def kelvin(f: QLaurent) -> QLaurent:
     """The conformal Kelvin transform (Kf)(v) = (-Q(v))^{-(k-1)} f(-v/Q(v)).
 
     Substituting v -> -v/Q sends a degree-d term p_d to (-1)^d p_d Q^{-d};
@@ -60,8 +60,7 @@ def kelvin(f: QLaurent, k: int | None = None) -> QLaurent:
     harmonic-kelvin suite relies on this to test one monomial per orbit
     (``orbit_representatives``).
     """
-    if k is None:
-        k = f.k
+    k = f.k
     n = 2 * k
     q = q_form(k)
     deg = max(f.num.degree(), 0)
@@ -153,30 +152,41 @@ class CertificateError(ArithmeticError):
     """An identity that a closed form rests on failed its exact check."""
 
 
-@lru_cache(maxsize=64)
-def _laplacian_shift(q: Poly, m: int) -> WeylOp:
-    """R = Q Delta - m E + m(m+1-k), proven to satisfy Q^(m+1) Delta = R Q^m.
+@lru_cache(maxsize=16)
+def _shift_generators(q: Poly) -> tuple:
+    """(Q Delta, E), returned once [Delta, Q] = E + k and [E, Q] = 2Q hold.
 
-    The Weyl identity is checked with exact operator products, once per
-    (Q, m); CertificateError when it fails.
+    Both are checked as exact Weyl identities, once per Q; CertificateError
+    when either fails.  With c_m = m(m+1-k) and R_m = Q Delta - m E + c_m
+    they give Q^(m+1) Delta = R_m Q^m for every m >= 0, by induction on m:
+
+    - m = 0: R_0 = Q Delta.
+    - m -> m+1: Delta Q = Q Delta + E + k and E Q = Q E + 2Q give
+      R_(m+1) Q - Q R_m = (c_(m+1) - c_m - 2m - 2 + k) Q = 0, so
+      Q^(m+2) Delta = Q R_m Q^m = R_(m+1) Q^(m+1).
     """
     k = q.nvars // 2
-    lap = laplacian_op(k)
-    qm = q ** m
-    r = WeylOp.mult(q) * lap - euler_op(k).scale(m) + m * (m + 1 - k)
-    if WeylOp.mult(q * qm) * lap != r * WeylOp.mult(qm):
-        raise CertificateError(f"Q^{m + 1} Delta != (Q Delta - {m} E + "
-                               f"{m * (m + 1 - k)}) Q^{m} for k={k}")
-    return r
+    lap, e, mq = laplacian_op(k), euler_op(k), WeylOp.mult(q)
+    if lap.commutator(mq) != e + k:
+        raise CertificateError(f"[Delta, Q] != E + {k} for k={k}")
+    if e.commutator(mq) != mq.scale(2):
+        raise CertificateError(f"[E, Q] != 2Q for k={k}")
+    return mq * lap, e
+
+
+def _laplacian_shift(q: Poly, m: int) -> WeylOp:
+    """R_m = Q Delta - m E + m(m+1-k), with Q^(m+1) Delta = R_m Q^m proven
+    for all m by ``_shift_generators``."""
+    qlap, e = _shift_generators(q)
+    return qlap - e.scale(m) + m * (m + 1 - q.nvars // 2)
 
 
 def laplacian_qlaurent(f: QLaurent) -> QLaurent:
     """Delta(n/Q^m) = (Q Delta n - m E n + m(m+1-k) n) / Q^(m+1), exactly.
 
-    Applying the Weyl identity Q^(m+1) Delta = R Q^m, R = Q Delta - m E +
-    m(m+1-k), to n/Q^m gives Delta(n/Q^m) = R(n) / Q^(m+1) (Delta Q = k and
-    B(grad Q, grad Q) = Q for the split form).  R is applied only after the
-    identity is proven; m = 0 is the polynomial Laplacian.
+    Applying the Weyl identity Q^(m+1) Delta = R_m Q^m to n/Q^m gives
+    Delta(n/Q^m) = R_m(n) / Q^(m+1).  R_m is applied only after the two
+    commutators it rests on are proven; m = 0 is the polynomial Laplacian.
     """
     k, m = f.k, f.qexp
     if m == 0:
@@ -302,7 +312,6 @@ def exp_harmonicity_defect(k: int) -> Poly:
     block 0 = v (the argument), block 1 = x (the cone point); reduction is
     modulo (Q(x)).
     """
-    n = 2 * k
     x = x_vector(k)
     one = Poly.const(4 * k, 1)
     defect = twisted_laplacian(one, k)
@@ -406,26 +415,27 @@ def boundary_phase_check(k: int) -> dict:
     }
 
 
-def n2_counterexample(max_a: int = 3, max_b: int = 3) -> dict:
+def n2_counterexample() -> dict:
     """The rank-one obstruction: xi = x^{-1} d_x on the plane with Q = x y.
 
-    Verifies [Delta, xi] = -x^{-2} Delta on Laurent test functions x^a y^b
-    (representable as y^{|a|} x^0 y^b / Q^{|a|} for a < 0), and that xi(x) is
-    not a polynomial while Delta(x) = 0 -- so xi is in neither D_V nor
-    D_V + D Delta applied consistently to x.
+    Verifies [Delta, xi] = -x^{-2} Delta on the Laurent test functions x^a y^b
+    with |a| <= 3 and 0 <= b <= 3 (representable as y^{|a|} y^b / Q^{|a|} for
+    a < 0), and that xi(x) is not a polynomial while Delta(x) = 0 -- so xi is
+    in neither D_V nor D_V + D Delta applied consistently to x.  Delta acts
+    on the Q-Laurent class by ``laplacian_qlaurent`` at k = 1.
     """
     k = 1
     n = 2
-    lap = LocalWeylOp.from_weyl(laplacian_op(k))  # d_x d_y
+    lap = laplacian_qlaurent  # d_x d_y
 
     def xi_apply(f: QLaurent) -> QLaurent:
         # x^{-1} d_x f = (y / Q) * d_x f
         return QLaurent(k, Poly.var(n, 1), 1) * f.deriv(0)
 
     def commutator_defect(f: QLaurent) -> QLaurent:
-        lhs = lap.apply(xi_apply(f)) - xi_apply(lap.apply(f))
+        lhs = lap(xi_apply(f)) - xi_apply(lap(f))
         # -x^{-2} Delta f = -(y^2 / Q^2) Delta f
-        rhs = QLaurent(k, Poly.monomial((0, 2), -1), 2) * lap.apply(f)
+        rhs = QLaurent(k, Poly.monomial((0, 2), -1), 2) * lap(f)
         return lhs - rhs
 
     def test_fn(a: int, b: int) -> QLaurent:
@@ -435,14 +445,14 @@ def n2_counterexample(max_a: int = 3, max_b: int = 3) -> dict:
 
     worst = None
     ok = True
-    for a in range(-max_a, max_a + 1):
-        for b in range(max_b + 1):
+    for a in range(-3, 4):
+        for b in range(4):
             defect = commutator_defect(test_fn(a, b))
             if not defect.is_zero():
                 ok = False
                 worst = (a, b, defect.text())
     xi_of_x = xi_apply(QLaurent(k, Poly.var(n, 0), 0))
-    delta_of_x = lap.apply(QLaurent(k, Poly.var(n, 0), 0))
+    delta_of_x = lap(QLaurent(k, Poly.var(n, 0), 0))
     return {
         "commutator_ok": ok,
         "commutator_worst": worst,

@@ -356,7 +356,7 @@ def _symbolic_uop_first_column(k: int):
     return col
 
 
-def bruhat_factor(g: GroupElt, k: int | None = None):
+def bruhat_factor(g: GroupElt):
     """Factor g^{-1} u_v^op through the big cell at a symbolic point v.
 
     The first column of g^{-1} u_v^op equals t * (1, v', -Q(v'))^T; the pivot
@@ -366,7 +366,7 @@ def bruhat_factor(g: GroupElt, k: int | None = None):
     is not a rational multiple of a power of Q (the factorization then leaves
     the Q-Laurent class).
     """
-    k = g.k if k is None else k
+    k = g.k
     n = 2 * k
     ginv = _inverse(g.m)
     col = _symbolic_uop_first_column(k)

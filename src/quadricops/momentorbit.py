@@ -157,11 +157,10 @@ def verify_orbit_relations(k: int) -> list:
     n = 2 * k
     v = v_vector(k)
     w = x_vector(k)
-    alpha = b_pair(v, w)
-    qv = q_poly(v)
-    mu = [alpha * v[i] - qv * w[i] for i in range(n)]
-    X = [[w[i] * v[dual(n, i2)] - v[i] * w[dual(n, i2)] for i2 in range(n)]
-         for i in range(n)]
+    M = orbit_matrix(k)
+    alpha = M[0][0]
+    mu = [M[1 + i][0] for i in range(n)]
+    X = [row[1:n + 1] for row in M[1:n + 1]]
     qw = q_poly(w)
 
     def red(p: Poly) -> Poly:
@@ -203,7 +202,6 @@ def verify_orbit_relations(k: int) -> list:
             break
     results.append(("pluecker", ok_pluecker, worst))
     # full matrix: square and 3x3 minors
-    M = orbit_matrix(k)
     M2 = _mat_poly_mul(M, M)
     ok_sq = True
     worst = ""
@@ -221,7 +219,7 @@ def verify_orbit_relations(k: int) -> list:
     # and J reversing the index, M = q (Jp)^T - p (Jq)^T mod (Q(w)); M is then
     # a product of (2k+2)x2 and 2x(2k+2) matrices, so by Cauchy-Binet every
     # 3x3 minor vanishes modulo (Q(w))
-    p = [Poly.const(4 * k, 1), *v, -qv]
+    p = [Poly.const(4 * k, 1), *v, -q_poly(v)]
     q = [Poly.zero(4 * k), *w, -alpha]
     worst = ""
     for i, j in product(range(n + 2), repeat=2):

@@ -348,7 +348,7 @@ def lie_orthogonal_checks(k: int) -> list:
         if tried < 20:
             return f"only {tried} in-cell samples"
 
-    vprime, chi = bruhat_factor(w0(k))
+    vprime, _ = bruhat_factor(w0(k))
     expected = [QLaurent(k, Poly.var(n, i, -1), 1) for i in range(n)]
     out.append(_check("lie-w0-inversion",
                       "the big-cell factorization of the Weyl element is v -> -v/Q(v)",

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .poly import (Poly, QLaurent, TermMap, check_degrees, default_names,
+from .poly import (Poly, TermMap, check_degrees, default_names,
                    divides_exactly, dual, falling, falling_spec, guard,
                    mdegree, mono_text, pack, qcoef, restrict, signed_text,
                    support, unit, unpack)
@@ -142,11 +142,13 @@ class WeylOp(TermMap):
     # -- action on functions --------------------------------------------------
 
     def apply(self, f):
-        """Apply to a Poly or a QLaurent, exactly."""
+        """Apply to a Poly, exactly.
+
+        On the Q-Laurent class the Laplacian acts by
+        ``harmonic.laplacian_qlaurent``.
+        """
         if isinstance(f, Poly):
             return self._apply_poly(f)
-        if isinstance(f, QLaurent):
-            return LocalWeylOp.from_weyl(self).apply(f)
         raise TypeError(f"cannot apply operator to {type(f).__name__}")
 
     def _apply_poly(self, f: Poly) -> Poly:
@@ -350,7 +352,7 @@ def monomials_up_to(nvars: int, degree: int):
     yield from rec(0, degree)
 
 
-def is_zero_extensional(op: WeylOp, order_bound: int | None = None) -> bool:
+def is_zero_extensional(op: WeylOp) -> bool:
     """Decide op = 0 by applying it to all monomials of degree <= its order.
 
     An operator of order <= r is determined by its values on monomials of
@@ -359,44 +361,8 @@ def is_zero_extensional(op: WeylOp, order_bound: int | None = None) -> bool:
     """
     if op.is_zero():
         return True
-    r = op.order() if order_bound is None else order_bound
-    n = op.nvars
-    for m in monomials_up_to(n, r):
+    for m in monomials_up_to(op.nvars, op.order()):
         if not op.apply(Poly.monomial(m)).is_zero():
             return False
     return True
 
-
-class LocalWeylOp:
-    """Differential operator with Q-Laurent coefficients: sum coef * d^beta."""
-
-    __slots__ = ("k", "terms")
-
-    def __init__(self, k: int, terms: list | None = None):
-        self.k = k
-        self.terms = [(c, tuple(b)) for c, b in (terms or []) if not c.is_zero()]
-
-    @classmethod
-    def from_weyl(cls, op: WeylOp) -> "LocalWeylOp":
-        n = op.nvars
-        return cls(n // 2, [(QLaurent.from_poly(p), unpack(b, n))
-                            for b, p in op.xleft().items()])
-
-    def apply(self, f: QLaurent) -> QLaurent:
-        total = QLaurent(self.k, Poly.zero(2 * self.k), 0)
-        for c, b in self.terms:
-            g = f
-            for i in range(2 * self.k):
-                for _ in range(b[i]):
-                    g = g.deriv(i)
-            total = total + c * g
-        return total
-
-    def __add__(self, other: "LocalWeylOp") -> "LocalWeylOp":
-        return LocalWeylOp(self.k, self.terms + other.terms)
-
-    def scale(self, c) -> "LocalWeylOp":
-        return LocalWeylOp(self.k, [(t.scale(c), b) for t, b in self.terms])
-
-    def order(self) -> int:
-        return max((sum(b) for _, b in self.terms), default=-1)

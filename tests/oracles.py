@@ -6,17 +6,23 @@ vanishes modulo Q(w) by a rank-2 factorization of the matrix; ``det3`` and
 elements come from a recursion in d that rests on the second-order factors
 commuting; ``shapovalov_multinomial`` expands the d-th power term by term.
 The Lie bracket is computed in block coordinates; ``matrix_bracket`` takes
-the commutator of the assembled matrices and reads the blocks back.
+the commutator of the assembled matrices and reads the blocks back.  The
+Laplacian acts on the Q-Laurent class by a closed form proven once per Q by
+induction; ``apply_by_quotient_rule`` differentiates one variable at a time
+instead, and ``shift_by_products`` checks each step of the induction by full
+operator products.
 """
 
 from itertools import combinations
 from math import factorial
 
 from quadricops.coneops import xx_op, yy_op
+from quadricops.harmonic import _laplacian_shift
 from quadricops.lie import LieElt
 from quadricops.momentorbit import orbit_matrix, q_poly, x_vector
-from quadricops.poly import Poly, normal_form_mod_single, qdiv
-from quadricops.weyl import WeylOp
+from quadricops.poly import (Poly, QLaurent, normal_form_mod_single, q_form,
+                             qdiv, unpack)
+from quadricops.weyl import WeylOp, laplacian_op
 
 
 def det3(M, rows, cols) -> Poly:
@@ -89,3 +95,27 @@ def matrix_bracket(xi: LieElt, eta: LieElt) -> LieElt:
     if elt.matrix() != m:
         raise ValueError("matrix is not in the conformal Lie algebra")
     return elt
+
+
+def apply_by_quotient_rule(op: WeylOp, f: QLaurent) -> QLaurent:
+    """op applied to the Q-Laurent function f term by term: each x-left term
+    p d^beta differentiates f one variable at a time by the quotient rule
+    (``QLaurent.deriv``), then multiplies by p."""
+    n = op.nvars
+    total = QLaurent(f.k, Poly.zero(n), 0)
+    for beta, p in op.xleft().items():
+        g = f
+        for i, e in enumerate(unpack(beta, n)):
+            for _ in range(e):
+                g = g.deriv(i)
+        total = total + QLaurent.from_poly(p) * g
+    return total
+
+
+def shift_by_products(k: int, m: int):
+    """(Q^(m+1) Delta, R_m Q^m) by full Weyl products, with R_m the engine's
+    ``harmonic._laplacian_shift``; the two are equal when the shift holds."""
+    q, lap = q_form(k), laplacian_op(k)
+    qm = q ** m
+    return (WeylOp.mult(q * qm) * lap,
+            _laplacian_shift(q, m) * WeylOp.mult(qm))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import apply_by_quotient_rule, shift_by_products
 from quadricops import cli, harmonic, suites
 from quadricops.coneops import phi, b_form_poly
 from quadricops.harmonic import (bessel_check, bessel_series,
@@ -16,8 +17,7 @@ from quadricops.harmonic import (bessel_check, bessel_series,
                                  permute_vars)
 from quadricops.lie import basis
 from quadricops.poly import Poly, QLaurent, q_form
-from quadricops.weyl import (LocalWeylOp, WeylOp, laplacian_op,
-                             monomials_up_to)
+from quadricops.weyl import WeylOp, euler_op, laplacian_op, monomials_up_to
 
 K = 2
 N = 2 * K
@@ -29,7 +29,7 @@ def test_kelvin_of_one():
     # (-Q)^{-(k-1)} = -1/Q for k = 2
     assert kone == QLaurent(K, Poly.const(N, -1), 1)
     assert kelvin(kone) == one
-    assert LocalWeylOp.from_weyl(laplacian_op(K)).apply(kone).is_zero()
+    assert apply_by_quotient_rule(laplacian_op(K), kone).is_zero()
 
 
 def test_kelvin_involution_on_samples():
@@ -56,9 +56,18 @@ def test_laplacian_closed_form_matches_the_generic_action():
         tests = [QLaurent(k, Poly.monomial(m), 0)
                  for m in monomials_up_to(2 * k, 6)]
         tests.append(QLaurent.one_over_q(k))
-        lap = LocalWeylOp.from_weyl(laplacian_op(k))
+        lap = laplacian_op(k)
         for f in tests + [kelvin(f) for f in tests]:
-            assert laplacian_qlaurent(f) == lap.apply(f), (k, f.text())
+            assert laplacian_qlaurent(f) == apply_by_quotient_rule(lap, f), \
+                (k, f.text())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_laplacian_shift_holds_by_products(k):
+    # each step of the induction the engine proves once per Q
+    for m in range(7):
+        lhs, rhs = shift_by_products(k, m)
+        assert lhs == rhs, (k, m)
 
 
 def _orbit(m, gens):
@@ -134,6 +143,8 @@ def test_renaming_that_moves_q_fails_the_kelvin_check(monkeypatch, capsys):
 
 
 def test_harmonic_quadric_breaks_the_laplacian_shift(monkeypatch, capsys):
+    # the proof for the true Q at this k must not stand for another Q
+    assert laplacian_qlaurent(QLaurent.one_over_q(K)).is_zero()
     # Delta(x1*x2) = 0, not k, so the shift identity fails for x1*x2
     monkeypatch.setattr(harmonic, "q_form",
                         lambda k: Poly.var(2 * k, 0) * Poly.var(2 * k, 1))
@@ -144,6 +155,21 @@ def test_harmonic_quadric_breaks_the_laplacian_shift(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error: CertificateError: ")
     assert err.count("\n") == 1
+
+
+def test_wrong_euler_operator_breaks_the_laplacian_shift(monkeypatch):
+    # the memo is keyed by Q, so drop the proof already made for this Q
+    harmonic._shift_generators.cache_clear()
+    monkeypatch.setattr(harmonic, "euler_op", lambda k: euler_op(k).scale(2))
+    with pytest.raises(harmonic.CertificateError, match=r"\[Delta, Q\]"):
+        laplacian_qlaurent(QLaurent.one_over_q(K))
+
+
+def test_shifted_quadric_breaks_the_euler_commutator(monkeypatch):
+    # [Delta, Q + 1] = E + k still holds; [E, Q + 1] = 2Q does not
+    monkeypatch.setattr(harmonic, "q_form", lambda k: q_form(k) + 1)
+    with pytest.raises(harmonic.CertificateError, match=r"\[E, Q\]"):
+        laplacian_qlaurent(QLaurent.one_over_q(K))
 
 
 def test_higher_symmetry_certificates():
@@ -182,11 +208,12 @@ def test_harmonic_quadric_breaks_the_direct_sum(monkeypatch):
 
 
 def test_kelvin_preserves_harmonicity():
-    lap = LocalWeylOp.from_weyl(laplacian_op(K))
+    lap = laplacian_op(K)
     for d in range(3):
         harm, _ = harmonic_decompose(d, K)
         for h in harm:
-            assert lap.apply(kelvin(QLaurent(K, h, 0))).is_zero()
+            kh = kelvin(QLaurent(K, h, 0))
+            assert apply_by_quotient_rule(lap, kh).is_zero()
 
 
 def test_bessel_series_factorial_squares():

@@ -1,5 +1,6 @@
-"""Imports: no unused imports in the package or in the tests, and no heavy
-standard modules at CLI start-up."""
+"""Imports and locals: no unused imports in the package or in the tests, no
+package function assigning a local it never reads, and no heavy standard
+modules at CLI start-up."""
 
 import ast
 import os
@@ -36,6 +37,37 @@ def unused_imports(path: Path) -> list:
             for name, line in sorted(imported.items()) if name not in used]
 
 
+def unread_locals(path: Path) -> list:
+    """Names a function of the module assigns and never reads.
+
+    A name counts as assigned when it is a store target in the function's
+    own body, outside nested functions and lambdas, and as read when it
+    occurs as a load anywhere in the function, nested functions included.
+    ``_`` and names declared global or nonlocal are exempt.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, exempt, todo = {}, {"_"}, list(fn.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                exempt.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+            if not isinstance(node, scopes):
+                todo.extend(ast.iter_child_nodes(node))
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        out += [f"{path.name}:{line}: {fn.name}.{name}"
+                for name, line in stored.items()
+                if name not in read and name not in exempt]
+    return sorted(out)
+
+
 def test_no_unused_imports():
     offenders = [u for root in ROOTS for path in sorted(root.glob("*.py"))
                  for u in unused_imports(path)]
@@ -47,6 +79,23 @@ def test_scan_sees_an_unused_import(tmp_path):
     probe.write_text("import os\nfrom math import comb, perm\n"
                      "__all__ = ['perm']\nprint(comb(3, 1))\n")
     assert unused_imports(probe) == ["probe.py:1: os"]
+
+
+def test_no_unread_locals():
+    offenders = [u for path in sorted(ROOTS[0].glob("*.py"))
+                 for u in unread_locals(path)]
+    assert offenders == []
+
+
+def test_scan_sees_an_unread_local(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(k):\n"
+                     "    n, _ = 2 * k, 0\n"
+                     "    m = k\n"
+                     "    def g():\n"
+                     "        unused = m\n"
+                     "    return g\n")
+    assert unread_locals(probe) == ["probe.py:2: f.n", "probe.py:5: g.unused"]
 
 
 def test_cli_import_skips_dataclasses_and_inspect():

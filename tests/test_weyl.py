@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import apply_by_quotient_rule
+from quadricops.harmonic import laplacian_qlaurent
 from quadricops.poly import Poly, QLaurent, pack, q_form, qdiv
-from quadricops.weyl import (LocalWeylOp, NotDivisible, WeylOp, euler_op,
+from quadricops.weyl import (NotDivisible, WeylOp, euler_op,
                              is_zero_extensional, laplacian_op,
                              monomials_up_to)
 
@@ -86,11 +88,12 @@ def test_divide_right_by_constcoef():
 
 
 def test_local_operator_on_laurent():
-    lap = LocalWeylOp.from_weyl(laplacian_op(K))
-    # Delta(Q^{-1}) for 2k = 4 variables: Q is harmonic away from the cone
-    # only after the Kelvin weight; the raw value is 2(k-2)/Q^2... for k=2: 0
-    val = lap.apply(QLaurent.one_over_q(K))
-    assert val == QLaurent(K, Poly.const(N, 2 * (2 - K)), 2)
+    # Delta Q^s = s (s + k - 1) Q^(s-1): Delta(1/Q) = (2 - k)/Q^2
+    for k in (2, 3):
+        f = QLaurent.one_over_q(k)
+        val = apply_by_quotient_rule(laplacian_op(k), f)
+        assert val == QLaurent(k, Poly.const(2 * k, 2 - k), 2)
+        assert laplacian_qlaurent(f) == val
 
 
 @settings(max_examples=20, deadline=None)
@@ -107,10 +110,15 @@ def test_weyl_module_action(a, b, f):
 
 @settings(max_examples=20, deadline=None)
 @given(weyl_ops(), small_polys())
-def test_action_on_laurent_polynomials(a, f):
-    # the QLaurent action goes through LocalWeylOp; on polynomials it must
-    # agree with the polynomial action
-    assert a.apply(QLaurent.from_poly(f)) == QLaurent.from_poly(a.apply(f))
+def test_quotient_rule_oracle_agrees_on_polynomials(a, f):
+    got = apply_by_quotient_rule(a, QLaurent.from_poly(f))
+    assert got == QLaurent.from_poly(a.apply(f))
+
+
+def test_apply_rejects_laurent_functions():
+    # the Q-Laurent class has its own Laplacian, harmonic.laplacian_qlaurent
+    with pytest.raises(TypeError, match="QLaurent"):
+        laplacian_op(K).apply(QLaurent.one_over_q(K))
 
 
 @settings(max_examples=20, deadline=None)
