@@ -7,7 +7,8 @@ Modules:
   lie         the conformal orthogonal Lie algebra and its rational group
   coneops     operators on the cone, the three realizations, generator
               words and the quadric Fourier automorphism
-  shapovalov  the invariant pairing element as an Euler polynomial
+  shapovalov  the invariant pairing element as a polynomial in the Euler
+              operator, held as a one-variable Poly
   momentorbit moment map, descent, orbit relations, Poisson bracket
   harmonic    Kelvin transform, harmonic decomposition, worked examples
   exprparse   expression grammar shared with the CLI
@@ -24,7 +25,7 @@ from .lie import (DegenerateCell, GroupElt, LieElt, NotQLaurent, basis,
 from .coneops import (ConeOp, GenWord, NotNormalizing, grading,
                       is_ideal_preserving, phi, rho_amb, rho_tilde, tau,
                       tau_hat, xx_op, yy_op)
-from .shapovalov import (EulerPoly, FactorsDoNotCommute, NotScalar,
+from .shapovalov import (FactorsDoNotCommute, NotScalar, euler_to_weyl,
                          fourier_euler_image, fourier_roots_bezout,
                          scalar_on_graded, shapovalov_closed,
                          shapovalov_expand, shapovalov_series)
@@ -48,7 +49,7 @@ __all__ = [
     "ConeOp", "GenWord", "NotNormalizing", "grading",
     "is_ideal_preserving", "phi", "rho_amb", "rho_tilde", "tau",
     "tau_hat", "xx_op", "yy_op",
-    "EulerPoly", "FactorsDoNotCommute", "NotScalar", "fourier_euler_image",
+    "FactorsDoNotCommute", "NotScalar", "euler_to_weyl", "fourier_euler_image",
     "fourier_roots_bezout", "scalar_on_graded", "shapovalov_closed",
     "shapovalov_expand", "shapovalov_series",
     "check_descent", "moment", "orbit_matrix", "phase_euler", "poisson",

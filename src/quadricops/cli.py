@@ -21,8 +21,8 @@ from .harmonic import (bessel_check, boundary_phase_check,
 from .lie import basis
 from .momentorbit import check_descent, verify_orbit_relations
 from .poly import ExponentOverflow, Poly, QLaurent
-from .shapovalov import (fourier_roots_bezout, shapovalov_closed,
-                         shapovalov_expand)
+from .shapovalov import (euler_to_weyl, fourier_roots_bezout,
+                         shapovalov_closed, shapovalov_expand)
 from .suites import (CheckResult, SuiteReport, emit,
                      max_degree_cap, run_suite, SUITES)
 
@@ -117,15 +117,15 @@ def cmd_shapovalov(args) -> int:
         return f"(E + {shift})" if shift > 0 else f"(E - {-shift})"
     factors = ([_factor(1 - j) for j in range(1, d + 1)]
                + [_factor(k - j - 1) for j in range(1, d + 1)])
-    matches = expanded == ConeOp(closed.to_weyl(k))
+    matches = expanded == ConeOp(euler_to_weyl(closed, k))
     obj = {
         "d": d,
         "k": k,
         "expanded_class": expanded.canonical_text(),
-        "closed_form": closed.text(),
+        "closed_form": closed.text(["E"]),
         "closed_factored": " * ".join(factors),
-        "bezout_a": a.text(),
-        "bezout_b": b.text(),
+        "bezout_a": a.text(["E"]),
+        "bezout_b": b.text(["E"]),
         "expanded_equals_closed": matches,
     }
     _emit_obj(obj, args.format, [

@@ -18,8 +18,8 @@ generators, swapping coordinates with the second-order operators XX_i, YY_i.
 from __future__ import annotations
 
 from .lie import LieElt
-from .poly import (Poly, b_pair, default_names, dual, mono_text, q_form,
-                   qcoef, qdiv, reduce_mod, signed_text, unit, unpack)
+from .poly import (Poly, b_pair, default_names, dual, mdegree, mono_text,
+                   q_form, qcoef, qdiv, reduce_mod, signed_text, unit, unpack)
 from .weyl import (NotDivisible, WeylOp, euler_op, laplacian_op,
                    monomials_up_to)
 
@@ -72,24 +72,18 @@ def phi(xi: LieElt) -> WeylOp:
 
 
 def tau(a: WeylOp) -> WeylOp:
-    """Letterwise linear Fourier transform: v_i -> d_i, d_i -> -v_i.
+    """Linear Fourier transform: v_i -> d_i, d_i -> -v_i.
 
-    Applied to the x-left word x...x d...d of each term and renormal-ordered;
-    an algebra isomorphism D_V -> D_{V*}.
+    It sends the x-left term x^alpha d^beta to (-1)^|beta| d^alpha x^beta,
+    a d-left term, which ``WeylOp.from_dleft`` normal-orders; an algebra
+    isomorphism D_V -> D_{V*}.
     """
     n = a.nvars
-    out = WeylOp.zero(n)
+    dleft: dict = {}
     for (alpha, beta), c in a.terms.items():
-        alpha, beta = unpack(alpha, n), unpack(beta, n)
-        word = WeylOp.const(n, c)
-        for i in range(n):
-            for _ in range(alpha[i]):
-                word = word * WeylOp.partial(n, i)
-        for i in range(n):
-            for _ in range(beta[i]):
-                word = word * WeylOp.mult(Poly.var(n, i, -1))
-        out = out + word
-    return out
+        dleft.setdefault(alpha, {})[beta] = -c if mdegree(beta, n) % 2 else c
+    return WeylOp.from_dleft(n, {alpha: Poly._of(n, tm)
+                                 for alpha, tm in dleft.items()})
 
 
 def a_correction(xi: LieElt) -> WeylOp:

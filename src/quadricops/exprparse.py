@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import re
 
-from .coneops import b_op, c_op, d_op, index_text, xx_op, yy_op, GenWord
-from .poly import Poly, q_form, signed_text
+from .coneops import GenWord, index_text, letter_op
+from .poly import q_form, signed_text
 from .weyl import WeylOp, euler_op, laplacian_op
 
 
@@ -283,16 +283,25 @@ def word_bound(node) -> int:
     raise ValueError(f"unknown node {kind!r}")
 
 
+def _letter(node):
+    """The generator letter of a var or an XX/YY/Dop/Bop/Cop atom, the one
+    ``coneops.letter_op`` reads; None for any other node."""
+    if node[0] == "var" or (node[0] == "gen" and node[1] in ("XX", "YY")):
+        return (node[1], node[2])
+    if node[0] == "gen" and node[1] in ("Dop", "Bop", "Cop"):
+        return (node[1][0], node[2], node[3])
+    return None
+
+
 def eval_weyl(node, k: int) -> WeylOp:
     """Evaluate the AST to an ambient operator on the dual space."""
     n = 2 * k
     kind = node[0]
     if kind == "int":
         return WeylOp.const(n, node[1])
-    if kind == "var":
-        i = node[2]
-        idx = i - 1 if node[1] == "x" else k + i - 1
-        return WeylOp.mult(Poly.var(n, idx))
+    letter = _letter(node)
+    if letter is not None:
+        return letter_op(k, letter)
     if kind == "gen":
         g = node[1]
         if g == "E":
@@ -305,16 +314,6 @@ def eval_weyl(node, k: int) -> WeylOp:
             return WeylOp.partial(n, node[2] - 1)
         if g == "dy":
             return WeylOp.partial(n, k + node[2] - 1)
-        if g == "XX":
-            return xx_op(k, node[2])
-        if g == "YY":
-            return yy_op(k, node[2])
-        if g == "Dop":
-            return d_op(k, node[2], node[3])
-        if g == "Bop":
-            return b_op(k, node[2], node[3])
-        if g == "Cop":
-            return c_op(k, node[2], node[3])
     if kind == "add":
         return eval_weyl(node[1], k) + eval_weyl(node[2], k)
     if kind == "sub":
@@ -341,14 +340,11 @@ def to_genword(node, k: int) -> GenWord:
     kind = node[0]
     if kind == "int":
         return GenWord.const(k, node[1])
-    if kind == "var":
-        return GenWord.letter(k, (node[1], node[2]))
+    letter = _letter(node)
+    if letter is not None:
+        return GenWord.letter(k, letter)
     if kind == "gen":
         g = node[1]
-        if g in ("XX", "YY"):
-            return GenWord.letter(k, (g, node[2]))
-        if g in ("Dop", "Bop", "Cop"):
-            return GenWord.letter(k, (g[0], node[2], node[3]))
         if g == "E":
             return GenWord.letter(k, ("Etil",)) + GenWord.const(k, -(k - 1))
         raise NotGeneratorWord(f"{g} is not a generator letter")

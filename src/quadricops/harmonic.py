@@ -12,12 +12,12 @@ from functools import lru_cache
 from math import comb
 
 from .poly import (Poly, QLaurent, b_pair, dual, mdegree,
-                   normal_form_mod_single, pack, q_form, qcoef, qdiv,
+                   normal_form_mod_single, pack, q_form, q_of, qcoef, qdiv,
                    reduce_mod, unpack)
 from .weyl import (NotDivisible, WeylOp, euler_op, laplacian_op,
                    monomials_up_to)
 from .coneops import xx_op, yy_op
-from .momentorbit import q_poly, x_vector
+from .momentorbit import x_vector
 
 
 class SymmetryCert:
@@ -203,9 +203,8 @@ def kelvin_intertwine_defect(f: QLaurent) -> QLaurent:
 
 def sym_monomials(k: int, d: int):
     """Monomials of exact total degree d in 2k variables, sorted."""
-    out = [m for m in monomials_up_to(2 * k, d) if sum(m) == d]
-    out.sort()
-    return out
+    # the first 2k - 1 exponents fix the last one, and they come in order
+    return [m + (d - sum(m),) for m in monomials_up_to(2 * k - 1, d)]
 
 
 def _subtract(row, f, other):
@@ -315,7 +314,7 @@ def exp_harmonicity_defect(k: int) -> Poly:
     x = x_vector(k)
     one = Poly.const(4 * k, 1)
     defect = twisted_laplacian(one, k)
-    qx = q_poly(x)
+    qx = q_of(x)
     return normal_form_mod_single(defect, qx)[1]
 
 
@@ -397,7 +396,7 @@ def boundary_phase_check(k: int) -> dict:
     lam = Poly.var(nv, 2 * n)
     eps = Poly.var(nv, 2 * n + 1)
     w = [lam * xi + eps * ui for xi, ui in zip(x, u)]
-    qx, qu, qw = q_poly(x), q_poly(u), q_poly(w)
+    qx, qu, qw = q_of(x), q_of(u), q_of(w)
     bxw = b_pair(x, w)
     bxu = b_pair(x, u)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .poly import (Poly, QLaurent, b_pair, divides_exactly, dual, q_form,
-                   qcoef, qdiv)
+                   q_of, qcoef, qdiv)
 
 
 def _frac_vec(v, n):
@@ -80,11 +80,6 @@ def _inverse(m):
     involutive permutation, an index permutation with no arithmetic."""
     n = len(m)
     return [[m[dual(n, j)][dual(n, i)] for j in range(n)] for i in range(n)]
-
-
-def q_val(v):
-    """Q(v) = B(v, v)/2 for a vector of rationals."""
-    return qdiv(b_pair(v, v), 2)
 
 
 class LieElt:
@@ -307,7 +302,7 @@ def u(k: int, v) -> GroupElt:
         m[0][1 + j] = -v[dual(n, j)]
         m[1 + j][n + 1] = v[j]
         m[1 + j][1 + j] = 1
-    m[0][n + 1] = -q_val(v)
+    m[0][n + 1] = -q_of(v)
     return GroupElt(k, m)
 
 
@@ -322,7 +317,7 @@ def u_op(k: int, v) -> GroupElt:
         m[1 + j][0] = v[j]
         m[n + 1][1 + j] = -v[dual(n, j)]
         m[1 + j][1 + j] = 1
-    m[n + 1][0] = -q_val(v)
+    m[n + 1][0] = -q_of(v)
     return GroupElt(k, m)
 
 
@@ -417,7 +412,7 @@ def _point_column(point: tuple) -> tuple:
     Memoized, so calls at one point compute Q(v) once: the cocycle check
     reads this column up to three times per sample.
     """
-    return (1, *point, -q_val(point))
+    return (1, *point, -q_of(point))
 
 
 def _uop_column(g: GroupElt, point):

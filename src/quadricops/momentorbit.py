@@ -10,22 +10,16 @@ coordinate y_{k+1-i}).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 
 from .lie import LieElt
-from .poly import Poly, b_pair, dual, normal_form_mod_single, qdiv
+from .poly import Poly, b_pair, dual, normal_form_mod_single, q_of, qdiv
 
 
 def block_var(k: int, block: int, i: int, extra: int = 0) -> Poly:
     """Variable i of block 0 (v) or 1 (x) inside the 4k(+extra) ring."""
     n = 2 * k
     return Poly.var(2 * n + extra, block * n + i)
-
-
-def q_poly(a: list) -> Poly:
-    """Q(a) = B(a, a)/2 for a vector of polynomials."""
-    return b_pair(a, a).scale(Fraction(1, 2))
 
 
 def v_vector(k: int, extra: int = 0) -> list:
@@ -71,7 +65,7 @@ def moment(xi: LieElt, extra: int = 0) -> Poly:
         out = out - b_pair(x, v).scale(xi.alpha)
     if any(xi.lam):
         out = out + b_pair(lam, v) * b_pair(x, v)
-        out = out - q_poly(v) * b_pair(x, lam)
+        out = out - q_of(v) * b_pair(x, lam)
     return out
 
 
@@ -90,7 +84,7 @@ def check_descent(xi: LieElt) -> Poly:
     sheared = [vi + t * xi_ for vi, xi_ in zip(v, x)]
     images = sheared + x + [t]
     phi1 = phi0.subs_vars(images)
-    qx = q_poly(x)
+    qx = q_of(x)
     _, defect = normal_form_mod_single(phi1 - phi0, qx)
     return defect
 
@@ -107,7 +101,7 @@ def orbit_matrix(k: int):
     v = v_vector(k)
     w = x_vector(k)
     alpha = b_pair(v, w)
-    mu = [alpha * v[i] - q_poly(v) * w[i] for i in range(n)]
+    mu = [alpha * v[i] - q_of(v) * w[i] for i in range(n)]
     zero = Poly.zero(nv)
     m = [[zero for _ in range(n + 2)] for _ in range(n + 2)]
     m[0][0] = alpha
@@ -161,7 +155,7 @@ def verify_orbit_relations(k: int) -> list:
     alpha = M[0][0]
     mu = [M[1 + i][0] for i in range(n)]
     X = [row[1:n + 1] for row in M[1:n + 1]]
-    qw = q_poly(w)
+    qw = q_of(w)
 
     def red(p: Poly) -> Poly:
         return normal_form_mod_single(p, qw)[1]
@@ -173,7 +167,7 @@ def verify_orbit_relations(k: int) -> list:
         results.append((name, r.is_zero(), r.text()))
 
     record("Q(w)", qw)
-    record("Q(mu)", q_poly(mu))
+    record("Q(mu)", q_of(mu))
     record("B(mu,w)-alpha^2", b_pair(mu, w) - alpha * alpha)
     for i in range(n):
         xw = sum((X[i][j] * w[j] for j in range(n)), Poly.zero(4 * k))
@@ -219,7 +213,7 @@ def verify_orbit_relations(k: int) -> list:
     # and J reversing the index, M = q (Jp)^T - p (Jq)^T mod (Q(w)); M is then
     # a product of (2k+2)x2 and 2x(2k+2) matrices, so by Cauchy-Binet every
     # 3x3 minor vanishes modulo (Q(w))
-    p = [Poly.const(4 * k, 1), *v, -q_poly(v)]
+    p = [Poly.const(4 * k, 1), *v, -q_of(v)]
     q = [Poly.zero(4 * k), *w, -alpha]
     worst = ""
     for i, j in product(range(n + 2), repeat=2):
@@ -267,7 +261,7 @@ def symbol_invariant(xi: LieElt) -> Poly:
         if xi.mu[i]:
             out = out + w[i].scale(xi.mu[i])
     if any(xi.lam):
-        qv = q_poly(v)
+        qv = q_of(v)
         for i in range(n):
             if xi.lam[i]:
                 out = out + (alpha * v[i] - qv * w[i]).scale(xi.lam[i])

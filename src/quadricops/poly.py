@@ -28,11 +28,11 @@ the helpers below.  Exponent tuples remain at the boundary: ``Poly.monomial``,
 
 This module is also the single home of the split form and of term printing.
 ``dual`` names the index that the split form pairs with a coordinate,
-``b_pair`` is the form on vectors of numbers or of polynomials, and
-``q_form`` is its quadratic form Q.  ``mono_text`` prints a monomial and
-``signed_text`` a signed sum of terms; every term printer of the package
-(polynomials, operators, Euler polynomials, generator words) goes through
-them.
+``b_pair`` is the form on vectors of numbers or of polynomials, ``q_of``
+its quadratic form Q on such a vector, and ``q_form`` is Q as a polynomial.
+``mono_text`` prints a monomial and ``signed_text`` a signed sum of terms;
+every term printer of the package (polynomials, the Euler polynomials among
+them, operators, generator words) goes through them.
 
 Coefficients are exact rationals of type ``int`` or ``fractions.Fraction``,
 never ``float``; nothing is ever rounded.  Constructors store an integral
@@ -523,6 +523,12 @@ def dual(n: int, i: int) -> int:
 def b_pair(a, b):
     """B(a, b) = sum_i a_i b_dual(i), for vectors of numbers or of Poly."""
     return reduce(add, map(mul, a, reversed(b)))
+
+
+def q_of(v):
+    """Q(v) = sum_{i<k} v_i v_dual(i) for a vector of 2k numbers or of Poly,
+    so that B(v, v) = 2 Q(v); no division."""
+    return reduce(add, map(mul, v[:len(v) // 2], reversed(v)))
 
 
 def q_form(k: int) -> Poly:

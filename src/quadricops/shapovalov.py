@@ -5,7 +5,10 @@ the split form over V x V and hitting the second factor with the quadric
 Fourier transform.  On the cone it acts on each graded piece by a scalar;
 collecting the scalars gives the closed form
 
-    B_d = prod_{j=1..d} (E - j + 1) * prod_{j=1..d} (E + k - j - 1).
+    B_d = prod_{j=1..d} (E - j + 1) * prod_{j=1..d} (E + k - j - 1),
+
+held as a ``Poly`` in the one variable E and turned into an operator by
+``euler_to_weyl``.
 
 Its Fourier image substitutes E -> -E - 2k + 2, and the two root sets are
 disjoint for k >= 2, which the Bezout certificate witnesses.
@@ -13,162 +16,59 @@ disjoint for k >= 2, which the Bezout certificate witnesses.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .coneops import ConeOp, xx_op, yy_op
-from .poly import (Poly, mono_text, q_form, qcoef, qdiv, reduce_mod,
-                   signed_text, unit)
+from .poly import (Poly, normal_form_mod_single, q_form, qdiv, reduce_mod,
+                   unit)
 from .weyl import WeylOp, euler_op
 
 
-class EulerPoly:
-    """Dense univariate polynomial in E over the rationals."""
+def xgcd(a: Poly, b: Poly):
+    """Extended Euclid in Q[E]: returns (g, s, t) with s*a + t*b = g, g monic.
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = [qcoef(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = coeffs
-
-    @classmethod
-    def const(cls, c) -> "EulerPoly":
-        return cls([c])
-
-    @classmethod
-    def linear(cls, shift) -> "EulerPoly":
-        """E + shift."""
-        return cls([shift, 1])
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, EulerPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other: "EulerPoly") -> "EulerPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return EulerPoly([c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)])
-
-    def __neg__(self):
-        return EulerPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return EulerPoly([c * other for c in self.coeffs])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return EulerPoly(out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "EulerPoly"):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        quo = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.coeffs
-        while len(rem) >= len(d) and rem:
-            f = qdiv(rem[-1], d[-1])
-            pos = len(rem) - len(d)
-            quo[pos] = f
-            for i, c in enumerate(d):
-                rem[pos + i] -= f * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return EulerPoly(quo), EulerPoly(rem)
-
-    def eval(self, x):
-        x = qcoef(x)
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return qcoef(total)
-
-    def subs_linear(self, a, b) -> "EulerPoly":
-        """Substitute E -> a*E + b."""
-        lin = EulerPoly([b, a])
-        out = EulerPoly([])
-        power = EulerPoly([1])
-        for c in self.coeffs:
-            out = out + power * c
-            power = power * lin
-        return out
-
-    def monic(self) -> "EulerPoly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return EulerPoly([qdiv(c, lead) for c in self.coeffs])
-
-    def to_weyl(self, k: int) -> WeylOp:
-        """Substitute the Euler operator for E."""
-        E = euler_op(k)
-        out = WeylOp.zero(2 * k)
-        power = WeylOp.identity(2 * k)
-        for c in self.coeffs:
-            if c:
-                out = out + power.scale(c)
-            power = power * E
-        return out
-
-    def text(self) -> str:
-        return signed_text((c, mono_text((i,), ("E",)))
-                           for i, c in reversed(list(enumerate(self.coeffs)))
-                           if c)
-
-    def to_json(self) -> list:
-        return [{"num": c.numerator, "den": c.denominator} for c in self.coeffs]
-
-    def __repr__(self):
-        return f"EulerPoly({self.text()})"
-
-
-def xgcd(a: EulerPoly, b: EulerPoly):
-    """Extended Euclid in Q[E]: returns (g, s, t) with s*a + t*b = g, g monic."""
+    In one variable graded lex is degree order, so ``normal_form_mod_single``
+    is division with remainder.
+    """
+    one, zero = Poly.const(1, 1), Poly.zero(1)
     r0, r1 = a, b
-    s0, s1 = EulerPoly([1]), EulerPoly([])
-    t0, t1 = EulerPoly([]), EulerPoly([1])
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
+    s0, s1 = one, zero
+    t0, t1 = zero, one
+    while r1:
+        q, r = normal_form_mod_single(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
+    if not r0:
         return r0, s0, t0
-    inv = qdiv(1, r0.coeffs[-1])
-    return r0.monic(), s0 * inv, t0 * inv
+    inv = qdiv(1, r0.leading()[1])
+    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
 
 
-def shapovalov_closed(d: int, k: int) -> EulerPoly:
-    """Closed form prod (E-j+1) prod (E+k-j-1), j = 1..d."""
+def shapovalov_closed(d: int, k: int) -> Poly:
+    """Closed form prod (E-j+1) prod (E+k-j-1), j = 1..d, in the variable E."""
     if d < 1:
         raise ValueError("d must be positive")
-    out = EulerPoly([1])
+    E = Poly.var(1, 0)
+    out = Poly.const(1, 1)
     for j in range(1, d + 1):
-        out = out * EulerPoly.linear(-j + 1)
+        out = out * (E + (1 - j))
     for j in range(1, d + 1):
-        out = out * EulerPoly.linear(k - j - 1)
+        out = out * (E + (k - j - 1))
     return out
 
 
-def fourier_euler_image(p: EulerPoly, k: int) -> EulerPoly:
+def fourier_euler_image(p: Poly, k: int) -> Poly:
     """Image under the quadric Fourier transform: E -> -E - 2k + 2."""
-    return p.subs_linear(-1, -2 * k + 2)
+    return p.subs_vars([Poly.var(1, 0, -1) + (2 - 2 * k)])
+
+
+def euler_to_weyl(p: Poly, k: int) -> WeylOp:
+    """Substitute the Euler operator in 2k variables for E, by Horner's rule."""
+    E, out = euler_op(k), WeylOp.zero(2 * k)
+    for e in range(p.degree(), -1, -1):
+        out = out * E + p.coeff((e,))
+    return out
 
 
 class FactorsDoNotCommute(ArithmeticError):
@@ -258,8 +158,8 @@ def fourier_roots_bezout(d: int, k: int):
     g, s, t = xgcd(p, q)
     if g.degree() != 0:
         raise ArithmeticError("Shapovalov polynomials are not coprime")
-    inv = qdiv(1, g.coeffs[0])
-    a, b = s * inv, t * inv
-    if a * p + b * q != EulerPoly([1]):
+    inv = qdiv(1, g.constant())
+    a, b = s.scale(inv), t.scale(inv)
+    if a * p + b * q != Poly.const(1, 1):
         raise ArithmeticError("Bezout certificate failed")
     return a, b

@@ -38,12 +38,14 @@ from .harmonic import (bessel_check, boundary_phase_check, dirac_relations,
                        pair_generators, permute_vars)
 from .lie import (DegenerateCell, act_at, basis, bruhat_factor, chi0_at, levi,
                   mat_mul, mat_sub, u, u_op, w0)
-from .momentorbit import (check_descent, phase_euler, poisson, q_poly,
+from .momentorbit import (check_descent, phase_euler, poisson,
                           symbol_invariant, v_vector, verify_orbit_relations,
                           x_vector)
-from .poly import Poly, QLaurent, dual, normal_form_mod_single, q_form, qdiv
-from .shapovalov import (fourier_roots_bezout, scalar_on_graded,
-                         shapovalov_closed, shapovalov_series)
+from .poly import (Poly, QLaurent, dual, normal_form_mod_single, q_form, q_of,
+                   qdiv)
+from .shapovalov import (euler_to_weyl, fourier_roots_bezout,
+                         scalar_on_graded, shapovalov_closed,
+                         shapovalov_series)
 from .weyl import (NotDivisible, WeylOp, euler_op,
                    is_zero_extensional, laplacian_op)
 
@@ -476,7 +478,7 @@ def shapovalov_checks(k: int) -> list:
           "as canonical classes, d = 1..3")
     def first_failure():
         for d, expanded in enumerate(series, 1):
-            closed = ConeOp(shapovalov_closed(d, k).to_weyl(k))
+            closed = ConeOp(euler_to_weyl(shapovalov_closed(d, k), k))
             if expanded != closed:
                 return f"d={d}"
 
@@ -487,7 +489,7 @@ def shapovalov_checks(k: int) -> list:
         for d, expanded in enumerate(series, 1):
             closed = shapovalov_closed(d, k)
             for r in range(2 * d + 2):
-                if scalar_on_graded(expanded, r) != closed.eval(r):
+                if scalar_on_graded(expanded, r) != closed.eval((r,)):
                     return f"d={d} r={r}"
 
     @_run(out, "shapovalov-bezout",
@@ -561,8 +563,8 @@ def moment_orbit_checks(k: int) -> list:
                 return f"pair {xi.tag} {eta.tag}"
 
     # on T*V the dual form lives on the momentum block and the form on the base
-    qstar = q_poly(x_vector(k))
-    qbase = q_poly(v_vector(k))
+    qstar = q_of(x_vector(k))
+    qbase = q_of(v_vector(k))
     bracket = poisson(qstar, qbase, k)
     out.append(_check("moment-euler-pairing",
                       "the Poisson bracket of the dual form against the form is the "

@@ -78,12 +78,24 @@ class WeylOp(TermMap):
 
     @classmethod
     def from_dleft(cls, nvars: int, coeffs: dict) -> "WeylOp":
-        """Rebuild from a d-left form {packed beta: Poly coefficient}."""
-        out = cls.zero(nvars)
+        """Rebuild from a d-left form {packed beta: Poly coefficient}: each
+        term d^beta x^alpha is reordered into x-left form, as ``dleft``
+        reorders the other way."""
+        n = nvars
+        terms: dict = {}
         for beta, poly in coeffs.items():
-            dpart = cls._of(nvars, {(0, beta): 1})
-            out = out + dpart * cls.mult(poly)
-        return out
+            sb = support(beta, n)
+            for alpha, c in poly.terms.items():
+                shared = sb & support(alpha, n)
+                for t, w in _exchange_terms(restrict(beta, shared),
+                                            restrict(alpha, shared), n):
+                    key = (alpha - t, beta - t)
+                    s = terms.get(key, 0) + w * c
+                    if s:
+                        terms[key] = s
+                    else:
+                        del terms[key]
+        return cls._of(n, terms)
 
     # -- structure -----------------------------------------------------------
 

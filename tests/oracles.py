@@ -10,7 +10,9 @@ the commutator of the assembled matrices and reads the blocks back.  The
 Laplacian acts on the Q-Laurent class by a closed form proven once per Q by
 induction; ``apply_by_quotient_rule`` differentiates one variable at a time
 instead, and ``shift_by_products`` checks each step of the induction by full
-operator products.
+operator products.  The linear Fourier transform ``tau`` reads each x-left
+term as a d-left one and normal-orders it once; ``tau_letterwise`` multiplies
+the images of the letters one by one.
 """
 
 from itertools import combinations
@@ -19,9 +21,9 @@ from math import factorial
 from quadricops.coneops import xx_op, yy_op
 from quadricops.harmonic import _laplacian_shift
 from quadricops.lie import LieElt
-from quadricops.momentorbit import orbit_matrix, q_poly, x_vector
+from quadricops.momentorbit import orbit_matrix, x_vector
 from quadricops.poly import (Poly, QLaurent, normal_form_mod_single, q_form,
-                             qdiv, unpack)
+                             q_of, qdiv, unpack)
 from quadricops.weyl import WeylOp, laplacian_op
 
 
@@ -38,7 +40,7 @@ def nonvanishing_minor(k: int, M=None):
     modulo Q(w), or None when every minor vanishes."""
     if M is None:
         M = orbit_matrix(k)
-    qw = q_poly(x_vector(k))
+    qw = q_of(x_vector(k))
     idx = range(len(M))
     for rows in combinations(idx, 3):
         for cols in combinations(idx, 3):
@@ -119,3 +121,22 @@ def shift_by_products(k: int, m: int):
     qm = q ** m
     return (WeylOp.mult(q * qm) * lap,
             _laplacian_shift(q, m) * WeylOp.mult(qm))
+
+
+def tau_letterwise(a: WeylOp) -> WeylOp:
+    """tau(a) letter by letter: each x-left term x^alpha d^beta becomes the
+    product of d_i for every x_i, then of -x_i for every d_i, built from the
+    identity by single products."""
+    n = a.nvars
+    out = WeylOp.zero(n)
+    for (alpha, beta), c in a.terms.items():
+        alpha, beta = unpack(alpha, n), unpack(beta, n)
+        word = WeylOp.const(n, c)
+        for i in range(n):
+            for _ in range(alpha[i]):
+                word = word * WeylOp.partial(n, i)
+        for i in range(n):
+            for _ in range(beta[i]):
+                word = word * WeylOp.mult(Poly.var(n, i, -1))
+        out = out + word
+    return out

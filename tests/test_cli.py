@@ -12,7 +12,6 @@ import pytest
 from quadricops import cli, exprparse, harmonic, shapovalov
 from quadricops.coneops import NotNormalizing
 from quadricops.poly import Poly
-from quadricops.shapovalov import EulerPoly
 from quadricops.suites import (CheckResult, SuiteReport, SUITES, emit,
                                max_degree_cap, run_suite)
 
@@ -161,7 +160,7 @@ def _raiser(exc):
 
 def test_engine_errors_exit_3(capsys, monkeypatch):
     # the certificate check in fourier_roots_bezout, reached by a wrong pair
-    one, zero = EulerPoly([1]), EulerPoly([0])
+    one, zero = Poly.const(1, 1), Poly.zero(1)
     monkeypatch.setattr(shapovalov, "xgcd", lambda p, q: (one, one, zero))
     # the ArithmeticError of harmonic_decompose, reached through x1*x2 as Q
     monkeypatch.setattr(harmonic, "q_form",

@@ -15,7 +15,6 @@ import quadricops
 from quadricops.coneops import GenWord
 from quadricops.lie import GroupElt, LieElt
 from quadricops.poly import Poly, QLaurent, qcoef, qdiv
-from quadricops.shapovalov import EulerPoly
 from quadricops.suites import run_suite
 from quadricops.weyl import WeylOp
 
@@ -117,7 +116,6 @@ COEFFICIENTS = {
     Poly: lambda p: p.terms.values(),
     WeylOp: lambda w: w.terms.values(),
     GenWord: lambda g: g.terms.values(),
-    EulerPoly: lambda e: e.coeffs,
     LieElt: lambda x: chain([x.alpha], x.mu, x.lam, *x.X),
     GroupElt: lambda g: chain(*g.m),
 }

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import tau_letterwise
 from quadricops import coneops
 from quadricops.coneops import (ConeOp, GenWord, NotNormalizing,
                                 a_correction, euler_weight_op, grading,
@@ -38,6 +39,21 @@ def test_tau_on_named_operators():
     # involution up to sign: tau(tau(x_i)) = -x_i
     xi = WeylOp.mult(Poly.var(N, 0))
     assert tau(tau(xi)) == -xi
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_tau_matches_letterwise_products(k):
+    # one normal-ordering per term against one product per letter
+    rng = random.Random(700 + k)
+    n = 2 * k
+    for _ in range(300):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            key = tuple(tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(n))
+                        for _ in range(2))
+            terms[key] = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        a = WeylOp.from_exponents(n, terms)
+        assert tau(a) == tau_letterwise(a), a
 
 
 def test_phi_translation_is_derivative():

@@ -1,6 +1,7 @@
 """Kelvin transform, harmonic decomposition, and worked examples."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -193,6 +194,7 @@ def test_harmonic_dimensions():
     for d, k in [(d, K) for d in range(5)] + [(6, 3), (7, 3), (8, 3)]:
         harm, qmult = harmonic_decompose(d, k)
         assert len(harm) == harmonic_dimension(d, k)
+        assert len(harm) + len(qmult) == comb(2 * k + d - 1, d)
         lap = laplacian_op(k)
         for h in harm:
             assert lap.apply(h).is_zero()

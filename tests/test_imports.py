@@ -1,6 +1,6 @@
-"""Imports and locals: no unused imports in the package or in the tests, no
-package function assigning a local it never reads, and no heavy standard
-modules at CLI start-up."""
+"""Imports and locals: no unused imports and no function assigning a local it
+never reads, in the package or in the tests, and no heavy standard modules
+at CLI start-up."""
 
 import ast
 import os
@@ -82,7 +82,7 @@ def test_scan_sees_an_unused_import(tmp_path):
 
 
 def test_no_unread_locals():
-    offenders = [u for path in sorted(ROOTS[0].glob("*.py"))
+    offenders = [u for root in ROOTS for path in sorted(root.glob("*.py"))
                  for u in unread_locals(path)]
     assert offenders == []
 

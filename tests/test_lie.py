@@ -10,7 +10,7 @@ from oracles import matrix_bracket
 from quadricops.lie import (DegenerateCell, GroupElt, LieElt, _uop_column,
                             basis, bruhat_factor, chi0_at, act_at, levi,
                             mat_inv, mat_mul, mat_sub, u, u_op, w0)
-from quadricops.poly import Poly, QLaurent, dual
+from quadricops.poly import Poly, QLaurent, dual, q_form
 
 K = 2
 N = 2 * K
@@ -159,9 +159,12 @@ def test_group_element_must_preserve_the_form():
 
 
 def test_w0_factorization_is_inversion():
-    vprime, chi = bruhat_factor(w0(K))
-    for i in range(N):
-        assert vprime[i] == QLaurent(K, Poly.var(N, i, -1), 1)
+    # w0 sends v to -v/Q(v), with the cocycle character -Q(v)
+    for k in (2, 3):
+        vprime, chi = bruhat_factor(w0(k))
+        for i in range(2 * k):
+            assert vprime[i] == QLaurent(k, Poly.var(2 * k, i, -1), 1)
+        assert chi == QLaurent(k, -q_form(k), 0)
 
 
 def test_unipotent_factorization_polynomial():

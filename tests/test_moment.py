@@ -8,9 +8,9 @@ from quadricops.coneops import rho_tilde
 from quadricops.lie import basis
 from quadricops.momentorbit import (block_var, check_descent, moment,
                                     orbit_matrix, phase_euler, poisson,
-                                    q_poly, symbol_invariant, v_vector,
+                                    symbol_invariant, v_vector,
                                     verify_orbit_relations, x_vector)
-from quadricops.poly import Poly, qcoef
+from quadricops.poly import Poly, q_of, qcoef
 
 K = 2
 NV = 4 * K
@@ -79,8 +79,8 @@ def test_symbol_bridge_full_basis():
 
 
 def test_euler_pairing():
-    qstar = q_poly(x_vector(K))   # dual form on the momentum block
-    qbase = q_poly(v_vector(K))
+    qstar = q_of(x_vector(K))   # dual form on the momentum block
+    qbase = q_of(v_vector(K))
     assert poisson(qstar, qbase, K) == phase_euler(K)
 
 

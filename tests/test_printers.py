@@ -8,12 +8,16 @@ import pytest
 from quadricops.coneops import ConeOp, GenWord
 from quadricops.exprparse import genword_to_expr_text, parse, to_genword
 from quadricops.poly import Poly, mono_text, signed_text
-from quadricops.shapovalov import EulerPoly
 from quadricops.weyl import WeylOp
 
 
 def poly(terms, n=4):
     return Poly.from_exponents(n, terms)
+
+
+def euler(*coeffs):
+    """The polynomial in E with the coefficients of E^0, E^1, ... in turn."""
+    return Poly.from_exponents(1, {(i,): c for i, c in enumerate(coeffs)})
 
 
 def e_word(k):
@@ -24,7 +28,7 @@ def e_word(k):
 CASES = [
     ("poly-zero", lambda: Poly.zero(4).text(), "0"),
     ("weyl-zero", lambda: WeylOp.zero(4).text(), "0"),
-    ("euler-zero", lambda: EulerPoly([]).text(), "0"),
+    ("euler-zero", lambda: euler().text(["E"]), "0"),
     ("genword-zero", lambda: GenWord(2).text(), "0"),
     ("expr-zero", lambda: genword_to_expr_text(GenWord(3), 3), "0"),
     ("cone-zero", lambda: ConeOp(WeylOp.zero(4)).canonical_text(), "0"),
@@ -54,8 +58,8 @@ CASES = [
          ((1, 0, 0, 0), (0, 2, 0, 1)): -1,
          ((0, 0, 0, 0), (0, 0, 0, 0)): 2})).canonical_text(),
      "(2) + (-x1)*dx2^2*dy2"),
-    ("euler-constant", lambda: EulerPoly([3]).text(), "3"),
-    ("euler-gap", lambda: EulerPoly([0, -1, 2]).text(), "2*E^2 - E"),
+    ("euler-constant", lambda: euler(3).text(["E"]), "3"),
+    ("euler-gap", lambda: euler(0, -1, 2).text(["E"]), "2*E^2 - E"),
     ("genword-E", lambda: e_word(3).text(), "-2 + (E+k-1)"),
     ("expr-Etilde",
      lambda: genword_to_expr_text(GenWord.letter(3, ("Etil",)), 3),

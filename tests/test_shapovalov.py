@@ -1,4 +1,4 @@
-"""The invariant pairing element as an Euler polynomial."""
+"""The invariant pairing element as a polynomial in the Euler operator."""
 
 import os
 import subprocess
@@ -11,34 +11,40 @@ from oracles import shapovalov_multinomial
 from quadricops import cli, shapovalov
 from quadricops.coneops import ConeOp, d_op
 from quadricops.poly import Poly, is_packed
-from quadricops.shapovalov import (EulerPoly, FactorsDoNotCommute, NotScalar,
-                                   fourier_euler_image, fourier_roots_bezout,
-                                   scalar_on_graded, shapovalov_closed,
-                                   shapovalov_expand, shapovalov_series, xgcd)
+from quadricops.shapovalov import (FactorsDoNotCommute, NotScalar,
+                                   euler_to_weyl, fourier_euler_image,
+                                   fourier_roots_bezout, scalar_on_graded,
+                                   shapovalov_closed, shapovalov_expand,
+                                   shapovalov_series, xgcd)
 from quadricops.weyl import WeylOp, euler_op
 
 K = 2
+
+
+def euler(*coeffs):
+    """The polynomial in E with the coefficients of E^0, E^1, ... in turn."""
+    return Poly.from_exponents(1, {(i,): c for i, c in enumerate(coeffs)})
 
 
 def test_closed_form_roots():
     # d = 2, k = 2: both factors contribute roots 0 and 1, so E^2 (E-1)^2
     p = shapovalov_closed(2, K)
     for r in (0, 1):
-        assert p.eval(r) == 0
-    assert p.eval(-1) != 0 and p.eval(2) != 0
+        assert p.eval((r,)) == 0
+    assert p.eval((-1,)) != 0 and p.eval((2,)) != 0
     assert p.degree() == 4
 
 
 def test_closed_form_d1():
     # d = 1: E (E + k - 2); for k = 2 this is E^2
-    assert shapovalov_closed(1, 2) == EulerPoly([0, 0, 1])
-    assert shapovalov_closed(1, 3) == EulerPoly([0, 1, 1])
+    assert shapovalov_closed(1, 2) == euler(0, 0, 1)
+    assert shapovalov_closed(1, 3) == euler(0, 1, 1)
 
 
 def test_fourier_image_substitution():
-    p = EulerPoly([0, 1])  # E
+    p = euler(0, 1)  # E
     img = fourier_euler_image(p, K)
-    assert img == EulerPoly([-2 * K + 2, -1])
+    assert img == euler(-2 * K + 2, -1)
     # involution
     assert fourier_euler_image(img, K) == p
 
@@ -46,7 +52,7 @@ def test_fourier_image_substitution():
 def test_expand_equals_closed_small():
     for d in (1, 2):
         expanded = shapovalov_expand(d, K)
-        closed = ConeOp(shapovalov_closed(d, K).to_weyl(K))
+        closed = ConeOp(euler_to_weyl(shapovalov_closed(d, K), K))
         assert expanded == closed
 
 
@@ -94,7 +100,7 @@ def test_scalar_on_graded_matches():
     expanded = shapovalov_expand(d, K)
     closed = shapovalov_closed(d, K)
     for r in range(2 * d + 2):
-        assert scalar_on_graded(expanded, r) == closed.eval(r)
+        assert scalar_on_graded(expanded, r) == closed.eval((r,))
 
 
 def test_scalar_rejects_non_scalar_operator():
@@ -110,14 +116,14 @@ def test_bezout_certificate():
         a, b = fourier_roots_bezout(d, K)
         p = shapovalov_closed(d, K)
         q = fourier_euler_image(p, K)
-        assert a * p + b * q == EulerPoly([1])
+        assert a * p + b * q == euler(1)
 
 
 def test_bezout_certificate_is_checked_under_O():
     # a wrong pair must raise even when assert statements are stripped
     code = ("from quadricops import shapovalov as s\n"
-            "one = s.EulerPoly([1])\n"
-            "s.xgcd = lambda p, q: (one, one, s.EulerPoly([0]))\n"
+            "one = s.Poly.const(1, 1)\n"
+            "s.xgcd = lambda p, q: (one, one, s.Poly.zero(1))\n"
             "try:\n"
             "    s.fourier_roots_bezout(1, 2)\n"
             "except ArithmeticError as exc:\n"
@@ -130,10 +136,10 @@ def test_bezout_certificate_is_checked_under_O():
 
 
 def test_xgcd_generic():
-    a = EulerPoly([1, 2, 1])   # (E+1)^2
-    b = EulerPoly([2, 1])      # E + 2
+    a = euler(1, 2, 1)   # (E+1)^2
+    b = euler(2, 1)      # E + 2
     g, s, t = xgcd(a, b)
-    assert g == EulerPoly([1])
+    assert g == euler(1)
     assert s * a + t * b == g
 
 
@@ -144,6 +150,6 @@ def test_weight_zero():
 
 
 def test_euler_poly_to_weyl():
-    p = EulerPoly([1, 1])  # E + 1
-    op = p.to_weyl(K)
+    p = euler(1, 1)  # E + 1
+    op = euler_to_weyl(p, K)
     assert op == euler_op(K) + WeylOp.const(2 * K, 1)
