@@ -36,6 +36,8 @@ GOLDEN_CASES = [
      ["verify", "moment-orbit", "--k", "2", "--format", "json"]),
     ("verify_harmonic_kelvin_k2.json",
      ["verify", "harmonic-kelvin", "--k", "2", "--format", "json"]),
+    ("verify_shapovalov_k2.json",
+     ["verify", "shapovalov", "--k", "2", "--format", "json"]),
     ("shapovalov_d1_k2.json",
      ["shapovalov", "--d", "1", "--k", "2", "--format", "json"]),
     ("reduce_commutator_k2.json",
@@ -91,6 +93,15 @@ def test_k3_harmonic_kelvin_report_is_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "6a475a53827790e15ff6315e92bdba75327fd64aac42b669d4f77a9617b26337")
+
+
+def test_k3_shapovalov_report_is_pinned(capsys):
+    # recorded before operators were applied one derivative bucket at a time
+    code, out = run_cli(capsys, ["verify", "shapovalov", "--k", "3",
+                                 "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "18c88aba489a6cd53b865b72d92fe573a12831feb07a022b6c7d94171a20f88f")
 
 
 def test_golden_output_is_deterministic(capsys):
