@@ -186,6 +186,20 @@ def check_degrees(a: int, b: int, n: int) -> None:
             f"total degree {d} exceeds the exponent bound {EMAX}")
 
 
+def fieldwise_max(monos, n: int) -> int:
+    """Each field, the degree field too, at its largest over the packed
+    monomials monos in n variables; 0 for none.  A divisibility bound, not a
+    packed monomial: b divides some m in monos only if it divides the bound
+    by the guard-bit test, and the degree field is the largest total degree,
+    not the sum of the exponents, which could exceed EMAX."""
+    g, out = guard(n), 0
+    for m in monos:
+        sel = ((out | g) - m) & g        # guard bits of the fields out >= m
+        keep = sel - (sel >> FIELD - 1)  # value bits of those fields
+        out = out & keep | m & ~keep
+    return out
+
+
 @lru_cache(maxsize=1 << 12)
 def falling_spec(b: int, n: int) -> tuple:
     """The nonzero fields of b, in the form ``falling`` reads."""

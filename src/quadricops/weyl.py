@@ -19,9 +19,9 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .poly import (Poly, TermMap, check_degrees, default_names,
-                   divides_exactly, dual, falling, falling_spec, guard,
-                   mdegree, mono_text, pack, qcoef, restrict, signed_text,
-                   support, unit, unpack)
+                   divides_exactly, dual, falling, falling_spec,
+                   fieldwise_max, guard, mdegree, mono_text, pack, qcoef,
+                   restrict, signed_text, support, unit, unpack)
 
 
 class NotDivisible(Exception):
@@ -164,26 +164,32 @@ class WeylOp(TermMap):
         raise TypeError(f"cannot apply operator to {type(f).__name__}")
 
     def _apply_poly(self, f: Poly) -> Poly:
+        """One derivative part b at a time, dropping each b that divides no
+        monomial of f; x^a d^b sends x^m to x^(m + (a - b)), times a weight."""
         n = self.nvars
         terms: dict = {}
         if not self.terms or not f.terms:
             return Poly._of(n, terms)
         check_degrees(max(a for a, _ in self.terms), max(f.terms), n)
-        g = guard(n)
-        items = list(f.terms.items())
-        get = terms.get
+        g, top = guard(n), fieldwise_max(f.terms, n)
+        buckets: dict = {}
         for (a, b), c in self.terms.items():
+            if not (top - b) & g:
+                buckets.setdefault(b, []).append((a - b, c))
+        get = terms.get
+        for b, offsets in buckets.items():
             spec = falling_spec(b, n)
-            for m, cm in items:
+            for m, cm in f.terms.items():
                 if (m - b) & g:
                     continue  # d^b kills x^m
-                w = c * cm * falling(m, spec) if spec else c * cm
-                mono = m - b + a
-                s = get(mono, 0) + w
-                if s:
-                    terms[mono] = s
-                else:
-                    del terms[mono]
+                w = cm * falling(m, spec) if spec else cm
+                for off, c in offsets:
+                    mono = m + off
+                    s = get(mono, 0) + c * w
+                    if s:
+                        terms[mono] = s
+                    else:
+                        del terms[mono]
         return Poly._of(n, terms)
 
     # -- normal forms and division --------------------------------------------

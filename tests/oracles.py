@@ -12,18 +12,20 @@ induction; ``apply_by_quotient_rule`` differentiates one variable at a time
 instead, and ``shift_by_products`` checks each step of the induction by full
 operator products.  The linear Fourier transform ``tau`` reads each x-left
 term as a d-left one and normal-orders it once; ``tau_letterwise`` multiplies
-the images of the letters one by one.
+the images of the letters one by one.  ``WeylOp.apply`` works one derivative
+part at a time and skips the parts that divide no monomial of its argument;
+``apply_termwise`` applies every term to every monomial on exponent tuples.
 """
 
 from itertools import combinations
-from math import factorial
+from math import factorial, perm
 
 from quadricops.coneops import xx_op, yy_op
 from quadricops.harmonic import _laplacian_shift
 from quadricops.lie import LieElt
 from quadricops.momentorbit import orbit_matrix, x_vector
 from quadricops.poly import (Poly, QLaurent, normal_form_mod_single, q_form,
-                             q_of, qdiv, unpack)
+                             pack, q_of, qdiv, unpack)
 from quadricops.weyl import WeylOp, laplacian_op
 
 
@@ -140,3 +142,22 @@ def tau_letterwise(a: WeylOp) -> WeylOp:
                 word = word * WeylOp.mult(Poly.var(n, i, -1))
         out = out + word
     return out
+
+
+def apply_termwise(op: WeylOp, f: Poly) -> Poly:
+    """op applied to f term by term on exponent tuples: c x^alpha d^beta
+    sends c_m x^m, for every m >= beta, to
+    c c_m prod_i m_i! / (m_i - beta_i)! x^(m - beta + alpha)."""
+    n = op.nvars
+    terms: dict = {}
+    for (alpha, beta), c in op.terms.items():
+        alpha, beta = unpack(alpha, n), unpack(beta, n)
+        for m, cm in f.exponent_items():
+            if any(mi < bi for mi, bi in zip(m, beta)):
+                continue
+            w = c * cm
+            for mi, bi in zip(m, beta):
+                w *= perm(mi, bi)
+            key = pack([mi - bi + ai for mi, bi, ai in zip(m, beta, alpha)])
+            terms[key] = terms.get(key, 0) + w
+    return Poly(n, terms)

@@ -1,9 +1,12 @@
 """Weyl algebra: normal orders, divisions, symbols, extensional tests."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import apply_by_quotient_rule
+from oracles import apply_by_quotient_rule, apply_termwise
 from quadricops.harmonic import laplacian_qlaurent
 from quadricops.poly import Poly, QLaurent, pack, q_form, qdiv
 from quadricops.weyl import (NotDivisible, WeylOp, euler_op,
@@ -119,6 +122,63 @@ def test_apply_rejects_laurent_functions():
     # the Q-Laurent class has its own Laplacian, harmonic.laplacian_qlaurent
     with pytest.raises(TypeError, match="QLaurent"):
         laplacian_op(K).apply(QLaurent.one_over_q(K))
+
+
+def random_exponents(rng, n, deg):
+    m = [0] * n
+    for _ in range(rng.randint(0, deg)):
+        m[rng.randrange(n)] += 1
+    return tuple(m)
+
+
+def random_coef(rng):
+    c = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+    return c or 1
+
+
+def assert_applies_as_termwise(op, f):
+    got = op.apply(f)
+    assert got == apply_termwise(op, f)
+    # the trusted constructor keeps no zero coefficient
+    assert all(got.terms.values())
+    return got
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_apply_matches_termwise_oracle(k):
+    rng, n = random.Random(k), 2 * k
+    for _ in range(120):
+        # a few derivative parts, each shared by several terms
+        betas = [random_exponents(rng, n, 3) for _ in range(rng.randint(1, 4))]
+        op = WeylOp.from_exponents(n, {
+            (random_exponents(rng, n, 2), rng.choice(betas)): random_coef(rng)
+            for _ in range(rng.randint(1, 10))})
+        f = Poly.from_exponents(n, {random_exponents(rng, n, 5): random_coef(rng)
+                                    for _ in range(rng.randint(1, 8))})
+        assert_applies_as_termwise(op, f)
+        assert_applies_as_termwise(op, Poly.monomial(next(f.exponent_items())[0]))
+
+
+def test_apply_edge_cases():
+    x1, x2, y1, y2 = (Poly.var(N, i) for i in range(N))
+    d = [WeylOp.partial(N, i) for i in range(N)]
+    mult = WeylOp.mult
+    # no derivative part divides a monomial of f: by degree, by exponent,
+    # and by neither although it divides the fieldwise maximum
+    assert assert_applies_as_termwise(d[0] * d[1], x1 + x2).is_zero()
+    assert assert_applies_as_termwise(d[2] + mult(x1) * d[3], x1 * x2).is_zero()
+    assert assert_applies_as_termwise(d[0] * d[1], x1 ** 2 + x2 ** 2).is_zero()
+    # terms sharing a derivative part, with Fraction coefficients
+    shared = (mult(x1.scale(Fraction(1, 2)) + y2 + Fraction(-3, 4))) * d[0] * d[2]
+    got = assert_applies_as_termwise(shared, (x1 * y1).scale(Fraction(2, 3)))
+    assert got == (x1.scale(Fraction(1, 3)) + y2.scale(Fraction(2, 3))
+                   + Fraction(-1, 2))
+    # cancellation to zero across derivative parts, and of x1*x2 within the
+    # derivative part of y1
+    assert assert_applies_as_termwise(mult(x1) * d[0] - mult(x2) * d[1],
+                                      x1 * x2).is_zero()
+    assert assert_applies_as_termwise(mult(x1 - x2) * d[2],
+                                      (x1 + x2) * y1) == x1 ** 2 - x2 ** 2
 
 
 @settings(max_examples=20, deadline=None)
