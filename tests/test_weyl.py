@@ -153,10 +153,12 @@ def test_apply_matches_termwise_oracle(k):
         op = WeylOp.from_exponents(n, {
             (random_exponents(rng, n, 2), rng.choice(betas)): random_coef(rng)
             for _ in range(rng.randint(1, 10))})
-        f = Poly.from_exponents(n, {random_exponents(rng, n, 5): random_coef(rng)
-                                    for _ in range(rng.randint(1, 8))})
+        f = Poly.from_exponents(n, {
+            random_exponents(rng, n, 5): random_coef(rng)
+            for _ in range(rng.randint(1, 8))})
         assert_applies_as_termwise(op, f)
-        assert_applies_as_termwise(op, Poly.monomial(next(f.exponent_items())[0]))
+        m, _ = next(f.exponent_items())
+        assert_applies_as_termwise(op, Poly.monomial(m))
 
 
 def test_apply_edge_cases():
@@ -166,11 +168,13 @@ def test_apply_edge_cases():
     # no derivative part divides a monomial of f: by degree, by exponent,
     # and by neither although it divides the fieldwise maximum
     assert assert_applies_as_termwise(d[0] * d[1], x1 + x2).is_zero()
-    assert assert_applies_as_termwise(d[2] + mult(x1) * d[3], x1 * x2).is_zero()
+    assert assert_applies_as_termwise(d[2] + mult(x1) * d[3],
+                                      x1 * x2).is_zero()
     assert assert_applies_as_termwise(d[0] * d[1], x1 ** 2 + x2 ** 2).is_zero()
     # terms sharing a derivative part, with Fraction coefficients
-    shared = (mult(x1.scale(Fraction(1, 2)) + y2 + Fraction(-3, 4))) * d[0] * d[2]
-    got = assert_applies_as_termwise(shared, (x1 * y1).scale(Fraction(2, 3)))
+    shared = mult(x1.scale(Fraction(1, 2)) + y2 + Fraction(-3, 4))
+    got = assert_applies_as_termwise(shared * d[0] * d[2],
+                                     (x1 * y1).scale(Fraction(2, 3)))
     assert got == (x1.scale(Fraction(1, 3)) + y2.scale(Fraction(2, 3))
                    + Fraction(-1, 2))
     # cancellation to zero across derivative parts, and of x1*x2 within the
