@@ -12,6 +12,15 @@ either two single digits (Dop12) or two numbers joined by an underscore
 (Dop110) is a ParseError.  The printers write the underscore only when an
 index is >= 10, so text for k <= 9 never contains one.
 
+``tokenize`` returns (kind, indices, position) triples, then
+("end", (), len(src)).  The kind is the name of the group that matched, or
+the operator character; the indices are ints; the position is where the
+match starts, whitespace before the token included.  Each token takes one
+regex match: the kind is ``lastgroup`` and the index fields are the groups
+that follow group ``lastindex``, so every alternative keeps its index
+groups right after its named group.  Bad input raises ParseError (with
+``pos`` and ``expected``) or IndexOutOfRange.
+
 An expression of more than ``MAX_TOKENS`` tokens is a ParseError before
 any node is built: the parser and every walker of the tree recurse once
 per nesting level, and a long flat sum still builds a left-deep tree.
@@ -76,35 +85,33 @@ def tokenize(src: str, k: int):
         if len(out) == MAX_TOKENS:
             raise ParseError(f"expression has more than {MAX_TOKENS} tokens",
                              m.start(), expected=("end",))
-        kind = m.lastgroup if m.lastgroup != "op" else m.group("op")
-        groups = [g for g in m.groups() if g is not None]
-        if m.lastgroup in ("XX", "YY", "dx", "dy", "x", "y"):
-            i = int(groups[1])
+        kind, g, pos = m.lastgroup, m.lastindex, m.end()
+        if kind in ("XX", "YY", "dx", "dy", "x", "y"):
+            i = int(m.group(g + 1))
             if not 1 <= i <= k:
                 raise IndexOutOfRange(
                     f"index {i} out of range for k={k} in {m.group().strip()!r}")
-            out.append((m.lastgroup, (i,), m.start()))
-        elif m.lastgroup in ("Dop", "Bop", "Cop"):
-            if src[m.end():m.end() + 1].isdigit():
+            out.append((kind, (i,), m.start()))
+        elif kind in ("Dop", "Bop", "Cop"):
+            if src[pos:pos + 1].isdigit():
                 raise ParseError(
                     f"digit after {m.group().strip()!r}; write the pair as "
-                    f"{m.lastgroup}<i>_<j> when an index has two digits",
-                    m.end(), expected=("_",))
-            i, j = int(groups[1]), int(groups[2])
+                    f"{kind}<i>_<j> when an index has two digits",
+                    pos, expected=("_",))
+            i, j, i1, j1 = m.group(g + 1, g + 2, g + 3, g + 4)
+            i, j = (int(i), int(j)) if i is not None else (int(i1), int(j1))
             if not (1 <= i <= k and 1 <= j <= k):
                 raise IndexOutOfRange(
                     f"indices ({i},{j}) out of range for k={k}")
-            if m.lastgroup in ("Bop", "Cop") and not i < j:
-                raise IndexOutOfRange(
-                    f"{m.lastgroup} requires i < j, got ({i},{j})")
-            out.append((m.lastgroup, (i, j), m.start()))
-        elif m.lastgroup == "int":
-            out.append(("int", (int(groups[0]),), m.start()))
-        elif m.lastgroup in ("E", "Delta", "Q"):
-            out.append((m.lastgroup, (), m.start()))
+            if kind != "Dop" and not i < j:
+                raise IndexOutOfRange(f"{kind} requires i < j, got ({i},{j})")
+            out.append((kind, (i, j), m.start()))
+        elif kind == "int":
+            out.append(("int", (int(m.group(g)),), m.start()))
+        elif kind == "op":
+            out.append((m.group(g), (), m.start()))
         else:
             out.append((kind, (), m.start()))
-        pos = m.end()
     out.append(("end", (), len(src)))
     return out
 

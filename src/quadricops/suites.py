@@ -304,9 +304,9 @@ def lie_orthogonal_checks(k: int) -> list:
     @_run(out, "lie-block-bracket",
           "block-coordinate bracket equals the full matrix commutator on all basis pairs")
     def first_failure():
-        for i, xi in enumerate(bas):
-            for eta in bas[i:]:
-                a, b = xi.matrix(), eta.matrix()
+        mats = [xi.matrix() for xi in bas]
+        for i, (xi, a) in enumerate(zip(bas, mats)):
+            for eta, b in zip(bas[i:], mats[i:]):
                 comm = mat_sub(mat_mul(a, b), mat_mul(b, a))
                 if xi.bracket(eta).matrix() != comm:
                     return f"pair {xi.tag} {eta.tag}"
@@ -711,10 +711,11 @@ def cli_checks(k: int) -> list:
             if i < j:
                 atoms += [f"Bop{pair}", f"Cop{pair}"]
     atoms += [str(rng.randint(0, 20)) for _ in range(4)]
+    leaves = [exprparse.parse(atom, k) for atom in atoms]
 
     def rand_tree(depth: int):
         if depth == 0 or rng.random() < 0.3:
-            return exprparse.parse(rng.choice(atoms), k)
+            return rng.choice(leaves)
         kind = rng.choice(["add", "sub", "mul", "pow", "neg"])
         if kind == "pow":
             return ("pow", rand_tree(0), rng.randint(0, 4))

@@ -15,12 +15,17 @@ term as a d-left one and normal-orders it once; ``tau_letterwise`` multiplies
 the images of the letters one by one.  ``WeylOp.apply`` works one derivative
 part at a time and skips the parts that divide no monomial of its argument;
 ``apply_termwise`` applies every term to every monomial on exponent tuples.
+``exprparse.tokenize`` reads a token's kind and index fields straight from
+the group that matched; ``tokenize_groupwise`` filters the tuple of all
+groups of the match for every token.
 """
 
 from itertools import combinations
 from math import factorial, perm
 
 from quadricops.coneops import xx_op, yy_op
+from quadricops.exprparse import (MAX_TOKENS, _TOKEN_RE, IndexOutOfRange,
+                                  ParseError)
 from quadricops.harmonic import _laplacian_shift
 from quadricops.lie import LieElt
 from quadricops.momentorbit import orbit_matrix, x_vector
@@ -161,3 +166,52 @@ def apply_termwise(op: WeylOp, f: Poly) -> Poly:
             key = pack([mi - bi + ai for mi, bi, ai in zip(m, beta, alpha)])
             terms[key] = terms.get(key, 0) + w
     return Poly(n, terms)
+
+
+def tokenize_groupwise(src: str, k: int):
+    """``exprparse.tokenize`` as it read every index from the filtered tuple
+    of all groups of the match."""
+    pos = 0
+    out = []
+    while pos < len(src):
+        m = _TOKEN_RE.match(src, pos)
+        if m is None:
+            stripped = src[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}",
+                             pos, expected=("token",))
+        if len(out) == MAX_TOKENS:
+            raise ParseError(f"expression has more than {MAX_TOKENS} tokens",
+                             m.start(), expected=("end",))
+        kind = m.lastgroup if m.lastgroup != "op" else m.group("op")
+        groups = [g for g in m.groups() if g is not None]
+        if m.lastgroup in ("XX", "YY", "dx", "dy", "x", "y"):
+            i = int(groups[1])
+            if not 1 <= i <= k:
+                raise IndexOutOfRange(
+                    f"index {i} out of range for k={k} in {m.group().strip()!r}")
+            out.append((m.lastgroup, (i,), m.start()))
+        elif m.lastgroup in ("Dop", "Bop", "Cop"):
+            if src[m.end():m.end() + 1].isdigit():
+                raise ParseError(
+                    f"digit after {m.group().strip()!r}; write the pair as "
+                    f"{m.lastgroup}<i>_<j> when an index has two digits",
+                    m.end(), expected=("_",))
+            i, j = int(groups[1]), int(groups[2])
+            if not (1 <= i <= k and 1 <= j <= k):
+                raise IndexOutOfRange(
+                    f"indices ({i},{j}) out of range for k={k}")
+            if m.lastgroup in ("Bop", "Cop") and not i < j:
+                raise IndexOutOfRange(
+                    f"{m.lastgroup} requires i < j, got ({i},{j})")
+            out.append((m.lastgroup, (i, j), m.start()))
+        elif m.lastgroup == "int":
+            out.append(("int", (int(groups[0]),), m.start()))
+        elif m.lastgroup in ("E", "Delta", "Q"):
+            out.append((m.lastgroup, (), m.start()))
+        else:
+            out.append((kind, (), m.start()))
+        pos = m.end()
+    out.append(("end", (), len(src)))
+    return out

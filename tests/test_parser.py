@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from oracles import tokenize_groupwise
 from quadricops import exprparse as ep
-from quadricops.coneops import ConeOp, xx_op
+from quadricops import suites
+from quadricops.coneops import ConeOp, index_text, xx_op
 from quadricops.poly import mdegree, q_form
 from quadricops.weyl import WeylOp, euler_op
 
@@ -125,3 +127,84 @@ def test_genword_conversion():
 
 def test_whitespace_insensitive():
     assert ep.parse(" x1+ y2 * dx1 ", K) == ep.parse("x1+y2*dx1", K)
+
+
+def atoms_at(k):
+    """Every atom of the grammar at k, in the order of ``cli_checks``."""
+    atoms = ["E", "Delta", "Q"]
+    for i in range(1, k + 1):
+        atoms += [f"{g}{i}" for g in ("x", "y", "dx", "dy", "XX", "YY")]
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            pair = index_text((i, j))
+            atoms.append(f"Dop{pair}")
+            if i < j:
+                atoms += [f"Bop{pair}", f"Cop{pair}"]
+    return atoms
+
+
+def tokens_or_error(tokenize, src, k):
+    try:
+        return tokenize(src, k)
+    except (ep.ParseError, ep.IndexOutOfRange) as exc:
+        return (type(exc), str(exc), getattr(exc, "pos", None),
+                getattr(exc, "expected", None))
+
+
+def assert_tokenizers_agree(src, k):
+    got = tokens_or_error(ep.tokenize, src, k)
+    assert got == tokens_or_error(tokenize_groupwise, src, k), (src, k)
+    return got
+
+
+def test_tokenize_matches_groupwise_oracle_on_every_atom():
+    assert {"XX10", "Dop1_10", "Cop11_12"} <= set(atoms_at(12))
+    for k in (2, 3, 12):
+        for atom in atoms_at(k) + ["0", "7", "20", "+", "-", "*", "^", "(",
+                                   ")"]:
+            tokens = assert_tokenizers_agree(atom, k)
+            assert [t[0] for t in tokens][1:] == ["end"], atom
+
+
+def test_tokenize_matches_groupwise_oracle_on_random_texts():
+    rng = random.Random(20261018)
+    spaces = ["", "", " ", "  ", "\t", "\n "]
+    pieces = {k: atoms_at(k) + list("+-*^()") + ["0", "3", "17", "250"]
+              for k in (2, 3, 12)}
+    errors = 0
+    for _ in range(1000):
+        k = rng.choice((2, 3, 12))
+        text = "".join(rng.choice(spaces) + rng.choice(pieces[k])
+                       for _ in range(rng.randint(1, 24)))
+        got = assert_tokenizers_agree(text + rng.choice(spaces), k)
+        errors += isinstance(got, tuple)
+    # adjacent atoms without a space merge (x1 then 2 is x12), so both
+    # outcomes are covered
+    assert 0 < errors < 1000
+
+
+def test_tokenize_matches_groupwise_oracle_on_bad_input():
+    cases = [("x1 ~ y1", 2), ("Dop110", 12), ("Dop110", 2), ("Bop21", 2),
+             ("Cop33", 3), ("x0", 2), ("x13", 12), ("XX13", 12),
+             ("Dop0_1", 12), ("x1 + y1   ", 2), ("   ", 2), ("", 2),
+             ("x1 " * ep.MAX_TOKENS, 2), ("x1 " * (ep.MAX_TOKENS + 1), 2)]
+    outcomes = [assert_tokenizers_agree(src, k) for src, k in cases]
+    assert [isinstance(o, tuple) for o in outcomes] == [
+        True] * 9 + [False] * 4 + [True]
+    assert outcomes[-3] == [("end", (), 0)]
+    assert len(outcomes[-2]) == ep.MAX_TOKENS + 1
+
+
+def test_cli_suite_parses_each_text_once(monkeypatch):
+    texts = []
+    parse = ep.parse
+
+    def counting_parse(src, k=2):
+        texts.append(src)
+        return parse(src, k)
+
+    monkeypatch.setattr(ep, "parse", counting_parse)
+    assert suites.run_suite("cli", 3).exit_status == 0
+    # each of the 40 atoms once, the 1,000 printed round-trip texts and the
+    # two evaluation examples; a parse per drawn leaf would add 2,565
+    assert len(texts) == 40 + 1000 + 2
