@@ -170,12 +170,13 @@ class WeylOp(TermMap):
         terms: dict = {}
         if not self.terms or not f.terms:
             return Poly._of(n, terms)
-        check_degrees(max(a for a, _ in self.terms), max(f.terms), n)
-        g, top = guard(n), fieldwise_max(f.terms, n)
+        g, top, amax = guard(n), fieldwise_max(f.terms, n), 0
         buckets: dict = {}
         for (a, b), c in self.terms.items():
             if not (top - b) & g:
                 buckets.setdefault(b, []).append((a - b, c))
+                amax = max(amax, a)
+        check_degrees(amax, max(f.terms), n)  # bounds every kept a + m - b
         get = terms.get
         for b, offsets in buckets.items():
             spec = falling_spec(b, n)

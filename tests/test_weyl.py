@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import apply_by_quotient_rule, apply_termwise
 from quadricops.harmonic import laplacian_qlaurent
-from quadricops.poly import Poly, QLaurent, pack, q_form, qdiv
+from quadricops.poly import (EMAX, ExponentOverflow, Poly, QLaurent, pack,
+                             q_form, qdiv)
 from quadricops.weyl import (NotDivisible, WeylOp, euler_op,
                              is_zero_extensional, laplacian_op,
                              monomials_up_to)
@@ -183,6 +184,19 @@ def test_apply_edge_cases():
                                       x1 * x2).is_zero()
     assert assert_applies_as_termwise(mult(x1 - x2) * d[2],
                                       (x1 + x2) * y1) == x1 ** 2 - x2 ** 2
+
+
+def test_apply_bounds_degrees_by_the_kept_terms_only():
+    x1, x2 = Poly.var(N, 0), Poly.var(N, 1)
+    d = [WeylOp.partial(N, i) for i in range(N)]
+    huge = WeylOp.mult(Poly.monomial((EMAX, 0, 0, 0)))
+    # x1^EMAX d_y2 kills every monomial of f, so its degree cannot overflow
+    f = x1 ** 2 + x1 * x2
+    got = assert_applies_as_termwise(huge * d[3] + WeylOp.mult(x2) * d[0], f)
+    assert got == x2 * (x1.scale(2) + x2)
+    # once its derivative part divides a monomial of f, it overflows
+    with pytest.raises(ExponentOverflow):
+        (huge * d[1]).apply(f)
 
 
 @settings(max_examples=20, deadline=None)
