@@ -104,6 +104,23 @@ def test_k3_shapovalov_report_is_pinned(capsys):
         "18c88aba489a6cd53b865b72d92fe573a12831feb07a022b6c7d94171a20f88f")
 
 
+@pytest.mark.parametrize("suite,k,digest", [
+    ("shapovalov", 5,
+     "1fe9f23e07b559e3517fe98a6b0e0c1bf2da82aededc61da2a2738ea22705c4f"),
+    ("cone-ops", 4,
+     "28b21e87741f116a60861101050c5d440499897a71cc40f9ced0e6d4db3ba663"),
+    ("lie-hom", 4,
+     "430f1c3f3f4a2ad53484ec2c3448ed8b5c43253b138eff2388eadcce7e81df1f"),
+], ids=["shapovalov-k5", "cone-ops-k4", "lie-hom-k4"])
+def test_enumerated_report_is_pinned(capsys, suite, k, digest):
+    # recorded while the Shapovalov identity was still checked on B_1..B_3
+    # expanded and the homomorphism on every basis pair
+    code, out = run_cli(capsys, ["verify", suite, "--k", str(k),
+                                 "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_golden_output_is_deterministic(capsys):
     _, first = run_cli(capsys, ["verify", "cli", "--format", "json"])
     _, second = run_cli(capsys, ["verify", "cli", "--format", "json"])
