@@ -18,10 +18,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .poly import (Poly, TermMap, check_degrees, default_names,
-                   divides_exactly, dual, falling, falling_spec,
-                   fieldwise_max, guard, mdegree, mono_text, pack, qcoef,
-                   restrict, signed_text, support, unit, unpack)
+from .poly import (ExponentOverflow, Poly, TermMap, check_degrees,
+                   default_names, divides_exactly, dual, falling,
+                   falling_spec, fieldwise_max, guard, mdegree, mono_text,
+                   pack, qcoef, restrict, signed_text, support, unit, unpack)
 
 
 class NotDivisible(Exception):
@@ -176,7 +176,17 @@ class WeylOp(TermMap):
             if not (top - b) & g:
                 buckets.setdefault(b, []).append((a - b, c))
                 amax = max(amax, a)
-        check_degrees(amax, max(f.terms), n)  # bounds every kept a + m - b
+        try:
+            check_degrees(amax, max(f.terms), n)  # bounds every kept a + m - b
+        except ExponentOverflow:
+            # the bound counts parts that divide the fieldwise maximum but
+            # no monomial of f: bound each part by the monomials it divides
+            for b, offsets in buckets.items():
+                top = max((m for m in f.terms if not (m - b) & g),
+                          default=None)
+                if top is not None:
+                    check_degrees(max(off for off, _ in offsets) + b,
+                                  top - b, n)
         get = terms.get
         for b, offsets in buckets.items():
             spec = falling_spec(b, n)

@@ -199,6 +199,23 @@ def test_apply_bounds_degrees_by_the_kept_terms_only():
         (huge * d[1]).apply(f)
 
 
+def test_apply_bounds_degrees_by_the_divided_monomials_only():
+    x1, x2 = Poly.var(N, 0), Poly.var(N, 1)
+    d = [WeylOp.partial(N, i) for i in range(N)]
+    # d_x1 d_x2 divides the fieldwise maximum x1^2 x2^2 of f but no monomial
+    # of it, so x1^EMAX d_x1 d_x2 sends f to 0
+    op = WeylOp.mult(Poly.monomial((EMAX, 0, 0, 0))) * d[0] * d[1]
+    assert assert_applies_as_termwise(op, x1 ** 2 + x2 ** 2).is_zero()
+    # d_x1 lowers the degree that x1^(EMAX-1) raises: degree EMAX at most
+    op = WeylOp.mult(Poly.monomial((EMAX - 1, 0, 0, 0))) * d[0]
+    got = assert_applies_as_termwise(op, x1 * x2 + x1)
+    assert got == Poly.monomial((EMAX - 1, 1, 0, 0)) + Poly.monomial(
+        (EMAX - 1, 0, 0, 0))
+    # one degree more and the result overflows
+    with pytest.raises(ExponentOverflow):
+        op.apply(x1 ** 2 * x2)
+
+
 @settings(max_examples=20, deadline=None)
 @given(weyl_ops())
 def test_normal_order_roundtrip(a):
