@@ -7,7 +7,8 @@ their canonical class: the d-left coefficients reduced modulo Q*.
 
 Realizations of the conformal Lie algebra:
   phi       -- vector-field realization on V plus conformal weight k-1;
-  rho_amb   -- the letterwise Fourier image tau(phi(.)) on the dual space;
+  rho_amb   -- the Fourier image tau(phi(.)) on the dual space, in closed
+               form term by term;
   rho_tilde -- rho_amb corrected by A_xi = 2(d_{lam_flip} - alpha), which
                makes every image normalize (Q*).
 
@@ -92,9 +93,41 @@ def a_correction(xi: LieElt) -> WeylOp:
     return (grad_flip(k, xi.lam) - WeylOp.const(2 * k, xi.alpha)).scale(2)
 
 
+def linear_form(k: int, vec) -> Poly:
+    """<vec, v> = sum vec_i v_i as a linear polynomial."""
+    n = 2 * k
+    return Poly._of(n, {unit(n, i): qcoef(c) for i, c in enumerate(vec) if c})
+
+
+def dual_field(k: int, X) -> WeylOp:
+    """sum_{a,b} X[a][b] v_a d_b: tau of the Levi term -<Xv, grad> of
+    ``phi`` for X in so(Q), whose trace term vanishes."""
+    n = 2 * k
+    return WeylOp._of(n, {(unit(n, a), unit(n, b)): c
+                          for a, row in enumerate(X)
+                          for b, c in enumerate(row) if c})
+
+
 def rho_amb(xi: LieElt) -> WeylOp:
-    """Ambient dual-space realization: tau(phi(xi))."""
-    return tau(phi(xi))
+    """Ambient dual-space realization tau(phi(xi)), in closed form.
+
+    tau is the algebra isomorphism v_i -> d_i, d_i -> -v_i, so each term of
+    ``phi`` has a closed image:
+      -d_mu         -> <mu, v>;
+      v_b d_a       -> -v_a d_b - delta_ab, and the trace X[a][a] is 0;
+      E             -> -E - 2k, so E + k - 1 -> -(E + k + 1);
+      B(lam, v)     -> B(lam, d), the derivative along the reversed lam;
+      Q(v) d_lam    -> -Q(d) <lam, v>, with Q(d) the Laplacian.
+    """
+    k = xi.k
+    weight = euler_op(k) + WeylOp.const(2 * k, k + 1)
+    op = WeylOp.mult(linear_form(k, xi.mu)) + dual_field(k, xi.X)
+    if xi.alpha:
+        op = op - weight.scale(xi.alpha)
+    if any(xi.lam):
+        op = (op + grad_flip(k, xi.lam) * weight
+              - laplacian_op(k) * WeylOp.mult(linear_form(k, xi.lam)))
+    return op
 
 
 class NotNormalizing(Exception):

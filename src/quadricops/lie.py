@@ -240,6 +240,13 @@ def basis(k: int):
     return out
 
 
+def generators(k: int):
+    """The 4k translations mu and special conformal elements lambda of
+    ``basis``: their brackets [mu_i, lambda_j] give alpha and the Levi part,
+    so together they span the algebra."""
+    return [xi for xi in basis(k) if xi.tag[0] in ("mu", "lam")]
+
+
 class GroupElt:
     """Exact rational matrix preserving the extended split form."""
 

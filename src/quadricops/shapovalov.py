@@ -8,7 +8,9 @@ collecting the scalars gives the closed form
     B_d = prod_{j=1..d} (E - j + 1) * prod_{j=1..d} (E + k - j - 1),
 
 held as a ``Poly`` in the one variable E and turned into an operator by
-``euler_to_weyl``.
+``euler_to_weyl``.  ``closed_form_induction`` proves it for every d from
+B_1 and three exact identities, and ``SeriesStep`` applies the next B_d
+without building it.
 
 Its Fourier image substitutes E -> -E - 2k + 2, and the two root sets are
 disjoint for k >= 2, which the Bezout certificate witnesses.
@@ -75,6 +77,15 @@ class FactorsDoNotCommute(ArithmeticError):
     """Two second-order factors of the Shapovalov recursion do not commute."""
 
 
+def shapovalov_factors(k: int) -> list:
+    """The 2k pairs of the recursion as (m_j, name, F_j): m_j the packed
+    coordinate x_i or y_i, F_j its partner YY_(k+1-i) or XX_(k+1-i)."""
+    n = 2 * k
+    return ([(unit(n, i), f"YY{k - i}", yy_op(k, k - i)) for i in range(k)]
+            + [(unit(n, k + i), f"XX{k - i}", xx_op(k, k - i))
+               for i in range(k)])
+
+
 def shapovalov_series(dmax: int, k: int) -> list:
     """[B_1, ..., B_dmax] as explicit cone operators.
 
@@ -89,9 +100,7 @@ def shapovalov_series(dmax: int, k: int) -> list:
     if dmax < 1:
         raise ValueError("d must be positive")
     n = 2 * k
-    factors = ([(unit(n, i), f"YY{k - i}", yy_op(k, k - i)) for i in range(k)]
-               + [(unit(n, k + i), f"XX{k - i}", xx_op(k, k - i))
-                  for i in range(k)])
+    factors = shapovalov_factors(k)
     for (_, p, f), (_, q, g) in combinations(factors, 2):
         if f * g != g * f:
             raise FactorsDoNotCommute(f"{p} and {q} do not commute")
@@ -111,6 +120,81 @@ def shapovalov_series(dmax: int, k: int) -> list:
     return series
 
 
+class SeriesStep:
+    """B_d as an action on polynomials, from B_(d-1): the next element of
+    the series, applied by B_d f = sum_j m_j B_(d-1)(F_j f) and never built.
+
+    The recursion holds once ``shapovalov_series`` has built B_(d-1), which
+    proves that the factors commute.  F_j lowers the degree by one and m_j
+    raises it by one, so no exponent exceeds the degree of f.
+    """
+
+    __slots__ = ("k", "prev", "factors")
+
+    def __init__(self, prev: ConeOp):
+        self.k, self.prev = prev.k, prev.op
+        self.factors = shapovalov_factors(prev.k)
+
+    def apply(self, f: Poly) -> Poly:
+        terms: dict = {}
+        for shift, _, fac in self.factors:
+            for m, c in self.prev.apply(fac.apply(f)).terms.items():
+                key = m + shift
+                c += terms.get(key, 0)
+                if c:
+                    terms[key] = c
+                else:
+                    del terms[key]
+        return Poly._of(2 * self.k, terms)
+
+
+def euler_shift(p: Poly, s) -> Poly:
+    """p(E + s) in Q[E]."""
+    return p.subs_vars([Poly.var(1, 0) + s])
+
+
+def closed_form_induction(b1: ConeOp, dmax: int):
+    """Prove B_d = p_d(E) on the cone for d = 1..dmax from B_1 alone;
+    returns the first step that fails, or None.
+
+    Write Q.D for the left ideal generated by Q.  An x-left operator lies in
+    it iff Q divides each of its coefficients, which is what ``ConeOp``
+    equality tests, and Q.D is closed under left multiplication by the
+    functions m_j (they commute with Q) and under any right multiplication.
+    Three exact steps:
+
+    1. E F_j = F_j (E - 1) for each factor of ``shapovalov_factors`` (each
+       F_j has weight -1), by ``WeylOp`` equality; so p(E) F_j = F_j p(E - 1)
+       for every p in Q[E].
+    2. B_1 = p_1(E) as ``ConeOp`` classes, that is modulo Q.D.
+    3. p_d(E) = p_1(E) p_(d-1)(E - 1) in Q[E], by ``Poly`` equality, for
+       d = 2..dmax.
+
+    They give B_d = p_d(E) modulo Q.D by induction on d:
+
+    - d = 1: step 2.
+    - d - 1 -> d: with B_(d-1) = p_(d-1)(E) modulo Q.D,
+      B_d = sum_j m_j B_(d-1) F_j = sum_j m_j p_(d-1)(E) F_j
+          = sum_j m_j F_j p_(d-1)(E - 1) = B_1 p_(d-1)(E - 1)
+          = p_1(E) p_(d-1)(E - 1) = p_d(E),
+      by the closure of Q.D, step 1, the definition of B_1, step 2 and the
+      closure again, and step 3.
+    """
+    k = b1.k
+    e = euler_op(k)
+    for _, name, f in shapovalov_factors(k):
+        if e * f != f * (e - 1):
+            return f"E {name} != {name} (E - 1)"
+    p1 = shapovalov_closed(1, k)
+    if b1 != ConeOp(euler_to_weyl(p1, k)):
+        return "d=1"
+    for d in range(2, dmax + 1):
+        if shapovalov_closed(d, k) != p1 * euler_shift(
+                shapovalov_closed(d - 1, k), -1):
+            return f"d={d}: p_d(E) != p_1(E) p_(d-1)(E - 1)"
+    return None
+
+
 def shapovalov_expand(d: int, k: int) -> ConeOp:
     """B_d as an explicit cone operator: the last of ``shapovalov_series``."""
     return shapovalov_series(d, k)[-1]
@@ -120,17 +204,19 @@ class NotScalar(Exception):
     """The operator does not act by a scalar on the graded piece."""
 
 
-def scalar_on_graded(op: ConeOp, r: int):
+def scalar_on_graded(op, r: int):
     """The scalar by which a degree-0 operator acts on the r-th graded piece.
 
-    Probes with x1^r and cross-checks on a second vector in the same piece;
-    raises NotScalar on disagreement.
+    op is a ``ConeOp`` or a ``SeriesStep``.  Probes with x1^r and
+    cross-checks on a second vector in the same piece; raises NotScalar on
+    disagreement.
     """
     k = op.k
     n = 2 * k
     qs = q_form(k)
+    apply = op.op.apply if isinstance(op, ConeOp) else op.apply
     probe = Poly.monomial((r,) + (0,) * (n - 1))
-    img = reduce_mod(op.op.apply(probe), qs)
+    img = reduce_mod(apply(probe), qs)
     if img.is_zero():
         c = 0
     else:
@@ -140,7 +226,7 @@ def scalar_on_graded(op: ConeOp, r: int):
     # second test vector: (x1 + x2 + y1)^r reduced
     second = (Poly.var(n, 0) + Poly.var(n, min(1, n - 1)) + Poly.var(n, k)) ** r
     second = reduce_mod(second, qs)
-    img2 = reduce_mod(op.op.apply(second), qs)
+    img2 = reduce_mod(apply(second), qs)
     if img2 != second.scale(c):
         raise NotScalar("graded piece probes disagree")
     return c

@@ -66,6 +66,12 @@ def test_criterion_03_lie_homomorphism():
     for k in KS:
         checks = lie_hom_checks(k)
         assert all(c.ok for c in checks), [c.residue for c in checks if not c.ok]
+        # the check proves it on generators; enumerate every pair as well
+        bas = basis(k)
+        for i, xi in enumerate(bas):
+            for eta in bas[i + 1:]:
+                rhs = rho_tilde(xi).commutator(rho_tilde(eta))
+                assert rho_tilde(xi.bracket(eta)) == rhs, (k, xi.tag, eta.tag)
     _report(3, "bracket preservation on all basis pairs, k in {2,3}")
 
 

@@ -1,0 +1,95 @@
+"""Checks that fail on a wrong engine, one mutant per proof step.
+
+Each case replaces one function in the engine module that defines it, never
+in ``quadricops.suites``, runs the suite at k=2 and asserts that the named
+check fails with the residue of the step that the mutant breaks, and that
+the suite exits 1.  The realization images are memoized, so every case
+starts from an empty memo.
+"""
+
+import pytest
+
+from quadricops import coneops, lie, shapovalov
+from quadricops.coneops import xx_op, yy_op
+from quadricops.suites import run_suite
+
+
+def _wrong_weight_factor(k):
+    # F_0 plus the contracted product sum_i XX_i YY_(k+1-i): that part has
+    # weight -2, commutes with every factor and is zero on the cone, so
+    # B_d keeps its class and its graded scalars and only step 1 can fail
+    (m, name, f), *rest = ORIGINAL["shapovalov_factors"](k)
+    for i in range(1, k + 1):
+        f = f + xx_op(k, i) * yy_op(k, k + 1 - i)
+    return [(m, name, f)] + rest
+
+
+def _wrong_constant_in_p1(d, k):
+    # E (E + k - 1) for E (E + k - 2)
+    return ORIGINAL["shapovalov_closed"](d, k + (d == 1))
+
+
+def _wrong_shift(p, s):
+    return ORIGINAL["euler_shift"](p, s - 1)
+
+
+def _levi_image_negated(xi):
+    # the last basis element is in the Levi part, outside the generators
+    out = ORIGINAL["rho_amb"](xi)
+    return -out if xi == lie.basis(xi.k)[-1] else out
+
+
+def _generator_missing(k):
+    return ORIGINAL["generators"](k)[1:]
+
+
+def _levi_term_negated(k, X):
+    # rho_tilde keeps normalizing the cone ideal, so only the checks fail
+    return -ORIGINAL["dual_field"](k, X)
+
+
+ORIGINAL = {name: getattr(module, name) for module, name in [
+    (shapovalov, "shapovalov_factors"), (shapovalov, "shapovalov_closed"),
+    (shapovalov, "euler_shift"), (coneops, "rho_amb"), (lie, "generators"),
+    (coneops, "dual_field")]}
+
+# case: (module, function, fake, suite, check id, start of its residue)
+CASES = {
+    "factor-of-wrong-weight": (
+        shapovalov, "shapovalov_factors", _wrong_weight_factor, "shapovalov",
+        "shapovalov-expand-vs-closed", "E YY2 != YY2 (E - 1)"),
+    "wrong-constant-in-p1": (
+        shapovalov, "shapovalov_closed", _wrong_constant_in_p1, "shapovalov",
+        "shapovalov-expand-vs-closed", "d=1"),
+    "wrong-shift": (
+        shapovalov, "euler_shift", _wrong_shift, "shapovalov",
+        "shapovalov-expand-vs-closed", "d=2: p_d(E) != p_1(E) p_(d-1)(E - 1)"),
+    "levi-image-sign": (
+        coneops, "rho_amb", _levi_image_negated, "lie-hom",
+        "cone-lie-homomorphism", "first failing pair"),
+    "generator-missing": (
+        lie, "generators", _generator_missing, "lie-hom",
+        "cone-lie-homomorphism",
+        "7 generators and their brackets span 14 of 15 dimensions"),
+    "closed-form-levi-term-sign": (
+        coneops, "dual_field", _levi_term_negated, "cone-ops",
+        "cone-fourier-bridge", "element ('levi', 0)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_mutant_fails_its_check(case, monkeypatch):
+    module, name, fake, suite, check_id, residue = CASES[case]
+    monkeypatch.setattr(coneops, "_RHO_TILDE", {})
+    monkeypatch.setattr(module, name, fake)
+    report = run_suite(suite, 2)
+    assert report.exit_status == 1
+    [check] = [c for c in report.checks if c.check_id == check_id]
+    assert not check.ok
+    assert check.residue.startswith(residue), check.residue
+
+
+@pytest.mark.parametrize("suite", ["shapovalov", "lie-hom", "cone-ops"])
+def test_unmutated_suites_pass(suite, monkeypatch):
+    monkeypatch.setattr(coneops, "_RHO_TILDE", {})
+    assert run_suite(suite, 2).exit_status == 0

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from quadricops import cli, shapovalov
 from quadricops.coneops import ConeOp, d_op
 from quadricops.poly import Poly, is_packed
 from quadricops.shapovalov import (FactorsDoNotCommute, NotScalar,
+                                   SeriesStep, closed_form_induction,
                                    euler_to_weyl, fourier_euler_image,
                                    fourier_roots_bezout, scalar_on_graded,
                                    shapovalov_closed, shapovalov_expand,
@@ -103,12 +105,35 @@ def test_scalar_on_graded_matches():
         assert scalar_on_graded(expanded, r) == closed.eval((r,))
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_series_step_applies_the_next_element(k):
+    # B_3 applied through B_2 equals the built B_3 applied, term for term
+    b2, b3 = shapovalov_series(3, k)[1:]
+    step = SeriesStep(b2)
+    n = 2 * k
+    x1, x2, y1 = Poly.var(n, 0), Poly.var(n, 1), Poly.var(n, k)
+    for f in (Poly.const(n, 1), x1, (x1 + x2 + y1) ** 4,
+              x1 ** 3 * y1.scale(Fraction(2, 3)) - x2 ** 2 + 5):
+        assert step.apply(f) == b3.op.apply(f)
+    for r in range(8):
+        assert scalar_on_graded(step, r) == shapovalov_closed(3, k).eval((r,))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_closed_form_induction_holds_beyond_three(k):
+    assert closed_form_induction(shapovalov_series(1, k)[0], 6) is None
+
+
 def test_scalar_rejects_non_scalar_operator():
     # multiplication by a coordinate does not act by a scalar on degree 1
     with pytest.raises(NotScalar):
         from quadricops.poly import Poly, is_packed
         scalar_on_graded(ConeOp(WeylOp.mult(Poly.var(2 * K, 0))
                                 * WeylOp.partial(2 * K, 1)), 1)
+    # and applied through the recursion
+    with pytest.raises(NotScalar):
+        scalar_on_graded(SeriesStep(ConeOp(WeylOp.mult(Poly.var(2 * K, 0)))),
+                         1)
 
 
 def test_bezout_certificate():
