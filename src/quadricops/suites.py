@@ -24,8 +24,8 @@ import json
 import os
 import random
 from collections import namedtuple
-from itertools import chain, combinations
 from fractions import Fraction
+from itertools import chain, combinations
 
 from . import exprparse, lie
 from .coneops import (ConeOp, GenWord, a_correction, grading, index_text,

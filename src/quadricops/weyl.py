@@ -182,11 +182,11 @@ class WeylOp(TermMap):
             # the bound counts parts that divide the fieldwise maximum but
             # no monomial of f: bound each part by the monomials it divides
             for b, offsets in buckets.items():
-                top = max((m for m in f.terms if not (m - b) & g),
-                          default=None)
-                if top is not None:
+                mmax = max((m for m in f.terms if not (m - b) & g),
+                           default=None)
+                if mmax is not None:
                     check_degrees(max(off for off, _ in offsets) + b,
-                                  top - b, n)
+                                  mmax - b, n)
         get = terms.get
         for b, offsets in buckets.items():
             spec = falling_spec(b, n)
