@@ -18,11 +18,12 @@ generators, swapping coordinates with the second-order operators XX_i, YY_i.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .lie import LieElt
 from .poly import (Poly, b_pair, default_names, dual, mdegree, mono_text,
                    q_form, qcoef, qdiv, reduce_mod, signed_text, unit, unpack)
-from .weyl import (NotDivisible, WeylOp, euler_op, laplacian_op,
-                   monomials_up_to)
+from .weyl import NotDivisible, WeylOp, euler_op, laplacian_op
 
 
 def b_form_poly(k: int, vec) -> Poly:
@@ -145,13 +146,12 @@ class ConeOp:
     p_beta reduced mod Q*; two cone operators are equal iff the classes agree.
     """
 
-    __slots__ = ("k", "op", "_canonical", "_preserves")
+    __slots__ = ("k", "op", "_canonical")
 
     def __init__(self, op: WeylOp):
         self.k = op.nvars // 2
         self.op = op
         self._canonical = None
-        self._preserves = None
 
     def canonical(self) -> dict:
         if self._canonical is None:
@@ -168,9 +168,7 @@ class ConeOp:
         return not self.canonical()
 
     def preserves_ideal(self) -> bool:
-        if self._preserves is None:
-            self._preserves = is_ideal_preserving(self.op)
-        return self._preserves
+        return is_ideal_preserving(self.op)
 
     def __eq__(self, other):
         if not isinstance(other, ConeOp):
@@ -214,42 +212,34 @@ class ConeOp:
 def is_ideal_preserving(a: WeylOp) -> bool:
     """Decide membership in the normalizer of the function ideal (Q*).
 
-    a normalizes (Q*) iff a(Q* m) lies in (Q*) for all monomials m of degree
-    at most the order of a; higher degrees follow by triangularity of the
-    action in total degree.
+    Proof: a normalizes (Q*) iff a(Q* f) lies in (Q*) for every polynomial
+    f, that is iff the operator b = a Q* sends every function into (Q*).
+    Write b = sum p_beta(x) d^beta.  If Q* divides every p_beta, b sends
+    everything into (Q*).  Otherwise take beta of least total degree with
+    p_beta outside (Q*).  The other terms of b(x^beta) come from gamma <
+    beta, of smaller total degree, whose p_gamma lie in (Q*); so b(x^beta) =
+    beta! p_beta modulo (Q*), which is outside (Q*) in characteristic 0 (the
+    triangularity argument of ``ConeOp``).  So a normalizes (Q*) iff a Q* is
+    the zero class: one operator product.
     """
-    k = a.nvars // 2
-    qs = q_form(k)
-    r = max(a.order(), 0)
-    for m in monomials_up_to(2 * k, r):
-        img = a.apply(qs * Poly.monomial(m))
-        if not reduce_mod(img, qs).is_zero():
-            return False
-    return True
+    return ConeOp(a * WeylOp.mult(q_form(a.nvars // 2))).is_zero_class()
 
 
-_RHO_TILDE: dict = {}
-_RHO_TILDE_MAX = 1024  # images held; the oldest goes first
-
-
+@lru_cache(maxsize=1024)
 def rho_tilde(xi: LieElt) -> ConeOp:
     """The corrected cone realization rho_amb(xi) - A_xi.
 
     The correction removes the ideal defect of the ambient formula, making
     the image a genuine operator on the cone; fails loudly if the resulting
-    operator does not normalize (Q*).  Images are memoized by the exact value
-    of xi, and an image enters the memo only once it is proven to normalize,
-    so a failing element raises on every call.  The images are shared:
-    callers must not change them.
+    operator does not normalize (Q*), which ``is_ideal_preserving`` decides
+    with one operator product.  Images are memoized by the exact value of xi
+    in an LRU cache of 1024 images; the cache stores no raised exception, so
+    a failing element raises on every call.  The images are shared: callers
+    must not change them.
     """
-    out = _RHO_TILDE.get(xi)
-    if out is None:
-        out = ConeOp(rho_amb(xi) - a_correction(xi))
-        if not out.preserves_ideal():
-            raise NotNormalizing("corrected realization does not normalize (Q*)")
-        if len(_RHO_TILDE) >= _RHO_TILDE_MAX:
-            del _RHO_TILDE[next(iter(_RHO_TILDE))]
-        _RHO_TILDE[xi] = out
+    out = ConeOp(rho_amb(xi) - a_correction(xi))
+    if not out.preserves_ideal():
+        raise NotNormalizing("corrected realization does not normalize (Q*)")
     return out
 
 

@@ -202,9 +202,6 @@ def parse(src: str, k: int = 2):
     return node
 
 
-_PREC = {"add": 1, "sub": 1, "neg": 1, "mul": 2, "pow": 3}
-
-
 def to_text(node) -> str:
     """Canonical printer; parse(to_text(t)) yields an equal tree."""
     def render(n, parent_prec):

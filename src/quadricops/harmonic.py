@@ -352,7 +352,8 @@ def bessel_check(k: int, M: int) -> dict:
 
     Builds f = sum a_m t^m and applies the genuine operator XX_1 - 1; the
     residue must vanish below degree M - 1 (the top order sees the
-    truncation).  Also checks Delta f = 0 and E f = t f'.
+    truncation).  Also checks Delta f = 0 and E f = t f'; ``ok`` is the
+    verdict of all three.
     """
     if k < 2 or M < 2:
         raise ValueError("need k >= 2 and M >= 2")
@@ -372,12 +373,14 @@ def bessel_check(k: int, M: int) -> dict:
     # E f = t f'
     ef = euler_op(k).apply(f)
     tfprime = Poly.var(n, tvar) * f.deriv(tvar)
+    residue_ok, euler_matches = low.is_zero(), ef == tfprime
     return {
         "coefficients": coeffs,
         "residue_low_degree": low,
-        "residue_ok": low.is_zero(),
+        "residue_ok": residue_ok,
         "laplacian_zero": lap_zero,
-        "euler_matches": ef == tfprime,
+        "euler_matches": euler_matches,
+        "ok": residue_ok and lap_zero and euler_matches,
     }
 
 
@@ -421,7 +424,8 @@ def n2_counterexample() -> dict:
     with |a| <= 3 and 0 <= b <= 3 (representable as y^{|a|} y^b / Q^{|a|} for
     a < 0), and that xi(x) is not a polynomial while Delta(x) = 0 -- so xi is
     in neither D_V nor D_V + D Delta applied consistently to x.  Delta acts
-    on the Q-Laurent class by ``laplacian_qlaurent`` at k = 1.
+    on the Q-Laurent class by ``laplacian_qlaurent`` at k = 1.  ``ok`` is the
+    verdict of the three.
     """
     k = 1
     n = 2
@@ -451,13 +455,15 @@ def n2_counterexample() -> dict:
                 ok = False
                 worst = (a, b, defect.text())
     xi_of_x = xi_apply(QLaurent(k, Poly.var(n, 0), 0))
-    delta_of_x = lap(QLaurent(k, Poly.var(n, 0), 0))
+    xi_of_x_polynomial = xi_of_x.is_poly()
+    delta_of_x_zero = lap(QLaurent(k, Poly.var(n, 0), 0)).is_zero()
     return {
         "commutator_ok": ok,
         "commutator_worst": worst,
         "xi_of_x": xi_of_x,
-        "xi_of_x_polynomial": xi_of_x.is_poly(),
-        "delta_of_x_zero": delta_of_x.is_zero(),
+        "xi_of_x_polynomial": xi_of_x_polynomial,
+        "delta_of_x_zero": delta_of_x_zero,
+        "ok": ok and not xi_of_x_polynomial and delta_of_x_zero,
     }
 
 

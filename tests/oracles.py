@@ -17,7 +17,10 @@ part at a time and skips the parts that divide no monomial of its argument;
 ``apply_termwise`` applies every term to every monomial on exponent tuples.
 ``exprparse.tokenize`` reads a token's kind and index fields straight from
 the group that matched; ``tokenize_groupwise`` filters the tuple of all
-groups of the match for every token.
+groups of the match for every token.  ``coneops.is_ideal_preserving``
+decides whether an operator a normalizes (Q*) from the one product a Q*;
+``preserves_ideal_by_monomials`` applies a to Q* m for every monomial m up to
+the order of a instead.
 """
 
 from itertools import combinations
@@ -30,8 +33,8 @@ from quadricops.harmonic import _laplacian_shift
 from quadricops.lie import LieElt
 from quadricops.momentorbit import orbit_matrix, x_vector
 from quadricops.poly import (Poly, QLaurent, normal_form_mod_single, q_form,
-                             pack, q_of, qdiv, unpack)
-from quadricops.weyl import WeylOp, laplacian_op
+                             pack, q_of, qdiv, reduce_mod, unpack)
+from quadricops.weyl import WeylOp, laplacian_op, monomials_up_to
 
 
 def det3(M, rows, cols) -> Poly:
@@ -215,3 +218,14 @@ def tokenize_groupwise(src: str, k: int):
         pos = m.end()
     out.append(("end", (), len(src)))
     return out
+
+
+def preserves_ideal_by_monomials(a: WeylOp) -> bool:
+    """Whether a(Q* m) lies in (Q*) for every monomial m of degree at most
+    the order of a; higher degrees follow by triangularity of the action in
+    total degree."""
+    qs = q_form(a.nvars // 2)
+    for m in monomials_up_to(a.nvars, max(a.order(), 0)):
+        if not reduce_mod(a.apply(qs * Poly.monomial(m)), qs).is_zero():
+            return False
+    return True

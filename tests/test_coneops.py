@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from oracles import tau_letterwise
+from oracles import preserves_ideal_by_monomials, tau_letterwise
 from quadricops import coneops
 from quadricops.coneops import (ConeOp, GenWord, NotNormalizing,
                                 a_correction, euler_weight_op, grading,
@@ -94,8 +95,45 @@ def test_rho_tilde_normalizes_ideal():
     assert not is_ideal_preserving(WeylOp.partial(N, 0))
 
 
+def _random_weyl(rng, n, deg):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        key = tuple(tuple(rng.choice((0, 0, 0, 1)) for _ in range(n))
+                    for _ in range(2))
+        if sum(key[0]) <= deg and sum(key[1]) <= deg:
+            terms[key] = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+    return WeylOp.from_exponents(n, terms)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_one_product_normalizer_matches_monomial_oracle(k):
+    n = 2 * k
+    bas = basis(k)
+    brackets = {xi.bracket(eta) for xi, eta in combinations(bas, 2)}
+    images = [rho_amb(xi) - a_correction(xi) for xi in bas]
+    ops = images + [rho_amb(z) - a_correction(z) for z in brackets]
+    ops += [rho_amb(xi) for xi in bas if not a_correction(xi).is_zero()]
+    # seeded random operators: a combination of images, a function times an
+    # image and Q* times anything normalize (Q*); the normalizer is a
+    # subspace, so adding a derivative, which does not normalize, breaks that
+    rng = random.Random(720 + k)
+    qs = WeylOp.mult(q_form(k))
+    for idx in range(200):
+        op = qs * _random_weyl(rng, n, 2)
+        for img in rng.sample(images, 2):
+            op = op + img.scale(rng.randint(-3, 3))
+        op = op + WeylOp.mult(Poly.var(n, rng.randrange(n))) * rng.choice(images)
+        if idx % 2:
+            op = op + WeylOp.partial(n, rng.randrange(n)) + _random_weyl(rng, n, 2)
+        ops.append(op)
+    verdicts = [is_ideal_preserving(op) for op in ops]
+    assert verdicts == [preserves_ideal_by_monomials(op) for op in ops]
+    assert min(verdicts.count(True), verdicts.count(False)) >= 100
+
+
 def test_memoized_images_are_unchanged():
     # the suites share the memoized images; none may change one
+    rho_tilde.cache_clear()
     run_suite("all", 3)
     run_suite("lie-hom", 3)
     # the homomorphism check takes the brackets of the pairs with a member
@@ -103,31 +141,28 @@ def test_memoized_images_are_unchanged():
     bas, gens = basis(3), set(generators(3))
     distinct = set(bas) | {xi.bracket(eta) for i, xi in enumerate(bas)
                            for eta in bas[i + 1:] if xi in gens or eta in gens}
-    assert len(distinct) == 58 and distinct <= coneops._RHO_TILDE.keys()
-    for xi, img in coneops._RHO_TILDE.items():
+    assert len(distinct) == 58 == rho_tilde.cache_info().currsize
+    misses = rho_tilde.cache_info().misses
+    for xi in distinct:
+        img = rho_tilde(xi)
         fresh = rho_amb(xi) - a_correction(xi)
         assert img.op.terms == fresh.terms, xi
         assert img.canonical() == ConeOp(fresh).canonical(), xi
+    assert rho_tilde.cache_info().misses == misses
 
 
 def test_failing_element_is_never_memoized(monkeypatch):
-    monkeypatch.setattr(coneops, "_RHO_TILDE", {})
+    rho_tilde.cache_clear()
     monkeypatch.setattr(coneops, "a_correction",
                         lambda xi: WeylOp.zero(2 * xi.k))
-    for _ in range(2):
-        with pytest.raises(NotNormalizing):
-            rho_tilde(elt_lam(0))
-    assert not coneops._RHO_TILDE
-
-
-def test_memo_drops_its_oldest_image(monkeypatch):
-    monkeypatch.setattr(coneops, "_RHO_TILDE", {})
-    monkeypatch.setattr(coneops, "_RHO_TILDE_MAX", 2)
-    first, second, third = elt_mu(0), elt_mu(1), elt_lam(0)
-    for xi in (first, second, third):
-        rho_tilde(xi)
-    assert list(coneops._RHO_TILDE) == [second, third]
-    assert rho_tilde(first) == ConeOp(WeylOp.mult(Poly.var(N, 0)))
+    try:
+        for _ in range(2):
+            with pytest.raises(NotNormalizing):
+                rho_tilde(elt_lam(0))
+        info = rho_tilde.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+    finally:
+        rho_tilde.cache_clear()
 
 
 def test_tau_hat_values():

@@ -3,15 +3,23 @@
 Each case replaces one function in the engine module that defines it, never
 in ``quadricops.suites``, runs the suite at k=2 and asserts that the named
 check fails with the residue of the step that the mutant breaks, and that
-the suite exits 1.  The realization images are memoized, so every case
-starts from an empty memo.
+the suite exits 1.  The realization images are memoized in the LRU cache of
+``rho_tilde``, which outlives a test, so every case starts and ends with an
+empty cache: no image a mutant built reaches a later test.
 """
 
 import pytest
 
 from quadricops import coneops, lie, shapovalov
-from quadricops.coneops import xx_op, yy_op
+from quadricops.coneops import rho_tilde, xx_op, yy_op
 from quadricops.suites import run_suite
+
+
+@pytest.fixture(autouse=True)
+def empty_image_cache():
+    rho_tilde.cache_clear()
+    yield
+    rho_tilde.cache_clear()
 
 
 def _wrong_weight_factor(k):
@@ -22,6 +30,13 @@ def _wrong_weight_factor(k):
     for i in range(1, k + 1):
         f = f + xx_op(k, i) * yy_op(k, k + 1 - i)
     return [(m, name, f)] + rest
+
+
+def _factor_squared(k):
+    # F_0 F_0 has weight -2, so B_d no longer acts on a graded piece by a
+    # scalar and the probes of that piece disagree
+    (m, name, f), *rest = ORIGINAL["shapovalov_factors"](k)
+    return [(m, name, f * f)] + rest
 
 
 def _wrong_constant_in_p1(d, k):
@@ -58,6 +73,9 @@ CASES = {
     "factor-of-wrong-weight": (
         shapovalov, "shapovalov_factors", _wrong_weight_factor, "shapovalov",
         "shapovalov-expand-vs-closed", "E YY2 != YY2 (E - 1)"),
+    "factor-squared": (
+        shapovalov, "shapovalov_factors", _factor_squared, "shapovalov",
+        "shapovalov-graded-scalars", "d=1 r=1: graded piece probes disagree"),
     "wrong-constant-in-p1": (
         shapovalov, "shapovalov_closed", _wrong_constant_in_p1, "shapovalov",
         "shapovalov-expand-vs-closed", "d=1"),
@@ -80,7 +98,6 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_mutant_fails_its_check(case, monkeypatch):
     module, name, fake, suite, check_id, residue = CASES[case]
-    monkeypatch.setattr(coneops, "_RHO_TILDE", {})
     monkeypatch.setattr(module, name, fake)
     report = run_suite(suite, 2)
     assert report.exit_status == 1
@@ -90,6 +107,5 @@ def test_mutant_fails_its_check(case, monkeypatch):
 
 
 @pytest.mark.parametrize("suite", ["shapovalov", "lie-hom", "cone-ops"])
-def test_unmutated_suites_pass(suite, monkeypatch):
-    monkeypatch.setattr(coneops, "_RHO_TILDE", {})
+def test_unmutated_suites_pass(suite):
     assert run_suite(suite, 2).exit_status == 0

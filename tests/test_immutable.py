@@ -2,13 +2,28 @@
 
 ``TermMap._of`` keeps the dict it is given, and shared objects rely on no
 caller changing that dict, or the map of a built ``Poly`` or ``WeylOp``,
-afterwards: the memoized ``coneops.rho_tilde`` images and the cached
-``harmonic._shift_generators`` are handed to every caller.
+afterwards: the images in the LRU cache of ``coneops.rho_tilde`` and the
+cached ``harmonic._shift_generators`` are handed to every caller.  Both
+caches outlive a test, so the test starts and ends with them empty: their
+entries are built while the constructors are recorded, and no entry built
+then reaches a later test.
 """
 
-from quadricops import coneops, harmonic
+import pytest
+
+from quadricops import harmonic
+from quadricops.coneops import rho_tilde
 from quadricops.poly import TermMap
 from quadricops.suites import SUITES, run_suite
+
+
+@pytest.fixture(autouse=True)
+def empty_caches():
+    rho_tilde.cache_clear()
+    harmonic._shift_generators.cache_clear()
+    yield
+    rho_tilde.cache_clear()
+    harmonic._shift_generators.cache_clear()
 
 
 def test_no_suite_changes_a_built_term_map(monkeypatch):
@@ -26,9 +41,6 @@ def test_no_suite_changes_a_built_term_map(monkeypatch):
 
     monkeypatch.setattr(TermMap, "_of", classmethod(recording_of))
     monkeypatch.setattr(TermMap, "__init__", recording_init)
-    # start the shared memos empty, so their entries are built while recording
-    monkeypatch.setattr(coneops, "_RHO_TILDE", {})
-    harmonic._shift_generators.cache_clear()
     for name in SUITES:
         assert run_suite(name, 2).exit_status == 0, name
     assert len(built) > 10000

@@ -1,6 +1,7 @@
-"""Imports and locals: no unused imports and no function assigning a local it
-never reads, in the package or in the tests, and no heavy standard modules
-at CLI start-up."""
+"""Imports, locals and private names: no unused imports and no function
+assigning a local it never reads, in the package or in the tests, no private
+module-level name the package never reads, and no heavy standard modules at
+CLI start-up."""
 
 import ast
 import os
@@ -68,6 +69,38 @@ def unread_locals(path: Path) -> list:
     return sorted(out)
 
 
+def unread_privates(paths) -> list:
+    """Private module-level names that no module among paths reads.
+
+    A name is private when it starts with one underscore and is bound at the
+    top level of a module by ``def``, ``class`` or an assignment.  It counts
+    as read when any of the modules loads it as a name or as an attribute.
+    """
+    defined, read = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [(node.name, node.lineno)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [(t.id, node.lineno) for target in targets
+                         for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, line, name) for name, line in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{mod}:{line}: {name}" for mod, line, name in defined
+                  if name not in read)
+
+
 def test_no_unused_imports():
     offenders = [u for root in ROOTS for path in sorted(root.glob("*.py"))
                  for u in unused_imports(path)]
@@ -96,6 +129,21 @@ def test_scan_sees_an_unread_local(tmp_path):
                      "        unused = m\n"
                      "    return g\n")
     assert unread_locals(probe) == ["probe.py:2: f.n", "probe.py:5: g.unused"]
+
+
+def test_no_unread_privates():
+    assert unread_privates(sorted(ROOTS[0].glob("*.py"))) == []
+
+
+def test_scan_sees_an_unread_private(tmp_path):
+    (tmp_path / "a.py").write_text("_dead = 1\n_read, _unpacked = 2, 3\n"
+                                   "__dunder__ = 4\n"
+                                   "def _used():\n    return _read\n"
+                                   "class _Gone:\n    pass\n")
+    (tmp_path / "b.py").write_text("from . import a\nfrom .a import _used\n"
+                                   "print(_used(), a._unpacked)\n")
+    paths = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert unread_privates(paths) == ["a.py:1: _dead", "a.py:6: _Gone"]
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
