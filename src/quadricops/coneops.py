@@ -58,11 +58,8 @@ def phi(xi: LieElt) -> WeylOp:
     op = WeylOp.zero(n)
     op = op - grad_pair(k, xi.mu)
     # -<Xv, grad> = -sum_{a,b} X[a][b] v_b d_a
-    for a in range(n):
-        for b in range(n):
-            c = xi.X[a][b]
-            if c:
-                op = op - WeylOp.mult(Poly.var(n, b, c)) * WeylOp.partial(n, a)
+    for (a, b), c in xi.X:
+        op = op - WeylOp.mult(Poly.var(n, b, c)) * WeylOp.partial(n, a)
     if xi.alpha:
         op = op + weight.scale(xi.alpha)
     blam = b_form_poly(k, xi.lam)
@@ -102,11 +99,10 @@ def linear_form(k: int, vec) -> Poly:
 
 def dual_field(k: int, X) -> WeylOp:
     """sum_{a,b} X[a][b] v_a d_b: tau of the Levi term -<Xv, grad> of
-    ``phi`` for X in so(Q), whose trace term vanishes."""
+    ``phi`` for X in so(Q), whose trace term vanishes.  X is given by its
+    nonzero entries ((a, b), X[a][b]), as ``LieElt.X`` stores it."""
     n = 2 * k
-    return WeylOp._of(n, {(unit(n, a), unit(n, b)): c
-                          for a, row in enumerate(X)
-                          for b, c in enumerate(row) if c})
+    return WeylOp._of(n, {(unit(n, a), unit(n, b)): c for (a, b), c in X})
 
 
 def rho_amb(xi: LieElt) -> WeylOp:

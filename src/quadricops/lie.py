@@ -10,12 +10,16 @@ assembles to
      [ 0,     -mu^T J_V,     -alpha  ]]
 
 with X skew for J_V.  The blocks are tuples, so an element is hashable by
-value and its entries cannot change in place.  Group elements are exact
-rational matrices g with g^T J+ g = J+.
+value and its entries cannot change in place.  X is stored by its nonzero
+entries, the tuple of ((a, b), X[a][b]) sorted by index: a basis element
+has at most two, so the bracket reads only those.  The sorted, zero-free
+form is unique, so equality and the hash stay by value.  Group elements
+are exact rational matrices g with g^T J+ g = J+.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 
 from .poly import (Poly, QLaurent, b_pair, divides_exactly, dual, q_form,
@@ -48,10 +52,6 @@ def mat_mul(a, b):
                         oi[j] += c * bl[j]
     return out
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_inv(a):
     """Exact inverse by Gauss-Jordan elimination over the rationals.
 
@@ -82,6 +82,22 @@ def _inverse(m):
     return [[m[dual(n, j)][dual(n, i)] for j in range(n)] for i in range(n)]
 
 
+def _entries(n, X):
+    """The nonzero entries ((a, b), c) of an n-square block, sorted by index,
+    from dense rows or from a mapping {(a, b): c}."""
+    if isinstance(X, Mapping):
+        if any(a not in range(n) or b not in range(n) for a, b in X):
+            raise ValueError("block index out of range")
+        items = X.items()
+    else:
+        if len(X) != n or any(len(row) != n for row in X):
+            raise ValueError("wrong block shape")
+        items = (((a, b), c) for a, row in enumerate(X)
+                 for b, c in enumerate(row))
+    return tuple(sorted(e for e in ((ab, qcoef(c)) for ab, c in items)
+                        if e[1]))
+
+
 class LieElt:
     """Element of the conformal Lie algebra in (alpha, mu, X, lambda) blocks."""
 
@@ -93,15 +109,15 @@ class LieElt:
         self.alpha = qcoef(alpha)
         self.mu = tuple(_frac_vec(mu, n)) if mu is not None else (0,) * n
         self.lam = tuple(_frac_vec(lam, n)) if lam is not None else (0,) * n
-        self.X = (tuple(tuple(map(qcoef, row)) for row in X)
-                  if X is not None else ((0,) * n,) * n)
+        self.X = _entries(n, X) if X is not None else ()
         self.tag = tag
         self._check_skew()
 
     @classmethod
     def _of(cls, k, alpha, mu, X, lam) -> "LieElt":
         """The trusted constructor, for blocks the engine computed from
-        checked elements: tuples of int or Fraction.  X is still checked."""
+        checked elements: tuples of int or Fraction, X as sorted nonzero
+        entries.  X is still checked for skewness."""
         out = cls.__new__(cls)
         out.k, out.alpha, out.mu, out.X, out.lam = k, alpha, mu, X, lam
         out.tag = None
@@ -111,26 +127,29 @@ class LieElt:
     def _check_skew(self):
         # X^T J_V + J_V X = 0 reads entrywise X[a][b] = -X[nbar(b)][nbar(a)];
         # where it holds at every nonzero entry, it holds at the zero ones
-        n, x = 2 * self.k, self.X
-        for a, row in enumerate(x):
-            for b, c in enumerate(row):
-                if c and x[dual(n, b)][dual(n, a)] != -c:
-                    raise ValueError("X is not skew for the split form")
+        n, x = 2 * self.k, dict(self.X)
+        for (a, b), c in self.X:
+            if x.get((dual(n, b), dual(n, a))) != -c:
+                raise ValueError("X is not skew for the split form")
+
+    def entries(self):
+        """The nonzero entries ((r, c), v) of ``matrix()``, sorted by index."""
+        n = 2 * self.k
+        out = [((1 + a, 1 + b), c) for (a, b), c in self.X]
+        if self.alpha:
+            out += [((0, 0), self.alpha), ((n + 1, n + 1), -self.alpha)]
+        # -lambda^T J_V and -mu^T J_V: J_V reverses a vector
+        for col, row, v in ((0, n + 1, self.mu), (n + 1, 0, self.lam)):
+            for i, c in enumerate(v):
+                if c:
+                    out += [((1 + i, col), c), ((row, n - i), -c)]
+        return sorted(out)
 
     def matrix(self):
         n = 2 * self.k
         m = _zeros(n + 2, n + 2)
-        m[0][0] = self.alpha
-        m[n + 1][n + 1] = -self.alpha
-        # lambda^T J_V and mu^T J_V: J_V reverses a vector
-        for j in range(n):
-            m[0][1 + j] = -self.lam[dual(n, j)]
-            m[n + 1][1 + j] = -self.mu[dual(n, j)]
-        for i in range(n):
-            m[1 + i][0] = self.mu[i]
-            m[1 + i][n + 1] = self.lam[i]
-            for j in range(n):
-                m[1 + i][1 + j] = self.X[i][j]
+        for (r, c), v in self.entries():
+            m[r][c] = v
         return m
 
     def bracket(self, other: "LieElt") -> "LieElt":
@@ -147,41 +166,43 @@ class LieElt:
         a2, m2, x2, l2 = other.alpha, other.mu, other.X, other.lam
         mu = [a2 * p - a * q for p, q in zip(m, m2)]
         lam = [a * q - a2 * p for p, q in zip(l, l2)]
-        z = _zeros(n, n)
-        # [X, X'] and the X-parts of mu and lambda, from the nonzero entries
+        z: dict = {}
+        # [X, X'] row by row through a row index of the right factor, and
+        # the X-parts of mu and lambda
         for s, left, right, vm, vl in ((1, x, x2, m2, l2), (-1, x2, x, m, l)):
-            for i, row in enumerate(left):
-                zi = z[i]
-                for j, c in enumerate(row):
-                    if c:
-                        c = s * c
-                        mu[i] += c * vm[j]
-                        lam[i] += c * vl[j]
-                        for t, d in enumerate(right[j]):
-                            if d:
-                                zi[t] += c * d
-        for s, u, v in ((-1, m, l2), (-1, l, m2), (1, m2, l), (1, l2, m)):
-            nz = [(dual(n, t), s * c) for t, c in enumerate(v) if c]
-            if nz:
-                for i, c in enumerate(u):
-                    if c:
-                        zi = z[i]
-                        for j, d in nz:
-                            zi[j] += c * d
+            rows: dict = {}
+            for (j, t), d in right:
+                rows.setdefault(j, []).append((t, d))
+            for (i, j), c in left:
+                c = s * c
+                mu[i] += c * vm[j]
+                lam[i] += c * vl[j]
+                for t, d in rows.get(j, ()):
+                    z[i, t] = z.get((i, t), 0) + c * d
+        nm, nl, nm2, nl2 = ([(i, c) for i, c in enumerate(v) if c]
+                            for v in (m, l, m2, l2))
+        for s, u, v in ((-1, nm, nl2), (-1, nl, nm2), (1, nm2, nl),
+                        (1, nl2, nm)):
+            for i, c in u:
+                for t, d in v:
+                    j = dual(n, t)
+                    z[i, j] = z.get((i, j), 0) + s * c * d
         return LieElt._of(self.k, b_pair(l2, m) - b_pair(l, m2), tuple(mu),
-                          tuple(map(tuple, z)), tuple(lam))
+                          tuple(sorted(e for e in z.items() if e[1])),
+                          tuple(lam))
 
     def scale(self, c) -> "LieElt":
         c = qcoef(c)
         return LieElt(self.k, c * self.alpha, [c * v for v in self.mu],
-                      [[c * v for v in row] for row in self.X],
+                      {ab: c * v for ab, v in self.X},
                       [c * v for v in self.lam], tag=self.tag)
 
     def __add__(self, other: "LieElt") -> "LieElt":
+        x = dict(self.X)
+        for ab, c in other.X:
+            x[ab] = x.get(ab, 0) + c
         return LieElt(self.k, self.alpha + other.alpha,
-                      [a + b for a, b in zip(self.mu, other.mu)],
-                      [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.X, other.X)],
+                      [a + b for a, b in zip(self.mu, other.mu)], x,
                       [a + b for a, b in zip(self.lam, other.lam)])
 
     def __eq__(self, other):
@@ -196,7 +217,7 @@ class LieElt:
 
     def is_zero(self) -> bool:
         return (self.alpha == 0 and not any(self.mu) and not any(self.lam)
-                and not any(any(row) for row in self.X))
+                and not self.X)
 
     def __repr__(self):
         return (f"LieElt(alpha={self.alpha}, mu={self.mu}, "

@@ -34,18 +34,14 @@ def const_vector(k: int, vec, nvars: int) -> list:
     return [Poly.const(nvars, c) for c in vec]
 
 
-def apply_matrix(mat, vec: list) -> list:
-    """Matrix of rationals times vector of polynomials."""
-    n = len(vec)
-    out = []
-    for i in range(n):
-        acc = None
-        for j in range(n):
-            if mat[i][j]:
-                term = vec[j].scale(mat[i][j])
-                acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else Poly.zero(vec[0].nvars))
-    return out
+def apply_matrix(entries, vec: list) -> list:
+    """Matrix of rationals times vector of polynomials, the matrix given by
+    its nonzero entries ((i, j), c) sorted by index, as ``LieElt.X``."""
+    out = [None] * len(vec)
+    for (i, j), c in entries:
+        term = vec[j].scale(c)
+        out[i] = term if out[i] is None else out[i] + term
+    return [Poly.zero(vec[0].nvars) if p is None else p for p in out]
 
 
 def moment(xi: LieElt, extra: int = 0) -> Poly:
@@ -265,11 +261,9 @@ def symbol_invariant(xi: LieElt) -> Poly:
         for i in range(n):
             if xi.lam[i]:
                 out = out + (alpha * v[i] - qv * w[i]).scale(xi.lam[i])
-    for i in range(n):
-        for j in range(n):
-            if xi.X[i][j]:
-                wedge = w[i] * v[dual(n, j)] - v[i] * w[dual(n, j)]
-                out = out + wedge.scale(qdiv(xi.X[i][j], 2))
+    for (i, j), c in xi.X:
+        wedge = w[i] * v[dual(n, j)] - v[i] * w[dual(n, j)]
+        out = out + wedge.scale(qdiv(c, 2))
     return out
 
 

@@ -5,12 +5,13 @@ vanishes modulo Q(w) by a rank-2 factorization of the matrix; ``det3`` and
 ``nonvanishing_minor`` expand the minors one by one instead.  The Shapovalov
 elements come from a recursion in d that rests on the second-order factors
 commuting; ``shapovalov_multinomial`` expands the d-th power term by term.
-The Lie bracket is computed in block coordinates; ``matrix_bracket`` takes
-the commutator of the assembled matrices and reads the blocks back.  The
-Laplacian acts on the Q-Laurent class by a closed form proven once per Q by
-induction; ``apply_by_quotient_rule`` differentiates one variable at a time
-instead, and ``shift_by_products`` checks each step of the induction by full
-operator products.  The linear Fourier transform ``tau`` reads each x-left
+The Lie bracket is computed in block coordinates on the nonzero entries;
+``matrix_bracket`` takes the commutator of the assembled matrices and reads
+the blocks back, and ``mat_sub`` with ``lie.mat_mul`` gives that commutator
+by dense products.  The Laplacian acts on the Q-Laurent class by a closed
+form proven once per Q by induction; ``apply_by_quotient_rule``
+differentiates one variable at a time instead, and ``shift_by_products``
+checks each step of the induction by full operator products.  The linear Fourier transform ``tau`` reads each x-left
 term as a d-left one and normal-orders it once; ``tau_letterwise`` multiplies
 the images of the letters one by one.  ``WeylOp.apply`` works one derivative
 part at a time and skips the parts that divide no monomial of its argument;
@@ -90,6 +91,10 @@ def shapovalov_multinomial(d: int, k: int) -> WeylOp:
                 op = op * XX[k - 1 - i]
         total = total + WeylOp.mult(Poly.monomial(ab, coef)) * op
     return total
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def matrix_bracket(xi: LieElt, eta: LieElt) -> LieElt:

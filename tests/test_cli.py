@@ -111,10 +111,17 @@ def test_k3_shapovalov_report_is_pinned(capsys):
      "28b21e87741f116a60861101050c5d440499897a71cc40f9ced0e6d4db3ba663"),
     ("lie-hom", 4,
      "430f1c3f3f4a2ad53484ec2c3448ed8b5c43253b138eff2388eadcce7e81df1f"),
-], ids=["shapovalov-k5", "cone-ops-k4", "lie-hom-k4"])
+    ("lie-orthogonal", 5,
+     "95a980db96b9546b8c88c2be95ac9f601900ce8a87fc128e44b186d43a7b17ac"),
+    ("moment-orbit", 5,
+     "1948a37624d25ba21d0aca542edd902c165c9def231964147a7068cfb5131dcb"),
+], ids=["shapovalov-k5", "cone-ops-k4", "lie-hom-k4", "lie-orthogonal-k5",
+        "moment-orbit-k5"])
 def test_enumerated_report_is_pinned(capsys, suite, k, digest):
     # recorded while the Shapovalov identity was still checked on B_1..B_3
-    # expanded and the homomorphism on every basis pair
+    # expanded and the homomorphism on every basis pair; the k=5
+    # lie-orthogonal and moment-orbit reports while the Levi block was
+    # stored dense
     code, out = run_cli(capsys, ["verify", suite, "--k", str(k),
                                  "--format", "json"])
     assert code == 0

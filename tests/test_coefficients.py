@@ -116,13 +116,23 @@ COEFFICIENTS = {
     Poly: lambda p: p.terms.values(),
     WeylOp: lambda w: w.terms.values(),
     GenWord: lambda g: g.terms.values(),
-    LieElt: lambda x: chain([x.alpha], x.mu, x.lam, *x.X),
+    LieElt: lambda x: chain([x.alpha], x.mu, x.lam, (c for _, c in x.X)),
     GroupElt: lambda g: chain(*g.m),
 }
 
 
+def levi_block_is_canonical(x: LieElt) -> bool:
+    """X holds the nonzero entries of the Levi block sorted by index, each
+    index once and in range: equality and the rho_tilde memo key rest on it."""
+    keys = [ab for ab, _ in x.X]
+    return (keys == sorted(set(keys)) and all(c for _, c in x.X)
+            and all(a in range(2 * x.k) and b in range(2 * x.k)
+                    for a, b in keys))
+
+
 def walk_suite_objects() -> dict:
-    """Inspect every coefficient-holding object that run_suite("all", 2) builds.
+    """Inspect every coefficient-holding object that run_suite("all", 2) builds,
+    and the Levi block of every Lie element.
 
     Each class's ``__new__`` is hooked so that building an object first
     inspects the previous object of that class, which is complete by then:
@@ -142,6 +152,8 @@ def walk_suite_objects() -> dict:
         seen[cls] += len(coeffs)
         bad.extend(f"{cls.__name__}: {c!r}" for c in coeffs
                    if type(c) not in (int, Fraction))
+        if cls is LieElt and not levi_block_is_canonical(obj):
+            bad.append(f"LieElt: X={obj.X!r}")
 
     def hook(cls):
         def new(subcls, *args, **kwargs):

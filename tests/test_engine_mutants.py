@@ -1,11 +1,11 @@
 """Checks that fail on a wrong engine, one mutant per proof step.
 
-Each case replaces one function in the engine module that defines it, never
-in ``quadricops.suites``, runs the suite at k=2 and asserts that the named
-check fails with the residue of the step that the mutant breaks, and that
-the suite exits 1.  The realization images are memoized in the LRU cache of
-``rho_tilde``, which outlives a test, so every case starts and ends with an
-empty cache: no image a mutant built reaches a later test.
+Each case replaces one function in the engine module or class that defines
+it, never in ``quadricops.suites``, runs the suite at k=2 and asserts that
+the named check fails with the residue of the step that the mutant breaks,
+and that the suite exits 1.  The realization images are memoized in the
+LRU cache of ``rho_tilde``, which outlives a test, so every case starts and
+ends with an empty cache: no image a mutant built reaches a later test.
 """
 
 import pytest
@@ -63,10 +63,20 @@ def _levi_term_negated(k, X):
     return -ORIGINAL["dual_field"](k, X)
 
 
+def _is_levi(xi):
+    return not (xi.alpha or any(xi.mu) or any(xi.lam))
+
+
+def _levi_bracket_negated(xi, eta):
+    # the negated bracket is still skew, so the trusted constructor takes it
+    out = ORIGINAL["bracket"](xi, eta)
+    return out.scale(-1) if _is_levi(xi) and _is_levi(eta) else out
+
+
 ORIGINAL = {name: getattr(module, name) for module, name in [
     (shapovalov, "shapovalov_factors"), (shapovalov, "shapovalov_closed"),
     (shapovalov, "euler_shift"), (coneops, "rho_amb"), (lie, "generators"),
-    (coneops, "dual_field")]}
+    (coneops, "dual_field"), (lie.LieElt, "bracket")]}
 
 # case: (module, function, fake, suite, check id, start of its residue)
 CASES = {
@@ -92,6 +102,9 @@ CASES = {
     "closed-form-levi-term-sign": (
         coneops, "dual_field", _levi_term_negated, "cone-ops",
         "cone-fourier-bridge", "element ('levi', 0)"),
+    "levi-bracket-sign": (
+        lie.LieElt, "bracket", _levi_bracket_negated, "lie-orthogonal",
+        "lie-block-bracket", "pair ('levi', "),
 }
 
 
@@ -106,6 +119,7 @@ def test_mutant_fails_its_check(case, monkeypatch):
     assert check.residue.startswith(residue), check.residue
 
 
-@pytest.mark.parametrize("suite", ["shapovalov", "lie-hom", "cone-ops"])
+@pytest.mark.parametrize("suite", ["shapovalov", "lie-hom", "cone-ops",
+                                   "lie-orthogonal"])
 def test_unmutated_suites_pass(suite):
     assert run_suite(suite, 2).exit_status == 0

@@ -6,10 +6,10 @@ from operator import mul
 
 import pytest
 
-from oracles import matrix_bracket
+from oracles import mat_sub, matrix_bracket
 from quadricops.lie import (DegenerateCell, GroupElt, LieElt, _uop_column,
                             basis, bruhat_factor, chi0_at, act_at, levi,
-                            mat_inv, mat_mul, mat_sub, u, u_op, w0)
+                            mat_inv, mat_mul, u, u_op, w0)
 from quadricops.poly import Poly, QLaurent, dual, q_form
 
 K = 2
@@ -27,9 +27,22 @@ def test_skew_constraint_enforced():
          for i in range(N)]
     with pytest.raises(ValueError):
         LieElt(K, X=X)
+    with pytest.raises(ValueError):
+        LieElt(K, X={(0, 0): 1})
     # the trusted constructor of bracket results checks it too
     with pytest.raises(ValueError):
-        LieElt._of(K, 0, (0,) * N, tuple(map(tuple, X)), (0,) * N)
+        LieElt._of(K, 0, (0,) * N, (((0, 0), Fraction(1)),), (0,) * N)
+
+
+def test_malformed_levi_block_rejected():
+    zero = [[0] * N for _ in range(N)]
+    for X in ([[0]], zero[:-1], [row + [0] for row in zero],
+              zero[:-1] + [[0] * (N + 1)]):
+        with pytest.raises(ValueError):
+            LieElt(K, X=X)
+    for key in ((0, N), (N, 0), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            LieElt(K, X={key: 0})
 
 
 def jplus_matrix(k: int):
@@ -55,30 +68,38 @@ def random_combination(rng, k):
     for i in sorted(chosen):
         c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
         out = out + bas[i].scale(c)
-    assert out.alpha and any(out.mu) and any(out.lam) and any(map(any, out.X))
+    assert out.alpha and any(out.mu) and any(out.lam) and out.X
     return out
 
 
+def assert_entries_are_the_matrix(xi: LieElt):
+    n = 2 * xi.k + 2
+    m = xi.matrix()
+    assert xi.entries() == [((r, c), m[r][c]) for r in range(n)
+                            for c in range(n) if m[r][c]]
+
+
 def test_bracket_is_matrix_commutator():
-    bas = basis(K)
-    for xi in bas[:6]:
-        for eta in bas[6:12]:
-            a, b = xi.matrix(), eta.matrix()
-            comm = mat_sub(mat_mul(a, b), mat_mul(b, a))
-            assert xi.bracket(eta).matrix() == comm
-    # every basis pair at k = 2, 3
+    # every basis pair at k = 2, 3, against the dense commutator
     for k in (2, 3):
         bas = basis(k)
         for xi in bas:
+            assert_entries_are_the_matrix(xi)
             for eta in bas:
+                a, b = xi.matrix(), eta.matrix()
                 br = xi.bracket(eta)
+                assert_entries_are_the_matrix(br)
+                assert br.matrix() == mat_sub(mat_mul(a, b), mat_mul(b, a))
                 assert br == matrix_bracket(xi, eta), (xi.tag, eta.tag)
     # 20 random rational combinations per k, each bracketed with the next
     rng = random.Random(17)
     for k in (2, 3, 4):
         elts = [random_combination(rng, k) for _ in range(20)]
         for xi, eta in zip(elts, elts[1:] + elts[:1]):
-            assert xi.bracket(eta) == matrix_bracket(xi, eta)
+            br = xi.bracket(eta)
+            assert_entries_are_the_matrix(xi)
+            assert_entries_are_the_matrix(br)
+            assert br == matrix_bracket(xi, eta)
 
 
 class CornerOnly(LieElt):
@@ -108,13 +129,22 @@ def test_elements_hash_by_value_and_are_frozen():
     assert len({a, b, LieElt(K, lam=e)}) == 2
     with pytest.raises(TypeError):
         a.mu[0] = 1
+    # a Levi element from dense rows and from a mapping of its entries
+    dense = [[0] * N for _ in range(N)]
+    dense[0][1], dense[dual(N, 1)][dual(N, 0)] = 1, -1
+    levi_elt = LieElt(K, X=dense)
+    mapped = LieElt(K, X={(0, 1): Fraction(2, 2), (dual(N, 1), dual(N, 0)): -1,
+                          (1, 2): 0})
+    assert levi_elt == mapped and hash(levi_elt) == hash(mapped)
     with pytest.raises(TypeError):
-        a.X[0][0] = 1
+        levi_elt.X[0] = ((0, 1), 2)
+    with pytest.raises(TypeError):
+        levi_elt.X[0][1] = 2
 
 
 def ad_w0(xi: LieElt) -> LieElt:
     """Conjugation by the Weyl inversion: swaps mu and lambda, flips alpha."""
-    return LieElt(xi.k, -xi.alpha, xi.lam, xi.X, xi.mu, tag=xi.tag)
+    return LieElt(xi.k, -xi.alpha, xi.lam, dict(xi.X), xi.mu, tag=xi.tag)
 
 
 def test_ad_w0_swaps_blocks():
