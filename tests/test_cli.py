@@ -115,13 +115,25 @@ def test_k3_shapovalov_report_is_pinned(capsys):
      "95a980db96b9546b8c88c2be95ac9f601900ce8a87fc128e44b186d43a7b17ac"),
     ("moment-orbit", 5,
      "1948a37624d25ba21d0aca542edd902c165c9def231964147a7068cfb5131dcb"),
+    ("algebra-core", 3,
+     "4b9fef6e5ab9e27d7e6cf14725212666d3390f6749de1473d5db6e16472591ff"),
+    ("algebra-core", 4,
+     "3a249859a5768ba8580a7b1128cb7f26fab8ed333dacbd23b528363d22f15612"),
+    ("weyl", 3,
+     "5d92acccc6751fdefaec7539d481705247bc5acc81c8fbfad9716ccd302d70a4"),
+    ("weyl", 4,
+     "ce2633150dd223836ea72bc1ed77c4356f676716d8816b854cd970b000123585"),
+    ("lie-orthogonal", 3,
+     "ad6e9b1ffb9a52ea6953877a28fce4e134f833f257d7ba0842ab196cd3144c39"),
 ], ids=["shapovalov-k5", "cone-ops-k4", "lie-hom-k4", "lie-orthogonal-k5",
-        "moment-orbit-k5"])
+        "moment-orbit-k5", "algebra-core-k3", "algebra-core-k4", "weyl-k3",
+        "weyl-k4", "lie-orthogonal-k3"])
 def test_enumerated_report_is_pinned(capsys, suite, k, digest):
     # recorded while the Shapovalov identity was still checked on B_1..B_3
     # expanded and the homomorphism on every basis pair; the k=5
     # lie-orthogonal and moment-orbit reports while the Levi block was
-    # stored dense
+    # stored dense; the algebra-core, weyl and k=3 lie-orthogonal reports
+    # while rational products summed a Fraction per term pair
     code, out = run_cli(capsys, ["verify", suite, "--k", str(k),
                                  "--format", "json"])
     assert code == 0
