@@ -13,14 +13,22 @@ with X skew for J_V.  The blocks are tuples, so an element is hashable by
 value and its entries cannot change in place.  X is stored by its nonzero
 entries, the tuple of ((a, b), X[a][b]) sorted by index: a basis element
 has at most two, so the bracket reads only those.  The sorted, zero-free
-form is unique, so equality and the hash stay by value.  Group elements
-are exact rational matrices g with g^T J+ g = J+.
+form is unique, so equality and the hash stay by value.
+
+A group element is an exact rational (2k+2)-square matrix g with
+g^T J+ g = J+.  It is stored in integers, as g = M / den with M an integer
+matrix and den > 0 the least common denominator of its entries, and
+checked in integers as M^T J+ M = den^2 J+.  Products multiply the integer
+matrices, and evaluations at a rational point v use the integer column
+e^2 (1, v, -Q(v)), where e is the least denominator of v; each result is
+divided once at the end.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
+from math import gcd, lcm
 
 from .poly import (Poly, QLaurent, b_pair, divides_exactly, dual, q_form,
                    q_of, qcoef, qdiv)
@@ -269,36 +277,66 @@ def generators(k: int):
 
 
 class GroupElt:
-    """Exact rational matrix preserving the extended split form."""
+    """Exact rational matrix preserving the extended split form, stored as
+    the integer matrix ``M`` over its least common denominator ``den``."""
 
-    __slots__ = ("k", "m")
+    __slots__ = ("k", "M", "den")
 
     def __init__(self, k: int, m):
+        """Build from a (2k+2)-square matrix of rationals; raises ValueError
+        for any other shape and for a matrix that does not preserve J+."""
         n = 2 * k + 2
-        self.k = k
-        self.m = [[qcoef(c) for c in row] for row in m]
-        # (m^T J+ m)[i][j] = sum_l m[l][i] m[dual l][j], since J+ is the
+        if len(m) != n or any(len(row) != n for row in m):
+            raise ValueError(f"a group element at k={k} is {n}x{n}")
+        m = [[qcoef(c) for c in row] for row in m]
+        den = lcm(*(c.denominator for row in m for c in row))
+        self._set(k, [[c.numerator * (den // c.denominator) for c in row]
+                      for row in m], den)
+
+    def _set(self, k, M, den):
+        """Store M / den in lowest terms and check the form."""
+        n = 2 * k + 2
+        g = gcd(den, *(c for row in M for c in row))
+        if g != 1:
+            M, den = [[c // g for c in row] for row in M], den // g
+        self.k, self.M, self.den = k, M, den
+        # (M^T J+ M)[i][j] = sum_l M[l][i] M[dual l][j], since J+ is the
         # involutive permutation l -> dual l
         form = _zeros(n, n)
-        for l, row in enumerate(self.m):
-            other = [(j, d) for j, d in enumerate(self.m[dual(n, l)]) if d]
+        for l, row in enumerate(M):
+            other = [(j, d) for j, d in enumerate(M[dual(n, l)]) if d]
             for i, c in enumerate(row):
                 if c:
                     for j, d in other:
                         form[i][j] += c * d
-        if form != [[int(j == dual(n, i)) for j in range(n)] for i in range(n)]:
+        d2 = den * den
+        if form != [[d2 if j == dual(n, i) else 0 for j in range(n)]
+                    for i in range(n)]:
             raise ValueError("matrix does not preserve the extended form")
 
+    @property
+    def m(self):
+        """The rational matrix M / den, as a new list of rows."""
+        den = self.den
+        return [[qdiv(c, den) for c in row] for row in self.M]
+
     def __mul__(self, other: "GroupElt") -> "GroupElt":
-        return GroupElt(self.k, mat_mul(self.m, other.m))
+        if self.k != other.k:
+            raise ValueError("group elements of different k")
+        out = GroupElt.__new__(GroupElt)
+        out._set(self.k, mat_mul(self.M, other.M), self.den * other.den)
+        return out
 
     def inv(self) -> "GroupElt":
-        return GroupElt(self.k, _inverse(self.m))
+        out = GroupElt.__new__(GroupElt)
+        out._set(self.k, _inverse(self.M), self.den)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, GroupElt):
             return NotImplemented
-        return self.k == other.k and self.m == other.m
+        return (self.k == other.k and self.den == other.den
+                and self.M == other.M)
 
     def to_json(self):
         return [[{"num": c.numerator, "den": c.denominator} for c in row]
@@ -435,26 +473,32 @@ def _q_power_inverse(p: Poly, k: int) -> QLaurent:
 
 @lru_cache(maxsize=64)
 def _point_column(point: tuple) -> tuple:
-    """The first column (1, v, -Q(v)) of u_v^op at a rational point v.
+    """(e, column) for a rational point v: e is the least denominator of v
+    and the column is e^2 (1, v, -Q(v)), the first column of u_v^op times
+    e^2, in integers.
 
     Memoized, so calls at one point compute Q(v) once: the cocycle check
     reads this column up to three times per sample.
     """
-    return (1, *point, -q_of(point))
+    e = lcm(*(c.denominator for c in point))
+    w = [c.numerator * (e // c.denominator) for c in point]
+    return e, (e * e, *(e * c for c in w), -q_of(w))
 
 
 def _uop_column(g: GroupElt, point):
     """The first column of g^{-1} u_v^op at a rational point v.
 
-    Row i of g^{-1} = J+ g^T J+ is column dual(i) of g read bottom to top.
+    Row i of g^{-1} = J+ g^T J+ is column dual(i) of g read bottom to top;
+    the integer sums are divided once by den e^2.
     """
     n = 2 * g.k + 2
-    col = _point_column(tuple(_frac_vec(point, n - 2)))
-    rows = g.m[::-1]
+    e, col = _point_column(tuple(_frac_vec(point, n - 2)))
+    rows, s = g.M[::-1], g.den * e * e
     out = []
     for i in range(n):
         j = dual(n, i)
-        out.append(sum(row[j] * c for row, c in zip(rows, col) if row[j]))
+        out.append(qdiv(sum(row[j] * c for row, c in zip(rows, col) if row[j]),
+                        s))
     return out
 
 
@@ -462,10 +506,11 @@ def chi0_at(g: GroupElt, point):
     """chi0(p(g, v)) at a rational point v: the pivot of g^{-1} u_v^op.
 
     Row 0 of g^{-1} = J+ g^T J+ is the last column of g read bottom to top,
-    so the pivot is one dot product.
+    so the pivot is one dot product, divided once by den e^2.
     """
-    col = _point_column(tuple(_frac_vec(point, 2 * g.k)))
-    return sum(row[-1] * c for row, c in zip(reversed(g.m), col) if row[-1])
+    e, col = _point_column(tuple(_frac_vec(point, 2 * g.k)))
+    return qdiv(sum(row[-1] * c for row, c in zip(reversed(g.M), col)
+                    if row[-1]), g.den * e * e)
 
 
 def act_at(g: GroupElt, point):

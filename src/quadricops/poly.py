@@ -36,12 +36,23 @@ them, operators, generator words) goes through them.
 
 Coefficients are exact rationals of type ``int`` or ``fractions.Fraction``,
 never ``float``; nothing is ever rounded.  Constructors store an integral
-value as an ``int`` (``qcoef``), and so does scaling by a ``Fraction``;
-sums and products of a ``Fraction`` may still leave an integral
-``Fraction``.  The two types agree on ``==`` and ``hash``, so equality,
-hashing, printing and the JSON ``num``/``den`` fields do not depend on which
-one a coefficient carries.  Every true division in the package goes through
-``qdiv``, because ``int / int`` is a ``float``.
+value as an ``int`` (``qcoef``), and so do scaling by a ``Fraction`` and the
+products of ``Poly`` and ``weyl.WeylOp``: a product stores an ``int``
+exactly where its coefficient is integral.  Only a sum of ``Fraction``s
+may still leave an integral ``Fraction``.  The two types agree on ``==``
+and ``hash``, so equality, hashing, printing and the JSON ``num``/``den``
+fields do not depend on which one a coefficient carries.  Every true
+division in the package goes through ``qdiv``, because ``int / int`` is a
+``float``.
+
+Products run on integers.  ``numerators`` writes the coefficients of a
+factor as integer numerators over their least common denominator (as
+FLINT's ``fmpq_poly`` does), the product sums integer products per term
+pair, and each output coefficient is divided once by the product of the
+two denominators.  Factors whose coefficients are all ``int`` are used as
+they are, after one scan.  A monomial times a ``Poly`` has no two term
+pairs to sum, so its coefficients are multiplied directly and, when a
+``Fraction`` takes part, stored through ``qcoef``.
 
 ``TermMap`` is the one home of the linear structure that ``Poly`` and
 ``weyl.WeylOp`` share: equality, hashing, sums, negation, scaling and
@@ -59,7 +70,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import repeat
-from math import perm
+from math import lcm, perm
 from operator import add, mul
 
 FIELD = 16                      # bits per field: 15 value bits, 1 guard bit
@@ -81,6 +92,18 @@ def qcoef(c):
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     raise TypeError(f"coefficient must be int or Fraction, not {type(c).__name__}")
+
+
+def numerators(terms: dict):
+    """(d, nums): the least common denominator d of the coefficients of a
+    term map and the map of integer numerators c * d.  For a map of ``int``
+    coefficients only, (1, terms) itself, not copied."""
+    # any Fraction makes the sum a Fraction
+    if type(sum(terms.values())) is int:
+        return 1, terms
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, {key: c.numerator * (d // c.denominator)
+               for key, c in terms.items()}
 
 
 def qdiv(a, b):
@@ -410,7 +433,9 @@ class Poly(TermMap):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             return self.scale(other)
-        self._check(other)
+        n = self.nvars
+        if other.nvars != n:
+            self._check(other)  # raises
         t1, t2 = self.terms, other.terms
         if len(t1) > len(t2):
             t1, t2 = t2, t1
@@ -418,10 +443,16 @@ class Poly(TermMap):
         if len(t1) == 1:
             # a monomial times a polynomial: no two products collide
             ((m1, c1),) = t1.items()
-            check_degrees(m1, max(t2), self.nvars)
+            check_degrees(m1, max(t2), n)
             terms = {m1 + m2: c1 * c2 for m2, c2 in t2.items()}
+            if type(sum(t2.values(), c1)) is not int:
+                terms = {m: qcoef(c) for m, c in terms.items()}
         elif t1:
-            check_degrees(max(t1), max(t2), self.nvars)
+            check_degrees(max(t1), max(t2), n)
+            d = 1
+            if type(sum(t1.values(), sum(t2.values()))) is not int:
+                (d1, t1), (d2, t2) = numerators(t1), numerators(t2)
+                d = d1 * d2
             items = list(t2.items())
             get = terms.get
             for m1, c1 in t1.items():
@@ -432,7 +463,9 @@ class Poly(TermMap):
                         terms[m] = s
                     else:
                         del terms[m]
-        return Poly._of(self.nvars, terms)
+            if d != 1:
+                terms = {m: qdiv(c, d) for m, c in terms.items()}
+        return Poly._of(n, terms)
 
     def deriv(self, i: int) -> "Poly":
         """Partial derivative with respect to variable index i."""

@@ -17,11 +17,13 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import itemgetter
 
 from .poly import (ExponentOverflow, Poly, TermMap, check_degrees,
                    default_names, divides_exactly, dual, falling,
                    falling_spec, fieldwise_max, guard, mdegree, mono_text,
-                   pack, qcoef, restrict, signed_text, support, unit, unpack)
+                   numerators, pack, qcoef, qdiv, restrict, signed_text,
+                   support, unit, unpack)
 
 
 class NotDivisible(Exception):
@@ -39,7 +41,8 @@ class WeylOp(TermMap):
     ``WeylOp(nvars, terms)`` takes packed keys; ``from_exponents`` takes
     exponent tuples, and ``sorted_terms``, ``text`` and ``to_json`` give
     tuples back.  Coefficients, sums and scaling are those of
-    ``poly.TermMap``.
+    ``poly.TermMap``; the product runs on integer numerators, as the
+    ``Poly`` product does.
     """
 
     __slots__ = ()
@@ -115,15 +118,19 @@ class WeylOp(TermMap):
         self._check(other)
         n = self.nvars
         terms: dict = {}
-        if self.terms and other.terms:
-            check_degrees(max(a for a, _ in self.terms),
-                          max(a for a, _ in other.terms), n)
-            check_degrees(max(b for _, b in self.terms),
-                          max(b for _, b in other.terms), n)
+        t1, t2, d = self.terms, other.terms, 1
+        if t1 and t2:
+            # the largest key has the largest alpha
+            check_degrees(max(t1)[0], max(t2)[0], n)
+            check_degrees(max(map(itemgetter(1), t1)),
+                          max(map(itemgetter(1), t2)), n)
+            if type(sum(t1.values(), sum(t2.values()))) is not int:
+                (d1, t1), (d2, t2) = numerators(t1), numerators(t2)
+                d = d1 * d2
             items = [(a2, b2, c2, support(a2, n))
-                     for (a2, b2), c2 in other.terms.items()]
+                     for (a2, b2), c2 in t2.items()]
             get = terms.get
-            for (a1, b1), c1 in self.terms.items():
+            for (a1, b1), c1 in t1.items():
                 s1 = support(b1, n)
                 for a2, b2, c2, s2 in items:
                     shared = s1 & s2
@@ -146,6 +153,8 @@ class WeylOp(TermMap):
                             terms[ab] = s
                         else:
                             del terms[ab]
+        if d != 1:
+            terms = {ab: qdiv(c, d) for ab, c in terms.items()}
         return WeylOp._of(n, terms)
 
     def commutator(self, other: "WeylOp") -> "WeylOp":

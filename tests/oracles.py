@@ -21,7 +21,10 @@ the group that matched; ``tokenize_groupwise`` filters the tuple of all
 groups of the match for every token.  ``coneops.is_ideal_preserving``
 decides whether an operator a normalizes (Q*) from the one product a Q*;
 ``preserves_ideal_by_monomials`` applies a to Q* m for every monomial m up to
-the order of a instead.
+the order of a instead.  ``Poly.__mul__`` and ``WeylOp.__mul__`` sum
+integer numerators over one common denominator and divide once per output
+term; ``poly_mul_pairwise`` and ``weyl_mul_pairwise`` sum one exact rational
+product per pair of terms.
 """
 
 from itertools import combinations
@@ -34,8 +37,10 @@ from quadricops.harmonic import _laplacian_shift
 from quadricops.lie import LieElt
 from quadricops.momentorbit import orbit_matrix, x_vector
 from quadricops.poly import (Poly, QLaurent, normal_form_mod_single, q_form,
-                             pack, q_of, qdiv, reduce_mod, unpack)
-from quadricops.weyl import WeylOp, laplacian_op, monomials_up_to
+                             pack, q_of, qdiv, reduce_mod, restrict, support,
+                             unpack)
+from quadricops.weyl import (WeylOp, _exchange_terms, laplacian_op,
+                             monomials_up_to)
 
 
 def det3(M, rows, cols) -> Poly:
@@ -174,6 +179,39 @@ def apply_termwise(op: WeylOp, f: Poly) -> Poly:
             key = pack([mi - bi + ai for mi, bi, ai in zip(m, beta, alpha)])
             terms[key] = terms.get(key, 0) + w
     return Poly(n, terms)
+
+
+def poly_mul_pairwise(a: Poly, b: Poly) -> Poly:
+    """a * b with one rational product and sum per pair of terms."""
+    terms: dict = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = m1 + m2
+            s = terms.get(m, 0) + c1 * c2
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+    return Poly(a.nvars, terms)
+
+
+def weyl_mul_pairwise(a: WeylOp, b: WeylOp) -> WeylOp:
+    """a * b with one rational product per pair of terms and per term of the
+    exchange d^b1 x^a2 = sum_t w_t x^(a2-t) d^(b1-t)."""
+    n = a.nvars
+    terms: dict = {}
+    for (a1, b1), c1 in a.terms.items():
+        for (a2, b2), c2 in b.terms.items():
+            shared = support(b1, n) & support(a2, n)
+            for t, w in _exchange_terms(restrict(b1, shared),
+                                        restrict(a2, shared), n):
+                ab = (a1 + a2 - t, b1 + b2 - t)
+                s = terms.get(ab, 0) + c1 * c2 * w
+                if s:
+                    terms[ab] = s
+                else:
+                    del terms[ab]
+    return WeylOp(n, terms)
 
 
 def tokenize_groupwise(src: str, k: int):

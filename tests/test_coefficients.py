@@ -3,6 +3,7 @@ float, and every true division goes through ``poly.qdiv``."""
 
 import ast
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,9 +13,10 @@ from pathlib import Path
 import pytest
 
 import quadricops
+from oracles import poly_mul_pairwise, weyl_mul_pairwise
 from quadricops.coneops import GenWord
 from quadricops.lie import GroupElt, LieElt
-from quadricops.poly import Poly, QLaurent, qcoef, qdiv
+from quadricops.poly import Poly, QLaurent, pack, qcoef, qdiv
 from quadricops.suites import run_suite
 from quadricops.weyl import WeylOp
 
@@ -109,6 +111,66 @@ def test_integral_constants_are_stored_as_int():
     assert type(Poly.var(4, 0).scale(Fraction(2)).coeff((1, 0, 0, 0))) is int
     one = Poly.var(4, 0).scale(2).scale(Fraction(1, 2))
     assert type(one.coeff((1, 0, 0, 0))) is int
+
+
+# denominators of the random operands below: none, small and mixed, and
+# coprime up to 1/97
+DENOMINATORS = [(1,), (2, 3, 4, 6), (1, 5, 89, 97), tuple(range(1, 98))]
+
+
+def random_operand(rng, cls, dens, n=4):
+    """Up to six terms with coefficients n/d, d drawn from dens; one time in
+    three a sum adds a term whose coefficient is an integral Fraction."""
+    def key():
+        mono = [pack(tuple(rng.randint(0, 2) for _ in range(n)))
+                for _ in range(2)]
+        return mono[0] if cls is Poly else tuple(mono)
+    out = cls(n, {key(): qdiv(rng.choice((-1, 1)) * rng.randint(1, 9),
+                              rng.choice(dens))
+                  for _ in range(rng.randint(0, 6))})
+    if rng.randrange(3) == 0:
+        half = cls(n, {key(): Fraction(rng.randrange(1, 9, 2), 2)})
+        out = out + half + half
+    return out
+
+
+def cancelling_products(cls):
+    """Pairs whose product cancels terms: (u/2 + v/3)(u/2 - v/3), where the
+    cross terms cancel (the Weyl exchange leaves 1/6), and products with 0."""
+    if cls is Poly:
+        u, v = Poly.var(4, 0), Poly.var(4, 3)
+    else:
+        u, v = WeylOp.mult(Poly.var(4, 0)), WeylOp.partial(4, 0)
+    a, b = u.scale(Fraction(1, 2)), v.scale(Fraction(1, 3))
+    return [(a + b, a - b), (a - b, a + b), (a + b, cls.zero(4)),
+            (cls.zero(4), cls.zero(4))]
+
+
+@pytest.mark.parametrize("cls,oracle", [(Poly, poly_mul_pairwise),
+                                        (WeylOp, weyl_mul_pairwise)],
+                         ids=["Poly", "WeylOp"])
+def test_product_matches_pairwise_oracle(cls, oracle):
+    rng = random.Random(1901)
+    pairs = cancelling_products(cls)
+    for i in range(320):
+        # every pair of denominator sets, int x Fraction among them
+        da, db = DENOMINATORS[i % 4], DENOMINATORS[i // 4 % 4]
+        pairs.append((random_operand(rng, cls, da),
+                      random_operand(rng, cls, db)))
+    integral_fractions = 0
+    for a, b in pairs:
+        got = a * b
+        assert got == oracle(a, b), (a, b)
+        # an int exactly where the coefficient is integral, and no zero
+        assert all(c and (type(c) is int) == (c.denominator == 1)
+                   for c in got.terms.values()), got.terms
+        integral_fractions += any(type(c) is Fraction and c.denominator == 1
+                                  for c in chain(a.terms.values(),
+                                                 b.terms.values()))
+    assert integral_fractions >= 50
+    # the cross terms cancel: u^2/4 - v^2/9, and 1/6 from the exchange
+    (a, b), *_ = cancelling_products(cls)
+    assert len((a * b).terms) == (2 if cls is Poly else 3)
 
 
 # where each class keeps its coefficients

@@ -1,4 +1,5 @@
-"""Checks that fail on a wrong engine, one mutant per proof step.
+"""Checks that fail on a wrong engine, one mutant per proof step and per
+scale factor of the exact arithmetic.
 
 Each case replaces one function in the engine module or class that defines
 it, never in ``quadricops.suites``, runs the suite at k=2 and asserts that
@@ -10,7 +11,7 @@ ends with an empty cache: no image a mutant built reaches a later test.
 
 import pytest
 
-from quadricops import coneops, lie, shapovalov
+from quadricops import coneops, lie, poly, shapovalov
 from quadricops.coneops import rho_tilde, xx_op, yy_op
 from quadricops.suites import run_suite
 
@@ -73,10 +74,22 @@ def _levi_bracket_negated(xi, eta):
     return out.scale(-1) if _is_levi(xi) and _is_levi(eta) else out
 
 
+def _denominator_dropped(terms):
+    # products keep the integer numerators and never divide them back
+    return 1, ORIGINAL["numerators"](terms)[1]
+
+
+def _point_scale_doubled(point):
+    # chi0_at divides by (2e)^2; act_at cancels the scale against its pivot
+    e, col = ORIGINAL["_point_column"](point)
+    return 2 * e, col
+
+
 ORIGINAL = {name: getattr(module, name) for module, name in [
     (shapovalov, "shapovalov_factors"), (shapovalov, "shapovalov_closed"),
     (shapovalov, "euler_shift"), (coneops, "rho_amb"), (lie, "generators"),
-    (coneops, "dual_field"), (lie.LieElt, "bracket")]}
+    (coneops, "dual_field"), (lie.LieElt, "bracket"), (poly, "numerators"),
+    (lie, "_point_column")]}
 
 # case: (module, function, fake, suite, check id, start of its residue)
 CASES = {
@@ -105,6 +118,12 @@ CASES = {
     "levi-bracket-sign": (
         lie.LieElt, "bracket", _levi_bracket_negated, "lie-orthogonal",
         "lie-block-bracket", "pair ('levi', "),
+    "denominator-dropped": (
+        poly, "numerators", _denominator_dropped, "algebra-core",
+        "ring-axioms", "a="),
+    "point-scale": (
+        lie, "_point_column", _point_scale_doubled, "lie-orthogonal",
+        "lie-cocycle", "g1,g2 sample with v="),
 }
 
 
@@ -120,6 +139,6 @@ def test_mutant_fails_its_check(case, monkeypatch):
 
 
 @pytest.mark.parametrize("suite", ["shapovalov", "lie-hom", "cone-ops",
-                                   "lie-orthogonal"])
+                                   "lie-orthogonal", "algebra-core"])
 def test_unmutated_suites_pass(suite):
     assert run_suite(suite, 2).exit_status == 0

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 from operator import mul
 
 import pytest
@@ -188,6 +190,26 @@ def test_group_element_must_preserve_the_form():
             GroupElt(K, m)
 
 
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _short_row():
+    m = _identity(N + 2)
+    m[2] = m[2][:-1]
+    return GroupElt(K, m)
+
+
+@pytest.mark.parametrize("build", [
+    _short_row,
+    lambda: GroupElt(K, _identity(N + 4)),
+    lambda: w0(K) * w0(K + 1),
+], ids=["short-row", "too-large", "mixed-k"])
+def test_malformed_group_matrix_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_w0_factorization_is_inversion():
     # w0 sends v to -v/Q(v), with the cocycle character -Q(v)
     for k in (2, 3):
@@ -228,6 +250,10 @@ def test_inverse_matches_gauss_jordan():
     elts += [g1 * g2 for g1 in elts for g2 in elts]
     for g in elts:
         assert g.inv().m == mat_inv(g.m)
+        # stored as the integer matrix M over its least denominator
+        assert all(type(c) is int for c in chain(*g.M))
+        assert g.den > 0 and gcd(g.den, *chain(*g.M)) == 1
+        assert g.m == [[Fraction(c, g.den) for c in row] for row in g.M]
 
 
 def test_cocycle_at_rational_points():
