@@ -446,6 +446,7 @@ class Poly(TermMap):
             check_degrees(m1, max(t2), n)
             terms = {m1 + m2: c1 * c2 for m2, c2 in t2.items()}
             if type(sum(t2.values(), c1)) is not int:
+                # a product with a Fraction factor may be integral
                 terms = {m: qcoef(c) for m, c in terms.items()}
         elif t1:
             check_degrees(max(t1), max(t2), n)

@@ -119,8 +119,9 @@ DENOMINATORS = [(1,), (2, 3, 4, 6), (1, 5, 89, 97), tuple(range(1, 98))]
 
 
 def random_operand(rng, cls, dens, n=4):
-    """Up to six terms with coefficients n/d, d drawn from dens; one time in
-    three a sum adds a term whose coefficient is an integral Fraction."""
+    """Up to six terms, each coefficient +-1..9 over a denominator drawn
+    from dens; one time in three a sum adds a term whose coefficient is an
+    integral Fraction."""
     def key():
         mono = [pack(tuple(rng.randint(0, 2) for _ in range(n)))
                 for _ in range(2)]
