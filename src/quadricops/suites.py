@@ -463,10 +463,10 @@ def cone_ops_checks(k: int) -> list:
           "conjugating the ambient realization by the form costs exactly "
           "the first-order correction, full basis")
     def first_failure():
+        mq = WeylOp.mult(qs)
         for xi in bas:
-            ra = rho_amb(xi)
-            defect = (WeylOp.mult(qs) * ra
-                      - (ra - a_correction(xi)) * WeylOp.mult(qs))
+            # Q ra - (ra - a) Q
+            defect = mq.commutator(rho_amb(xi)) + a_correction(xi) * mq
             if not defect.is_zero():
                 return f"element {xi.tag}: {defect.text()}"
 

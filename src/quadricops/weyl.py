@@ -9,6 +9,16 @@ conjugate pair produces the general reordering identities
 
 applied independently in each variable.  Both one-sided normal forms are
 unique, which is what makes the two right-division tests below decisive.
+
+For terms u = x^a1 d^b1 and v = x^a2 d^b2 the first identity gives
+
+    [u, v] = sum_(t != 0)  C(b1,t) C(a2,t) t!  x^(a1+a2-t) d^(b1+b2-t)
+           - sum_(t != 0)  C(b2,t) C(a1,t) t!  x^(a1+a2-t) d^(b1+b2-t):
+
+the t = 0 term of u v and that of v u are both x^(a1+a2) d^(b1+b2) with
+weight 1, so they cancel, and a pair with d^b1 prime to x^a2 and d^b2 prime
+to x^a1 commutes.  ``WeylOp.commutator`` sums the identity over pairs of
+terms and never forms the two products.
 """
 
 from __future__ import annotations
@@ -115,50 +125,33 @@ class WeylOp(TermMap):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             return self.scale(other)
-        self._check(other)
-        n = self.nvars
-        terms: dict = {}
-        t1, t2, d = self.terms, other.terms, 1
-        if t1 and t2:
-            # the largest key has the largest alpha
-            check_degrees(max(t1)[0], max(t2)[0], n)
-            check_degrees(max(map(itemgetter(1), t1)),
-                          max(map(itemgetter(1), t2)), n)
-            if type(sum(t1.values(), sum(t2.values()))) is not int:
-                (d1, t1), (d2, t2) = numerators(t1), numerators(t2)
-                d = d1 * d2
-            items = [(a2, b2, c2, support(a2, n))
-                     for (a2, b2), c2 in t2.items()]
-            get = terms.get
-            for (a1, b1), c1 in t1.items():
-                s1 = support(b1, n)
-                for a2, b2, c2, s2 in items:
-                    shared = s1 & s2
-                    if shared:
-                        # reorder d^b1 x^a2 into x-left form
-                        a12, b12, c12 = a1 + a2, b1 + b2, c1 * c2
-                        for t, w in _exchange_terms(restrict(b1, shared),
-                                                    restrict(a2, shared), n):
-                            ab = (a12 - t, b12 - t)
-                            s = get(ab, 0) + c12 * w
-                            if s:
-                                terms[ab] = s
-                            else:
-                                del terms[ab]
-                    else:
-                        # d^b1 and x^a2 share no variable: they commute
-                        ab = (a1 + a2, b1 + b2)
-                        s = get(ab, 0) + c1 * c2
-                        if s:
-                            terms[ab] = s
-                        else:
-                            del terms[ab]
-        if d != 1:
-            terms = {ab: qdiv(c, d) for ab, c in terms.items()}
-        return WeylOp._of(n, terms)
+        return self._bilinear(other, _product_terms)
 
     def commutator(self, other: "WeylOp") -> "WeylOp":
-        return self * other - other * self
+        """[self, other] from the exchange terms that do not cancel (see the
+        module docstring), without forming the two products."""
+        return self._bilinear(other, _commutator_terms)
+
+    def _bilinear(self, other: "WeylOp", kernel) -> "WeylOp":
+        """kernel(t1, t2, n) on the two term maps, as integer numerators over
+        one common denominator d when a coefficient is a Fraction, then one
+        division by d per output term.  The degree bounds are those of the
+        product, which bound every key of the commutator too."""
+        self._check(other)
+        n = self.nvars
+        t1, t2 = self.terms, other.terms
+        if not (t1 and t2):
+            return WeylOp._of(n, {})
+        # the largest key has the largest alpha
+        check_degrees(max(t1)[0], max(t2)[0], n)
+        check_degrees(max(map(itemgetter(1), t1)),
+                      max(map(itemgetter(1), t2)), n)
+        if type(sum(t1.values(), sum(t2.values()))) is int:
+            return WeylOp._of(n, kernel(t1, t2, n))
+        (d1, t1), (d2, t2) = numerators(t1), numerators(t2)
+        d = d1 * d2
+        return WeylOp._of(n, {ab: qdiv(c, d)
+                              for ab, c in kernel(t1, t2, n).items()})
 
     # -- action on functions --------------------------------------------------
 
@@ -344,7 +337,7 @@ class WeylOp(TermMap):
 def _exchange_terms(b: int, a: int, n: int) -> tuple:
     """Terms of d^b x^a in x-left order: (t, weight) over 0 <= t <= min(b, a)
     with weight = prod C(b_i,t_i) C(a_i,t_i) t_i!, t packed; the caller
-    assembles x^(a-t) d^(b-t).
+    assembles x^(a-t) d^(b-t).  The first term is t = 0, of weight 1.
 
     Only the variables that b and a share matter, so callers pass both
     restricted to them, which keeps the memo small.
@@ -360,6 +353,74 @@ def _exchange_terms(b: int, a: int, n: int) -> tuple:
             w *= comb(b[i], ti) * comb(a[i], ti) * factorial(ti)
         out.append((pack(t), w))
     return tuple(out)
+
+
+def _product_terms(t1: dict, t2: dict, n: int) -> dict:
+    """The term map of the product of two term maps: for each pair of
+    terms, d^b1 x^a2 reordered into x-left form."""
+    terms: dict = {}
+    get = terms.get
+    items = [(a2, b2, c2, support(a2, n)) for (a2, b2), c2 in t2.items()]
+    for (a1, b1), c1 in t1.items():
+        s1 = support(b1, n)
+        for a2, b2, c2, s2 in items:
+            shared = s1 & s2
+            if shared:
+                a12, b12, c12 = a1 + a2, b1 + b2, c1 * c2
+                for t, w in _exchange_terms(restrict(b1, shared),
+                                            restrict(a2, shared), n):
+                    ab = (a12 - t, b12 - t)
+                    s = get(ab, 0) + c12 * w
+                    if s:
+                        terms[ab] = s
+                    else:
+                        del terms[ab]
+            else:
+                # d^b1 and x^a2 share no variable: they commute
+                ab = (a1 + a2, b1 + b2)
+                s = get(ab, 0) + c1 * c2
+                if s:
+                    terms[ab] = s
+                else:
+                    del terms[ab]
+    return terms
+
+
+def _commutator_terms(t1: dict, t2: dict, n: int) -> dict:
+    """The term map of the commutator of two term maps: for each pair of
+    terms, the t != 0 exchange terms of d^b1 x^a2 minus those of d^b2 x^a1.
+    A pair whose derivative parts share no variable with the other's
+    multiplication part commutes and is skipped."""
+    terms: dict = {}
+    get = terms.get
+    items = [(a2, b2, c2, support(a2, n), support(b2, n))
+             for (a2, b2), c2 in t2.items()]
+    for (a1, b1), c1 in t1.items():
+        sa1, sb1 = support(a1, n), support(b1, n)
+        for a2, b2, c2, sa2, sb2 in items:
+            fwd, bwd = sb1 & sa2, sb2 & sa1
+            if not (fwd or bwd):
+                continue
+            a12, b12, c12 = a1 + a2, b1 + b2, c1 * c2
+            if fwd:
+                for t, w in _exchange_terms(restrict(b1, fwd),
+                                            restrict(a2, fwd), n)[1:]:
+                    ab = (a12 - t, b12 - t)
+                    s = get(ab, 0) + c12 * w
+                    if s:
+                        terms[ab] = s
+                    else:
+                        del terms[ab]
+            if bwd:
+                for t, w in _exchange_terms(restrict(b2, bwd),
+                                            restrict(a1, bwd), n)[1:]:
+                    ab = (a12 - t, b12 - t)
+                    s = get(ab, 0) - c12 * w
+                    if s:
+                        terms[ab] = s
+                    else:
+                        del terms[ab]
+    return terms
 
 
 # -- standard operators -------------------------------------------------------

@@ -24,7 +24,9 @@ decides whether an operator a normalizes (Q*) from the one product a Q*;
 the order of a instead.  ``Poly.__mul__`` and ``WeylOp.__mul__`` sum
 integer numerators over one common denominator and divide once per output
 term; ``poly_mul_pairwise`` and ``weyl_mul_pairwise`` sum one exact rational
-product per pair of terms.
+product per pair of terms.  ``WeylOp.commutator`` sums only the exchange
+terms that do not cancel; ``commutator_by_products`` subtracts the two full
+products.
 """
 
 from itertools import combinations
@@ -212,6 +214,11 @@ def weyl_mul_pairwise(a: WeylOp, b: WeylOp) -> WeylOp:
                 else:
                     del terms[ab]
     return WeylOp(n, terms)
+
+
+def commutator_by_products(a: WeylOp, b: WeylOp) -> WeylOp:
+    """[a, b] as a * b - b * a."""
+    return a * b - b * a
 
 
 def tokenize_groupwise(src: str, k: int):

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import quadricops
-from oracles import poly_mul_pairwise, weyl_mul_pairwise
+from oracles import (commutator_by_products, poly_mul_pairwise,
+                     weyl_mul_pairwise)
 from quadricops.coneops import GenWord
 from quadricops.lie import GroupElt, LieElt
 from quadricops.poly import Poly, QLaurent, pack, qcoef, qdiv
@@ -172,6 +173,34 @@ def test_product_matches_pairwise_oracle(cls, oracle):
     # the cross terms cancel: u^2/4 - v^2/9, and 1/6 from the exchange
     (a, b), *_ = cancelling_products(cls)
     assert len((a * b).terms) == (2 if cls is Poly else 3)
+
+
+def test_commutator_matches_product_oracle():
+    rng = random.Random(2003)
+    x = [WeylOp.mult(Poly.var(4, i)) for i in range(4)]
+    d = [WeylOp.partial(4, i) for i in range(4)]
+    # no term of one operand meets a term of the other
+    apart = (x[0] * d[0] + x[1] * d[3], x[2] * d[3] * d[3])
+    pairs = cancelling_products(WeylOp) + [
+        apart, (x[0], d[0]), (d[0], x[0]), (x[0], WeylOp.zero(4)),
+        (WeylOp.zero(4), d[0]),
+        (WeylOp.const(4, Fraction(1, 3)), x[0] * d[0] + d[3])]
+    for i in range(320):
+        # every pair of denominator sets, int x Fraction among them
+        da, db = DENOMINATORS[i % 4], DENOMINATORS[i // 4 % 4]
+        pairs.append((random_operand(rng, WeylOp, da),
+                      random_operand(rng, WeylOp, db)))
+    for a, b in pairs:
+        got = a.commutator(b)
+        assert got == commutator_by_products(a, b), (a, b)
+        # an int exactly where the coefficient is integral, and no zero
+        assert all(c and (type(c) is int) == (c.denominator == 1)
+                   for c in got.terms.values()), got.terms
+        assert a.commutator(a).is_zero()
+    assert x[0].commutator(d[0]) == WeylOp.const(4, -1)
+    assert apart[0].commutator(apart[1]).is_zero()
+    with pytest.raises(ValueError):
+        d[0].commutator(WeylOp.partial(2, 0))
 
 
 # where each class keeps its coefficients

@@ -1,5 +1,6 @@
-"""Checks that fail on a wrong engine, one mutant per proof step and per
-scale factor of the exact arithmetic.
+"""Checks that fail on a wrong engine, one mutant per proof step, per
+scale factor of the exact arithmetic and per operator kernel that the
+checks share.
 
 Each case replaces one function in the engine module or class that defines
 it, never in ``quadricops.suites``, runs the suite at k=2 and asserts that
@@ -11,7 +12,7 @@ ends with an empty cache: no image a mutant built reaches a later test.
 
 import pytest
 
-from quadricops import coneops, lie, poly, shapovalov
+from quadricops import coneops, lie, poly, shapovalov, weyl
 from quadricops.coneops import rho_tilde, xx_op, yy_op
 from quadricops.suites import run_suite
 
@@ -85,11 +86,16 @@ def _point_scale_doubled(point):
     return 2 * e, col
 
 
+def _commutator_reversed(a, b):
+    # [b, a] = -[a, b]: every commutator comes out negated
+    return ORIGINAL["commutator"](b, a)
+
+
 ORIGINAL = {name: getattr(module, name) for module, name in [
     (shapovalov, "shapovalov_factors"), (shapovalov, "shapovalov_closed"),
     (shapovalov, "euler_shift"), (coneops, "rho_amb"), (lie, "generators"),
     (coneops, "dual_field"), (lie.LieElt, "bracket"), (poly, "numerators"),
-    (lie, "_point_column")]}
+    (lie, "_point_column"), (weyl.WeylOp, "commutator")]}
 
 # case: (module, function, fake, suite, check id, start of its residue)
 CASES = {
@@ -124,6 +130,9 @@ CASES = {
     "point-scale": (
         lie, "_point_column", _point_scale_doubled, "lie-orthogonal",
         "lie-cocycle", "g1,g2 sample with v="),
+    "commutator-reversed": (
+        weyl.WeylOp, "commutator", _commutator_reversed, "lie-hom",
+        "cone-lie-homomorphism", "first failing pair"),
 }
 
 
