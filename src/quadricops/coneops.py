@@ -18,11 +18,13 @@ generators, swapping coordinates with the second-order operators XX_i, YY_i.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .lie import LieElt
-from .poly import (Poly, b_pair, default_names, dual, mdegree, mono_text,
-                   q_form, qcoef, qdiv, reduce_mod, signed_text, unit, unpack)
+from .poly import (Poly, TermMap, add_terms, b_pair, default_names, dual,
+                   mdegree, mono_text, q_form, qcoef, qdiv, reduce_mod,
+                   signed_text, unit, unpack)
 from .weyl import NotDivisible, WeylOp, euler_op, laplacian_op
 
 
@@ -352,74 +354,55 @@ def index_text(indices) -> str:
     return sep.join(map(str, indices))
 
 
-class GenWord:
-    """Formal rational combination of words in the tagged generators."""
+class GenWord(TermMap):
+    """Formal rational combination of words in the tagged generators.
 
-    __slots__ = ("k", "terms")
+    A ``poly.TermMap`` whose key is a word, a tuple of letters, with the
+    empty word () as 1.  Its first field is k, so ``GenWord(k, terms)``
+    builds one; ``nvars`` holds k and ``k`` reads it.  The product
+    concatenates words.
+    """
 
-    def __init__(self, k: int, terms: dict | None = None):
-        self.k = k
-        self.terms = {w: qcoef(c) for w, c in (terms or {}).items() if c}
+    __slots__ = ()
+
+    ONE = ()
+
+    @staticmethod
+    def _monomials(key):
+        """() for a word (a tuple), which holds no monomial; else None."""
+        return () if isinstance(key, tuple) else None
+
+    @property
+    def k(self) -> int:
+        return self.nvars
 
     @classmethod
     def letter(cls, k: int, letter, c=1) -> "GenWord":
-        return cls(k, {(tuple(letter),): qcoef(c)})
+        return cls(k, {(tuple(letter),): c})
 
-    @classmethod
-    def const(cls, k: int, c) -> "GenWord":
-        return cls(k, {(): qcoef(c)})
-
-    def __add__(self, other: "GenWord") -> "GenWord":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, 0) + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
-        return GenWord(self.k, terms)
-
-    def __sub__(self, other: "GenWord") -> "GenWord":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "GenWord":
-        c = qcoef(c)
-        return GenWord(self.k, {w: c * v for w, v in self.terms.items()})
-
-    def __mul__(self, other: "GenWord") -> "GenWord":
-        terms: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = terms.get(w, 0) + c1 * c2
-                if s:
-                    terms[w] = s
-                else:
-                    del terms[w]
-        return GenWord(self.k, terms)
-
-    def __eq__(self, other):
+    def __mul__(self, other):
         if not isinstance(other, GenWord):
-            return NotImplemented
-        return self.k == other.k and self.terms == other.terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self.scale(other)
+        self._check(other)
+        items = other.terms.items()
+        # GenWord(), not _of: a product of Fractions may be integral
+        return GenWord(self.nvars, add_terms({}, (
+            (w1 + w2, c1 * c2)
+            for w1, c1 in self.terms.items() for w2, c2 in items)))
 
     def fourier(self) -> "GenWord":
         """Letterwise quadric Fourier transform; an involution."""
-        out: dict = {}
+        items = []
         for word, c in self.terms.items():
-            sign = 1
-            new_word = []
+            image = []
             for letter in word:
                 img, s = fourier_letter(letter)
-                sign *= s
-                new_word.append(img)
-            w = tuple(new_word)
-            s = out.get(w, 0) + sign * c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        return GenWord(self.k, out)
+                image.append(img)
+                c *= s
+            items.append((tuple(image), c))
+        return GenWord._of(self.nvars, add_terms({}, items))
 
     def eval(self) -> ConeOp:
         """The operator of the combination.
@@ -440,12 +423,8 @@ class GenWord:
                 prefix.append(prefix[-1] * letter_op(self.k, letter))
             last = word
             c = self.terms[word]
-            for key, v in prefix[-1].terms.items():
-                s = total.get(key, 0) + c * v
-                if s:
-                    total[key] = s
-                else:
-                    del total[key]
+            add_terms(total, ((key, c * v)
+                              for key, v in prefix[-1].terms.items()))
         return ConeOp(WeylOp._of(n, total))
 
     def sorted_terms(self):

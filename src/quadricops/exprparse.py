@@ -359,10 +359,7 @@ def to_genword(node, k: int) -> GenWord:
     if kind == "mul":
         return to_genword(node[1], k) * to_genword(node[2], k)
     if kind == "pow":
-        out = GenWord.const(k, 1)
-        for _ in range(node[2]):
-            out = out * to_genword(node[1], k)
-        return out
+        return to_genword(node[1], k) ** node[2]
     if kind == "neg":
         return to_genword(node[1], k).scale(-1)
     raise ValueError(f"unknown node {kind!r}")

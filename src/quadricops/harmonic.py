@@ -13,7 +13,7 @@ from math import comb
 
 from .poly import (Poly, QLaurent, b_pair, dual, mdegree,
                    normal_form_mod_single, pack, q_form, q_of, qcoef, qdiv,
-                   reduce_mod, unpack)
+                   reduce_mod, unit, unpack)
 from .weyl import (NotDivisible, WeylOp, euler_op, laplacian_op,
                    monomials_up_to)
 from .coneops import xx_op, yy_op
@@ -266,16 +266,20 @@ def harmonic_decompose(d: int, k: int):
     if d < 0:
         raise ValueError("degree must be nonnegative")
     n = 2 * k
-    lap = laplacian_op(k)
-    monos = [pack(m) for m in sym_monomials(k, d)]
+    exps = sym_monomials(k, d)
+    monos = [pack(m) for m in exps]
     col = {m: i for i, m in enumerate(monos)}
     target = [pack(m) for m in sym_monomials(k, d - 2)]
     trow = {m: i for i, m in enumerate(target)}
-    # matrix of Delta: rows = Sym^{d-2} monomials, cols = Sym^d monomials
+    # matrix of Delta: rows = Sym^{d-2} monomials, cols = Sym^d monomials,
+    # from Delta x^m = sum_i m_i m_dual(i) x^(m - e_i - e_dual(i))
+    pairs = [(i, dual(n, i), unit(n, i) + unit(n, dual(n, i)))
+             for i in range(k)]
     rows = [{} for _ in target]
-    for m in monos:
-        for m2, c in lap.apply(Poly._of(n, {m: 1})).terms.items():
-            rows[trow[m2]][col[m]] = c
+    for j, (e, m) in enumerate(zip(exps, monos)):
+        for i, i2, u in pairs:
+            if e[i] and e[i2]:
+                rows[trow[m - u]][j] = e[i] * e[i2]
     rref = _rref(rows)
     # the columns of R as {pivot: entry}
     rcols = [{} for _ in monos]

@@ -54,15 +54,16 @@ they are, after one scan.  A monomial times a ``Poly`` has no two term
 pairs to sum, so its coefficients are multiplied directly and, when a
 ``Fraction`` takes part, stored through ``qcoef``.
 
-``TermMap`` is the one home of the linear structure that ``Poly`` and
-``weyl.WeylOp`` share: equality, hashing, sums, negation, scaling and
-powers of a map from key to coefficient.  Each subclass keeps only the key
-of 1, its key check, its product and its own methods.  The public
-constructor, ``Poly(nvars, terms)`` or ``WeylOp(nvars, terms)``, is the one
-entry point for outside input: it checks every key (``is_packed``) and
-passes every coefficient through ``qcoef``.  ``_of(nvars, terms)`` is
-trusted: it stores a term map that the engine built, with valid keys and no
-zero coefficient, as it is.
+``TermMap`` is the one home of the linear structure that ``Poly``,
+``weyl.WeylOp`` and ``coneops.GenWord`` share: equality, hashing, sums,
+negation, scaling and powers of a map from key to coefficient.  Each
+subclass keeps only the key of 1, its key check, its product and its own
+methods.  The public constructor, ``Poly(nvars, terms)``, ``WeylOp(nvars,
+terms)`` or ``GenWord(k, terms)``, is the one entry point for outside
+input: it checks every key and passes every coefficient through ``qcoef``.
+``_of(nvars, terms)`` is trusted: it stores a term map that the engine
+built, with valid keys and no zero coefficient, as it is.  Every sum of
+terms outside the product and division kernels goes through ``add_terms``.
 """
 
 from __future__ import annotations
@@ -238,6 +239,27 @@ def falling(m: int, spec: tuple) -> int:
     return w
 
 
+def add_terms(terms: dict, items) -> dict:
+    """Add the (key, coefficient) pairs items into the term map terms, in
+    place, dropping each key whose coefficient cancels; returns terms.
+
+    The product and division kernels (``Poly.__mul__``,
+    ``normal_form_mod_single``, ``WeylOp._apply_poly``,
+    ``weyl._product_terms``, ``weyl._commutator_terms`` and
+    ``harmonic._subtract``) keep this loop inline: they run it once per term
+    pair, where a generator of pairs and a call would cost more than the
+    addition itself.
+    """
+    get = terms.get
+    for key, c in items:
+        s = get(key, 0) + c
+        if s:
+            terms[key] = s
+        else:
+            terms.pop(key, None)
+    return terms
+
+
 class TermMap:
     """A finite Q-linear combination: map from key to nonzero int or Fraction.
 
@@ -256,9 +278,11 @@ class TermMap:
             monos = self._monomials(key)
             if monos is None or not all(map(is_packed, monos, repeat(nvars))):
                 name = type(self).__name__
+                hint = (f" in {nvars} variables; build from exponent tuples "
+                        f"with {name}.from_exponents"
+                        if hasattr(self, "from_exponents") else "")
                 raise (TypeError if monos is None else ValueError)(
-                    f"{key!r} is not a {name} key in {nvars} variables; "
-                    f"build from exponent tuples with {name}.from_exponents")
+                    f"{key!r} is not a {name} key{hint}")
             c = qcoef(c)
             if c:
                 self.terms[key] = c
@@ -306,14 +330,8 @@ class TermMap:
                 return NotImplemented
             other = cls.const(self.nvars, other)
         self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, 0) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return cls._of(self.nvars, terms)
+        return cls._of(self.nvars,
+                       add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 

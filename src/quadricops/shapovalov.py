@@ -21,8 +21,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .coneops import ConeOp, xx_op, yy_op
-from .poly import (Poly, normal_form_mod_single, q_form, qdiv, reduce_mod,
-                   unit)
+from .poly import (Poly, add_terms, normal_form_mod_single, q_form, qdiv,
+                   reduce_mod, unit)
 from .weyl import WeylOp, euler_op
 
 
@@ -108,13 +108,8 @@ def shapovalov_series(dmax: int, k: int) -> list:
     for _ in range(dmax):
         terms: dict = {}
         for shift, _, f in factors:
-            for (a, b), c in (prev * f).terms.items():
-                key = a + shift, b
-                c += terms.get(key, 0)
-                if c:
-                    terms[key] = c
-                else:
-                    del terms[key]
+            add_terms(terms, (((a + shift, b), c)
+                              for (a, b), c in (prev * f).terms.items()))
         prev = WeylOp._of(n, terms)
         series.append(ConeOp(prev))
     return series
@@ -138,13 +133,8 @@ class SeriesStep:
     def apply(self, f: Poly) -> Poly:
         terms: dict = {}
         for shift, _, fac in self.factors:
-            for m, c in self.prev.apply(fac.apply(f)).terms.items():
-                key = m + shift
-                c += terms.get(key, 0)
-                if c:
-                    terms[key] = c
-                else:
-                    del terms[key]
+            add_terms(terms, ((m + shift, c) for m, c in
+                              self.prev.apply(fac.apply(f)).terms.items()))
         return Poly._of(2 * self.k, terms)
 
 
@@ -241,11 +231,9 @@ def fourier_roots_bezout(d: int, k: int):
     """
     p = shapovalov_closed(d, k)
     q = fourier_euler_image(p, k)
-    g, s, t = xgcd(p, q)
+    g, a, b = xgcd(p, q)  # g is monic: 1 when its degree is 0
     if g.degree() != 0:
         raise ArithmeticError("Shapovalov polynomials are not coprime")
-    inv = qdiv(1, g.constant())
-    a, b = s.scale(inv), t.scale(inv)
     if a * p + b * q != Poly.const(1, 1):
         raise ArithmeticError("Bezout certificate failed")
     return a, b

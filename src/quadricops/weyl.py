@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import comb, factorial
 from operator import itemgetter
 
-from .poly import (ExponentOverflow, Poly, TermMap, check_degrees,
+from .poly import (ExponentOverflow, Poly, TermMap, add_terms, check_degrees,
                    default_names, divides_exactly, dual, falling,
                    falling_spec, fieldwise_max, guard, mdegree, mono_text,
                    numerators, pack, qcoef, qdiv, restrict, signed_text,
@@ -100,14 +100,10 @@ class WeylOp(TermMap):
             sb = support(beta, n)
             for alpha, c in poly.terms.items():
                 shared = sb & support(alpha, n)
-                for t, w in _exchange_terms(restrict(beta, shared),
-                                            restrict(alpha, shared), n):
-                    key = (alpha - t, beta - t)
-                    s = terms.get(key, 0) + w * c
-                    if s:
-                        terms[key] = s
-                    else:
-                        del terms[key]
+                ex = _exchange_terms(restrict(beta, shared),
+                                     restrict(alpha, shared), n)
+                add_terms(terms, (((alpha - t, beta - t), w * c)
+                                  for t, w in ex))
         return cls._of(n, terms)
 
     # -- structure -----------------------------------------------------------
@@ -273,16 +269,15 @@ class WeylOp(TermMap):
         if d.is_zero():
             raise ZeroDivisionError("division by the zero operator")
         dsym = Poly._of(self.nvars, {b: c for (_, b), c in d.terms.items()})
-        out = WeylOp.zero(self.nvars)
+        quo: dict = {}
         for alpha, qa in self.xleft_coeffs().items():
             u = divides_exactly(dsym, qa)
             if u is None:
                 raise NotDivisible("x-left coefficient at "
                                    f"alpha={unpack(alpha, self.nvars)} not divisible")
-            part = WeylOp._of(self.nvars,
-                              {(alpha, b): c for b, c in u.terms.items()})
-            out = out + part
-        return out
+            # each alpha is its own set of keys: nothing collides
+            quo.update(((alpha, b), c) for b, c in u.terms.items())
+        return WeylOp._of(self.nvars, quo)
 
     def principal_symbol(self) -> Poly:
         """Top-order symbol in 4k variables: base point w, fiber point v.
@@ -294,20 +289,10 @@ class WeylOp(TermMap):
         """
         n = self.nvars
         r = self.order()
-        terms: dict = {}
-        if r < 0:
-            return Poly.zero(2 * n)
-        for (a, b), c in self.terms.items():
-            if mdegree(b, n) != r:
-                continue
-            # d_j goes to the fiber coordinate dual(n, j): reverse the vector
-            mono = pack(unpack(a, n) + unpack(b, n)[::-1])
-            s = terms.get(mono, 0) + c
-            if s:
-                terms[mono] = s
-            else:
-                del terms[mono]
-        return Poly._of(2 * n, terms)
+        # d_j goes to the fiber coordinate dual(n, j): reverse the vector
+        return Poly._of(2 * n, add_terms({}, (
+            (pack(unpack(a, n) + unpack(b, n)[::-1]), c)
+            for (a, b), c in self.terms.items() if mdegree(b, n) == r)))
 
     # -- printing --------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Cone operators: realizations, canonical classes, generator words."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -243,6 +244,31 @@ def test_fourier_word_involution_and_values():
                  Fraction(rng.randint(-4, 4) or 1) for _ in range(2)}
         word = GenWord(K, terms)
         assert word.fourier().fourier() == word
+
+
+def test_word_arithmetic_is_that_of_term_maps():
+    x1, xx2 = GenWord.letter(K, ("x", 1)), GenWord.letter(K, ("XX", 2))
+    w = x1 * xx2 + x1.scale(Fraction(1, 2))
+    for c in (3, -1, 0, Fraction(2, 3), Fraction(4, 2)):
+        assert w * c == c * w == w.scale(c)
+    other_k = GenWord.letter(K + 1, ("x", 1))
+    with pytest.raises(ValueError):
+        x1 + other_k
+    with pytest.raises(ValueError):
+        x1 * other_k
+    sq = xx2 * xx2 + x1.scale(Fraction(1, 2))
+    same = GenWord(K, {(("XX", 2), ("XX", 2)): 1}) + x1.scale(Fraction(1, 2))
+    assert sq == same and hash(sq) == hash(same)
+    assert len({w, w * 1, w + 0}) == 1
+    assert GenWord.const(K, 2) == GenWord(K, {(): 2}) and w.k == K
+    for key in (5, "x1"):
+        with pytest.raises(TypeError, match="not a GenWord key") as exc:
+            GenWord(K, {key: 1})
+        # the message names no constructor that GenWord lacks
+        msg = str(exc.value)
+        assert "from_exponents" not in msg
+        assert all(hasattr(GenWord, name)
+                   for name in re.findall(r"GenWord\.(\w+)", msg))
 
 
 def test_word_evaluation_shares_prefixes_exactly():

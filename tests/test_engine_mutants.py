@@ -91,11 +91,26 @@ def _commutator_reversed(a, b):
     return ORIGINAL["commutator"](b, a)
 
 
+def _xx_to_y(letter):
+    # XX_i -> y_i: the image of XX keeps its grading, but F(F(XX_i)) = YY_i
+    if letter[0] == "XX":
+        return ("y", letter[1]), 1
+    return ORIGINAL["fourier_letter"](letter)
+
+
+def _x_to_y(letter):
+    # x_i -> y_i: F(F(x_i)) = x_i still, but the image has degree +1
+    if letter[0] == "x":
+        return ("y", letter[1]), 1
+    return ORIGINAL["fourier_letter"](letter)
+
+
 ORIGINAL = {name: getattr(module, name) for module, name in [
     (shapovalov, "shapovalov_factors"), (shapovalov, "shapovalov_closed"),
     (shapovalov, "euler_shift"), (coneops, "rho_amb"), (lie, "generators"),
     (coneops, "dual_field"), (lie.LieElt, "bracket"), (poly, "numerators"),
-    (lie, "_point_column"), (weyl.WeylOp, "commutator")]}
+    (lie, "_point_column"), (weyl.WeylOp, "commutator"),
+    (coneops, "fourier_letter")]}
 
 # case: (module, function, fake, suite, check id, start of its residue)
 CASES = {
@@ -133,6 +148,12 @@ CASES = {
     "commutator-reversed": (
         weyl.WeylOp, "commutator", _commutator_reversed, "lie-hom",
         "cone-lie-homomorphism", "first failing pair"),
+    "fourier-xx-to-y": (
+        coneops, "fourier_letter", _xx_to_y, "cone-ops",
+        "cone-fourier-involution", "word #"),
+    "fourier-x-to-y": (
+        coneops, "fourier_letter", _x_to_y, "cone-ops",
+        "cone-grading-negation", "letter ('x', 1)"),
 }
 
 

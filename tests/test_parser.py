@@ -125,6 +125,15 @@ def test_genword_conversion():
         ep.to_genword(ep.parse("Delta", K), K)
 
 
+def test_genword_power_is_the_repeated_product():
+    for k in (2, 3):
+        base = ep.to_genword(ep.parse("x1 + XX2", k), k)
+        want = ep.to_genword(ep.parse("1", k), k)
+        for n in range(5):
+            assert ep.to_genword(ep.parse(f"(x1 + XX2)^{n}", k), k) == want
+            want = want * base
+
+
 def test_whitespace_insensitive():
     assert ep.parse(" x1+ y2 * dx1 ", K) == ep.parse("x1+y2*dx1", K)
 

@@ -7,7 +7,7 @@ from operator import add, le
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadricops.poly import (EMAX, ExponentOverflow, Poly, QLaurent,
+from quadricops.poly import (EMAX, ExponentOverflow, Poly, QLaurent, add_terms,
                              divides_exactly, fieldwise_max, guard, mdegree,
                              normal_form_mod_single, pack, q_form, reduce_mod,
                              support, unit, unpack)
@@ -116,6 +116,12 @@ def test_from_json_rejects_wrong_width():
     for data in (short, long):
         with pytest.raises(ValueError):
             Poly.from_json(N, data)
+
+
+def test_add_terms_adds_in_place_and_drops_cancelled_keys():
+    terms = {1: 2, 3: Fraction(1, 2)}
+    out = add_terms(terms, [(1, -2), (4, 0), (3, Fraction(1, 2)), (5, 7)])
+    assert out is terms and list(terms.items()) == [(3, 1), (5, 7)]
 
 
 def test_constructor_rejects_tuple_keys():
