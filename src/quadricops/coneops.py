@@ -47,11 +47,15 @@ def grad_flip(k: int, vec) -> WeylOp:
     return grad_pair(k, vec[::-1])
 
 
+@lru_cache(maxsize=1024)
 def phi(xi: LieElt) -> WeylOp:
     """Conformal-weight vector-field realization on V.
 
     phi(xi) = -d_mu - <Xv, grad> + alpha(E + k - 1)
               - B(lam, v)(E + k - 1) + Q(v) d_lam.
+
+    Memoized by the exact value of xi, like ``rho_tilde``; the images are
+    shared.
     """
     k = xi.k
     n = 2 * k
@@ -107,8 +111,10 @@ def dual_field(k: int, X) -> WeylOp:
     return WeylOp._of(n, {(unit(n, a), unit(n, b)): c for (a, b), c in X})
 
 
+@lru_cache(maxsize=1024)
 def rho_amb(xi: LieElt) -> WeylOp:
-    """Ambient dual-space realization tau(phi(xi)), in closed form.
+    """Ambient dual-space realization tau(phi(xi)), in closed form; memoized
+    by the exact value of xi, like ``rho_tilde``.
 
     tau is the algebra isomorphism v_i -> d_i, d_i -> -v_i, so each term of
     ``phi`` has a closed image:
@@ -261,11 +267,13 @@ def tau_hat(a: WeylOp) -> ConeOp:
 # -- distinguished generators ---------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def euler_weight_op(k: int) -> WeylOp:
     """E + k - 1, the shifted Euler operator central to the weight ladder."""
     return euler_op(k) + WeylOp.const(2 * k, k - 1)
 
 
+@lru_cache(maxsize=1024)
 def xx_op(k: int, i: int) -> WeylOp:
     """XX_i = (E + k - 1) d_{y_{k+1-i}} - x_i Delta   (i is 1-based)."""
     n = 2 * k
@@ -273,6 +281,7 @@ def xx_op(k: int, i: int) -> WeylOp:
             - WeylOp.mult(Poly.var(n, i - 1)) * laplacian_op(k))
 
 
+@lru_cache(maxsize=1024)
 def yy_op(k: int, i: int) -> WeylOp:
     """YY_i = (E + k - 1) d_{x_{k+1-i}} - y_i Delta   (i is 1-based)."""
     n = 2 * k
@@ -280,6 +289,7 @@ def yy_op(k: int, i: int) -> WeylOp:
             - WeylOp.mult(Poly.var(n, k + i - 1)) * laplacian_op(k))
 
 
+@lru_cache(maxsize=1024)
 def d_op(k: int, i: int, j: int) -> WeylOp:
     """D_ij = x_j d_{x_i} - y_{k+1-i} d_{y_{k+1-j}}   (1-based indices)."""
     n = 2 * k
@@ -288,6 +298,7 @@ def d_op(k: int, i: int, j: int) -> WeylOp:
             * WeylOp.partial(n, dual(n, j - 1)))
 
 
+@lru_cache(maxsize=1024)
 def b_op(k: int, i: int, j: int) -> WeylOp:
     """B_ij = y_{k+1-j} d_{x_i} - y_{k+1-i} d_{x_j}   (1-based, i < j)."""
     n = 2 * k
@@ -295,6 +306,7 @@ def b_op(k: int, i: int, j: int) -> WeylOp:
             - WeylOp.mult(Poly.var(n, dual(n, i - 1))) * WeylOp.partial(n, j - 1))
 
 
+@lru_cache(maxsize=1024)
 def c_op(k: int, i: int, j: int) -> WeylOp:
     """C_ij = x_j d_{y_{k+1-i}} - x_i d_{y_{k+1-j}}   (1-based, i < j)."""
     n = 2 * k
@@ -304,8 +316,23 @@ def c_op(k: int, i: int, j: int) -> WeylOp:
 
 # letters of generator words: ("x", i), ("y", i), ("XX", i), ("YY", i),
 # ("Etil",), ("D", i, j), ("B", i, j), ("C", i, j) with 1-based indices.
+# The distinguished generators above and the letters are memoized per
+# argument in bounded LRU caches: one shared, read-only operator each.
 
 
+@lru_cache(maxsize=64)
+def alphabet(k: int) -> frozenset:
+    """The letters of the generator words at k: x_i, y_i, XX_i, YY_i and
+    D_ij for 1 <= i, j <= k, B_ij and C_ij for i < j, and Etil."""
+    r = range(1, k + 1)
+    return frozenset([("Etil",)]
+                     + [(kind, i) for kind in ("x", "y", "XX", "YY") for i in r]
+                     + [("D", i, j) for i in r for j in r]
+                     + [(kind, i, j) for kind in ("B", "C") for i in r
+                        for j in r if i < j])
+
+
+@lru_cache(maxsize=1024)
 def letter_op(k: int, letter) -> WeylOp:
     kind = letter[0]
     n = 2 * k
@@ -359,7 +386,8 @@ class GenWord(TermMap):
 
     A ``poly.TermMap`` whose key is a word, a tuple of letters, with the
     empty word () as 1.  Its first field is k, so ``GenWord(k, terms)``
-    builds one; ``nvars`` holds k and ``k`` reads it.  The product
+    builds one; ``nvars`` holds k and ``k`` reads it.  The public
+    constructor takes only letters of ``alphabet(k)``.  The product
     concatenates words.
     """
 
@@ -367,10 +395,18 @@ class GenWord(TermMap):
 
     ONE = ()
 
-    @staticmethod
-    def _monomials(key):
-        """() for a word (a tuple), which holds no monomial; else None."""
-        return () if isinstance(key, tuple) else None
+    def _monomials(self, key):
+        """() for a word (a tuple), which holds no monomial; None for any
+        other key.  Raises ValueError naming the first letter of the word
+        outside ``alphabet(k)``."""
+        if not isinstance(key, tuple):
+            return None
+        letters = alphabet(self.nvars)
+        for letter in key:
+            if letter not in letters:
+                raise ValueError(f"{letter!r} is not a generator letter "
+                                 f"at k={self.nvars}")
+        return ()
 
     @property
     def k(self) -> int:

@@ -252,8 +252,10 @@ def so_q_basis(k: int):
     return out
 
 
-def basis(k: int):
-    """Tagged basis: one alpha element, 2k mu, 2k lambda, dim o(Q) Levi."""
+@lru_cache(maxsize=64)
+def basis(k: int) -> tuple:
+    """Tagged basis: one alpha element, 2k mu, 2k lambda, dim o(Q) Levi.
+    One shared tuple per k."""
     n = 2 * k
     out = [LieElt(k, alpha=1, tag=("alpha",))]
     for i in range(n):
@@ -266,7 +268,7 @@ def basis(k: int):
         out.append(LieElt(k, lam=e, tag=("lam", i)))
     for idx, X in enumerate(so_q_basis(k)):
         out.append(LieElt(k, X=X, tag=("levi", idx)))
-    return out
+    return tuple(out)
 
 
 def generators(k: int):

@@ -10,6 +10,7 @@ coordinate y_{k+1-i}).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 
 from .lie import LieElt
@@ -235,6 +236,7 @@ def poisson(a: Poly, b: Poly, k: int) -> Poly:
     return out
 
 
+@lru_cache(maxsize=1024)
 def symbol_invariant(xi: LieElt) -> Poly:
     """The descended invariant function matching the principal symbol.
 
@@ -243,7 +245,8 @@ def symbol_invariant(xi: LieElt) -> Poly:
     alpha: -a B(v,w); mu: B(mu, w); X: 1/2 tr((v wedge w) X^T);
     lambda: B(mu_{v,w}, lam) with mu_{v,w} = B(v,w) v - Q(v) w.  The mu/lam
     pairings evaluate to the plain coordinate pairing because the tags are
-    already expressed in the split-form-identified coordinates.
+    already expressed in the split-form-identified coordinates.  Memoized
+    by the exact value of xi; the functions are shared.
     """
     k = xi.k
     n = 2 * k

@@ -50,7 +50,9 @@ factor as integer numerators over their least common denominator (as
 FLINT's ``fmpq_poly`` does), the product sums integer products per term
 pair, and each output coefficient is divided once by the product of the
 two denominators.  Factors whose coefficients are all ``int`` are used as
-they are, after one scan.  A monomial times a ``Poly`` has no two term
+they are.  ``int_coeffs`` tells the two cases apart by the type of each
+coefficient, never by summing them, which would cost a ``Fraction``
+addition per coefficient.  A monomial times a ``Poly`` has no two term
 pairs to sum, so its coefficients are multiplied directly and, when a
 ``Fraction`` takes part, stored through ``qcoef``.
 
@@ -64,6 +66,13 @@ input: it checks every key and passes every coefficient through ``qcoef``.
 ``_of(nvars, terms)`` is trusted: it stores a term map that the engine
 built, with valid keys and no zero coefficient, as it is.  Every sum of
 terms outside the product and division kernels goes through ``add_terms``.
+
+Built term maps are read-only.  The engine memoizes its pure constructors
+in bounded LRU caches, ``q_form`` here and the standard operators, the
+letters and the realizations of ``weyl``, ``coneops``, ``momentorbit`` and
+``lie``, so one instance per argument is handed to every caller.  No
+caller may change a cached result, nor any dict kept by ``_of``;
+``tests/test_immutable.py`` checks this over every suite and the CLI.
 """
 
 from __future__ import annotations
@@ -95,12 +104,20 @@ def qcoef(c):
     raise TypeError(f"coefficient must be int or Fraction, not {type(c).__name__}")
 
 
+_INT = frozenset((int,))
+
+
+def int_coeffs(values) -> bool:
+    """Whether every coefficient in values is an ``int``: one type test per
+    coefficient, stopping at the first ``Fraction``."""
+    return _INT.issuperset(map(type, values))
+
+
 def numerators(terms: dict):
     """(d, nums): the least common denominator d of the coefficients of a
     term map and the map of integer numerators c * d.  For a map of ``int``
     coefficients only, (1, terms) itself, not copied."""
-    # any Fraction makes the sum a Fraction
-    if type(sum(terms.values())) is int:
+    if int_coeffs(terms.values()):
         return 1, terms
     d = lcm(*(c.denominator for c in terms.values()))
     return d, {key: c.numerator * (d // c.denominator)
@@ -463,13 +480,13 @@ class Poly(TermMap):
             ((m1, c1),) = t1.items()
             check_degrees(m1, max(t2), n)
             terms = {m1 + m2: c1 * c2 for m2, c2 in t2.items()}
-            if type(sum(t2.values(), c1)) is not int:
+            if type(c1) is not int or not int_coeffs(t2.values()):
                 # a product with a Fraction factor may be integral
                 terms = {m: qcoef(c) for m, c in terms.items()}
         elif t1:
             check_degrees(max(t1), max(t2), n)
             d = 1
-            if type(sum(t1.values(), sum(t2.values()))) is not int:
+            if not (int_coeffs(t1.values()) and int_coeffs(t2.values())):
                 (d1, t1), (d2, t2) = numerators(t1), numerators(t2)
                 d = d1 * d2
             items = list(t2.items())
@@ -597,15 +614,12 @@ def q_of(v):
     return reduce(add, map(mul, v[:len(v) // 2], reversed(v)))
 
 
+@lru_cache(maxsize=64)
 def q_form(k: int) -> Poly:
-    """Q = x1*yk + x2*y_{k-1} + ... + xk*y1 in 2k variables."""
-    return Poly._of(2 * k, dict(_q_terms(k)))
-
-
-@lru_cache(maxsize=None)
-def _q_terms(k: int) -> tuple:
+    """Q = x1*yk + x2*y_{k-1} + ... + xk*y1 in 2k variables; one shared
+    instance per k."""
     n = 2 * k
-    return tuple((unit(n, i) + unit(n, dual(n, i)), 1) for i in range(k))
+    return Poly._of(n, {unit(n, i) + unit(n, dual(n, i)): 1 for i in range(k)})
 
 
 def normal_form_mod_single(p: Poly, d: Poly):

@@ -31,9 +31,9 @@ from operator import itemgetter
 
 from .poly import (ExponentOverflow, Poly, TermMap, add_terms, check_degrees,
                    default_names, divides_exactly, dual, falling,
-                   falling_spec, fieldwise_max, guard, mdegree, mono_text,
-                   numerators, pack, qcoef, qdiv, restrict, signed_text,
-                   support, unit, unpack)
+                   falling_spec, fieldwise_max, guard, int_coeffs, mdegree,
+                   mono_text, numerators, pack, qcoef, qdiv, restrict,
+                   signed_text, support, unit, unpack)
 
 
 class NotDivisible(Exception):
@@ -142,7 +142,7 @@ class WeylOp(TermMap):
         check_degrees(max(t1)[0], max(t2)[0], n)
         check_degrees(max(map(itemgetter(1), t1)),
                       max(map(itemgetter(1), t2)), n)
-        if type(sum(t1.values(), sum(t2.values()))) is int:
+        if int_coeffs(t1.values()) and int_coeffs(t2.values()):
             return WeylOp._of(n, kernel(t1, t2, n))
         (d1, t1), (d2, t2) = numerators(t1), numerators(t2)
         d = d1 * d2
@@ -411,14 +411,16 @@ def _commutator_terms(t1: dict, t2: dict, n: int) -> dict:
 # -- standard operators -------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def euler_op(k: int) -> WeylOp:
-    """E = sum x_i d_{x_i} + y_i d_{y_i}."""
+    """E = sum x_i d_{x_i} + y_i d_{y_i}; one shared instance per k."""
     n = 2 * k
     return WeylOp._of(n, {(unit(n, i), unit(n, i)): 1 for i in range(n)})
 
 
+@lru_cache(maxsize=64)
 def laplacian_op(k: int) -> WeylOp:
-    """Delta = sum_i d_{x_i} d_{y_{k+1-i}}."""
+    """Delta = sum_i d_{x_i} d_{y_{k+1-i}}; one shared instance per k."""
     n = 2 * k
     return WeylOp._of(n, {(0, unit(n, i) + unit(n, dual(n, i))): 1
                           for i in range(k)})

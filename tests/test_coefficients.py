@@ -175,6 +175,33 @@ def test_product_matches_pairwise_oracle(cls, oracle):
     assert len((a * b).terms) == (2 if cls is Poly else 3)
 
 
+def test_products_make_no_fraction_addition(monkeypatch):
+    # int or Fraction is told by the type of each coefficient; a sum of the
+    # coefficients would add Fractions, one addition per coefficient
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+    p = Poly.from_exponents(4, {(1, 0, 0, 0): half, (0, 1, 0, 0): third,
+                                (0, 0, 1, 1): 3})
+    q = Poly.from_exponents(4, {(1, 1, 0, 0): Fraction(5, 7),
+                                (0, 0, 0, 2): half, (0, 0, 0, 0): 2})
+    mono = Poly.from_exponents(4, {(0, 1, 1, 0): Fraction(3, 4)})
+    a = WeylOp.from_exponents(4, {((1, 0, 0, 0), (0, 1, 0, 0)): half,
+                                  ((0, 0, 0, 0), (1, 0, 0, 0)): third,
+                                  ((0, 1, 0, 0), (0, 0, 0, 0)): 5})
+    b = WeylOp.from_exponents(4, {((0, 1, 0, 0), (1, 0, 0, 0)): third,
+                                  ((1, 0, 0, 0), (0, 0, 0, 1)): 4,
+                                  ((0, 0, 0, 0), (0, 1, 0, 0)): half})
+    additions = []
+    for name in ("__add__", "__radd__"):
+        def counting(x, y, _add=getattr(Fraction, name)):
+            additions.append((x, y))
+            return _add(x, y)
+        monkeypatch.setattr(Fraction, name, counting)
+    products = [p * q, mono * q, q * mono, a * b, a.commutator(b)]
+    assert additions == []
+    assert all(products)
+    assert half + third == Fraction(-1, 6) and len(additions) == 1
+
+
 def test_commutator_matches_product_oracle():
     rng = random.Random(2003)
     x = [WeylOp.mult(Poly.var(4, i)) for i in range(4)]

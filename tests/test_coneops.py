@@ -10,7 +10,7 @@ import pytest
 from oracles import preserves_ideal_by_monomials, tau_letterwise
 from quadricops import coneops
 from quadricops.coneops import (ConeOp, GenWord, NotNormalizing,
-                                a_correction, euler_weight_op, grading,
+                                a_correction, alphabet, euler_weight_op, grading,
                                 is_ideal_preserving, letter_op, phi,
                                 rho_amb, rho_tilde, tau, tau_hat, xx_op, yy_op,
                                 d_op)
@@ -153,17 +153,13 @@ def test_memoized_images_are_unchanged():
 
 
 def test_failing_element_is_never_memoized(monkeypatch):
-    rho_tilde.cache_clear()
     monkeypatch.setattr(coneops, "a_correction",
                         lambda xi: WeylOp.zero(2 * xi.k))
-    try:
-        for _ in range(2):
-            with pytest.raises(NotNormalizing):
-                rho_tilde(elt_lam(0))
-        info = rho_tilde.cache_info()
-        assert (info.misses, info.currsize) == (2, 0)
-    finally:
-        rho_tilde.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NotNormalizing):
+            rho_tilde(elt_lam(0))
+    info = rho_tilde.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
 
 
 def test_tau_hat_values():
@@ -269,6 +265,32 @@ def test_word_arithmetic_is_that_of_term_maps():
         assert "from_exponents" not in msg
         assert all(hasattr(GenWord, name)
                    for name in re.findall(r"GenWord\.(\w+)", msg))
+
+
+def test_words_take_only_letters_of_their_alphabet():
+    # a letter is a tuple inside the word, and its indices lie in 1..k
+    for letter, terms in (("'x'", {("x", 1): 1}),
+                          ("('x', 7)", {(("x", 7),): 1})):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{letter} is not a generator letter at k=2")):
+            GenWord(2, terms)
+    for bad in (("B", 2, 1), ("C", 1, 1), ("D", 0, 1), ("XX", 3),
+                ("Etil", 1), ("E",), "x1"):
+        with pytest.raises(ValueError, match="not a generator letter"):
+            GenWord(2, {(bad,): 1})
+    for k in (2, 3):
+        # the letter list of the cone-ops suite
+        letters = [("Etil",)]
+        for i in range(1, k + 1):
+            letters += [("x", i), ("y", i), ("XX", i), ("YY", i)]
+        for i in range(1, k + 1):
+            for j in range(1, k + 1):
+                letters.append(("D", i, j))
+                if i < j:
+                    letters += [("B", i, j), ("C", i, j)]
+        assert set(letters) == alphabet(k)
+        for letter in letters:
+            assert GenWord.letter(k, letter).terms == {(letter,): 1}
 
 
 def test_word_evaluation_shares_prefixes_exactly():

@@ -5,23 +5,18 @@ checks share.
 Each case replaces one function in the engine module or class that defines
 it, never in ``quadricops.suites``, runs the suite at k=2 and asserts that
 the named check fails with the residue of the step that the mutant breaks,
-and that the suite exits 1.  The realization images are memoized in the
-LRU cache of ``rho_tilde``, which outlives a test, so every case starts and
-ends with an empty cache: no image a mutant built reaches a later test.
+and that the suite exits 1.  The engine memoizes its constructors and
+realization images in LRU caches that outlive a test; ``conftest.py``
+empties them around every case, so no cached object hides a mutant and
+none a mutant built reaches a later test.  Some fakes reach their check
+only through a cached caller, so they prove that too.
 """
 
 import pytest
 
-from quadricops import coneops, lie, poly, shapovalov, weyl
-from quadricops.coneops import rho_tilde, xx_op, yy_op
+from quadricops import coneops, lie, momentorbit, poly, shapovalov, weyl
+from quadricops.coneops import xx_op, yy_op
 from quadricops.suites import run_suite
-
-
-@pytest.fixture(autouse=True)
-def empty_image_cache():
-    rho_tilde.cache_clear()
-    yield
-    rho_tilde.cache_clear()
 
 
 def _wrong_weight_factor(k):
@@ -105,12 +100,26 @@ def _x_to_y(letter):
     return ORIGINAL["fourier_letter"](letter)
 
 
+def _euler_weight_shifted(k):
+    # E + k for E + k - 1: XX_i and YY_i change, and the contracted product
+    # leaves the zero class; reached only through the cached xx_op and yy_op
+    return weyl.euler_op(k) + weyl.WeylOp.const(2 * k, k)
+
+
+def _x_vector_swapped(k, extra=0):
+    # the last two fiber coordinates exchanged; reached in the symbol checks
+    # only through the cached symbol_invariant
+    v = ORIGINAL["x_vector"](k, extra)
+    v[-2], v[-1] = v[-1], v[-2]
+    return v
+
+
 ORIGINAL = {name: getattr(module, name) for module, name in [
     (shapovalov, "shapovalov_factors"), (shapovalov, "shapovalov_closed"),
     (shapovalov, "euler_shift"), (coneops, "rho_amb"), (lie, "generators"),
     (coneops, "dual_field"), (lie.LieElt, "bracket"), (poly, "numerators"),
     (lie, "_point_column"), (weyl.WeylOp, "commutator"),
-    (coneops, "fourier_letter")]}
+    (coneops, "fourier_letter"), (momentorbit, "x_vector")]}
 
 # case: (module, function, fake, suite, check id, start of its residue)
 CASES = {
@@ -154,6 +163,15 @@ CASES = {
     "fourier-x-to-y": (
         coneops, "fourier_letter", _x_to_y, "cone-ops",
         "cone-grading-negation", "letter ('x', 1)"),
+    "euler-weight-shifted": (
+        coneops, "euler_weight_op", _euler_weight_shifted, "cone-ops",
+        "cone-fundamental-relation", "(2)*dx2*dy1"),
+    "fiber-swap-symbol-match": (
+        momentorbit, "x_vector", _x_vector_swapped, "cone-ops",
+        "cone-symbol-match", "element ('alpha',)"),
+    "fiber-swap-symbol-bridge": (
+        momentorbit, "x_vector", _x_vector_swapped, "moment-orbit",
+        "moment-symbol-bridge", "element ('alpha',)"),
 }
 
 
@@ -169,6 +187,7 @@ def test_mutant_fails_its_check(case, monkeypatch):
 
 
 @pytest.mark.parametrize("suite", ["shapovalov", "lie-hom", "cone-ops",
-                                   "lie-orthogonal", "algebra-core"])
+                                   "lie-orthogonal", "algebra-core",
+                                   "moment-orbit"])
 def test_unmutated_suites_pass(suite):
     assert run_suite(suite, 2).exit_status == 0

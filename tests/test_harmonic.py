@@ -159,8 +159,8 @@ def test_harmonic_quadric_breaks_the_laplacian_shift(monkeypatch, capsys):
 
 
 def test_wrong_euler_operator_breaks_the_laplacian_shift(monkeypatch):
-    # the memo is keyed by Q, so drop the proof already made for this Q
-    harmonic._shift_generators.cache_clear()
+    # the memo of _shift_generators is keyed by Q, so the proof already
+    # made for this Q is dropped before the test
     monkeypatch.setattr(harmonic, "euler_op", lambda k: euler_op(k).scale(2))
     with pytest.raises(harmonic.CertificateError, match=r"\[Delta, Q\]"):
         laplacian_qlaurent(QLaurent.one_over_q(K))

@@ -2,31 +2,42 @@
 
 ``TermMap._of`` keeps the dict it is given, and shared objects rely on no
 caller changing that dict, or the map of a built ``Poly`` or ``WeylOp``,
-afterwards: the images in the LRU cache of ``coneops.rho_tilde`` and the
-cached ``harmonic._shift_generators`` are handed to every caller.  Both
-caches outlive a test, so the test starts and ends with them empty: their
-entries are built while the constructors are recorded, and no entry built
-then reaches a later test.
+afterwards.  The engine hands one cached instance to every caller from the
+bounded LRU caches of
+
+- ``poly.q_form``;
+- ``weyl.euler_op`` and ``weyl.laplacian_op``;
+- ``coneops.euler_weight_op``, ``xx_op``, ``yy_op``, ``d_op``, ``b_op``,
+  ``c_op``, ``letter_op``, ``phi``, ``rho_amb`` and ``rho_tilde``;
+- ``momentorbit.symbol_invariant``;
+- ``lie.basis``, a tuple;
+- ``harmonic._shift_generators``.
+
+The caches outlive a test, so ``conftest.py`` empties them around each
+test here: their entries are built while the constructors are recorded,
+and no entry built then reaches a later test.
 """
 
-import pytest
-
-from quadricops import harmonic
-from quadricops.coneops import rho_tilde
+from quadricops import cli
 from quadricops.poly import TermMap
 from quadricops.suites import SUITES, run_suite
 
+# one run of each CLI subcommand other than verify, at k=2
+CLI_COMMANDS = [
+    ["reduce", "E*XX1 + Dop12*YY2 - Bop12*Cop12", "--k", "2"],
+    ["fourier-transform", "x1*XX2*E + Bop12*y1 + Dop21", "--k", "2"],
+    ["kelvin", "x1*y2 + x1^2", "--k", "2"],
+    ["bessel", "--k", "2"],
+    ["boundary", "--k", "2"],
+    ["counterexample-n2"],
+    ["moment", "verify", "--k", "2"],
+    ["harmonic", "--d", "3", "--k", "2"],
+    ["shapovalov", "--d", "2", "--k", "2"],
+]
 
-@pytest.fixture(autouse=True)
-def empty_caches():
-    rho_tilde.cache_clear()
-    harmonic._shift_generators.cache_clear()
-    yield
-    rho_tilde.cache_clear()
-    harmonic._shift_generators.cache_clear()
 
-
-def test_no_suite_changes_a_built_term_map(monkeypatch):
+def _record_builds(monkeypatch) -> list:
+    """Record every term map built from now on, with a copy of its dict."""
     built = []
     of, init = TermMap._of.__func__, TermMap.__init__
 
@@ -41,9 +52,26 @@ def test_no_suite_changes_a_built_term_map(monkeypatch):
 
     monkeypatch.setattr(TermMap, "_of", classmethod(recording_of))
     monkeypatch.setattr(TermMap, "__init__", recording_init)
+    return built
+
+
+def _changed(built) -> list:
+    return [(type(obj).__name__, len(copy)) for obj, terms, copy in built
+            if obj.terms is not terms or obj.terms != copy]
+
+
+def test_no_suite_changes_a_built_term_map(monkeypatch):
+    built = _record_builds(monkeypatch)
     for name in SUITES:
         assert run_suite(name, 2).exit_status == 0, name
     assert len(built) > 10000
-    changed = [(type(obj).__name__, len(copy)) for obj, terms, copy in built
-               if obj.terms is not terms or obj.terms != copy]
-    assert changed == []
+    assert _changed(built) == []
+
+
+def test_no_cli_command_changes_a_built_term_map(monkeypatch, capsys):
+    built = _record_builds(monkeypatch)
+    for argv in CLI_COMMANDS:
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert len(built) > 1000
+    assert _changed(built) == []
