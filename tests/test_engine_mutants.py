@@ -103,7 +103,7 @@ def _x_to_y(letter):
 def _euler_weight_shifted(k):
     # E + k for E + k - 1: XX_i and YY_i change, and the contracted product
     # leaves the zero class; reached only through the cached xx_op and yy_op
-    return weyl.euler_op(k) + weyl.WeylOp.const(2 * k, k)
+    return weyl.euler_op(k) + k
 
 
 def _x_vector_swapped(k, extra=0):
