@@ -13,7 +13,7 @@ from math import comb
 
 from .poly import (Poly, QLaurent, b_pair, dual, mdegree,
                    normal_form_mod_single, pack, q_form, q_of, qcoef, qdiv,
-                   reduce_mod, unit, unpack)
+                   reduce_mod, unit)
 from .weyl import (NotDivisible, WeylOp, euler_op, laplacian_op,
                    monomials_up_to)
 from .coneops import xx_op, yy_op
@@ -96,26 +96,6 @@ def pair_generators(k: int) -> list:
         perm[dual(n, i)], perm[dual(n, i + 1)] = dual(n, i + 1), dual(n, i)
         gens.append(tuple(perm))
     return gens
-
-
-def permute_vars(f, perm):
-    """The Poly or WeylOp f with variable i renamed to variable perm[i].
-
-    For an operator this is the conjugate sigma f sigma^-1 by the linear
-    change of coordinates sigma, which renames x_i and d_i alike.
-    """
-    n = f.nvars
-
-    def rename(m):
-        e = [0] * n
-        for i, x in enumerate(unpack(m, n)):
-            e[perm[i]] = x
-        return pack(e)
-
-    if isinstance(f, WeylOp):
-        return WeylOp._of(n, {(rename(a), rename(b)): c
-                              for (a, b), c in f.terms.items()})
-    return Poly._of(n, {rename(m): c for m, c in f.terms.items()})
 
 
 def orbit_representatives(k: int, deg: int) -> list:

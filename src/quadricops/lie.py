@@ -140,6 +140,10 @@ class LieElt:
             if x.get((dual(n, b), dual(n, a))) != -c:
                 raise ValueError("X is not skew for the split form")
 
+    def _check_k(self, other):
+        if self.k != other.k:
+            raise ValueError("Lie algebra elements of different k")
+
     def entries(self):
         """The nonzero entries ((r, c), v) of ``matrix()``, sorted by index."""
         n = 2 * self.k
@@ -169,6 +173,7 @@ class LieElt:
             lambda = X l' - X' l + a l' - a' l
             X      = [X, X'] - m l'^T J_V - l m'^T J_V + m' l^T J_V + l' m^T J_V
         """
+        self._check_k(other)
         n = 2 * self.k
         a, m, x, l = self.alpha, self.mu, self.X, self.lam
         a2, m2, x2, l2 = other.alpha, other.mu, other.X, other.lam
@@ -206,6 +211,7 @@ class LieElt:
                       [c * v for v in self.lam], tag=self.tag)
 
     def __add__(self, other: "LieElt") -> "LieElt":
+        self._check_k(other)
         x = dict(self.X)
         for ab, c in other.X:
             x[ab] = x.get(ab, 0) + c

@@ -6,6 +6,20 @@ append extra formal parameters after the two blocks.  The Poisson bracket
 pairs base variable j with the fiber variable dual to j under the split form,
 matching the principal-symbol convention (sigma(d_{x_i}) is the fiber
 coordinate y_{k+1-i}).
+
+There is one moment map, from T*V to the dual of the Lie algebra, and
+``orbit_matrix`` is its one definition: the invariant matrix M(v, w).  M has
+rank 2 and squares to 0 on the cone, so its image lies in the closure of the
+minimal orbit (Brylinski and Kostant, PNAS 91, 1994).  Everything else
+reads M:
+
+- ``moment(xi)`` pairs M with xi in the V layout, base block v first;
+- ``symbol_invariant(xi)`` is the same pairing in the cone layout, base
+  point w first and fiber point v second.  The principal symbol of the
+  corrected realization is the moment map after the Fourier swap of base
+  and fiber, so the two layouts differ by the renaming that exchanges the
+  blocks through the split form;
+- ``verify_orbit_relations`` reads the block relations off M^2.
 """
 
 from __future__ import annotations
@@ -14,7 +28,9 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .lie import LieElt
-from .poly import Poly, b_pair, dual, normal_form_mod_single, q_of, qdiv
+from .poly import (Poly, add_terms, b_pair, dual, normal_form_mod_single,
+                   q_of, qdiv)
+from .weyl import permute_vars
 
 
 def block_var(k: int, block: int, i: int, extra: int = 0) -> Poly:
@@ -31,39 +47,53 @@ def x_vector(k: int, extra: int = 0) -> list:
     return [block_var(k, 1, i, extra) for i in range(2 * k)]
 
 
-def const_vector(k: int, vec, nvars: int) -> list:
-    return [Poly.const(nvars, c) for c in vec]
+@lru_cache(maxsize=64)
+def orbit_matrix(k: int, extra: int = 0) -> tuple:
+    """The matrix of invariants M(v, w) in (2k+2)-block shape: the moment map.
 
-
-def apply_matrix(entries, vec: list) -> list:
-    """Matrix of rationals times vector of polynomials, the matrix given by
-    its nonzero entries ((i, j), c) sorted by index, as ``LieElt.X``."""
-    out = [None] * len(vec)
-    for (i, j), c in entries:
-        term = vec[j].scale(c)
-        out[i] = term if out[i] is None else out[i] + term
-    return [Poly.zero(vec[0].nvars) if p is None else p for p in out]
+    Blocks: alpha = B(v,w), mu = alpha v - Q(v) w, middle X = v wedge w with
+    (v ^ w)(z) = B(v,z) w - B(w,z) v, and lambda = w; entries are
+    polynomials in 4k(+extra) variables (v block then w block).  Memoized
+    per (k, extra) and shared by every caller, so the rows are tuples and
+    their entries must not be changed.
+    """
+    n = 2 * k
+    v = v_vector(k, extra)
+    w = x_vector(k, extra)
+    alpha = b_pair(v, w)
+    mu = [alpha * v[i] - q_of(v) * w[i] for i in range(n)]
+    zero = Poly.zero(4 * k + extra)
+    m = [[zero for _ in range(n + 2)] for _ in range(n + 2)]
+    m[0][0] = alpha
+    m[n + 1][n + 1] = -alpha
+    for i in range(n):
+        m[1 + i][0] = mu[i]
+        m[1 + i][n + 1] = w[i]
+        # -w^T J_V in the top row, -mu^T J_V in the bottom row
+        m[0][1 + i] = -w[dual(n, i)]
+        m[n + 1][1 + i] = -mu[dual(n, i)]
+        for j in range(n):
+            # (v wedge w)[i][j] = w_i (v^T J)_j - v_i (w^T J)_j
+            m[1 + i][1 + j] = w[i] * v[dual(n, j)] - v[i] * w[dual(n, j)]
+    return tuple(map(tuple, m))
 
 
 def moment(xi: LieElt, extra: int = 0) -> Poly:
     """The moment-map pairing of xi against the tautological covector:
 
-    B(x,mu) + B(x,Xv) - alpha B(x,v) + B(lam,v) B(x,v) - Q(v) B(x,lam).
+    1/2 sum A[r][c] M[dual(r)][dual(c)] over the nonzero entries A[r][c] of
+    the matrix of xi, with M = ``orbit_matrix(k, extra)`` and dual the
+    pairing of J+.  In blocks it is B(x,mu) + B(x,Xv) - alpha B(x,v)
+    + B(lam,v) B(x,v) - Q(v) B(x,lam).
     """
     k = xi.k
-    nv = 4 * k + extra
-    v = v_vector(k, extra)
-    x = x_vector(k, extra)
-    mu = const_vector(k, xi.mu, nv)
-    lam = const_vector(k, xi.lam, nv)
-    out = b_pair(x, mu)
-    out = out + b_pair(x, apply_matrix(xi.X, v))
-    if xi.alpha:
-        out = out - b_pair(x, v).scale(xi.alpha)
-    if any(xi.lam):
-        out = out + b_pair(lam, v) * b_pair(x, v)
-        out = out - q_of(v) * b_pair(x, lam)
-    return out
+    n = 2 * k + 2
+    M = orbit_matrix(k, extra)
+    terms: dict = {}
+    for (r, c), a in xi.entries():
+        add_terms(terms, ((m, a * e) for m, e in
+                          M[dual(n, r)][dual(n, c)].terms.items()))
+    return Poly._of(4 * k + extra, terms).scale(qdiv(1, 2))
 
 
 def check_descent(xi: LieElt) -> Poly:
@@ -84,35 +114,6 @@ def check_descent(xi: LieElt) -> Poly:
     qx = q_of(x)
     _, defect = normal_form_mod_single(phi1 - phi0, qx)
     return defect
-
-
-def orbit_matrix(k: int):
-    """The matrix of invariants M(v, w) in (2k+2)-block shape.
-
-    Blocks: alpha = B(v,w), mu = alpha v - Q(v) w, middle X = v wedge w with
-    (v ^ w)(z) = B(v,z) w - B(w,z) v; entries are polynomials in 4k variables
-    (v block then w block).
-    """
-    n = 2 * k
-    nv = 4 * k
-    v = v_vector(k)
-    w = x_vector(k)
-    alpha = b_pair(v, w)
-    mu = [alpha * v[i] - q_of(v) * w[i] for i in range(n)]
-    zero = Poly.zero(nv)
-    m = [[zero for _ in range(n + 2)] for _ in range(n + 2)]
-    m[0][0] = alpha
-    m[n + 1][n + 1] = -alpha
-    for i in range(n):
-        m[1 + i][0] = mu[i]
-        m[1 + i][n + 1] = w[i]
-        # -w^T J_V in the top row, -mu^T J_V in the bottom row
-        m[0][1 + i] = -w[dual(n, i)]
-        m[n + 1][1 + i] = -mu[dual(n, i)]
-        for j in range(n):
-            # (v wedge w)[i][j] = w_i (v^T J)_j - v_i (w^T J)_j
-            m[1 + i][1 + j] = w[i] * v[dual(n, j)] - v[i] * w[dual(n, j)]
-    return m
 
 
 def _mat_poly_mul(a, b):
@@ -149,6 +150,7 @@ def verify_orbit_relations(k: int) -> list:
     v = v_vector(k)
     w = x_vector(k)
     M = orbit_matrix(k)
+    M2 = _mat_poly_mul(M, M)
     alpha = M[0][0]
     mu = [M[1 + i][0] for i in range(n)]
     X = [row[1:n + 1] for row in M[1:n + 1]]
@@ -166,17 +168,17 @@ def verify_orbit_relations(k: int) -> list:
     record("Q(w)", qw)
     record("Q(mu)", q_of(mu))
     record("B(mu,w)-alpha^2", b_pair(mu, w) - alpha * alpha)
+    # M[0][n+1] = M[n+1][0] = 0, so row 1 + i of M^2 is row i of
+    # (X mu + alpha mu | X^2 - w mu_flat - mu w_flat | X w - alpha w):
+    # read the relations X^2 = w mu_flat + mu w_flat and X w = alpha w,
+    # X mu = -alpha mu off it
     for i in range(n):
-        xw = sum((X[i][j] * w[j] for j in range(n)), Poly.zero(4 * k))
-        record(f"(Xw-alpha*w)[{i}]", xw - alpha * w[i])
-        xm = sum((X[i][j] * mu[j] for j in range(n)), Poly.zero(4 * k))
-        record(f"(Xmu+alpha*mu)[{i}]", xm + alpha * mu[i])
-    # X^2 = w mu_flat + mu w_flat  and  alpha X = w mu_flat - mu w_flat
-    X2 = _mat_poly_mul(X, X)
+        record(f"(Xw-alpha*w)[{i}]", M2[1 + i][n + 1])
+        record(f"(Xmu+alpha*mu)[{i}]", M2[1 + i][0])
+    # and alpha X = w mu_flat - mu w_flat
     for i in range(n):
         for j in range(n):
-            outer_sym = w[i] * mu[dual(n, j)] + mu[i] * w[dual(n, j)]
-            record(f"(X^2-outer)[{i}][{j}]", X2[i][j] - outer_sym)
+            record(f"(X^2-outer)[{i}][{j}]", M2[1 + i][1 + j])
             outer_skw = w[i] * mu[dual(n, j)] - mu[i] * w[dual(n, j)]
             record(f"(alpha*X-outer)[{i}][{j}]", alpha * X[i][j] - outer_skw)
     # Pluecker relations on the middle block, bar(i) = 2k+1-i
@@ -193,7 +195,6 @@ def verify_orbit_relations(k: int) -> list:
             break
     results.append(("pluecker", ok_pluecker, worst))
     # full matrix: square and 3x3 minors
-    M2 = _mat_poly_mul(M, M)
     ok_sq = True
     worst = ""
     for i in range(n + 2):
@@ -241,39 +242,17 @@ def symbol_invariant(xi: LieElt) -> Poly:
     """The descended invariant function matching the principal symbol.
 
     Variables: block 0 = cone base point w, block 1 = fiber point v (the
-    layout produced by principal_symbol).  Per block type:
-    alpha: -a B(v,w); mu: B(mu, w); X: 1/2 tr((v wedge w) X^T);
-    lambda: B(mu_{v,w}, lam) with mu_{v,w} = B(v,w) v - Q(v) w.  The mu/lam
-    pairings evaluate to the plain coordinate pairing because the tags are
-    already expressed in the split-form-identified coordinates.  Memoized
-    by the exact value of xi; the functions are shared.
+    layout produced by principal_symbol).  It is ``moment(xi)`` with the
+    blocks swapped through the split form: base variable i of the V layout
+    becomes fiber variable dual(i), and fiber variable i becomes base
+    variable dual(i).  Memoized by the exact value of xi; the functions are
+    shared.
     """
-    k = xi.k
-    n = 2 * k
-    w = v_vector(k)  # block 0: base point on the cone
-    v = x_vector(k)  # block 1: fiber point
-    alpha = b_pair(v, w)
-    out = Poly.zero(4 * k)
-    if xi.alpha:
-        out = out - alpha.scale(xi.alpha)
-    for i in range(n):
-        if xi.mu[i]:
-            out = out + w[i].scale(xi.mu[i])
-    if any(xi.lam):
-        qv = q_of(v)
-        for i in range(n):
-            if xi.lam[i]:
-                out = out + (alpha * v[i] - qv * w[i]).scale(xi.lam[i])
-    for (i, j), c in xi.X:
-        wedge = w[i] * v[dual(n, j)] - v[i] * w[dual(n, j)]
-        out = out + wedge.scale(qdiv(c, 2))
-    return out
+    n = 2 * xi.k
+    perm = [n + dual(n, i) for i in range(n)] + [dual(n, i) for i in range(n)]
+    return permute_vars(moment(xi), perm)
 
 
 def phase_euler(k: int) -> Poly:
     """The phase-space Euler function: sum over conjugate pairs of q p."""
-    n = 2 * k
-    out = Poly.zero(4 * k)
-    for j in range(n):
-        out = out + block_var(k, 0, j) * block_var(k, 1, dual(n, j))
-    return out
+    return b_pair(v_vector(k), x_vector(k))

@@ -69,10 +69,11 @@ terms outside the product and division kernels goes through ``add_terms``.
 
 Built term maps are read-only.  The engine memoizes its pure constructors
 in bounded LRU caches, ``q_form`` here and the standard operators, the
-letters and the realizations of ``weyl``, ``coneops``, ``momentorbit`` and
-``lie``, so one instance per argument is handed to every caller.  No
-caller may change a cached result, nor any dict kept by ``_of``;
-``tests/test_immutable.py`` checks this over every suite and the CLI.
+letters, the realizations and the invariant matrix of ``weyl``,
+``coneops``, ``momentorbit`` and ``lie``, so one instance per argument is
+handed to every caller.  No caller may change a cached result, nor any dict
+kept by ``_of``; ``tests/test_immutable.py`` checks this over every suite
+and the CLI.
 """
 
 from __future__ import annotations
@@ -293,7 +294,8 @@ class TermMap:
         self.terms = {}
         for key, c in (terms or {}).items():
             monos = self._monomials(key)
-            if monos is None or not all(map(is_packed, monos, repeat(nvars))):
+            if monos is None or monos and not all(
+                    map(is_packed, monos, repeat(nvars))):
                 name = type(self).__name__
                 hint = (f" in {nvars} variables; build from exponent tuples "
                         f"with {name}.from_exponents"
@@ -523,8 +525,14 @@ class Poly(TermMap):
         return qcoef(total)
 
     def subs_vars(self, images: list) -> "Poly":
-        """Substitute variable i by the polynomial images[i]."""
-        nv = images[0].nvars
+        """Substitute variable i by the polynomial images[i]; raises
+        ValueError unless there are nvars images, all in one ring."""
+        rings = {p.nvars for p in images}
+        if len(images) != self.nvars or len(rings) != 1:
+            raise ValueError(
+                f"substitution needs {self.nvars} images in one ring, got "
+                f"{len(images)} in {sorted(rings)} variables")
+        (nv,) = rings
         total = Poly.zero(nv)
         for m, c in self.exponent_items():
             term = Poly.const(nv, c)

@@ -28,16 +28,16 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import exprparse, lie
-from .coneops import (ConeOp, GenWord, a_correction, grading, index_text,
-                      letter_op, phi, rho_amb, rho_tilde, tau, xx_op, yy_op,
-                      b_form_poly, d_op, b_op, c_op)
+from .coneops import (ConeOp, GenWord, a_correction, alphabet, grading,
+                      index_text, letter_op, phi, rho_amb, rho_tilde, tau,
+                      xx_op, yy_op, b_form_poly, d_op, b_op, c_op)
 from .harmonic import (_rref, bessel_check, boundary_phase_check,
                        dirac_relations, exp_harmonicity_defect,
                        harmonic_decompose, harmonic_dimension,
                        is_higher_symmetry, kelvin,
                        kelvin_intertwine_defect, laplacian_qlaurent,
                        n2_counterexample, orbit_representatives,
-                       pair_generators, permute_vars)
+                       pair_generators)
 from .lie import (DegenerateCell, act_at, basis, bruhat_factor, chi0_at, levi,
                   u, u_op, w0)
 from .momentorbit import (check_descent, phase_euler, poisson,
@@ -49,7 +49,7 @@ from .shapovalov import (NotScalar, SeriesStep, closed_form_induction,
                          fourier_roots_bezout, scalar_on_graded,
                          shapovalov_closed, shapovalov_series)
 from .weyl import (NotDivisible, WeylOp, euler_op,
-                   is_zero_extensional, laplacian_op)
+                   is_zero_extensional, laplacian_op, permute_vars)
 
 
 DEFAULT_MAX_DEGREE = 6
@@ -487,14 +487,7 @@ def cone_ops_checks(k: int) -> list:
                       "the contracted product of the second-order images is the zero class",
                       None if fund.is_zero_class() else fund.canonical_text()))
 
-    letters = [("Etil",)]
-    for i in range(1, k + 1):
-        letters += [("x", i), ("y", i), ("XX", i), ("YY", i)]
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            letters.append(("D", i, j))
-            if i < j:
-                letters += [("B", i, j), ("C", i, j)]
+    letters = sorted(alphabet(k))
 
     @_run(out, "cone-fourier-involution",
           "the quadric Fourier automorphism squares to the identity "

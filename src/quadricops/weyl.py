@@ -152,12 +152,14 @@ class WeylOp(TermMap):
     # -- action on functions --------------------------------------------------
 
     def apply(self, f):
-        """Apply to a Poly, exactly.
+        """Apply to a Poly in the same variables, exactly; raises ValueError
+        for a Poly in another number of variables.
 
         On the Q-Laurent class the Laplacian acts by
         ``harmonic.laplacian_qlaurent``.
         """
         if isinstance(f, Poly):
+            self._check(f)
             return self._apply_poly(f)
         raise TypeError(f"cannot apply operator to {type(f).__name__}")
 
@@ -424,6 +426,26 @@ def laplacian_op(k: int) -> WeylOp:
     n = 2 * k
     return WeylOp._of(n, {(0, unit(n, i) + unit(n, dual(n, i))): 1
                           for i in range(k)})
+
+
+def permute_vars(f, perm):
+    """The Poly or WeylOp f with variable i renamed to variable perm[i].
+
+    For an operator this is the conjugate sigma f sigma^-1 by the linear
+    change of coordinates sigma, which renames x_i and d_i alike.
+    """
+    n = f.nvars
+
+    def rename(m):
+        e = [0] * n
+        for i, x in enumerate(unpack(m, n)):
+            e[perm[i]] = x
+        return pack(e)
+
+    if isinstance(f, WeylOp):
+        return WeylOp._of(n, {(rename(a), rename(b)): c
+                              for (a, b), c in f.terms.items()})
+    return Poly._of(n, {rename(m): c for m, c in f.terms.items()})
 
 
 def monomials_up_to(nvars: int, degree: int):

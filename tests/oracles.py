@@ -26,7 +26,10 @@ integer numerators over one common denominator and divide once per output
 term; ``poly_mul_pairwise`` and ``weyl_mul_pairwise`` sum one exact rational
 product per pair of terms.  ``WeylOp.commutator`` sums only the exchange
 terms that do not cancel; ``commutator_by_products`` subtracts the two full
-products.
+products.  ``momentorbit.moment`` and ``symbol_invariant`` pair an element
+with the one invariant matrix ``orbit_matrix``; ``moment_by_blocks`` and
+``symbol_by_blocks`` write each layout out block type by block type, and
+``phase_euler_by_pairs`` sums the conjugate pairs one by one.
 """
 
 from itertools import combinations
@@ -37,10 +40,11 @@ from quadricops.exprparse import (MAX_TOKENS, _TOKEN_RE, IndexOutOfRange,
                                   ParseError)
 from quadricops.harmonic import _laplacian_shift
 from quadricops.lie import LieElt
-from quadricops.momentorbit import orbit_matrix, x_vector
-from quadricops.poly import (Poly, QLaurent, normal_form_mod_single, q_form,
-                             pack, q_of, qdiv, reduce_mod, restrict, support,
-                             unpack)
+from quadricops.momentorbit import (block_var, orbit_matrix, v_vector,
+                                    x_vector)
+from quadricops.poly import (Poly, QLaurent, b_pair, dual,
+                             normal_form_mod_single, q_form, pack, q_of, qdiv,
+                             reduce_mod, restrict, support, unpack)
 from quadricops.weyl import (WeylOp, _exchange_terms, laplacian_op,
                              monomials_up_to)
 
@@ -279,3 +283,58 @@ def preserves_ideal_by_monomials(a: WeylOp) -> bool:
         if not reduce_mod(a.apply(qs * Poly.monomial(m)), qs).is_zero():
             return False
     return True
+
+
+def moment_by_blocks(xi: LieElt, extra: int = 0) -> Poly:
+    """The moment pairing in the V layout, block type by block type:
+
+    B(x,mu) + B(x,Xv) - alpha B(x,v) + B(lam,v) B(x,v) - Q(v) B(x,lam).
+    """
+    k = xi.k
+    nv = 4 * k + extra
+    v = v_vector(k, extra)
+    x = x_vector(k, extra)
+    mu = [Poly.const(nv, c) for c in xi.mu]
+    lam = [Poly.const(nv, c) for c in xi.lam]
+    xv = [Poly.zero(nv) for _ in v]
+    for (i, j), c in xi.X:
+        xv[i] = xv[i] + v[j].scale(c)
+    out = b_pair(x, mu) + b_pair(x, xv)
+    if xi.alpha:
+        out = out - b_pair(x, v).scale(xi.alpha)
+    if any(xi.lam):
+        out = out + b_pair(lam, v) * b_pair(x, v)
+        out = out - q_of(v) * b_pair(x, lam)
+    return out
+
+
+def symbol_by_blocks(xi: LieElt) -> Poly:
+    """The descended invariant function in the cone layout (block 0 the base
+    point w, block 1 the fiber point v), block type by block type:
+    alpha: -a B(v,w); mu: B(mu, w); X: 1/2 tr((v wedge w) X^T);
+    lambda: B(mu_{v,w}, lam) with mu_{v,w} = B(v,w) v - Q(v) w."""
+    k = xi.k
+    n = 2 * k
+    w = v_vector(k)
+    v = x_vector(k)
+    alpha = b_pair(v, w)
+    out = Poly.zero(4 * k)
+    if xi.alpha:
+        out = out - alpha.scale(xi.alpha)
+    qv = q_of(v)
+    for i in range(n):
+        out = out + w[i].scale(xi.mu[i])
+        out = out + (alpha * v[i] - qv * w[i]).scale(xi.lam[i])
+    for (i, j), c in xi.X:
+        wedge = w[i] * v[dual(n, j)] - v[i] * w[dual(n, j)]
+        out = out + wedge.scale(qdiv(c, 2))
+    return out
+
+
+def phase_euler_by_pairs(k: int) -> Poly:
+    """sum_j q_j p_dual(j) over the conjugate pairs, one product each."""
+    n = 2 * k
+    out = Poly.zero(4 * k)
+    for j in range(n):
+        out = out + block_var(k, 0, j) * block_var(k, 1, dual(n, j))
+    return out

@@ -16,6 +16,7 @@ import pytest
 
 from quadricops import coneops, lie, momentorbit, poly, shapovalov, weyl
 from quadricops.coneops import xx_op, yy_op
+from quadricops.poly import dual, q_of
 from quadricops.suites import run_suite
 
 
@@ -114,12 +115,27 @@ def _x_vector_swapped(k, extra=0):
     return v
 
 
+def _mu_without_q_term(k, extra=0):
+    # mu = B(v,w) v for B(v,w) v - Q(v) w, in its column and in its row;
+    # moment reads the mu block only through lambda, so the descent fails
+    # first at ('lam', 0)
+    n = 2 * k
+    m = [list(row) for row in ORIGINAL["orbit_matrix"](k, extra)]
+    qv = q_of(momentorbit.v_vector(k, extra))
+    w = momentorbit.x_vector(k, extra)
+    for i in range(n):
+        m[1 + i][0] = m[1 + i][0] + qv * w[i]
+        m[n + 1][1 + i] = m[n + 1][1 + i] - qv * w[dual(n, i)]
+    return tuple(map(tuple, m))
+
+
 ORIGINAL = {name: getattr(module, name) for module, name in [
     (shapovalov, "shapovalov_factors"), (shapovalov, "shapovalov_closed"),
     (shapovalov, "euler_shift"), (coneops, "rho_amb"), (lie, "generators"),
     (coneops, "dual_field"), (lie.LieElt, "bracket"), (poly, "numerators"),
     (lie, "_point_column"), (weyl.WeylOp, "commutator"),
-    (coneops, "fourier_letter"), (momentorbit, "x_vector")]}
+    (coneops, "fourier_letter"), (momentorbit, "x_vector"),
+    (momentorbit, "orbit_matrix")]}
 
 # case: (module, function, fake, suite, check id, start of its residue)
 CASES = {
@@ -172,6 +188,12 @@ CASES = {
     "fiber-swap-symbol-bridge": (
         momentorbit, "x_vector", _x_vector_swapped, "moment-orbit",
         "moment-symbol-bridge", "element ('alpha',)"),
+    "mu-without-q-term-descent": (
+        momentorbit, "orbit_matrix", _mu_without_q_term, "moment-orbit",
+        "moment-descent", "element ('lam', 0): "),
+    "mu-without-q-term-relations": (
+        momentorbit, "orbit_matrix", _mu_without_q_term, "moment-orbit",
+        "moment-orbit-relations", "Q(mu): "),
 }
 
 

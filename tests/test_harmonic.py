@@ -14,11 +14,11 @@ from quadricops.harmonic import (bessel_check, bessel_series,
                                  harmonic_dimension, is_higher_symmetry,
                                  kelvin, kelvin_intertwine_defect,
                                  laplacian_qlaurent, n2_counterexample,
-                                 orbit_representatives, pair_generators,
-                                 permute_vars)
+                                 orbit_representatives, pair_generators)
 from quadricops.lie import basis
 from quadricops.poly import Poly, QLaurent, q_form
-from quadricops.weyl import WeylOp, euler_op, laplacian_op, monomials_up_to
+from quadricops.weyl import (WeylOp, euler_op, laplacian_op,
+                            monomials_up_to, permute_vars)
 
 K = 2
 N = 2 * K

@@ -9,7 +9,8 @@ bounded LRU caches of
 - ``weyl.euler_op`` and ``weyl.laplacian_op``;
 - ``coneops.euler_weight_op``, ``xx_op``, ``yy_op``, ``d_op``, ``b_op``,
   ``c_op``, ``letter_op``, ``phi``, ``rho_amb`` and ``rho_tilde``;
-- ``momentorbit.symbol_invariant``;
+- ``momentorbit.orbit_matrix``, a tuple of tuple rows, and
+  ``symbol_invariant``;
 - ``lie.basis``, a tuple;
 - ``harmonic._shift_generators``.
 

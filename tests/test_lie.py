@@ -328,3 +328,13 @@ def test_action_matches_inversion():
     qv = Fraction(1) * 1 * (-1) + 2 * 1  # B(v,v)/2 = v1 v4 + v2 v3
     out = act_at(w0(K), v)
     assert out == [Fraction(-c, qv) for c in v]
+
+
+def test_elements_of_different_k_do_not_combine():
+    # zip would truncate the longer blocks to the shorter ones
+    for xi, eta in ((basis(K)[0], basis(K + 1)[0]),
+                    (basis(K + 1)[1], basis(K)[-1])):
+        with pytest.raises(ValueError, match="different k"):
+            xi + eta
+        with pytest.raises(ValueError, match="different k"):
+            xi.bracket(eta)

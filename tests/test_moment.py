@@ -1,11 +1,15 @@
 """Moment map, descent, orbit relations, and the Poisson bracket."""
 
+import random
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
-from oracles import nonvanishing_minor
+from oracles import (moment_by_blocks, nonvanishing_minor,
+                     phase_euler_by_pairs, symbol_by_blocks)
 from quadricops import momentorbit
 from quadricops.coneops import rho_tilde
-from quadricops.lie import basis
+from quadricops.lie import LieElt, basis
 from quadricops.momentorbit import (block_var, check_descent, moment,
                                     orbit_matrix, phase_euler, poisson,
                                     symbol_invariant, v_vector,
@@ -37,6 +41,33 @@ def test_moment_degrees():
             assert sum(m[2 * K:]) == 1  # fiber block degree exactly 1
 
 
+def test_moment_and_symbol_match_the_block_formulas():
+    # every basis element and 10 seeded rational combinations of the whole
+    # basis per k, in both layouts and with an extra variable
+    rng = random.Random(24)
+    for k in range(2, 6):
+        bas = basis(k)
+        elements = list(bas)
+        for _ in range(10):
+            xi = LieElt(k)
+            for eta in bas:
+                c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                xi = xi + eta.scale(c)
+            elements.append(xi)
+        for xi in elements:
+            assert moment(xi) == moment_by_blocks(xi), (k, xi)
+            assert moment(xi, 1) == moment_by_blocks(xi, 1), (k, xi)
+            assert symbol_invariant(xi) == symbol_by_blocks(xi), (k, xi)
+        assert phase_euler(k) == phase_euler_by_pairs(k), k
+
+
+def test_orbit_matrix_is_shared_and_read_only():
+    M = orbit_matrix(K, 1)
+    assert M is orbit_matrix(K, 1)
+    assert isinstance(M, tuple) and all(isinstance(r, tuple) for r in M)
+    assert {p.nvars for row in M for p in row} == {NV + 1}
+
+
 def test_orbit_relations_pass():
     for name, ok, residue in verify_orbit_relations(K):
         assert ok, f"{name}: {residue}"
@@ -44,7 +75,7 @@ def test_orbit_relations_pass():
 
 def test_perturbed_entry_fails_the_minors_line(monkeypatch):
     def perturbed(k):
-        M = orbit_matrix(k)
+        M = [list(row) for row in orbit_matrix(k)]
         M[2][3] = M[2][3] + block_var(k, 0, 0) * block_var(k, 1, 0)
         return M
 

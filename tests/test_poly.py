@@ -118,6 +118,17 @@ def test_from_json_rejects_wrong_width():
             Poly.from_json(N, data)
 
 
+def test_subs_vars_takes_one_image_per_variable_in_one_ring():
+    p = Poly.var(N, 0) * Poly.var(N, 1) + 2
+    images = [Poly.var(3, i % 3) for i in range(N)]
+    assert p.subs_vars(images) == Poly.var(3, 0) * Poly.var(3, 1) + 2
+    for bad in ([Poly.var(6, 0)],                                  # too few
+                images + [Poly.var(3, 0)],                         # too many
+                [Poly.var(6, 0)] * (N - 1) + [Poly.var(5, 0)]):    # two rings
+        with pytest.raises(ValueError, match="images in one ring"):
+            p.subs_vars(bad)
+
+
 def test_add_terms_adds_in_place_and_drops_cancelled_keys():
     terms = {1: 2, 3: Fraction(1, 2)}
     out = add_terms(terms, [(1, -2), (4, 0), (3, Fraction(1, 2)), (5, 7)])

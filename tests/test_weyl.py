@@ -264,3 +264,9 @@ def test_constructor_rejects_tuple_keys():
 def test_monomials_up_to():
     ms = list(monomials_up_to(2, 2))
     assert sorted(ms) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+
+
+def test_apply_rejects_a_poly_in_other_variables():
+    for f in (Poly.var(N + 2, 0), Poly.var(N - 1, 0)):
+        with pytest.raises(ValueError, match="different variable sets"):
+            euler_op(K).apply(f)
