@@ -23,8 +23,8 @@ from .weyl import (NotDivisible, WeylOp, euler_op, is_zero_extensional,
 from .lie import (DegenerateCell, GroupElt, LieElt, NotQLaurent, basis,
                   bruhat_factor, levi, so_q_basis, u, u_op, w0)
 from .coneops import (ConeOp, GenWord, NotNormalizing, grading,
-                      is_ideal_preserving, phi, rho_amb, rho_tilde, tau,
-                      tau_hat, xx_op, yy_op)
+                      is_ideal_preserving, letter_op, phi, rho_amb,
+                      rho_tilde, tau, tau_hat)
 from .shapovalov import (FactorsDoNotCommute, NotScalar, euler_to_weyl,
                          fourier_euler_image, fourier_roots_bezout,
                          scalar_on_graded, shapovalov_closed,
@@ -47,8 +47,8 @@ __all__ = [
     "DegenerateCell", "GroupElt", "LieElt", "NotQLaurent", "basis",
     "bruhat_factor", "levi", "so_q_basis", "u", "u_op", "w0",
     "ConeOp", "GenWord", "NotNormalizing", "grading",
-    "is_ideal_preserving", "phi", "rho_amb", "rho_tilde", "tau",
-    "tau_hat", "xx_op", "yy_op",
+    "is_ideal_preserving", "letter_op", "phi", "rho_amb", "rho_tilde",
+    "tau", "tau_hat",
     "FactorsDoNotCommute", "NotScalar", "euler_to_weyl", "fourier_euler_image",
     "fourier_roots_bezout", "scalar_on_graded", "shapovalov_closed",
     "shapovalov_expand", "shapovalov_series",

@@ -12,8 +12,12 @@ Realizations of the conformal Lie algebra:
   rho_tilde -- rho_amb corrected by A_xi = 2(d_{lam_flip} - alpha), which
                makes every image normalize (Q*).
 
-The quadric Fourier automorphism F acts on formal words in the distinguished
-generators, swapping coordinates with the second-order operators XX_i, YY_i.
+The distinguished generators, the letters of formal words, are rho_tilde of
+their Lie preimages (``letter_preimage``): coordinates are translations,
+XX_i and YY_i special conformal elements, E + k - 1 is alpha = -1, and D, B,
+C are Levi elements.  The quadric Fourier automorphism F acts letterwise,
+swapping coordinates with XX_i, YY_i; on the preimages it is conjugation by
+the Weyl inversion w0.
 """
 
 from __future__ import annotations
@@ -264,60 +268,10 @@ def tau_hat(a: WeylOp) -> ConeOp:
     return ConeOp(quo)
 
 
-# -- distinguished generators ---------------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def euler_weight_op(k: int) -> WeylOp:
-    """E + k - 1, the shifted Euler operator central to the weight ladder."""
-    return euler_op(k) + WeylOp.const(2 * k, k - 1)
-
-
-@lru_cache(maxsize=1024)
-def xx_op(k: int, i: int) -> WeylOp:
-    """XX_i = (E + k - 1) d_{y_{k+1-i}} - x_i Delta   (i is 1-based)."""
-    n = 2 * k
-    return (euler_weight_op(k) * WeylOp.partial(n, dual(n, i - 1))
-            - WeylOp.mult(Poly.var(n, i - 1)) * laplacian_op(k))
-
-
-@lru_cache(maxsize=1024)
-def yy_op(k: int, i: int) -> WeylOp:
-    """YY_i = (E + k - 1) d_{x_{k+1-i}} - y_i Delta   (i is 1-based)."""
-    n = 2 * k
-    return (euler_weight_op(k) * WeylOp.partial(n, dual(n, k + i - 1))
-            - WeylOp.mult(Poly.var(n, k + i - 1)) * laplacian_op(k))
-
-
-@lru_cache(maxsize=1024)
-def d_op(k: int, i: int, j: int) -> WeylOp:
-    """D_ij = x_j d_{x_i} - y_{k+1-i} d_{y_{k+1-j}}   (1-based indices)."""
-    n = 2 * k
-    return (WeylOp.mult(Poly.var(n, j - 1)) * WeylOp.partial(n, i - 1)
-            - WeylOp.mult(Poly.var(n, dual(n, i - 1)))
-            * WeylOp.partial(n, dual(n, j - 1)))
-
-
-@lru_cache(maxsize=1024)
-def b_op(k: int, i: int, j: int) -> WeylOp:
-    """B_ij = y_{k+1-j} d_{x_i} - y_{k+1-i} d_{x_j}   (1-based, i < j)."""
-    n = 2 * k
-    return (WeylOp.mult(Poly.var(n, dual(n, j - 1))) * WeylOp.partial(n, i - 1)
-            - WeylOp.mult(Poly.var(n, dual(n, i - 1))) * WeylOp.partial(n, j - 1))
-
-
-@lru_cache(maxsize=1024)
-def c_op(k: int, i: int, j: int) -> WeylOp:
-    """C_ij = x_j d_{y_{k+1-i}} - x_i d_{y_{k+1-j}}   (1-based, i < j)."""
-    n = 2 * k
-    return (WeylOp.mult(Poly.var(n, j - 1)) * WeylOp.partial(n, dual(n, i - 1))
-            - WeylOp.mult(Poly.var(n, i - 1)) * WeylOp.partial(n, dual(n, j - 1)))
-
+# -- generator letters ----------------------------------------------------------
 
 # letters of generator words: ("x", i), ("y", i), ("XX", i), ("YY", i),
 # ("Etil",), ("D", i, j), ("B", i, j), ("C", i, j) with 1-based indices.
-# The distinguished generators above and the letters are memoized per
-# argument in bounded LRU caches: one shared, read-only operator each.
 
 
 @lru_cache(maxsize=64)
@@ -332,27 +286,46 @@ def alphabet(k: int) -> frozenset:
                         for j in r if i < j])
 
 
+def check_letters(k: int, letters) -> None:
+    """Raise ValueError naming the first letter outside ``alphabet(k)``."""
+    known = alphabet(k)
+    for letter in letters:
+        if letter not in known:
+            raise ValueError(f"{letter!r} is not a generator letter at k={k}")
+
+
+def letter_preimage(k: int, letter) -> LieElt:
+    """The Lie algebra element that ``rho_tilde`` realizes as the letter.
+
+    x_i and y_i are the translations mu = e_i and e_(k+i), realized as the
+    coordinates; XX_i and YY_i are the special conformal elements lam = e_i
+    and e_(k+i), realized as XX_i = (E + k - 1) d_{y_{k+1-i}} - x_i Delta
+    and YY_i = (E + k - 1) d_{x_{k+1-i}} - y_i Delta; Etil is alpha = -1,
+    realized as E + k - 1.  D_ij, B_ij and C_ij are the skew X with
+    X[a][b] = 1 and X[dual b][dual a] = -1, realized by ``dual_field`` as
+    v_a d_b - v_(dual b) d_(dual a).  Raises ValueError for a letter outside
+    ``alphabet(k)``.
+    """
+    check_letters(k, (letter,))
+    n = 2 * k
+    kind = letter[0]
+    if kind == "Etil":
+        return LieElt(k, alpha=-1)
+    if kind in ("x", "y", "XX", "YY"):
+        e = [0] * n
+        e[(0 if kind in ("x", "XX") else k) + letter[1] - 1] = 1
+        return LieElt(k, mu=e) if kind in ("x", "y") else LieElt(k, lam=e)
+    i, j = letter[1] - 1, letter[2] - 1
+    a, b = {"D": (j, i), "B": (dual(n, j), i), "C": (j, dual(n, i))}[kind]
+    return LieElt(k, X={(a, b): 1, (dual(n, b), dual(n, a)): -1})
+
+
 @lru_cache(maxsize=1024)
 def letter_op(k: int, letter) -> WeylOp:
-    kind = letter[0]
-    n = 2 * k
-    if kind == "x":
-        return WeylOp.mult(Poly.var(n, letter[1] - 1))
-    if kind == "y":
-        return WeylOp.mult(Poly.var(n, k + letter[1] - 1))
-    if kind == "XX":
-        return xx_op(k, letter[1])
-    if kind == "YY":
-        return yy_op(k, letter[1])
-    if kind == "Etil":
-        return euler_weight_op(k)
-    if kind == "D":
-        return d_op(k, letter[1], letter[2])
-    if kind == "B":
-        return b_op(k, letter[1], letter[2])
-    if kind == "C":
-        return c_op(k, letter[1], letter[2])
-    raise ValueError(f"unknown generator letter {letter!r}")
+    """The operator of one letter: ``rho_tilde`` of its preimage, which
+    normalizes (Q*) by construction.  It shares the memo of the realization
+    images: one shared, read-only operator per letter."""
+    return rho_tilde(letter_preimage(k, letter)).op
 
 
 def fourier_letter(letter):
@@ -401,11 +374,7 @@ class GenWord(TermMap):
         outside ``alphabet(k)``."""
         if not isinstance(key, tuple):
             return None
-        letters = alphabet(self.nvars)
-        for letter in key:
-            if letter not in letters:
-                raise ValueError(f"{letter!r} is not a generator letter "
-                                 f"at k={self.nvars}")
+        check_letters(self.nvars, key)
         return ()
 
     @property

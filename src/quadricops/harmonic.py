@@ -16,7 +16,7 @@ from .poly import (Poly, QLaurent, b_pair, dual, mdegree,
                    reduce_mod, unit)
 from .weyl import (NotDivisible, WeylOp, euler_op, laplacian_op,
                    monomials_up_to)
-from .coneops import xx_op, yy_op
+from .coneops import letter_op
 from .momentorbit import x_vector
 
 
@@ -349,7 +349,7 @@ def bessel_check(k: int, M: int) -> dict:
         mono = [0] * n
         mono[tvar] = m
         f = f + Poly.monomial(tuple(mono), c)
-    op = xx_op(k, 1) - WeylOp.identity(n)
+    op = letter_op(k, ("XX", 1)) - WeylOp.identity(n)
     residue = op.apply(f)
     low = Poly(n, {m: c for m, c in residue.terms.items()
                    if mdegree(m, n) < M - 1})
@@ -458,9 +458,9 @@ def dirac_relations(k: int) -> bool:
     one = Poly.const(n, 1)
     qs = q_form(k)
     for i in range(1, k + 1):
-        if not reduce_mod(xx_op(k, i).apply(one), qs).is_zero():
-            return False
-        if not reduce_mod(yy_op(k, i).apply(one), qs).is_zero():
-            return False
+        for kind in ("XX", "YY"):
+            if not reduce_mod(letter_op(k, (kind, i)).apply(one),
+                              qs).is_zero():
+                return False
     degree_one = {reduce_mod(Poly.var(n, i), qs) for i in range(n)}
     return len(degree_one) == n and all(p.degree() == 1 for p in degree_one)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .coneops import ConeOp, xx_op, yy_op
+from .coneops import ConeOp, letter_op
 from .poly import (Poly, add_terms, normal_form_mod_single, q_form, qdiv,
                    reduce_mod, unit)
 from .weyl import WeylOp, euler_op
@@ -81,9 +81,8 @@ def shapovalov_factors(k: int) -> list:
     """The 2k pairs of the recursion as (m_j, name, F_j): m_j the packed
     coordinate x_i or y_i, F_j its partner YY_(k+1-i) or XX_(k+1-i)."""
     n = 2 * k
-    return ([(unit(n, i), f"YY{k - i}", yy_op(k, k - i)) for i in range(k)]
-            + [(unit(n, k + i), f"XX{k - i}", xx_op(k, k - i))
-               for i in range(k)])
+    return [(unit(n, i + off), f"{kind}{k - i}", letter_op(k, (kind, k - i)))
+            for off, kind in ((0, "YY"), (k, "XX")) for i in range(k)]
 
 
 def shapovalov_series(dmax: int, k: int) -> list:

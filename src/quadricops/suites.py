@@ -30,7 +30,7 @@ from itertools import combinations
 from . import exprparse, lie
 from .coneops import (ConeOp, GenWord, a_correction, alphabet, grading,
                       index_text, letter_op, phi, rho_amb, rho_tilde, tau,
-                      xx_op, yy_op, b_form_poly, d_op, b_op, c_op)
+                      b_form_poly)
 from .harmonic import (_rref, bessel_check, boundary_phase_check,
                        dirac_relations, exp_harmonicity_defect,
                        harmonic_decompose, harmonic_dimension,
@@ -475,13 +475,15 @@ def cone_ops_checks(k: int) -> list:
     def first_failure():
         for i in range(1, k + 1):
             for j in range(1, k + 1):
-                c = ConeOp(xx_op(k, i).commutator(yy_op(k, j)))
+                c = ConeOp(letter_op(k, ("XX", i)).commutator(
+                    letter_op(k, ("YY", j))))
                 if not c.is_zero_class():
                     return f"[XX{i},YY{j}] = {c.canonical_text()}"
 
     total = WeylOp.zero(n)
     for i in range(1, k + 1):
-        total = total + xx_op(k, i) * yy_op(k, k + 1 - i)
+        total = total + (letter_op(k, ("XX", i))
+                         * letter_op(k, ("YY", k + 1 - i)))
     fund = ConeOp(total)
     out.append(_check("cone-fundamental-relation",
                       "the contracted product of the second-order images is the zero class",
@@ -565,7 +567,8 @@ def shapovalov_checks(k: int) -> list:
     @_run(out, "shapovalov-weight-zero",
           "the element commutes with the Euler operator and the Levi generators")
     def first_failure():
-        levi_ops = [euler_op(k), d_op(k, 1, 2), b_op(k, 1, 2), c_op(k, 1, 2)]
+        levi_ops = [euler_op(k)] + [letter_op(k, (kind, 1, 2))
+                                    for kind in ("D", "B", "C")]
         for d, bop in enumerate(series[:2], 1):
             for op in levi_ops:
                 c = bop.commutator(ConeOp(op))

@@ -30,12 +30,15 @@ products.  ``momentorbit.moment`` and ``symbol_invariant`` pair an element
 with the one invariant matrix ``orbit_matrix``; ``moment_by_blocks`` and
 ``symbol_by_blocks`` write each layout out block type by block type, and
 ``phase_euler_by_pairs`` sums the conjugate pairs one by one.
+``coneops.letter_op`` realizes a generator letter as ``rho_tilde`` of its
+Lie preimage; ``euler_weight_op``, ``xx_op``, ``yy_op``, ``d_op``, ``b_op``
+and ``c_op`` write the letters out by hand as operators on the dual space,
+and ``letter_by_formula`` picks the formula of a letter.
 """
 
 from itertools import combinations
 from math import factorial, perm
 
-from quadricops.coneops import xx_op, yy_op
 from quadricops.exprparse import (MAX_TOKENS, _TOKEN_RE, IndexOutOfRange,
                                   ParseError)
 from quadricops.harmonic import _laplacian_shift
@@ -45,8 +48,8 @@ from quadricops.momentorbit import (block_var, orbit_matrix, v_vector,
 from quadricops.poly import (Poly, QLaurent, b_pair, dual,
                              normal_form_mod_single, q_form, pack, q_of, qdiv,
                              reduce_mod, restrict, support, unpack)
-from quadricops.weyl import (WeylOp, _exchange_terms, laplacian_op,
-                             monomials_up_to)
+from quadricops.weyl import (WeylOp, _exchange_terms, euler_op,
+                             laplacian_op, monomials_up_to)
 
 
 def det3(M, rows, cols) -> Poly:
@@ -78,6 +81,60 @@ def _compositions(total: int, parts: int):
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):
             yield (head,) + tail
+
+
+def euler_weight_op(k: int) -> WeylOp:
+    """E + k - 1, the shifted Euler operator central to the weight ladder."""
+    return euler_op(k) + WeylOp.const(2 * k, k - 1)
+
+
+def xx_op(k: int, i: int) -> WeylOp:
+    """XX_i = (E + k - 1) d_{y_{k+1-i}} - x_i Delta   (i is 1-based)."""
+    n = 2 * k
+    return (euler_weight_op(k) * WeylOp.partial(n, dual(n, i - 1))
+            - WeylOp.mult(Poly.var(n, i - 1)) * laplacian_op(k))
+
+
+def yy_op(k: int, i: int) -> WeylOp:
+    """YY_i = (E + k - 1) d_{x_{k+1-i}} - y_i Delta   (i is 1-based)."""
+    n = 2 * k
+    return (euler_weight_op(k) * WeylOp.partial(n, dual(n, k + i - 1))
+            - WeylOp.mult(Poly.var(n, k + i - 1)) * laplacian_op(k))
+
+
+def d_op(k: int, i: int, j: int) -> WeylOp:
+    """D_ij = x_j d_{x_i} - y_{k+1-i} d_{y_{k+1-j}}   (1-based indices)."""
+    n = 2 * k
+    return (WeylOp.mult(Poly.var(n, j - 1)) * WeylOp.partial(n, i - 1)
+            - WeylOp.mult(Poly.var(n, dual(n, i - 1)))
+            * WeylOp.partial(n, dual(n, j - 1)))
+
+
+def b_op(k: int, i: int, j: int) -> WeylOp:
+    """B_ij = y_{k+1-j} d_{x_i} - y_{k+1-i} d_{x_j}   (1-based, i < j)."""
+    n = 2 * k
+    return (WeylOp.mult(Poly.var(n, dual(n, j - 1))) * WeylOp.partial(n, i - 1)
+            - WeylOp.mult(Poly.var(n, dual(n, i - 1))) * WeylOp.partial(n, j - 1))
+
+
+def c_op(k: int, i: int, j: int) -> WeylOp:
+    """C_ij = x_j d_{y_{k+1-i}} - x_i d_{y_{k+1-j}}   (1-based, i < j)."""
+    n = 2 * k
+    return (WeylOp.mult(Poly.var(n, j - 1)) * WeylOp.partial(n, dual(n, i - 1))
+            - WeylOp.mult(Poly.var(n, i - 1)) * WeylOp.partial(n, dual(n, j - 1)))
+
+
+def letter_by_formula(k: int, letter) -> WeylOp:
+    """The hand-written operator of a letter of ``coneops.alphabet(k)``."""
+    kind, n = letter[0], 2 * k
+    if kind == "x":
+        return WeylOp.mult(Poly.var(n, letter[1] - 1))
+    if kind == "y":
+        return WeylOp.mult(Poly.var(n, k + letter[1] - 1))
+    if kind == "Etil":
+        return euler_weight_op(k)
+    return {"XX": xx_op, "YY": yy_op, "D": d_op, "B": b_op,
+            "C": c_op}[kind](k, *letter[1:])
 
 
 def shapovalov_multinomial(d: int, k: int) -> WeylOp:

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from oracles import apply_by_quotient_rule, nonvanishing_minor
+from oracles import apply_by_quotient_rule, nonvanishing_minor, xx_op, yy_op
 from quadricops.coneops import (ConeOp, GenWord, a_correction, b_form_poly,
-                                phi, rho_amb, rho_tilde, tau, xx_op, yy_op)
+                                phi, rho_amb, rho_tilde, tau)
 from quadricops.harmonic import (bessel_check, boundary_phase_check,
                                  dirac_relations, exp_harmonicity_defect,
                                  harmonic_decompose, harmonic_dimension,

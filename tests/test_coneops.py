@@ -7,15 +7,17 @@ from itertools import combinations
 
 import pytest
 
-from oracles import preserves_ideal_by_monomials, tau_letterwise
+from oracles import (d_op, euler_weight_op, letter_by_formula,
+                     preserves_ideal_by_monomials, tau_letterwise, xx_op,
+                     yy_op)
 from quadricops import coneops
 from quadricops.coneops import (ConeOp, GenWord, NotNormalizing,
-                                a_correction, alphabet, euler_weight_op, grading,
-                                is_ideal_preserving, letter_op, phi,
-                                rho_amb, rho_tilde, tau, tau_hat, xx_op, yy_op,
-                                d_op)
-from quadricops.lie import LieElt, basis, generators
-from quadricops.poly import Poly, dual, q_form
+                                a_correction, alphabet, fourier_letter,
+                                grading, is_ideal_preserving, letter_op,
+                                letter_preimage, phi, rho_amb, rho_tilde, tau,
+                                tau_hat)
+from quadricops.lie import LieElt, basis, generators, mat_mul, w0
+from quadricops.poly import Poly, q_form
 from quadricops.suites import lie_hom_checks, run_suite
 from quadricops.weyl import WeylOp, euler_op, laplacian_op
 
@@ -138,11 +140,12 @@ def test_memoized_images_are_unchanged():
     run_suite("all", 3)
     run_suite("lie-hom", 3)
     # the homomorphism check takes the brackets of the pairs with a member
-    # among the generators
+    # among the generators; the letters are images of their preimages
     bas, gens = basis(3), set(generators(3))
     distinct = set(bas) | {xi.bracket(eta) for i, xi in enumerate(bas)
                            for eta in bas[i + 1:] if xi in gens or eta in gens}
-    assert len(distinct) == 58 == rho_tilde.cache_info().currsize
+    distinct |= {letter_preimage(3, letter) for letter in alphabet(3)}
+    assert len(distinct) == 59 == rho_tilde.cache_info().currsize
     misses = rho_tilde.cache_info().misses
     for xi in distinct:
         img = rho_tilde(xi)
@@ -313,34 +316,34 @@ def test_word_evaluation_shares_prefixes_exactly():
         assert word.eval().op == want
 
 
-def letter_lie_preimage(k: int, letter) -> LieElt:
-    """The Lie algebra element realized as this generator by rho_tilde."""
-    n = 2 * k
-    kind = letter[0]
-    if kind in ("x", "y", "XX", "YY"):
-        e = [0] * n
-        e[(0 if kind in ("x", "XX") else k) + letter[1] - 1] = 1
-        return LieElt(k, mu=e) if kind in ("x", "y") else LieElt(k, lam=e)
-    if kind == "Etil":
-        return LieElt(k, alpha=-1)
-    # Levi letters: the matrix X with sum X[a][b] v_a d_b equal to the operator
-    X = [[0] * n for _ in range(n)]
-    i, j = letter[1] - 1, letter[2] - 1
-    if kind == "D":
-        X[j][i] += 1
-        X[dual(n, i)][dual(n, j)] -= 1
-    elif kind == "B":
-        X[dual(n, j)][i] += 1
-        X[dual(n, i)][j] -= 1
-    else:
-        X[j][dual(n, i)] += 1
-        X[i][dual(n, j)] -= 1
-    return LieElt(k, X=X)
-
-
 def test_letter_preimages_realize_letters():
-    letters = [("x", 1), ("y", 2), ("XX", 1), ("YY", 2), ("Etil",),
-               ("D", 1, 2), ("B", 1, 2), ("C", 1, 2)]
-    for letter in letters:
-        xi = letter_lie_preimage(K, letter)
-        assert rho_tilde(xi) == ConeOp(letter_op(K, letter))
+    # term for term, not only as cone classes: rho_tilde of the preimage is
+    # the hand-written operator of each of the 154 letters at k = 2..5
+    letters = [(k, letter) for k in range(2, 6) for letter in alphabet(k)]
+    assert len(letters) == 154
+    for k, letter in letters:
+        assert letter_op(k, letter) == letter_by_formula(k, letter), letter
+
+
+def test_letters_outside_the_alphabet_are_refused():
+    # the letters GenWord refuses: an index outside 1..k, B and C with
+    # i >= j, a wrong arity or kind
+    for bad in (("x", 0), ("x", 3), ("y", -1), ("XX", 3), ("D", 1, 3),
+                ("D", 0, 1), ("B", 2, 1), ("C", 1, 1), ("Etil", 1), ("E",),
+                ("x", 1, 1), "x1"):
+        for fn in (letter_preimage, letter_op):
+            with pytest.raises(ValueError, match="not a generator letter"):
+                fn(2, bad)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_fourier_letter_is_conjugation_by_w0(k):
+    # F is Ad(w0) on the preimages: w0 P(l) w0^-1 = s P(F(l))
+    g = w0(k)
+    for letter in alphabet(k):
+        image, s = fourier_letter(letter)
+        conj = mat_mul(g.m, mat_mul(letter_preimage(k, letter).matrix(),
+                                    g.inv().m))
+        want = [[s * c for c in row]
+                for row in letter_preimage(k, image).matrix()]
+        assert conj == want, letter

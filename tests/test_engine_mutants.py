@@ -14,8 +14,8 @@ only through a cached caller, so they prove that too.
 
 import pytest
 
+from oracles import xx_op, yy_op
 from quadricops import coneops, lie, momentorbit, poly, shapovalov, weyl
-from quadricops.coneops import xx_op, yy_op
 from quadricops.poly import dual, q_of
 from quadricops.suites import run_suite
 
@@ -101,10 +101,21 @@ def _x_to_y(letter):
     return ORIGINAL["fourier_letter"](letter)
 
 
-def _euler_weight_shifted(k):
-    # E + k for E + k - 1: XX_i and YY_i change, and the contracted product
-    # leaves the zero class; reached only through the cached xx_op and yy_op
-    return weyl.euler_op(k) + k
+def _yy_rotated(k, letter):
+    # YY_i -> YY_(i mod k + 1): the second-order letters still commute, but
+    # the contracted product leaves the zero class and the Shapovalov factors
+    # no longer pair with their coordinates; reached only through the cached
+    # letter_op
+    if letter[0] == "YY":
+        letter = ("YY", letter[1] % k + 1)
+    return ORIGINAL["letter_preimage"](k, letter)
+
+
+def _yy_to_y(k, letter):
+    # YY_i -> y_i: the translation does not commute with XX_i
+    if letter[0] == "YY":
+        letter = ("y", letter[1])
+    return ORIGINAL["letter_preimage"](k, letter)
 
 
 def _x_vector_swapped(k, extra=0):
@@ -134,8 +145,8 @@ ORIGINAL = {name: getattr(module, name) for module, name in [
     (shapovalov, "euler_shift"), (coneops, "rho_amb"), (lie, "generators"),
     (coneops, "dual_field"), (lie.LieElt, "bracket"), (poly, "numerators"),
     (lie, "_point_column"), (weyl.WeylOp, "commutator"),
-    (coneops, "fourier_letter"), (momentorbit, "x_vector"),
-    (momentorbit, "orbit_matrix")]}
+    (coneops, "fourier_letter"), (coneops, "letter_preimage"),
+    (momentorbit, "x_vector"), (momentorbit, "orbit_matrix")]}
 
 # case: (module, function, fake, suite, check id, start of its residue)
 CASES = {
@@ -179,9 +190,15 @@ CASES = {
     "fourier-x-to-y": (
         coneops, "fourier_letter", _x_to_y, "cone-ops",
         "cone-grading-negation", "letter ('x', 1)"),
-    "euler-weight-shifted": (
-        coneops, "euler_weight_op", _euler_weight_shifted, "cone-ops",
-        "cone-fundamental-relation", "(2)*dx2*dy1"),
+    "yy-rotated-fundamental-relation": (
+        coneops, "letter_preimage", _yy_rotated, "cone-ops",
+        "cone-fundamental-relation", "(2)*dx2*dy2"),
+    "yy-rotated-weight-zero": (
+        coneops, "letter_preimage", _yy_rotated, "shapovalov",
+        "shapovalov-weight-zero", "d=1: "),
+    "yy-to-y-commute": (
+        coneops, "letter_preimage", _yy_to_y, "cone-ops",
+        "cone-xxyy-commute", "[XX1,YY1] = "),
     "fiber-swap-symbol-match": (
         momentorbit, "x_vector", _x_vector_swapped, "cone-ops",
         "cone-symbol-match", "element ('alpha',)"),

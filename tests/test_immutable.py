@@ -7,8 +7,8 @@ bounded LRU caches of
 
 - ``poly.q_form``;
 - ``weyl.euler_op`` and ``weyl.laplacian_op``;
-- ``coneops.euler_weight_op``, ``xx_op``, ``yy_op``, ``d_op``, ``b_op``,
-  ``c_op``, ``letter_op``, ``phi``, ``rho_amb`` and ``rho_tilde``;
+- ``coneops.letter_op``, ``phi``, ``rho_amb`` and ``rho_tilde``; a
+  letter's operator is the ``rho_tilde`` image of its Lie preimage;
 - ``momentorbit.orbit_matrix``, a tuple of tuple rows, and
   ``symbol_invariant``;
 - ``lie.basis``, a tuple;

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from oracles import tokenize_groupwise
+from oracles import tokenize_groupwise, xx_op
 from quadricops import exprparse as ep
 from quadricops import suites
-from quadricops.coneops import ConeOp, index_text, xx_op
+from quadricops.coneops import ConeOp, index_text
 from quadricops.poly import mdegree, q_form
 from quadricops.weyl import WeylOp, euler_op
 

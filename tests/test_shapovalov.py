@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from oracles import shapovalov_multinomial
+from oracles import d_op, shapovalov_multinomial
 from quadricops import cli, shapovalov
-from quadricops.coneops import ConeOp, d_op
+from quadricops.coneops import ConeOp, letter_op
 from quadricops.poly import Poly, is_packed
 from quadricops.shapovalov import (FactorsDoNotCommute, NotScalar,
                                    SeriesStep, closed_form_induction,
@@ -75,18 +75,23 @@ def test_series_terms_are_packed_and_nonzero(monkeypatch):
             assert c != 0 and is_packed(a, n) and is_packed(b, n)
     # no term cancels in the true series; with x_i paired with y_i and y_i
     # with -x_i, every term of B_1 = sum_i (x_i y_i - y_i x_i) cancels
-    monkeypatch.setattr(shapovalov, "yy_op", lambda k, j: WeylOp.mult(
-        Poly.var(2 * k, 2 * k - j)))
-    monkeypatch.setattr(shapovalov, "xx_op", lambda k, j: WeylOp.mult(
-        Poly.var(2 * k, k - j, -1)))
+    monkeypatch.setattr(shapovalov, "letter_op", lambda k, letter: (
+        WeylOp.mult(Poly.var(2 * k, 2 * k - letter[1])) if letter[0] == "YY"
+        else WeylOp.mult(Poly.var(2 * k, k - letter[1], -1))))
     assert [bop.op.terms for bop in shapovalov_series(2, K)] == [{}, {}]
 
 
 def test_noncommuting_factors_are_refused(capsys, monkeypatch):
     # the recursion holds only because the factors commute: with x1 and d_x1
     # as two of them it must refuse, and the CLI reports an engine error
-    monkeypatch.setattr(shapovalov, "xx_op", lambda k, i: (
-        WeylOp.partial(2 * k, 0) if i == 1 else WeylOp.mult(Poly.var(2 * k, 0))))
+    def xx_as_x1_and_dx1(k, letter):
+        if letter[0] != "XX":
+            return letter_op(k, letter)
+        if letter[1] == 1:
+            return WeylOp.partial(2 * k, 0)
+        return WeylOp.mult(Poly.var(2 * k, 0))
+
+    monkeypatch.setattr(shapovalov, "letter_op", xx_as_x1_and_dx1)
     with pytest.raises(FactorsDoNotCommute, match="do not commute"):
         shapovalov_series(1, K)
     assert issubclass(FactorsDoNotCommute, ArithmeticError)
