@@ -26,16 +26,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .lie import LieElt
-from .poly import (Poly, TermMap, add_terms, b_pair, default_names, dual,
-                   mdegree, mono_text, q_form, qcoef, qdiv, reduce_mod,
-                   signed_text, unit, unpack)
-from .weyl import NotDivisible, WeylOp, euler_op, laplacian_op
-
-
-def b_form_poly(k: int, vec) -> Poly:
-    """B(vec, .) as a linear polynomial for a rational vector vec."""
-    n = 2 * k
-    return b_pair(vec, [Poly.var(n, i) for i in range(n)])
+from .poly import (Poly, TermMap, add_terms, default_names, dual, mdegree,
+                   mono_text, q_form, qcoef, qdiv, reduce_mod, signed_text,
+                   unit, unpack)
+from .weyl import NotDivisible, WeylOp, euler_op, laplacian_op, reorder
 
 
 def grad_pair(k: int, vec) -> WeylOp:
@@ -84,15 +78,13 @@ def tau(a: WeylOp) -> WeylOp:
     """Linear Fourier transform: v_i -> d_i, d_i -> -v_i.
 
     It sends the x-left term x^alpha d^beta to (-1)^|beta| d^alpha x^beta,
-    a d-left term, which ``WeylOp.from_dleft`` normal-orders; an algebra
+    a d-left term, which ``weyl.reorder`` normal-orders; an algebra
     isomorphism D_V -> D_{V*}.
     """
     n = a.nvars
-    dleft: dict = {}
-    for (alpha, beta), c in a.terms.items():
-        dleft.setdefault(alpha, {})[beta] = -c if mdegree(beta, n) % 2 else c
-    return WeylOp.from_dleft(n, {alpha: Poly._of(n, tm)
-                                 for alpha, tm in dleft.items()})
+    dleft = {(beta, alpha): -c if mdegree(beta, n) % 2 else c
+             for (alpha, beta), c in a.terms.items()}
+    return WeylOp._of(n, reorder(dleft, n, 1))
 
 
 def a_correction(xi: LieElt) -> WeylOp:
@@ -105,6 +97,11 @@ def linear_form(k: int, vec) -> Poly:
     """<vec, v> = sum vec_i v_i as a linear polynomial."""
     n = 2 * k
     return Poly._of(n, {unit(n, i): qcoef(c) for i, c in enumerate(vec) if c})
+
+
+def b_form_poly(k: int, vec) -> Poly:
+    """B(vec, .) = <J_V vec, v>, the linear form of the reversed vector."""
+    return linear_form(k, vec[::-1])
 
 
 def dual_field(k: int, X) -> WeylOp:
@@ -287,10 +284,14 @@ def alphabet(k: int) -> frozenset:
 
 
 def check_letters(k: int, letters) -> None:
-    """Raise ValueError naming the first letter outside ``alphabet(k)``."""
+    """Raise ValueError naming the first letter outside ``alphabet(k)``.
+
+    The alphabet compares by value, so an index must also be an ``int``:
+    ``("x", 1.0)`` and ``("x", True)`` equal ``("x", 1)`` but are no letters.
+    """
     known = alphabet(k)
     for letter in letters:
-        if letter not in known:
+        if letter not in known or any(type(i) is not int for i in letter[1:]):
             raise ValueError(f"{letter!r} is not a generator letter at k={k}")
 
 
@@ -320,11 +321,17 @@ def letter_preimage(k: int, letter) -> LieElt:
     return LieElt(k, X={(a, b): 1, (dual(n, b), dual(n, a)): -1})
 
 
-@lru_cache(maxsize=1024)
 def letter_op(k: int, letter) -> WeylOp:
     """The operator of one letter: ``rho_tilde`` of its preimage, which
     normalizes (Q*) by construction.  It shares the memo of the realization
-    images: one shared, read-only operator per letter."""
+    images: one shared, read-only operator per letter.  The letter is checked
+    before the memo is read, which would take ("x", 1.0) for ("x", 1)."""
+    check_letters(k, (letter,))
+    return _letter_op(k, letter)
+
+
+@lru_cache(maxsize=1024)
+def _letter_op(k: int, letter) -> WeylOp:
     return rho_tilde(letter_preimage(k, letter)).op
 
 

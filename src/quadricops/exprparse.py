@@ -33,6 +33,7 @@ The AST is a tree of tuples:
 from __future__ import annotations
 
 import re
+from operator import add, mul, sub
 
 from .coneops import GenWord, index_text, letter_op
 from .poly import q_form, signed_text
@@ -297,42 +298,52 @@ def _letter(node):
     return None
 
 
-def eval_weyl(node, k: int) -> WeylOp:
-    """Evaluate the AST to an ambient operator on the dual space."""
-    n = 2 * k
+class NotGeneratorWord(UsageError):
+    """Expression uses atoms outside the generator alphabet."""
+
+
+# the value of an atom in each target: "int" from (k, value), "letter" from
+# (k, letter), and the other named atoms from (k, *indices)
+_WEYL_ATOMS = {"int": lambda k, c: WeylOp.const(2 * k, c), "letter": letter_op,
+               "E": euler_op, "Delta": laplacian_op,
+               "Q": lambda k: WeylOp.mult(q_form(k)),
+               "dx": lambda k, i: WeylOp.partial(2 * k, i - 1),
+               "dy": lambda k, i: WeylOp.partial(2 * k, k + i - 1)}
+_WORD_ATOMS = {"int": GenWord.const, "letter": GenWord.letter,
+               "E": lambda k: GenWord.letter(k, ("Etil",)) + (1 - k)}
+_BINARY = {"add": add, "sub": sub, "mul": mul}
+
+
+def _fold(node, k: int, atoms: dict):
+    """The value of the AST in one target, bottom-up: each leaf through the
+    target's atoms, then sums, differences, products, powers and negatives.
+
+    Raises NotGeneratorWord on an atom of the grammar that the target lacks
+    and ValueError on an unknown node.
+    """
     kind = node[0]
     if kind == "int":
-        return WeylOp.const(n, node[1])
+        return atoms["int"](k, node[1])
     letter = _letter(node)
     if letter is not None:
-        return letter_op(k, letter)
-    if kind == "gen":
-        g = node[1]
-        if g == "E":
-            return euler_op(k)
-        if g == "Delta":
-            return laplacian_op(k)
-        if g == "Q":
-            return WeylOp.mult(q_form(k))
-        if g == "dx":
-            return WeylOp.partial(n, node[2] - 1)
-        if g == "dy":
-            return WeylOp.partial(n, k + node[2] - 1)
-    if kind == "add":
-        return eval_weyl(node[1], k) + eval_weyl(node[2], k)
-    if kind == "sub":
-        return eval_weyl(node[1], k) - eval_weyl(node[2], k)
-    if kind == "mul":
-        return eval_weyl(node[1], k) * eval_weyl(node[2], k)
+        return atoms["letter"](k, letter)
+    if kind == "gen" and node[1] in atoms:
+        return atoms[node[1]](k, *node[2:])
+    if kind == "gen" and node[1] in _ATOM_BOUND:
+        raise NotGeneratorWord(f"{node[1]} is not a generator letter")
     if kind == "pow":
-        return eval_weyl(node[1], k) ** node[2]
+        return _fold(node[1], k, atoms) ** node[2]
     if kind == "neg":
-        return -eval_weyl(node[1], k)
+        return -_fold(node[1], k, atoms)
+    if kind in _BINARY:
+        a, b = _fold(node[1], k, atoms), _fold(node[2], k, atoms)
+        return _BINARY[kind](a, b)
     raise ValueError(f"unknown node {kind!r}")
 
 
-class NotGeneratorWord(UsageError):
-    """Expression uses atoms outside the generator alphabet."""
+def eval_weyl(node, k: int) -> WeylOp:
+    """Evaluate the AST to an ambient operator on the dual space."""
+    return _fold(node, k, _WEYL_ATOMS)
 
 
 def to_genword(node, k: int) -> GenWord:
@@ -341,28 +352,7 @@ def to_genword(node, k: int) -> GenWord:
     The alphabet is x_i, y_i, XX_i, YY_i, Dop/Bop/Cop and E (expanded as
     (E+k-1) - (k-1)); derivatives, Delta and Q are not generator letters.
     """
-    kind = node[0]
-    if kind == "int":
-        return GenWord.const(k, node[1])
-    letter = _letter(node)
-    if letter is not None:
-        return GenWord.letter(k, letter)
-    if kind == "gen":
-        g = node[1]
-        if g == "E":
-            return GenWord.letter(k, ("Etil",)) + GenWord.const(k, -(k - 1))
-        raise NotGeneratorWord(f"{g} is not a generator letter")
-    if kind == "add":
-        return to_genword(node[1], k) + to_genword(node[2], k)
-    if kind == "sub":
-        return to_genword(node[1], k) - to_genword(node[2], k)
-    if kind == "mul":
-        return to_genword(node[1], k) * to_genword(node[2], k)
-    if kind == "pow":
-        return to_genword(node[1], k) ** node[2]
-    if kind == "neg":
-        return to_genword(node[1], k).scale(-1)
-    raise ValueError(f"unknown node {kind!r}")
+    return _fold(node, k, _WORD_ATOMS)
 
 
 def genword_to_expr_text(w: GenWord, k: int) -> str:

@@ -11,9 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .poly import (Poly, QLaurent, b_pair, dual, mdegree,
-                   normal_form_mod_single, pack, q_form, q_of, qcoef, qdiv,
-                   reduce_mod, unit)
+from .poly import (Poly, QLaurent, b_pair, dual, mdegree, pack, q_form, q_of,
+                   qcoef, qdiv, reduce_mod, rref, subtract_row, unit)
 from .weyl import (NotDivisible, WeylOp, euler_op, laplacian_op,
                    monomials_up_to)
 from .coneops import letter_op
@@ -187,41 +186,6 @@ def sym_monomials(k: int, d: int):
     return [m + (d - sum(m),) for m in monomials_up_to(2 * k - 1, d)]
 
 
-def _subtract(row, f, other):
-    """row -= f * other in place, dropping the entries that cancel."""
-    for j, v in other.items():
-        x = row.get(j, 0) - f * v
-        if x:
-            row[j] = x
-        else:
-            del row[j]
-
-
-def _rref(rows):
-    """Exact reduced row echelon form of sparse rows {col: value}.
-
-    Returns {pivot column: row}: each row is 1 at its pivot column, its
-    least column, and 0 at every other pivot column.  The form is unique, so
-    it does not depend on the order of the rows.
-    """
-    piv = {}
-    for row in rows:
-        row = dict(row)
-        # the pivot rows vanish on each other's pivot columns: one pass
-        for c in [c for c in row if c in piv]:
-            _subtract(row, row[c], piv[c])
-        if not row:
-            continue
-        c = min(row)
-        p = row[c]
-        row = {j: qdiv(v, p) for j, v in row.items()}
-        for other in piv.values():
-            if c in other:
-                _subtract(other, other[c], row)
-        piv[c] = row
-    return piv
-
-
 def harmonic_dimension(d: int, k: int) -> int:
     """dim of degree-d harmonics in 2k variables."""
     n = 2 * k
@@ -260,15 +224,15 @@ def harmonic_decompose(d: int, k: int):
         for i, i2, u in pairs:
             if e[i] and e[i2]:
                 rows[trow[m - u]][j] = e[i] * e[i2]
-    rref = _rref(rows)
+    form = rref(rows)
     # the columns of R as {pivot: entry}
     rcols = [{} for _ in monos]
-    for p, row in rref.items():
+    for p, row in form.items():
         for c, v in row.items():
             rcols[c][p] = v
     harm = []
     for f, m in enumerate(monos):
-        if f not in rref:
+        if f not in form:
             vec = {monos[p]: qcoef(-v) for p, v in rcols[f].items()}
             vec[m] = 1
             harm.append(Poly._of(n, vec))
@@ -278,9 +242,9 @@ def harmonic_decompose(d: int, k: int):
     for p in qmult:
         s = {}
         for m, c in p.terms.items():
-            _subtract(s, -c, rcols[col[m]])
+            subtract_row(s, -c, rcols[col[m]])
         block.append(s)
-    rank = len(harm) + len(_rref(block))
+    rank = len(harm) + len(rref(block))
     if rank != len(harm) + len(qmult) or rank != len(monos):
         raise ArithmeticError("harmonic decomposition is not a direct sum")
     return harm, qmult
@@ -298,8 +262,7 @@ def exp_harmonicity_defect(k: int) -> Poly:
     x = x_vector(k)
     one = Poly.const(4 * k, 1)
     defect = twisted_laplacian(one, k)
-    qx = q_of(x)
-    return normal_form_mod_single(defect, qx)[1]
+    return reduce_mod(defect, q_of(x))
 
 
 def twisted_laplacian(p: Poly, k: int) -> Poly:
@@ -387,12 +350,9 @@ def boundary_phase_check(k: int) -> dict:
     bxw = b_pair(x, w)
     bxu = b_pair(x, u)
 
-    def red(p):
-        return normal_form_mod_single(p, qx)[1]
-
-    r1 = red(bxw - eps * bxu)
-    r2 = red(qw - lam * eps * bxu - eps * eps * qu)
-    r3 = red(bxw * (lam * bxu + eps * qu) - qw * bxu)
+    r1 = reduce_mod(bxw - eps * bxu, qx)
+    r2 = reduce_mod(qw - lam * eps * bxu - eps * eps * qu, qx)
+    r3 = reduce_mod(bxw * (lam * bxu + eps * qu) - qw * bxu, qx)
     return {
         "linear_term": r1,
         "quadratic_term": r2,

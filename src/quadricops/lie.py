@@ -30,8 +30,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from math import gcd, lcm
 
-from .poly import (Poly, QLaurent, b_pair, divides_exactly, dual, q_form,
-                   q_of, qcoef, qdiv)
+from .poly import Poly, QLaurent, b_pair, dual, q_form, q_of, qcoef, qdiv, rref
 
 
 def _frac_vec(v, n):
@@ -61,26 +60,18 @@ def mat_mul(a, b):
     return out
 
 def mat_inv(a):
-    """Exact inverse by Gauss-Jordan elimination over the rationals.
+    """Exact inverse over the rationals: the reduced row echelon form of
+    [a | I] is [I | a^-1] exactly when a is invertible.
 
     Group elements invert by the index permutation ``_inverse``; this general
     inverse is the reference the tests compare it with.
     """
     n = len(a)
-    m = [row[:] + [1 if i == j else 0 for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        m[col] = [qdiv(x, p) for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    form = rref({**{j: c for j, c in enumerate(row) if c}, n + i: 1}
+                for i, row in enumerate(a))
+    if any(c not in form for c in range(n)):
+        raise ValueError("singular matrix")
+    return [[form[i].get(n + j, 0) for j in range(n)] for i in range(n)]
 
 
 def _inverse(m):
@@ -381,18 +372,9 @@ def u(k: int, v) -> GroupElt:
 
 
 def u_op(k: int, v) -> GroupElt:
-    """Opposite unipotent attached to v (parametrizes the big cell)."""
-    n = 2 * k
-    v = _frac_vec(v, n)
-    m = _zeros(n + 2, n + 2)
-    m[0][0] = 1
-    m[n + 1][n + 1] = 1
-    for j in range(n):
-        m[1 + j][0] = v[j]
-        m[n + 1][1 + j] = -v[dual(n, j)]
-        m[1 + j][1 + j] = 1
-    m[n + 1][0] = -q_of(v)
-    return GroupElt(k, m)
+    """Opposite unipotent attached to v (parametrizes the big cell): the
+    conjugate w0 u(v) w0 of the upper unipotent by the Weyl inversion."""
+    return w0(k) * u(k, v) * w0(k)
 
 
 def levi(k: int, a, h) -> GroupElt:
@@ -455,28 +437,15 @@ def bruhat_factor(g: GroupElt):
     return vprime, QLaurent(k, pivot, 0)
 
 
-def _as_q_power(p: Poly, k: int):
-    """Return (c, m) with p = c * Q^m, or None."""
-    q = q_form(k)
-    m = 0
-    work = p
-    while not work.is_constant():
-        quo = divides_exactly(q, work)
-        if quo is None:
-            return None
-        work, m = quo, m + 1
-    if work.is_zero():
-        return None
-    return (work.constant(), m)
-
-
 def _q_power_inverse(p: Poly, k: int) -> QLaurent:
-    """1/p for p = c * Q^m."""
-    cm = _as_q_power(p, k)
-    if cm is None:
+    """1/p for p = c * Q^m.  ``QLaurent`` strips Q from p / Q^m with
+    m = deg p / 2, which leaves the constant c exactly when p = c * Q^m;
+    NotQLaurent otherwise."""
+    m = max(p.degree(), 0) // 2
+    c = QLaurent(k, p, m).num
+    if c.is_zero() or not c.is_constant():
         raise NotQLaurent("pivot is not a constant multiple of a Q power")
-    c, m = cm
-    return QLaurent(k, Poly.const(2 * k, qdiv(1, c)), m)
+    return QLaurent(k, Poly.const(2 * k, qdiv(1, c.constant())), m)
 
 
 @lru_cache(maxsize=64)

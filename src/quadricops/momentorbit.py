@@ -28,8 +28,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .lie import LieElt
-from .poly import (Poly, add_terms, b_pair, dual, normal_form_mod_single,
-                   q_of, qdiv)
+from .poly import Poly, add_terms, b_pair, dual, q_of, qdiv, reduce_mod
 from .weyl import permute_vars
 
 
@@ -111,9 +110,7 @@ def check_descent(xi: LieElt) -> Poly:
     sheared = [vi + t * xi_ for vi, xi_ in zip(v, x)]
     images = sheared + x + [t]
     phi1 = phi0.subs_vars(images)
-    qx = q_of(x)
-    _, defect = normal_form_mod_single(phi1 - phi0, qx)
-    return defect
+    return reduce_mod(phi1 - phi0, q_of(x))
 
 
 def _mat_poly_mul(a, b):
@@ -155,14 +152,10 @@ def verify_orbit_relations(k: int) -> list:
     mu = [M[1 + i][0] for i in range(n)]
     X = [row[1:n + 1] for row in M[1:n + 1]]
     qw = q_of(w)
-
-    def red(p: Poly) -> Poly:
-        return normal_form_mod_single(p, qw)[1]
-
     results = []
 
     def record(name: str, p: Poly):
-        r = red(p)
+        r = reduce_mod(p, qw)
         results.append((name, r.is_zero(), r.text()))
 
     record("Q(w)", qw)
@@ -188,7 +181,7 @@ def verify_orbit_relations(k: int) -> list:
         p = (X[i][dual(n, j)] * X[l][dual(n, m_)]
              - X[i][dual(n, l)] * X[j][dual(n, m_)]
              + X[i][dual(n, m_)] * X[j][dual(n, l)])
-        r = red(p)
+        r = reduce_mod(p, qw)
         if not r.is_zero():
             ok_pluecker = False
             worst = f"({i},{j},{l},{m_}): {r.text()}"
@@ -199,7 +192,7 @@ def verify_orbit_relations(k: int) -> list:
     worst = ""
     for i in range(n + 2):
         for j in range(n + 2):
-            r = red(M2[i][j])
+            r = reduce_mod(M2[i][j], qw)
             if not r.is_zero():
                 ok_sq = False
                 worst = f"[{i}][{j}]: {r.text()}"
@@ -215,7 +208,8 @@ def verify_orbit_relations(k: int) -> list:
     q = [Poly.zero(4 * k), *w, -alpha]
     worst = ""
     for i, j in product(range(n + 2), repeat=2):
-        r = red(M[i][j] - (q[i] * p[n + 1 - j] - p[i] * q[n + 1 - j]))
+        r = reduce_mod(M[i][j] - (q[i] * p[n + 1 - j] - p[i] * q[n + 1 - j]),
+                       qw)
         if not r.is_zero():
             worst = f"rank-2 factorization fails at [{i}][{j}]: {r.text()}"
             break

@@ -34,6 +34,11 @@ its quadratic form Q on such a vector, and ``q_form`` is Q as a polynomial.
 every term printer of the package (polynomials, the Euler polynomials among
 them, operators, generator words) goes through them.
 
+It is also the one home of exact linear elimination: ``rref`` is the reduced
+row echelon form of sparse rational rows and ``subtract_row`` its row step.
+The harmonic splitting, the rank proof of the Lie homomorphism check and
+``lie.mat_inv`` all use them.
+
 Coefficients are exact rationals of type ``int`` or ``fractions.Fraction``,
 never ``float``; nothing is ever rounded.  Constructors store an integral
 value as an ``int`` (``qcoef``), and so do scaling by a ``Fraction`` and the
@@ -65,7 +70,8 @@ terms)`` or ``GenWord(k, terms)``, is the one entry point for outside
 input: it checks every key and passes every coefficient through ``qcoef``.
 ``_of(nvars, terms)`` is trusted: it stores a term map that the engine
 built, with valid keys and no zero coefficient, as it is.  Every sum of
-terms outside the product and division kernels goes through ``add_terms``.
+terms outside the product, division and elimination kernels goes through
+``add_terms``.
 
 Built term maps are read-only.  The engine memoizes its pure constructors
 in bounded LRU caches, ``q_form`` here and the standard operators, the
@@ -261,12 +267,11 @@ def add_terms(terms: dict, items) -> dict:
     """Add the (key, coefficient) pairs items into the term map terms, in
     place, dropping each key whose coefficient cancels; returns terms.
 
-    The product and division kernels (``Poly.__mul__``,
-    ``normal_form_mod_single``, ``WeylOp._apply_poly``,
-    ``weyl._product_terms``, ``weyl._commutator_terms`` and
-    ``harmonic._subtract``) keep this loop inline: they run it once per term
-    pair, where a generator of pairs and a call would cost more than the
-    addition itself.
+    The product, division and elimination kernels (``Poly.__mul__``,
+    ``normal_form_mod_single``, ``subtract_row``, ``WeylOp._apply_poly``,
+    ``weyl._product_terms`` and ``weyl._commutator_terms``) keep this loop
+    inline: they run it once per term pair, where a generator of pairs and a
+    call would cost more than the addition itself.
     """
     get = terms.get
     for key, c in items:
@@ -276,6 +281,45 @@ def add_terms(terms: dict, items) -> dict:
         else:
             terms.pop(key, None)
     return terms
+
+
+# -- exact elimination on sparse rows --------------------------------------
+
+
+def subtract_row(row: dict, f, other: dict) -> None:
+    """row -= f * other in place, for sparse rows {col: value}, dropping the
+    entries that cancel."""
+    for j, v in other.items():
+        x = row.get(j, 0) - f * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def rref(rows) -> dict:
+    """Exact reduced row echelon form of sparse rows {col: value}.
+
+    Returns {pivot column: row}: each row is 1 at its pivot column, its
+    least column, and 0 at every other pivot column.  The form is unique, so
+    it does not depend on the order of the rows, and its length is the rank.
+    """
+    piv = {}
+    for row in rows:
+        row = dict(row)
+        # the pivot rows vanish on each other's pivot columns: one pass
+        for c in [c for c in row if c in piv]:
+            subtract_row(row, row[c], piv[c])
+        if not row:
+            continue
+        c = min(row)
+        p = row[c]
+        row = {j: qdiv(v, p) for j, v in row.items()}
+        for other in piv.values():
+            if c in other:
+                subtract_row(other, other[c], row)
+        piv[c] = row
+    return piv
 
 
 class TermMap:

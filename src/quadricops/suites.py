@@ -31,7 +31,7 @@ from . import exprparse, lie
 from .coneops import (ConeOp, GenWord, a_correction, alphabet, grading,
                       index_text, letter_op, phi, rho_amb, rho_tilde, tau,
                       b_form_poly)
-from .harmonic import (_rref, bessel_check, boundary_phase_check,
+from .harmonic import (bessel_check, boundary_phase_check,
                        dirac_relations, exp_harmonicity_defect,
                        harmonic_decompose, harmonic_dimension,
                        is_higher_symmetry, kelvin,
@@ -44,7 +44,7 @@ from .momentorbit import (check_descent, phase_euler, poisson,
                           symbol_invariant, v_vector, verify_orbit_relations,
                           x_vector)
 from .poly import (Poly, QLaurent, dual, normal_form_mod_single, q_form, q_of,
-                   qdiv)
+                   qdiv, rref)
 from .shapovalov import (NotScalar, SeriesStep, closed_form_induction,
                          fourier_roots_bezout, scalar_on_graded,
                          shapovalov_closed, shapovalov_series)
@@ -426,8 +426,8 @@ def lie_hom_checks(k: int) -> list:
     def first_failure():
         span = gens + [xi.bracket(eta) for xi, eta in combinations(gens, 2)]
         # each element as its matrix flattened, entry (r, c) at r (2k+2) + c
-        rank = len(_rref({r * (2 * k + 2) + c: v for (r, c), v in xi.entries()}
-                         for xi in span))
+        rank = len(rref({r * (2 * k + 2) + c: v for (r, c), v in xi.entries()}
+                        for xi in span))
         if rank != len(bas):
             return (f"{len(gens)} generators and their brackets span "
                     f"{rank} of {len(bas)} dimensions")

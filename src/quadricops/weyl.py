@@ -9,6 +9,8 @@ conjugate pair produces the general reordering identities
 
 applied independently in each variable.  Both one-sided normal forms are
 unique, which is what makes the two right-division tests below decisive.
+``reorder`` applies either identity to a whole term map; ``WeylOp.dleft``,
+``WeylOp.from_dleft`` and ``coneops.tau`` all go through it.
 
 For terms u = x^a1 d^b1 and v = x^a2 d^b2 the first identity gives
 
@@ -92,19 +94,11 @@ class WeylOp(TermMap):
     @classmethod
     def from_dleft(cls, nvars: int, coeffs: dict) -> "WeylOp":
         """Rebuild from a d-left form {packed beta: Poly coefficient}: each
-        term d^beta x^alpha is reordered into x-left form, as ``dleft``
-        reorders the other way."""
-        n = nvars
-        terms: dict = {}
-        for beta, poly in coeffs.items():
-            sb = support(beta, n)
-            for alpha, c in poly.terms.items():
-                shared = sb & support(alpha, n)
-                ex = _exchange_terms(restrict(beta, shared),
-                                     restrict(alpha, shared), n)
-                add_terms(terms, (((alpha - t, beta - t), w * c)
-                                  for t, w in ex))
-        return cls._of(n, terms)
+        term d^beta x^alpha is reordered into x-left form by ``reorder``."""
+        return cls._of(nvars, reorder({(alpha, beta): c
+                                       for beta, p in coeffs.items()
+                                       for alpha, c in p.terms.items()},
+                                      nvars, 1))
 
     # -- structure -----------------------------------------------------------
 
@@ -207,21 +201,10 @@ class WeylOp(TermMap):
 
     def dleft(self) -> dict:
         """The d-left normal form as a map {packed beta: Poly coefficient}."""
-        n = self.nvars
         out: dict = {}
-        for (a, b), c in self.terms.items():
-            shared = support(b, n) & support(a, n)
-            for t, w in _exchange_terms(restrict(b, shared),
-                                        restrict(a, shared), n):
-                sign = -1 if mdegree(t, n) % 2 else 1
-                bucket = out.setdefault(b - t, {})
-                alpha = a - t
-                s = bucket.get(alpha, 0) + sign * w * c
-                if s:
-                    bucket[alpha] = s
-                else:
-                    del bucket[alpha]
-        return {beta: Poly._of(n, tm) for beta, tm in out.items() if tm}
+        for (a, b), c in reorder(self.terms, self.nvars, -1).items():
+            out.setdefault(b, {})[a] = c
+        return {beta: Poly._of(self.nvars, tm) for beta, tm in out.items()}
 
     def xleft(self) -> dict:
         """The stored x-left form grouped by derivative part, as
@@ -340,6 +323,21 @@ def _exchange_terms(b: int, a: int, n: int) -> tuple:
             w *= comb(b[i], ti) * comb(a[i], ti) * factorial(ti)
         out.append((pack(t), w))
     return tuple(out)
+
+
+def reorder(terms: dict, n: int, sign: int) -> dict:
+    """The other normal order of a term map {(a, b): c}: with sign = 1 each
+    key stands for d^b x^a and the result is x-left, with sign = -1 each key
+    stands for x^a d^b and the result is d-left.  By the identities of the
+    module docstring the term of t has key (a - t, b - t) and weight
+    sign^|t| C(b,t) C(a,t) t! in either direction."""
+    out: dict = {}
+    for (a, b), c in terms.items():
+        shared = support(b, n) & support(a, n)
+        add_terms(out, (((a - t, b - t), sign ** mdegree(t, n) * w * c)
+                        for t, w in _exchange_terms(restrict(b, shared),
+                                                    restrict(a, shared), n)))
+    return out
 
 
 def _product_terms(t1: dict, t2: dict, n: int) -> dict:

@@ -8,14 +8,17 @@ commuting; ``shapovalov_multinomial`` expands the d-th power term by term.
 The Lie bracket is computed in block coordinates on the nonzero entries;
 ``matrix_bracket`` takes the commutator of the assembled matrices and reads
 the blocks back, and ``mat_sub`` with ``lie.mat_mul`` gives that commutator
-by dense products.  The Laplacian acts on the Q-Laurent class by a closed
-form proven once per Q by induction; ``apply_by_quotient_rule``
-differentiates one variable at a time instead, and ``shift_by_products``
-checks each step of the induction by full operator products.  The linear Fourier transform ``tau`` reads each x-left
-term as a d-left one and normal-orders it once; ``tau_letterwise`` multiplies
-the images of the letters one by one.  ``WeylOp.apply`` works one derivative
-part at a time and skips the parts that divide no monomial of its argument;
-``apply_termwise`` applies every term to every monomial on exponent tuples.
+by dense products.  ``lie.u_op`` conjugates the upper unipotent by the Weyl
+inversion; ``u_op_by_matrix`` writes its entries out.  The Laplacian acts
+on the Q-Laurent class by a closed form proven once per Q by induction;
+``apply_by_quotient_rule`` differentiates one variable at a time instead,
+and ``shift_by_products`` checks each step of the induction by full
+operator products.  The linear Fourier transform ``tau`` reads each x-left
+term as a d-left one and normal-orders it once; ``tau_letterwise``
+multiplies the images of the letters one by one.  ``WeylOp.apply`` works
+one derivative part at a time and skips the parts that divide no monomial
+of its argument; ``apply_termwise`` applies every term to every monomial on
+exponent tuples.
 ``exprparse.tokenize`` reads a token's kind and index fields straight from
 the group that matched; ``tokenize_groupwise`` filters the tuple of all
 groups of the match for every token.  ``coneops.is_ideal_preserving``
@@ -42,7 +45,7 @@ from math import factorial, perm
 from quadricops.exprparse import (MAX_TOKENS, _TOKEN_RE, IndexOutOfRange,
                                   ParseError)
 from quadricops.harmonic import _laplacian_shift
-from quadricops.lie import LieElt
+from quadricops.lie import GroupElt, LieElt
 from quadricops.momentorbit import (block_var, orbit_matrix, v_vector,
                                     x_vector)
 from quadricops.poly import (Poly, QLaurent, b_pair, dual,
@@ -180,6 +183,19 @@ def matrix_bracket(xi: LieElt, eta: LieElt) -> LieElt:
     if elt.matrix() != m:
         raise ValueError("matrix is not in the conformal Lie algebra")
     return elt
+
+
+def u_op_by_matrix(k: int, v) -> GroupElt:
+    """The opposite unipotent of v written out entry by entry: 1 on the
+    diagonal, v below the corner, -J_V v in the last row and -Q(v) in the
+    bottom-left corner."""
+    n = 2 * k
+    m = [[int(i == j) for j in range(n + 2)] for i in range(n + 2)]
+    for j in range(n):
+        m[1 + j][0] = v[j]
+        m[n + 1][1 + j] = -v[dual(n, j)]
+    m[n + 1][0] = -q_of(v)
+    return GroupElt(k, m)
 
 
 def apply_by_quotient_rule(op: WeylOp, f: QLaurent) -> QLaurent:

@@ -336,6 +336,25 @@ def test_letters_outside_the_alphabet_are_refused():
                 fn(2, bad)
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_letter_indices_must_be_ints(warm):
+    # ("x", 1.0) and ("x", True) equal ("x", 1) and hash alike, so neither
+    # the alphabet nor a warm memo of x1 may let them through
+    coneops._letter_op.cache_clear()
+    if warm:
+        letter_op(2, ("x", 1))
+        letter_op(2, ("D", 1, 2))
+    for bad in (("x", 1.0), ("x", True), ("XX", Fraction(1)), ("D", 1, 2.0),
+                ("D", True, 2)):
+        with pytest.raises(ValueError, match="not a generator letter"):
+            letter_op(2, bad)
+        with pytest.raises(ValueError, match="not a generator letter"):
+            GenWord(2, {(bad,): 1})
+        with pytest.raises(ValueError, match="not a generator letter"):
+            GenWord.letter(2, bad)
+    assert GenWord(2, {(("x", 1),): 1}).text() == "x1"
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_fourier_letter_is_conjugation_by_w0(k):
     # F is Ad(w0) on the preimages: w0 P(l) w0^-1 = s P(F(l))

@@ -15,7 +15,8 @@ only through a cached caller, so they prove that too.
 import pytest
 
 from oracles import xx_op, yy_op
-from quadricops import coneops, lie, momentorbit, poly, shapovalov, weyl
+from quadricops import (coneops, exprparse, lie, momentorbit, poly,
+                        shapovalov, weyl)
 from quadricops.poly import dual, q_of
 from quadricops.suites import run_suite
 
@@ -140,13 +141,32 @@ def _mu_without_q_term(k, extra=0):
     return tuple(map(tuple, m))
 
 
+def _q_power_inverse_negated(p, k):
+    # 1/p with the wrong sign: the big-cell factorization of w0 gives v/Q
+    return -ORIGINAL["_q_power_inverse"](p, k)
+
+
+def _from_dleft_without_exchange(cls, nvars, coeffs):
+    # each d^beta x^alpha read as x^alpha d^beta, as if d and x commuted
+    return cls._of(nvars, {(alpha, beta): c for beta, p in coeffs.items()
+                           for alpha, c in p.terms.items()})
+
+
+def _sub_as_add(node, k, atoms):
+    # a - b evaluated as a + b; the fold recurses through this fake
+    if node[0] == "sub":
+        node = ("add", *node[1:])
+    return ORIGINAL["_fold"](node, k, atoms)
+
+
 ORIGINAL = {name: getattr(module, name) for module, name in [
     (shapovalov, "shapovalov_factors"), (shapovalov, "shapovalov_closed"),
     (shapovalov, "euler_shift"), (coneops, "rho_amb"), (lie, "generators"),
     (coneops, "dual_field"), (lie.LieElt, "bracket"), (poly, "numerators"),
     (lie, "_point_column"), (weyl.WeylOp, "commutator"),
     (coneops, "fourier_letter"), (coneops, "letter_preimage"),
-    (momentorbit, "x_vector"), (momentorbit, "orbit_matrix")]}
+    (momentorbit, "x_vector"), (momentorbit, "orbit_matrix"),
+    (lie, "_q_power_inverse"), (exprparse, "_fold")]}
 
 # case: (module, function, fake, suite, check id, start of its residue)
 CASES = {
@@ -211,6 +231,16 @@ CASES = {
     "mu-without-q-term-relations": (
         momentorbit, "orbit_matrix", _mu_without_q_term, "moment-orbit",
         "moment-orbit-relations", "Q(mu): "),
+    "q-power-inverse-negated": (
+        lie, "_q_power_inverse", _q_power_inverse_negated, "lie-orthogonal",
+        "lie-w0-inversion", "w0 factorization mismatch"),
+    "from-dleft-without-exchange": (
+        weyl.WeylOp, "from_dleft", classmethod(_from_dleft_without_exchange),
+        "weyl", "weyl-normal-order-roundtrip",
+        "round trip through derivative-left form failed"),
+    "fold-sub-as-add": (
+        exprparse, "_fold", _sub_as_add, "cli", "cli-eval-examples",
+        "[Delta,Q]="),
 }
 
 
@@ -227,6 +257,6 @@ def test_mutant_fails_its_check(case, monkeypatch):
 
 @pytest.mark.parametrize("suite", ["shapovalov", "lie-hom", "cone-ops",
                                    "lie-orthogonal", "algebra-core",
-                                   "moment-orbit"])
+                                   "moment-orbit", "weyl", "cli"])
 def test_unmutated_suites_pass(suite):
     assert run_suite(suite, 2).exit_status == 0

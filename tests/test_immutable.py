@@ -7,8 +7,9 @@ bounded LRU caches of
 
 - ``poly.q_form``;
 - ``weyl.euler_op`` and ``weyl.laplacian_op``;
-- ``coneops.letter_op``, ``phi``, ``rho_amb`` and ``rho_tilde``; a
-  letter's operator is the ``rho_tilde`` image of its Lie preimage;
+- ``coneops._letter_op`` (behind ``letter_op``), ``phi``, ``rho_amb`` and
+  ``rho_tilde``; a letter's operator is the ``rho_tilde`` image of its Lie
+  preimage;
 - ``momentorbit.orbit_matrix``, a tuple of tuple rows, and
   ``symbol_invariant``;
 - ``lie.basis``, a tuple;

@@ -1,7 +1,8 @@
 """Imports, locals and private names: no unused imports and no function
 assigning a local it never reads, in the package or in the tests, no private
-module-level name the package never reads, and no heavy standard modules at
-CLI start-up."""
+module-level name the package never reads, no engine module reaching into
+another one's private names, and no heavy standard modules at CLI
+start-up."""
 
 import ast
 import os
@@ -101,6 +102,36 @@ def unread_privates(paths) -> list:
                   if name not in read)
 
 
+def private_imports(path: Path) -> list:
+    """Underscore names that an engine module takes from another one.
+
+    That is ``from .x import _f``, ``from quadricops.x import _f``, or the
+    attribute ``x._f`` of a module imported by ``from . import x``.  Dunder
+    names are exempt.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules, out = set(), []
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("quadricops")):
+            for alias in node.names:
+                if private(alias.name):
+                    out.append(f"{path.name}:{node.lineno}: {alias.name}")
+                elif node.module is None:
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            out.append(f"{path.name}:{node.lineno}: "
+                       f"{node.value.id}.{node.attr}")
+    return sorted(out)
+
+
 def test_no_unused_imports():
     offenders = [u for root in ROOTS for path in sorted(root.glob("*.py"))
                  for u in unused_imports(path)]
@@ -144,6 +175,25 @@ def test_scan_sees_an_unread_private(tmp_path):
                                    "print(_used(), a._unpacked)\n")
     paths = [tmp_path / "a.py", tmp_path / "b.py"]
     assert unread_privates(paths) == ["a.py:1: _dead", "a.py:6: _Gone"]
+
+
+def test_no_private_names_across_engine_modules():
+    offenders = [u for path in sorted(ROOTS[0].glob("*.py"))
+                 for u in private_imports(path)]
+    assert offenders == []
+
+
+def test_scan_sees_a_private_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n"
+                     "from . import lie\n"
+                     "from .harmonic import _rref, kelvin\n"
+                     "from quadricops.weyl import _exchange_terms\n"
+                     "from os import _exit\n"
+                     "print(lie._zeros, lie.u, lie.__name__, kelvin)\n")
+    assert private_imports(probe) == ["probe.py:3: _rref",
+                                      "probe.py:4: _exchange_terms",
+                                      "probe.py:6: lie._zeros"]
 
 
 def test_cli_import_skips_dataclasses_and_inspect():

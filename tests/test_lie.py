@@ -8,10 +8,11 @@ from operator import mul
 
 import pytest
 
-from oracles import mat_sub, matrix_bracket
-from quadricops.lie import (DegenerateCell, GroupElt, LieElt, _uop_column,
-                            basis, bruhat_factor, chi0_at, act_at, levi,
-                            mat_inv, mat_mul, u, u_op, w0)
+from oracles import mat_sub, matrix_bracket, u_op_by_matrix
+from quadricops.lie import (DegenerateCell, GroupElt, LieElt, NotQLaurent,
+                            _q_power_inverse, _uop_column, basis,
+                            bruhat_factor, chi0_at, act_at, levi, mat_inv,
+                            mat_mul, u, u_op, w0)
 from quadricops.poly import Poly, QLaurent, dual, q_form
 
 K = 2
@@ -226,9 +227,39 @@ def test_unipotent_factorization_polynomial():
     assert chi == QLaurent(K, Poly.const(N, 1), 0)
     assert all(v.is_poly() for v in vprime)
     # the upper unipotent leaves the Q-power class: reported loudly
-    from quadricops.lie import NotQLaurent
     with pytest.raises(NotQLaurent):
         bruhat_factor(u(K, [1, 0, 0, 0]))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_opposite_unipotent_is_the_w0_conjugate(k):
+    rng = random.Random(380 + k)
+    for _ in range(20):
+        v = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+             for _ in range(2 * k)]
+        assert u_op(k, v) == u_op_by_matrix(k, v) == w0(k) * u(k, v) * w0(k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_q_power_inverse_of_q_powers(k):
+    n, q = 2 * k, q_form(k)
+    one = QLaurent(k, Poly.const(n, 1), 0)
+    for m in range(4):
+        for c in (1, -3, Fraction(2, 5)):
+            p = (q ** m).scale(c)
+            inv = _q_power_inverse(p, k)
+            assert inv == QLaurent(k, Poly.const(n, 1 / Fraction(c)), m)
+            assert inv * p == one
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_q_power_inverse_refuses_other_pivots(k):
+    n, q = 2 * k, q_form(k)
+    x1 = Poly.var(n, 0)
+    # not a multiple of Q, Q times a variable, Q times a non-constant, zero
+    for p in (q + x1, x1 * q, q * q + q, x1 * x1, Poly.zero(n)):
+        with pytest.raises(NotQLaurent):
+            _q_power_inverse(p, k)
 
 
 def cocycle_generators():
@@ -254,6 +285,15 @@ def test_inverse_matches_gauss_jordan():
         assert all(type(c) is int for c in chain(*g.M))
         assert g.den > 0 and gcd(g.den, *chain(*g.M)) == 1
         assert g.m == [[Fraction(c, g.den) for c in row] for row in g.M]
+
+
+def test_inverse_of_a_singular_matrix_is_refused():
+    for a in ([[1, 2], [2, 4]], [[0, 0], [0, 1]], [[Fraction(1, 2), 1, 0],
+                                                   [1, 2, 0], [0, 0, 3]]):
+        with pytest.raises(ValueError, match="singular matrix"):
+            mat_inv(a)
+    assert mat_inv([[0, 2], [Fraction(1, 3), 0]]) == [[0, 3],
+                                                      [Fraction(1, 2), 0]]
 
 
 def test_cocycle_at_rational_points():

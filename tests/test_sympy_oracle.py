@@ -13,9 +13,11 @@ one factor after the other.
 The harmonic basis is checked against sympy's nullspace of the Laplacian
 matrix, which reads its vectors off the reduced row echelon form too, and
 the closed form of the Laplacian on n/Q^m against sympy.diff of the
-rational function.
+rational function.  The engine's one elimination routine, ``poly.rref``, is
+checked against ``sympy.Matrix.rref`` on seeded sparse rational matrices.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from quadricops.harmonic import (harmonic_decompose, laplacian_qlaurent,
                                  sym_monomials)
 from quadricops.poly import (Poly, QLaurent, normal_form_mod_single, q_form,
-                             support)
+                             rref, support)
 from quadricops.weyl import WeylOp
 
 COEFFS = st.one_of(
@@ -205,3 +207,42 @@ def test_laplacian_of_q_laurent_matches_sympy(case):
     got = laplacian_qlaurent(QLaurent(k, num, m))
     cleared = sympy.Poly(sympy.cancel(lap * q ** got.qexp), *x, domain="QQ")
     assert got.num == from_sympy(cleared, k)
+
+
+def sparse_rows(rng: random.Random) -> list:
+    """A seeded sparse rational matrix as rows {col: value}, with some rows
+    combinations of earlier ones so that the rank drops."""
+    ncols = rng.randint(1, 9)
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        if len(rows) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(rows, 2)
+            f = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            row = {j: a.get(j, 0) + f * b.get(j, 0) for j in {*a, *b}}
+        else:
+            row = {j: Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                   for j in rng.sample(range(ncols),
+                                       rng.randint(0, min(4, ncols)))}
+        rows.append({j: c for j, c in row.items() if c})
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rref_matches_sympy(seed):
+    rng = random.Random(1900 + seed)
+    rows = sparse_rows(rng)
+    ncols = max((j for row in rows for j in row), default=0) + 1
+    dense = sympy.Matrix([[sympy.Rational(str(row.get(j, 0)))
+                           for j in range(ncols)] for row in rows])
+    form, pivots = dense.rref()
+    got = rref(rows)
+    assert sorted(got) == list(pivots)
+    for i, p in enumerate(pivots):
+        assert got[p] == {j: Fraction(int(c.p), int(c.q))
+                          for j, c in enumerate(form.row(i)) if c}
+    assert all(type(c) in (int, Fraction) for row in got.values()
+               for c in row.values())
+    # the form is unique, so no order of the rows changes it
+    for _ in range(3):
+        rng.shuffle(rows)
+        assert rref(rows) == got
