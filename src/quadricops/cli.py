@@ -1,10 +1,12 @@
 """Command-line interface: expression reduction, transforms, and suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
-(including an expression whose degree or order bound, or for
-``fourier-transform`` whose word count bound, exceeds its safety cap), 3
-internal error: an engine exception that no other code covers, a
-``ValueError`` included, reported as one ``internal error:`` line on stderr.
+(including an input over a fixed cap: an expression whose degree or order
+bound exceeds ``MAX_DEGREE``, whose constants' bit bound exceeds
+``MAX_BITS`` or, for ``fourier-transform``, whose word count bound exceeds
+``MAX_WORDS``, and ``harmonic --d`` over ``MAX_DEGREE``), 3 internal
+error: an engine exception that no other code covers, a ``ValueError``
+included, reported as one ``internal error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -23,12 +25,16 @@ from .momentorbit import check_descent, verify_orbit_relations
 from .poly import ExponentOverflow, Poly, QLaurent
 from .shapovalov import (euler_to_weyl, fourier_roots_bezout,
                          shapovalov_closed, shapovalov_expand)
-from .suites import (CheckResult, SuiteReport, emit,
-                     max_degree_cap, run_suite, SUITES)
+from .suites import CheckResult, SuiteReport, emit, run_suite, SUITES
 
+# the largest coefficient degree and order an expression may reach, and the
+# largest degree of harmonic --d
+MAX_DEGREE = 12
 # the most generator words a fourier-transform input may expand into: the
 # words of a power of a sum multiply, and each is transformed and evaluated
 MAX_WORDS = 256
+# the most bits the integer constants of an expression may reach
+MAX_BITS = 4096
 
 
 def _emit_obj(obj: dict, fmt: str, text_lines) -> None:
@@ -43,17 +49,20 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-def _within_cap(tree) -> bool:
-    """The degree and order bounds of the expression are at most twice the
-    max-degree cap, so evaluating it is bounded."""
-    cap = 2 * max_degree_cap()
-    return all(b <= cap for b in exprparse.bound(tree))
+def _parse_bounded(args, what: str = "expression"):
+    """The parse tree of ``args.expr``; raises UsageError when its degree,
+    order or constant bound exceeds its cap, so evaluating it is bounded."""
+    tree = exprparse.parse(args.expr, args.k)
+    if max(exprparse.bound(tree)) > MAX_DEGREE:
+        raise exprparse.UsageError(f"{what} exceeds the max-degree safety cap")
+    if exprparse.bit_bound(tree) > MAX_BITS:
+        raise exprparse.UsageError(f"{what} exceeds the constant safety cap "
+                                   f"of {MAX_BITS} bits")
+    return tree
 
 
 def cmd_reduce(args) -> int:
-    tree = exprparse.parse(args.expr, args.k)
-    if not _within_cap(tree):
-        return _usage_error("expression exceeds the max-degree safety cap")
+    tree = _parse_bounded(args)
     op = exprparse.eval_weyl(tree, args.k)
     cone = ConeOp(op)
     obj = {
@@ -75,9 +84,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_fourier_transform(args) -> int:
-    tree = exprparse.parse(args.expr, args.k)
-    if not _within_cap(tree):
-        return _usage_error("expression exceeds the max-degree safety cap")
+    tree = _parse_bounded(args)
     if exprparse.word_bound(tree) > MAX_WORDS:
         return _usage_error("expression exceeds the word-count safety cap "
                             f"of {MAX_WORDS} generator words")
@@ -156,9 +163,7 @@ def cmd_moment(args) -> int:
 
 
 def cmd_kelvin(args) -> int:
-    tree = exprparse.parse(args.expr, args.k)
-    if not _within_cap(tree):
-        return _usage_error("polynomial exceeds the max-degree safety cap")
+    tree = _parse_bounded(args, "polynomial")
     op = exprparse.eval_weyl(tree, args.k)
     for (_, b) in op.terms:
         if b:  # a nonzero derivative multi-index
@@ -189,7 +194,7 @@ def cmd_harmonic(args) -> int:
     d, k = args.d, args.k
     if d < 0:
         return _usage_error("--d must be nonnegative")
-    if d > 2 * max_degree_cap():
+    if d > MAX_DEGREE:
         return _usage_error("--d exceeds the max-degree safety cap")
     harm, qmult = harmonic_decompose(d, k)
     expected = harmonic_dimension(d, k)

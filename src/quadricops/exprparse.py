@@ -22,22 +22,25 @@ groups right after its named group.  Bad input raises ParseError (with
 ``pos`` and ``expected``) or IndexOutOfRange.
 
 An expression of more than ``MAX_TOKENS`` tokens is a ParseError before
-any node is built: the parser and every walker of the tree recurse once
-per nesting level, and a long flat sum still builds a left-deep tree.
+any node is built: the parser and the fold of the tree recurse once per
+nesting level, and a long flat sum still builds a left-deep tree.
 
 The AST is a tree of tuples:
   ("int", n), ("var", name, i), ("gen", name, *indices),
   ("add", a, b), ("sub", a, b), ("mul", a, b), ("pow", a, n), ("neg", a).
+``_fold`` is the one walker of the tree; the printer, the evaluators and
+the bounds (degree and order, words, bits of the constants) are its
+targets, and the CLI rejects an input over its fixed caps before evaluating.
 """
 
 from __future__ import annotations
 
 import re
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from .coneops import GenWord, index_text, letter_op
 from .poly import q_form, signed_text
-from .weyl import WeylOp, euler_op, laplacian_op
+from .weyl import WeylOp, laplacian_op
 
 
 MAX_TOKENS = 256
@@ -45,8 +48,8 @@ MAX_TOKENS = 256
 
 class UsageError(ValueError):
     """Bad input from the user, as opposed to a failure of the engine: the
-    CLI exits 2 on it.  NotGeneratorWord, suites.UnknownSuite and a bad
-    QUADRICOPS_MAX_DEGREE are usage errors."""
+    CLI exits 2 on it.  NotGeneratorWord, suites.UnknownSuite and an
+    expression over one of the CLI's fixed caps are usage errors."""
 
 
 class ParseError(ValueError):
@@ -117,6 +120,20 @@ def tokenize(src: str, k: int):
     return out
 
 
+# each named atom: the (coefficient degree, order) bound of its operator,
+# the kind of the generator letter it names, and for an atom outside the
+# generator alphabet (letter kind None) its operator as a function of
+# (k, *indices); the atom E is the letter Etil = E + k - 1 plus 1 - k
+_ATOMS = {"x": (1, 0, "x", None), "y": (1, 0, "y", None),
+          "XX": (1, 2, "XX", None), "YY": (1, 2, "YY", None),
+          "Dop": (1, 1, "D", None), "Bop": (1, 1, "B", None),
+          "Cop": (1, 1, "C", None), "E": (1, 1, "Etil", None),
+          "dx": (0, 1, None, lambda k, i: WeylOp.partial(2 * k, i - 1)),
+          "dy": (0, 1, None, lambda k, i: WeylOp.partial(2 * k, k + i - 1)),
+          "Delta": (0, 2, None, laplacian_op),
+          "Q": (2, 0, None, lambda k: WeylOp.mult(q_form(k)))}
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -179,14 +196,8 @@ class _Parser:
             node = self.parse_sum()
             self.expect(")")
             return node
-        if kind in ("x", "y"):
-            return ("var", kind, args[0])
-        if kind in ("XX", "YY", "dx", "dy"):
-            return ("gen", kind, args[0])
-        if kind in ("Dop", "Bop", "Cop"):
-            return ("gen", kind, args[0], args[1])
-        if kind in ("E", "Delta", "Q"):
-            return ("gen", kind)
+        if kind in _ATOMS:
+            return ("var" if kind in ("x", "y") else "gen", kind, *args)
         raise ParseError(f"unexpected token {kind!r}", pos,
                          expected=("atom",))
 
@@ -203,147 +214,110 @@ def parse(src: str, k: int = 2):
     return node
 
 
+def _fold(node, target: dict):
+    """The value of the AST in one target, bottom-up; the one function that
+    reads the kinds of the nodes.  The target maps "int" to the value of a
+    literal, "atom" to that of an atom from its name and indices, and each
+    operation to its value from its operands' values (and for "pow", the
+    exponent).  Raises ValueError on an unknown kind of node."""
+    kind = node[0]
+    if kind in ("var", "gen"):
+        return target["atom"](node[1], node[2:])
+    if kind not in ("int", "neg", "pow", "add", "sub", "mul"):
+        raise ValueError(f"unknown node {kind!r}")
+    # the operands are nodes; a literal's value and an exponent are ints
+    return target[kind](*(_fold(a, target) if type(a) is tuple else a
+                          for a in node[1:]))
+
+
+def _wrap(value, prec: int) -> str:
+    """The text of a (text, precedence) pair, in parentheses when its top
+    operation binds looser than ``prec``."""
+    text, own = value
+    return text if own >= prec else f"({text})"
+
+
+# precedence 1 for sums, differences and negatives (unary - binds like ^'s
+# operand), 2 for products, 3 for powers and 4 for atoms; the right operand
+# of a sum needs one level tighter, so a - (b + c) keeps its parentheses
+_TEXT = dict(
+    int=lambda n: (str(n), 4),
+    atom=lambda name, indices: (name + index_text(indices), 4),
+    neg=lambda a: ("-" + _wrap(a, 3), 1),
+    pow=lambda a, n: (f"{_wrap(a, 4)}^{n}", 3),
+    add=lambda a, b: (f"{_wrap(a, 1)} + {_wrap(b, 2)}", 1),
+    sub=lambda a, b: (f"{_wrap(a, 1)} - {_wrap(b, 2)}", 1),
+    mul=lambda a, b: (f"{_wrap(a, 2)}*{_wrap(b, 3)}", 2))
+
+
 def to_text(node) -> str:
     """Canonical printer; parse(to_text(t)) yields an equal tree."""
-    def render(n, parent_prec):
-        kind = n[0]
-        if kind == "int":
-            return str(n[1])
-        if kind == "var":
-            return f"{n[1]}{n[2]}"
-        if kind == "gen":
-            return n[1] + index_text(n[2:])
-        if kind == "neg":
-            # unary - binds like ^'s operand, so guard mul/add bodies
-            body = f"-{render(n[1], 3)}"
-            return f"({body})" if parent_prec > 1 else body
-        if kind in ("add", "sub"):
-            op = " + " if kind == "add" else " - "
-            # the right operand renders one level tighter so that
-            # a - (b + c) and a + (b - c) keep their parentheses
-            body = render(n[1], 1) + op + render(n[2], 2)
-            return f"({body})" if parent_prec > 1 else body
-        if kind == "mul":
-            body = render(n[1], 2) + "*" + render(n[2], 3)
-            return f"({body})" if parent_prec > 2 else body
-        if kind == "pow":
-            body = render(n[1], 4) + f"^{n[2]}"
-            return f"({body})" if parent_prec > 3 else body
-        raise ValueError(f"unknown node {kind!r}")
-    return render(node, 0)
+    return _fold(node, _TEXT)[0]
 
 
-# (coefficient degree, order) of each atom's operator
-_ATOM_BOUND = {"x": (1, 0), "y": (1, 0), "dx": (0, 1), "dy": (0, 1),
-               "E": (1, 1), "Delta": (0, 2), "Q": (2, 0), "XX": (1, 2),
-               "YY": (1, 2), "Dop": (1, 1), "Bop": (1, 1), "Cop": (1, 1)}
+def _larger(a, b):
+    return (max(a[0], b[0]), max(a[1], b[1]))
 
 
 def bound(node) -> tuple:
-    """Upper bounds (coefficient degree, order) of the operator of the AST.
-
-    Read off the tree without evaluating it: a product adds the bounds of
+    """Upper bounds (coefficient degree, order) of the operator of the AST,
+    read off the tree without evaluating it: a product adds the bounds of
     its factors (reordering d^b x^a into x-left form only lowers both), a
-    power multiplies them and a sum takes the larger.
-    """
-    kind = node[0]
-    if kind == "int":
-        return (0, 0)
-    if kind in ("var", "gen"):
-        return _ATOM_BOUND[node[1]]
-    if kind == "neg":
-        return bound(node[1])
-    if kind == "pow":
-        d, o = bound(node[1])
-        return (d * node[2], o * node[2])
-    (d1, o1), (d2, o2) = bound(node[1]), bound(node[2])
-    if kind == "mul":
-        return (d1 + d2, o1 + o2)
-    if kind in ("add", "sub"):
-        return (max(d1, d2), max(o1, o2))
-    raise ValueError(f"unknown node {kind!r}")
+    power multiplies them and a sum takes the larger."""
+    return _fold(node, dict(
+        int=lambda n: (0, 0), atom=lambda name, indices: _ATOMS[name][:2],
+        neg=lambda a: a, pow=lambda a, n: (a[0] * n, a[1] * n),
+        add=_larger, sub=_larger, mul=lambda a, b: (a[0] + b[0], a[1] + b[1])))
 
 
 def word_bound(node) -> int:
-    """Upper bound on the number of words of ``to_genword(node)``.
-
-    Read off the tree without building a word: a sum adds the bounds of its
-    operands, a product multiplies them and a power raises; E is two words,
-    (E + k - 1) and a constant.
-    """
-    kind = node[0]
-    if kind in ("int", "var"):
-        return 1
-    if kind == "gen":
-        return 2 if node[1] == "E" else 1
-    if kind == "neg":
-        return word_bound(node[1])
-    if kind == "pow":
-        return word_bound(node[1]) ** node[2]
-    a, b = word_bound(node[1]), word_bound(node[2])
-    if kind == "mul":
-        return a * b
-    if kind in ("add", "sub"):
-        return a + b
-    raise ValueError(f"unknown node {kind!r}")
+    """Upper bound on the number of words of ``to_genword(node)``, read off
+    the tree without building a word: a sum adds the bounds of its operands,
+    a product multiplies them and a power raises; E is two words, (E + k - 1)
+    and a constant."""
+    return _fold(node, dict(
+        int=lambda n: 1, neg=lambda a: a, pow=pow, add=add, sub=add, mul=mul,
+        atom=lambda name, indices: 2 if _ATOMS[name][2] == "Etil" else 1))
 
 
-def _letter(node):
-    """The generator letter of a var or an XX/YY/Dop/Bop/Cop atom, the one
-    ``coneops.letter_op`` reads; None for any other node."""
-    if node[0] == "var" or (node[0] == "gen" and node[1] in ("XX", "YY")):
-        return (node[1], node[2])
-    if node[0] == "gen" and node[1] in ("Dop", "Bop", "Cop"):
-        return (node[1][0], node[2], node[3])
-    return None
+def _carry(a, b):
+    return max(a, b) + 1
+
+
+def bit_bound(node) -> int:
+    """Upper bound on the bit length of the integer constants of the AST,
+    read off the tree without evaluating it: a literal has its bit length,
+    a sum one bit more than the larger bound, a product the sum of the
+    bounds and a power the bound times its exponent."""
+    return _fold(node, dict(
+        int=int.bit_length, atom=lambda name, indices: 0, neg=lambda a: a,
+        pow=mul, add=_carry, sub=_carry, mul=add))
 
 
 class NotGeneratorWord(UsageError):
     """Expression uses atoms outside the generator alphabet."""
 
 
-# the value of an atom in each target: "int" from (k, value), "letter" from
-# (k, letter), and the other named atoms from (k, *indices)
-_WEYL_ATOMS = {"int": lambda k, c: WeylOp.const(2 * k, c), "letter": letter_op,
-               "E": euler_op, "Delta": laplacian_op,
-               "Q": lambda k: WeylOp.mult(q_form(k)),
-               "dx": lambda k, i: WeylOp.partial(2 * k, i - 1),
-               "dy": lambda k, i: WeylOp.partial(2 * k, k + i - 1)}
-_WORD_ATOMS = {"int": GenWord.const, "letter": GenWord.letter,
-               "E": lambda k: GenWord.letter(k, ("Etil",)) + (1 - k)}
-_BINARY = {"add": add, "sub": sub, "mul": mul}
-
-
-def _fold(node, k: int, atoms: dict):
-    """The value of the AST in one target, bottom-up: each leaf through the
-    target's atoms, then sums, differences, products, powers and negatives.
-
-    Raises NotGeneratorWord on an atom of the grammar that the target lacks
-    and ValueError on an unknown node.
-    """
-    kind = node[0]
-    if kind == "int":
-        return atoms["int"](k, node[1])
-    letter = _letter(node)
-    if letter is not None:
-        return atoms["letter"](k, letter)
-    if kind == "gen" and node[1] in atoms:
-        return atoms[node[1]](k, *node[2:])
-    if kind == "gen" and node[1] in _ATOM_BOUND:
-        raise NotGeneratorWord(f"{node[1]} is not a generator letter")
-    if kind == "pow":
-        return _fold(node[1], k, atoms) ** node[2]
-    if kind == "neg":
-        return -_fold(node[1], k, atoms)
-    if kind in _BINARY:
-        a, b = _fold(node[1], k, atoms), _fold(node[2], k, atoms)
-        return _BINARY[kind](a, b)
-    raise ValueError(f"unknown node {kind!r}")
+def _algebra(k: int, const, letter_value, ambient: bool) -> dict:
+    """The target of an algebra at k: integers through ``const(k, c)``, the
+    generator letters through ``letter_value(k, letter)``, and the other
+    atoms through their operators if ``ambient``, else NotGeneratorWord."""
+    def atom(name, indices):
+        _, _, letter, op = _ATOMS[name]
+        if letter is not None:
+            value = letter_value(k, (letter, *indices))
+            return value + (1 - k) if letter == "Etil" else value
+        if not ambient:
+            raise NotGeneratorWord(f"{name} is not a generator letter")
+        return op(k, *indices)
+    return dict(int=lambda c: const(k, c), atom=atom, neg=neg, pow=pow,
+                add=add, sub=sub, mul=mul)
 
 
 def eval_weyl(node, k: int) -> WeylOp:
     """Evaluate the AST to an ambient operator on the dual space."""
-    return _fold(node, k, _WEYL_ATOMS)
+    return _fold(node, _algebra(k, lambda k, c: WeylOp.const(2 * k, c),
+                                letter_op, True))
 
 
 def to_genword(node, k: int) -> GenWord:
@@ -352,17 +326,15 @@ def to_genword(node, k: int) -> GenWord:
     The alphabet is x_i, y_i, XX_i, YY_i, Dop/Bop/Cop and E (expanded as
     (E+k-1) - (k-1)); derivatives, Delta and Q are not generator letters.
     """
-    return _fold(node, k, _WORD_ATOMS)
+    return _fold(node, _algebra(k, GenWord.const, GenWord.letter, False))
 
 
 def genword_to_expr_text(w: GenWord, k: int) -> str:
     """Render a generator word back in the expression grammar."""
     def letter_text(letter):
-        kind = letter[0]
-        if kind == "Etil":
+        if letter[0] == "Etil":
             return f"(E + {k - 1})"
-        if kind in ("D", "B", "C"):
-            return f"{kind}op{index_text(letter[1:])}"
-        return kind + index_text(letter[1:])
+        name = next(n for n, a in _ATOMS.items() if a[2] == letter[0])
+        return name + index_text(letter[1:])
     return signed_text((c, "*".join(map(letter_text, word)))
                        for word, c in w.sorted_terms())

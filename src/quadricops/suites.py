@@ -14,14 +14,13 @@ so residues are built only for failing checks.  Each suite seeds its own
 ``random.Random`` and its checks draw from it in a fixed order, so a failure
 changes the draws of the checks after it and nothing outside the suite.
 
-The environment variable ``QUADRICOPS_MAX_DEGREE`` caps the degree of the
-symbolic test corpora: an integer >= 1, default 6.
+The symbolic corpora are fixed in each suite; no option or environment
+variable changes them, so a report depends on the suite and k alone.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -50,24 +49,6 @@ from .shapovalov import (NotScalar, SeriesStep, closed_form_induction,
                          shapovalov_closed, shapovalov_series)
 from .weyl import (NotDivisible, WeylOp, euler_op,
                    is_zero_extensional, laplacian_op, permute_vars)
-
-
-DEFAULT_MAX_DEGREE = 6
-
-
-def max_degree_cap() -> int:
-    """The corpus degree cap: QUADRICOPS_MAX_DEGREE if set, else 6."""
-    raw = os.environ.get("QUADRICOPS_MAX_DEGREE")
-    if raw is None:
-        return DEFAULT_MAX_DEGREE
-    try:
-        cap = int(raw)
-        if cap >= 1:
-            return cap
-    except ValueError:
-        pass
-    raise exprparse.UsageError(
-        f"QUADRICOPS_MAX_DEGREE must be an integer >= 1, got {raw!r}")
 
 
 CheckResult = namedtuple("CheckResult", "check_id anchor ok residue",
@@ -178,7 +159,7 @@ def _rand_weyl(rng: random.Random, nvars: int, deg: int = 3, nterms: int = 4) ->
 def algebra_core_checks(k: int) -> list:
     rng = random.Random(100 + k)
     n = 2 * k
-    deg = min(6, max_degree_cap())
+    deg = 6
     qs = q_form(k)
     out = []
 
@@ -229,7 +210,7 @@ def algebra_core_checks(k: int) -> list:
 def weyl_checks(k: int) -> list:
     rng = random.Random(200 + k)
     n = 2 * k
-    deg = min(3, max_degree_cap())
+    deg = 3
     qs = q_form(k)
     lap = laplacian_op(k)
     out = []
@@ -527,10 +508,8 @@ def cone_ops_checks(k: int) -> list:
 
 def shapovalov_checks(k: int) -> list:
     out = []
-    dmax = min(3, max_degree_cap())
-    series = shapovalov_series(min(2, dmax), k)
-    if dmax == 3:
-        series.append(SeriesStep(series[1]))  # B_3, applied but never built
+    series = shapovalov_series(2, k)
+    series.append(SeriesStep(series[1]))  # B_3, applied but never built
 
     @_run(out, "shapovalov-expand-vs-closed",
           "the multinomial expansion equals the factored Euler polynomial "
@@ -538,7 +517,7 @@ def shapovalov_checks(k: int) -> list:
     def first_failure():
         # by induction on d from B_1; the induction is written out in
         # closed_form_induction
-        return closed_form_induction(series[0], dmax)
+        return closed_form_induction(series[0], 3)
 
     @_run(out, "shapovalov-graded-scalars",
           "the expansion acts on each graded piece by the closed-form scalar, "
@@ -558,7 +537,7 @@ def shapovalov_checks(k: int) -> list:
           "the element and its Fourier image generate the unit ideal "
           "in the Euler polynomial ring")
     def first_failure():
-        for d in range(1, dmax + 1):
+        for d in range(1, 4):
             try:
                 fourier_roots_bezout(d, k)
             except ArithmeticError as exc:
@@ -666,11 +645,9 @@ def harmonic_kelvin_checks(k: int) -> list:
                       None if no_x1 and no_dyk
                       else f"x1 rejected: {no_x1}, dy_k rejected: {no_dyk}"))
 
-    deg = min(6, max_degree_cap())
-
     @_run(out, "kelvin-involution-intertwine",
-          f"the Kelvin transform is an involution and intertwines the "
-          f"Laplacian on all monomials of degree <= {deg} and on 1/Q")
+          "the Kelvin transform is an involution and intertwines the "
+          "Laplacian on all monomials of degree <= 6 and on 1/Q")
     def first_failure():
         # kelvin reads only degrees and Q, and laplacian_qlaurent is Delta:
         # both commute with a renaming that fixes Q and Delta, so one
@@ -682,7 +659,7 @@ def harmonic_kelvin_checks(k: int) -> list:
             if permute_vars(lap, perm) != lap:
                 return f"the renaming {perm} does not fix the Laplacian"
         tests = [QLaurent(k, Poly.monomial(m), 0)
-                 for m in orbit_representatives(k, deg)]
+                 for m in orbit_representatives(k, 6)]
         tests.append(QLaurent.one_over_q(k))
         for f in tests:
             if kelvin(kelvin(f)) != f:
@@ -700,7 +677,7 @@ def harmonic_kelvin_checks(k: int) -> list:
     @_run(out, "harmonic-dimensions",
           "harmonic nullspace dimensions match the binomial difference, d <= 5")
     def first_failure():
-        for d in range(min(5, max_degree_cap()) + 1):
+        for d in range(6):
             harm, _ = harmonic_decompose(d, k)
             want = harmonic_dimension(d, k)
             if len(harm) != want:

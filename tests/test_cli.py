@@ -12,8 +12,7 @@ import pytest
 from quadricops import cli, exprparse, harmonic, shapovalov
 from quadricops.coneops import NotNormalizing
 from quadricops.poly import Poly
-from quadricops.suites import (CheckResult, SuiteReport, SUITES, emit,
-                               max_degree_cap, run_suite)
+from quadricops.suites import CheckResult, SuiteReport, SUITES, emit, run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -279,20 +278,50 @@ def test_argparse_usage_exit_code():
     assert proc.returncode == 2
 
 
-def test_max_degree_cap_env(capsys, monkeypatch):
-    monkeypatch.delenv("QUADRICOPS_MAX_DEGREE", raising=False)
-    assert max_degree_cap() == 6
+def test_degree_caps_are_fixed(capsys):
+    assert cli.main(["reduce", "x1^12"]) == 0
+    assert cli.main(["reduce", "x1^13"]) == 2
+    assert cli.main(["harmonic", "--d", "12"]) == 0
+    assert cli.main(["harmonic", "--d", "13"]) == 2
+    assert capsys.readouterr().err == (
+        "error: expression exceeds the max-degree safety cap\n"
+        "error: --d exceeds the max-degree safety cap\n")
+
+
+def test_no_environment_variable_shrinks_the_corpora(monkeypatch):
+    # the corpora once shrank to degree 1 under this variable
     monkeypatch.setenv("QUADRICOPS_MAX_DEGREE", "1")
-    assert cli.main(["reduce", "x1^6 * dx1"]) == 2
-    assert cli.main(["harmonic", "--d", "5"]) == 2
-    code, _ = run_cli(capsys, ["verify", "algebra-core"])
-    assert code == 0  # suites shrink their corpora under the cap
-    for bad in ["abc", "0", "-3", ""]:
-        monkeypatch.setenv("QUADRICOPS_MAX_DEGREE", bad)
-        with pytest.raises(ValueError, match="QUADRICOPS_MAX_DEGREE"):
-            max_degree_cap()
-        assert cli.main(["verify", "algebra-core"]) == 2
-        assert "QUADRICOPS_MAX_DEGREE" in capsys.readouterr().err
+    digest = hashlib.sha256(emit(run_suite("all", 2), "json")).hexdigest()
+    assert digest.startswith("30c3df26")
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "2^20000"], ["kelvin", "2^20000*x1"],
+    ["fourier-transform", "2^20000*x1"], ["reduce", "(1 + 1)^2049"],
+    ["reduce", "2^400000000"]])
+def test_constants_are_bounded_before_evaluation(capsys, monkeypatch, argv):
+    # 2^20000 once failed in printing, after it was built, with exit 3
+    monkeypatch.setattr(exprparse, "eval_weyl", _raiser(AssertionError(
+        "evaluated an expression over the cap")))
+    monkeypatch.setattr(exprparse, "to_genword", _raiser(AssertionError(
+        "built the words of an expression over the cap")))
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 0.1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"exceeds the constant safety cap of {cli.MAX_BITS} bits\n")
+
+
+@pytest.mark.parametrize("expr,bits", [
+    ("7", 3), ("-7 + x1", 4), ("3*5 - 1", 6), ("2^12*E", 24),
+    ("(1 + 1)^2048", 4096), ("(x1 + 2)^3*(dy1 - 4)", 13), ("0^1000", 0)])
+def test_bit_bound_covers_the_constants(expr, bits):
+    tree = exprparse.parse(expr, 2)
+    assert exprparse.bit_bound(tree) == bits
+    coeffs = exprparse.eval_weyl(tree, 2).terms.values()
+    assert max((abs(c).bit_length() for c in coeffs), default=0) <= bits
 
 
 def test_two_digit_pair_indices(capsys):

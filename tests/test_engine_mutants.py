@@ -152,11 +152,16 @@ def _from_dleft_without_exchange(cls, nvars, coeffs):
                            for alpha, c in p.terms.items()})
 
 
-def _sub_as_add(node, k, atoms):
+def _sub_as_add(node, target):
     # a - b evaluated as a + b; the fold recurses through this fake
     if node[0] == "sub":
         node = ("add", *node[1:])
-    return ORIGINAL["_fold"](node, k, atoms)
+    return ORIGINAL["_fold"](node, target)
+
+
+def _never_parenthesized(value, prec):
+    # the printer writes every operand bare, so a - (b + c) prints as a - b + c
+    return value[0]
 
 
 ORIGINAL = {name: getattr(module, name) for module, name in [
@@ -241,6 +246,9 @@ CASES = {
     "fold-sub-as-add": (
         exprparse, "_fold", _sub_as_add, "cli", "cli-eval-examples",
         "[Delta,Q]="),
+    "printer-without-parentheses": (
+        exprparse, "_wrap", _never_parenthesized, "cli",
+        "cli-parser-roundtrip", "expression #0: "),
 }
 
 
