@@ -22,7 +22,6 @@ the Weyl inversion w0.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .lie import LieElt
@@ -368,7 +367,8 @@ class GenWord(TermMap):
     empty word () as 1.  Its first field is k, so ``GenWord(k, terms)``
     builds one; ``nvars`` holds k and ``k`` reads it.  The public
     constructor takes only letters of ``alphabet(k)``.  The product
-    concatenates words.
+    concatenates words, in the frame of ``TermMap``; a word has no degree
+    bound.
     """
 
     __slots__ = ()
@@ -392,17 +392,12 @@ class GenWord(TermMap):
     def letter(cls, k: int, letter, c=1) -> "GenWord":
         return cls(k, {(tuple(letter),): c})
 
-    def __mul__(self, other):
-        if not isinstance(other, GenWord):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            return self.scale(other)
-        self._check(other)
-        items = other.terms.items()
-        # GenWord(), not _of: a product of Fractions may be integral
-        return GenWord(self.nvars, add_terms({}, (
-            (w1 + w2, c1 * c2)
-            for w1, c1 in self.terms.items() for w2, c2 in items)))
+    @staticmethod
+    def _product(t1: dict, t2: dict, k: int) -> dict:
+        """Concatenation, summed over pairs of words."""
+        items = t2.items()
+        return add_terms({}, ((w1 + w2, c1 * c2)
+                              for w1, c1 in t1.items() for w2, c2 in items))
 
     def fourier(self) -> "GenWord":
         """Letterwise quadric Fourier transform; an involution."""

@@ -45,6 +45,10 @@ def _zeros(n, m):
 
 
 def mat_mul(a, b):
+    """The product of two matrices, lists of rows, whose entries are of any
+    exact ring: ``int``, ``Fraction`` or ``Poly``.  Zero entries are
+    skipped; an entry that no pair of nonzero entries reaches stays the
+    ``int`` 0."""
     n, p, m = len(a), len(b), len(b[0])
     out = _zeros(n, m)
     for i in range(n):
@@ -336,10 +340,6 @@ class GroupElt:
             return NotImplemented
         return (self.k == other.k and self.den == other.den
                 and self.M == other.M)
-
-    def to_json(self):
-        return [[{"num": c.numerator, "den": c.denominator} for c in row]
-                for row in self.m]
 
     def __repr__(self):
         return f"GroupElt({self.m})"

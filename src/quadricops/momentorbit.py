@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .lie import LieElt
+from .lie import LieElt, mat_mul
 from .poly import Poly, add_terms, b_pair, dual, q_of, qdiv, reduce_mod
 from .weyl import permute_vars
 
@@ -113,28 +113,6 @@ def check_descent(xi: LieElt) -> Poly:
     return reduce_mod(phi1 - phi0, q_of(x))
 
 
-def _mat_poly_mul(a, b):
-    n = len(a)
-    zero = None
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = None
-            for l in range(n):
-                if a[i][l].is_zero() or b[l][j].is_zero():
-                    continue
-                term = a[i][l] * b[l][j]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                if zero is None:
-                    zero = Poly.zero(a[0][0].nvars)
-                acc = zero
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def verify_orbit_relations(k: int) -> list:
     """All defining relations of the invariant matrix modulo (Q(w)).
 
@@ -147,7 +125,7 @@ def verify_orbit_relations(k: int) -> list:
     v = v_vector(k)
     w = x_vector(k)
     M = orbit_matrix(k)
-    M2 = _mat_poly_mul(M, M)
+    M2 = mat_mul(M, M)
     alpha = M[0][0]
     mu = [M[1 + i][0] for i in range(n)]
     X = [row[1:n + 1] for row in M[1:n + 1]]

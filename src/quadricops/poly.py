@@ -50,24 +50,26 @@ fields do not depend on which one a coefficient carries.  Every true
 division in the package goes through ``qdiv``, because ``int / int`` is a
 ``float``.
 
-Products run on integers.  ``numerators`` writes the coefficients of a
+Products run on integers, in one frame, ``TermMap._bilinear``, that the
+products of ``Poly``, ``weyl.WeylOp`` and ``coneops.GenWord`` and the
+commutator of ``WeylOp`` share.  It checks the operands and the degree
+bound of the product, then ``numerators`` writes the coefficients of a
 factor as integer numerators over their least common denominator (as
-FLINT's ``fmpq_poly`` does), the product sums integer products per term
+FLINT's ``fmpq_poly`` does), the kernel sums integer products per term
 pair, and each output coefficient is divided once by the product of the
 two denominators.  Factors whose coefficients are all ``int`` are used as
 they are.  ``int_coeffs`` tells the two cases apart by the type of each
 coefficient, never by summing them, which would cost a ``Fraction``
-addition per coefficient.  A monomial times a ``Poly`` has no two term
-pairs to sum, so its coefficients are multiplied directly and, when a
-``Fraction`` takes part, stored through ``qcoef``.
+addition per coefficient.
 
 ``TermMap`` is the one home of the linear structure that ``Poly``,
-``weyl.WeylOp`` and ``coneops.GenWord`` share: equality, hashing, sums,
-negation, scaling and powers of a map from key to coefficient.  Each
-subclass keeps only the key of 1, its key check, its product and its own
-methods.  The public constructor, ``Poly(nvars, terms)``, ``WeylOp(nvars,
-terms)`` or ``GenWord(k, terms)``, is the one entry point for outside
-input: it checks every key and passes every coefficient through ``qcoef``.
+``WeylOp`` and ``GenWord`` share: equality, hashing, sums, negation,
+scaling, products and powers of a map from key to coefficient.  Each
+subclass keeps only the key of 1, its key check, its product kernel and
+degree bound, and its own methods.  The public constructor, ``Poly(nvars,
+terms)``, ``WeylOp(nvars, terms)`` or ``GenWord(k, terms)``, is the one
+entry point for outside input: it checks every key and passes every
+coefficient through ``qcoef``.
 ``_of(nvars, terms)`` is trusted: it stores a term map that the engine
 built, with valid keys and no zero coefficient, as it is.  Every sum of
 terms outside the product, division and elimination kernels goes through
@@ -267,11 +269,12 @@ def add_terms(terms: dict, items) -> dict:
     """Add the (key, coefficient) pairs items into the term map terms, in
     place, dropping each key whose coefficient cancels; returns terms.
 
-    The product, division and elimination kernels (``Poly.__mul__``,
+    The product, division and elimination kernels (``Poly._product``,
     ``normal_form_mod_single``, ``subtract_row``, ``WeylOp._apply_poly``,
     ``weyl._product_terms`` and ``weyl._commutator_terms``) keep this loop
     inline: they run it once per term pair, where a generator of pairs and a
-    call would cost more than the addition itself.
+    call would cost more than the addition itself.  The word product,
+    ``GenWord._product``, calls it.
     """
     get = terms.get
     for key, c in items:
@@ -326,7 +329,9 @@ class TermMap:
     """A finite Q-linear combination: map from key to nonzero int or Fraction.
 
     A subclass sets ``ONE``, the key of 1, reads the packed monomials of a
-    key in ``_monomials`` and defines its product ``__mul__``.
+    key in ``_monomials``, and gives its product as the kernel ``_product``
+    with the degree bound ``_bound``; ``__mul__`` and ``_bilinear`` are the
+    one frame around every kernel.
     """
 
     __slots__ = ("nvars", "terms")
@@ -416,6 +421,37 @@ class TermMap:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self.scale(other)
+        return self._bilinear(other, self._product)
+
+    def _bilinear(self, other, kernel):
+        """kernel(t1, t2, n) on the two term maps, as integer numerators over
+        one common denominator d when a coefficient is a Fraction, then one
+        division by d per output term.  ``_bound`` checks the degrees of the
+        product before the kernel runs."""
+        n = self.nvars
+        if other.nvars != n:
+            self._check(other)  # raises
+        t1, t2 = self.terms, other.terms
+        if not (t1 and t2):
+            return self._of(n, {})
+        self._bound(t1, t2, n)
+        if int_coeffs(t1.values()) and int_coeffs(t2.values()):
+            return self._of(n, kernel(t1, t2, n))
+        (d1, t1), (d2, t2) = numerators(t1), numerators(t2)
+        d = d1 * d2
+        return self._of(n, {key: qdiv(c, d)
+                            for key, c in kernel(t1, t2, n).items()})
+
+    @staticmethod
+    def _bound(t1: dict, t2: dict, n: int) -> None:
+        """Raise ExponentOverflow when a product of terms of t1 and t2 could
+        exceed ``EMAX``; keys that hold no monomial have no bound."""
 
     def scale(self, c):
         c = qcoef(c)
@@ -508,46 +544,35 @@ class Poly(TermMap):
 
     # bound in the class body, where the benchmark's tracer looks them up
     __add__ = __radd__ = TermMap.__add__
+    __mul__ = TermMap.__mul__
 
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            return self.scale(other)
-        n = self.nvars
-        if other.nvars != n:
-            self._check(other)  # raises
-        t1, t2 = self.terms, other.terms
+    @staticmethod
+    def _bound(t1: dict, t2: dict, n: int) -> None:
+        check_degrees(max(t1), max(t2), n)
+
+    @staticmethod
+    def _product(t1: dict, t2: dict, n: int) -> dict:
+        """The term map of the product of two term maps: a sum of products
+        per pair of terms, or, for a monomial factor, one product per term
+        of the other factor."""
         if len(t1) > len(t2):
             t1, t2 = t2, t1
-        terms: dict = {}
         if len(t1) == 1:
             # a monomial times a polynomial: no two products collide
             ((m1, c1),) = t1.items()
-            check_degrees(m1, max(t2), n)
-            terms = {m1 + m2: c1 * c2 for m2, c2 in t2.items()}
-            if type(c1) is not int or not int_coeffs(t2.values()):
-                # a product with a Fraction factor may be integral
-                terms = {m: qcoef(c) for m, c in terms.items()}
-        elif t1:
-            check_degrees(max(t1), max(t2), n)
-            d = 1
-            if not (int_coeffs(t1.values()) and int_coeffs(t2.values())):
-                (d1, t1), (d2, t2) = numerators(t1), numerators(t2)
-                d = d1 * d2
-            items = list(t2.items())
-            get = terms.get
-            for m1, c1 in t1.items():
-                for m2, c2 in items:
-                    m = m1 + m2
-                    s = get(m, 0) + c1 * c2
-                    if s:
-                        terms[m] = s
-                    else:
-                        del terms[m]
-            if d != 1:
-                terms = {m: qdiv(c, d) for m, c in terms.items()}
-        return Poly._of(n, terms)
+            return {m1 + m2: c1 * c2 for m2, c2 in t2.items()}
+        terms: dict = {}
+        items = list(t2.items())
+        get = terms.get
+        for m1, c1 in t1.items():
+            for m2, c2 in items:
+                m = m1 + m2
+                s = get(m, 0) + c1 * c2
+                if s:
+                    terms[m] = s
+                else:
+                    del terms[m]
+        return terms
 
     def deriv(self, i: int) -> "Poly":
         """Partial derivative with respect to variable index i."""
@@ -726,7 +751,8 @@ class QLaurent:
     """A polynomial divided by a power of Q, kept in lowest Q-power form.
 
     value = num / Q^qexp with the numerator not divisible by Q (unless it is
-    zero, in which case qexp = 0).
+    zero, in which case qexp = 0).  The numerator lives in the 2k variables
+    of Q; the constructor raises ValueError for one in another ring.
     """
 
     __slots__ = ("k", "num", "qexp")
@@ -734,6 +760,9 @@ class QLaurent:
     def __init__(self, k: int, num: Poly, qexp: int = 0):
         if qexp < 0:
             raise ValueError("qexp must be nonnegative; use div_by_q for shifts")
+        if num.nvars != 2 * k:
+            raise ValueError(f"numerator in {num.nvars} variables, expected "
+                             f"{2 * k} for k={k}")
         self.k = k
         q = q_form(k)
         while qexp > 0 and not num.is_zero():

@@ -24,10 +24,11 @@ the group that matched; ``tokenize_groupwise`` filters the tuple of all
 groups of the match for every token.  ``coneops.is_ideal_preserving``
 decides whether an operator a normalizes (Q*) from the one product a Q*;
 ``preserves_ideal_by_monomials`` applies a to Q* m for every monomial m up to
-the order of a instead.  ``Poly.__mul__`` and ``WeylOp.__mul__`` sum
-integer numerators over one common denominator and divide once per output
-term; ``poly_mul_pairwise`` and ``weyl_mul_pairwise`` sum one exact rational
-product per pair of terms.  ``WeylOp.commutator`` sums only the exchange
+the order of a instead.  The products of ``Poly``, ``WeylOp`` and
+``GenWord`` run in the one frame of ``poly.TermMap``, which sums integer
+numerators over one common denominator and divides once per output term;
+``poly_mul_pairwise``, ``weyl_mul_pairwise`` and ``genword_mul_pairwise``
+sum one exact rational product per pair of terms.  ``WeylOp.commutator`` sums only the exchange
 terms that do not cancel; ``commutator_by_products`` subtracts the two full
 products.  ``momentorbit.moment`` and ``symbol_invariant`` pair an element
 with the one invariant matrix ``orbit_matrix``; ``moment_by_blocks`` and
@@ -42,6 +43,7 @@ and ``letter_by_formula`` picks the formula of a letter.
 from itertools import combinations
 from math import factorial, perm
 
+from quadricops.coneops import GenWord
 from quadricops.exprparse import (MAX_TOKENS, _TOKEN_RE, IndexOutOfRange,
                                   ParseError)
 from quadricops.harmonic import _laplacian_shift
@@ -272,6 +274,16 @@ def poly_mul_pairwise(a: Poly, b: Poly) -> Poly:
             else:
                 del terms[m]
     return Poly(a.nvars, terms)
+
+
+def genword_mul_pairwise(a: GenWord, b: GenWord) -> GenWord:
+    """a * b with one rational product and sum per pair of words, each pair
+    giving the concatenation of its two words."""
+    terms: dict = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            terms[w1 + w2] = terms.get(w1 + w2, 0) + c1 * c2
+    return GenWord(a.k, terms)
 
 
 def weyl_mul_pairwise(a: WeylOp, b: WeylOp) -> WeylOp:

@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 import quadricops
-from oracles import (commutator_by_products, poly_mul_pairwise,
-                     weyl_mul_pairwise)
-from quadricops.coneops import GenWord
+from oracles import (commutator_by_products, genword_mul_pairwise,
+                     poly_mul_pairwise, weyl_mul_pairwise)
+from quadricops.coneops import GenWord, alphabet
 from quadricops.lie import GroupElt, LieElt
 from quadricops.poly import Poly, QLaurent, pack, qcoef, qdiv
 from quadricops.suites import run_suite
@@ -119,14 +119,21 @@ def test_integral_constants_are_stored_as_int():
 DENOMINATORS = [(1,), (2, 3, 4, 6), (1, 5, 89, 97), tuple(range(1, 98))]
 
 
+LETTERS = sorted(alphabet(2))
+
+
 def random_operand(rng, cls, dens, n=4):
     """Up to six terms, each coefficient +-1..9 over a denominator drawn
     from dens; one time in three a sum adds a term whose coefficient is an
-    integral Fraction."""
+    integral Fraction.  A word has up to two letters, at k = n // 2."""
     def key():
+        if cls is GenWord:
+            return tuple(rng.choice(LETTERS) for _ in range(rng.randint(0, 2)))
         mono = [pack(tuple(rng.randint(0, 2) for _ in range(n)))
                 for _ in range(2)]
         return mono[0] if cls is Poly else tuple(mono)
+    if cls is GenWord:
+        n //= 2
     out = cls(n, {key(): qdiv(rng.choice((-1, 1)) * rng.randint(1, 9),
                               rng.choice(dens))
                   for _ in range(rng.randint(0, 6))})
@@ -138,19 +145,26 @@ def random_operand(rng, cls, dens, n=4):
 
 def cancelling_products(cls):
     """Pairs whose product cancels terms: (u/2 + v/3)(u/2 - v/3), where the
-    cross terms cancel (the Weyl exchange leaves 1/6), and products with 0."""
+    cross terms cancel (the Weyl exchange leaves 1/6; the words u and v = uu
+    commute), and products with 0."""
+    n = 4
     if cls is Poly:
-        u, v = Poly.var(4, 0), Poly.var(4, 3)
+        u, v = Poly.var(n, 0), Poly.var(n, 3)
+    elif cls is WeylOp:
+        u, v = WeylOp.mult(Poly.var(n, 0)), WeylOp.partial(n, 0)
     else:
-        u, v = WeylOp.mult(Poly.var(4, 0)), WeylOp.partial(4, 0)
+        n = 2
+        u = GenWord.letter(n, ("x", 1))
+        v = u * u
     a, b = u.scale(Fraction(1, 2)), v.scale(Fraction(1, 3))
-    return [(a + b, a - b), (a - b, a + b), (a + b, cls.zero(4)),
-            (cls.zero(4), cls.zero(4))]
+    return [(a + b, a - b), (a - b, a + b), (a + b, cls.zero(n)),
+            (cls.zero(n), cls.zero(n))]
 
 
 @pytest.mark.parametrize("cls,oracle", [(Poly, poly_mul_pairwise),
-                                        (WeylOp, weyl_mul_pairwise)],
-                         ids=["Poly", "WeylOp"])
+                                        (WeylOp, weyl_mul_pairwise),
+                                        (GenWord, genword_mul_pairwise)],
+                         ids=["Poly", "WeylOp", "GenWord"])
 def test_product_matches_pairwise_oracle(cls, oracle):
     rng = random.Random(1901)
     pairs = cancelling_products(cls)
@@ -172,7 +186,7 @@ def test_product_matches_pairwise_oracle(cls, oracle):
     assert integral_fractions >= 50
     # the cross terms cancel: u^2/4 - v^2/9, and 1/6 from the exchange
     (a, b), *_ = cancelling_products(cls)
-    assert len((a * b).terms) == (2 if cls is Poly else 3)
+    assert len((a * b).terms) == (3 if cls is WeylOp else 2)
 
 
 def test_products_make_no_fraction_addition(monkeypatch):
@@ -190,13 +204,16 @@ def test_products_make_no_fraction_addition(monkeypatch):
     b = WeylOp.from_exponents(4, {((0, 1, 0, 0), (1, 0, 0, 0)): third,
                                   ((1, 0, 0, 0), (0, 0, 0, 1)): 4,
                                   ((0, 0, 0, 0), (0, 1, 0, 0)): half})
+    g = GenWord(2, {(("x", 1),): half, (("y", 2), ("XX", 1)): third,
+                    (): 3})
+    h = GenWord(2, {(("XX", 1),): Fraction(5, 7), (): half})
     additions = []
     for name in ("__add__", "__radd__"):
         def counting(x, y, _add=getattr(Fraction, name)):
             additions.append((x, y))
             return _add(x, y)
         monkeypatch.setattr(Fraction, name, counting)
-    products = [p * q, mono * q, q * mono, a * b, a.commutator(b)]
+    products = [p * q, mono * q, q * mono, a * b, a.commutator(b), g * h]
     assert additions == []
     assert all(products)
     assert half + third == Fraction(-1, 6) and len(additions) == 1

@@ -270,6 +270,24 @@ def test_word_arithmetic_is_that_of_term_maps():
                    for name in re.findall(r"GenWord\.(\w+)", msg))
 
 
+def test_word_product_does_not_recheck_letters(monkeypatch):
+    # the factors were checked when they were built; their concatenations
+    # go straight to the trusted constructor
+    x1, xx2 = GenWord.letter(K, ("x", 1)), GenWord.letter(K, ("XX", 2))
+    a = x1.scale(Fraction(1, 2)) + xx2.scale(Fraction(2, 3))
+    calls = []
+    monkeypatch.setattr(coneops, "check_letters",
+                        lambda k, word: calls.append(word))
+    got = a * (a + 1)
+    assert calls == []
+    assert got.terms == {(("x", 1), ("x", 1)): Fraction(1, 4),
+                         (("x", 1), ("XX", 2)): Fraction(1, 3),
+                         (("XX", 2), ("x", 1)): Fraction(1, 3),
+                         (("XX", 2), ("XX", 2)): Fraction(4, 9),
+                         (("x", 1),): Fraction(1, 2),
+                         (("XX", 2),): Fraction(2, 3)}
+
+
 def test_words_take_only_letters_of_their_alphabet():
     # a letter is a tuple inside the word, and its indices lie in 1..k
     for letter, terms in (("'x'", {("x", 1): 1}),

@@ -83,6 +83,12 @@ def _point_scale_doubled(point):
     return 2 * e, col
 
 
+def _product_swapped(t1, t2, n):
+    # the kernel of b * a for a * b: the opposite product is still
+    # associative, so only the checks that keep the factors in order fail
+    return ORIGINAL["_product"](t2, t1, n)
+
+
 def _commutator_reversed(a, b):
     # [b, a] = -[a, b]: every commutator comes out negated
     return ORIGINAL["commutator"](b, a)
@@ -168,7 +174,8 @@ ORIGINAL = {name: getattr(module, name) for module, name in [
     (shapovalov, "shapovalov_factors"), (shapovalov, "shapovalov_closed"),
     (shapovalov, "euler_shift"), (coneops, "rho_amb"), (lie, "generators"),
     (coneops, "dual_field"), (lie.LieElt, "bracket"), (poly, "numerators"),
-    (lie, "_point_column"), (weyl.WeylOp, "commutator"),
+    (lie, "_point_column"), (weyl.WeylOp, "_product"),
+    (weyl.WeylOp, "commutator"),
     (coneops, "fourier_letter"), (coneops, "letter_preimage"),
     (momentorbit, "x_vector"), (momentorbit, "orbit_matrix"),
     (lie, "_q_power_inverse"), (exprparse, "_fold")]}
@@ -206,6 +213,12 @@ CASES = {
     "point-scale": (
         lie, "_point_column", _point_scale_doubled, "lie-orthogonal",
         "lie-cocycle", "g1,g2 sample with v="),
+    "product-swapped-module-action": (
+        weyl.WeylOp, "_product", staticmethod(_product_swapped), "weyl",
+        "weyl-module-action", "module action failed"),
+    "product-swapped-division": (
+        weyl.WeylOp, "_product", staticmethod(_product_swapped), "weyl",
+        "weyl-division-multiply-back", "right division refused: "),
     "commutator-reversed": (
         weyl.WeylOp, "commutator", _commutator_reversed, "lie-hom",
         "cone-lie-homomorphism", "first failing pair"),

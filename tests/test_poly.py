@@ -62,6 +62,15 @@ def test_qlaurent_basic():
     assert (inv * QLaurent(K, q, 0)) == QLaurent(K, Poly.const(N, 1), 0)
 
 
+def test_qlaurent_numerator_must_live_in_the_ring_of_q():
+    # x1 in 4 variables is no numerator at k=3, even with no power of Q
+    for k, num, qexp in ((3, Poly.var(4, 0), 0), (3, Poly.var(4, 0), 1),
+                         (2, Poly.zero(6), 0), (1, Poly.const(4, 1), 0)):
+        with pytest.raises(ValueError, match="variables"):
+            QLaurent(k, num, qexp)
+    assert QLaurent(1, Poly.var(2, 0), 0).text() == "x1"
+
+
 def test_qlaurent_quotient_rule():
     # d/dx1 (1/Q) = -y2/Q^2
     inv = QLaurent.one_over_q(K)
