@@ -285,71 +285,49 @@ def cmd_verify(args) -> int:
     return report.exit_status
 
 
+_EXPR = {"expr": {}}
+
+# the subcommands, in the order of the help text: (name, handler, help, own
+# arguments as {name or flag: add_argument keywords}, takes --k)
+COMMANDS = (
+    ("reduce", cmd_reduce, "canonical cone class of an expression", _EXPR,
+     True),
+    ("fourier-transform", cmd_fourier_transform,
+     "quadric Fourier image of a generator word", _EXPR, True),
+    ("shapovalov", cmd_shapovalov,
+     "pairing element: expansion, closed form, Bezout pair",
+     {"--d": dict(type=int, default=1)}, True),
+    ("moment", cmd_moment, "verify moment descent and orbit relations",
+     {"action": dict(nargs="?", choices=["verify"], default="verify")}, True),
+    ("kelvin", cmd_kelvin, "Kelvin transform of a polynomial", _EXPR, True),
+    ("harmonic", cmd_harmonic, "harmonic decomposition of a graded piece",
+     {"--d": dict(type=int, required=True)}, True),
+    ("bessel", cmd_bessel, "radial series check",
+     {"--order": dict(type=int, default=12)}, True),
+    ("boundary", cmd_boundary, "boundary phase identities", {}, True),
+    ("counterexample-n2", cmd_counterexample_n2,
+     "rank-one counterexample identities", {}, False),
+    ("verify", cmd_verify, "run a verification suite",
+     {"suite": dict(help="suite name or 'all': "
+                    + ", ".join(sorted(SUITES) + ["all"]))}, True),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadricops",
         description="Exact symbolic engine for differential operators on the "
                     "quadric cone.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_k=True):
+    for name, func, help_text, own, with_k in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for arg, kwargs in own.items():
+            p.add_argument(arg, **kwargs)
         if with_k:
             p.add_argument("--k", type=int, default=2,
                            help="number of hyperbolic planes (default 2, min 2)")
         p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = sub.add_parser("reduce", help="canonical cone class of an expression")
-    p.add_argument("expr")
-    common(p)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("fourier-transform",
-                       help="quadric Fourier image of a generator word")
-    p.add_argument("expr")
-    common(p)
-    p.set_defaults(func=cmd_fourier_transform)
-
-    p = sub.add_parser("shapovalov",
-                       help="pairing element: expansion, closed form, Bezout pair")
-    p.add_argument("--d", type=int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_shapovalov)
-
-    p = sub.add_parser("moment", help="verify moment descent and orbit relations")
-    p.add_argument("action", nargs="?", choices=["verify"], default="verify")
-    common(p)
-    p.set_defaults(func=cmd_moment)
-
-    p = sub.add_parser("kelvin", help="Kelvin transform of a polynomial")
-    p.add_argument("expr")
-    common(p)
-    p.set_defaults(func=cmd_kelvin)
-
-    p = sub.add_parser("harmonic", help="harmonic decomposition of a graded piece")
-    p.add_argument("--d", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_harmonic)
-
-    p = sub.add_parser("bessel", help="radial series check")
-    p.add_argument("--order", type=int, default=12)
-    common(p)
-    p.set_defaults(func=cmd_bessel)
-
-    p = sub.add_parser("boundary", help="boundary phase identities")
-    common(p)
-    p.set_defaults(func=cmd_boundary)
-
-    p = sub.add_parser("counterexample-n2",
-                       help="rank-one counterexample identities")
-    common(p, with_k=False)
-    p.set_defaults(func=cmd_counterexample_n2)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", help="suite name or 'all': "
-                   + ", ".join(sorted(SUITES) + ["all"]))
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
+        p.set_defaults(func=func)
     return parser
 
 

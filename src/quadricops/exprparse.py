@@ -1,10 +1,11 @@
 """Expression grammar for operators on the dual space.
 
-Tokens: coordinates x<i>, y<i>; derivatives dx<i>, dy<i>; named operators
-E, Delta, Q (multiplication by the dual form), XX<i>, YY<i>, Dop<i><j>,
-Bop<i><j>, Cop<i><j>; integer literals; + - * ^ ( ).  Whitespace is
-insignificant.  Precedence: ^ binds tightest, then *, then + and -;
-multiplication is noncommutative and kept left-to-right.
+Tokens: the named atoms, which the table ``_ATOMS`` lists once with their
+indices, bounds and operators: coordinates x<i>, y<i>; derivatives dx<i>,
+dy<i>; named operators E, Delta, Q (multiplication by the dual form), XX<i>,
+YY<i>, Dop<i><j>, Bop<i><j>, Cop<i><j>; integer literals; + - * ^ ( ).
+Whitespace is insignificant.  Precedence: ^ binds tightest, then *, then +
+and -; multiplication is noncommutative and kept left-to-right.
 
 A single index may have any number of digits (XX10).  An index pair is
 either two single digits (Dop12) or two numbers joined by an underscore
@@ -16,18 +17,20 @@ index is >= 10, so text for k <= 9 never contains one.
 ("end", (), len(src)).  The kind is the name of the group that matched, or
 the operator character; the indices are ints; the position is where the
 match starts, whitespace before the token included.  Each token takes one
-regex match: the kind is ``lastgroup`` and the index fields are the groups
-that follow group ``lastindex``, so every alternative keeps its index
-groups right after its named group.  Bad input raises ParseError (with
-``pos`` and ``expected``) or IndexOutOfRange.
+match of a regex built from the rows of ``_ATOMS``: the kind is
+``lastgroup``, the atom's row gives its number of indices, and the index
+fields are the groups that follow group ``lastindex``, so every alternative
+keeps its index groups right after its named group.  ``atom_texts(k)``
+lists every named atom at k from the same rows.  Bad input raises
+ParseError (with ``pos`` and ``expected``) or IndexOutOfRange.
 
 An expression of more than ``MAX_TOKENS`` tokens is a ParseError before
 any node is built: the parser and the fold of the tree recurse once per
 nesting level, and a long flat sum still builds a left-deep tree.
 
 The AST is a tree of tuples:
-  ("int", n), ("var", name, i), ("gen", name, *indices),
-  ("add", a, b), ("sub", a, b), ("mul", a, b), ("pow", a, n), ("neg", a).
+  ("int", n), ("atom", name, *indices), ("add", a, b), ("sub", a, b),
+  ("mul", a, b), ("pow", a, n), ("neg", a).
 ``_fold`` is the one walker of the tree; the printer, the evaluators and
 the bounds (degree and order, words, bits of the constants) are its
 targets, and the CLI rejects an input over its fixed caps before evaluating.
@@ -63,16 +66,34 @@ class IndexOutOfRange(IndexError):
     """An index outside 1..k, or a Bop/Cop pair that is not increasing."""
 
 
-_PAIR = r"(?:(\d+)_(\d+)|(\d)(\d))"
-_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<XX>XX(\d+))|(?P<YY>YY(\d+))|"
-    rf"(?P<Dop>Dop{_PAIR})|(?P<Bop>Bop{_PAIR})|(?P<Cop>Cop{_PAIR})|"
-    r"(?P<dx>dx(\d+))|(?P<dy>dy(\d+))|"
-    r"(?P<x>x(\d+))|(?P<y>y(\d+))|"
-    r"(?P<E>E)|(?P<Delta>Delta)|(?P<Q>Q)|"
-    r"(?P<int>\d+)|(?P<op>[+\-*^()])"
-    r")")
+# the grammar's named atoms, one row each: the number of indices (none,
+# one, or a pair), whether a pair must be increasing, the (coefficient
+# degree, order) bound of the atom's operator, the kind of the generator
+# letter it names, and for an atom outside the generator alphabet (letter
+# kind None) its operator as a function of (k, *indices); the atom E is the
+# letter Etil = E + k - 1 plus 1 - k.  The rows are in the order in which
+# ``atom_texts`` lists the atoms of each arity.
+_ATOMS = {
+    "x": (1, False, 1, 0, "x", None),
+    "y": (1, False, 1, 0, "y", None),
+    "dx": (1, False, 0, 1, None, lambda k, i: WeylOp.partial(2 * k, i - 1)),
+    "dy": (1, False, 0, 1, None,
+           lambda k, i: WeylOp.partial(2 * k, k + i - 1)),
+    "XX": (1, False, 1, 2, "XX", None),
+    "YY": (1, False, 1, 2, "YY", None),
+    "Dop": (2, False, 1, 1, "D", None),
+    "Bop": (2, True, 1, 1, "B", None),
+    "Cop": (2, True, 1, 1, "C", None),
+    "E": (0, False, 1, 1, "Etil", None),
+    "Delta": (0, False, 0, 2, None, laplacian_op),
+    "Q": (0, False, 2, 0, None, lambda k: WeylOp.mult(q_form(k)))}
+
+# the index groups of an atom of each arity; no atom name is a prefix of
+# another, so at most one atom alternative matches at any position
+_INDICES = ("", r"(\d+)", r"(?:(\d+)_(\d+)|(\d)(\d))")
+_TOKEN_RE = re.compile(r"\s*(?:" + "".join(
+    f"(?P<{name}>{name}{_INDICES[row[0]]})|" for name, row in _ATOMS.items())
+    + r"(?P<int>\d+)|(?P<op>[+\-*^()]))")
 
 
 def tokenize(src: str, k: int):
@@ -90,13 +111,18 @@ def tokenize(src: str, k: int):
             raise ParseError(f"expression has more than {MAX_TOKENS} tokens",
                              m.start(), expected=("end",))
         kind, g, pos = m.lastgroup, m.lastindex, m.end()
-        if kind in ("XX", "YY", "dx", "dy", "x", "y"):
+        arity, increasing = _ATOMS.get(kind, (0, False))[:2]
+        if kind == "op":
+            out.append((m.group(g), (), m.start()))
+        elif kind == "int":
+            out.append(("int", (int(m.group(g)),), m.start()))
+        elif arity == 1:
             i = int(m.group(g + 1))
             if not 1 <= i <= k:
                 raise IndexOutOfRange(
                     f"index {i} out of range for k={k} in {m.group().strip()!r}")
             out.append((kind, (i,), m.start()))
-        elif kind in ("Dop", "Bop", "Cop"):
+        elif arity == 2:
             if src[pos:pos + 1].isdigit():
                 raise ParseError(
                     f"digit after {m.group().strip()!r}; write the pair as "
@@ -107,31 +133,25 @@ def tokenize(src: str, k: int):
             if not (1 <= i <= k and 1 <= j <= k):
                 raise IndexOutOfRange(
                     f"indices ({i},{j}) out of range for k={k}")
-            if kind != "Dop" and not i < j:
+            if increasing and not i < j:
                 raise IndexOutOfRange(f"{kind} requires i < j, got ({i},{j})")
             out.append((kind, (i, j), m.start()))
-        elif kind == "int":
-            out.append(("int", (int(m.group(g)),), m.start()))
-        elif kind == "op":
-            out.append((m.group(g), (), m.start()))
         else:
             out.append((kind, (), m.start()))
     out.append(("end", (), len(src)))
     return out
 
 
-# each named atom: the (coefficient degree, order) bound of its operator,
-# the kind of the generator letter it names, and for an atom outside the
-# generator alphabet (letter kind None) its operator as a function of
-# (k, *indices); the atom E is the letter Etil = E + k - 1 plus 1 - k
-_ATOMS = {"x": (1, 0, "x", None), "y": (1, 0, "y", None),
-          "XX": (1, 2, "XX", None), "YY": (1, 2, "YY", None),
-          "Dop": (1, 1, "D", None), "Bop": (1, 1, "B", None),
-          "Cop": (1, 1, "C", None), "E": (1, 1, "Etil", None),
-          "dx": (0, 1, None, lambda k, i: WeylOp.partial(2 * k, i - 1)),
-          "dy": (0, 1, None, lambda k, i: WeylOp.partial(2 * k, k + i - 1)),
-          "Delta": (0, 2, None, laplacian_op),
-          "Q": (2, 0, None, lambda k: WeylOp.mult(q_form(k)))}
+def atom_texts(k: int) -> list:
+    """Every named atom of the grammar at k: those without an index, then
+    those with the index i for each i, then those with the pair (i, j) for
+    each i and j, skipping pairs that a row asks to be increasing and are
+    not; within each index, in the order of ``_ATOMS``."""
+    ks = range(1, k + 1)
+    indices = [()] + [(i,) for i in ks] + [(i, j) for i in ks for j in ks]
+    return [name + index_text(ix) for ix in indices
+            for name, (arity, increasing, *_) in _ATOMS.items()
+            if arity == len(ix) and not (increasing and ix[0] >= ix[1])]
 
 
 class _Parser:
@@ -197,7 +217,7 @@ class _Parser:
             self.expect(")")
             return node
         if kind in _ATOMS:
-            return ("var" if kind in ("x", "y") else "gen", kind, *args)
+            return ("atom", kind, *args)
         raise ParseError(f"unexpected token {kind!r}", pos,
                          expected=("atom",))
 
@@ -221,11 +241,10 @@ def _fold(node, target: dict):
     operation to its value from its operands' values (and for "pow", the
     exponent).  Raises ValueError on an unknown kind of node."""
     kind = node[0]
-    if kind in ("var", "gen"):
-        return target["atom"](node[1], node[2:])
-    if kind not in ("int", "neg", "pow", "add", "sub", "mul"):
+    if kind not in ("int", "atom", "neg", "pow", "add", "sub", "mul"):
         raise ValueError(f"unknown node {kind!r}")
-    # the operands are nodes; a literal's value and an exponent are ints
+    # the operands are nodes; a literal's value, an atom's name and indices
+    # and an exponent are not
     return target[kind](*(_fold(a, target) if type(a) is tuple else a
                           for a in node[1:]))
 
@@ -242,7 +261,7 @@ def _wrap(value, prec: int) -> str:
 # of a sum needs one level tighter, so a - (b + c) keeps its parentheses
 _TEXT = dict(
     int=lambda n: (str(n), 4),
-    atom=lambda name, indices: (name + index_text(indices), 4),
+    atom=lambda name, *indices: (name + index_text(indices), 4),
     neg=lambda a: ("-" + _wrap(a, 3), 1),
     pow=lambda a, n: (f"{_wrap(a, 4)}^{n}", 3),
     add=lambda a, b: (f"{_wrap(a, 1)} + {_wrap(b, 2)}", 1),
@@ -265,7 +284,7 @@ def bound(node) -> tuple:
     its factors (reordering d^b x^a into x-left form only lowers both), a
     power multiplies them and a sum takes the larger."""
     return _fold(node, dict(
-        int=lambda n: (0, 0), atom=lambda name, indices: _ATOMS[name][:2],
+        int=lambda n: (0, 0), atom=lambda name, *_: _ATOMS[name][2:4],
         neg=lambda a: a, pow=lambda a, n: (a[0] * n, a[1] * n),
         add=_larger, sub=_larger, mul=lambda a, b: (a[0] + b[0], a[1] + b[1])))
 
@@ -277,7 +296,7 @@ def word_bound(node) -> int:
     and a constant."""
     return _fold(node, dict(
         int=lambda n: 1, neg=lambda a: a, pow=pow, add=add, sub=add, mul=mul,
-        atom=lambda name, indices: 2 if _ATOMS[name][2] == "Etil" else 1))
+        atom=lambda name, *_: 2 if _ATOMS[name][4] == "Etil" else 1))
 
 
 def _carry(a, b):
@@ -290,7 +309,7 @@ def bit_bound(node) -> int:
     a sum one bit more than the larger bound, a product the sum of the
     bounds and a power the bound times its exponent."""
     return _fold(node, dict(
-        int=int.bit_length, atom=lambda name, indices: 0, neg=lambda a: a,
+        int=int.bit_length, atom=lambda name, *_: 0, neg=lambda a: a,
         pow=mul, add=_carry, sub=_carry, mul=add))
 
 
@@ -302,8 +321,8 @@ def _algebra(k: int, const, letter_value, ambient: bool) -> dict:
     """The target of an algebra at k: integers through ``const(k, c)``, the
     generator letters through ``letter_value(k, letter)``, and the other
     atoms through their operators if ``ambient``, else NotGeneratorWord."""
-    def atom(name, indices):
-        _, _, letter, op = _ATOMS[name]
+    def atom(name, *indices):
+        *_, letter, op = _ATOMS[name]
         if letter is not None:
             value = letter_value(k, (letter, *indices))
             return value + (1 - k) if letter == "Etil" else value
@@ -334,7 +353,7 @@ def genword_to_expr_text(w: GenWord, k: int) -> str:
     def letter_text(letter):
         if letter[0] == "Etil":
             return f"(E + {k - 1})"
-        name = next(n for n, a in _ATOMS.items() if a[2] == letter[0])
+        name = next(n for n, a in _ATOMS.items() if a[4] == letter[0])
         return name + index_text(letter[1:])
     return signed_text((c, "*".join(map(letter_text, word)))
                        for word, c in w.sorted_terms())

@@ -47,20 +47,23 @@ def _zeros(n, m):
 def mat_mul(a, b):
     """The product of two matrices, lists of rows, whose entries are of any
     exact ring: ``int``, ``Fraction`` or ``Poly``.  Zero entries are
-    skipped; an entry that no pair of nonzero entries reaches stays the
+    skipped; an entry starts from its first product, not from a zero of its
+    ring, and an entry that no pair of nonzero entries reaches is the
     ``int`` 0."""
-    n, p, m = len(a), len(b), len(b[0])
-    out = _zeros(n, m)
-    for i in range(n):
-        ai = a[i]
+    p, m = len(b), len(b[0])
+    out = []
+    for ai in a:
+        oi = [None] * m
         for l in range(p):
             c = ai[l]
             if c:
                 bl = b[l]
-                oi = out[i]
                 for j in range(m):
-                    if bl[j]:
-                        oi[j] += c * bl[j]
+                    e = bl[j]
+                    if e:
+                        t = oi[j]
+                        oi[j] = c * e if t is None else t + c * e
+        out.append([0 if t is None else t for t in oi])
     return out
 
 def mat_inv(a):

@@ -28,8 +28,7 @@ from itertools import combinations
 
 from . import exprparse, lie
 from .coneops import (ConeOp, GenWord, a_correction, alphabet, grading,
-                      index_text, letter_op, phi, rho_amb, rho_tilde, tau,
-                      b_form_poly)
+                      letter_op, phi, rho_amb, rho_tilde, tau, b_form_poly)
 from .harmonic import (bessel_check, boundary_phase_check,
                        dirac_relations, exp_harmonicity_defect,
                        harmonic_decompose, harmonic_dimension,
@@ -739,16 +738,8 @@ def cli_checks(k: int) -> list:
     rng = random.Random(700 + k)
     out = []
 
-    atoms = ["E", "Delta", "Q"]
-    for i in range(1, k + 1):
-        atoms += [f"x{i}", f"y{i}", f"dx{i}", f"dy{i}", f"XX{i}", f"YY{i}"]
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            pair = index_text((i, j))
-            atoms.append(f"Dop{pair}")
-            if i < j:
-                atoms += [f"Bop{pair}", f"Cop{pair}"]
-    atoms += [str(rng.randint(0, 20)) for _ in range(4)]
+    atoms = exprparse.atom_texts(k) + [str(rng.randint(0, 20))
+                                       for _ in range(4)]
     leaves = [exprparse.parse(atom, k) for atom in atoms]
 
     def rand_tree(depth: int):

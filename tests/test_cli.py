@@ -295,6 +295,51 @@ def test_no_environment_variable_shrinks_the_corpora(monkeypatch):
     assert digest.startswith("30c3df26")
 
 
+def test_all_suites_at_k3_keep_their_report():
+    digest = hashlib.sha256(emit(run_suite("all", 3), "json")).hexdigest()
+    assert digest == (
+        "3c380f170e1b126e1e9c322be5b420e324f579a5fe6076d77ba4b5ccc59ca7be")
+
+
+# sha256 of the help text at 80 columns, of the program ("") and of each
+# subcommand, in argparse's layout as of Python 3.11
+HELP_DIGESTS = {
+    "": "ec0a2e3442647d3009aa65d19095ab6f518caaf5bf0a82c5267c65767700bb0f",
+    "reduce":
+        "d6e1194bb1ca43b006cab4df8ab4526e4e3773a5b28e419df53c0c8ac8e10d4d",
+    "fourier-transform":
+        "3033e36f1eef83fc180af97666917213f4ee27bf4e275845653dbc659158b91f",
+    "shapovalov":
+        "769f38dcbb986dba49b823d11b74ff01fab7510dd760ec59d1246d85c9a55ba7",
+    "moment":
+        "9eea42a516a1f00159fa2151652cb96cf1d6df2f82cf829d166d8cbd8df29d76",
+    "kelvin":
+        "a91f88300dbed18d7f4080d11ddfc442c71af60e949419d7a9cbcb3f40d36cfa",
+    "harmonic":
+        "60aba352b33487693cfe9109017ac2bd08420a90bda34f0f102c1f2fd9ca6753",
+    "bessel":
+        "4a38cf49afd0947f1fd883facac227fc46265667e9089e9176725862bc41fadc",
+    "boundary":
+        "1fc04516ca2c8922368c19e33e2959a53383477d1dd3059aa6c48e83a1296923",
+    "counterexample-n2":
+        "ed8ae95d33badcd88c16e0ee595a85b4be7e4311d764ca37e4551ed3a7bfb50a",
+    "verify":
+        "c5af9843ac448ae3ff8decd3ed811cfac0a8859b3d008223ae5647a9f04f158c",
+}
+
+
+def test_help_texts_are_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = {"": cli.build_parser().format_help()}
+    for command in list(HELP_DIGESTS)[1:]:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--help"])
+        assert exit_info.value.code == 0
+        texts[command] = capsys.readouterr().out
+    assert {command: hashlib.sha256(text.encode()).hexdigest()
+            for command, text in texts.items()} == HELP_DIGESTS
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "2^20000"], ["kelvin", "2^20000*x1"],
     ["fourier-transform", "2^20000*x1"], ["reduce", "(1 + 1)^2049"],

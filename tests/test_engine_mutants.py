@@ -83,6 +83,22 @@ def _point_scale_doubled(point):
     return 2 * e, col
 
 
+def _refuses_degree_8(d, p):
+    # a numerator of degree 8 or more is never divisible, so a Q-Laurent
+    # value of high degree keeps the powers of Q it could cancel; reached
+    # through the QLaurent constructor, which looks the name up in poly
+    return None if p.degree() >= 8 else ORIGINAL["divides_exactly"](d, p)
+
+
+def _least_term_dropped(t1, t2, n):
+    # a product of two factors of two terms or more loses its least term,
+    # so Q p no longer reduces to zero modulo Q
+    out = ORIGINAL["Poly._product"](t1, t2, n)
+    if len(t1) >= 2 and len(t2) >= 2 and out:
+        del out[min(out)]
+    return out
+
+
 def _product_swapped(t1, t2, n):
     # the kernel of b * a for a * b: the opposite product is still
     # associative, so only the checks that keep the factors in order fail
@@ -178,7 +194,10 @@ ORIGINAL = {name: getattr(module, name) for module, name in [
     (weyl.WeylOp, "commutator"),
     (coneops, "fourier_letter"), (coneops, "letter_preimage"),
     (momentorbit, "x_vector"), (momentorbit, "orbit_matrix"),
-    (lie, "_q_power_inverse"), (exprparse, "_fold")]}
+    (lie, "_q_power_inverse"), (exprparse, "_fold"),
+    (poly, "divides_exactly")]}
+# the polynomial kernel shares its name with the operator kernel
+ORIGINAL["Poly._product"] = poly.Poly._product
 
 # case: (module, function, fake, suite, check id, start of its residue)
 CASES = {
@@ -210,6 +229,12 @@ CASES = {
     "denominator-dropped": (
         poly, "numerators", _denominator_dropped, "algebra-core",
         "ring-axioms", "a="),
+    "divisibility-refused-from-degree-8": (
+        poly, "divides_exactly", _refuses_degree_8, "algebra-core",
+        "qlaurent-normalization", "p="),
+    "poly-product-least-term-dropped": (
+        poly.Poly, "_product", staticmethod(_least_term_dropped),
+        "algebra-core", "exact-divisibility", "p="),
     "point-scale": (
         lie, "_point_column", _point_scale_doubled, "lie-orthogonal",
         "lie-cocycle", "g1,g2 sample with v="),

@@ -60,8 +60,8 @@ def test_bound_is_exact_on_atoms_and_bounds_every_tree():
 def test_precedence():
     # ^ binds tighter than *, which binds tighter than +
     t = ep.parse("x1 + x2*dy1^2", K)
-    assert t == ("add", ("var", "x", 1),
-                 ("mul", ("var", "x", 2), ("pow", ("gen", "dy", 1), 2)))
+    assert t == ("add", ("atom", "x", 1),
+                 ("mul", ("atom", "x", 2), ("pow", ("atom", "dy", 1), 2)))
 
 
 def test_noncommutative_order_preserved():
@@ -88,11 +88,11 @@ def test_index_out_of_range():
         ep.parse("Bop21", K)
     with pytest.raises(ep.IndexOutOfRange):
         ep.parse("Dop13", K)
-    assert ep.parse("x3", 3) == ("var", "x", 3)
+    assert ep.parse("x3", 3) == ("atom", "x", 3)
 
 
 def test_two_digit_pair_indices():
-    assert ep.parse("Dop1_10", 12) == ("gen", "Dop", 1, 10)
+    assert ep.parse("Dop1_10", 12) == ("atom", "Dop", 1, 10)
     assert ep.parse("Bop1_2", K) == ep.parse("Bop12", K)
     # the underscore is printed only when an index has two digits
     assert ep.to_text(ep.parse("Dop1_2 + Cop9_11", 12)) == "Dop12 + Cop9_11"
@@ -150,6 +150,16 @@ def atoms_at(k):
             if i < j:
                 atoms += [f"Bop{pair}", f"Cop{pair}"]
     return atoms
+
+
+def test_atom_table_lists_every_atom_once():
+    for k in (2, 3, 12):
+        assert ep.atom_texts(k) == atoms_at(k)
+    # no name is a prefix of another, so at most one alternative of the
+    # token regex matches at any position, whatever their order
+    names = [text.rstrip("0123456789_") for text in ep.atom_texts(2)]
+    assert not [(a, b) for a in set(names) for b in set(names)
+                if a != b and b.startswith(a)]
 
 
 def tokens_or_error(tokenize, src, k):

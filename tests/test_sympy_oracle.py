@@ -37,11 +37,22 @@ COEFFS = st.one_of(
 
 
 @st.composite
+def exponents(draw, highs, total):
+    """An exponent vector with its i-th exponent in 0..highs[i] and a sum of
+    at most ``total``: each exponent is drawn within its range capped by
+    what the earlier ones leave, so no draw is rejected."""
+    out = []
+    for high in highs:
+        out.append(draw(st.integers(0, min(high, total))))
+        total -= out[-1]
+    return tuple(out)
+
+
+@st.composite
 def poly_pairs(draw):
     k = draw(st.sampled_from([2, 3]))
     n = 2 * k
-    mono = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple).filter(
-        lambda m: sum(m) <= 4)
+    mono = exponents([2] * n, 4)
 
     def poly():
         return Poly.from_exponents(n, draw(st.dictionaries(mono, COEFFS, max_size=6)))
@@ -104,8 +115,7 @@ def weyl_cases(draw):
     split = draw(st.integers(1, n - 1))
 
     def expvec(lo, hi):
-        return st.tuples(*[st.integers(0, 2) if lo <= i < hi else st.just(0)
-                           for i in range(n)]).filter(lambda m: sum(m) <= 3)
+        return exponents([2 if lo <= i < hi else 0 for i in range(n)], 3)
 
     def op(xs, ds):
         return draw(st.dictionaries(st.tuples(expvec(*xs), expvec(*ds)),
@@ -118,8 +128,7 @@ def weyl_cases(draw):
         e = tuple(int(j == i) for j in range(n))
         a[((0,) * n, e)] = draw(st.integers(1, 5))
         b[(e, (0,) * n)] = draw(st.integers(1, 5))
-    mono = st.tuples(*[st.integers(0, 3) for _ in range(n)]).filter(
-        lambda m: sum(m) <= 5)
+    mono = exponents([3] * n, 5)
     f = Poly.from_exponents(n, draw(st.dictionaries(mono, COEFFS, max_size=5)))
     return (k, WeylOp.from_exponents(n, a), WeylOp.from_exponents(n, b), f,
             overlap)
@@ -188,8 +197,7 @@ def test_harmonic_basis_is_sympy_nullspace(k, d):
 @st.composite
 def laurent_cases(draw):
     k = draw(st.sampled_from([2, 3]))
-    mono = st.lists(st.integers(0, 2), min_size=2 * k,
-                    max_size=2 * k).map(tuple).filter(lambda m: sum(m) <= 4)
+    mono = exponents([2] * (2 * k), 4)
     num = Poly.from_exponents(2 * k, draw(st.dictionaries(mono, COEFFS,
                                                           max_size=4)))
     return k, num, draw(st.integers(0, 3))
