@@ -7,22 +7,28 @@ YY<i>, Dop<i><j>, Bop<i><j>, Cop<i><j>; integer literals; + - * ^ ( ).
 Whitespace is insignificant.  Precedence: ^ binds tightest, then *, then +
 and -; multiplication is noncommutative and kept left-to-right.
 
-A single index may have any number of digits (XX10).  An index pair is
-either two single digits (Dop12) or two numbers joined by an underscore
-(Dop1_10, Dop1_2); a pair of single digits followed by a further digit
-(Dop110) is a ParseError.  The printers write the underscore only when an
-index is >= 10, so text for k <= 9 never contains one.
+Digits are the ASCII digits 0-9, in indices and in literals alike; any
+other Unicode digit (a fullwidth 3, an Arabic-Indic 1, a superscript 2) is
+an unexpected character.  A single index may have any number of digits
+(XX10).  An index pair is either two single digits (Dop12) or two numbers
+joined by an underscore (Dop1_10, Dop1_2); a pair of single digits followed
+by a further digit (Dop110) is a ParseError.  The printers write the
+underscore only when an index is >= 10, so text for k <= 9 never contains
+one.
 
 ``tokenize`` returns (kind, indices, position) triples, then
-("end", (), len(src)).  The kind is the name of the group that matched, or
-the operator character; the indices are ints; the position is where the
-match starts, whitespace before the token included.  Each token takes one
-match of a regex built from the rows of ``_ATOMS``: the kind is
-``lastgroup``, the atom's row gives its number of indices, and the index
-fields are the groups that follow group ``lastindex``, so every alternative
-keeps its index groups right after its named group.  ``atom_texts(k)``
-lists every named atom at k from the same rows.  Bad input raises
-ParseError (with ``pos`` and ``expected``) or IndexOutOfRange.
+("end", (), len(src)).  The kind is the operator character, "int" or the
+atom's name; the indices are ints; the position is where the match starts,
+whitespace before the token included.  Each token takes one match of a
+regex: the operators (group 1), the integer literals (group 2), then one
+alternative per row of ``_ATOMS``.  No atom name begins with an operator or
+a digit, so that order changes no match.  Operators and literals are read
+by group number (``lastindex``).  An atom's kind is ``lastgroup``, its row
+gives its number of indices, and the index fields are the groups that
+follow group ``lastindex``, so every alternative keeps its index groups
+right after its named group.  ``atom_texts(k)`` lists every named atom at k
+from the same rows.  Bad input raises ParseError (with ``pos`` and
+``expected``) or IndexOutOfRange.
 
 An expression of more than ``MAX_TOKENS`` tokens is a ParseError before
 any node is built: the parser and the fold of the tree recurse once per
@@ -88,18 +94,19 @@ _ATOMS = {
     "Delta": (0, False, 0, 2, None, laplacian_op),
     "Q": (0, False, 2, 0, None, lambda k: WeylOp.mult(q_form(k)))}
 
-# the index groups of an atom of each arity; no atom name is a prefix of
+# the index groups of an atom of each arity, in ASCII digits ([0-9], as a
+# str pattern's \d takes every Unicode digit); no atom name is a prefix of
 # another, so at most one atom alternative matches at any position
-_INDICES = ("", r"(\d+)", r"(?:(\d+)_(\d+)|(\d)(\d))")
-_TOKEN_RE = re.compile(r"\s*(?:" + "".join(
-    f"(?P<{name}>{name}{_INDICES[row[0]]})|" for name, row in _ATOMS.items())
-    + r"(?P<int>\d+)|(?P<op>[+\-*^()]))")
+_INDICES = ("", r"([0-9]+)", r"(?:([0-9]+)_([0-9]+)|([0-9])([0-9]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<op>[+\-*^()])|(?P<int>[0-9]+)" + "".join(
+    f"|(?P<{name}>{name}{_INDICES[row[0]]})" for name, row in _ATOMS.items())
+    + ")")
 
 
 def tokenize(src: str, k: int):
-    pos = 0
+    pos, end = 0, len(src)
     out = []
-    while pos < len(src):
+    while pos < end:
         m = _TOKEN_RE.match(src, pos)
         if m is None:
             stripped = src[pos:].lstrip()
@@ -109,23 +116,26 @@ def tokenize(src: str, k: int):
                              pos, expected=("token",))
         if len(out) == MAX_TOKENS:
             raise ParseError(f"expression has more than {MAX_TOKENS} tokens",
-                             m.start(), expected=("end",))
-        kind, g, pos = m.lastgroup, m.lastindex, m.end()
-        arity, increasing = _ATOMS.get(kind, (0, False))[:2]
-        if kind == "op":
-            out.append((m.group(g), (), m.start()))
-        elif kind == "int":
-            out.append(("int", (int(m.group(g)),), m.start()))
-        elif arity == 1:
-            i = int(m.group(g + 1))
+                             pos, expected=("end",))
+        g, start, pos = m.lastindex, pos, m.end()
+        if g == 1:
+            out.append((m[1], (), start))
+            continue
+        if g == 2:
+            out.append(("int", (int(m[2]),), start))
+            continue
+        kind = m.lastgroup
+        arity = _ATOMS[kind][0]
+        if arity == 1:
+            i = int(m[g + 1])
             if not 1 <= i <= k:
                 raise IndexOutOfRange(
-                    f"index {i} out of range for k={k} in {m.group().strip()!r}")
-            out.append((kind, (i,), m.start()))
+                    f"index {i} out of range for k={k} in {m[g]!r}")
+            out.append((kind, (i,), start))
         elif arity == 2:
-            if src[pos:pos + 1].isdigit():
+            if "0" <= src[pos:pos + 1] <= "9":  # empty at the end: no digit
                 raise ParseError(
-                    f"digit after {m.group().strip()!r}; write the pair as "
+                    f"digit after {m[g]!r}; write the pair as "
                     f"{kind}<i>_<j> when an index has two digits",
                     pos, expected=("_",))
             i, j, i1, j1 = m.group(g + 1, g + 2, g + 3, g + 4)
@@ -133,12 +143,12 @@ def tokenize(src: str, k: int):
             if not (1 <= i <= k and 1 <= j <= k):
                 raise IndexOutOfRange(
                     f"indices ({i},{j}) out of range for k={k}")
-            if increasing and not i < j:
+            if _ATOMS[kind][1] and not i < j:
                 raise IndexOutOfRange(f"{kind} requires i < j, got ({i},{j})")
-            out.append((kind, (i, j), m.start()))
+            out.append((kind, (i, j), start))
         else:
-            out.append((kind, (), m.start()))
-    out.append(("end", (), len(src)))
+            out.append((kind, (), start))
+    out.append(("end", (), end))
     return out
 
 
@@ -155,57 +165,44 @@ def atom_texts(k: int) -> list:
 
 
 class _Parser:
+    """Recursive descent over the token list, which ends in an "end" token;
+    ``i`` is the index of the next token."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.take()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[0]!r}",
-                             tok[2], expected=(kind,))
-        return tok
-
     def parse_sum(self):
         node = self.parse_product()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.parse_product()
-            node = ("add" if op == "+" else "sub", node, rhs)
+        tokens = self.tokens
+        while (op := tokens[self.i][0]) in ("+", "-"):
+            self.i += 1
+            node = ("add" if op == "+" else "sub", node, self.parse_product())
         return node
 
     def parse_product(self):
         node = self.parse_power()
-        while True:
-            nxt = self.peek()[0]
-            if nxt == "*":
-                self.take()
-                node = ("mul", node, self.parse_power())
-            else:
-                return node
+        tokens = self.tokens
+        while tokens[self.i][0] == "*":
+            self.i += 1
+            node = ("mul", node, self.parse_power())
+        return node
 
     def parse_power(self):
         base = self.parse_atom()
-        if self.peek()[0] == "^":
-            self.take()
-            tok = self.take()
-            if tok[0] != "int":
-                raise ParseError("exponent must be an integer literal",
-                                 tok[2], expected=("int",))
-            return ("pow", base, tok[1][0])
-        return base
+        tokens = self.tokens
+        if tokens[self.i][0] != "^":
+            return base
+        kind, args, pos = tokens[self.i + 1]
+        self.i += 2
+        if kind != "int":
+            raise ParseError("exponent must be an integer literal", pos,
+                             expected=("int",))
+        return ("pow", base, args[0])
 
     def parse_atom(self):
-        tok = self.take()
-        kind, args, pos = tok
+        kind, args, pos = self.tokens[self.i]
+        self.i += 1
         if kind == "int":
             return ("int", args[0])
         if kind == "-":
@@ -214,7 +211,11 @@ class _Parser:
             return self.parse_power()
         if kind == "(":
             node = self.parse_sum()
-            self.expect(")")
+            kind, _, pos = self.tokens[self.i]
+            self.i += 1
+            if kind != ")":
+                raise ParseError(f"expected ')', found {kind!r}", pos,
+                                 expected=(")",))
             return node
         if kind in _ATOMS:
             return ("atom", kind, *args)
@@ -227,9 +228,9 @@ def parse(src: str, k: int = 2):
     and ParseError on more than MAX_TOKENS tokens."""
     p = _Parser(tokenize(src, k))
     node = p.parse_sum()
-    tok = p.peek()
-    if tok[0] != "end":
-        raise ParseError(f"trailing input starting with {tok[0]!r}", tok[2],
+    kind, _, pos = p.tokens[p.i]
+    if kind != "end":
+        raise ParseError(f"trailing input starting with {kind!r}", pos,
                          expected=("end",))
     return node
 
@@ -245,8 +246,8 @@ def _fold(node, target: dict):
         raise ValueError(f"unknown node {kind!r}")
     # the operands are nodes; a literal's value, an atom's name and indices
     # and an exponent are not
-    return target[kind](*(_fold(a, target) if type(a) is tuple else a
-                          for a in node[1:]))
+    return target[kind](*[_fold(a, target) if type(a) is tuple else a
+                          for a in node[1:]])
 
 
 def _wrap(value, prec: int) -> str:

@@ -10,7 +10,10 @@ collecting the scalars gives the closed form
 held as a ``Poly`` in the one variable E and turned into an operator by
 ``euler_to_weyl``.  ``closed_form_induction`` proves it for every d from
 B_1 and three exact identities, and ``SeriesStep`` applies the next B_d
-without building it.
+without building it.  A corollary of the induction: B_d has weight zero
+for every d, that is it commutes on the cone with E and with every
+operator that commutes with E and normalizes (Q*), such as the Levi
+letters.
 
 Its Fourier image substitutes E -> -E - 2k + 2, and the two root sets are
 disjoint for k >= 2, which the Bezout certificate witnesses.
@@ -168,6 +171,23 @@ def closed_form_induction(b1: ConeOp, dmax: int):
           = p_1(E) p_(d-1)(E - 1) = p_d(E),
       by the closure of Q.D, step 1, the definition of B_1, step 2 and the
       closure again, and step 3.
+
+    Corollary (weight zero): if the induction holds and an operator L
+    satisfies [L, E] = 0 and normalizes (Q*), then [L, B_d] = 0 on the cone
+    for every d = 1..dmax.
+
+    - [L, E] = 0 gives [L, p_d(E)] = 0.
+    - L normalizes (Q*), that is L Q = Q Y for some operator Y
+      (``is_ideal_preserving``).  So [L, Q X] = Q (Y X - X L) lies in Q.D
+      for every X; for a vector field L with L(Q) in (Q) this reads
+      [L, Q.X] = L(Q).X + Q.[L, X].
+    - Hence [L, B_d] = [L, p_d(E) + Q X] = [L, Q X] is in Q.D, which is
+      the zero class on the cone.
+
+    E normalizes (Q*) since E Q = Q (E + 2); it is also Etil + (1 - k),
+    the image of a letter.  Every letter is built by ``rho_tilde``, which
+    refuses an image that does not normalize (Q*).  So for E and the Levi
+    letters only [L, E] = 0 is left to check, by ``WeylOp`` equality.
     """
     k = b1.k
     e = euler_op(k)

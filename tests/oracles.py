@@ -335,7 +335,7 @@ def tokenize_groupwise(src: str, k: int):
                     f"index {i} out of range for k={k} in {m.group().strip()!r}")
             out.append((m.lastgroup, (i,), m.start()))
         elif m.lastgroup in ("Dop", "Bop", "Cop"):
-            if src[m.end():m.end() + 1].isdigit():
+            if src[m.end():m.end() + 1] in tuple("0123456789"):
                 raise ParseError(
                     f"digit after {m.group().strip()!r}; write the pair as "
                     f"{m.lastgroup}<i>_<j> when an index has two digits",

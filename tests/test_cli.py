@@ -169,6 +169,9 @@ def test_exit_code_usage_errors(capsys):
     assert cli.main(["fourier-transform", "Delta"]) == 2
     assert cli.main(["reduce", "x1", "--k", "1"]) == 2
     assert cli.main(["kelvin", "dx1"]) == 2
+    # non-ASCII digits: Arabic-Indic, fullwidth, superscript
+    for expr in ["x\u0661*XX\u0661", "\uff13*x1", "Dop12\u00b2"]:
+        assert cli.main(["reduce", expr]) == 2
     capsys.readouterr()
 
 

@@ -141,6 +141,21 @@ def _yy_to_y(k, letter):
     return ORIGINAL["letter_preimage"](k, letter)
 
 
+def _d12_to_x1(k, letter):
+    # D_12 -> x_1: the letter no longer commutes with E, so the weight-zero
+    # check cannot take the corollary of the induction and its commutators
+    # find [B_1, x_1] outside the zero class
+    if letter == ("D", 1, 2):
+        letter = ("x", 1)
+    return ORIGINAL["letter_preimage"](k, letter)
+
+
+def _cofactor_shifted(a, b):
+    # s + 1 for the Bezout cofactor s: g, s and t keep their degrees
+    g, s, t = ORIGINAL["xgcd"](a, b)
+    return g, s + 1, t
+
+
 def _x_vector_swapped(k, extra=0):
     # the last two fiber coordinates exchanged; reached in the symbol checks
     # only through the cached symbol_invariant
@@ -188,7 +203,8 @@ def _never_parenthesized(value, prec):
 
 ORIGINAL = {name: getattr(module, name) for module, name in [
     (shapovalov, "shapovalov_factors"), (shapovalov, "shapovalov_closed"),
-    (shapovalov, "euler_shift"), (coneops, "rho_amb"), (lie, "generators"),
+    (shapovalov, "euler_shift"), (shapovalov, "xgcd"), (coneops, "rho_amb"),
+    (lie, "generators"),
     (coneops, "dual_field"), (lie.LieElt, "bracket"), (poly, "numerators"),
     (lie, "_point_column"), (weyl.WeylOp, "_product"),
     (weyl.WeylOp, "commutator"),
@@ -213,6 +229,9 @@ CASES = {
     "wrong-shift": (
         shapovalov, "euler_shift", _wrong_shift, "shapovalov",
         "shapovalov-expand-vs-closed", "d=2: p_d(E) != p_1(E) p_(d-1)(E - 1)"),
+    "bezout-cofactor-shifted": (
+        shapovalov, "xgcd", _cofactor_shifted, "shapovalov",
+        "shapovalov-bezout", "d=1: Bezout certificate failed"),
     "levi-image-sign": (
         coneops, "rho_amb", _levi_image_negated, "lie-hom",
         "cone-lie-homomorphism", "first failing pair"),
@@ -258,6 +277,9 @@ CASES = {
         "cone-fundamental-relation", "(2)*dx2*dy2"),
     "yy-rotated-weight-zero": (
         coneops, "letter_preimage", _yy_rotated, "shapovalov",
+        "shapovalov-weight-zero", "d=1: "),
+    "levi-letter-not-weight-zero": (
+        coneops, "letter_preimage", _d12_to_x1, "shapovalov",
         "shapovalov-weight-zero", "d=1: "),
     "yy-to-y-commute": (
         coneops, "letter_preimage", _yy_to_y, "cone-ops",

@@ -101,6 +101,20 @@ def test_two_digit_pair_indices():
             ep.parse(src, 12)
 
 
+def test_indices_and_literals_take_ascii_digits_only():
+    # str.isdigit and a str pattern's \d accept every Unicode decimal
+    # digit; the grammar takes 0-9 alone
+    cases = [("x\u0661*XX\u0661", 0, "x"), ("\uff13*x1", 0, "\uff13"),
+             ("Dop12\u00b2", 5, "\u00b2"), ("x1 + \u0667", 4, "\u0667"),
+             ("Bop1_\u0662", 0, "B")]
+    for src, pos, char in cases:
+        with pytest.raises(ep.ParseError) as exc:
+            ep.parse(src, 12)
+        assert exc.value.pos == pos, src
+        assert str(exc.value).startswith(f"unexpected character {char!r}")
+        assert_tokenizers_agree(src, 12)
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ep.ParseError) as exc:
         ep.parse("x1 + ", K)
@@ -160,6 +174,9 @@ def test_atom_table_lists_every_atom_once():
     names = [text.rstrip("0123456789_") for text in ep.atom_texts(2)]
     assert not [(a, b) for a in set(names) for b in set(names)
                 if a != b and b.startswith(a)]
+    # nor does one begin like an operator or a literal, which the regex
+    # tries first
+    assert not [name for name in ep._ATOMS if name[0] in "+-*^()0123456789"]
 
 
 def tokens_or_error(tokenize, src, k):

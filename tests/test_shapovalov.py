@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import d_op, shapovalov_multinomial
+from oracles import b_op, c_op, d_op, shapovalov_multinomial
 from quadricops import cli, shapovalov
 from quadricops.coneops import ConeOp, letter_op
 from quadricops.poly import Poly, is_packed
@@ -174,9 +174,13 @@ def test_xgcd_generic():
 
 
 def test_weight_zero():
-    bop = shapovalov_expand(1, K)
-    assert bop.commutator(ConeOp(euler_op(K))).is_zero_class()
-    assert bop.commutator(ConeOp(d_op(K, 1, 2))).is_zero_class()
+    # the oracle of the weight-zero check, which reads every d off the
+    # induction: the commutators themselves, with hand-written Levi operators
+    for k in (2, 3):
+        levi = [euler_op(k), d_op(k, 1, 2), b_op(k, 1, 2), c_op(k, 1, 2)]
+        for bop in shapovalov_series(2, k):
+            for op in levi:
+                assert bop.commutator(ConeOp(op)).is_zero_class()
 
 
 def test_euler_poly_to_weyl():
