@@ -151,7 +151,7 @@ def _d12_to_x1(k, letter):
 
 
 def _cofactor_shifted(a, b):
-    # s + 1 for the Bezout cofactor s: g, s and t keep their degrees
+    # s + 1 for the Bezout cofactor s, so s a + t b misses g by a
     g, s, t = ORIGINAL["xgcd"](a, b)
     return g, s + 1, t
 
