@@ -3,7 +3,8 @@
 Modules:
   poly        sparse rational polynomials on packed exponent vectors,
               single-divisor normal forms, the Q-Laurent function class,
-              and exact elimination on sparse rows (rref, subtract_row)
+              and exact elimination on sparse rows (rref_add, rref,
+              subtract_row)
   weyl        the Weyl algebra: normal orders, one-sided divisions, symbols
   lie         the conformal orthogonal Lie algebra and its rational group
   coneops     operators on the cone, the three realizations, generator

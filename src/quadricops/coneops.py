@@ -175,9 +175,13 @@ class ConeOp:
         return is_ideal_preserving(self.op)
 
     def __eq__(self, other):
+        """Equal classes.  Equal ambient operators have equal classes, so
+        the canonical classes are computed only when the operators differ;
+        ``__hash__`` reads the class, so it agrees on both paths."""
         if not isinstance(other, ConeOp):
             return NotImplemented
-        return self.k == other.k and self.canonical() == other.canonical()
+        return self.k == other.k and (self.op == other.op
+                                      or self.canonical() == other.canonical())
 
     def __hash__(self):
         can = self.canonical()

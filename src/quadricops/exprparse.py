@@ -28,7 +28,10 @@ gives its number of indices, and the index fields are the groups that
 follow group ``lastindex``, so every alternative keeps its index groups
 right after its named group.  ``atom_texts(k)`` lists every named atom at k
 from the same rows.  Bad input raises ParseError (with ``pos`` and
-``expected``) or IndexOutOfRange.
+``expected``) or IndexOutOfRange.  Text that no token matches is blamed on
+its first character, unless it begins with an atom name: then the error
+names the first character after the name that no index can take (x١ names
+the ١ at position 1), or the missing index at the end of the input.
 
 An expression of more than ``MAX_TOKENS`` tokens is a ParseError before
 any node is built: the parser and the fold of the tree recurse once per
@@ -101,6 +104,29 @@ _INDICES = ("", r"([0-9]+)", r"(?:([0-9]+)_([0-9]+)|([0-9])([0-9]))")
 _TOKEN_RE = re.compile(r"\s*(?:(?P<op>[+\-*^()])|(?P<int>[0-9]+)" + "".join(
     f"|(?P<{name}>{name}{_INDICES[row[0]]})" for name, row in _ATOMS.items())
     + ")")
+# the longest prefix of the index groups of each arity: where it stops is
+# the first character that no index can take
+_INDEX_PREFIX = tuple(map(re.compile, ("", "[0-9]*",
+                                       "(?:[0-9]+(?:_[0-9]*)?)?")))
+
+
+def _no_token(src: str, pos: int) -> ParseError:
+    """The error for text at pos that no token matches.  When the text
+    begins with an atom name, it names the first character after the name
+    that no index can take, at its position, or the missing index at the
+    end of the input; otherwise the text's first character."""
+    stripped = src[pos:].lstrip()
+    for name, row in _ATOMS.items():
+        if stripped.startswith(name):
+            at = len(src) - len(stripped) + len(name)
+            at = _INDEX_PREFIX[row[0]].match(src, at).end()
+            if at == len(src):
+                return ParseError(f"missing index after {name!r}", at,
+                                  expected=("index",))
+            return ParseError(f"unexpected character {src[at]!r}", at,
+                              expected=("index",))
+    return ParseError(f"unexpected character {stripped[0]!r}", pos,
+                      expected=("token",))
 
 
 def tokenize(src: str, k: int):
@@ -109,11 +135,9 @@ def tokenize(src: str, k: int):
     while pos < end:
         m = _TOKEN_RE.match(src, pos)
         if m is None:
-            stripped = src[pos:].lstrip()
-            if not stripped:
+            if src[pos:].isspace():
                 break
-            raise ParseError(f"unexpected character {stripped[0]!r}",
-                             pos, expected=("token",))
+            raise _no_token(src, pos)
         if len(out) == MAX_TOKENS:
             raise ParseError(f"expression has more than {MAX_TOKENS} tokens",
                              pos, expected=("end",))

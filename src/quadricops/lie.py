@@ -30,7 +30,8 @@ from collections.abc import Mapping
 from functools import lru_cache
 from math import gcd, lcm
 
-from .poly import Poly, QLaurent, b_pair, dual, q_form, q_of, qcoef, qdiv, rref
+from .poly import (Poly, QLaurent, b_pair, dual, q_form, q_of, qcoef, qdiv,
+                   rref, rref_add)
 
 
 def _frac_vec(v, n):
@@ -276,10 +277,50 @@ def basis(k: int) -> tuple:
 
 
 def generators(k: int):
-    """The 4k translations mu and special conformal elements lambda of
-    ``basis``: their brackets [mu_i, lambda_j] give alpha and the Levi part,
-    so together they span the algebra."""
-    return [xi for xi in basis(k) if xi.tag[0] in ("mu", "lam")]
+    """The 2k elements of ``basis`` that generate the algebra as a Lie
+    algebra: the 2k - 2 translations ("mu", i), 1 <= i <= 2k - 2, which are
+    orthogonal to the hyperbolic plane of e_1 and e_2k, and the two special
+    conformal elements ("lam", 0) and ("lam", 2k - 1) of that plane.
+
+    That their iterated brackets span the algebra is not assumed:
+    ``suites.lie_hom_checks`` proves it at each k it runs with
+    ``generated_dimension``, an exact rank."""
+    n = 2 * k
+    return [xi for xi in basis(k)
+            if xi.tag in {("lam", 0), ("lam", n - 1)}
+            or (xi.tag[0] == "mu" and 0 < xi.tag[1] < n - 1)]
+
+
+def generated_dimension(k: int, gens) -> int:
+    """The dimension of the Lie subalgebra that ``gens`` generate at k, by
+    an exact rank; it stops at dim so(2k+2), the dimension of the algebra.
+
+    The closure is breadth first and grown one element at a time with
+    ``rref_add``, each element as its matrix flattened, entry (r, c) at
+    r (2k+2) + c.  Layer 0 is ``gens`` and layer d + 1 the brackets of the
+    generators with the elements kept in layer d, where an element is kept
+    when it raises the rank.  Let V_0 be the span of the generators and
+    V_(d+1) = V_d + [G, V_d]; their union is spanned by the brackets
+    [g_1, [g_2, ..., g_m]], so it is the generated subalgebra.  By induction
+    the elements kept in layers 0..d span V_d, and [G, V_d] lies in
+    [G, V_(d-1)] + [G, layer d kept], so the kept elements and layer d + 1
+    span V_(d+1).
+    """
+    width, full = 2 * k + 2, len(basis(k))
+    form = {}
+
+    def raises_rank(xi):
+        return rref_add(form, {r * width + c: v for (r, c), v in xi.entries()})
+
+    kept = [xi for xi in gens if raises_rank(xi)]
+    for xi in kept:
+        for g in gens:
+            if len(form) == full:
+                return full
+            eta = g.bracket(xi)
+            if raises_rank(eta):
+                kept.append(eta)
+    return len(form)
 
 
 class GroupElt:

@@ -34,10 +34,12 @@ its quadratic form Q on such a vector, and ``q_form`` is Q as a polynomial.
 every term printer of the package (polynomials, the Euler polynomials among
 them, operators, generator words) goes through them.
 
-It is also the one home of exact linear elimination: ``rref`` is the reduced
-row echelon form of sparse rational rows and ``subtract_row`` its row step.
-The harmonic splitting, the rank proof of the Lie homomorphism check and
-``lie.mat_inv`` all use them.
+It is also the one home of exact linear elimination: ``rref_add`` adds one
+sparse rational row to a reduced row echelon form and reports whether it
+raised the rank, ``rref`` is the form of a list of rows, one ``rref_add``
+per row, and ``subtract_row`` is the row step of both.  The harmonic
+splitting and ``lie.mat_inv`` take ``rref``; the rank proof of the Lie
+homomorphism check grows its form one bracket at a time with ``rref_add``.
 
 Coefficients are exact rationals of type ``int`` or ``fractions.Fraction``,
 never ``float``; nothing is ever rounded.  Constructors store an integral
@@ -300,8 +302,33 @@ def subtract_row(row: dict, f, other: dict) -> None:
             del row[j]
 
 
+def rref_add(piv: dict, row) -> bool:
+    """Add one sparse row {col: value} to a reduced row echelon form
+    {pivot column: row}, in place; True when it raises the rank.
+
+    The row is reduced by the pivot rows; what is left, if anything, is
+    scaled to 1 at its least column, cleared from the other pivot rows and
+    added as a new pivot row.
+    """
+    row = dict(row)
+    # the pivot rows vanish on each other's pivot columns: one pass
+    for c in [c for c in row if c in piv]:
+        subtract_row(row, row[c], piv[c])
+    if not row:
+        return False
+    c = min(row)
+    p = row[c]
+    row = {j: qdiv(v, p) for j, v in row.items()}
+    for other in piv.values():
+        if c in other:
+            subtract_row(other, other[c], row)
+    piv[c] = row
+    return True
+
+
 def rref(rows) -> dict:
-    """Exact reduced row echelon form of sparse rows {col: value}.
+    """Exact reduced row echelon form of sparse rows {col: value}, one
+    ``rref_add`` per row.
 
     Returns {pivot column: row}: each row is 1 at its pivot column, its
     least column, and 0 at every other pivot column.  The form is unique, so
@@ -309,19 +336,7 @@ def rref(rows) -> dict:
     """
     piv = {}
     for row in rows:
-        row = dict(row)
-        # the pivot rows vanish on each other's pivot columns: one pass
-        for c in [c for c in row if c in piv]:
-            subtract_row(row, row[c], piv[c])
-        if not row:
-            continue
-        c = min(row)
-        p = row[c]
-        row = {j: qdiv(v, p) for j, v in row.items()}
-        for other in piv.values():
-            if c in other:
-                subtract_row(other, other[c], row)
-        piv[c] = row
+        rref_add(piv, row)
     return piv
 
 

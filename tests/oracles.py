@@ -38,10 +38,16 @@ with the one invariant matrix ``orbit_matrix``; ``moment_by_blocks`` and
 Lie preimage; ``euler_weight_op``, ``xx_op``, ``yy_op``, ``d_op``, ``b_op``
 and ``c_op`` write the letters out by hand as operators on the dual space,
 and ``letter_by_formula`` picks the formula of a letter.
+``lie.generated_dimension`` brackets only the generators with the elements
+of the closure that raised its rank, breadth first;
+``subalgebra_dimension_by_saturation`` brackets every pair of a basis of
+the span until the span stops growing.
 """
 
 from itertools import combinations
 from math import factorial, perm
+
+import sympy
 
 from quadricops.coneops import GenWord
 from quadricops.exprparse import (MAX_TOKENS, _TOKEN_RE, IndexOutOfRange,
@@ -187,6 +193,24 @@ def matrix_bracket(xi: LieElt, eta: LieElt) -> LieElt:
     return elt
 
 
+def subalgebra_dimension_by_saturation(elts) -> int:
+    """The dimension of the Lie subalgebra that ``elts`` generate: the span
+    is closed under the matrix bracket of every pair of its basis, round by
+    round, until a round adds nothing, and each rank is sympy's."""
+    def flat(xi):
+        return [c for row in xi.matrix() for c in row]
+
+    span = list(elts)
+    while True:
+        rows = sympy.Matrix([flat(xi) for xi in span])
+        # the rows at the pivots of the transpose are a basis of the span
+        span = [span[i] for i in rows.T.rref()[1]]
+        grown = span + [matrix_bracket(a, b) for a, b in combinations(span, 2)]
+        if sympy.Matrix([flat(xi) for xi in grown]).rank() == len(span):
+            return len(span)
+        span = grown
+
+
 def u_op_by_matrix(k: int, v) -> GroupElt:
     """The opposite unipotent of v written out entry by entry: 1 on the
     diagonal, v below the corner, -J_V v in the last row and -Q(v) in the
@@ -310,6 +334,30 @@ def commutator_by_products(a: WeylOp, b: WeylOp) -> WeylOp:
     return a * b - b * a
 
 
+def _no_token_by_completion(src: str, start: int, pos: int) -> ParseError:
+    """The error for text at start (pos with the whitespace before it) that
+    no token matches.  Where the text begins with an atom name, a prefix of
+    it is viable when one of the completions "", "0", "00", "_0" makes it a
+    whole token of that atom; the error names the character that ends the
+    longest viable prefix, or the missing index at the end of the input."""
+    def viable(text, name):
+        return any((m := _TOKEN_RE.fullmatch(text + c)) and m.lastgroup == name
+                   for c in ("", "0", "00", "_0"))
+
+    for name in ("x", "y", "dx", "dy", "XX", "YY", "Dop", "Bop", "Cop"):
+        if src.startswith(name, start):
+            end = start + len(name)
+            while end < len(src) and viable(src[start:end + 1], name):
+                end += 1
+            if end == len(src):
+                return ParseError(f"missing index after {name!r}", end,
+                                  expected=("index",))
+            return ParseError(f"unexpected character {src[end]!r}", end,
+                              expected=("index",))
+    return ParseError(f"unexpected character {src[start]!r}", pos,
+                      expected=("token",))
+
+
 def tokenize_groupwise(src: str, k: int):
     """``exprparse.tokenize`` as it read every index from the filtered tuple
     of all groups of the match."""
@@ -321,8 +369,7 @@ def tokenize_groupwise(src: str, k: int):
             stripped = src[pos:].lstrip()
             if not stripped:
                 break
-            raise ParseError(f"unexpected character {stripped[0]!r}",
-                             pos, expected=("token",))
+            raise _no_token_by_completion(src, len(src) - len(stripped), pos)
         if len(out) == MAX_TOKENS:
             raise ParseError(f"expression has more than {MAX_TOKENS} tokens",
                              m.start(), expected=("end",))

@@ -238,7 +238,7 @@ CASES = {
     "generator-missing": (
         lie, "generators", _generator_missing, "lie-hom",
         "cone-lie-homomorphism",
-        "7 generators and their brackets span 14 of 15 dimensions"),
+        "3 generators and their brackets span 6 of 15 dimensions"),
     "closed-form-levi-term-sign": (
         coneops, "dual_field", _levi_term_negated, "cone-ops",
         "cone-fourier-bridge", "element ('levi', 0)"),

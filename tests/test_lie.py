@@ -2,16 +2,18 @@
 
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd
 from operator import mul
 
 import pytest
 
-from oracles import mat_sub, matrix_bracket, u_op_by_matrix
+from oracles import (mat_sub, matrix_bracket,
+                     subalgebra_dimension_by_saturation, u_op_by_matrix)
 from quadricops.lie import (DegenerateCell, GroupElt, LieElt, NotQLaurent,
                             _q_power_inverse, _uop_column, basis,
-                            bruhat_factor, chi0_at, act_at, levi, mat_inv,
+                            bruhat_factor, chi0_at, act_at,
+                            generated_dimension, generators, levi, mat_inv,
                             mat_mul, u, u_op, w0)
 from quadricops.poly import Poly, QLaurent, dual, q_form
 
@@ -148,6 +150,32 @@ def test_elements_hash_by_value_and_are_frozen():
 def ad_w0(xi: LieElt) -> LieElt:
     """Conjugation by the Weyl inversion: swaps mu and lambda, flips alpha."""
     return LieElt(xi.k, -xi.alpha, xi.lam, dict(xi.X), xi.mu, tag=xi.tag)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_generators_generate_the_algebra(k):
+    gens = generators(k)
+    n = 2 * k
+    assert [xi.tag for xi in gens] == ([("mu", i) for i in range(1, n - 1)]
+                                       + [("lam", 0), ("lam", n - 1)])
+    assert generated_dimension(k, gens) == len(basis(k)) == (n + 2) * (n + 1) // 2
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_every_generator_is_needed(k):
+    gens, dim = generators(k), len(basis(k))
+    for i in range(2 * k):
+        assert generated_dimension(k, gens[:i] + gens[i + 1:]) < dim, gens[i].tag
+
+
+def test_generated_dimension_matches_saturation():
+    # every subset of the generators at k = 2, against the closure of the
+    # span under every bracket
+    gens = generators(2)
+    for r in range(len(gens) + 1):
+        for sub in combinations(gens, r):
+            assert (generated_dimension(2, sub)
+                    == subalgebra_dimension_by_saturation(sub)), sub
 
 
 def test_ad_w0_swaps_blocks():

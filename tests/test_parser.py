@@ -103,15 +103,27 @@ def test_two_digit_pair_indices():
 
 def test_indices_and_literals_take_ascii_digits_only():
     # str.isdigit and a str pattern's \d accept every Unicode decimal
-    # digit; the grammar takes 0-9 alone
-    cases = [("x\u0661*XX\u0661", 0, "x"), ("\uff13*x1", 0, "\uff13"),
+    # digit; the grammar takes 0-9 alone, and after an atom name the error
+    # names the character that no index can take
+    cases = [("x\u0661*XX\u0661", 1, "\u0661"), ("\uff13*x1", 0, "\uff13"),
              ("Dop12\u00b2", 5, "\u00b2"), ("x1 + \u0667", 4, "\u0667"),
-             ("Bop1_\u0662", 0, "B")]
+             ("Bop1_\u0662", 5, "\u0662"), ("XX\u0661", 2, "\u0661"),
+             ("dx 1", 2, " ")]
     for src, pos, char in cases:
         with pytest.raises(ep.ParseError) as exc:
             ep.parse(src, 12)
         assert exc.value.pos == pos, src
         assert str(exc.value).startswith(f"unexpected character {char!r}")
+        assert_tokenizers_agree(src, 12)
+
+
+def test_a_missing_index_is_named_at_the_end():
+    for src, name in [("x", "x"), ("XX", "XX"), ("2*dy", "dy"),
+                      ("Dop1", "Dop"), ("Cop1_", "Cop")]:
+        with pytest.raises(ep.ParseError) as exc:
+            ep.parse(src, 12)
+        assert (exc.value.pos, exc.value.expected) == (len(src), ("index",))
+        assert str(exc.value).startswith(f"missing index after {name!r}")
         assert_tokenizers_agree(src, 12)
 
 
