@@ -158,14 +158,17 @@ def test_generators_generate_the_algebra(k):
     n = 2 * k
     assert [xi.tag for xi in gens] == ([("mu", i) for i in range(1, n - 1)]
                                        + [("lam", 0), ("lam", n - 1)])
-    assert generated_dimension(k, gens) == len(basis(k)) == (n + 2) * (n + 1) // 2
+    # dim so(2k+2) = (2k+2)(2k+1)/2
+    dim = (n + 2) * (n + 1) // 2
+    assert generated_dimension(k, gens) == len(basis(k)) == dim
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_every_generator_is_needed(k):
     gens, dim = generators(k), len(basis(k))
     for i in range(2 * k):
-        assert generated_dimension(k, gens[:i] + gens[i + 1:]) < dim, gens[i].tag
+        rest = gens[:i] + gens[i + 1:]
+        assert generated_dimension(k, rest) < dim, gens[i].tag
 
 
 def test_generated_dimension_matches_saturation():
