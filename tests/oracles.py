@@ -42,14 +42,18 @@ and ``letter_by_formula`` picks the formula of a letter.
 of the closure that raised its rank, breadth first;
 ``subalgebra_dimension_by_saturation`` brackets every pair of a basis of
 the span until the span stops growing.
+``quadricops shapovalov`` reads the class of B_d off
+``closed_form_induction``; ``shapovalov_cli_by_expansion`` builds B_d with
+``shapovalov_expand`` and compares it with the closed form's class.
 """
 
+import json
 from itertools import combinations
 from math import factorial, perm
 
 import sympy
 
-from quadricops.coneops import GenWord
+from quadricops.coneops import ConeOp, GenWord
 from quadricops.exprparse import (MAX_TOKENS, _TOKEN_RE, IndexOutOfRange,
                                   ParseError)
 from quadricops.harmonic import _laplacian_shift
@@ -59,6 +63,8 @@ from quadricops.momentorbit import (block_var, orbit_matrix, v_vector,
 from quadricops.poly import (Poly, QLaurent, b_pair, dual,
                              normal_form_mod_single, q_form, pack, q_of, qdiv,
                              reduce_mod, restrict, support, unpack)
+from quadricops.shapovalov import (euler_to_weyl, fourier_roots_bezout,
+                                   shapovalov_closed, shapovalov_expand)
 from quadricops.weyl import (WeylOp, _exchange_terms, euler_op,
                              laplacian_op, monomials_up_to)
 
@@ -170,6 +176,42 @@ def shapovalov_multinomial(d: int, k: int) -> WeylOp:
                 op = op * XX[k - 1 - i]
         total = total + WeylOp.mult(Poly.monomial(ab, coef)) * op
     return total
+
+
+def shapovalov_cli_by_expansion(d: int, k: int) -> dict:
+    """The stdout and exit code of ``shapovalov --d d --k k`` by format,
+    with B_d built term by term and compared with the closed form."""
+    expanded = shapovalov_expand(d, k)
+    closed = shapovalov_closed(d, k)
+    a, b = fourier_roots_bezout(d, k)
+
+    def factor(shift: int) -> str:
+        if shift == 0:
+            return "E"
+        return f"(E + {shift})" if shift > 0 else f"(E - {-shift})"
+    factors = ([factor(1 - j) for j in range(1, d + 1)]
+               + [factor(k - j - 1) for j in range(1, d + 1)])
+    matches = expanded == ConeOp(euler_to_weyl(closed, k))
+    obj = {
+        "d": d,
+        "k": k,
+        "expanded_class": expanded.canonical_text(),
+        "closed_form": closed.text(["E"]),
+        "closed_factored": " * ".join(factors),
+        "bezout_a": a.text(["E"]),
+        "bezout_b": b.text(["E"]),
+        "expanded_equals_closed": matches,
+    }
+    lines = [
+        f"element (d={d}, k={k})",
+        f"expanded canonical class: {obj['expanded_class']}",
+        f"closed form: {obj['closed_form']} = {obj['closed_factored']}",
+        f"Bezout pair: a = {obj['bezout_a']}; b = {obj['bezout_b']}",
+        f"expanded equals closed: {matches}",
+    ]
+    code = 0 if matches else 1
+    return {"json": (json.dumps(obj, indent=2, sort_keys=True) + "\n", code),
+            "text": ("\n".join(lines) + "\n", code)}
 
 
 def mat_sub(a, b):

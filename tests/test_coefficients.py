@@ -17,7 +17,8 @@ from oracles import (commutator_by_products, genword_mul_pairwise,
                      poly_mul_pairwise, weyl_mul_pairwise)
 from quadricops.coneops import GenWord, alphabet
 from quadricops.lie import GroupElt, LieElt
-from quadricops.poly import Poly, QLaurent, pack, qcoef, qdiv
+from quadricops.poly import (Poly, QLaurent, normal_form_mod_single, pack,
+                             q_form, qcoef, qdiv)
 from quadricops.suites import run_suite
 from quadricops.weyl import WeylOp
 
@@ -112,6 +113,23 @@ def test_integral_constants_are_stored_as_int():
     assert type(Poly.var(4, 0).scale(Fraction(2)).coeff((1, 0, 0, 0))) is int
     one = Poly.var(4, 0).scale(2).scale(Fraction(1, 2))
     assert type(one.coeff((1, 0, 0, 0))) is int
+
+
+def test_q_division_stores_integral_coefficients_as_int():
+    # at k = 2, 3/2 x1 y2 + 1/2 x2 y1 = 3/2 Q - x2 y1: the remainder's
+    # coefficient is the difference 1/2 - 3/2 of two Fractions
+    p = Poly.from_exponents(4, {(1, 0, 0, 1): Fraction(3, 2),
+                                (0, 1, 1, 0): Fraction(1, 2)})
+    quo, rem = normal_form_mod_single(p, q_form(2))
+    assert quo == Poly.const(4, Fraction(3, 2))
+    assert list(rem.exponent_items()) == [((0, 1, 1, 0), -1)]
+    assert type(rem.coeff((0, 1, 1, 0))) is int
+    rng = random.Random(11)
+    for _ in range(200):
+        p = random_operand(rng, Poly, DENOMINATORS[1])
+        for part in normal_form_mod_single(p, q_form(2)):
+            assert all(type(c) is int or c.denominator != 1
+                       for c in part.terms.values()), part.terms
 
 
 # denominators of the random operands below: none, small and mixed, and

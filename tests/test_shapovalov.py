@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from oracles import b_op, c_op, d_op, shapovalov_multinomial
-from quadricops import cli, shapovalov
+from oracles import (b_op, c_op, d_op, shapovalov_cli_by_expansion,
+                     shapovalov_multinomial)
+from quadricops import cli, shapovalov, suites
 from quadricops.coneops import ConeOp, letter_op
 from quadricops.poly import Poly, is_packed
 from quadricops.shapovalov import (FactorsDoNotCommute, NotScalar,
@@ -100,6 +101,50 @@ def test_noncommuting_factors_are_refused(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("internal error: FactorsDoNotCommute")
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cli_output_equals_the_explicit_expansion(capsys, d, k):
+    # the command reads the class of B_d off the induction; the oracle
+    # builds B_d term by term
+    want = shapovalov_cli_by_expansion(d, k)
+    for fmt in ("text", "json"):
+        code = cli.main(["shapovalov", "--d", str(d), "--k", str(k),
+                         "--format", fmt])
+        assert (capsys.readouterr().out, code) == want[fmt]
+
+
+def test_cli_output_is_unchanged_through_the_fallback(capsys, monkeypatch):
+    # when the induction fails, the command builds B_d and compares
+    def run(fmt):
+        code = cli.main(["shapovalov", "--d", "2", "--k", "3",
+                         "--format", fmt])
+        return capsys.readouterr().out, code
+
+    want = {fmt: run(fmt) for fmt in ("text", "json")}
+    built = []
+    monkeypatch.setattr(cli, "closed_form_induction", lambda b1, dmax: "d=1")
+    monkeypatch.setattr(cli, "shapovalov_expand", lambda d, k: (
+        built.append(d) or shapovalov_expand(d, k)))
+    for fmt in ("text", "json"):
+        assert run(fmt) == want[fmt]
+    assert built == [2, 2]
+
+
+def test_passing_runs_build_only_b1(monkeypatch):
+    # a passing suite and a passing command read every B_d off the induction
+    dmax = []
+
+    def counting_series(d, k):
+        dmax.append(d)
+        return shapovalov_series(d, k)
+
+    for module in (shapovalov, suites, cli):
+        monkeypatch.setattr(module, "shapovalov_series", counting_series)
+    assert suites.run_suite("shapovalov", 3).exit_status == 0
+    assert cli.main(["shapovalov", "--d", "3", "--k", "3"]) == 0
+    assert dmax == [1, 1]
 
 
 def test_scalar_on_graded_matches():

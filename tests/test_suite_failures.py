@@ -30,8 +30,10 @@ CASES = {
         "normal_form_mod_single": lambda p, q: (None, p * p)}),
     "cocycle-first-coordinate": ("lie-orthogonal", {
         "chi0_at": lambda g, v: v[0]}),
-    # the inner loop's failure ends the outer loop
+    # the inner loop's failure ends the outer loop; the graded scalars are
+    # probed only when the induction fails
     "graded-scalar-minus-one": ("shapovalov", {
+        "closed_form_induction": lambda b1, dmax: "d=1",
         "scalar_on_graded": lambda expanded, r: -1}),
     "bezout-raises": ("shapovalov", {
         "fourier_roots_bezout": _raise_boom}),
