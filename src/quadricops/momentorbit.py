@@ -136,6 +136,16 @@ def verify_orbit_relations(k: int) -> list:
         r = reduce_mod(p, qw)
         results.append((name, r.is_zero(), r.text()))
 
+    def record_first_failure(name: str, labelled):
+        # one entry for a family: its first (label, polynomial) pair that
+        # is not zero mod Q(w), or none
+        for label, rel in labelled:
+            r = reduce_mod(rel, qw)
+            if not r.is_zero():
+                results.append((name, False, f"{label}: {r.text()}"))
+                return
+        results.append((name, True, ""))
+
     record("Q(w)", qw)
     record("Q(mu)", q_of(mu))
     record("B(mu,w)-alpha^2", b_pair(mu, w) - alpha * alpha)
@@ -153,45 +163,25 @@ def verify_orbit_relations(k: int) -> list:
             outer_skw = w[i] * mu[dual(n, j)] - mu[i] * w[dual(n, j)]
             record(f"(alpha*X-outer)[{i}][{j}]", alpha * X[i][j] - outer_skw)
     # Pluecker relations on the middle block, bar(i) = 2k+1-i
-    ok_pluecker = True
-    worst = ""
-    for (i, j, l, m_) in combinations(range(n), 4):
-        p = (X[i][dual(n, j)] * X[l][dual(n, m_)]
-             - X[i][dual(n, l)] * X[j][dual(n, m_)]
-             + X[i][dual(n, m_)] * X[j][dual(n, l)])
-        r = reduce_mod(p, qw)
-        if not r.is_zero():
-            ok_pluecker = False
-            worst = f"({i},{j},{l},{m_}): {r.text()}"
-            break
-    results.append(("pluecker", ok_pluecker, worst))
+    record_first_failure("pluecker", (
+        (f"({i},{j},{l},{m})", X[i][dual(n, j)] * X[l][dual(n, m)]
+         - X[i][dual(n, l)] * X[j][dual(n, m)]
+         + X[i][dual(n, m)] * X[j][dual(n, l)])
+        for i, j, l, m in combinations(range(n), 4)))
     # full matrix: square and 3x3 minors
-    ok_sq = True
-    worst = ""
-    for i in range(n + 2):
-        for j in range(n + 2):
-            r = reduce_mod(M2[i][j], qw)
-            if not r.is_zero():
-                ok_sq = False
-                worst = f"[{i}][{j}]: {r.text()}"
-                break
-        if not ok_sq:
-            break
-    results.append(("M^2", ok_sq, worst))
+    entries = list(product(range(n + 2), repeat=2))
+    record_first_failure("M^2",
+                         ((f"[{i}][{j}]", M2[i][j]) for i, j in entries))
     # rank 2 (Brylinski-Kostant): with p = (1, v, -Q(v)), q = (0, w, -B(v,w))
     # and J reversing the index, M = q (Jp)^T - p (Jq)^T mod (Q(w)); M is then
     # a product of (2k+2)x2 and 2x(2k+2) matrices, so by Cauchy-Binet every
     # 3x3 minor vanishes modulo (Q(w))
     p = [Poly.const(4 * k, 1), *v, -q_of(v)]
     q = [Poly.zero(4 * k), *w, -alpha]
-    worst = ""
-    for i, j in product(range(n + 2), repeat=2):
-        r = reduce_mod(M[i][j] - (q[i] * p[n + 1 - j] - p[i] * q[n + 1 - j]),
-                       qw)
-        if not r.is_zero():
-            worst = f"rank-2 factorization fails at [{i}][{j}]: {r.text()}"
-            break
-    results.append(("3x3 minors", not worst, worst))
+    record_first_failure("3x3 minors", (
+        (f"rank-2 factorization fails at [{i}][{j}]",
+         M[i][j] - (q[i] * p[n + 1 - j] - p[i] * q[n + 1 - j]))
+        for i, j in entries))
     return results
 
 

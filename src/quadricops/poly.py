@@ -602,8 +602,12 @@ class Poly(TermMap):
                             for m, c in self.terms.items() if m >> s & EMAX})
 
     def eval(self, point):
-        """Evaluate at a tuple of rationals."""
+        """Evaluate at a tuple of rationals; raises ValueError unless it has
+        nvars coordinates."""
         point = [qcoef(p) for p in point]
+        if len(point) != self.nvars:
+            raise ValueError(f"evaluation needs {self.nvars} coordinates, "
+                             f"got {len(point)}")
         total = 0
         for m, c in self.exponent_items():
             v = c

@@ -13,9 +13,8 @@ B_1 and three exact identities.  Two corollaries of the induction: B_d acts
 on the degree-r piece of the cone by the scalar p_d(r), and B_d has weight
 zero for every d, that is it commutes on the cone with E and with every
 operator that commutes with E and normalizes (Q*), such as the Levi
-letters.  So a passing check builds B_1 alone; ``shapovalov_expand`` and
-``SeriesStep``, which applies the next B_d without building it, serve the
-paths where the induction fails.
+letters.  So a passing check builds B_1 alone; ``shapovalov_series`` builds
+B_2 and B_3 only on the paths where the induction fails.
 
 Its Fourier image substitutes E -> -E - 2k + 2, and the two root sets are
 disjoint for k >= 2, which the Bezout certificate witnesses.
@@ -119,30 +118,6 @@ def shapovalov_series(dmax: int, k: int) -> list:
     return series
 
 
-class SeriesStep:
-    """B_d as an action on polynomials, from B_(d-1): the next element of
-    the series, applied by B_d f = sum_j m_j B_(d-1)(F_j f) and never built.
-
-    The recursion holds once ``shapovalov_series`` has built B_(d-1), which
-    proves that the factors commute.  F_j lowers the degree by one and m_j
-    raises it by one, so no exponent exceeds the degree of f.  The suite
-    builds one only when ``closed_form_induction`` fails, to probe B_3.
-    """
-
-    __slots__ = ("k", "prev", "factors")
-
-    def __init__(self, prev: ConeOp):
-        self.k, self.prev = prev.k, prev.op
-        self.factors = shapovalov_factors(prev.k)
-
-    def apply(self, f: Poly) -> Poly:
-        terms: dict = {}
-        for shift, _, fac in self.factors:
-            add_terms(terms, ((m + shift, c) for m, c in
-                              self.prev.apply(fac.apply(f)).terms.items()))
-        return Poly._of(2 * self.k, terms)
-
-
 def euler_shift(p: Poly, s) -> Poly:
     """p(E + s) in Q[E]."""
     return p.subs_vars([Poly.var(1, 0) + s])
@@ -229,17 +204,16 @@ class NotScalar(Exception):
     """The operator does not act by a scalar on the graded piece."""
 
 
-def scalar_on_graded(op, r: int):
+def scalar_on_graded(op: ConeOp, r: int):
     """The scalar by which a degree-0 operator acts on the r-th graded piece.
 
-    op is a ``ConeOp`` or a ``SeriesStep``.  Probes with x1^r and
-    cross-checks on a second vector in the same piece; raises NotScalar on
-    disagreement.
+    Probes with x1^r and cross-checks on a second vector in the same piece;
+    raises NotScalar on disagreement.
     """
     k = op.k
     n = 2 * k
     qs = q_form(k)
-    apply = op.op.apply if isinstance(op, ConeOp) else op.apply
+    apply = op.op.apply
     probe = Poly.monomial((r,) + (0,) * (n - 1))
     img = reduce_mod(apply(probe), qs)
     if img.is_zero():

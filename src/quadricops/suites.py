@@ -42,7 +42,7 @@ from .momentorbit import (check_descent, phase_euler, poisson,
                           x_vector)
 from .poly import (Poly, QLaurent, dual, normal_form_mod_single, q_form, q_of,
                    qdiv)
-from .shapovalov import (NotScalar, SeriesStep, closed_form_induction,
+from .shapovalov import (NotScalar, closed_form_induction,
                          fourier_roots_bezout, scalar_on_graded,
                          shapovalov_closed, shapovalov_series)
 from .weyl import (NotDivisible, WeylOp, euler_op,
@@ -520,14 +520,13 @@ def shapovalov_checks(k: int) -> list:
     out.append(_check("shapovalov-expand-vs-closed",
                       "the multinomial expansion equals the factored Euler "
                       "polynomial as canonical classes, d = 1..3", induction))
-    # B_1 and B_2 built and B_3 applied through B_2, for the probes that
-    # run only when a corollary cannot be read off the induction
+    # B_1..B_3, built once for the probes that run only when a corollary
+    # cannot be read off the induction
     built = []
 
     def series() -> list:
         if not built:
-            built.extend(shapovalov_series(2, k))
-            built.append(SeriesStep(built[1]))
+            built.extend(shapovalov_series(3, k))
         return built
 
     @_run(out, "shapovalov-graded-scalars",

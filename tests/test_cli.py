@@ -175,6 +175,18 @@ def test_exit_code_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_negated_expression_after_double_dash(capsys):
+    # argparse reads a leading "-" as an option; "--" ends the options
+    code, out = run_cli(capsys, ["reduce", "--", "-x1"])
+    assert code == 0
+    assert out.splitlines()[0] == "expression: -x1"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reduce", "-x1"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: expr" in (
+        capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ["reduce", "kelvin"])
 def test_exponent_overflow_is_a_usage_error(capsys, command):
     # x1^40000 is past the largest exponent a packed monomial holds

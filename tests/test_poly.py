@@ -138,6 +138,17 @@ def test_subs_vars_takes_one_image_per_variable_in_one_ring():
             p.subs_vars(bad)
 
 
+def test_eval_takes_one_coordinate_per_variable():
+    # zip would skip the variables a short point lacks, reading their
+    # factors as 1, and drop a long point's tail
+    assert Poly.var(4, 3).eval((1, 2, 3, Fraction(1, 2))) == Fraction(1, 2)
+    for p, point in ((Poly.var(4, 3), (1, 2)),
+                     (Poly.var(4, 0), (5, 2, 3, 4, 9, 9)),
+                     (Poly.const(4, 7), ())):
+        with pytest.raises(ValueError, match="needs 4 coordinates"):
+            p.eval(point)
+
+
 def test_add_terms_adds_in_place_and_drops_cancelled_keys():
     terms = {1: 2, 3: Fraction(1, 2)}
     out = add_terms(terms, [(1, -2), (4, 0), (3, Fraction(1, 2)), (5, 7)])
