@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (including an input over a fixed cap: an expression whose degree or order
 bound exceeds ``MAX_DEGREE``, whose constants' bit bound exceeds
 ``MAX_BITS`` or, for ``fourier-transform``, whose word count bound exceeds
-``MAX_WORDS``, and ``harmonic --d`` over ``MAX_DEGREE``), 3 internal
+``MAX_WORDS``, and ``harmonic --d`` or ``bessel --order`` over
+``MAX_DEGREE``), 3 internal
 error: an engine exception that no other code covers, a ``ValueError``
 included, reported as one ``internal error:`` line on stderr.
 """
@@ -28,8 +29,8 @@ from .shapovalov import (closed_form_induction, euler_to_weyl,
                          shapovalov_expand, shapovalov_series)
 from .suites import CheckResult, SuiteReport, emit, run_suite, SUITES
 
-# the largest coefficient degree and order an expression may reach, and the
-# largest degree of harmonic --d
+# the largest coefficient degree and order an expression may reach, the
+# largest degree of harmonic --d and the largest bessel --order
 MAX_DEGREE = 12
 # the most generator words a fourier-transform input may expand into: the
 # words of a power of a sum multiply, and each is transformed and evaluated
@@ -227,6 +228,8 @@ def cmd_harmonic(args) -> int:
 def cmd_bessel(args) -> int:
     if args.order < 2:
         return _usage_error("--order must be at least 2")
+    if args.order > MAX_DEGREE:
+        return _usage_error("--order exceeds the max-degree safety cap")
     rep = bessel_check(args.k, args.order)
     obj = {
         "k": args.k,

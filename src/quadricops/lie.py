@@ -19,9 +19,13 @@ A group element is an exact rational (2k+2)-square matrix g with
 g^T J+ g = J+.  It is stored in integers, as g = M / den with M an integer
 matrix and den > 0 the least common denominator of its entries, and
 checked in integers as M^T J+ M = den^2 J+.  Products multiply the integer
-matrices, and evaluations at a rational point v use the integer column
-e^2 (1, v, -Q(v)), where e is the least denominator of v; each result is
-divided once at the end.
+matrices.  The big cell goes through one routine, ``_cell_column``: the
+rows a caller asks for of den g^{-1} times the first column of u_v^op, read
+off M.  At a rational point v that column is the integer e^2 (1, v, -Q(v)),
+where e is the least denominator of v; at the symbolic point it is
+(1, v, -Q(v)) as Polys.  ``chi0_at`` divides its pivot once by den e^2,
+``act_at`` takes ratios to the pivot, and ``bruhat_factor`` divides only
+its pivot by den.
 """
 
 from __future__ import annotations
@@ -442,15 +446,6 @@ class NotQLaurent(Exception):
     """The factorization pivot is not a constant times a power of Q."""
 
 
-def _symbolic_uop_first_column(k: int):
-    """First column of u_v^op with v symbolic: (1, v, -Q(v))^T as Poly list."""
-    n = 2 * k
-    col = [Poly.const(n, 1)]
-    col += [Poly.var(n, i) for i in range(n)]
-    col.append(q_form(k).scale(-1))
-    return col
-
-
 def bruhat_factor(g: GroupElt):
     """Factor g^{-1} u_v^op through the big cell at a symbolic point v.
 
@@ -461,24 +456,15 @@ def bruhat_factor(g: GroupElt):
     is not a rational multiple of a power of Q (the factorization then leaves
     the Q-Laurent class).
     """
-    k = g.k
-    n = 2 * k
-    ginv = _inverse(g.m)
-    col = _symbolic_uop_first_column(k)
-    # entry i of g^{-1} u_v^op's first column
-    out = []
-    for i in range(n + 2):
-        acc = Poly.zero(n)
-        for j in range(n + 2):
-            if ginv[i][j]:
-                acc = acc + col[j].scale(ginv[i][j])
-        out.append(acc)
-    pivot = out[0]
+    k, n = g.k, 2 * g.k
+    col = [Poly.const(n, 1), *(Poly.var(n, i) for i in range(n)), -q_form(k)]
+    # the column times den: the ratios v' need no division, the pivot one
+    pivot, *nums = _cell_column(g, col, range(n + 1))
     if pivot.is_zero():
         raise DegenerateCell("factorization pivot vanishes identically")
     pivot_inv = _q_power_inverse(pivot, k)
-    vprime = [QLaurent(k, out[1 + i], 0) * pivot_inv for i in range(n)]
-    return vprime, QLaurent(k, pivot, 0)
+    vprime = [QLaurent(k, p, 0) * pivot_inv for p in nums]
+    return vprime, QLaurent(k, pivot.scale(qdiv(1, g.den)), 0)
 
 
 def _q_power_inverse(p: Poly, k: int) -> QLaurent:
@@ -506,37 +492,32 @@ def _point_column(point: tuple) -> tuple:
     return e, (e * e, *(e * c for c in w), -q_of(w))
 
 
-def _uop_column(g: GroupElt, point):
-    """The first column of g^{-1} u_v^op at a rational point v.
+def _cell_column(g: GroupElt, col, rows):
+    """Rows ``rows`` of den g^{-1} col, where col is the first column of
+    u_v^op: the integer column of ``_point_column`` at a rational point, or
+    (1, v, -Q(v)) as Polys at the symbolic point.
 
-    Row i of g^{-1} = J+ g^T J+ is column dual(i) of g read bottom to top;
-    the integer sums are divided once by den e^2.
+    den g^{-1} = J+ M^T J+, so its row i is column dual(i) of the integer
+    matrix M read bottom to top; zero entries of M are skipped.
     """
-    n = 2 * g.k + 2
-    e, col = _point_column(tuple(_frac_vec(point, n - 2)))
-    rows, s = g.M[::-1], g.den * e * e
-    out = []
-    for i in range(n):
-        j = dual(n, i)
-        out.append(qdiv(sum(row[j] * c for row, c in zip(rows, col) if row[j]),
-                        s))
-    return out
+    flipped, n = g.M[::-1], len(col)
+    return [sum(row[j] * c for row, c in zip(flipped, col) if row[j])
+            for j in (dual(n, i) for i in rows)]
 
 
 def chi0_at(g: GroupElt, point):
-    """chi0(p(g, v)) at a rational point v: the pivot of g^{-1} u_v^op.
-
-    Row 0 of g^{-1} = J+ g^T J+ is the last column of g read bottom to top,
-    so the pivot is one dot product, divided once by den e^2.
-    """
+    """chi0(p(g, v)) at a rational point v: the pivot of g^{-1} u_v^op, row
+    0 of the column alone, divided once by den e^2."""
     e, col = _point_column(tuple(_frac_vec(point, 2 * g.k)))
-    return qdiv(sum(row[-1] * c for row, c in zip(reversed(g.M), col)
-                    if row[-1]), g.den * e * e)
+    [pivot] = _cell_column(g, col, (0,))
+    return qdiv(pivot, g.den * e * e)
 
 
 def act_at(g: GroupElt, point):
-    """The rational action g(v) at a rational point, via the factorization."""
-    vals = _uop_column(g, point)
-    if vals[0] == 0:
+    """The rational action g(v) at a rational point, via the factorization:
+    ratios of the column to its pivot, so its scale den e^2 cancels."""
+    _, col = _point_column(tuple(_frac_vec(point, 2 * g.k)))
+    pivot, *nums = _cell_column(g, col, range(2 * g.k + 1))
+    if pivot == 0:
         raise DegenerateCell("point outside the big cell for this g")
-    return [qdiv(v, vals[0]) for v in vals[1:-1]]
+    return [qdiv(v, pivot) for v in nums]

@@ -125,30 +125,28 @@ def verify_orbit_relations(k: int) -> list:
     v = v_vector(k)
     w = x_vector(k)
     M = orbit_matrix(k)
-    M2 = mat_mul(M, M)
     alpha = M[0][0]
     mu = [M[1 + i][0] for i in range(n)]
     X = [row[1:n + 1] for row in M[1:n + 1]]
     qw = q_of(w)
+    # every entry of M^2 reduced once: the block records and the scan read it
+    M2 = [[reduce_mod(c, qw) for c in row] for row in mat_mul(M, M)]
     results = []
 
-    def record(name: str, p: Poly):
-        r = reduce_mod(p, qw)
-        results.append((name, r.is_zero(), r.text()))
+    def record(name: str, residue: Poly):
+        results.append((name, residue.is_zero(), residue.text()))
 
     def record_first_failure(name: str, labelled):
-        # one entry for a family: its first (label, polynomial) pair that
-        # is not zero mod Q(w), or none
-        for label, rel in labelled:
-            r = reduce_mod(rel, qw)
+        # one entry for a family: its first nonzero (label, residue), or none
+        for label, r in labelled:
             if not r.is_zero():
                 results.append((name, False, f"{label}: {r.text()}"))
                 return
         results.append((name, True, ""))
 
-    record("Q(w)", qw)
-    record("Q(mu)", q_of(mu))
-    record("B(mu,w)-alpha^2", b_pair(mu, w) - alpha * alpha)
+    record("Q(w)", reduce_mod(qw, qw))
+    record("Q(mu)", reduce_mod(q_of(mu), qw))
+    record("B(mu,w)-alpha^2", reduce_mod(b_pair(mu, w) - alpha * alpha, qw))
     # M[0][n+1] = M[n+1][0] = 0, so row 1 + i of M^2 is row i of
     # (X mu + alpha mu | X^2 - w mu_flat - mu w_flat | X w - alpha w):
     # read the relations X^2 = w mu_flat + mu w_flat and X w = alpha w,
@@ -161,12 +159,14 @@ def verify_orbit_relations(k: int) -> list:
         for j in range(n):
             record(f"(X^2-outer)[{i}][{j}]", M2[1 + i][1 + j])
             outer_skw = w[i] * mu[dual(n, j)] - mu[i] * w[dual(n, j)]
-            record(f"(alpha*X-outer)[{i}][{j}]", alpha * X[i][j] - outer_skw)
+            record(f"(alpha*X-outer)[{i}][{j}]",
+                   reduce_mod(alpha * X[i][j] - outer_skw, qw))
     # Pluecker relations on the middle block, bar(i) = 2k+1-i
     record_first_failure("pluecker", (
-        (f"({i},{j},{l},{m})", X[i][dual(n, j)] * X[l][dual(n, m)]
-         - X[i][dual(n, l)] * X[j][dual(n, m)]
-         + X[i][dual(n, m)] * X[j][dual(n, l)])
+        (f"({i},{j},{l},{m})",
+         reduce_mod(X[i][dual(n, j)] * X[l][dual(n, m)]
+                    - X[i][dual(n, l)] * X[j][dual(n, m)]
+                    + X[i][dual(n, m)] * X[j][dual(n, l)], qw))
         for i, j, l, m in combinations(range(n), 4)))
     # full matrix: square and 3x3 minors
     entries = list(product(range(n + 2), repeat=2))
@@ -179,8 +179,8 @@ def verify_orbit_relations(k: int) -> list:
     p = [Poly.const(4 * k, 1), *v, -q_of(v)]
     q = [Poly.zero(4 * k), *w, -alpha]
     record_first_failure("3x3 minors", (
-        (f"rank-2 factorization fails at [{i}][{j}]",
-         M[i][j] - (q[i] * p[n + 1 - j] - p[i] * q[n + 1 - j]))
+        (f"rank-2 factorization fails at [{i}][{j}]", reduce_mod(
+            M[i][j] - (q[i] * p[n + 1 - j] - p[i] * q[n + 1 - j]), qw))
         for i, j in entries))
     return results
 

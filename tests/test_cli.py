@@ -303,6 +303,17 @@ def test_degree_caps_are_fixed(capsys):
         "error: --d exceeds the max-degree safety cap\n")
 
 
+def test_bessel_order_is_capped(capsys):
+    # order 900 once exited 3: its series denominators outgrow Python's
+    # limit on converting an int to text
+    assert cli.main(["bessel", "--k", "2", "--order", "12"]) == 0
+    capsys.readouterr()
+    for order in ("13", "900"):
+        assert cli.main(["bessel", "--k", "2", "--order", order]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --order exceeds the max-degree safety cap\n" * 2)
+
+
 def test_no_environment_variable_shrinks_the_corpora(monkeypatch):
     # the corpora once shrank to degree 1 under this variable
     monkeypatch.setenv("QUADRICOPS_MAX_DEGREE", "1")

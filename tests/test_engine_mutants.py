@@ -197,6 +197,18 @@ def _q_power_inverse_negated(p, k):
     return -ORIGINAL["_q_power_inverse"](p, k)
 
 
+def _deriv_doubled(self, i):
+    # twice every partial derivative: the Poisson bracket of two symbols
+    # doubles, while the symbol of their commutator does not
+    return ORIGINAL["deriv"](self, i).scale(2)
+
+
+def _symbol_plus_one(self):
+    # sigma + 1 is not multiplicative: (sigma(a) + 1)(sigma(b) + 1) carries
+    # the cross terms sigma(a) + sigma(b) that sigma(ab) + 1 lacks
+    return ORIGINAL["principal_symbol"](self) + 1
+
+
 def _from_dleft_without_exchange(cls, nvars, coeffs):
     # each d^beta x^alpha read as x^alpha d^beta, as if d and x commuted
     return cls._of(nvars, {(alpha, beta): c for beta, p in coeffs.items()
@@ -226,7 +238,8 @@ ORIGINAL = {name: getattr(module, name) for module, name in [
     (momentorbit, "x_vector"), (momentorbit, "v_vector"),
     (momentorbit, "orbit_matrix"),
     (lie, "_q_power_inverse"), (exprparse, "_fold"),
-    (poly, "divides_exactly")]}
+    (poly, "divides_exactly"), (poly.Poly, "deriv"),
+    (weyl.WeylOp, "principal_symbol")]}
 # the polynomial kernel shares its name with the operator kernel
 ORIGINAL["Poly._product"] = poly.Poly._product
 
@@ -320,6 +333,13 @@ CASES = {
     "q-power-inverse-negated": (
         lie, "_q_power_inverse", _q_power_inverse_negated, "lie-orthogonal",
         "lie-w0-inversion", "w0 factorization mismatch"),
+    "deriv-doubled-poisson": (
+        poly.Poly, "deriv", _deriv_doubled, "moment-orbit",
+        "moment-poisson-compatibility", "pair ('levi', 2) ('mu', 3)"),
+    "symbol-plus-one": (
+        weyl.WeylOp, "principal_symbol", _symbol_plus_one, "weyl",
+        "weyl-symbol-multiplicative",
+        "symbol of a product is not the product of symbols"),
     "from-dleft-without-exchange": (
         weyl.WeylOp, "from_dleft", classmethod(_from_dleft_without_exchange),
         "weyl", "weyl-normal-order-roundtrip",
@@ -368,10 +388,8 @@ UNCOVERED = [
     "kelvin-fundamental-solution",
     "kelvin-involution-intertwine",
     "kelvin-preserves-harmonicity",
-    "moment-poisson-compatibility",
     "normal-form-idempotent",
     "weyl-extensional-determinacy",
-    "weyl-symbol-multiplicative",
 ]
 
 

@@ -11,8 +11,8 @@ import pytest
 from oracles import (mat_sub, matrix_bracket,
                      subalgebra_dimension_by_saturation, u_op_by_matrix)
 from quadricops.lie import (DegenerateCell, GroupElt, LieElt, NotQLaurent,
-                            _q_power_inverse, _uop_column, basis,
-                            bruhat_factor, chi0_at, act_at,
+                            _cell_column, _point_column, _q_power_inverse,
+                            basis, bruhat_factor, chi0_at, act_at,
                             generated_dimension, generators, levi, mat_inv,
                             mat_mul, u, u_op, w0)
 from quadricops.poly import Poly, QLaurent, dual, q_form
@@ -345,12 +345,9 @@ def test_cocycle_at_rational_points():
     assert tested >= 20
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_chi0_is_the_pivot_of_the_full_column(k):
-    # chi0_at reads row 0 of g^{-1} off the last column of g; the full
-    # column g^{-1} (1, v, -Q(v)) is the reference.  The six generators are
-    # those of the lie-cocycle check, drawn from its seed.
-    rng = random.Random(300 + k)
+def lie_cocycle_elements(k, rng):
+    """The six generators of the lie-cocycle check, drawn from rng as the
+    check draws them from its seed 300 + k, and their 36 pairwise products."""
     n = 2 * k
     gens = [w0(k), u(k, [rng.randint(-2, 2) for _ in range(n)]),
             u_op(k, [rng.randint(-2, 2) for _ in range(n)])]
@@ -360,7 +357,16 @@ def test_chi0_is_the_pivot_of_the_full_column(k):
         h[i][i], h[n - 1 - i][n - 1 - i] = d[i], 1 / d[i]
     gens.append(levi(k, Fraction(3, 2), h))
     gens += [gens[0] * gens[1], gens[3] * gens[2]]
-    elts = gens + [g1 * g2 for g1 in gens for g2 in gens]
+    return gens + [g1 * g2 for g1 in gens for g2 in gens]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_chi0_is_the_pivot_of_the_full_column(k):
+    # chi0_at asks _cell_column for row 0 alone; the full column
+    # g^{-1} (1, v, -Q(v)) is the reference
+    rng = random.Random(300 + k)
+    n = 2 * k
+    elts = lie_cocycle_elements(k, rng)
     # the origin and an isotropic point lie outside the big cell of w0
     points = [[0] * n, [1] + [0] * (n - 1)]
     points += [[Fraction(rng.randint(-3, 3), rng.randint(1, 2))
@@ -370,13 +376,45 @@ def test_chi0_is_the_pivot_of_the_full_column(k):
         ginv = mat_inv(g.m)
         for v in points:
             pivot = chi0_at(g, v)
-            column = _uop_column(g, v)
+            e, scaled = _point_column(tuple(map(Fraction, v)))
+            column = [Fraction(c, g.den * e * e)
+                      for c in _cell_column(g, scaled, range(n + 2))]
             assert pivot == column[0]
             # the full column against Gauss-Jordan's inverse
             col = [1] + v + [-Fraction(sum(map(mul, v, reversed(v))), 2)]
             assert column == [sum(map(mul, row, col)) for row in ginv]
             outside += pivot == 0
     assert outside >= 2
+
+
+def _value_at(f, v, qv):
+    """The QLaurent f = num / Q^qexp at a rational point v with Q(v) = qv."""
+    return Fraction(f.num.eval(v)) / qv ** f.qexp
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_symbolic_and_pointwise_big_cell_agree(k):
+    # bruhat_factor's v' and chi0, evaluated at a point off the cone and in
+    # the big cell, are act_at and chi0_at there
+    rng = random.Random(390 + k)
+    n, q = 2 * k, q_form(k)
+    factored = tested = 0
+    for g in lie_cocycle_elements(k, random.Random(300 + k)):
+        try:
+            vprime, chi = bruhat_factor(g)
+        except (DegenerateCell, NotQLaurent):
+            continue
+        factored += 1
+        for _ in range(6):
+            v = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                 for _ in range(n)]
+            qv, pivot = q.eval(v), chi0_at(g, v)
+            if qv == 0 or pivot == 0:
+                continue
+            tested += 1
+            assert act_at(g, v) == [_value_at(f, v, qv) for f in vprime]
+            assert pivot == _value_at(chi, v, qv)
+    assert factored == 20 and tested >= 100
 
 
 def test_degenerate_cell_detected():
