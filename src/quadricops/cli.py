@@ -4,10 +4,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (including an input over a fixed cap: an expression whose degree or order
 bound exceeds ``MAX_DEGREE``, whose constants' bit bound exceeds
 ``MAX_BITS`` or, for ``fourier-transform``, whose word count bound exceeds
-``MAX_WORDS``, and ``harmonic --d`` or ``bessel --order`` over
-``MAX_DEGREE``), 3 internal
-error: an engine exception that no other code covers, a ``ValueError``
-included, reported as one ``internal error:`` line on stderr.
+``MAX_WORDS``, and ``harmonic --d``, ``shapovalov --d`` or ``bessel
+--order`` over ``MAX_DEGREE``), 3 internal error: an engine exception
+that no other code covers, a ``ValueError`` included, reported as one
+``internal error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ from .shapovalov import (closed_form_induction, euler_to_weyl,
 from .suites import CheckResult, SuiteReport, emit, run_suite, SUITES
 
 # the largest coefficient degree and order an expression may reach, the
-# largest degree of harmonic --d and the largest bessel --order
+# largest degree of harmonic --d and shapovalov --d and the largest
+# bessel --order
 MAX_DEGREE = 12
 # the most generator words a fourier-transform input may expand into: the
-# words of a power of a sum multiply, and each is transformed and evaluated
+# words of a power of a sum multiply, and each is transformed and printed
 MAX_WORDS = 256
 # the most bits the integer constants of an expression may reach
 MAX_BITS = 4096
@@ -92,14 +93,13 @@ def cmd_fourier_transform(args) -> int:
                             f"of {MAX_WORDS} generator words")
     word = exprparse.to_genword(tree, args.k)
     image = word.fourier()
-    image_expr = exprparse.genword_to_expr_text(image, args.k)
-    cone = image.eval()
+    cone = exprparse.eval_fourier(tree, args.k)
     obj = {
         "expr": exprparse.to_text(tree),
         "k": args.k,
         "word": word.text(),
         "image_word": image.text(),
-        "image_expr": image_expr,
+        "image_expr": exprparse.genword_to_expr_text(image, args.k),
         "image_canonical_class": cone.canonical_text(),
         "involution_ok": image.fourier() == word,
     }
@@ -117,6 +117,8 @@ def cmd_shapovalov(args) -> int:
     d, k = args.d, args.k
     if d < 1:
         return _usage_error("--d must be at least 1")
+    if d > MAX_DEGREE:
+        return _usage_error("--d exceeds the max-degree safety cap")
     [b1] = shapovalov_series(1, k)
     closed = shapovalov_closed(d, k)
     a, b = fourier_roots_bezout(d, k)

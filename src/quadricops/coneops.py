@@ -171,6 +171,13 @@ class ConeOp:
     def is_zero_class(self) -> bool:
         return not self.canonical()
 
+    def representative(self) -> WeylOp:
+        """The operator whose x-left coefficients are ``canonical``: it
+        differs from ``op`` by Q* times an operator."""
+        return WeylOp._of(2 * self.k, {(alpha, beta): c
+                                       for beta, p in self.canonical().items()
+                                       for alpha, c in p.terms.items()})
+
     def preserves_ideal(self) -> bool:
         return is_ideal_preserving(self.op)
 
@@ -338,20 +345,15 @@ def _letter_op(k: int, letter) -> WeylOp:
     return rho_tilde(letter_preimage(k, letter)).op
 
 
+_FOURIER_SWAP = {"x": "XX", "XX": "x", "y": "YY", "YY": "y"}
+
+
 def fourier_letter(letter):
-    """Image of one letter under the quadric Fourier automorphism, with sign."""
-    kind = letter[0]
-    if kind == "x":
-        return ("XX", letter[1]), 1
-    if kind == "XX":
-        return ("x", letter[1]), 1
-    if kind == "y":
-        return ("YY", letter[1]), 1
-    if kind == "YY":
-        return ("y", letter[1]), 1
-    if kind == "Etil":
-        return ("Etil",), -1
-    return letter, 1
+    """Image of one letter under the quadric Fourier automorphism F, with
+    sign: F swaps x_i with XX_i and y_i with YY_i and negates Etil."""
+    if letter[0] in _FOURIER_SWAP:
+        return (_FOURIER_SWAP[letter[0]], letter[1]), 1
+    return letter, -1 if letter == ("Etil",) else 1
 
 
 def index_text(indices) -> str:
@@ -372,7 +374,7 @@ class GenWord(TermMap):
     builds one; ``nvars`` holds k and ``k`` reads it.  The public
     constructor takes only letters of ``alphabet(k)``.  The product
     concatenates words, in the frame of ``TermMap``; a word has no degree
-    bound.
+    bound.  ``exprparse.eval_fourier`` evaluates a Fourier image in D_C.
     """
 
     __slots__ = ()
@@ -414,29 +416,6 @@ class GenWord(TermMap):
                 c *= s
             items.append((tuple(image), c))
         return GenWord._of(self.nvars, add_terms({}, items))
-
-    def eval(self) -> ConeOp:
-        """The operator of the combination.
-
-        The words are multiplied out in sorted order, keeping the products
-        of the prefixes of the last word, so words with a common prefix
-        share its product; the terms are summed into one dict.
-        """
-        n = 2 * self.k
-        last, prefix = (), [WeylOp.identity(n)]  # prefix[i]: last[:i]
-        total: dict = {}
-        for word in sorted(self.terms):
-            keep = 0
-            while keep < min(len(word), len(last)) and word[keep] == last[keep]:
-                keep += 1
-            del prefix[keep + 1:]
-            for letter in word[keep:]:
-                prefix.append(prefix[-1] * letter_op(self.k, letter))
-            last = word
-            c = self.terms[word]
-            add_terms(total, ((key, c * v)
-                              for key, v in prefix[-1].terms.items()))
-        return ConeOp(WeylOp._of(n, total))
 
     def sorted_terms(self):
         """(word, coefficient) pairs, shorter words first."""

@@ -48,9 +48,10 @@ targets, and the CLI rejects an input over its fixed caps before evaluating.
 from __future__ import annotations
 
 import re
+from functools import reduce
 from operator import add, mul, neg, sub
 
-from .coneops import GenWord, index_text, letter_op
+from .coneops import ConeOp, GenWord, fourier_letter, index_text, letter_op
 from .poly import q_form, signed_text
 from .weyl import WeylOp, laplacian_op
 
@@ -362,6 +363,28 @@ def eval_weyl(node, k: int) -> WeylOp:
     """Evaluate the AST to an ambient operator on the dual space."""
     return _fold(node, _algebra(k, lambda k, c: WeylOp.const(2 * k, c),
                                 letter_op, True))
+
+
+def eval_fourier(node, k: int) -> ConeOp:
+    """The cone class of the Fourier image of a generator expression,
+    folded in D_C = N / Q*D, N being the operators that map (Q*) into
+    itself: a letter is the operator of its ``fourier_letter`` image, with
+    its sign, and a product, powers included, is cut to
+    ``ConeOp.representative``.  Sound: letters are ``rho_tilde`` images, in
+    N, and N is an algebra; Q*D lies in N and P - rep(P) in Q*D; and
+    P Q* = Q* P' for P in N, so P Q* X and Q* X P lie in Q*D:
+    representatives multiply like their classes."""
+    def image(k, letter):
+        letter, sign = fourier_letter(letter)
+        return letter_op(k, letter).scale(sign)
+
+    def cut(a):
+        return ConeOp(a).representative()
+
+    target = _algebra(k, lambda k, c: WeylOp.const(2 * k, c), image, False)
+    target.update(mul=lambda a, b: cut(a * b), pow=lambda a, e: reduce(
+        lambda p, _: cut(p * a), range(e), WeylOp.identity(2 * k)))
+    return ConeOp(_fold(node, target))
 
 
 def to_genword(node, k: int) -> GenWord:

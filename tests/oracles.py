@@ -42,6 +42,10 @@ and ``letter_by_formula`` picks the formula of a letter.
 of the closure that raised its rank, breadth first;
 ``subalgebra_dimension_by_saturation`` brackets every pair of a basis of
 the span until the span stops growing.
+``exprparse.eval_fourier`` folds the parse tree of a generator expression
+in D_C, cutting every product to its canonical representative;
+``genword_eval_by_words`` multiplies the words of a generator word out in
+the ambient Weyl algebra.
 ``quadricops shapovalov`` reads the class of B_d off
 ``closed_form_induction``; ``shapovalov_cli_by_expansion`` builds B_d with
 ``shapovalov_expand`` and compares it with the closed form's class.
@@ -53,14 +57,14 @@ from math import factorial, perm
 
 import sympy
 
-from quadricops.coneops import ConeOp, GenWord
+from quadricops.coneops import ConeOp, GenWord, letter_op
 from quadricops.exprparse import (MAX_TOKENS, _TOKEN_RE, IndexOutOfRange,
                                   ParseError)
 from quadricops.harmonic import _laplacian_shift
 from quadricops.lie import GroupElt, LieElt
 from quadricops.momentorbit import (block_var, orbit_matrix, v_vector,
                                     x_vector)
-from quadricops.poly import (Poly, QLaurent, b_pair, dual,
+from quadricops.poly import (Poly, QLaurent, add_terms, b_pair, dual,
                              normal_form_mod_single, q_form, pack, q_of, qdiv,
                              reduce_mod, restrict, support, unpack)
 from quadricops.shapovalov import (euler_to_weyl, fourier_roots_bezout,
@@ -350,6 +354,29 @@ def genword_mul_pairwise(a: GenWord, b: GenWord) -> GenWord:
         for w2, c2 in b.terms.items():
             terms[w1 + w2] = terms.get(w1 + w2, 0) + c1 * c2
     return GenWord(a.k, terms)
+
+
+def genword_eval_by_words(w: GenWord) -> WeylOp:
+    """The ambient operator of a generator word, word by word.
+
+    The words are multiplied out in sorted order, keeping the products of
+    the prefixes of the last word, so words with a common prefix share its
+    product; the terms are summed into one dict.
+    """
+    n = 2 * w.k
+    last, prefix = (), [WeylOp.identity(n)]  # prefix[i]: last[:i]
+    total: dict = {}
+    for word in sorted(w.terms):
+        keep = 0
+        while keep < min(len(word), len(last)) and word[keep] == last[keep]:
+            keep += 1
+        del prefix[keep + 1:]
+        for letter in word[keep:]:
+            prefix.append(prefix[-1] * letter_op(w.k, letter))
+        last = word
+        c = w.terms[word]
+        add_terms(total, ((key, c * v) for key, v in prefix[-1].terms.items()))
+    return WeylOp._of(n, total)
 
 
 def weyl_mul_pairwise(a: WeylOp, b: WeylOp) -> WeylOp:

@@ -13,6 +13,7 @@ from quadricops import cli, exprparse, harmonic, shapovalov
 from quadricops.coneops import NotNormalizing
 from quadricops.poly import Poly
 from quadricops.suites import CheckResult, SuiteReport, SUITES, emit, run_suite
+from quadricops.weyl import WeylOp
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -207,6 +208,7 @@ def test_cost_is_bounded_before_evaluation(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(exprparse, "eval_weyl", no_evaluation)
     monkeypatch.setattr(exprparse, "to_genword", no_evaluation)
+    monkeypatch.setattr(exprparse, "eval_fourier", no_evaluation)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -312,6 +314,39 @@ def test_bessel_order_is_capped(capsys):
         assert cli.main(["bessel", "--k", "2", "--order", order]) == 2
     assert capsys.readouterr() == (
         "", "error: --order exceeds the max-degree safety cap\n" * 2)
+
+
+def test_shapovalov_degree_is_capped(capsys, monkeypatch):
+    # --d 30 --k 2 once ran for more than 30 s
+    start = time.perf_counter()
+    for d in ("13", "30"):
+        assert cli.main(["shapovalov", "--d", d, "--k", "2"]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr() == (
+        "", "error: --d exceeds the max-degree safety cap\n" * 2)
+    # the cap itself reaches the engine
+    monkeypatch.setattr(cli, "shapovalov_series",
+                        _raiser(ArithmeticError("reached the engine")))
+    assert cli.main(["shapovalov", "--d", str(cli.MAX_DEGREE)]) == 3
+    assert capsys.readouterr().err == (
+        "internal error: ArithmeticError: reached the engine\n")
+
+
+def test_fourier_transform_multiplies_few_operators(capsys, monkeypatch):
+    # the image class is folded in D_C: one product per factor of the
+    # power, and three for each letter image built on the emptied memo;
+    # multiplying out the 256 words took 510 prefix products
+    calls = []
+    mul = WeylOp.__mul__
+
+    def counted(a, b):
+        calls.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(WeylOp, "__mul__", counted)
+    assert cli.main(["fourier-transform", "(x1+x2)^8", "--k", "2"]) == 0
+    capsys.readouterr()
+    assert len(calls) <= 16
 
 
 def test_no_environment_variable_shrinks_the_corpora(monkeypatch):

@@ -8,15 +8,17 @@ from math import comb
 
 import pytest
 
-from oracles import (d_op, euler_weight_op, letter_by_formula,
-                     preserves_ideal_by_monomials, tau_letterwise, xx_op,
-                     yy_op)
+from oracles import (d_op, euler_weight_op, genword_eval_by_words,
+                     letter_by_formula, preserves_ideal_by_monomials,
+                     tau_letterwise, xx_op, yy_op)
 from quadricops import coneops
 from quadricops.coneops import (ConeOp, GenWord, NotNormalizing,
                                 a_correction, alphabet, fourier_letter,
                                 grading, is_ideal_preserving, letter_op,
                                 letter_preimage, phi, rho_amb, rho_tilde, tau,
                                 tau_hat)
+from quadricops.exprparse import (atom_texts, bound, eval_fourier, parse,
+                                  to_genword, to_text, word_bound)
 from quadricops.lie import LieElt, basis, generators, mat_mul, w0
 from quadricops.poly import Poly, q_form
 from quadricops.suites import lie_hom_checks, run_suite
@@ -262,7 +264,8 @@ def test_fourier_word_involution_and_values():
     w = GenWord.letter(K, ("x", 1))
     fw = w.fourier()
     assert fw == GenWord.letter(K, ("XX", 1))
-    assert fw.eval() == ConeOp(xx_op(K, 1))
+    assert ConeOp(genword_eval_by_words(fw)) == ConeOp(xx_op(K, 1))
+    assert eval_fourier(parse("x1", K), K) == ConeOp(xx_op(K, 1))
     assert GenWord.letter(K, ("Etil",)).fourier() \
         == GenWord.letter(K, ("Etil",)).scale(-1)
     rng = random.Random(5)
@@ -345,7 +348,8 @@ def test_words_take_only_letters_of_their_alphabet():
 
 
 def test_word_evaluation_shares_prefixes_exactly():
-    # eval multiplies shared prefixes once; word-by-word is the reference
+    # the oracle multiplies shared prefixes once; one product per letter of
+    # every word is the reference
     rng = random.Random(11)
     letters = [("x", 1), ("y", 2), ("XX", 2), ("YY", 1), ("Etil",),
                ("D", 1, 2), ("B", 1, 2), ("C", 1, 2)]
@@ -361,7 +365,7 @@ def test_word_evaluation_shares_prefixes_exactly():
             for letter in w:
                 op = op * letter_op(K, letter)
             want = want + op
-        assert word.eval().op == want
+        assert genword_eval_by_words(word) == want
 
 
 def test_letter_preimages_realize_letters():
@@ -414,3 +418,58 @@ def test_fourier_letter_is_conjugation_by_w0(k):
         want = [[s * c for c in row]
                 for row in letter_preimage(k, image).matrix()]
         assert conj == want, letter
+
+
+def _nodes(tree):
+    yield tree
+    for a in tree[1:]:
+        if type(a) is tuple:
+            yield from _nodes(a)
+
+
+def _rand_generator_tree(rng, leaves, depth, top=False):
+    if depth == 0 or not top and rng.random() < 0.3:
+        return rng.choice(leaves)
+    kind = rng.choice(["add", "sub", "mul", "mul", "pow", "neg"])
+    if kind == "pow":
+        return ("pow", _rand_generator_tree(rng, leaves, 1), rng.randint(0, 3))
+    if kind == "neg":
+        return ("neg", _rand_generator_tree(rng, leaves, depth - 1))
+    return (kind, _rand_generator_tree(rng, leaves, depth - 1),
+            _rand_generator_tree(rng, leaves, depth - 1))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_fourier_fold_matches_the_words(k):
+    # the fold in D_C against the words of the transformed generator word,
+    # multiplied out in the ambient algebra, on 200 random expressions
+    rng = random.Random(900 + k)
+    leaves = [parse(a, k) for a in atom_texts(k)
+              if not a.startswith(("dx", "dy", "Delta", "Q"))]
+    leaves += [("int", 2), ("int", 3)]
+    seen, count = set(), 0
+    while count < 200:
+        tree = _rand_generator_tree(rng, leaves, 3, top=True)
+        if max(bound(tree)) > 8 or word_bound(tree) > 64:
+            continue
+        count += 1
+        seen.update(node[0] for node in _nodes(tree))
+        seen.update(node[1] for node in _nodes(tree) if node[0] == "atom")
+        want = ConeOp(genword_eval_by_words(to_genword(tree, k).fourier()))
+        assert eval_fourier(tree, k) == want, to_text(tree)
+    assert {"add", "sub", "mul", "pow", "neg", "int", "E", "Dop", "Bop",
+            "Cop", "x", "y", "XX", "YY"} <= seen
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_fourier_fold_kills_the_relations(k):
+    # the images of x_i y_j - y_j x_i and of sum_i x_i y_(k+1-i) are
+    # [XX_i, YY_j] and the fundamental relation, both zero classes; the
+    # fold multiplies the Fourier images of two letters
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            comm = parse(f"x{i}*y{j} - y{j}*x{i}", k)
+            assert eval_fourier(comm, k).is_zero_class(), (i, j)
+    fundamental = " + ".join(f"x{i}*y{k + 1 - i}" for i in range(1, k + 1))
+    assert eval_fourier(parse(fundamental, k), k).is_zero_class()
+    assert not eval_fourier(parse("x1*y1", k), k).is_zero_class()

@@ -3,21 +3,22 @@ scale factor of the exact arithmetic and per operator kernel that the
 checks share.
 
 Each case replaces one function in the engine module or class that defines
-it, never in ``quadricops.suites``, runs the suite at k=2 and asserts that
-the named check fails with the residue of the step that the mutant breaks,
-and that the suite exits 1.  The engine memoizes its constructors and
-realization images in LRU caches that outlive a test; ``conftest.py``
-empties them around every case, so no cached object hides a mutant and
-none a mutant built reaches a later test.  Some fakes reach their check
-only through a cached caller, so they prove that too.
+it (a library function, such as ``math.comb``, in the engine module that
+imports it), never in ``quadricops.suites``, runs the suite at k=2 and
+asserts that the named check fails with the residue of the step that the
+mutant breaks, and that the suite exits 1.  The engine memoizes its
+constructors and realization images in LRU caches that outlive a test;
+``conftest.py`` empties them around every case, so no cached object hides
+a mutant and none a mutant built reaches a later test.  Some fakes reach
+their check only through a cached caller, so they prove that too.
 """
 
 import pytest
 
 from oracles import xx_op, yy_op
-from quadricops import (coneops, exprparse, lie, momentorbit, poly,
-                        shapovalov, weyl)
-from quadricops.poly import dual, mdegree, q_of
+from quadricops import (coneops, exprparse, harmonic, lie, momentorbit,
+                        poly, shapovalov, weyl)
+from quadricops.poly import QLaurent, dual, mdegree, q_form, q_of
 from quadricops.suites import run_suite
 
 
@@ -215,6 +216,21 @@ def _from_dleft_without_exchange(cls, nvars, coeffs):
                            for alpha, c in p.terms.items()})
 
 
+def _binomial_one_variable_short(n, r):
+    # comb(n - 1, r - 1): dim Sym^d counted in 2k - 1 variables, so the
+    # binomial difference of harmonic_dimension misses the harmonics of
+    # one variable from degree 1 on
+    return ORIGINAL["comb"](n - 1, r - 1)
+
+
+def _kelvin_weight_lowered(f):
+    # -Q K f = (-Q)^(-(k-2)) f(-v/Q): the inversion of the wrong conformal
+    # weight, which no longer intertwines the Laplacian; the suite's own
+    # binding of kelvin stays exact, so only the intertwining defect, which
+    # looks kelvin up in harmonic, sees it
+    return ORIGINAL["kelvin"](f) * QLaurent(f.k, -q_form(f.k), 0)
+
+
 def _sub_as_add(node, target):
     # a - b evaluated as a + b; the fold recurses through this fake
     if node[0] == "sub":
@@ -238,6 +254,7 @@ ORIGINAL = {name: getattr(module, name) for module, name in [
     (momentorbit, "x_vector"), (momentorbit, "v_vector"),
     (momentorbit, "orbit_matrix"),
     (lie, "_q_power_inverse"), (exprparse, "_fold"),
+    (harmonic, "comb"), (harmonic, "kelvin"),
     (poly, "divides_exactly"), (poly.Poly, "deriv"),
     (weyl.WeylOp, "principal_symbol")]}
 # the polynomial kernel shares its name with the operator kernel
@@ -344,6 +361,13 @@ CASES = {
         weyl.WeylOp, "from_dleft", classmethod(_from_dleft_without_exchange),
         "weyl", "weyl-normal-order-roundtrip",
         "round trip through derivative-left form failed"),
+    "binomial-one-variable-short": (
+        harmonic, "comb", _binomial_one_variable_short, "harmonic-kelvin",
+        "harmonic-dimensions", "d=1: got 4, expected 3"),
+    "kelvin-weight-lowered": (
+        harmonic, "kelvin", _kelvin_weight_lowered, "harmonic-kelvin",
+        "kelvin-involution-intertwine",
+        "intertwine defect on x1^6: (-6*x1^6) / Q^7"),
     "fold-sub-as-add": (
         exprparse, "_fold", _sub_as_add, "cli", "cli-eval-examples",
         "[Delta,Q]="),
@@ -378,7 +402,6 @@ UNCOVERED = [
     "cone-conjugation-identity",
     "harmonic-bessel-series",
     "harmonic-boundary-phase",
-    "harmonic-dimensions",
     "harmonic-dirac-relations",
     "harmonic-exponential",
     "harmonic-n2-counterexample",
@@ -386,7 +409,6 @@ UNCOVERED = [
     "harmonic-symmetry-certificates",
     "harmonic-symmetry-rejections",
     "kelvin-fundamental-solution",
-    "kelvin-involution-intertwine",
     "kelvin-preserves-harmonicity",
     "normal-form-idempotent",
     "weyl-extensional-determinacy",
