@@ -26,22 +26,22 @@ from functools import lru_cache
 
 from .lie import LieElt
 from .poly import (Poly, TermMap, add_terms, default_names, dual, mdegree,
-                   mono_text, q_form, qcoef, qdiv, reduce_mod, signed_text,
-                   unit, unpack)
+                   mono_text, q_form, qdiv, reduce_mod, signed_text, unit,
+                   unpack)
 from .weyl import NotDivisible, WeylOp, euler_op, laplacian_op, reorder
 
 
 def grad_pair(k: int, vec) -> WeylOp:
-    """Directional derivative sum vec_i d_i."""
+    """Directional derivative sum c d_i over the entries (i, c) of vec."""
     n = 2 * k
-    return WeylOp._of(n, {(0, unit(n, i)): qcoef(c)
-                          for i, c in enumerate(vec) if c})
+    return WeylOp._of(n, {(0, unit(n, i)): c for i, c in vec})
 
 
 def grad_flip(k: int, vec) -> WeylOp:
     """The split-form-twisted directional derivative: e_{x_i} -> d_{y_{k+1-i}},
-    that is, the derivative along J_V vec, the reversed vector."""
-    return grad_pair(k, vec[::-1])
+    that is, the derivative along J_V vec: each entry (i, c) moves to
+    (dual i, c)."""
+    return grad_pair(k, [(dual(2 * k, i), c) for i, c in vec])
 
 
 @lru_cache(maxsize=1024)
@@ -68,7 +68,7 @@ def phi(xi: LieElt) -> WeylOp:
     blam = b_form_poly(k, xi.lam)
     if not blam.is_zero():
         op = op - WeylOp.mult(blam) * weight
-    if any(xi.lam):
+    if xi.lam:
         op = op + WeylOp.mult(q_form(k)) * grad_pair(k, xi.lam)
     return op
 
@@ -93,14 +93,16 @@ def a_correction(xi: LieElt) -> WeylOp:
 
 
 def linear_form(k: int, vec) -> Poly:
-    """<vec, v> = sum vec_i v_i as a linear polynomial."""
+    """<vec, v> = sum c v_i over the entries (i, c) of vec, as ``LieElt``
+    stores its vectors: a linear polynomial."""
     n = 2 * k
-    return Poly._of(n, {unit(n, i): qcoef(c) for i, c in enumerate(vec) if c})
+    return Poly._of(n, {unit(n, i): c for i, c in vec})
 
 
 def b_form_poly(k: int, vec) -> Poly:
-    """B(vec, .) = <J_V vec, v>, the linear form of the reversed vector."""
-    return linear_form(k, vec[::-1])
+    """B(vec, .) = <J_V vec, v>: the linear form with each entry (i, c) of
+    vec moved to (dual i, c)."""
+    return linear_form(k, [(dual(2 * k, i), c) for i, c in vec])
 
 
 def dual_field(k: int, X) -> WeylOp:
@@ -129,7 +131,7 @@ def rho_amb(xi: LieElt) -> WeylOp:
     op = WeylOp.mult(linear_form(k, xi.mu)) + dual_field(k, xi.X)
     if xi.alpha:
         op = op - weight.scale(xi.alpha)
-    if any(xi.lam):
+    if xi.lam:
         op = (op + grad_flip(k, xi.lam) * weight
               - laplacian_op(k) * WeylOp.mult(linear_form(k, xi.lam)))
     return op
@@ -323,8 +325,7 @@ def letter_preimage(k: int, letter) -> LieElt:
     if kind == "Etil":
         return LieElt(k, alpha=-1)
     if kind in ("x", "y", "XX", "YY"):
-        e = [0] * n
-        e[(0 if kind in ("x", "XX") else k) + letter[1] - 1] = 1
+        e = {(0 if kind in ("x", "XX") else k) + letter[1] - 1: 1}
         return LieElt(k, mu=e) if kind in ("x", "y") else LieElt(k, lam=e)
     i, j = letter[1] - 1, letter[2] - 1
     a, b = {"D": (j, i), "B": (dual(n, j), i), "C": (j, dual(n, i))}[kind]

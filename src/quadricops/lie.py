@@ -9,11 +9,11 @@ assembles to
      [ mu,     X,             lambda ],
      [ 0,     -mu^T J_V,     -alpha  ]]
 
-with X skew for J_V.  The blocks are tuples, so an element is hashable by
-value and its entries cannot change in place.  X is stored by its nonzero
-entries, the tuple of ((a, b), X[a][b]) sorted by index: a basis element
-has at most two, so the bracket reads only those.  The sorted, zero-free
-form is unique, so equality and the hash stay by value.
+with X skew for J_V.  Each of mu, X and lambda is stored by its nonzero
+entries, a tuple of (index, c) sorted by index, with index i in a vector and
+(a, b) in the block: a basis element has at most two, so the bracket and the
+realizations read only those.  The sorted, zero-free tuples are unique, so
+an element is hashable by value and cannot change in place.
 
 A group element is an exact rational (2k+2)-square matrix g with
 g^T J+ g = J+.  It is stored in integers, as g = M / den with M an integer
@@ -34,8 +34,8 @@ from collections.abc import Mapping
 from functools import lru_cache
 from math import gcd, lcm
 
-from .poly import (Poly, QLaurent, b_pair, dual, q_form, q_of, qcoef, qdiv,
-                   rref, rref_add)
+from .poly import (Poly, QLaurent, dual, q_form, q_of, qcoef, qdiv, rref,
+                   rref_add)
 
 
 def _frac_vec(v, n):
@@ -93,24 +93,35 @@ def _inverse(m):
     return [[m[dual(n, j)][dual(n, i)] for j in range(n)] for i in range(n)]
 
 
-def _entries(n, X):
-    """The nonzero entries ((a, b), c) of an n-square block, sorted by index,
-    from dense rows or from a mapping {(a, b): c}."""
-    if isinstance(X, Mapping):
-        if any(a not in range(n) or b not in range(n) for a, b in X):
-            raise ValueError("block index out of range")
-        items = X.items()
+def _nonzero(items) -> tuple:
+    """The entries (index, c) with c != 0, sorted by index."""
+    return tuple(sorted(e for e in items if e[1]))
+
+
+def _entries(n, x, pair=False):
+    """The nonzero entries (index, c) of a length-n vector, or with ``pair``
+    of an n-square block, sorted by index: the index is i for a vector and
+    (a, b) for a block.  x is dense, a list or a list of rows, or a mapping
+    {index: c} whose every index is an ``int`` in range(n), not a bool nor
+    a float equal to one."""
+    if isinstance(x, Mapping):
+        for ix in x:
+            parts = ix if pair and type(ix) is tuple else (ix,)
+            if len(parts) != 1 + pair or not all(
+                    type(i) is int and 0 <= i < n for i in parts):
+                raise ValueError(f"index {ix!r} is not an int in range({n})")
+        items = x.items()
+    elif len(x) != n or pair and any(len(row) != n for row in x):
+        raise ValueError("wrong shape of a dense block or vector")
     else:
-        if len(X) != n or any(len(row) != n for row in X):
-            raise ValueError("wrong block shape")
-        items = (((a, b), c) for a, row in enumerate(X)
-                 for b, c in enumerate(row))
-    return tuple(sorted(e for e in ((ab, qcoef(c)) for ab, c in items)
-                        if e[1]))
+        items = (((a, b), c) for a, row in enumerate(x)
+                 for b, c in enumerate(row)) if pair else enumerate(x)
+    return _nonzero((ix, qcoef(c)) for ix, c in items)
 
 
 class LieElt:
-    """Element of the conformal Lie algebra in (alpha, mu, X, lambda) blocks."""
+    """Element of the conformal Lie algebra in (alpha, mu, X, lambda) blocks;
+    mu, X and lam are given dense or as mappings {index: c}, or omitted."""
 
     __slots__ = ("k", "alpha", "mu", "X", "lam", "tag")
 
@@ -118,17 +129,17 @@ class LieElt:
         n = 2 * k
         self.k = k
         self.alpha = qcoef(alpha)
-        self.mu = tuple(_frac_vec(mu, n)) if mu is not None else (0,) * n
-        self.lam = tuple(_frac_vec(lam, n)) if lam is not None else (0,) * n
-        self.X = _entries(n, X) if X is not None else ()
+        self.mu = () if mu is None else _entries(n, mu)
+        self.X = () if X is None else _entries(n, X, pair=True)
+        self.lam = () if lam is None else _entries(n, lam)
         self.tag = tag
         self._check_skew()
 
     @classmethod
     def _of(cls, k, alpha, mu, X, lam) -> "LieElt":
         """The trusted constructor, for blocks the engine computed from
-        checked elements: tuples of int or Fraction, X as sorted nonzero
-        entries.  X is still checked for skewness."""
+        checked elements: mu, X and lam as sorted nonzero entries of int or
+        Fraction.  X is still checked for skewness."""
         out = cls.__new__(cls)
         out.k, out.alpha, out.mu, out.X, out.lam = k, alpha, mu, X, lam
         out.tag = None
@@ -153,11 +164,10 @@ class LieElt:
         out = [((1 + a, 1 + b), c) for (a, b), c in self.X]
         if self.alpha:
             out += [((0, 0), self.alpha), ((n + 1, n + 1), -self.alpha)]
-        # -lambda^T J_V and -mu^T J_V: J_V reverses a vector
+        # -lambda^T J_V and -mu^T J_V: J_V sends index i to dual(n, i)
         for col, row, v in ((0, n + 1, self.mu), (n + 1, 0, self.lam)):
-            for i, c in enumerate(v):
-                if c:
-                    out += [((1 + i, col), c), ((row, n - i), -c)]
+            for i, c in v:
+                out += [((1 + i, col), c), ((row, n - i), -c)]
         return sorted(out)
 
     def matrix(self):
@@ -180,47 +190,51 @@ class LieElt:
         n = 2 * self.k
         a, m, x, l = self.alpha, self.mu, self.X, self.lam
         a2, m2, x2, l2 = other.alpha, other.mu, other.X, other.lam
-        mu = [a2 * p - a * q for p, q in zip(m, m2)]
-        lam = [a * q - a2 * p for p, q in zip(l, l2)]
-        z: dict = {}
+        dm, dl, dm2, dl2 = (dict(v) for v in (m, l, m2, l2))
+        alpha = (sum(c * dl2[dual(n, i)] for i, c in m if dual(n, i) in dl2)
+                 - sum(c * dm2[dual(n, i)] for i, c in l if dual(n, i) in dm2))
+        mu, lam, z = {}, {}, {}
+        for s, v, out in ((a2, m, mu), (-a, m2, mu), (a, l2, lam),
+                          (-a2, l, lam)):
+            if s:
+                for i, c in v:
+                    out[i] = out.get(i, 0) + s * c
         # [X, X'] row by row through a row index of the right factor, and
         # the X-parts of mu and lambda
-        for s, left, right, vm, vl in ((1, x, x2, m2, l2), (-1, x2, x, m, l)):
+        for s, left, right, vm, vl in ((1, x, x2, dm2, dl2),
+                                       (-1, x2, x, dm, dl)):
             rows: dict = {}
             for (j, t), d in right:
                 rows.setdefault(j, []).append((t, d))
             for (i, j), c in left:
                 c = s * c
-                mu[i] += c * vm[j]
-                lam[i] += c * vl[j]
+                if j in vm:
+                    mu[i] = mu.get(i, 0) + c * vm[j]
+                if j in vl:
+                    lam[i] = lam.get(i, 0) + c * vl[j]
                 for t, d in rows.get(j, ()):
                     z[i, t] = z.get((i, t), 0) + c * d
-        nm, nl, nm2, nl2 = ([(i, c) for i, c in enumerate(v) if c]
-                            for v in (m, l, m2, l2))
-        for s, u, v in ((-1, nm, nl2), (-1, nl, nm2), (1, nm2, nl),
-                        (1, nl2, nm)):
+        for s, u, v in ((-1, m, l2), (-1, l, m2), (1, m2, l), (1, l2, m)):
             for i, c in u:
                 for t, d in v:
                     j = dual(n, t)
                     z[i, j] = z.get((i, j), 0) + s * c * d
-        return LieElt._of(self.k, b_pair(l2, m) - b_pair(l, m2), tuple(mu),
-                          tuple(sorted(e for e in z.items() if e[1])),
-                          tuple(lam))
+        return LieElt._of(self.k, alpha, _nonzero(mu.items()),
+                          _nonzero(z.items()), _nonzero(lam.items()))
 
     def scale(self, c) -> "LieElt":
         c = qcoef(c)
-        return LieElt(self.k, c * self.alpha, [c * v for v in self.mu],
-                      {ab: c * v for ab, v in self.X},
-                      [c * v for v in self.lam], tag=self.tag)
+        mu, X, lam = ({ix: c * v for ix, v in b}
+                      for b in (self.mu, self.X, self.lam))
+        return LieElt(self.k, c * self.alpha, mu, X, lam, tag=self.tag)
 
     def __add__(self, other: "LieElt") -> "LieElt":
         self._check_k(other)
-        x = dict(self.X)
-        for ab, c in other.X:
-            x[ab] = x.get(ab, 0) + c
-        return LieElt(self.k, self.alpha + other.alpha,
-                      [a + b for a, b in zip(self.mu, other.mu)], x,
-                      [a + b for a, b in zip(self.lam, other.lam)])
+        blocks = [dict(b) for b in (self.mu, self.X, self.lam)]
+        for d, b in zip(blocks, (other.mu, other.X, other.lam)):
+            for ix, c in b:
+                d[ix] = d.get(ix, 0) + c
+        return LieElt(self.k, self.alpha + other.alpha, *blocks)
 
     def __eq__(self, other):
         if not isinstance(other, LieElt):
@@ -233,8 +247,7 @@ class LieElt:
         return hash((self.k, self.alpha, self.mu, self.X, self.lam))
 
     def is_zero(self) -> bool:
-        return (self.alpha == 0 and not any(self.mu) and not any(self.lam)
-                and not self.X)
+        return not (self.alpha or self.mu or self.X or self.lam)
 
     def __repr__(self):
         return (f"LieElt(alpha={self.alpha}, mu={self.mu}, "
@@ -242,23 +255,12 @@ class LieElt:
 
 
 def so_q_basis(k: int):
-    """Basis of the Levi part: M_ab = E_ab - E_{bbar,abar} with ibar = 2k+1-i."""
+    """Basis of the Levi part: M_ab = E_ab - E_{bbar,abar} with ibar = 2k+1-i
+    for (a, b) < (bbar, abar), as the mapping {(a, b): 1, (bbar, abar): -1}."""
     n = 2 * k
-    out = []
-    seen = set()
-    for a in range(n):
-        for b in range(n):
-            if b == dual(n, a):
-                continue
-            key = frozenset({(a, b), (dual(n, b), dual(n, a))})
-            if key in seen:
-                continue
-            seen.add(key)
-            X = _zeros(n, n)
-            X[a][b] += 1
-            X[dual(n, b)][dual(n, a)] -= 1
-            out.append(X)
-    return out
+    return [{(a, b): 1, (dual(n, b), dual(n, a)): -1}
+            for a in range(n) for b in range(n)
+            if (a, b) < (dual(n, b), dual(n, a))]
 
 
 @lru_cache(maxsize=64)
@@ -266,18 +268,11 @@ def basis(k: int) -> tuple:
     """Tagged basis: one alpha element, 2k mu, 2k lambda, dim o(Q) Levi.
     One shared tuple per k."""
     n = 2 * k
-    out = [LieElt(k, alpha=1, tag=("alpha",))]
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        out.append(LieElt(k, mu=e, tag=("mu", i)))
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        out.append(LieElt(k, lam=e, tag=("lam", i)))
-    for idx, X in enumerate(so_q_basis(k)):
-        out.append(LieElt(k, X=X, tag=("levi", idx)))
-    return tuple(out)
+    return (LieElt(k, alpha=1, tag=("alpha",)),
+            *(LieElt(k, mu={i: 1}, tag=("mu", i)) for i in range(n)),
+            *(LieElt(k, lam={i: 1}, tag=("lam", i)) for i in range(n)),
+            *(LieElt(k, X=X, tag=("levi", idx))
+              for idx, X in enumerate(so_q_basis(k))))
 
 
 def generators(k: int):

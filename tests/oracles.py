@@ -495,15 +495,18 @@ def moment_by_blocks(xi: LieElt, extra: int = 0) -> Poly:
     nv = 4 * k + extra
     v = v_vector(k, extra)
     x = x_vector(k, extra)
-    mu = [Poly.const(nv, c) for c in xi.mu]
-    lam = [Poly.const(nv, c) for c in xi.lam]
+    # mu and lam as dense vectors of constants, from their stored entries
+    mu, lam = ([Poly.zero(nv) for _ in v] for _ in range(2))
+    for dense, block in ((mu, xi.mu), (lam, xi.lam)):
+        for i, c in block:
+            dense[i] = Poly.const(nv, c)
     xv = [Poly.zero(nv) for _ in v]
     for (i, j), c in xi.X:
         xv[i] = xv[i] + v[j].scale(c)
     out = b_pair(x, mu) + b_pair(x, xv)
     if xi.alpha:
         out = out - b_pair(x, v).scale(xi.alpha)
-    if any(xi.lam):
+    if xi.lam:
         out = out + b_pair(lam, v) * b_pair(x, v)
         out = out - q_of(v) * b_pair(x, lam)
     return out
@@ -523,9 +526,10 @@ def symbol_by_blocks(xi: LieElt) -> Poly:
     if xi.alpha:
         out = out - alpha.scale(xi.alpha)
     qv = q_of(v)
-    for i in range(n):
-        out = out + w[i].scale(xi.mu[i])
-        out = out + (alpha * v[i] - qv * w[i]).scale(xi.lam[i])
+    for i, c in xi.mu:
+        out = out + w[i].scale(c)
+    for i, c in xi.lam:
+        out = out + (alpha * v[i] - qv * w[i]).scale(c)
     for (i, j), c in xi.X:
         wedge = w[i] * v[dual(n, j)] - v[i] * w[dual(n, j)]
         out = out + wedge.scale(qdiv(c, 2))

@@ -270,23 +270,36 @@ COEFFICIENTS = {
     Poly: lambda p: p.terms.values(),
     WeylOp: lambda w: w.terms.values(),
     GenWord: lambda g: g.terms.values(),
-    LieElt: lambda x: chain([x.alpha], x.mu, x.lam, (c for _, c in x.X)),
+    LieElt: lambda x: chain([x.alpha],
+                            (c for _, c in chain(x.mu, x.X, x.lam))),
     GroupElt: lambda g: chain(*g.m),
 }
 
 
-def levi_block_is_canonical(x: LieElt) -> bool:
-    """X holds the nonzero entries of the Levi block sorted by index, each
-    index once and in range: equality and the rho_tilde memo key rest on it."""
-    keys = [ab for ab, _ in x.X]
-    return (keys == sorted(set(keys)) and all(c for _, c in x.X)
-            and all(a in range(2 * x.k) and b in range(2 * x.k)
-                    for a, b in keys))
+def blocks_are_canonical(x: LieElt) -> bool:
+    """mu, X and lam each hold their nonzero entries sorted by index, each
+    index once and in range, an int for the vectors and a pair of ints for
+    the Levi block: equality and the rho_tilde memo key rest on it."""
+    n = 2 * x.k
+
+    def in_range(i):
+        return type(i) is int and 0 <= i < n
+
+    for block, pair in ((x.mu, False), (x.X, True), (x.lam, False)):
+        keys = [ix for ix, _ in block]
+        if (type(block) is not tuple or keys != sorted(set(keys))
+                or not all(c for _, c in block)):
+            return False
+        if not all(type(ix) is tuple and len(ix) == 2
+                   and all(map(in_range, ix)) if pair else in_range(ix)
+                   for ix in keys):
+            return False
+    return True
 
 
 def walk_suite_objects() -> dict:
     """Inspect every coefficient-holding object that run_suite("all", 2) builds,
-    and the Levi block of every Lie element.
+    and the blocks of every Lie element.
 
     Each class's ``__new__`` is hooked so that building an object first
     inspects the previous object of that class, which is complete by then:
@@ -306,8 +319,8 @@ def walk_suite_objects() -> dict:
         seen[cls] += len(coeffs)
         bad.extend(f"{cls.__name__}: {c!r}" for c in coeffs
                    if type(c) not in (int, Fraction))
-        if cls is LieElt and not levi_block_is_canonical(obj):
-            bad.append(f"LieElt: X={obj.X!r}")
+        if cls is LieElt and not blocks_are_canonical(obj):
+            bad.append(f"LieElt: {obj!r}")
 
     def hook(cls):
         def new(subcls, *args, **kwargs):

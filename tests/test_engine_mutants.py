@@ -64,7 +64,7 @@ def _levi_term_negated(k, X):
 
 
 def _is_levi(xi):
-    return not (xi.alpha or any(xi.mu) or any(xi.lam))
+    return not (xi.alpha or xi.mu or xi.lam)
 
 
 def _levi_bracket_negated(xi, eta):
@@ -231,6 +231,14 @@ def _kelvin_weight_lowered(f):
     return ORIGINAL["kelvin"](f) * QLaurent(f.k, -q_form(f.k), 0)
 
 
+def _b_form_unflipped(k, vec):
+    # B(lam, .) read as <lam, .>, no entry moved to its dual: phi of a
+    # special conformal element no longer normalizes the Laplacian ideal;
+    # the suite's own binding of b_form_poly stays exact, and phi looks the
+    # name up in coneops
+    return coneops.linear_form(k, vec)
+
+
 def _sub_as_add(node, target):
     # a - b evaluated as a + b; the fold recurses through this fake
     if node[0] == "sub":
@@ -368,6 +376,9 @@ CASES = {
         harmonic, "kelvin", _kelvin_weight_lowered, "harmonic-kelvin",
         "kelvin-involution-intertwine",
         "intertwine defect on x1^6: (-6*x1^6) / Q^7"),
+    "b-form-unflipped": (
+        coneops, "b_form_poly", _b_form_unflipped, "harmonic-kelvin",
+        "harmonic-symmetry-certificates", "no certificate for ('lam', 0)"),
     "fold-sub-as-add": (
         exprparse, "_fold", _sub_as_add, "cli", "cli-eval-examples",
         "[Delta,Q]="),
@@ -406,7 +417,6 @@ UNCOVERED = [
     "harmonic-exponential",
     "harmonic-n2-counterexample",
     "harmonic-nonexample",
-    "harmonic-symmetry-certificates",
     "harmonic-symmetry-rejections",
     "kelvin-fundamental-solution",
     "kelvin-preserves-harmonicity",

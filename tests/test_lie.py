@@ -45,9 +45,20 @@ def test_malformed_levi_block_rejected():
               zero[:-1] + [[0] * (N + 1)]):
         with pytest.raises(ValueError):
             LieElt(K, X=X)
-    for key in ((0, N), (N, 0), (-1, 0), (0, -1)):
+    # an index of any block is an int in range, never a bool or a float
+    # that equals one: those would build, compare equal to the int-keyed
+    # element and then fail to index a matrix
+    for key in ((0, N), (N, 0), (-1, 0), (0, -1), (1.0, 0), (3, 2.0),
+                (True, 0), (0, False), (0,), (0, 1, 2), 0):
         with pytest.raises(ValueError):
             LieElt(K, X={key: 0})
+    with pytest.raises(ValueError):
+        LieElt(K, X={(1.0, 0): 1, (3, 2.0): -1})
+    for key in (N, -1, 1.0, True, False, (0,), (0, 1)):
+        with pytest.raises(ValueError):
+            LieElt(K, mu={key: 1})
+        with pytest.raises(ValueError):
+            LieElt(K, lam={key: 1})
 
 
 def jplus_matrix(k: int):
@@ -125,15 +136,46 @@ def test_matrix_bracket_checks_the_redundant_blocks():
         matrix_bracket(CornerOnly(K), eta)
 
 
+def is_stored_by_entries(block) -> bool:
+    """A sorted, zero-free tuple of (index, c), each index once."""
+    keys = [ix for ix, _ in block]
+    return (type(block) is tuple and keys == sorted(set(keys))
+            and all(c for _, c in block))
+
+
 def test_elements_hash_by_value_and_are_frozen():
     e = [0] * N
     e[1] = 1
     a = LieElt(K, mu=e, tag=("mu", 1))
     b = LieElt(K, mu=[Fraction(0), Fraction(2, 2), 0, 0])
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b, LieElt(K, lam=e)}) == 2
+    # a mapping, with an explicit zero and an integral Fraction
+    c = LieElt(K, mu={1: Fraction(2, 2), 3: 0})
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert a.mu == b.mu == c.mu == ((1, 1),)
+    assert len({a, b, c, LieElt(K, lam=e)}) == 2
+    # the same for lam
+    lam = [LieElt(K, lam=[0, 0, Fraction(-4, 2), 0]),
+           LieElt(K, lam={2: -2, 0: Fraction(0)})]
+    assert lam[0] == lam[1] and hash(lam[0]) == hash(lam[1])
+    assert lam[0].lam == lam[1].lam == ((2, -2),)
     with pytest.raises(TypeError):
         a.mu[0] = 1
+    with pytest.raises(TypeError):
+        a.mu[0][1] = 2
+    # a dense vector of the wrong length
+    for v in ([], [0] * (N - 1), [0] * (N + 1)):
+        with pytest.raises(ValueError):
+            LieElt(K, mu=v)
+        with pytest.raises(ValueError):
+            LieElt(K, lam=v)
+    # every block of every element sorted and zero-free, sums and brackets
+    # included
+    bas = basis(3)
+    elts = list(bas) + [bas[1] + bas[8] + bas[-1], bas[0].bracket(bas[2]),
+                        bas[3].bracket(bas[10]), (bas[2] + bas[9]).scale(0)]
+    for xi in elts:
+        for block in (xi.mu, xi.X, xi.lam):
+            assert is_stored_by_entries(block), xi
     # a Levi element from dense rows and from a mapping of its entries
     dense = [[0] * N for _ in range(N)]
     dense[0][1], dense[dual(N, 1)][dual(N, 0)] = 1, -1
@@ -149,7 +191,8 @@ def test_elements_hash_by_value_and_are_frozen():
 
 def ad_w0(xi: LieElt) -> LieElt:
     """Conjugation by the Weyl inversion: swaps mu and lambda, flips alpha."""
-    return LieElt(xi.k, -xi.alpha, xi.lam, dict(xi.X), xi.mu, tag=xi.tag)
+    return LieElt(xi.k, -xi.alpha, dict(xi.lam), dict(xi.X), dict(xi.mu),
+                  tag=xi.tag)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -186,7 +229,7 @@ def test_ad_w0_swaps_blocks():
     e[0] = 1
     xi = LieElt(K, alpha=2, mu=e)
     img = ad_w0(xi)
-    assert img.alpha == -2 and img.lam == xi.mu and not any(img.mu)
+    assert img.alpha == -2 and img.lam == xi.mu == ((0, 1),) and img.mu == ()
     # the block swap is conjugation by the group element w0
     for k in (2, 3):
         g = w0(k)
