@@ -239,6 +239,27 @@ def matrix_bracket(xi: LieElt, eta: LieElt) -> LieElt:
     return elt
 
 
+def blocks_are_canonical(x: LieElt) -> bool:
+    """mu, X and lam each hold their nonzero entries sorted by index, each
+    index once and in range, an int for the vectors and a pair of ints for
+    the Levi block: equality and the rho_tilde memo key rest on it."""
+    n = 2 * x.k
+
+    def in_range(i):
+        return type(i) is int and 0 <= i < n
+
+    for block, pair in ((x.mu, False), (x.X, True), (x.lam, False)):
+        keys = [ix for ix, _ in block]
+        if (type(block) is not tuple or keys != sorted(set(keys))
+                or not all(c for _, c in block)):
+            return False
+        if not all(type(ix) is tuple and len(ix) == 2
+                   and all(map(in_range, ix)) if pair else in_range(ix)
+                   for ix in keys):
+            return False
+    return True
+
+
 def subalgebra_dimension_by_saturation(elts) -> int:
     """The dimension of the Lie subalgebra that ``elts`` generate: the span
     is closed under the matrix bracket of every pair of its basis, round by

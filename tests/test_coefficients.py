@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import quadricops
-from oracles import (commutator_by_products, genword_mul_pairwise,
-                     poly_mul_pairwise, weyl_mul_pairwise)
+from oracles import (blocks_are_canonical, commutator_by_products,
+                     genword_mul_pairwise, poly_mul_pairwise,
+                     weyl_mul_pairwise)
 from quadricops.coneops import GenWord, alphabet
 from quadricops.lie import GroupElt, LieElt
 from quadricops.poly import (Poly, QLaurent, normal_form_mod_single, pack,
@@ -274,27 +275,6 @@ COEFFICIENTS = {
                             (c for _, c in chain(x.mu, x.X, x.lam))),
     GroupElt: lambda g: chain(*g.m),
 }
-
-
-def blocks_are_canonical(x: LieElt) -> bool:
-    """mu, X and lam each hold their nonzero entries sorted by index, each
-    index once and in range, an int for the vectors and a pair of ints for
-    the Levi block: equality and the rho_tilde memo key rest on it."""
-    n = 2 * x.k
-
-    def in_range(i):
-        return type(i) is int and 0 <= i < n
-
-    for block, pair in ((x.mu, False), (x.X, True), (x.lam, False)):
-        keys = [ix for ix, _ in block]
-        if (type(block) is not tuple or keys != sorted(set(keys))
-                or not all(c for _, c in block)):
-            return False
-        if not all(type(ix) is tuple and len(ix) == 2
-                   and all(map(in_range, ix)) if pair else in_range(ix)
-                   for ix in keys):
-            return False
-    return True
 
 
 def walk_suite_objects() -> dict:

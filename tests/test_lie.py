@@ -8,7 +8,7 @@ from operator import mul
 
 import pytest
 
-from oracles import (mat_sub, matrix_bracket,
+from oracles import (blocks_are_canonical, mat_sub, matrix_bracket,
                      subalgebra_dimension_by_saturation, u_op_by_matrix)
 from quadricops.lie import (DegenerateCell, GroupElt, LieElt, NotQLaurent,
                             _cell_column, _point_column, _q_power_inverse,
@@ -136,13 +136,6 @@ def test_matrix_bracket_checks_the_redundant_blocks():
         matrix_bracket(CornerOnly(K), eta)
 
 
-def is_stored_by_entries(block) -> bool:
-    """A sorted, zero-free tuple of (index, c), each index once."""
-    keys = [ix for ix, _ in block]
-    return (type(block) is tuple and keys == sorted(set(keys))
-            and all(c for _, c in block))
-
-
 def test_elements_hash_by_value_and_are_frozen():
     e = [0] * N
     e[1] = 1
@@ -174,8 +167,7 @@ def test_elements_hash_by_value_and_are_frozen():
     elts = list(bas) + [bas[1] + bas[8] + bas[-1], bas[0].bracket(bas[2]),
                         bas[3].bracket(bas[10]), (bas[2] + bas[9]).scale(0)]
     for xi in elts:
-        for block in (xi.mu, xi.X, xi.lam):
-            assert is_stored_by_entries(block), xi
+        assert blocks_are_canonical(xi), xi
     # a Levi element from dense rows and from a mapping of its entries
     dense = [[0] * N for _ in range(N)]
     dense[0][1], dense[dual(N, 1)][dual(N, 0)] = 1, -1
