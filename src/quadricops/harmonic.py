@@ -11,10 +11,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .poly import (Poly, QLaurent, b_pair, dual, mdegree, pack, q_form, q_of,
-                   qcoef, qdiv, reduce_mod, rref, subtract_row, unit)
-from .weyl import (NotDivisible, WeylOp, euler_op, laplacian_op,
-                   monomials_up_to)
+from .poly import (Poly, QLaurent, b_pair, dual, falling, falling_spec, guard,
+                   mdegree, monomials, q_form, q_of, qcoef, qdiv, reduce_mod,
+                   rref, subtract_row, unit)
+from .weyl import NotDivisible, WeylOp, euler_op, laplacian_op
 from .coneops import letter_op
 from .momentorbit import x_vector
 
@@ -180,12 +180,6 @@ def kelvin_intertwine_defect(f: QLaurent) -> QLaurent:
     return lhs - rhs
 
 
-def sym_monomials(k: int, d: int):
-    """Monomials of exact total degree d in 2k variables, sorted."""
-    # the first 2k - 1 exponents fix the last one, and they come in order
-    return [m + (d - sum(m),) for m in monomials_up_to(2 * k - 1, d)]
-
-
 def harmonic_dimension(d: int, k: int) -> int:
     """dim of degree-d harmonics in 2k variables."""
     n = 2 * k
@@ -197,33 +191,35 @@ def harmonic_dimension(d: int, k: int) -> int:
 def harmonic_decompose(d: int, k: int):
     """Exact splitting of Sym^d into harmonics and Q * Sym^{d-2}.
 
-    Returns (harmonic basis, Q-multiple basis) as lists of Poly.  With R the
-    reduced row echelon form of the Laplacian matrix, P its pivot columns
-    and F the free ones, the harmonic basis is e_f - sum_p R[p][f] e_p for f
-    in F.  It is the identity on F, so subtracting from each Q-multiple q
-    its F-entries times the harmonics leaves the vector R q, zero on F.
-    Hence the rank of harmonics and Q-multiples together is |F| + rank S,
-    with S the block of the rows R q on P; the splitting is certified by
-    that rank, computed exactly, equalling both the number of vectors and
-    dim Sym^d.
+    Returns (harmonic basis, Q-multiple basis) as lists of Poly.  The
+    Laplacian matrix, written on packed keys, has its columns at
+    ``monomials(2k, d)`` and its rows at ``monomials(2k, d - 2)``, both in
+    graded lex order.  With R its reduced row echelon form, P its pivot
+    columns and F the free ones, the harmonic basis is e_f - sum_p R[p][f]
+    e_p for f in F.  It is the identity on F, so subtracting from each
+    Q-multiple q its F-entries times the harmonics leaves the vector R q,
+    zero on F.  Hence the rank of harmonics and Q-multiples together is
+    |F| + rank S, with S the block of the rows R q on P; the splitting is
+    certified by that rank, computed exactly, equalling both the number of
+    vectors and dim Sym^d.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     n = 2 * k
-    exps = sym_monomials(k, d)
-    monos = [pack(m) for m in exps]
+    monos = monomials(n, d)
     col = {m: i for i, m in enumerate(monos)}
-    target = [pack(m) for m in sym_monomials(k, d - 2)]
+    target = monomials(n, d - 2)
     trow = {m: i for i, m in enumerate(target)}
     # matrix of Delta: rows = Sym^{d-2} monomials, cols = Sym^d monomials,
-    # from Delta x^m = sum_i m_i m_dual(i) x^(m - e_i - e_dual(i))
-    pairs = [(i, dual(n, i), unit(n, i) + unit(n, dual(n, i)))
-             for i in range(k)]
+    # from Delta x^m = sum_i m_i m_dual(i) x^(m - u_i), u_i = e_i + e_dual(i)
+    g = guard(n)
+    pairs = [(u, falling_spec(u, n))
+             for u in (unit(n, i) + unit(n, dual(n, i)) for i in range(k))]
     rows = [{} for _ in target]
-    for j, (e, m) in enumerate(zip(exps, monos)):
-        for i, i2, u in pairs:
-            if e[i] and e[i2]:
-                rows[trow[m - u]][j] = e[i] * e[i2]
+    for j, m in enumerate(monos):
+        for u, spec in pairs:
+            if not (m - u) & g:
+                rows[trow[m - u]][j] = falling(m, spec)
     form = rref(rows)
     # the columns of R as {pivot: entry}
     rcols = [{} for _ in monos]

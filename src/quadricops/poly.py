@@ -21,8 +21,9 @@ Every exponent and every total degree is at most ``EMAX`` = 32767.  Each
 product and each derivative action checks that bound before it stores a
 term and raises ``ExponentOverflow`` instead of wrapping; so does ``pack``.
 The layout is private to this module: other modules go through ``pack``,
-``unpack``, ``is_packed``, ``mdegree``, ``unit``, ``support``, ``guard`` and
-the helpers below.  Exponent tuples remain at the boundary: ``Poly.monomial``,
+``unpack``, ``is_packed``, ``mdegree``, ``unit``, ``support``, ``guard``,
+``monomials``, the one enumerator of a graded piece, and the helpers
+below.  Exponent tuples remain at the boundary: ``Poly.monomial``,
 ``coeff``, ``leading``, ``from_exponents``, ``exponent_items``,
 ``sorted_terms``, ``text`` and the JSON form take or return tuples.
 
@@ -95,7 +96,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import repeat
+from itertools import combinations_with_replacement, repeat
 from math import lcm, perm
 from operator import add, mul
 
@@ -202,6 +203,18 @@ def unit(n: int, i: int) -> int:
 def guard(n: int) -> int:
     """Guard bits of all fields: a divides b iff (b - a) & guard(n) == 0."""
     return _layout(n)[1] | EMAX + 1 << FIELD * n
+
+
+def monomials(n: int, d: int) -> list:
+    """The packed monomials of total degree d in n variables in ascending,
+    that is graded lex, order; [] for d < 0, ExponentOverflow for d > EMAX."""
+    if d > EMAX:
+        raise ExponentOverflow(
+            f"total degree {d} exceeds the exponent bound {EMAX}")
+    if d < 0:
+        return []
+    units = [unit(n, i) for i in range(n)]
+    return sorted(map(sum, combinations_with_replacement(units, d)))
 
 
 @lru_cache(maxsize=1 << 12)

@@ -35,9 +35,9 @@ from math import comb, factorial
 from operator import itemgetter
 
 from .poly import (ExponentOverflow, Poly, TermMap, add_terms, check_degrees,
-                   default_names, divides_exactly, dual, falling,
-                   falling_spec, fieldwise_max, guard, mdegree, mono_text,
-                   pack, qcoef, restrict, signed_text, support, unit, unpack)
+                   default_names, divides_exactly, dual, falling, falling_spec,
+                   fieldwise_max, guard, mdegree, monomials, mono_text, pack,
+                   qcoef, restrict, signed_text, support, unit, unpack)
 
 
 class NotDivisible(Exception):
@@ -427,18 +427,6 @@ def permute_vars(f, perm):
     return Poly._of(n, {rename(m): c for m, c in f.terms.items()})
 
 
-def monomials_up_to(nvars: int, degree: int):
-    """All exponent tuples of total degree <= degree."""
-    def rec(pos, rem):
-        if pos == nvars:
-            yield ()
-            return
-        for e in range(rem + 1):
-            for tail in rec(pos + 1, rem - e):
-                yield (e,) + tail
-    yield from rec(0, degree)
-
-
 def is_zero_extensional(op: WeylOp) -> bool:
     """Decide op = 0 by applying it to all monomials of degree <= its order.
 
@@ -448,8 +436,10 @@ def is_zero_extensional(op: WeylOp) -> bool:
     """
     if op.is_zero():
         return True
-    for m in monomials_up_to(op.nvars, op.order()):
-        if not op.apply(Poly.monomial(m)).is_zero():
-            return False
+    n = op.nvars
+    for d in range(op.order() + 1):
+        for m in monomials(n, d):
+            if not op.apply(Poly._of(n, {m: 1})).is_zero():
+                return False
     return True
 

@@ -49,6 +49,9 @@ the ambient Weyl algebra.
 ``quadricops shapovalov`` reads the class of B_d off
 ``closed_form_induction``; ``shapovalov_cli_by_expansion`` builds B_d with
 ``shapovalov_expand`` and compares it with the closed form's class.
+``poly.monomials`` enumerates a graded piece as sorted sums of packed
+variables; ``monomials_up_to`` walks the exponent tuples of every degree up
+to a bound recursively, in lex order, which within one degree is graded lex.
 """
 
 import json
@@ -69,8 +72,7 @@ from quadricops.poly import (Poly, QLaurent, add_terms, b_pair, dual,
                              reduce_mod, restrict, support, unpack)
 from quadricops.shapovalov import (euler_to_weyl, fourier_roots_bezout,
                                    shapovalov_closed, shapovalov_expand)
-from quadricops.weyl import (WeylOp, _exchange_terms, euler_op,
-                             laplacian_op, monomials_up_to)
+from quadricops.weyl import WeylOp, _exchange_terms, euler_op, laplacian_op
 
 
 def det3(M, rows, cols) -> Poly:
@@ -494,6 +496,18 @@ def tokenize_groupwise(src: str, k: int):
         pos = m.end()
     out.append(("end", (), len(src)))
     return out
+
+
+def monomials_up_to(nvars: int, degree: int):
+    """All exponent tuples of total degree <= degree."""
+    def rec(pos, rem):
+        if pos == nvars:
+            yield ()
+            return
+        for e in range(rem + 1):
+            for tail in rec(pos + 1, rem - e):
+                yield (e,) + tail
+    yield from rec(0, degree)
 
 
 def preserves_ideal_by_monomials(a: WeylOp) -> bool:

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import apply_by_quotient_rule, nonvanishing_minor, xx_op, yy_op
+from oracles import (apply_by_quotient_rule, monomials_up_to,
+                     nonvanishing_minor, xx_op, yy_op)
 from quadricops.coneops import (ConeOp, GenWord, a_correction, b_form_poly,
                                 phi, rho_amb, rho_tilde, tau)
 from quadricops.harmonic import (bessel_check, boundary_phase_check,
@@ -30,8 +31,7 @@ from quadricops.shapovalov import (euler_to_weyl, fourier_euler_image,
                                    fourier_roots_bezout, scalar_on_graded,
                                    shapovalov_closed, shapovalov_expand)
 from quadricops.suites import lie_hom_checks
-from quadricops.weyl import (NotDivisible, WeylOp, laplacian_op,
-                             monomials_up_to)
+from quadricops.weyl import NotDivisible, WeylOp, laplacian_op
 from quadricops import exprparse
 
 KS = (2, 3)

@@ -3,8 +3,9 @@ scale factor of the exact arithmetic and per operator kernel that the
 checks share.
 
 Each case replaces one function in the engine module or class that defines
-it (a library function, such as ``math.comb``, in the engine module that
-imports it), never in ``quadricops.suites``, runs the suite at k=2 and
+it (a library function, such as ``math.comb``, or an engine helper imported
+by name, such as ``poly.monomials``, in the engine module that imports it),
+never in ``quadricops.suites``, runs the suite at k=2 and
 asserts that the named check fails with the residue of the step that the
 mutant breaks, and that the suite exits 1.  The engine memoizes its
 constructors and realization images in LRU caches that outlive a test;
@@ -223,6 +224,12 @@ def _binomial_one_variable_short(n, r):
     return ORIGINAL["comb"](n - 1, r - 1)
 
 
+def _first_monomial_only(n, d):
+    # each graded piece cut to its least monomial, the last variable to the
+    # d-th power, which the Laplacian sends to 0 at every degree
+    return poly.monomials(n, d)[:1]
+
+
 def _kelvin_weight_lowered(f):
     # -Q K f = (-Q)^(-(k-2)) f(-v/Q): the inversion of the wrong conformal
     # weight, which no longer intertwines the Laplacian; the suite's own
@@ -369,6 +376,10 @@ CASES = {
         weyl.WeylOp, "from_dleft", classmethod(_from_dleft_without_exchange),
         "weyl", "weyl-normal-order-roundtrip",
         "round trip through derivative-left form failed"),
+    "extensional-first-monomial-only": (
+        weyl, "monomials", _first_monomial_only, "weyl",
+        "weyl-extensional-determinacy",
+        "determinacy test misclassified an operator"),
     "binomial-one-variable-short": (
         harmonic, "comb", _binomial_one_variable_short, "harmonic-kelvin",
         "harmonic-dimensions", "d=1: got 4, expected 3"),
@@ -421,7 +432,6 @@ UNCOVERED = [
     "kelvin-fundamental-solution",
     "kelvin-preserves-harmonicity",
     "normal-form-idempotent",
-    "weyl-extensional-determinacy",
 ]
 
 

@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from oracles import apply_by_quotient_rule, shift_by_products
+from oracles import (apply_by_quotient_rule, monomials_up_to,
+                     shift_by_products)
 from quadricops import cli, harmonic, suites
 from quadricops.coneops import phi, b_form_poly
 from quadricops.harmonic import (bessel_check, bessel_series,
@@ -17,8 +18,7 @@ from quadricops.harmonic import (bessel_check, bessel_series,
                                  orbit_representatives, pair_generators)
 from quadricops.lie import basis
 from quadricops.poly import Poly, QLaurent, q_form
-from quadricops.weyl import (WeylOp, euler_op, laplacian_op,
-                            monomials_up_to, permute_vars)
+from quadricops.weyl import WeylOp, euler_op, laplacian_op, permute_vars
 
 K = 2
 N = 2 * K

@@ -36,7 +36,7 @@ def test_skew_constraint_enforced():
         LieElt(K, X={(0, 0): 1})
     # the trusted constructor of bracket results checks it too
     with pytest.raises(ValueError):
-        LieElt._of(K, 0, (0,) * N, (((0, 0), Fraction(1)),), (0,) * N)
+        LieElt._of(K, 0, (), (((0, 0), Fraction(1)),), ())
 
 
 def test_malformed_levi_block_rejected():

@@ -1,12 +1,16 @@
 """Polynomial core: arithmetic, normal forms, and the Q-Laurent class."""
 
 import random
+import time
 from fractions import Fraction
 from operator import add, le
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import monomials_up_to
+from quadricops import poly
+from quadricops.harmonic import harmonic_decompose
 from quadricops.poly import (EMAX, ExponentOverflow, Poly, QLaurent, add_terms,
                              divides_exactly, fieldwise_max, guard, mdegree,
                              normal_form_mod_single, pack, q_form, reduce_mod,
@@ -195,6 +199,29 @@ def test_pack_extremes():
         pack((1, -1))
     with pytest.raises(ValueError):
         pack((1, 0), 3)
+
+
+def test_monomials_up_to():
+    ms = list(monomials_up_to(2, 2))
+    assert sorted(ms) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_monomials_are_the_graded_piece_in_graded_lex_order(n):
+    for d in range(-2, 7):
+        # the reference's tuples of degree d, packed in its own order
+        ref = [pack(m) for m in monomials_up_to(n, d) if sum(m) == d]
+        assert poly.monomials(n, d) == ref == sorted(ref)
+
+
+def test_monomials_refuse_a_degree_past_the_bound_at_once():
+    start = time.perf_counter()
+    for n in (1, 4):
+        with pytest.raises(ExponentOverflow):
+            poly.monomials(n, EMAX + 1)
+    with pytest.raises(ExponentOverflow):
+        harmonic_decompose(EMAX + 1, 1)
+    assert time.perf_counter() - start < 0.1
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,8 +11,7 @@ from quadricops.harmonic import laplacian_qlaurent
 from quadricops.poly import (EMAX, ExponentOverflow, Poly, QLaurent, pack,
                              q_form, qdiv)
 from quadricops.weyl import (NotDivisible, WeylOp, euler_op,
-                             is_zero_extensional, laplacian_op,
-                             monomials_up_to)
+                             is_zero_extensional, laplacian_op)
 
 K = 2
 N = 2 * K
@@ -259,11 +258,6 @@ def test_constructor_rejects_tuple_keys():
     with pytest.raises(ValueError, match="from_exponents"):
         WeylOp(4, {(0, pack((1, 0, 0))): 1})
     assert WeylOp.from_exponents(4, {key: 1}) == WeylOp.partial(4, 0)
-
-
-def test_monomials_up_to():
-    ms = list(monomials_up_to(2, 2))
-    assert sorted(ms) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
 
 
 def test_apply_rejects_a_poly_in_other_variables():
