@@ -2,8 +2,9 @@
 
 kappa[C] is the coordinate ring of the cone Q* = 0 inside the dual space,
 presented by canonical normal forms modulo Q*.  Operators on the cone are
-ambient Weyl-algebra elements that normalize the ideal (Q*), compared through
-their canonical class: the d-left coefficients reduced modulo Q*.
+ambient Weyl-algebra elements that normalize the ideal (Q*), modulo Q* times
+the operators: the algebra D_C.  ``ConeOp`` holds a class as one canonical
+operator, which the D_C products multiply.
 
 Realizations of the conformal Lie algebra:
   phi       -- vector-field realization on V plus conformal weight k-1;
@@ -25,9 +26,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .lie import LieElt
-from .poly import (Poly, TermMap, add_terms, default_names, dual, mdegree,
-                   mono_text, q_form, qdiv, reduce_mod, signed_text, unit,
-                   unpack)
+from .poly import (Poly, TermMap, add_terms, default_names, dual, guard,
+                   mdegree, mono_text, q_form, qdiv, reduce_mod, signed_text,
+                   unit, unpack)
 from .weyl import NotDivisible, WeylOp, euler_op, laplacian_op, reorder
 
 
@@ -148,75 +149,69 @@ class ConeOp:
     last), it induces the zero map on kappa[C] exactly when every p_beta is
     divisible by Q* -- such operators are Q* times another operator, and
     conversely the reduced coefficients are recovered from the action on
-    monomials by triangularity.  The canonical class is therefore the list of
-    p_beta reduced mod Q*; two cone operators are equal iff the classes agree.
+    monomials by triangularity.  So ``canonical``, with every p_beta reduced
+    mod Q*, is the one representative that equality, hashing, printing and
+    ``grading`` read.
     """
 
-    __slots__ = ("k", "op", "_canonical")
+    __slots__ = ("op", "_canonical")
 
     def __init__(self, op: WeylOp):
-        self.k = op.nvars // 2
         self.op = op
         self._canonical = None
 
-    def canonical(self) -> dict:
+    @property
+    def k(self) -> int:
+        return self.op.nvars // 2
+
+    def canonical(self) -> WeylOp:
+        """The canonical representative, computed once: ``op`` with each
+        x-left coefficient reduced mod Q*.  When no term has an x-part
+        divisible by x1*yk, the leading monomial of Q*, ``op`` is its own
+        representative."""
         if self._canonical is None:
             qs = q_form(self.k)
-            out = {}
-            for beta, p in self.op.xleft().items():
-                r = reduce_mod(p, qs)
-                if not r.is_zero():
-                    out[beta] = r
-            self._canonical = out
+            lm, g = max(qs.terms), guard(qs.nvars)
+            self._canonical = self.op
+            if any(not (a - lm) & g for a, _ in self.op.terms):
+                terms = {}
+                for beta, p in self.op.xleft().items():
+                    for a, c in reduce_mod(p, qs).terms.items():
+                        terms[a, beta] = c
+                self._canonical = WeylOp._of(qs.nvars, terms)
         return self._canonical
 
     def is_zero_class(self) -> bool:
         return not self.canonical()
 
-    def representative(self) -> WeylOp:
-        """The operator whose x-left coefficients are ``canonical``: it
-        differs from ``op`` by Q* times an operator."""
-        return WeylOp._of(2 * self.k, {(alpha, beta): c
-                                       for beta, p in self.canonical().items()
-                                       for alpha, c in p.terms.items()})
-
     def preserves_ideal(self) -> bool:
         return is_ideal_preserving(self.op)
 
     def __eq__(self, other):
-        """Equal classes.  Equal ambient operators have equal classes, so
-        the canonical classes are computed only when the operators differ;
-        ``__hash__`` reads the class, so it agrees on both paths."""
+        """Equal classes; the representatives are computed only when the
+        ambient operators differ, and ``__hash__`` reads them on both paths."""
         if not isinstance(other, ConeOp):
             return NotImplemented
-        return self.k == other.k and (self.op == other.op
-                                      or self.canonical() == other.canonical())
+        return self.op == other.op or self.canonical() == other.canonical()
 
     def __hash__(self):
-        can = self.canonical()
-        return hash((self.k, frozenset((b, hash(p)) for b, p in can.items())))
+        return hash(self.canonical())
 
     def commutator(self, other: "ConeOp") -> "ConeOp":
         return ConeOp(self.op.commutator(other.op))
 
     def canonical_text(self) -> str:
-        can = self.canonical()
-        if not can:
-            return "0"
+        """The representative grouped by derivative part; "0" for none."""
         n = 2 * self.k
         dnames = ["d" + nm for nm in default_names(n)]
-        parts = []
-        for beta in sorted(can):
-            dfac = mono_text(unpack(beta, n), dnames)
-            coef = can[beta].text()
-            if dfac:
-                parts.append(f"({coef})*{dfac}")
-            else:
-                parts.append(f"({coef})")
-        return " + ".join(parts)
+        can = self.canonical().xleft()
+        parts = [(can[b].text(), mono_text(unpack(b, n), dnames))
+                 for b in sorted(can)]
+        return " + ".join(f"({c})*{d}" if d else f"({c})"
+                          for c, d in parts) or "0"
 
     def canonical_json(self) -> list:
-        can = self.canonical()
+        can = self.canonical().xleft()
         return [
             {"d": list(unpack(beta, 2 * self.k)), "coefficient": can[beta].to_json()}
             for beta in sorted(can)
@@ -436,17 +431,13 @@ class GenWord(TermMap):
 
 def grading(a: ConeOp):
     """The degree d with [E, a] = d a in canonical class, or 'Mixed'."""
-    E = ConeOp(euler_op(a.k))
-    com = E.commutator(a).canonical()
+    com = ConeOp(euler_op(a.k)).commutator(a).canonical()
     can = a.canonical()
     if not can or not com:
         return 0
-    # candidate eigenvalue from any nonzero coefficient of the commutator
-    beta, p = next(iter(com.items()))
-    m, c = p.leading()
-    base = can.get(beta)
-    if base is None or base.coeff(m) == 0:
+    # candidate eigenvalue from any term of the commutator
+    key, c = next(iter(com.terms.items()))
+    if key not in can.terms:
         return "Mixed"
-    d = qdiv(c, base.coeff(m))
-    scaled = {b: q.scale(d) for b, q in can.items()}
-    return int(d) if (d.denominator == 1 and scaled == com) else "Mixed"
+    d = qdiv(c, can.terms[key])
+    return int(d) if (d.denominator == 1 and can.scale(d) == com) else "Mixed"

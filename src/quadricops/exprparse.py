@@ -369,21 +369,21 @@ def eval_fourier(node, k: int) -> ConeOp:
     """The cone class of the Fourier image of a generator expression,
     folded in D_C = N / Q*D, N being the operators that map (Q*) into
     itself: a letter is the operator of its ``fourier_letter`` image, with
-    its sign, and a product, powers included, is cut to
-    ``ConeOp.representative``.  Sound: letters are ``rho_tilde`` images, in
-    N, and N is an algebra; Q*D lies in N and P - rep(P) in Q*D; and
-    P Q* = Q* P' for P in N, so P Q* X and Q* X P lie in Q*D:
+    its sign, and a product, powers included, is cut to its
+    ``ConeOp.canonical`` representative.  Sound: letters are ``rho_tilde``
+    images, in N, and N is an algebra; Q*D lies in N and P - canonical(P)
+    in Q*D; and P Q* = Q* P' for P in N, so P Q* X and Q* X P lie in Q*D:
     representatives multiply like their classes."""
     def image(k, letter):
         letter, sign = fourier_letter(letter)
         return letter_op(k, letter).scale(sign)
 
-    def cut(a):
-        return ConeOp(a).representative()
+    def mul(a, b):
+        return ConeOp(a * b).canonical()
 
     target = _algebra(k, lambda k, c: WeylOp.const(2 * k, c), image, False)
-    target.update(mul=lambda a, b: cut(a * b), pow=lambda a, e: reduce(
-        lambda p, _: cut(p * a), range(e), WeylOp.identity(2 * k)))
+    target.update(mul=mul, pow=lambda a, e: reduce(mul, [a] * e,
+                                                   WeylOp.identity(2 * k)))
     return ConeOp(_fold(node, target))
 
 

@@ -90,7 +90,7 @@ def shapovalov_factors(k: int) -> list:
 
 
 def shapovalov_series(dmax: int, k: int) -> list:
-    """[B_1, ..., B_dmax] as explicit cone operators.
+    """[B_1, ..., B_dmax] as cone operators.
 
     B_d expands B((x,y),(u,v))^d and replaces the second-factor monomial by
     its Fourier image, u_j -> XX_j and v_j -> YY_j, with multiplications on
@@ -99,6 +99,10 @@ def shapovalov_series(dmax: int, k: int) -> list:
     with XX_(k+1-i).  Because the F_j commute, which is proven here by exact
     commutators, that power obeys B_d = sum_j m_j B_(d-1) F_j; left
     multiplication by m_j only shifts the x-exponent of an x-left term.
+    Each B_d, d >= 2, is built in D_C on the canonical representative of
+    B_(d-1), so its ``op`` only represents B_d's class: Q.D is closed under
+    left multiplication by each m_j and under right multiplication (see
+    ``closed_form_induction``).
     """
     if dmax < 1:
         raise ValueError("d must be positive")
@@ -107,14 +111,14 @@ def shapovalov_series(dmax: int, k: int) -> list:
     for (_, p, f), (_, q, g) in combinations(factors, 2):
         if f.commutator(g):
             raise FactorsDoNotCommute(f"{p} and {q} do not commute")
-    prev, series = WeylOp.identity(n), []
+    series = []
     for _ in range(dmax):
+        prev = series[-1].canonical() if series else WeylOp.identity(n)
         terms: dict = {}
         for shift, _, f in factors:
             add_terms(terms, (((a + shift, b), c)
                               for (a, b), c in (prev * f).terms.items()))
-        prev = WeylOp._of(n, terms)
-        series.append(ConeOp(prev))
+        series.append(ConeOp(WeylOp._of(n, terms)))
     return series
 
 
@@ -193,7 +197,8 @@ def closed_form_induction(b1: ConeOp, dmax: int):
 
 
 def shapovalov_expand(d: int, k: int) -> ConeOp:
-    """B_d as an explicit cone operator: the last of ``shapovalov_series``.
+    """The class of B_d as a cone operator: the last of
+    ``shapovalov_series``, built in D_C for d >= 2.
 
     ``quadricops shapovalov`` builds it only when ``closed_form_induction``
     fails; otherwise the closed form's class is B_d's class."""

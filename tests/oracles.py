@@ -4,7 +4,9 @@ The orbit relations prove that every 3x3 minor of the invariant matrix
 vanishes modulo Q(w) by a rank-2 factorization of the matrix; ``det3`` and
 ``nonvanishing_minor`` expand the minors one by one instead.  The Shapovalov
 elements come from a recursion in d that rests on the second-order factors
-commuting; ``shapovalov_multinomial`` expands the d-th power term by term.
+commuting, run in D_C on canonical representatives;
+``shapovalov_series_ambient`` runs it on the ambient operators, and
+``shapovalov_multinomial`` expands the d-th power term by term.
 The Lie bracket is computed in block coordinates on the nonzero entries;
 ``matrix_bracket`` takes the commutator of the assembled matrices and reads
 the blocks back, and ``mat_sub`` with ``lie.mat_mul`` gives that commutator
@@ -70,8 +72,9 @@ from quadricops.momentorbit import (block_var, orbit_matrix, v_vector,
 from quadricops.poly import (Poly, QLaurent, add_terms, b_pair, dual,
                              normal_form_mod_single, q_form, pack, q_of, qdiv,
                              reduce_mod, restrict, support, unpack)
-from quadricops.shapovalov import (euler_to_weyl, fourier_roots_bezout,
-                                   shapovalov_closed, shapovalov_expand)
+from quadricops.shapovalov import (FactorsDoNotCommute, euler_to_weyl,
+                                   fourier_roots_bezout, shapovalov_closed,
+                                   shapovalov_expand, shapovalov_factors)
 from quadricops.weyl import WeylOp, _exchange_terms, euler_op, laplacian_op
 
 
@@ -95,15 +98,6 @@ def nonvanishing_minor(k: int, M=None):
             if not normal_form_mod_single(det3(M, rows, cols), qw)[1].is_zero():
                 return rows, cols
     return None
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
 
 
 def euler_weight_op(k: int) -> WeylOp:
@@ -169,7 +163,7 @@ def shapovalov_multinomial(d: int, k: int) -> WeylOp:
     total = WeylOp.zero(n)
     XX = [xx_op(k, i + 1) for i in range(k)]
     YY = [yy_op(k, i + 1) for i in range(k)]
-    for ab in _compositions(d, 2 * k):
+    for ab in (m for m in monomials_up_to(n, d) if sum(m) == d):
         alpha, beta = ab[:k], ab[k:]
         coef = factorial(d)
         for e in ab:
@@ -182,6 +176,27 @@ def shapovalov_multinomial(d: int, k: int) -> WeylOp:
                 op = op * XX[k - 1 - i]
         total = total + WeylOp.mult(Poly.monomial(ab, coef)) * op
     return total
+
+
+def shapovalov_series_ambient(dmax: int, k: int) -> list:
+    """[B_1, ..., B_dmax] as ambient operators, each wrapped as a cone
+    operator: the recursion B_d = sum_j m_j B_(d-1) F_j run in the Weyl
+    algebra on the ambient B_(d-1), which ``shapovalov_series`` replaces
+    by its canonical representative."""
+    n = 2 * k
+    factors = shapovalov_factors(k)
+    for (_, p, f), (_, q, g) in combinations(factors, 2):
+        if f.commutator(g):
+            raise FactorsDoNotCommute(f"{p} and {q} do not commute")
+    prev, series = WeylOp.identity(n), []
+    for _ in range(dmax):
+        terms: dict = {}
+        for shift, _, f in factors:
+            add_terms(terms, (((a + shift, b), c)
+                              for (a, b), c in (prev * f).terms.items()))
+        prev = WeylOp._of(n, terms)
+        series.append(ConeOp(prev))
+    return series
 
 
 def shapovalov_cli_by_expansion(d: int, k: int) -> dict:

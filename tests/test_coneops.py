@@ -20,7 +20,7 @@ from quadricops.coneops import (ConeOp, GenWord, NotNormalizing,
 from quadricops.exprparse import (atom_texts, bound, eval_fourier, parse,
                                   to_genword, to_text, word_bound)
 from quadricops.lie import LieElt, basis, generators, mat_mul, w0
-from quadricops.poly import Poly, q_form
+from quadricops.poly import Poly, divides_exactly, q_form, unpack
 from quadricops.suites import lie_hom_checks, run_suite
 from quadricops.weyl import WeylOp, euler_op, laplacian_op
 
@@ -249,6 +249,40 @@ def test_equality_agrees_with_the_canonical_classes(k):
             assert hash(x) == hash(y)
         seen.add((a == b, same))
     assert seen == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_canonical_is_the_reduced_representative_of_the_class(k):
+    # on every rho_tilde image and on seeded random operators, some of them
+    # with a Q* X part: no x-left coefficient of the representative keeps a
+    # monomial divisible by x1*yk, the leading monomial of Q*; it differs
+    # from op by Q* times an operator; and it is a cone operator of the same
+    # class, equal both when op is its own representative and when not
+    n = 2 * k
+    qs = q_form(k)
+    rng = random.Random(970 + k)
+    images = [rho_tilde(xi) for xi in basis(k)]
+    images += [rho_tilde(letter_preimage(k, letter))
+               for letter in sorted(alphabet(k))]
+    randoms = [ConeOp(_random_weyl(rng, n, 3)
+                      + WeylOp.mult(qs) * _random_weyl(rng, n, 2))
+               for _ in range(100)]
+    seen = set()
+    for c in images + randoms:
+        can = c.canonical()
+        assert c.canonical() is can
+        for beta, p in can.xleft().items():
+            for m in p.terms:
+                e = unpack(m, n)
+                assert not (e[0] and e[-1]), (c, beta)
+        for p in (c.op - can).xleft().values():
+            assert divides_exactly(qs, p) is not None, c
+        back = ConeOp(can)
+        assert back == c and c == back
+        assert back.canonical() == can
+        assert hash(back) == hash(c)
+        seen.add(c.op == can)
+    assert seen == {True, False}
 
 
 def test_gradings():

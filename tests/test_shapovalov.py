@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from oracles import (b_op, c_op, d_op, shapovalov_cli_by_expansion,
-                     shapovalov_multinomial)
+                     shapovalov_multinomial, shapovalov_series_ambient)
 from quadricops import cli, shapovalov, suites
 from quadricops.coneops import ConeOp, letter_op
 from quadricops.poly import Poly, is_packed
@@ -60,10 +60,22 @@ def test_expand_equals_closed_small():
 
 @pytest.mark.parametrize("k,dmax", [(2, 3), (3, 4)])
 def test_series_equals_multinomial_expansion(k, dmax):
-    # term for term, not only as cone classes
-    for d, bop in enumerate(shapovalov_series(dmax, k), 1):
+    # the ambient recursion, term for term, not only as cone classes
+    for d, bop in enumerate(shapovalov_series_ambient(dmax, k), 1):
         assert bop.op.terms == shapovalov_multinomial(d, k).terms, d
     assert shapovalov_expand(2, k).op == shapovalov_series(2, k)[-1].op
+
+
+@pytest.mark.parametrize("k,dmax", [(2, 5), (3, 4)])
+def test_series_in_d_c_has_the_ambient_classes(k, dmax):
+    # B_1 is the ambient operator; every later B_d is built on the canonical
+    # representative of B_(d-1), so only the classes agree
+    series = shapovalov_series(dmax, k)
+    ambient = shapovalov_series_ambient(dmax, k)
+    assert series[0].op == ambient[0].op
+    for d, (bop, want) in enumerate(zip(series, ambient), 1):
+        assert bop.canonical() == want.canonical(), d
+    assert series[-1].op != ambient[-1].op
 
 
 def test_series_terms_are_packed_and_nonzero(monkeypatch):
