@@ -1,8 +1,7 @@
 """Phase-space side: moment map, descent check, orbit matrix and relations.
 
 Phase-space polynomials live in 4k variables, split into a base block v and a
-fiber block x (each 2k wide, in x/y coordinates); descent and boundary checks
-append extra formal parameters after the two blocks.  The Poisson bracket
+fiber block x (each 2k wide, in x/y coordinates).  The Poisson bracket
 pairs base variable j with the fiber variable dual to j under the split form,
 matching the principal-symbol convention (sigma(d_{x_i}) is the fiber
 coordinate y_{k+1-i}).
@@ -19,49 +18,53 @@ reads M:
   corrected realization is the moment map after the Fourier swap of base
   and fiber, so the two layouts differ by the renaming that exchanges the
   blocks through the split form;
-- ``verify_orbit_relations`` reads the block relations off M^2.
+- ``check_descent(xi)`` differentiates the pairing once along the fiber
+  shear;
+- ``verify_orbit_relations`` reads the block relations off M^2 and the rank
+  conditions off one rank-2 factorization of M.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from .lie import LieElt, mat_mul
-from .poly import Poly, add_terms, b_pair, dual, q_of, qdiv, reduce_mod
-from .weyl import permute_vars
+from .poly import (Poly, add_terms, b_pair, dual, q_of, qdiv, reduce_mod,
+                   unit)
+from .weyl import WeylOp, permute_vars
 
 
-def block_var(k: int, block: int, i: int, extra: int = 0) -> Poly:
-    """Variable i of block 0 (v) or 1 (x) inside the 4k(+extra) ring."""
+def block_var(k: int, block: int, i: int) -> Poly:
+    """Variable i of block 0 (v) or 1 (x) inside the 4k ring."""
     n = 2 * k
-    return Poly.var(2 * n + extra, block * n + i)
+    return Poly.var(2 * n, block * n + i)
 
 
-def v_vector(k: int, extra: int = 0) -> list:
-    return [block_var(k, 0, i, extra) for i in range(2 * k)]
+def v_vector(k: int) -> list:
+    return [block_var(k, 0, i) for i in range(2 * k)]
 
 
-def x_vector(k: int, extra: int = 0) -> list:
-    return [block_var(k, 1, i, extra) for i in range(2 * k)]
+def x_vector(k: int) -> list:
+    return [block_var(k, 1, i) for i in range(2 * k)]
 
 
 @lru_cache(maxsize=64)
-def orbit_matrix(k: int, extra: int = 0) -> tuple:
+def orbit_matrix(k: int) -> tuple:
     """The matrix of invariants M(v, w) in (2k+2)-block shape: the moment map.
 
     Blocks: alpha = B(v,w), mu = alpha v - Q(v) w, middle X = v wedge w with
     (v ^ w)(z) = B(v,z) w - B(w,z) v, and lambda = w; entries are
-    polynomials in 4k(+extra) variables (v block then w block).  Memoized
-    per (k, extra) and shared by every caller, so the rows are tuples and
-    their entries must not be changed.
+    polynomials in 4k variables (v block then w block).  Memoized per k and
+    shared by every caller, so the rows are tuples and their entries must
+    not be changed.
     """
     n = 2 * k
-    v = v_vector(k, extra)
-    w = x_vector(k, extra)
+    v = v_vector(k)
+    w = x_vector(k)
     alpha = b_pair(v, w)
     mu = [alpha * v[i] - q_of(v) * w[i] for i in range(n)]
-    zero = Poly.zero(4 * k + extra)
+    zero = Poly.zero(4 * k)
     m = [[zero for _ in range(n + 2)] for _ in range(n + 2)]
     m[0][0] = alpha
     m[n + 1][n + 1] = -alpha
@@ -77,49 +80,50 @@ def orbit_matrix(k: int, extra: int = 0) -> tuple:
     return tuple(map(tuple, m))
 
 
-def moment(xi: LieElt, extra: int = 0) -> Poly:
+def moment(xi: LieElt) -> Poly:
     """The moment-map pairing of xi against the tautological covector:
 
     1/2 sum A[r][c] M[dual(r)][dual(c)] over the nonzero entries A[r][c] of
-    the matrix of xi, with M = ``orbit_matrix(k, extra)`` and dual the
-    pairing of J+.  In blocks it is B(x,mu) + B(x,Xv) - alpha B(x,v)
-    + B(lam,v) B(x,v) - Q(v) B(x,lam).
+    the matrix of xi, with M = ``orbit_matrix(k)`` and dual the pairing of
+    J+.  In blocks it is B(x,mu) + B(x,Xv) - alpha B(x,v)
+    + B(lam,v) B(x,v) - Q(v) B(x,lam), a polynomial in the 4k phase
+    variables.
     """
     k = xi.k
     n = 2 * k + 2
-    M = orbit_matrix(k, extra)
+    M = orbit_matrix(k)
     terms: dict = {}
     for (r, c), a in xi.entries():
         add_terms(terms, ((m, a * e) for m, e in
                           M[dual(n, r)][dual(n, c)].terms.items()))
-    return Poly._of(4 * k + extra, terms).scale(qdiv(1, 2))
+    return Poly._of(4 * k, terms).scale(qdiv(1, 2))
 
 
 def check_descent(xi: LieElt) -> Poly:
-    """Defect of fiber-shear invariance: Phi(v + t x, x) - Phi(v, x) mod (Q(x)).
+    """Defect of fiber-shear invariance of Phi = ``moment(xi)``: D Phi mod
+    (Q(x)), with D = sum_i x_i d/dv_i the derivative along the shear.
 
-    Returns the canonical-form defect, expected to vanish identically.
+    This decides invariance exactly.  D never differentiates x, so Taylor's
+    formula reads Phi(v + t x, x) = sum_j t^j / j! D^j Phi, and D commutes
+    with multiplication by Q(x), so it maps the ideal (Q(x)) into itself.
+    Hence Phi(v + t x, x) - Phi(v, x) lies in (Q(x)) for every t exactly
+    when D Phi does.  Returns the canonical-form defect, expected to vanish
+    identically.
     """
     k = xi.k
-    # one extra formal variable t at the end
-    phi0 = moment(xi, extra=1)
-    nv = 4 * k + 1
-    t = Poly.var(nv, nv - 1)
-    v = v_vector(k, extra=1)
-    x = x_vector(k, extra=1)
-    sheared = [vi + t * xi_ for vi, xi_ in zip(v, x)]
-    images = sheared + x + [t]
-    phi1 = phi0.subs_vars(images)
-    return reduce_mod(phi1 - phi0, q_of(x))
+    n, nv = 2 * k, 4 * k
+    shear = WeylOp._of(nv, {(unit(nv, n + i), unit(nv, i)): 1
+                            for i in range(n)})
+    return reduce_mod(shear.apply(moment(xi)), q_of(x_vector(k)))
 
 
 def verify_orbit_relations(k: int) -> list:
     """All defining relations of the invariant matrix modulo (Q(w)).
 
     Returns a list of (check id, residue-is-zero, residue text) covering the
-    quadratic block relations, the rank conditions (3x3 minors, proven by a
-    rank-2 factorization of the matrix), the square of the matrix, and the
-    Pluecker relations on the middle block.
+    quadratic block relations, the square of the matrix, and the rank
+    conditions: the Pluecker relations on the middle block and the 3x3
+    minors, both proven by one rank-2 factorization of the matrix.
     """
     n = 2 * k
     v = v_vector(k)
@@ -136,13 +140,12 @@ def verify_orbit_relations(k: int) -> list:
     def record(name: str, residue: Poly):
         results.append((name, residue.is_zero(), residue.text()))
 
-    def record_first_failure(name: str, labelled):
-        # one entry for a family: its first nonzero (label, residue), or none
+    def first_failure(labelled) -> tuple:
+        # one outcome for a family: its first nonzero (label, residue), or none
         for label, r in labelled:
             if not r.is_zero():
-                results.append((name, False, f"{label}: {r.text()}"))
-                return
-        results.append((name, True, ""))
+                return False, f"{label}: {r.text()}"
+        return True, ""
 
     record("Q(w)", reduce_mod(qw, qw))
     record("Q(mu)", reduce_mod(q_of(mu), qw))
@@ -161,27 +164,24 @@ def verify_orbit_relations(k: int) -> list:
             outer_skw = w[i] * mu[dual(n, j)] - mu[i] * w[dual(n, j)]
             record(f"(alpha*X-outer)[{i}][{j}]",
                    reduce_mod(alpha * X[i][j] - outer_skw, qw))
-    # Pluecker relations on the middle block, bar(i) = 2k+1-i
-    record_first_failure("pluecker", (
-        (f"({i},{j},{l},{m})",
-         reduce_mod(X[i][dual(n, j)] * X[l][dual(n, m)]
-                    - X[i][dual(n, l)] * X[j][dual(n, m)]
-                    + X[i][dual(n, m)] * X[j][dual(n, l)], qw))
-        for i, j, l, m in combinations(range(n), 4)))
-    # full matrix: square and 3x3 minors
-    entries = list(product(range(n + 2), repeat=2))
-    record_first_failure("M^2",
-                         ((f"[{i}][{j}]", M2[i][j]) for i, j in entries))
     # rank 2 (Brylinski-Kostant): with p = (1, v, -Q(v)), q = (0, w, -B(v,w))
-    # and J reversing the index, M = q (Jp)^T - p (Jq)^T mod (Q(w)); M is then
-    # a product of (2k+2)x2 and 2x(2k+2) matrices, so by Cauchy-Binet every
-    # 3x3 minor vanishes modulo (Q(w))
+    # and J reversing the index, M = q (Jp)^T - p (Jq)^T mod (Q(w)).  M is
+    # then a product of (2k+2)x2 and 2x(2k+2) matrices, so by Cauchy-Binet
+    # every 3x3 minor vanishes modulo (Q(w)); and its middle block
+    # X[i][dual(j)] = w_i v_j - v_i w_j is the decomposable bivector w ^ v,
+    # whose coordinates satisfy the Pluecker relations (Fulton, Young
+    # Tableaux, 1997, 9.1)
     p = [Poly.const(4 * k, 1), *v, -q_of(v)]
     q = [Poly.zero(4 * k), *w, -alpha]
-    record_first_failure("3x3 minors", (
+    entries = list(product(range(n + 2), repeat=2))
+    rank2 = first_failure(
         (f"rank-2 factorization fails at [{i}][{j}]", reduce_mod(
             M[i][j] - (q[i] * p[n + 1 - j] - p[i] * q[n + 1 - j]), qw))
-        for i, j in entries))
+        for i, j in entries)
+    results.append(("pluecker", *rank2))
+    results.append(("M^2", *first_failure(
+        (f"[{i}][{j}]", M2[i][j]) for i, j in entries)))
+    results.append(("3x3 minors", *rank2))
     return results
 
 

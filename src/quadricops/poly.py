@@ -668,11 +668,6 @@ class Poly(TermMap):
             for m, c in self.sorted_terms()
         ]
 
-    @classmethod
-    def from_json(cls, nvars: int, data: list) -> "Poly":
-        return cls.from_exponents(
-            nvars, {tuple(t["exponents"]): qdiv(t["num"], t["den"]) for t in data})
-
     def __repr__(self):
         return f"Poly({self.text()})"
 
@@ -882,13 +877,6 @@ class QLaurent:
         return QLaurent(self.k, self.num * other.num, self.qexp + other.qexp)
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> "QLaurent":
-        out = QLaurent.__new__(QLaurent)
-        out.k, out.num, out.qexp = self.k, self.num.scale(c), self.qexp
-        if out.num.is_zero():
-            out.qexp = 0
-        return out
 
     def div_by_q(self, m: int = 1) -> "QLaurent":
         return QLaurent(self.k, self.num, self.qexp + m)

@@ -1,8 +1,13 @@
 """Brute-force references for what the engine computes by a shorter route.
 
 The orbit relations prove that every 3x3 minor of the invariant matrix
-vanishes modulo Q(w) by a rank-2 factorization of the matrix; ``det3`` and
-``nonvanishing_minor`` expand the minors one by one instead.  The Shapovalov
+vanishes modulo Q(w), and that its middle block satisfies the Pluecker
+relations, by a rank-2 factorization of the matrix; ``det3`` and
+``nonvanishing_minor`` expand the minors one by one instead, and
+``pluecker_residues`` expands the relation of every index quadruple.
+``momentorbit.check_descent`` differentiates the moment pairing once along
+the fiber shear; ``shear_defect_by_substitution`` substitutes v + t x for v
+in a ring with one more variable t.  The Shapovalov
 elements come from a recursion in d that rests on the second-order factors
 commuting, run in D_C on canonical representatives;
 ``shapovalov_series_ambient`` runs it on the ambient operators, and
@@ -62,6 +67,7 @@ from math import factorial, perm
 
 import sympy
 
+from quadricops import momentorbit
 from quadricops.coneops import ConeOp, GenWord, letter_op
 from quadricops.exprparse import (MAX_TOKENS, _TOKEN_RE, IndexOutOfRange,
                                   ParseError)
@@ -98,6 +104,23 @@ def nonvanishing_minor(k: int, M=None):
             if not normal_form_mod_single(det3(M, rows, cols), qw)[1].is_zero():
                 return rows, cols
     return None
+
+
+def pluecker_residues(k: int) -> list:
+    """(i, j, l, m) and the Pluecker relation of the middle block X of the
+    orbit matrix at it, reduced modulo Q(w), for every quadruple
+    i < j < l < m, with bar(i) = dual(i):
+    X[i][bar j] X[l][bar m] - X[i][bar l] X[j][bar m] + X[i][bar m] X[j][bar l].
+    """
+    n = 2 * k
+    M = orbit_matrix(k)
+    X = [row[1:n + 1] for row in M[1:n + 1]]
+    qw = q_of(x_vector(k))
+    return [((i, j, l, m),
+             reduce_mod(X[i][dual(n, j)] * X[l][dual(n, m)]
+                        - X[i][dual(n, l)] * X[j][dual(n, m)]
+                        + X[i][dual(n, m)] * X[j][dual(n, l)], qw))
+            for i, j, l, m in combinations(range(n), 4)]
 
 
 def euler_weight_op(k: int) -> WeylOp:
@@ -536,15 +559,15 @@ def preserves_ideal_by_monomials(a: WeylOp) -> bool:
     return True
 
 
-def moment_by_blocks(xi: LieElt, extra: int = 0) -> Poly:
+def moment_by_blocks(xi: LieElt) -> Poly:
     """The moment pairing in the V layout, block type by block type:
 
     B(x,mu) + B(x,Xv) - alpha B(x,v) + B(lam,v) B(x,v) - Q(v) B(x,lam).
     """
     k = xi.k
-    nv = 4 * k + extra
-    v = v_vector(k, extra)
-    x = x_vector(k, extra)
+    nv = 4 * k
+    v = v_vector(k)
+    x = x_vector(k)
     # mu and lam as dense vectors of constants, from their stored entries
     mu, lam = ([Poly.zero(nv) for _ in v] for _ in range(2))
     for dense, block in ((mu, xi.mu), (lam, xi.lam)):
@@ -560,6 +583,22 @@ def moment_by_blocks(xi: LieElt, extra: int = 0) -> Poly:
         out = out + b_pair(lam, v) * b_pair(x, v)
         out = out - q_of(v) * b_pair(x, lam)
     return out
+
+
+def shear_defect_by_substitution(xi: LieElt) -> Poly:
+    """Phi(v + t x, x) - Phi(v, x) mod (Q(x)) for Phi = ``moment(xi)``, in
+    the 4k + 1 variables of the phase space and one formal parameter t.
+
+    Looks ``moment`` up in ``momentorbit`` on every call, so a test can feed
+    it any phase-space polynomial."""
+    k = xi.k
+    n, nv = 2 * k, 4 * k + 1
+    phi = momentorbit.moment(xi)
+    ring = [Poly.var(nv, i) for i in range(nv)]
+    v, x, t = ring[:n], ring[n:2 * n], ring[-1]
+    sheared = [vi + t * xi_ for vi, xi_ in zip(v, x)]
+    return reduce_mod(phi.subs_vars(sheared + x) - phi.subs_vars(v + x),
+                      q_of(x))
 
 
 def symbol_by_blocks(xi: LieElt) -> Poly:

@@ -104,6 +104,17 @@ def test_k3_shapovalov_report_is_pinned(capsys):
         "18c88aba489a6cd53b865b72d92fe573a12831feb07a022b6c7d94171a20f88f")
 
 
+def test_k3_moment_verify_report_is_pinned(capsys):
+    # every orbit relation and every descent as its own check; recorded
+    # before descent was proven by one fiber derivative and the Pluecker
+    # relations by the rank-2 factorization
+    code, out = run_cli(capsys, ["moment", "verify", "--k", "3",
+                                 "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b3989adfbc229c281eea464ac067ba8e02dca20e7ea16f490be3941ed37411f8")
+
+
 @pytest.mark.parametrize("suite,k,digest", [
     ("shapovalov", 5,
      "1fe9f23e07b559e3517fe98a6b0e0c1bf2da82aededc61da2a2738ea22705c4f"),

@@ -173,28 +173,28 @@ def _cofactor_shifted(a, b):
     return g, s + 1, t
 
 
-def _x_vector_swapped(k, extra=0):
+def _x_vector_swapped(k):
     # the last two fiber coordinates exchanged; reached in the symbol checks
     # only through the cached symbol_invariant
-    v = ORIGINAL["x_vector"](k, extra)
+    v = ORIGINAL["x_vector"](k)
     v[-2], v[-1] = v[-1], v[-2]
     return v
 
 
-def _v_vector_doubled(k, extra=0):
+def _v_vector_doubled(k):
     # the base coordinates scaled by 2; phase_euler reads the module global,
     # while the suite's own binding of v_vector builds the bracket unscaled
-    return [p.scale(2) for p in ORIGINAL["v_vector"](k, extra)]
+    return [p.scale(2) for p in ORIGINAL["v_vector"](k)]
 
 
-def _mu_without_q_term(k, extra=0):
+def _mu_without_q_term(k):
     # mu = B(v,w) v for B(v,w) v - Q(v) w, in its column and in its row;
     # moment reads the mu block only through lambda, so the descent fails
     # first at ('lam', 0)
     n = 2 * k
-    m = [list(row) for row in ORIGINAL["orbit_matrix"](k, extra)]
-    qv = q_of(momentorbit.v_vector(k, extra))
-    w = momentorbit.x_vector(k, extra)
+    m = [list(row) for row in ORIGINAL["orbit_matrix"](k)]
+    qv = q_of(momentorbit.v_vector(k))
+    w = momentorbit.x_vector(k)
     for i in range(n):
         m[1 + i][0] = m[1 + i][0] + qv * w[i]
         m[n + 1][1 + i] = m[n + 1][1 + i] - qv * w[dual(n, i)]
@@ -253,6 +253,20 @@ def _b_form_unflipped(k, vec):
     return coneops.linear_form(k, vec)
 
 
+def _letter_plus_identity(k, letter):
+    # each letter plus the identity: XX_i(1) and YY_i(1) come out 1, which
+    # no multiple of Q* reaches; dirac_relations looks the name up in
+    # harmonic
+    return ORIGINAL["letter_op"](k, letter) + weyl.WeylOp.identity(2 * k)
+
+
+def _laplacian_shift_plus_m(q, m):
+    # R_m + m: Delta(n/Q^m) gains m n/Q^(m+1), so the Kelvin image 1/Q^(k-1)
+    # of 1 is no longer harmonic; laplacian_qlaurent looks the name up in
+    # harmonic
+    return ORIGINAL["_laplacian_shift"](q, m) + m
+
+
 def _sub_as_add(node, target):
     # a - b evaluated as a + b; the fold recurses through this fake
     if node[0] == "sub":
@@ -276,7 +290,8 @@ ORIGINAL = {name: getattr(module, name) for module, name in [
     (momentorbit, "x_vector"), (momentorbit, "v_vector"),
     (momentorbit, "orbit_matrix"),
     (lie, "_q_power_inverse"), (exprparse, "_fold"),
-    (harmonic, "comb"), (harmonic, "kelvin"),
+    (harmonic, "comb"), (harmonic, "kelvin"), (harmonic, "letter_op"),
+    (harmonic, "_laplacian_shift"),
     (poly, "divides_exactly"), (poly.Poly, "deriv"),
     (weyl.WeylOp, "principal_symbol")]}
 # the polynomial kernel shares its name with the operator kernel
@@ -409,6 +424,12 @@ CASES = {
         harmonic, "kelvin", _kelvin_weight_lowered, "harmonic-kelvin",
         "kelvin-involution-intertwine",
         "intertwine defect on x1^6: (-6*x1^6) / Q^7"),
+    "letter-plus-identity-dirac": (
+        harmonic, "letter_op", _letter_plus_identity, "harmonic-kelvin",
+        "harmonic-dirac-relations", ""),
+    "laplacian-shift-plus-m-fundamental-solution": (
+        harmonic, "_laplacian_shift", _laplacian_shift_plus_m,
+        "harmonic-kelvin", "kelvin-fundamental-solution", "(-1) / Q^1"),
     "b-form-unflipped": (
         coneops, "b_form_poly", _b_form_unflipped, "harmonic-kelvin",
         "harmonic-symmetry-certificates", "no certificate for ('lam', 0)"),
@@ -444,10 +465,8 @@ def test_unmutated_suites_pass(suite):
 UNCOVERED = [
     "cli-emit-roundtrip",
     "harmonic-boundary-phase",
-    "harmonic-dirac-relations",
     "harmonic-exponential",
     "harmonic-symmetry-rejections",
-    "kelvin-fundamental-solution",
     "normal-form-idempotent",
 ]
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from oracles import (moment_by_blocks, nonvanishing_minor,
-                     phase_euler_by_pairs, symbol_by_blocks)
+                     phase_euler_by_pairs, pluecker_residues,
+                     shear_defect_by_substitution, symbol_by_blocks)
 from quadricops import momentorbit
 from quadricops.coneops import rho_tilde
 from quadricops.lie import LieElt, basis
@@ -14,7 +15,7 @@ from quadricops.momentorbit import (block_var, check_descent, moment,
                                     orbit_matrix, phase_euler, poisson,
                                     symbol_invariant, v_vector,
                                     verify_orbit_relations, x_vector)
-from quadricops.poly import Poly, q_of, qcoef
+from quadricops.poly import Poly, b_pair, q_of, qcoef
 
 K = 2
 NV = 4 * K
@@ -33,6 +34,60 @@ def test_descent_zero_full_basis():
         assert check_descent(xi).is_zero(), xi.tag
 
 
+def _random_poly(rng, variables, terms=3, degree=2):
+    """A random constant plus `terms` random monomials of degree 1 to
+    `degree` in the given variables, with small rational coefficients."""
+    out = Poly.const(NV, rng.randint(-2, 2))
+    for _ in range(terms):
+        mono = Poly.const(NV, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        for _ in range(rng.randint(1, degree)):
+            mono = mono * rng.choice(variables)
+        out = out + mono
+    return out
+
+
+def test_shear_derivative_and_substitution_agree(monkeypatch):
+    # shear-invariant inputs a(x) + Q(x) g + c(x) B(v, x)^2, and inputs with
+    # a term in v alone that no shear keeps; each is fed to both defects as
+    # the moment pairing of a dummy element
+    rng = random.Random(40)
+    v, x = v_vector(K), x_vector(K)
+    xi = basis(K)[0]
+    cases = []
+    for _ in range(8):
+        a, c = _random_poly(rng, x), _random_poly(rng, x)
+        g = _random_poly(rng, v + x)
+        invariant = a + q_of(x) * g + c * b_pair(v, x) ** 2
+        cases.append((invariant, True))
+        cases.append((invariant + _random_poly(rng, v, 2) * v[0], False))
+    for phi, invariant in cases:
+        monkeypatch.setattr(momentorbit, "moment", lambda _, phi=phi: phi)
+        by_derivative = check_descent(xi).is_zero()
+        assert by_derivative == shear_defect_by_substitution(xi).is_zero()
+        assert by_derivative == invariant, phi
+
+
+def test_pluecker_relations_vanish_one_by_one():
+    for k in range(2, 5):
+        assert all(r.is_zero() for _, r in pluecker_residues(k)), k
+
+
+def test_doubled_entry_fails_both_rank_records(monkeypatch):
+    def doubled(k):
+        M = [list(row) for row in orbit_matrix(k)]
+        M[1][2] = M[1][2].scale(2)
+        return tuple(map(tuple, M))
+
+    monkeypatch.setattr(momentorbit, "orbit_matrix", doubled)
+    lines = {name: (ok, residue)
+             for name, ok, residue in verify_orbit_relations(K)}
+    for name in ("pluecker", "3x3 minors"):
+        ok, residue = lines[name]
+        assert not ok
+        assert residue.startswith("rank-2 factorization fails at [1][2]"), \
+            residue
+
+
 def test_moment_degrees():
     # the moment pairing is linear in the fiber and at most cubic in the base
     for xi in basis(K):
@@ -43,7 +98,7 @@ def test_moment_degrees():
 
 def test_moment_and_symbol_match_the_block_formulas():
     # every basis element and 10 seeded rational combinations of the whole
-    # basis per k, in both layouts and with an extra variable
+    # basis per k, in both layouts
     rng = random.Random(24)
     for k in range(2, 6):
         bas = basis(k)
@@ -56,16 +111,15 @@ def test_moment_and_symbol_match_the_block_formulas():
             elements.append(xi)
         for xi in elements:
             assert moment(xi) == moment_by_blocks(xi), (k, xi)
-            assert moment(xi, 1) == moment_by_blocks(xi, 1), (k, xi)
             assert symbol_invariant(xi) == symbol_by_blocks(xi), (k, xi)
         assert phase_euler(k) == phase_euler_by_pairs(k), k
 
 
 def test_orbit_matrix_is_shared_and_read_only():
-    M = orbit_matrix(K, 1)
-    assert M is orbit_matrix(K, 1)
+    M = orbit_matrix(K)
+    assert M is orbit_matrix(K)
     assert isinstance(M, tuple) and all(isinstance(r, tuple) for r in M)
-    assert {p.nvars for row in M for p in row} == {NV + 1}
+    assert {p.nvars for row in M for p in row} == {NV}
 
 
 def test_orbit_relations_pass():
