@@ -35,7 +35,7 @@ from .momentorbit import (check_descent, moment, orbit_matrix, phase_euler,
                           poisson, symbol_invariant, verify_orbit_relations)
 from .harmonic import (CertificateError, SymmetryCert, bessel_check,
                        boundary_phase_check, exp_harmonicity_defect,
-                       harmonic_decompose, harmonic_dimension,
+                       harmonic_count, harmonic_decompose, harmonic_dimension,
                        is_higher_symmetry, kelvin, kelvin_intertwine_defect,
                        laplacian_qlaurent, n2_counterexample)
 from .exprparse import ParseError, UsageError, parse, to_text
@@ -58,7 +58,7 @@ __all__ = [
     "symbol_invariant", "verify_orbit_relations",
     "CertificateError", "SymmetryCert", "bessel_check",
     "boundary_phase_check", "exp_harmonicity_defect", "harmonic_decompose",
-    "harmonic_dimension", "is_higher_symmetry", "kelvin",
+    "harmonic_count", "harmonic_dimension", "is_higher_symmetry", "kelvin",
     "kelvin_intertwine_defect", "laplacian_qlaurent", "n2_counterexample",
     "ParseError", "UsageError", "parse", "to_text",
     "SuiteReport", "UnknownSuite", "emit", "run_suite",

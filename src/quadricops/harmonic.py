@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .poly import (Poly, QLaurent, b_pair, dual, falling, falling_spec, guard,
+from .poly import (Poly, QLaurent, b_pair, dual, falling, falling_spec,
                    mdegree, monomials, q_form, q_of, qcoef, qdiv, reduce_mod,
                    rref, subtract_row, unit)
 from .weyl import NotDivisible, WeylOp, euler_op, laplacian_op
@@ -188,61 +188,64 @@ def harmonic_dimension(d: int, k: int) -> int:
     return dim_d - dim_d2
 
 
-def harmonic_decompose(d: int, k: int):
-    """Exact splitting of Sym^d into harmonics and Q * Sym^{d-2}.
-
-    Returns (harmonic basis, Q-multiple basis) as lists of Poly.  The
-    Laplacian matrix, written on packed keys, has its columns at
-    ``monomials(2k, d)`` and its rows at ``monomials(2k, d - 2)``, both in
-    graded lex order.  With R its reduced row echelon form, P its pivot
-    columns and F the free ones, the harmonic basis is e_f - sum_p R[p][f]
-    e_p for f in F.  It is the identity on F, so subtracting from each
-    Q-multiple q its F-entries times the harmonics leaves the vector R q,
-    zero on F.  Hence the rank of harmonics and Q-multiples together is
-    |F| + rank S, with S the block of the rows R q on P; the splitting is
-    certified by that rank, computed exactly, equalling both the number of
-    vectors and dim Sym^d.
-    """
+def _laplacian_form(d: int, k: int):
+    """(col, R, rcols, qmult), certified as ``harmonic_decompose`` says."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
     n = 2 * k
-    monos = monomials(n, d)
-    col = {m: i for i, m in enumerate(monos)}
+    col = {m: j for j, m in enumerate(monomials(n, d))}
     target = monomials(n, d - 2)
-    trow = {m: i for i, m in enumerate(target)}
-    # matrix of Delta: rows = Sym^{d-2} monomials, cols = Sym^d monomials,
-    # from Delta x^m = sum_i m_i m_dual(i) x^(m - u_i), u_i = e_i + e_dual(i)
-    g = guard(n)
+    # the row of x^m: falling(m + u_i, u_i) at the column of x^(m + u_i)
     pairs = [(u, falling_spec(u, n))
              for u in (unit(n, i) + unit(n, dual(n, i)) for i in range(k))]
-    rows = [{} for _ in target]
-    for j, m in enumerate(monos):
-        for u, spec in pairs:
-            if not (m - u) & g:
-                rows[trow[m - u]][j] = falling(m, spec)
-    form = rref(rows)
-    # the columns of R as {pivot: entry}
-    rcols = [{} for _ in monos]
+    form = rref([{col[m + u]: falling(m + u, spec) for u, spec in pairs}
+                 for m in target])
+    rcols = {}
     for p, row in form.items():
         for c, v in row.items():
-            rcols[c][p] = v
-    harm = []
-    for f, m in enumerate(monos):
-        if f not in form:
-            vec = {monos[p]: qcoef(-v) for p, v in rcols[f].items()}
-            vec[m] = 1
-            harm.append(Poly._of(n, vec))
+            rcols.setdefault(c, {})[p] = v
     q = q_form(k)
     qmult = [q * Poly._of(n, {m: 1}) for m in target]
     block = []
     for p in qmult:
         s = {}
         for m, c in p.terms.items():
-            subtract_row(s, -c, rcols[col[m]])
+            subtract_row(s, -c, rcols.get(col[m], {}))
         block.append(s)
-    rank = len(harm) + len(rref(block))
-    if rank != len(harm) + len(qmult) or rank != len(monos):
+    if not len(rref(block)) == len(form) == len(qmult):
         raise ArithmeticError("harmonic decomposition is not a direct sum")
+    return col, form, rcols, qmult
+
+
+def harmonic_count(d: int, k: int) -> int:
+    """dim of degree-d harmonics in 2k variables, |Sym^d| - rank Delta."""
+    col, form, _, _ = _laplacian_form(d, k)
+    return len(col) - len(form)
+
+
+def harmonic_decompose(d: int, k: int):
+    """Exact splitting of Sym^d into harmonics and Q * Sym^{d-2}.
+
+    Returns (harmonic basis, Q-multiple basis) as lists of Poly.  The
+    Laplacian matrix is written row by row, k entries in the row of each
+    x^m of degree d - 2; col indexes its columns, the monomials of degree d
+    in graded lex order.  With R its reduced row echelon form, P its pivot
+    columns and F the free ones, the harmonics are e_f - sum_p R[p][f] e_p,
+    f in F, read off rcols, the columns of R that rows touch, and
+    ``harmonic_count`` counts them as |F| = dim Sym^d - rank R.  They are
+    the identity on F, so a Q-multiple q less its F-entries times them is
+    R q, zero on F: with S the block of the rows R q on P, harmonics and
+    Q-multiples have rank |F| + rank S, certified exactly to equal both
+    their number |F| + dim Sym^(d-2) and dim Sym^d = |F| + rank R.
+    """
+    col, form, rcols, qmult = _laplacian_form(d, k)
+    monos = list(col)
+    harm = []
+    for f, m in enumerate(monos):
+        if f not in form:
+            vec = {monos[p]: qcoef(-v) for p, v in rcols.get(f, {}).items()}
+            vec[m] = 1
+            harm.append(Poly._of(2 * k, vec))
     return harm, qmult
 
 
@@ -268,16 +271,14 @@ def twisted_laplacian(p: Poly, k: int) -> Poly:
     block x); derivatives act on the v block only.
     """
     n = 2 * k
-    x = x_vector(k)
-    # l = -B(x, v): dl/dv_i = -x_{dual(i)}
-    def dl(i):
-        return -x[dual(n, i)]
+    # l = -B(x, v): dl/dv_i = -x_{dual(i)}, and dual reverses the indices
+    dl = [-xi for xi in reversed(x_vector(k))]
     out = Poly.zero(4 * k)
     for i in range(k):
         a, b = i, dual(n, i)  # the pair (x_i, y_{k+1-i})
         out = out + p.deriv(a).deriv(b)
-        out = out + dl(a) * p.deriv(b) + dl(b) * p.deriv(a)
-        out = out + dl(a) * dl(b) * p
+        out = out + dl[a] * p.deriv(b) + dl[b] * p.deriv(a)
+        out = out + dl[a] * dl[b] * p
     return out
 
 
@@ -303,11 +304,8 @@ def bessel_check(k: int, M: int) -> dict:
     n = 2 * k
     coeffs = bessel_series(k, M)
     tvar = n - 1  # y_k
-    f = Poly(n, {})
-    for m, c in enumerate(coeffs):
-        mono = [0] * n
-        mono[tvar] = m
-        f = f + Poly.monomial(tuple(mono), c)
+    f = Poly.from_exponents(n, {(0,) * tvar + (m,): c
+                                for m, c in enumerate(coeffs)})
     op = letter_op(k, ("XX", 1)) - WeylOp.identity(n)
     residue = op.apply(f)
     low = Poly(n, {m: c for m, c in residue.terms.items()
@@ -387,13 +385,12 @@ def n2_counterexample() -> dict:
         return QLaurent(k, Poly.monomial((0, b - a)), -a)
 
     worst = None
-    ok = True
     for a in range(-3, 4):
         for b in range(4):
             defect = commutator_defect(test_fn(a, b))
             if not defect.is_zero():
-                ok = False
                 worst = (a, b, defect.text())
+    ok = worst is None
     xi_of_x = xi_apply(QLaurent(k, Poly.var(n, 0), 0))
     xi_of_x_polynomial = xi_of_x.is_poly()
     delta_of_x_zero = lap(QLaurent(k, Poly.var(n, 0), 0)).is_zero()
@@ -407,16 +404,17 @@ def n2_counterexample() -> dict:
     }
 
 
-def dirac_relations(k: int) -> bool:
-    """XX_i(1) = YY_i(1) = 0 and the coordinate classes x_i*1, y_i*1 span
-    the degree-one piece of the cone ring."""
+def dirac_relations(k: int):
+    """The first failing one of XX_i(1) = YY_i(1) = 0 and the classes x_i*1,
+    y_i*1 spanning the cone ring's degree-one piece, as text, or None."""
     n = 2 * k
     one = Poly.const(n, 1)
     qs = q_form(k)
     for i in range(1, k + 1):
         for kind in ("XX", "YY"):
-            if not reduce_mod(letter_op(k, (kind, i)).apply(one),
-                              qs).is_zero():
-                return False
-    degree_one = {reduce_mod(Poly.var(n, i), qs) for i in range(n)}
-    return len(degree_one) == n and all(p.degree() == 1 for p in degree_one)
+            image = reduce_mod(letter_op(k, (kind, i)).apply(one), qs)
+            if not image.is_zero():
+                return f"{kind}{i}(1) = {image.text()}"
+    classes = [reduce_mod(Poly.var(n, i), qs) for i in range(n)]
+    if len(set(classes)) != n or any(p.degree() != 1 for p in classes):
+        return "coordinate classes " + ", ".join(p.text() for p in classes)

@@ -30,7 +30,7 @@ from .coneops import (ConeOp, GenWord, a_correction, alphabet, grading,
                       letter_op, phi, rho_amb, rho_tilde, tau, b_form_poly)
 from .harmonic import (bessel_check, boundary_phase_check,
                        dirac_relations, exp_harmonicity_defect,
-                       harmonic_decompose, harmonic_dimension,
+                       harmonic_count, harmonic_decompose, harmonic_dimension,
                        is_higher_symmetry, kelvin,
                        kelvin_intertwine_defect, laplacian_qlaurent,
                        n2_counterexample, orbit_representatives,
@@ -696,10 +696,9 @@ def harmonic_kelvin_checks(k: int) -> list:
           "harmonic nullspace dimensions match the binomial difference, d <= 5")
     def first_failure():
         for d in range(6):
-            harm, _ = harmonic_decompose(d, k)
-            want = harmonic_dimension(d, k)
-            if len(harm) != want:
-                return f"d={d}: got {len(harm)}, expected {want}"
+            got, want = harmonic_count(d, k), harmonic_dimension(d, k)
+            if got != want:
+                return f"d={d}: got {got}, expected {want}"
 
     @_run(out, "kelvin-preserves-harmonicity",
           "Kelvin images of harmonic polynomials stay harmonic (k=2, d <= 3)")
@@ -720,8 +719,7 @@ def harmonic_kelvin_checks(k: int) -> list:
 
     out.append(_check("harmonic-dirac-relations",
                       "the second-order images annihilate constants and coordinates "
-                      "span the degree-one piece",
-                      None if dirac_relations(k) else ""))
+                      "span the degree-one piece", dirac_relations(k)))
 
     bes = bessel_check(k, 12)
     out.append(_check("harmonic-bessel-series",
@@ -733,10 +731,13 @@ def harmonic_kelvin_checks(k: int) -> list:
                       "the exponential of the cone pairing is harmonic modulo the "
                       "cone equation", None if defect.is_zero() else defect.text()))
 
-    bnd = boundary_phase_check(k)
-    out.append(_check("harmonic-boundary-phase",
-                      "the boundary phase expansion identities hold modulo the cone equation",
-                      None if bnd["ok"] else ""))
+    @_run(out, "harmonic-boundary-phase",
+          "the boundary phase expansion identities hold modulo the cone equation")
+    def first_failure():
+        bnd = boundary_phase_check(k)
+        for name in ("linear_term", "quadratic_term", "cleared_phase"):
+            if not bnd[name].is_zero():
+                return f"{name}: {bnd[name].text()}"
 
     n2 = n2_counterexample()
     out.append(_check("harmonic-n2-counterexample",

@@ -59,6 +59,10 @@ the ambient Weyl algebra.
 ``poly.monomials`` enumerates a graded piece as sorted sums of packed
 variables; ``monomials_up_to`` walks the exponent tuples of every degree up
 to a bound recursively, in lex order, which within one degree is graded lex.
+``harmonic_decompose`` writes the Laplacian matrix on Sym^d row by row,
+each row of Sym^(d-2) at its k columns; ``laplacian_by_columns`` writes
+it column by column, testing every monomial of degree d against the k
+divisors x_i y_(k+1-i).
 """
 
 import json
@@ -75,9 +79,10 @@ from quadricops.harmonic import _laplacian_shift
 from quadricops.lie import GroupElt, LieElt
 from quadricops.momentorbit import (block_var, orbit_matrix, v_vector,
                                     x_vector)
-from quadricops.poly import (Poly, QLaurent, add_terms, b_pair, dual,
+from quadricops.poly import (Poly, QLaurent, add_terms, b_pair, dual, falling,
+                             falling_spec, guard, monomials,
                              normal_form_mod_single, q_form, pack, q_of, qdiv,
-                             reduce_mod, restrict, support, unpack)
+                             reduce_mod, restrict, support, unit, unpack)
 from quadricops.shapovalov import (FactorsDoNotCommute, euler_to_weyl,
                                    fourier_roots_bezout, shapovalov_closed,
                                    shapovalov_expand, shapovalov_factors)
@@ -353,6 +358,25 @@ def shift_by_products(k: int, m: int):
     qm = q ** m
     return (WeylOp.mult(q * qm) * lap,
             _laplacian_shift(q, m) * WeylOp.mult(qm))
+
+
+def laplacian_by_columns(d: int, k: int) -> list:
+    """The matrix of Delta on Sym^d as rows {column index: entry}, one per
+    monomial of degree d - 2, filled column by column: Delta x^m has the
+    term m_i m_dual(i) x^(m - u_i) for each u_i = e_i + e_dual(i) that
+    divides x^m."""
+    n = 2 * k
+    target = monomials(n, d - 2)
+    trow = {m: i for i, m in enumerate(target)}
+    g = guard(n)
+    pairs = [(u, falling_spec(u, n))
+             for u in (unit(n, i) + unit(n, dual(n, i)) for i in range(k))]
+    rows = [{} for _ in target]
+    for j, m in enumerate(monomials(n, d)):
+        for u, spec in pairs:
+            if not (m - u) & g:
+                rows[trow[m - u]][j] = falling(m, spec)
+    return rows
 
 
 def tau_letterwise(a: WeylOp) -> WeylOp:

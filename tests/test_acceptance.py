@@ -177,7 +177,7 @@ def test_criterion_09_higher_symmetry_decision():
 
 def test_criterion_10_worked_examples():
     for k in KS:
-        assert dirac_relations(k), k
+        assert dirac_relations(k) is None, k
         bes = bessel_check(k, 12)
         assert bes["residue_ok"] and bes["laplacian_zero"] \
             and bes["euler_matches"], k

@@ -364,13 +364,22 @@ def test_no_environment_variable_shrinks_the_corpora(monkeypatch):
     # the corpora once shrank to degree 1 under this variable
     monkeypatch.setenv("QUADRICOPS_MAX_DEGREE", "1")
     digest = hashlib.sha256(emit(run_suite("all", 2), "json")).hexdigest()
-    assert digest.startswith("30c3df26")
+    assert digest == (
+        "30c3df2634ad9b9567eecf6a60c906513efb4b05f7ec6801cf894686d7422158")
 
 
 def test_all_suites_at_k3_keep_their_report():
     digest = hashlib.sha256(emit(run_suite("all", 3), "json")).hexdigest()
     assert digest == (
         "3c380f170e1b126e1e9c322be5b420e324f579a5fe6076d77ba4b5ccc59ca7be")
+
+
+def test_all_suites_at_k4_keep_their_report(capsys):
+    code, out = run_cli(capsys, ["verify", "all", "--k", "4",
+                                 "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1da41c0a475f8b41c48b604c21835125577cbaf5d548b5467e8efa4da47ac5d5")
 
 
 # sha256 of the help text at 80 columns, of the program ("") and of each

@@ -260,6 +260,29 @@ def _letter_plus_identity(k, letter):
     return ORIGINAL["letter_op"](k, letter) + weyl.WeylOp.identity(2 * k)
 
 
+def _reduction_skipped(p, q):
+    # p returned as it is, not reduced modulo the cone equation: the defect
+    # of the exponential is Q(x) itself; exp_harmonicity_defect looks the
+    # name up in harmonic
+    return p
+
+
+def _b_pair_doubled(a, b):
+    # 2 B(a, b), the pairing with B(v, v) = 4 Q(v): B(x, w) - eps B(x, u)
+    # is still lam B(x, x), zero modulo Q(x), so the boundary phase first
+    # fails at its quadratic term; boundary_phase_check looks the name up
+    # in harmonic
+    return ORIGINAL["b_pair"](a, b).scale(2)
+
+
+def _least_monomial_dropped(n, d):
+    # each graded piece loses its least monomial, the last variable to the
+    # d-th power: Sym^0 loses the constant, so the enumerated count of the
+    # harmonics reads 0 at d = 0, while the rank certificate, which runs on
+    # the same enumeration, holds; reached through harmonic_count
+    return poly.monomials(n, d)[1:]
+
+
 def _laplacian_shift_plus_m(q, m):
     # R_m + m: Delta(n/Q^m) gains m n/Q^(m+1), so the Kelvin image 1/Q^(k-1)
     # of 1 is no longer harmonic; laplacian_qlaurent looks the name up in
@@ -291,7 +314,7 @@ ORIGINAL = {name: getattr(module, name) for module, name in [
     (momentorbit, "orbit_matrix"),
     (lie, "_q_power_inverse"), (exprparse, "_fold"),
     (harmonic, "comb"), (harmonic, "kelvin"), (harmonic, "letter_op"),
-    (harmonic, "_laplacian_shift"),
+    (harmonic, "_laplacian_shift"), (harmonic, "b_pair"),
     (poly, "divides_exactly"), (poly.Poly, "deriv"),
     (weyl.WeylOp, "principal_symbol")]}
 # the polynomial kernel shares its name with the operator kernel
@@ -426,7 +449,16 @@ CASES = {
         "intertwine defect on x1^6: (-6*x1^6) / Q^7"),
     "letter-plus-identity-dirac": (
         harmonic, "letter_op", _letter_plus_identity, "harmonic-kelvin",
-        "harmonic-dirac-relations", ""),
+        "harmonic-dirac-relations", "XX1(1) = 1"),
+    "reduction-skipped-exponential": (
+        harmonic, "reduce_mod", _reduction_skipped, "harmonic-kelvin",
+        "harmonic-exponential", "y1*y4 + y2*y3"),
+    "b-pair-doubled-boundary-phase": (
+        harmonic, "b_pair", _b_pair_doubled, "harmonic-kelvin",
+        "harmonic-boundary-phase", "quadratic_term: -x1*y3*y4*y5"),
+    "least-monomial-dropped-dimensions": (
+        harmonic, "monomials", _least_monomial_dropped, "harmonic-kelvin",
+        "harmonic-dimensions", "d=0: got 0, expected 1"),
     "laplacian-shift-plus-m-fundamental-solution": (
         harmonic, "_laplacian_shift", _laplacian_shift_plus_m,
         "harmonic-kelvin", "kelvin-fundamental-solution", "(-1) / Q^1"),
@@ -464,8 +496,6 @@ def test_unmutated_suites_pass(suite):
 # a case, and a new case takes its id off this list
 UNCOVERED = [
     "cli-emit-roundtrip",
-    "harmonic-boundary-phase",
-    "harmonic-exponential",
     "harmonic-symmetry-rejections",
     "normal-form-idempotent",
 ]

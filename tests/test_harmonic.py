@@ -1,23 +1,25 @@
 """Kelvin transform, harmonic decomposition, and worked examples."""
 
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from oracles import (apply_by_quotient_rule, monomials_up_to,
-                     shift_by_products)
+from oracles import (apply_by_quotient_rule, laplacian_by_columns,
+                     monomials_up_to, shift_by_products)
 from quadricops import cli, harmonic, suites
 from quadricops.coneops import phi, b_form_poly
 from quadricops.harmonic import (bessel_check, bessel_series,
                                  boundary_phase_check, dirac_relations,
-                                 exp_harmonicity_defect, harmonic_decompose,
-                                 harmonic_dimension, is_higher_symmetry,
-                                 kelvin, kelvin_intertwine_defect,
+                                 exp_harmonicity_defect, harmonic_count,
+                                 harmonic_decompose, harmonic_dimension,
+                                 is_higher_symmetry, kelvin,
+                                 kelvin_intertwine_defect,
                                  laplacian_qlaurent, n2_counterexample,
                                  orbit_representatives, pair_generators)
 from quadricops.lie import basis
-from quadricops.poly import Poly, QLaurent, q_form
+from quadricops.poly import Poly, QLaurent, monomials, q_form, qdiv, rref
 from quadricops.weyl import WeylOp, euler_op, laplacian_op, permute_vars
 
 K = 2
@@ -200,13 +202,56 @@ def test_harmonic_dimensions():
             assert lap.apply(h).is_zero()
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_laplacian_rows_match_the_column_build(k, monkeypatch):
+    # the Laplacian matrix is the first of the two sets of rows that the
+    # splitting eliminates; the second is the certificate's block
+    eliminated = []
+    monkeypatch.setattr(harmonic, "rref",
+                        lambda rows: eliminated.append(rows) or rref(rows))
+    rng = random.Random(4200 + k)
+    lap = laplacian_op(k)
+    for d in range(7):
+        harmonic_count(d, k)
+        rows = eliminated[-2]
+        assert rows == laplacian_by_columns(d, k), (k, d)
+        # and both are the matrix of the operator Delta, on seeded vectors
+        monos, target = monomials(2 * k, d), monomials(2 * k, d - 2)
+        for _ in range(3):
+            vec = {j: qdiv(rng.randint(-9, 9), rng.randint(1, 4))
+                   for j in rng.sample(range(len(monos)), min(6, len(monos)))}
+            image = Poly(2 * k, {
+                m: sum(v * vec.get(j, 0) for j, v in row.items())
+                for m, row in zip(target, rows)})
+            f = Poly(2 * k, {monos[j]: c for j, c in vec.items()})
+            assert image == lap.apply(f), (k, d)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_harmonic_count_matches_the_basis_and_the_binomials(k):
+    for d in range(7):
+        count = harmonic_count(d, k)
+        assert count == len(harmonic_decompose(d, k)[0]), (k, d)
+        assert count == harmonic_dimension(d, k), (k, d)
+
+
 def test_harmonic_quadric_breaks_the_direct_sum(monkeypatch):
     # x1*x2 is harmonic, so its multiples meet the harmonics
     monkeypatch.setattr(harmonic, "q_form",
                         lambda k: Poly.var(2 * k, 0) * Poly.var(2 * k, 1))
     for d in (2, 4):
-        with pytest.raises(ArithmeticError):
-            harmonic_decompose(d, K)
+        for split in (harmonic_decompose, harmonic_count):
+            with pytest.raises(ArithmeticError):
+                split(d, K)
+
+
+def test_dropped_elimination_row_breaks_the_direct_sum(monkeypatch):
+    # a lost row lowers the rank of the Laplacian and of the certificate's
+    # block alike, so the count cannot come out wrong without a raise
+    monkeypatch.setattr(harmonic, "rref", lambda rows: rref(rows[1:]))
+    assert harmonic_count(1, K) == harmonic_dimension(1, K)
+    with pytest.raises(ArithmeticError):
+        harmonic_count(2, K)
 
 
 def test_kelvin_preserves_harmonicity():
@@ -254,5 +299,18 @@ def test_n2_counterexample():
 
 
 def test_dirac_relations():
-    assert dirac_relations(K)
-    assert dirac_relations(3)
+    assert dirac_relations(K) is None
+    assert dirac_relations(3) is None
+
+
+def test_dirac_relations_name_the_failing_relation(monkeypatch):
+    # XX1 + 1 sends 1 to 1, which no multiple of Q* reaches
+    letter_op = harmonic.letter_op
+    monkeypatch.setattr(harmonic, "letter_op", lambda k, letter: (
+        letter_op(k, letter) + (1 if letter == ("XX", 1) else 0)))
+    assert dirac_relations(K) == "XX1(1) = 1"
+    # a linear Q = y1 - x1 reduces x1 to y1, so two classes collapse
+    monkeypatch.setattr(harmonic, "letter_op", letter_op)
+    monkeypatch.setattr(harmonic, "q_form", lambda k: Poly.var(2 * k, 2)
+                        - Poly.var(2 * k, 0))
+    assert dirac_relations(K) == "coordinate classes y1, x2, y1, y2"

@@ -45,9 +45,9 @@ CASES = {
     # (None has no text()); the zero bracket fails both Poisson checks
     "poisson-zero": ("moment-orbit", {
         "poisson": lambda a, b, k: Poly.zero(4 * k)}),
-    # a failure whose residue is empty
+    # a failure whose residue is the text of the failing relation
     "dirac-false": ("harmonic-kelvin", {
-        "dirac_relations": lambda k: False}),
+        "dirac_relations": lambda k: "XX1(1) = 1"}),
 }
 
 
