@@ -236,7 +236,10 @@ def harmonic_decompose(d: int, k: int):
     the identity on F, so a Q-multiple q less its F-entries times them is
     R q, zero on F: with S the block of the rows R q on P, harmonics and
     Q-multiples have rank |F| + rank S, certified exactly to equal both
-    their number |F| + dim Sym^(d-2) and dim Sym^d = |F| + rank R.
+    their number |F| + dim Sym^(d-2) and dim Sym^d = |F| + rank R.  That
+    certificate reads the rows off the same enumeration of monomials, so
+    each harmonic is also applied to the Laplacian: ArithmeticError names
+    the first one that it does not kill.
     """
     col, form, rcols, qmult = _laplacian_form(d, k)
     monos = list(col)
@@ -246,6 +249,10 @@ def harmonic_decompose(d: int, k: int):
             vec = {monos[p]: qcoef(-v) for p, v in rcols.get(f, {}).items()}
             vec[m] = 1
             harm.append(Poly._of(2 * k, vec))
+    lap = laplacian_op(k)
+    for h in harm:
+        if not lap.apply(h).is_zero():
+            raise ArithmeticError(f"the Laplacian does not kill {h.text()}")
     return harm, qmult
 
 

@@ -18,8 +18,9 @@ an element is hashable by value and cannot change in place.
 A group element is an exact rational (2k+2)-square matrix g with
 g^T J+ g = J+.  It is stored in integers, as g = M / den with M an integer
 matrix and den > 0 the least common denominator of its entries, and
-checked in integers as M^T J+ M = den^2 J+.  Products multiply the integer
-matrices.  The big cell goes through one routine, ``_cell_column``: the
+checked in integers as M^T J+ M = den^2 J+, J+ M being M read bottom to
+top.  That check and the products are ``mat_mul``, the one dense matrix
+product.  The big cell goes through one routine, ``_cell_column``: the
 rows a caller asks for of den g^{-1} times the first column of u_v^op, read
 off M.  At a rational point v that column is the integer e^2 (1, v, -Q(v)),
 where e is the least denominator of v; at the symbolic point it is
@@ -51,25 +52,23 @@ def _zeros(n, m):
 
 def mat_mul(a, b):
     """The product of two matrices, lists of rows, whose entries are of any
-    exact ring: ``int``, ``Fraction`` or ``Poly``.  Zero entries are
-    skipped; an entry starts from its first product, not from a zero of its
-    ring, and an entry that no pair of nonzero entries reaches is the
-    ``int`` 0."""
-    p, m = len(b), len(b[0])
+    exact ring: ``int``, ``Fraction`` or ``Poly``.  Each row of b is read
+    once, by its nonzero entries, and zeros of a are skipped; an entry
+    starts from its first product, not from a zero of its ring, and an
+    entry that no pair of nonzero entries reaches is the ``int`` 0."""
+    m = len(b[0])
+    rows = [[(j, e) for j, e in enumerate(bl) if e] for bl in b]
     out = []
     for ai in a:
         oi = [None] * m
-        for l in range(p):
-            c = ai[l]
+        for c, bl in zip(ai, rows):
             if c:
-                bl = b[l]
-                for j in range(m):
-                    e = bl[j]
-                    if e:
-                        t = oi[j]
-                        oi[j] = c * e if t is None else t + c * e
+                for j, e in bl:
+                    t = oi[j]
+                    oi[j] = c * e if t is None else t + c * e
         out.append([0 if t is None else t for t in oi])
     return out
+
 
 def mat_inv(a):
     """Exact inverse over the rationals: the reduced row echelon form of
@@ -346,15 +345,8 @@ class GroupElt:
         if g != 1:
             M, den = [[c // g for c in row] for row in M], den // g
         self.k, self.M, self.den = k, M, den
-        # (M^T J+ M)[i][j] = sum_l M[l][i] M[dual l][j], since J+ is the
-        # involutive permutation l -> dual l
-        form = _zeros(n, n)
-        for l, row in enumerate(M):
-            other = [(j, d) for j, d in enumerate(M[dual(n, l)]) if d]
-            for i, c in enumerate(row):
-                if c:
-                    for j, d in other:
-                        form[i][j] += c * d
+        # M^T J+ M, where J+ M is M read bottom to top
+        form = mat_mul(list(zip(*M)), M[::-1])
         d2 = den * den
         if form != [[d2 if j == dual(n, i) else 0 for j in range(n)]
                     for i in range(n)]:

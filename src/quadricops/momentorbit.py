@@ -20,8 +20,8 @@ reads M:
   blocks through the split form;
 - ``check_descent(xi)`` differentiates the pairing once along the fiber
   shear;
-- ``verify_orbit_relations`` reads the block relations off M^2 and the rank
-  conditions off one rank-2 factorization of M.
+- ``verify_orbit_relations`` reads the rank conditions and M^2 = 0, so the
+  block relations, off one rank-2 factorization of M.
 """
 
 from __future__ import annotations
@@ -123,7 +123,9 @@ def verify_orbit_relations(k: int) -> list:
     Returns a list of (check id, residue-is-zero, residue text) covering the
     quadratic block relations, the square of the matrix, and the rank
     conditions: the Pluecker relations on the middle block and the 3x3
-    minors, both proven by one rank-2 factorization of the matrix.
+    minors.  One rank-2 factorization of the matrix proves the rank
+    conditions and, with three pairings, M^2 = 0; M is squared only when
+    that proof fails, so a failing report names entries of M^2.
     """
     n = 2 * k
     v = v_vector(k)
@@ -133,8 +135,6 @@ def verify_orbit_relations(k: int) -> list:
     mu = [M[1 + i][0] for i in range(n)]
     X = [row[1:n + 1] for row in M[1:n + 1]]
     qw = q_of(w)
-    # every entry of M^2 reduced once: the block records and the scan read it
-    M2 = [[reduce_mod(c, qw) for c in row] for row in mat_mul(M, M)]
     results = []
 
     def record(name: str, residue: Poly):
@@ -147,6 +147,28 @@ def verify_orbit_relations(k: int) -> list:
                 return False, f"{label}: {r.text()}"
         return True, ""
 
+    # rank 2 (Brylinski-Kostant): with p = (1, v, -Q(v)), q = (0, w, -B(v,w))
+    # and J reversing the index, M = q (Jp)^T - p (Jq)^T mod (Q(w)).  M is
+    # then a product of (2k+2)x2 and 2x(2k+2) matrices, so by Cauchy-Binet
+    # every 3x3 minor vanishes modulo (Q(w)); and its middle block
+    # X[i][dual(j)] = w_i v_j - v_i w_j is the decomposable bivector w ^ v,
+    # whose coordinates satisfy the Pluecker relations (Fulton, Young
+    # Tableaux, 1997, 9.1)
+    p = [Poly.const(4 * k, 1), *v, -q_of(v)]
+    q = [Poly.zero(4 * k), *w, -alpha]
+    entries = list(product(range(n + 2), repeat=2))
+    rank2 = first_failure(
+        (f"rank-2 factorization fails at [{i}][{j}]", reduce_mod(
+            M[i][j] - (q[i] * p[n + 1 - j] - p[i] * q[n + 1 - j]), qw))
+        for i, j in entries)
+    # so M^2 = <p,q> q(Jp)^T - <p,p> q(Jq)^T - <q,q> p(Jp)^T + <q,p> p(Jq)^T
+    # mod (Q(w)), <a, b> = b_pair(a, b), where <p,p> = B(v,v) - 2Q(v),
+    # <q,q> = 2Q(w) and <p,q> = B(v,w) - alpha vanish; else square M
+    if rank2[0] and not any(reduce_mod(b_pair(a, b), qw)
+                            for a, b in ((p, p), (q, q), (p, q))):
+        M2 = [[Poly.zero(4 * k)] * (n + 2) for _ in range(n + 2)]
+    else:
+        M2 = [[reduce_mod(c, qw) for c in row] for row in mat_mul(M, M)]
     record("Q(w)", reduce_mod(qw, qw))
     record("Q(mu)", reduce_mod(q_of(mu), qw))
     record("B(mu,w)-alpha^2", reduce_mod(b_pair(mu, w) - alpha * alpha, qw))
@@ -164,20 +186,6 @@ def verify_orbit_relations(k: int) -> list:
             outer_skw = w[i] * mu[dual(n, j)] - mu[i] * w[dual(n, j)]
             record(f"(alpha*X-outer)[{i}][{j}]",
                    reduce_mod(alpha * X[i][j] - outer_skw, qw))
-    # rank 2 (Brylinski-Kostant): with p = (1, v, -Q(v)), q = (0, w, -B(v,w))
-    # and J reversing the index, M = q (Jp)^T - p (Jq)^T mod (Q(w)).  M is
-    # then a product of (2k+2)x2 and 2x(2k+2) matrices, so by Cauchy-Binet
-    # every 3x3 minor vanishes modulo (Q(w)); and its middle block
-    # X[i][dual(j)] = w_i v_j - v_i w_j is the decomposable bivector w ^ v,
-    # whose coordinates satisfy the Pluecker relations (Fulton, Young
-    # Tableaux, 1997, 9.1)
-    p = [Poly.const(4 * k, 1), *v, -q_of(v)]
-    q = [Poly.zero(4 * k), *w, -alpha]
-    entries = list(product(range(n + 2), repeat=2))
-    rank2 = first_failure(
-        (f"rank-2 factorization fails at [{i}][{j}]", reduce_mod(
-            M[i][j] - (q[i] * p[n + 1 - j] - p[i] * q[n + 1 - j]), qw))
-        for i, j in entries)
     results.append(("pluecker", *rank2))
     results.append(("M^2", *first_failure(
         (f"[{i}][{j}]", M2[i][j]) for i, j in entries)))

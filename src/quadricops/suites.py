@@ -705,7 +705,10 @@ def harmonic_kelvin_checks(k: int) -> list:
     def first_failure():
         if k == 2:
             for d in range(4):
-                harm, _ = harmonic_decompose(d, k)
+                try:
+                    harm, _ = harmonic_decompose(d, k)
+                except ArithmeticError as exc:
+                    return f"d={d}: {exc}"
                 for h in harm:
                     img = laplacian_qlaurent(kelvin(QLaurent(k, h, 0)))
                     if not img.is_zero():

@@ -4,7 +4,10 @@ The orbit relations prove that every 3x3 minor of the invariant matrix
 vanishes modulo Q(w), and that its middle block satisfies the Pluecker
 relations, by a rank-2 factorization of the matrix; ``det3`` and
 ``nonvanishing_minor`` expand the minors one by one instead, and
-``pluecker_residues`` expands the relation of every index quadruple.
+``pluecker_residues`` expands the relation of every index quadruple.  The
+same factorization, with three pairings that vanish, gives M^2 = 0 modulo
+Q(w); ``orbit_square_mod_qw`` squares M with ``lie.mat_mul`` and reduces
+every entry instead.
 ``momentorbit.check_descent`` differentiates the moment pairing once along
 the fiber shear; ``shear_defect_by_substitution`` substitutes v + t x for v
 in a ring with one more variable t.  The Shapovalov
@@ -15,7 +18,9 @@ commuting, run in D_C on canonical representatives;
 The Lie bracket is computed in block coordinates on the nonzero entries;
 ``matrix_bracket`` takes the commutator of the assembled matrices and reads
 the blocks back, and ``mat_sub`` with ``lie.mat_mul`` gives that commutator
-by dense products.  ``lie.u_op`` conjugates the upper unipotent by the Weyl
+by dense products.  ``lie.mat_mul`` reads each row of its right factor once,
+by its nonzero entries; ``mat_mul_by_loops`` sums entry by entry over a
+plain triple loop.  ``lie.u_op`` conjugates the upper unipotent by the Weyl
 inversion; ``u_op_by_matrix`` writes its entries out.  The Laplacian acts
 on the Q-Laurent class by a closed form proven once per Q by induction;
 ``apply_by_quotient_rule`` differentiates one variable at a time instead,
@@ -76,7 +81,7 @@ from quadricops.coneops import ConeOp, GenWord, letter_op
 from quadricops.exprparse import (MAX_TOKENS, _TOKEN_RE, IndexOutOfRange,
                                   ParseError)
 from quadricops.harmonic import _laplacian_shift
-from quadricops.lie import GroupElt, LieElt
+from quadricops.lie import GroupElt, LieElt, mat_mul
 from quadricops.momentorbit import (block_var, orbit_matrix, v_vector,
                                     x_vector)
 from quadricops.poly import (Poly, QLaurent, add_terms, b_pair, dual, falling,
@@ -126,6 +131,13 @@ def pluecker_residues(k: int) -> list:
                         - X[i][dual(n, l)] * X[j][dual(n, m)]
                         + X[i][dual(n, m)] * X[j][dual(n, l)], qw))
             for i, j, l, m in combinations(range(n), 4)]
+
+
+def orbit_square_mod_qw(k: int) -> list:
+    """Every entry of M^2, for M the orbit matrix, reduced modulo Q(w)."""
+    qw = q_of(x_vector(k))
+    M = orbit_matrix(k)
+    return [[reduce_mod(c, qw) for c in row] for row in mat_mul(M, M)]
 
 
 def euler_weight_op(k: int) -> WeylOp:
@@ -265,6 +277,19 @@ def shapovalov_cli_by_expansion(d: int, k: int) -> dict:
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_mul_by_loops(a, b):
+    """a b entry by entry: the products of the nonzero pairs, summed in
+    order from the first one, and the ``int`` 0 where there is none."""
+    out = []
+    for i in range(len(a)):
+        out.append([])
+        for j in range(len(b[0])):
+            terms = [a[i][l] * b[l][j] for l in range(len(b))
+                     if a[i][l] and b[l][j]]
+            out[i].append(sum(terms[1:], terms[0]) if terms else 0)
+    return out
 
 
 def matrix_bracket(xi: LieElt, eta: LieElt) -> LieElt:

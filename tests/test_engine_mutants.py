@@ -485,6 +485,17 @@ def test_mutant_fails_its_check(case, monkeypatch):
     assert check.residue.startswith(residue), check.residue
 
 
+def test_dropped_monomials_fail_kelvin_harmonicity(monkeypatch):
+    # the certificate runs on the mutant enumeration and holds; the basis
+    # check against the Laplacian is what refuses the "harmonics" of d=2
+    monkeypatch.setattr(harmonic, "monomials", _least_monomial_dropped)
+    with pytest.raises(ArithmeticError, match="the Laplacian does not kill"):
+        harmonic.harmonic_decompose(2, 2)
+    [check] = [c for c in run_suite("harmonic-kelvin", 2).checks
+               if c.check_id == "kelvin-preserves-harmonicity"]
+    assert not check.ok and check.residue.startswith("d=2: "), check.residue
+
+
 @pytest.mark.parametrize("suite", ["shapovalov", "lie-hom", "cone-ops",
                                    "lie-orthogonal", "algebra-core",
                                    "moment-orbit", "weyl", "cli"])

@@ -8,8 +8,10 @@ from operator import mul
 
 import pytest
 
-from oracles import (blocks_are_canonical, mat_sub, matrix_bracket,
-                     subalgebra_dimension_by_saturation, u_op_by_matrix)
+from oracles import (blocks_are_canonical, mat_mul_by_loops, mat_sub,
+                     matrix_bracket, subalgebra_dimension_by_saturation,
+                     u_op_by_matrix)
+from quadricops import lie
 from quadricops.lie import (DegenerateCell, GroupElt, LieElt, NotQLaurent,
                             _cell_column, _point_column, _q_power_inverse,
                             basis, bruhat_factor, chi0_at, act_at,
@@ -255,6 +257,58 @@ def test_group_element_must_preserve_the_form():
         assert mat_mul(mt, mat_mul(jp, m)) != jp
         with pytest.raises(ValueError):
             GroupElt(K, m)
+
+
+def test_group_elements_check_the_form_with_mat_mul(monkeypatch):
+    # the form check M^T J+ M = den^2 J+ is lie.mat_mul of the transpose
+    # and M read bottom to top: one call per element built, and a product
+    # adds the one that multiplies the two matrices
+    calls = []
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(lie, "mat_mul", counted)
+    g = u(K, [1, 0, -2, 3])
+    h = w0(K)
+    assert len(calls) == 2
+    assert isinstance(g * h, GroupElt)
+    assert calls[2:] == [(N + 2, N + 2)] * 2
+
+
+ZEROS = {"int": 0, "Fraction": Fraction(0), "Poly": Poly.zero(2)}
+
+
+def _random_entry(rng, kind):
+    c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if rng.random() < 0.4:
+        return ZEROS[kind]
+    if kind == "int":
+        return rng.randint(-4, 4)
+    if kind == "Fraction":
+        return c
+    return Poly.const(2, c) + Poly.var(2, rng.randrange(2)).scale(
+        rng.randint(-2, 2))
+
+
+@pytest.mark.parametrize("kind", sorted(ZEROS))
+def test_mat_mul_matches_the_triple_loop(kind):
+    rng = random.Random(sorted(ZEROS).index(kind))
+    for _ in range(30):
+        r, p, c = (rng.randint(1, 5) for _ in range(3))
+        a = [[_random_entry(rng, kind) for _ in range(p)] for _ in range(r)]
+        b = [[_random_entry(rng, kind) for _ in range(c)] for _ in range(p)]
+        # a zero row of a and a zero column of b: entries no pair reaches
+        a[rng.randrange(r)] = [ZEROS[kind]] * p
+        j = rng.randrange(c)
+        for row in b:
+            row[j] = ZEROS[kind]
+        got, want = mat_mul(a, b), mat_mul_by_loops(a, b)
+        assert got == want
+        assert [[type(e) for e in row] for row in got] == \
+            [[type(e) for e in row] for row in want]
+        assert [type(row[j]) for row in got] == [int] * r
 
 
 def _identity(n):

@@ -6,16 +6,17 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from oracles import (moment_by_blocks, nonvanishing_minor,
-                     phase_euler_by_pairs, pluecker_residues,
-                     shear_defect_by_substitution, symbol_by_blocks)
+                     orbit_square_mod_qw, phase_euler_by_pairs,
+                     pluecker_residues, shear_defect_by_substitution,
+                     symbol_by_blocks)
 from quadricops import momentorbit
 from quadricops.coneops import rho_tilde
-from quadricops.lie import LieElt, basis
+from quadricops.lie import LieElt, basis, mat_mul
 from quadricops.momentorbit import (block_var, check_descent, moment,
                                     orbit_matrix, phase_euler, poisson,
                                     symbol_invariant, v_vector,
                                     verify_orbit_relations, x_vector)
-from quadricops.poly import Poly, b_pair, q_of, qcoef
+from quadricops.poly import Poly, TermMap, b_pair, q_of, qcoef
 
 K = 2
 NV = 4 * K
@@ -72,6 +73,64 @@ def test_pluecker_relations_vanish_one_by_one():
         assert all(r.is_zero() for _, r in pluecker_residues(k)), k
 
 
+def test_orbit_square_vanishes_one_by_one():
+    for k in range(2, 5):
+        assert all(c.is_zero() for row in orbit_square_mod_qw(k)
+                   for c in row), k
+
+
+def _count_squares(monkeypatch) -> list:
+    """Patch ``momentorbit.mat_mul`` to record, per call, the number of
+    rows of its left factor."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(a))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(momentorbit, "mat_mul", counted)
+    return calls
+
+
+def test_passing_run_does_not_square_the_matrix(monkeypatch):
+    calls = _count_squares(monkeypatch)
+    for k in (2, 3):
+        assert all(ok for _, ok, _ in verify_orbit_relations(k)), k
+    assert calls == []
+
+
+def test_failed_pairing_falls_back_to_the_square(monkeypatch):
+    # a pairing of two vectors of length 2k + 2 that no longer vanishes
+    # voids the proof of M^2 = 0, so M is squared, and every record passes
+    def shifted(a, b):
+        out = b_pair(a, b)
+        return out + 1 if len(a) == 2 * K + 2 else out
+
+    monkeypatch.setattr(momentorbit, "b_pair", shifted)
+    calls = _count_squares(monkeypatch)
+    for name, ok, residue in verify_orbit_relations(K):
+        assert ok, f"{name}: {residue}"
+    assert calls == [2 * K + 2]
+
+
+def test_passing_relations_make_few_poly_products(monkeypatch):
+    # 897 Poly products at k=6 once M is built, against 3,221 when M^2 was
+    # the dense square: a rise means the square of M came back
+    orbit_matrix(6)
+    calls = []
+    bilinear = TermMap._bilinear
+
+    def counted(self, other, kernel):
+        if isinstance(self, Poly):
+            calls.append(1)
+        return bilinear(self, other, kernel)
+
+    monkeypatch.setattr(TermMap, "_bilinear", counted)
+    assert all(ok for _, ok, _ in verify_orbit_relations(6))
+    assert len(calls) <= 897, \
+        f"{len(calls)} Poly products: the square of M came back"
+
+
 def test_doubled_entry_fails_both_rank_records(monkeypatch):
     def doubled(k):
         M = [list(row) for row in orbit_matrix(k)]
@@ -79,6 +138,7 @@ def test_doubled_entry_fails_both_rank_records(monkeypatch):
         return tuple(map(tuple, M))
 
     monkeypatch.setattr(momentorbit, "orbit_matrix", doubled)
+    calls = _count_squares(monkeypatch)
     lines = {name: (ok, residue)
              for name, ok, residue in verify_orbit_relations(K)}
     for name in ("pluecker", "3x3 minors"):
@@ -86,6 +146,10 @@ def test_doubled_entry_fails_both_rank_records(monkeypatch):
         assert not ok
         assert residue.startswith("rank-2 factorization fails at [1][2]"), \
             residue
+    # the failed proof leaves M^2 to the square, which names an entry
+    assert len(calls) == 1
+    ok, residue = lines["M^2"]
+    assert not ok and residue.startswith("["), residue
 
 
 def test_moment_degrees():
