@@ -53,20 +53,19 @@ def _zeros(n, m):
 def mat_mul(a, b):
     """The product of two matrices, lists of rows, whose entries are of any
     exact ring: ``int``, ``Fraction`` or ``Poly``.  Each row of b is read
-    once, by its nonzero entries, and zeros of a are skipped; an entry
-    starts from its first product, not from a zero of its ring, and an
-    entry that no pair of nonzero entries reaches is the ``int`` 0."""
+    once, by its nonzero entries, and zeros of a are skipped; every entry
+    starts at the ``int`` 0 and adds its products, so an entry that no pair
+    of nonzero entries reaches is the ``int`` 0."""
     m = len(b[0])
     rows = [[(j, e) for j, e in enumerate(bl) if e] for bl in b]
     out = []
     for ai in a:
-        oi = [None] * m
+        oi = [0] * m
         for c, bl in zip(ai, rows):
             if c:
                 for j, e in bl:
-                    t = oi[j]
-                    oi[j] = c * e if t is None else t + c * e
-        out.append([0 if t is None else t for t in oi])
+                    oi[j] += c * e
+        out.append(oi)
     return out
 
 
@@ -465,15 +464,10 @@ def _q_power_inverse(p: Poly, k: int) -> QLaurent:
     return QLaurent(k, Poly.const(2 * k, qdiv(1, c.constant())), m)
 
 
-@lru_cache(maxsize=64)
-def _point_column(point: tuple) -> tuple:
+def _point_column(point) -> tuple:
     """(e, column) for a rational point v: e is the least denominator of v
     and the column is e^2 (1, v, -Q(v)), the first column of u_v^op times
-    e^2, in integers.
-
-    Memoized, so calls at one point compute Q(v) once: the cocycle check
-    reads this column up to three times per sample.
-    """
+    e^2, in integers."""
     e = lcm(*(c.denominator for c in point))
     w = [c.numerator * (e // c.denominator) for c in point]
     return e, (e * e, *(e * c for c in w), -q_of(w))
@@ -495,7 +489,7 @@ def _cell_column(g: GroupElt, col, rows):
 def chi0_at(g: GroupElt, point):
     """chi0(p(g, v)) at a rational point v: the pivot of g^{-1} u_v^op, row
     0 of the column alone, divided once by den e^2."""
-    e, col = _point_column(tuple(_frac_vec(point, 2 * g.k)))
+    e, col = _point_column(_frac_vec(point, 2 * g.k))
     [pivot] = _cell_column(g, col, (0,))
     return qdiv(pivot, g.den * e * e)
 
@@ -503,7 +497,7 @@ def chi0_at(g: GroupElt, point):
 def act_at(g: GroupElt, point):
     """The rational action g(v) at a rational point, via the factorization:
     ratios of the column to its pivot, so its scale den e^2 cancels."""
-    _, col = _point_column(tuple(_frac_vec(point, 2 * g.k)))
+    _, col = _point_column(_frac_vec(point, 2 * g.k))
     pivot, *nums = _cell_column(g, col, range(2 * g.k + 1))
     if pivot == 0:
         raise DegenerateCell("point outside the big cell for this g")

@@ -65,10 +65,10 @@ bound of the product, then ``numerators`` writes the coefficients of a
 factor as integer numerators over their least common denominator (as
 FLINT's ``fmpq_poly`` does), the kernel sums integer products per term
 pair, and each output coefficient is divided once by the product of the
-two denominators.  Factors whose coefficients are all ``int`` are used as
-they are.  ``int_coeffs`` tells the two cases apart by the type of each
-coefficient, never by summing them, which would cost a ``Fraction``
-addition per coefficient.
+two denominators when that is not 1.  Factors whose coefficients are all
+``int`` are used as they are.  ``numerators`` tells the two cases apart by
+the type of each coefficient, never by summing them, which would cost a
+``Fraction`` addition per coefficient.
 
 ``TermMap`` is the one home of the linear structure that ``Poly``,
 ``WeylOp`` and ``GenWord`` share: equality, hashing, sums, negation,
@@ -96,6 +96,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, repeat
 from math import lcm, perm
 from operator import add, mul
@@ -124,17 +125,12 @@ def qcoef(c):
 _INT = frozenset((int,))
 
 
-def int_coeffs(values) -> bool:
-    """Whether every coefficient in values is an ``int``: one type test per
-    coefficient, stopping at the first ``Fraction``."""
-    return _INT.issuperset(map(type, values))
-
-
 def numerators(terms: dict):
     """(d, nums): the least common denominator d of the coefficients of a
     term map and the map of integer numerators c * d.  For a map of ``int``
-    coefficients only, (1, terms) itself, not copied."""
-    if int_coeffs(terms.values()):
+    coefficients only, (1, terms) itself, not copied; that case is told by
+    one type test per coefficient, stopping at the first ``Fraction``."""
+    if _INT.issuperset(map(type, terms.values())):
         return 1, terms
     d = lcm(*(c.denominator for c in terms.values()))
     return d, {key: c.numerator * (d // c.denominator)
@@ -254,20 +250,6 @@ def check_degrees(a: int, b: int, n: int) -> None:
     if d > EMAX:
         raise ExponentOverflow(
             f"total degree {d} exceeds the exponent bound {EMAX}")
-
-
-def fieldwise_max(monos, n: int) -> int:
-    """Each field, the degree field too, at its largest over the packed
-    monomials monos in n variables; 0 for none.  A divisibility bound, not a
-    packed monomial: b divides some m in monos only if it divides the bound
-    by the guard-bit test, and the degree field is the largest total degree,
-    not the sum of the exponents, which could exceed EMAX."""
-    g, out = guard(n), 0
-    for m in monos:
-        sel = ((out | g) - m) & g        # guard bits of the fields out >= m
-        keep = sel - (sel >> FIELD - 1)  # value bits of those fields
-        out = out & keep | m & ~keep
-    return out
 
 
 @lru_cache(maxsize=1 << 12)
@@ -463,10 +445,10 @@ class TermMap:
         return self._bilinear(other, self._product)
 
     def _bilinear(self, other, kernel):
-        """kernel(t1, t2, n) on the two term maps, as integer numerators over
-        one common denominator d when a coefficient is a Fraction, then one
-        division by d per output term.  ``_bound`` checks the degrees of the
-        product before the kernel runs."""
+        """kernel(t1, t2, n) on the integer numerators of the two term maps
+        over one common denominator d, then, when d is not 1, one division
+        by d per output term.  ``_bound`` checks the degrees of the product
+        before the kernel runs."""
         n = self.nvars
         if other.nvars != n:
             self._check(other)  # raises
@@ -474,12 +456,11 @@ class TermMap:
         if not (t1 and t2):
             return self._of(n, {})
         self._bound(t1, t2, n)
-        if int_coeffs(t1.values()) and int_coeffs(t2.values()):
-            return self._of(n, kernel(t1, t2, n))
         (d1, t1), (d2, t2) = numerators(t1), numerators(t2)
-        d = d1 * d2
-        return self._of(n, {key: qdiv(c, d)
-                            for key, c in kernel(t1, t2, n).items()})
+        terms, d = kernel(t1, t2, n), d1 * d2
+        if d != 1:
+            terms = {key: qdiv(c, d) for key, c in terms.items()}
+        return self._of(n, terms)
 
     @staticmethod
     def _bound(t1: dict, t2: dict, n: int) -> None:
@@ -739,6 +720,14 @@ def normal_form_mod_single(p: Poly, d: Poly):
     single polynomial is a Groebner basis of the ideal it generates, so the
     remainder is the canonical representative of p modulo (d) and vanishes
     exactly when p lies in the ideal.
+
+    The division runs on the integer numerators of p over their common
+    denominator e, which divides each output term once at the end; with a
+    monic d, such as Q, a step divides nothing.  Every tail monomial of d is
+    below its leading one, so each step only adds monomials below the one
+    it takes, and the terms are taken largest first from a max-heap of
+    negated keys: a key whose term has cancelled is skipped when it comes
+    up, and a key whose term comes back is pushed again.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -750,24 +739,31 @@ def normal_form_mod_single(p: Poly, d: Poly):
     tail = [(m2 - lm, c2) for m2, c2 in d.terms.items() if m2 != lm]
     quotient: dict = {}
     remainder: dict = {}
-    work = dict(p.terms)
-    while work:
-        m = max(work)
-        c = work.pop(m)
+    e, work = numerators(p.terms)
+    work = dict(work)
+    heap = [-m for m in work]
+    heapify(heap)
+    while heap:
+        m = -heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue  # cancelled, or taken at an earlier copy of its key
         if (m - lm) & g:
-            # a difference of Fractions may be integral
-            remainder[m] = qcoef(c)
+            remainder[m] = c
             continue
-        f = qdiv(c, lc)
+        f = c if lc == 1 else qdiv(c, lc)
         quotient[m - lm] = f
         for off, c2 in tail:
             m2 = m + off
             s = work.get(m2, 0) - f * c2
             if s:
+                if m2 not in work:
+                    heappush(heap, -m2)
                 work[m2] = s
             else:
                 del work[m2]
-    return Poly._of(p.nvars, quotient), Poly._of(p.nvars, remainder)
+    return (Poly._of(p.nvars, {m: qdiv(c, e) for m, c in quotient.items()}),
+            Poly._of(p.nvars, {m: qdiv(c, e) for m, c in remainder.items()}))
 
 
 def reduce_mod(p: Poly, d: Poly) -> Poly:

@@ -34,10 +34,10 @@ from functools import lru_cache
 from math import comb, factorial
 from operator import itemgetter
 
-from .poly import (ExponentOverflow, Poly, TermMap, add_terms, check_degrees,
-                   default_names, divides_exactly, dual, falling, falling_spec,
-                   fieldwise_max, guard, mdegree, monomials, mono_text, pack,
-                   qcoef, restrict, signed_text, support, unit, unpack)
+from .poly import (Poly, TermMap, add_terms, check_degrees, default_names,
+                   divides_exactly, dual, falling, falling_spec, guard,
+                   mdegree, monomials, mono_text, pack, qcoef, restrict,
+                   signed_text, support, unit, unpack)
 
 
 class NotDivisible(Exception):
@@ -261,35 +261,24 @@ class WeylOp(TermMap):
         raise TypeError(f"cannot apply operator to {type(f).__name__}")
 
     def _apply_poly(self, f: Poly) -> Poly:
-        """One derivative part b at a time, dropping each b that divides no
-        monomial of f; x^a d^b sends x^m to x^(m + (a - b)), times a weight."""
-        n = self.nvars
-        terms: dict = {}
-        if not self.terms or not f.terms:
-            return Poly._of(n, terms)
-        g, top, amax = guard(n), fieldwise_max(f.terms, n), 0
+        """One derivative part b at a time: x^a d^b sends each monomial x^m
+        that b divides to x^(m + (a - b)), times a weight.  Each part is
+        bounded by its largest a and the largest x^m it divides before any
+        of its terms is stored, so a part that kills f cannot overflow."""
+        n, g = self.nvars, guard(self.nvars)
         buckets: dict = {}
         for (a, b), c in self.terms.items():
-            if not (top - b) & g:
-                buckets.setdefault(b, []).append((a - b, c))
-                amax = max(amax, a)
-        try:
-            check_degrees(amax, max(f.terms), n)  # bounds every kept a + m - b
-        except ExponentOverflow:
-            # the bound counts parts that divide the fieldwise maximum but
-            # no monomial of f: bound each part by the monomials it divides
-            for b, offsets in buckets.items():
-                mmax = max((m for m in f.terms if not (m - b) & g),
-                           default=None)
-                if mmax is not None:
-                    check_degrees(max(off for off, _ in offsets) + b,
-                                  mmax - b, n)
+            buckets.setdefault(b, []).append((a - b, c))
+        terms: dict = {}
         get = terms.get
         for b, offsets in buckets.items():
+            kept = [(m, cm) for m, cm in f.terms.items() if not (m - b) & g]
+            if not kept:
+                continue  # d^b kills f
+            # keys are unique, so max compares the monomials alone
+            check_degrees(max(offsets)[0] + b, max(kept)[0] - b, n)
             spec = falling_spec(b, n)
-            for m, cm in f.terms.items():
-                if (m - b) & g:
-                    continue  # d^b kills x^m
+            for m, cm in kept:
                 w = cm * falling(m, spec) if spec else cm
                 for off, c in offsets:
                     mono = m + off

@@ -46,6 +46,9 @@ products.  ``momentorbit.moment`` and ``symbol_invariant`` pair an element
 with the one invariant matrix ``orbit_matrix``; ``moment_by_blocks`` and
 ``symbol_by_blocks`` write each layout out block type by block type, and
 ``phase_euler_by_pairs`` sums the conjugate pairs one by one.
+``poly.normal_form_mod_single`` takes the terms of its dividend from a
+max-heap, on integer numerators; ``normal_form_by_max`` takes the largest
+remaining term by ``max`` at every step, on the rational coefficients.
 ``coneops.letter_op`` realizes a generator letter as ``rho_tilde`` of its
 Lie preimage; ``euler_weight_op``, ``xx_op``, ``yy_op``, ``d_op``, ``b_op``
 and ``c_op`` write the letters out by hand as operators on the dual space,
@@ -86,8 +89,9 @@ from quadricops.momentorbit import (block_var, orbit_matrix, v_vector,
                                     x_vector)
 from quadricops.poly import (Poly, QLaurent, add_terms, b_pair, dual, falling,
                              falling_spec, guard, monomials,
-                             normal_form_mod_single, q_form, pack, q_of, qdiv,
-                             reduce_mod, restrict, support, unit, unpack)
+                             normal_form_mod_single, q_form, pack, q_of,
+                             qcoef, qdiv, reduce_mod, restrict, support, unit,
+                             unpack)
 from quadricops.shapovalov import (FactorsDoNotCommute, euler_to_weyl,
                                    fourier_roots_bezout, shapovalov_closed,
                                    shapovalov_expand, shapovalov_factors)
@@ -454,6 +458,29 @@ def poly_mul_pairwise(a: Poly, b: Poly) -> Poly:
             else:
                 del terms[m]
     return Poly(a.nvars, terms)
+
+
+def normal_form_by_max(p: Poly, d: Poly):
+    """(quotient, remainder) of p by d in graded lex order, on the rational
+    coefficients of p, taking the largest remaining monomial by ``max`` at
+    every step."""
+    g = guard(p.nvars)
+    lm = max(d.terms)
+    lc = d.terms[lm]
+    tail = [(m2 - lm, c2) for m2, c2 in d.terms.items() if m2 != lm]
+    quotient: dict = {}
+    remainder: dict = {}
+    work = dict(p.terms)
+    while work:
+        m = max(work)
+        c = work.pop(m)
+        if (m - lm) & g:
+            remainder[m] = qcoef(c)
+            continue
+        f = qdiv(c, lc)
+        quotient[m - lm] = f
+        add_terms(work, ((m + off, -f * c2) for off, c2 in tail))
+    return Poly._of(p.nvars, quotient), Poly._of(p.nvars, remainder)
 
 
 def genword_mul_pairwise(a: GenWord, b: GenWord) -> GenWord:

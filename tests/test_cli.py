@@ -138,16 +138,20 @@ def test_k3_moment_verify_report_is_pinned(capsys):
      "ad6e9b1ffb9a52ea6953877a28fce4e134f833f257d7ba0842ab196cd3144c39"),
     ("moment-orbit", 8,
      "759bfbbed9d415ff94548de430b24ce2aad5e6d1e6ca216346b35f996d63d7c9"),
+    ("algebra-core", 12,
+     "8a2f0608923e40db7377d9f78ea2905b93af1a3872eb0be6a898e6d10029ecf7"),
 ], ids=["shapovalov-k5", "cone-ops-k4", "lie-hom-k4", "lie-orthogonal-k5",
         "moment-orbit-k5", "algebra-core-k3", "algebra-core-k4", "weyl-k3",
-        "weyl-k4", "lie-orthogonal-k3", "moment-orbit-k8"])
+        "weyl-k4", "lie-orthogonal-k3", "moment-orbit-k8", "algebra-core-k12"])
 def test_enumerated_report_is_pinned(capsys, suite, k, digest):
     # recorded while the Shapovalov identity was still checked on B_1..B_3
     # expanded and the homomorphism on every basis pair; the k=5
     # lie-orthogonal and moment-orbit reports while the Levi block was
     # stored dense; the algebra-core, weyl and k=3 lie-orthogonal reports
     # while rational products summed a Fraction per term pair; the k=8
-    # moment-orbit report while M^2 was the dense square of M
+    # moment-orbit report while M^2 was the dense square of M; the k=12
+    # algebra-core report while the division by Q took max over its working
+    # terms at every step
     code, out = run_cli(capsys, ["verify", suite, "--k", str(k),
                                  "--format", "json"])
     assert code == 0

@@ -14,8 +14,8 @@ import pytest
 
 import quadricops
 from oracles import (blocks_are_canonical, commutator_by_products,
-                     genword_mul_pairwise, poly_mul_pairwise,
-                     weyl_mul_pairwise)
+                     genword_mul_pairwise, normal_form_by_max,
+                     poly_mul_pairwise, weyl_mul_pairwise)
 from quadricops.coneops import GenWord, alphabet
 from quadricops.lie import GroupElt, LieElt
 from quadricops.poly import (Poly, QLaurent, normal_form_mod_single, pack,
@@ -139,6 +139,29 @@ DENOMINATORS = [(1,), (2, 3, 4, 6), (1, 5, 89, 97), tuple(range(1, 98))]
 
 
 LETTERS = sorted(alphabet(2))
+
+
+@pytest.mark.parametrize("dens", DENOMINATORS,
+                         ids=["int", "small", "coprime", "to-97"])
+def test_division_matches_the_max_loop(dens):
+    # Q at k = 2..4 is monic with int coefficients, so the heap runs on
+    # integer numerators; the last divisor is not monic and is rational, as
+    # in the Euclid of shapovalov.xgcd
+    rng = random.Random(sum(dens))
+    rational = Poly.from_exponents(4, {(1, 0, 0, 1): Fraction(3, 2),
+                                       (0, 1, 1, 0): Fraction(-2, 5),
+                                       (1, 0, 0, 0): 7})
+    for d in [q_form(2), q_form(3), q_form(4), rational]:
+        n = d.nvars
+        for _ in range(60):
+            a, b, c = (random_operand(rng, Poly, dens, n) for _ in range(3))
+            p = a * b + c if rng.randrange(2) else a * d + c
+            got = normal_form_mod_single(p, d)
+            for part, want in zip(got, normal_form_by_max(p, d)):
+                assert part.terms == want.terms, (p, d)
+                assert ([type(v) for v in part.terms.values()]
+                        == [type(want.terms[m]) for m in part.terms]), (p, d)
+            assert got[0] * d + got[1] == p
 
 
 def random_operand(rng, cls, dens, n=4):

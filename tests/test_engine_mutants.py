@@ -5,7 +5,9 @@ checks share.
 Each case replaces one function in the engine module or class that defines
 it (a library function, such as ``math.comb``, or an engine helper imported
 by name, such as ``poly.monomials``, in the engine module that imports it),
-never in ``quadricops.suites``, runs the suite at k=2 and
+never a name bound in the module ``quadricops.suites`` (a method of a class
+defined there, such as ``SuiteReport.from_json_obj``, is replaced on the
+class), runs the suite at k=2 and
 asserts that the named check fails with the residue of the step that the
 mutant breaks, and that the suite exits 1.  The engine memoizes its
 constructors and realization images in LRU caches that outlive a test;
@@ -18,7 +20,7 @@ import pytest
 
 from oracles import xx_op, yy_op
 from quadricops import (coneops, exprparse, harmonic, lie, momentorbit,
-                        poly, shapovalov, weyl)
+                        poly, shapovalov, suites, weyl)
 from quadricops.poly import QLaurent, dual, mdegree, q_form, q_of
 from quadricops.suites import run_suite
 
@@ -290,6 +292,31 @@ def _laplacian_shift_plus_m(q, m):
     return ORIGINAL["_laplacian_shift"](q, m) + m
 
 
+def _leading_term_lost(heap):
+    # a dividend of more than three terms loses its leading term (the least
+    # negated key), so a remainder of more than three terms is not its own
+    # normal form; the suite binds the division by name, and the division
+    # looks heapify up in poly
+    if len(heap) > 3:
+        heap.remove(min(heap))
+    ORIGINAL["heapify"](heap)
+
+
+def _one_term_quotient_unchecked(self, d):
+    # a dividend of one term comes back as the zero quotient, unchecked, so
+    # a bare derivative passes for a right multiple of the Laplacian; Delta
+    # x1 has three terms and is still refused
+    if len(self.terms) == 1:
+        return weyl.WeylOp.zero(self.nvars)
+    return ORIGINAL["divide_right_by_constcoef"](self, d)
+
+
+def _residue_dropped(cls, obj):
+    # every check parsed back with the empty residue
+    out = ORIGINAL["from_json_obj"](obj)
+    return cls(out.suite, out.k, [c._replace(residue="") for c in out.checks])
+
+
 def _sub_as_add(node, target):
     # a - b evaluated as a + b; the fold recurses through this fake
     if node[0] == "sub":
@@ -316,7 +343,9 @@ ORIGINAL = {name: getattr(module, name) for module, name in [
     (harmonic, "comb"), (harmonic, "kelvin"), (harmonic, "letter_op"),
     (harmonic, "_laplacian_shift"), (harmonic, "b_pair"),
     (poly, "divides_exactly"), (poly.Poly, "deriv"),
-    (weyl.WeylOp, "principal_symbol")]}
+    (weyl.WeylOp, "principal_symbol"), (poly, "heapify"),
+    (weyl.WeylOp, "divide_right_by_constcoef"),
+    (suites.SuiteReport, "from_json_obj")]}
 # the polynomial kernel shares its name with the operator kernel
 ORIGINAL["Poly._product"] = poly.Poly._product
 
@@ -465,6 +494,17 @@ CASES = {
     "b-form-unflipped": (
         coneops, "b_form_poly", _b_form_unflipped, "harmonic-kelvin",
         "harmonic-symmetry-certificates", "no certificate for ('lam', 0)"),
+    "division-leading-term-lost": (
+        poly, "heapify", _leading_term_lost, "algebra-core",
+        "normal-form-idempotent", "p="),
+    "one-term-quotient-unchecked": (
+        weyl.WeylOp, "divide_right_by_constcoef",
+        _one_term_quotient_unchecked, "harmonic-kelvin",
+        "harmonic-symmetry-rejections",
+        "x1 rejected: True, dy_k rejected: False"),
+    "report-residue-dropped": (
+        suites.SuiteReport, "from_json_obj", classmethod(_residue_dropped),
+        "cli", "cli-emit-roundtrip", ""),
     "fold-sub-as-add": (
         exprparse, "_fold", _sub_as_add, "cli", "cli-eval-examples",
         "[Delta,Q]="),
@@ -505,11 +545,7 @@ def test_unmutated_suites_pass(suite):
 
 # the ids of run_suite("all", 2) that no case covers yet; a new check needs
 # a case, and a new case takes its id off this list
-UNCOVERED = [
-    "cli-emit-roundtrip",
-    "harmonic-symmetry-rejections",
-    "normal-form-idempotent",
-]
+UNCOVERED = []
 
 
 def test_every_check_but_the_listed_has_a_mutant():

@@ -1,11 +1,13 @@
 """Imports, locals and private names: no unused imports and no function
 assigning a local it never reads, in the package or in the tests, no private
-module-level name the package never reads, no engine module reaching into
-another one's private names, and no heavy standard modules at CLI
-start-up."""
+module-level name the package never reads, no module-level function or class
+that neither the package, the benchmark nor the public API names, no engine
+module reaching into another one's private names, and no heavy standard
+modules at CLI start-up."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +104,37 @@ def unread_privates(paths) -> list:
                   if name not in read)
 
 
+def dead_helpers(paths, named: set, exported) -> list:
+    """Module-level functions and classes that nothing reads.
+
+    A name defined by a top-level ``def`` or ``class`` of a module among
+    paths is dead when no module among them reads it outside its own
+    definition (as a name, an attribute or a ``from`` import, so a recursive
+    call does not count), it is not in the set of words ``named``, and it is
+    not in ``exported``.
+    """
+    defined, read = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            seen = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    seen.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    seen.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    seen.update(alias.name for alias in node.names)
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef)):
+                defined.append((path.name, top.lineno, top.name))
+                seen.discard(top.name)
+            read |= seen
+    read |= named
+    return sorted(f"{mod}:{line}: {name}" for mod, line, name in defined
+                  if name not in read and name not in exported)
+
+
 def private_imports(path: Path) -> list:
     """Underscore names that an engine module takes from another one.
 
@@ -175,6 +208,28 @@ def test_scan_sees_an_unread_private(tmp_path):
                                    "print(_used(), a._unpacked)\n")
     paths = [tmp_path / "a.py", tmp_path / "b.py"]
     assert unread_privates(paths) == ["a.py:1: _dead", "a.py:6: _Gone"]
+
+
+def test_no_dead_helpers():
+    # perfbench wraps engine functions by name, from outside the package
+    bench = ROOTS[1].parent / "perfbench"
+    named = {word for path in bench.rglob("*") if path.is_file()
+             and "__pycache__" not in path.parts
+             for word in re.findall(r"\w+", path.read_text())}
+    assert dead_helpers(sorted(ROOTS[0].glob("*.py")), named,
+                        quadricops.__all__) == []
+
+
+def test_scan_sees_a_dead_helper(tmp_path):
+    (tmp_path / "a.py").write_text("def dead(n):\n    return dead(n - 1)\n"
+                                   "def called():\n    return 1\n"
+                                   "class Exported:\n    pass\n"
+                                   "def benched():\n    pass\n"
+                                   "class Gone:\n    pass\n")
+    (tmp_path / "b.py").write_text("from .a import called\nprint(called())\n")
+    paths = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert dead_helpers(paths, {"benched"}, ["Exported"]) == [
+        "a.py:1: dead", "a.py:9: Gone"]
 
 
 def test_no_private_names_across_engine_modules():

@@ -1,6 +1,5 @@
 """Polynomial core: arithmetic, normal forms, and the Q-Laurent class."""
 
-import random
 import time
 from fractions import Fraction
 from operator import add, le
@@ -12,7 +11,7 @@ from oracles import monomials_up_to
 from quadricops import poly
 from quadricops.harmonic import harmonic_decompose
 from quadricops.poly import (EMAX, ExponentOverflow, Poly, QLaurent, add_terms,
-                             divides_exactly, fieldwise_max, guard, mdegree,
+                             divides_exactly, guard, mdegree,
                              normal_form_mod_single, pack, q_form, reduce_mod,
                              support, unit, unpack)
 from quadricops.weyl import WeylOp
@@ -231,33 +230,6 @@ def test_guard_test_is_divisibility(vecs):
     a, b = vecs
     n = len(a)
     assert ((pack(b) - pack(a)) & guard(n) == 0) == all(map(le, a, b))
-
-
-def plain_max(vecs):
-    """(exponentwise maximum, largest total degree) of exponent tuples."""
-    return tuple(map(max, zip(*vecs))), max(map(sum, vecs))
-
-
-@pytest.mark.parametrize("n", range(1, 13))
-def test_fieldwise_max_is_the_plain_maximum(n):
-    rng = random.Random(n)
-    g = guard(n)
-    assert fieldwise_max([], n) == 0
-    tops = [tuple(EMAX if j == i else 0 for j in range(n)) for i in range(n)]
-    samples = [[m] for m in tops] + [tops]
-    for count in (1, 2, 3, 8):
-        for cap in (3, EMAX // n):
-            samples.append([tuple(rng.randint(0, cap) for _ in range(n))
-                            for _ in range(count)])
-    for vecs in samples:
-        bound = fieldwise_max([pack(m) for m in vecs], n)
-        exps, deg = plain_max(vecs)
-        assert unpack(bound, n) == exps and mdegree(bound, n) == deg
-        # every divisor of an input monomial divides the bound
-        for m in vecs:
-            b = tuple(rng.randint(0, e) for e in m)
-            assert not (pack(m) - pack(b)) & g
-            assert not (bound - pack(b)) & g
 
 
 @settings(max_examples=300, deadline=None)
