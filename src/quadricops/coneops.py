@@ -61,9 +61,9 @@ def phi(xi: LieElt) -> WeylOp:
     weight = E + WeylOp.const(n, k - 1)
     op = WeylOp.zero(n)
     op = op - grad_pair(k, xi.mu)
-    # -<Xv, grad> = -sum_{a,b} X[a][b] v_b d_a
-    for (a, b), c in xi.X:
-        op = op - WeylOp.mult(Poly.var(n, b, c)) * WeylOp.partial(n, a)
+    # -<Xv, grad> = -sum_{a,b} X[a][b] v_b d_a, each term x-left already
+    op = op - WeylOp._of(n, {(unit(n, b), unit(n, a)): c
+                             for (a, b), c in xi.X})
     if xi.alpha:
         op = op + weight.scale(xi.alpha)
     blam = b_form_poly(k, xi.lam)
@@ -232,9 +232,13 @@ def is_ideal_preserving(a: WeylOp) -> bool:
     beta, of smaller total degree, whose p_gamma lie in (Q*); so b(x^beta) =
     beta! p_beta modulo (Q*), which is outside (Q*) in characteristic 0 (the
     triangularity argument of ``ConeOp``).  So a normalizes (Q*) iff a Q* is
-    the zero class: one operator product.
+    the zero class.  Now a Q* = Q* a + [a, Q*], and Q* a is the zero class:
+    its x-left coefficients are Q* p_beta.  So a normalizes (Q*) iff the
+    commutator [a, Q*] is the zero class: one commutator, which sums only
+    the exchange terms and leaves the Q* a part out.
     """
-    return ConeOp(a * WeylOp.mult(q_form(a.nvars // 2))).is_zero_class()
+    return ConeOp(a.commutator(WeylOp.mult(q_form(a.nvars // 2)))
+                  ).is_zero_class()
 
 
 @lru_cache(maxsize=1024)
@@ -244,7 +248,7 @@ def rho_tilde(xi: LieElt) -> ConeOp:
     The correction removes the ideal defect of the ambient formula, making
     the image a genuine operator on the cone; fails loudly if the resulting
     operator does not normalize (Q*), which ``is_ideal_preserving`` decides
-    with one operator product.  Images are memoized by the exact value of xi
+    with one commutator.  Images are memoized by the exact value of xi
     in an LRU cache of 1024 images; the cache stores no raised exception, so
     a failing element raises on every call.  The images are shared: callers
     must not change them.
@@ -290,6 +294,9 @@ def alphabet(k: int) -> frozenset:
                         for j in r if i < j])
 
 
+_INT = frozenset((int,))
+
+
 def check_letters(k: int, letters) -> None:
     """Raise ValueError naming the first letter outside ``alphabet(k)``.
 
@@ -298,7 +305,7 @@ def check_letters(k: int, letters) -> None:
     """
     known = alphabet(k)
     for letter in letters:
-        if letter not in known or any(type(i) is not int for i in letter[1:]):
+        if letter not in known or not _INT.issuperset(map(type, letter[1:])):
             raise ValueError(f"{letter!r} is not a generator letter at k={k}")
 
 

@@ -62,8 +62,8 @@ def orbit_matrix(k: int) -> tuple:
     n = 2 * k
     v = v_vector(k)
     w = x_vector(k)
-    alpha = b_pair(v, w)
-    mu = [alpha * v[i] - q_of(v) * w[i] for i in range(n)]
+    alpha, qv = b_pair(v, w), q_of(v)
+    mu = [alpha * v[i] - qv * w[i] for i in range(n)]
     zero = Poly.zero(4 * k)
     m = [[zero for _ in range(n + 2)] for _ in range(n + 2)]
     m[0][0] = alpha

@@ -723,7 +723,9 @@ def normal_form_mod_single(p: Poly, d: Poly):
 
     The division runs on the integer numerators of p over their common
     denominator e, which divides each output term once at the end; with a
-    monic d, such as Q, a step divides nothing.  Every tail monomial of d is
+    monic d, such as Q, a step divides nothing, and with int numerators and
+    a monic d of int coefficients every value stays an int, so that last
+    pass is left out.  Every tail monomial of d is
     below its leading one, so each step only adds monomials below the one
     it takes, and the terms are taken largest first from a max-heap of
     negated keys: a key whose term has cancelled is skipped when it comes
@@ -740,7 +742,9 @@ def normal_form_mod_single(p: Poly, d: Poly):
     quotient: dict = {}
     remainder: dict = {}
     e, work = numerators(p.terms)
-    work = dict(work)
+    exact = e == 1 and lc == 1 and numerators(d.terms)[0] == 1
+    if e == 1:
+        work = dict(work)  # p's own terms, which the loop must not change
     heap = [-m for m in work]
     heapify(heap)
     while heap:
@@ -762,8 +766,10 @@ def normal_form_mod_single(p: Poly, d: Poly):
                 work[m2] = s
             else:
                 del work[m2]
-    return (Poly._of(p.nvars, {m: qdiv(c, e) for m, c in quotient.items()}),
-            Poly._of(p.nvars, {m: qdiv(c, e) for m, c in remainder.items()}))
+    if not exact:
+        quotient = {m: qdiv(c, e) for m, c in quotient.items()}
+        remainder = {m: qdiv(c, e) for m, c in remainder.items()}
+    return Poly._of(p.nvars, quotient), Poly._of(p.nvars, remainder)
 
 
 def reduce_mod(p: Poly, d: Poly) -> Poly:

@@ -389,7 +389,7 @@ def lie_hom_checks(k: int) -> list:
     This rests on three facts:
     - rho_tilde is linear;
     - every image normalizes (Q*), which ``rho_tilde`` proves for each
-      distinct element, brackets included, with the one operator product of
+      distinct element, brackets included, with the one commutator of
       ``is_ideal_preserving``, so the commutators are taken in D_C, where Q*
       times any operator is zero;
     - ``LieElt.bracket`` obeys the Jacobi identity, which ``lie-block-bracket``

@@ -34,9 +34,9 @@ from functools import lru_cache
 from math import comb, factorial
 from operator import itemgetter
 
-from .poly import (Poly, TermMap, add_terms, check_degrees, default_names,
-                   divides_exactly, dual, falling, falling_spec, guard,
-                   mdegree, monomials, mono_text, pack, qcoef, restrict,
+from .poly import (EMAX, FIELD, Poly, TermMap, add_terms, check_degrees,
+                   default_names, divides_exactly, dual, falling, falling_spec,
+                   guard, mdegree, monomials, mono_text, pack, qcoef, restrict,
                    signed_text, support, unit, unpack)
 
 
@@ -400,15 +400,20 @@ def permute_vars(f, perm):
     """The Poly or WeylOp f with variable i renamed to variable perm[i].
 
     For an operator this is the conjugate sigma f sigma^-1 by the linear
-    change of coordinates sigma, which renames x_i and d_i alike.
+    change of coordinates sigma, which renames x_i and d_i alike.  Renaming
+    keeps the total degree, so each exponent field moves to the field of
+    its new variable and the degree field stays.
     """
     n = f.nvars
+    top = FIELD * n
+    moves = [(FIELD * (n - 1 - i), FIELD * (n - 1 - j))
+             for i, j in enumerate(perm)]
 
     def rename(m):
-        e = [0] * n
-        for i, x in enumerate(unpack(m, n)):
-            e[perm[i]] = x
-        return pack(e)
+        out = m >> top << top
+        for src, dst in moves:
+            out |= (m >> src & EMAX) << dst
+        return out
 
     if isinstance(f, WeylOp):
         return WeylOp._of(n, {(rename(a), rename(b)): c

@@ -34,9 +34,9 @@ exponent tuples.
 ``exprparse.tokenize`` reads a token's kind and index fields straight from
 the group that matched; ``tokenize_groupwise`` filters the tuple of all
 groups of the match for every token.  ``coneops.is_ideal_preserving``
-decides whether an operator a normalizes (Q*) from the one product a Q*;
-``preserves_ideal_by_monomials`` applies a to Q* m for every monomial m up to
-the order of a instead.  The products of ``Poly``, ``WeylOp`` and
+decides whether an operator a normalizes (Q*) from the one commutator
+[a, Q*]; ``preserves_ideal_by_monomials`` applies a to Q* m for every
+monomial m up to the order of a instead.  The products of ``Poly``, ``WeylOp`` and
 ``GenWord`` run in the one frame of ``poly.TermMap``, which sums integer
 numerators over one common denominator and divides once per output term;
 ``poly_mul_pairwise``, ``weyl_mul_pairwise`` and ``genword_mul_pairwise``
