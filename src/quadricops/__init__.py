@@ -16,6 +16,11 @@ Modules:
   exprparse   expression grammar shared with the CLI
   suites      named verification suites and report emission
   cli         command-line entry point
+
+Importing the package loads every engine module but ``suites``: its public
+names (``SuiteReport``, ``UnknownSuite``, ``emit``, ``run_suite``) load it
+on first access through the module ``__getattr__`` (PEP 562), so a process
+that never verifies a suite does not pay for it.
 """
 
 from .poly import (ExponentOverflow, Poly, QLaurent, divides_exactly,
@@ -39,7 +44,6 @@ from .harmonic import (CertificateError, SymmetryCert, bessel_check,
                        is_higher_symmetry, kelvin, kelvin_intertwine_defect,
                        laplacian_qlaurent, n2_counterexample)
 from .exprparse import ParseError, UsageError, parse, to_text
-from .suites import SuiteReport, UnknownSuite, emit, run_suite
 
 __all__ = [
     "ExponentOverflow", "Poly", "QLaurent", "divides_exactly",
@@ -65,3 +69,17 @@ __all__ = [
 ]
 
 __version__ = "1.0.0"
+
+# the public names of the suites module, loaded on first access
+_SUITE_NAMES = frozenset({"SuiteReport", "UnknownSuite", "emit", "run_suite"})
+
+
+def __getattr__(name):
+    if name in _SUITE_NAMES:
+        from . import suites
+        return getattr(suites, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SUITE_NAMES)

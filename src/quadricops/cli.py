@@ -8,12 +8,20 @@ bound exceeds ``MAX_DEGREE``, whose constants' bit bound exceeds
 --order`` over ``MAX_DEGREE``), 3 internal error: an engine exception
 that no other code covers, a ``ValueError`` included, reported as one
 ``internal error:`` line on stderr.
+
+A process pays only for the command it runs.  When the first argument
+names a subcommand, ``main`` builds that subcommand's parser alone; any
+other argument list (none, ``-h``, an unknown command, or arguments the
+subcommand leaves unread) goes to ``build_parser``, the one description of
+the whole CLI, which prints the usage or the error.  ``suites`` loads only
+when ``moment`` or ``verify`` runs or the ``verify`` parser is built, and
+``json`` only when a command emits JSON.  Every other engine module loads
+with this one, as the benchmark's tracer expects.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import exprparse
@@ -27,7 +35,6 @@ from .poly import ExponentOverflow, Poly, QLaurent
 from .shapovalov import (closed_form_induction, euler_to_weyl,
                          fourier_roots_bezout, shapovalov_closed,
                          shapovalov_expand, shapovalov_series)
-from .suites import CheckResult, SuiteReport, emit, run_suite, SUITES
 
 # the largest coefficient degree and order an expression may reach, the
 # largest degree of harmonic --d and shapovalov --d and the largest
@@ -42,6 +49,7 @@ MAX_BITS = 4096
 
 def _emit_obj(obj: dict, fmt: str, text_lines) -> None:
     if fmt == "json":
+        import json
         sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
@@ -156,6 +164,7 @@ def cmd_shapovalov(args) -> int:
 
 
 def cmd_moment(args) -> int:
+    from .suites import CheckResult, SuiteReport, emit
     checks = []
     for name, ok, residue in verify_orbit_relations(args.k):
         checks.append(CheckResult(f"relation {name}",
@@ -292,15 +301,23 @@ def cmd_counterexample_n2(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .suites import emit, run_suite
     report = run_suite(args.suite, args.k)
     sys.stdout.write(emit(report, args.format).decode())
     return report.exit_status
 
 
+def _verify_arguments() -> dict:
+    from .suites import SUITES
+    return {"suite": dict(help="suite name or 'all': "
+                          + ", ".join(sorted(SUITES) + ["all"]))}
+
+
 _EXPR = {"expr": {}}
 
 # the subcommands, in the order of the help text: (name, handler, help, own
-# arguments as {name or flag: add_argument keywords}, takes --k)
+# arguments as {name or flag: add_argument keywords}, or a function that
+# returns them when the parser is built, takes --k)
 COMMANDS = (
     ("reduce", cmd_reduce, "canonical cone class of an expression", _EXPR,
      True),
@@ -319,10 +336,20 @@ COMMANDS = (
     ("boundary", cmd_boundary, "boundary phase identities", {}, True),
     ("counterexample-n2", cmd_counterexample_n2,
      "rank-one counterexample identities", {}, False),
-    ("verify", cmd_verify, "run a verification suite",
-     {"suite": dict(help="suite name or 'all': "
-                    + ", ".join(sorted(SUITES) + ["all"]))}, True),
+    ("verify", cmd_verify, "run a verification suite", _verify_arguments,
+     True),
 )
+_COMMAND_ROWS = {row[0]: row for row in COMMANDS}
+
+
+def _add_arguments(p: argparse.ArgumentParser, func, own, with_k) -> None:
+    for arg, kwargs in (own() if callable(own) else own).items():
+        p.add_argument(arg, **kwargs)
+    if with_k:
+        p.add_argument("--k", type=int, default=2,
+                       help="number of hyperbolic planes (default 2, min 2)")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,20 +359,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "quadric cone.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text, own, with_k in COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        for arg, kwargs in own.items():
-            p.add_argument(arg, **kwargs)
-        if with_k:
-            p.add_argument("--k", type=int, default=2,
-                           help="number of hyperbolic planes (default 2, min 2)")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.set_defaults(func=func)
+        _add_arguments(sub.add_parser(name, help=help_text), func, own, with_k)
     return parser
 
 
+def _read_args(argv: list) -> argparse.Namespace:
+    """The arguments of ``argv`` as ``build_parser`` reads them (without
+    ``command``), building only the named subcommand's parser when that
+    parser reads all of them."""
+    if argv and argv[0] in _COMMAND_ROWS:
+        name, func, _, own, with_k = _COMMAND_ROWS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"quadricops {name}")
+        _add_arguments(parser, func, own, with_k)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _read_args(sys.argv[1:] if argv is None else argv)
     k = getattr(args, "k", 2)
     if k < 2:
         return _usage_error("--k must be at least 2")

@@ -1,5 +1,6 @@
 """CLI: golden outputs, exit codes, and the suite runner."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from quadricops import cli, exprparse, harmonic, shapovalov
+from quadricops import cli, exprparse, harmonic, shapovalov, suites
 from quadricops.coneops import NotNormalizing
 from quadricops.poly import Poly
 from quadricops.suites import CheckResult, SuiteReport, SUITES, emit, run_suite
@@ -247,7 +248,9 @@ def test_engine_errors_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(harmonic, "q_form",
                         lambda k: Poly.var(2 * k, 0) * Poly.var(2 * k, 1))
     monkeypatch.setattr(cli, "ConeOp", _raiser(NotNormalizing("not normal")))
-    monkeypatch.setattr(cli, "run_suite", _raiser(IndexError("off the end")))
+    # verify reads run_suite from the suites module when it runs
+    monkeypatch.setattr(suites, "run_suite",
+                        _raiser(IndexError("off the end")))
     # an engine ValueError is not a usage error
     monkeypatch.setattr(cli, "kelvin",
                         _raiser(ValueError("certificate identity fails")))
@@ -309,8 +312,80 @@ def test_word_bound_covers_the_words(expr, words):
 
 def test_argparse_usage_exit_code():
     proc = subprocess.run([sys.executable, "-m", "quadricops.cli",
-                           "no-such-command"], capture_output=True)
+                           "no-such-command"], capture_output=True, text=True)
     assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].startswith(
+        "quadricops: error: argument command: invalid choice: "
+        "'no-such-command'")
+
+
+def _parse_outcome(capsys, parse, argv):
+    """("args", namespace without ``command``) or ("exit", code, stdout,
+    stderr) of one way to read argv."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return ("exit", exc.code, captured.out, captured.err)
+    return ("args", {key: value for key, value in vars(args).items()
+                     if key != "command"})
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--", "-x1"], ["reduce", "x1", "--bogus"],
+    ["reduce", "x1", "extra"], ["counterexample-n2", "--k", "3"],
+    ["harmonic"], ["harmonic", "--d", "x"], ["bessel", "--order"],
+    ["reduce", "x1", "--k", "abc"], ["reduce", "x1", "--format", "xml"],
+    ["reduce", "x1", "--fo=json"], ["moment", "foo"], ["red", "x1"], [],
+    ["nope"], ["-h"], ["reduce", "-h"], ["moment"], ["verify", "weyl"],
+    ["verify", "no-such-suite", "--k", "3", "--format", "json"],
+    ["shapovalov", "--d", "2", "--k", "3"], ["counterexample-n2"],
+    ["fourier-transform", "x1", "--k=3"], ["reduce", "x1", "--k", "3", "--k", "4"],
+], ids=repr)
+def test_a_subcommand_parser_reads_as_the_full_parser(capsys, monkeypatch,
+                                                      argv):
+    full = _parse_outcome(capsys, lambda a: cli.build_parser().parse_args(a),
+                          argv)
+    # main's handlers record their namespace instead of running
+    seen = []
+
+    def recorder(func):
+        def record(args):
+            seen.append(argparse.Namespace(**{**vars(args), "func": func}))
+            return 0
+        return record
+
+    add_arguments = cli._add_arguments
+    monkeypatch.setattr(cli, "_add_arguments", lambda p, func, own, with_k: (
+        add_arguments(p, recorder(func), own, with_k)))
+
+    def through_main(argv):
+        assert cli.main(argv) == 0
+        return seen.pop()
+
+    assert _parse_outcome(capsys, through_main, argv) == full
+
+
+def test_a_command_builds_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert cli.main(["boundary", "--k", "2"]) == 0
+    assert built == ["quadricops boundary"]
+    built.clear()
+    # the subcommand's parser leaves --bogus, so the full parser reports it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reduce", "x1", "--bogus"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "quadricops: error: unrecognized arguments: --bogus\n")
+    assert len(built) == 12
+    assert built[:2] == ["quadricops reduce", "quadricops"]
 
 
 def test_degree_caps_are_fixed(capsys):

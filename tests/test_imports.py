@@ -3,9 +3,11 @@ assigning a local it never reads, in the package or in the tests, no private
 module-level name the package never reads, no module-level function or class
 that neither the package, the benchmark nor the public API names, no engine
 module reaching into another one's private names, and no heavy standard
-modules at CLI start-up."""
+modules at CLI start-up: neither the suites, ``json`` nor ``random`` until a
+command asks for them."""
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -111,7 +113,8 @@ def dead_helpers(paths, named: set, exported) -> list:
     paths is dead when no module among them reads it outside its own
     definition (as a name, an attribute or a ``from`` import, so a recursive
     call does not count), it is not in the set of words ``named``, and it is
-    not in ``exported``.
+    not in ``exported``.  A top-level ``__getattr__`` or ``__dir__`` counts
+    as read: the interpreter calls these module hooks (PEP 562).
     """
     defined, read = [], set()
     for path in paths:
@@ -130,7 +133,7 @@ def dead_helpers(paths, named: set, exported) -> list:
                 defined.append((path.name, top.lineno, top.name))
                 seen.discard(top.name)
             read |= seen
-    read |= named
+    read |= named | {"__getattr__", "__dir__"}
     return sorted(f"{mod}:{line}: {name}" for mod, line, name in defined
                   if name not in read and name not in exported)
 
@@ -227,9 +230,13 @@ def test_scan_sees_a_dead_helper(tmp_path):
                                    "def benched():\n    pass\n"
                                    "class Gone:\n    pass\n")
     (tmp_path / "b.py").write_text("from .a import called\nprint(called())\n")
-    paths = [tmp_path / "a.py", tmp_path / "b.py"]
+    (tmp_path / "c.py").write_text("def __getattr__(name):\n"
+                                   "    raise AttributeError(name)\n"
+                                   "def __dir__():\n    return []\n"
+                                   "def beside_the_hooks():\n    pass\n")
+    paths = [tmp_path / "a.py", tmp_path / "b.py", tmp_path / "c.py"]
     assert dead_helpers(paths, {"benched"}, ["Exported"]) == [
-        "a.py:1: dead", "a.py:9: Gone"]
+        "a.py:1: dead", "a.py:9: Gone", "c.py:5: beside_the_hooks"]
 
 
 def test_no_private_names_across_engine_modules():
@@ -260,3 +267,35 @@ def test_cli_import_skips_dataclasses_and_inspect():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+# the modules whose functions perfbench/tracer.py wraps, read from that file
+TRACER = ROOTS[1].parent / "perfbench" / "tracer.py"
+STARTUP = """
+import sys
+lazy = ("quadricops.suites", "json", "random")
+import quadricops
+print(sorted(set(lazy) & set(sys.modules)))
+import quadricops.cli
+print(sorted(set(lazy) & set(sys.modules)))
+print(sorted(m for m in {layers!r} if "quadricops." + m not in sys.modules))
+names = {{}}
+exec("from quadricops import *", names)
+print(sorted(set(quadricops.__all__) - set(names)),
+      quadricops.run_suite is quadricops.suites.run_suite,
+      set(quadricops.__all__) <= set(dir(quadricops)))
+"""
+
+
+def test_start_up_loads_neither_the_suites_json_nor_random():
+    # every CLI process pays for what `import quadricops.cli` loads, but the
+    # tracer wraps its layers right after that import, so they must be there
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    layers = sorted({modname for _, modname, _, _ in tracer.LAYERS})
+    env = dict(os.environ, PYTHONPATH=str(ROOTS[0].parent))
+    proc = subprocess.run([sys.executable, "-S", "-c",
+                           STARTUP.format(layers=layers)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n[]\n[]\n[] True True\n"
