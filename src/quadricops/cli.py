@@ -184,11 +184,10 @@ def cmd_moment(args) -> int:
 def cmd_kelvin(args) -> int:
     tree = _parse_bounded(args, "polynomial")
     op = exprparse.eval_weyl(tree, args.k)
-    for (_, b) in op.terms:
-        if b:  # a nonzero derivative multi-index
-            return _usage_error("kelvin expects a polynomial expression "
-                                "(no derivatives)")
-    poly = Poly(2 * args.k, {a: c for (a, b), c in op.terms.items()})
+    if op.order() > 0:
+        return _usage_error("kelvin expects a polynomial expression "
+                            "(no derivatives)")
+    poly = Poly(2 * args.k, op.terms)
     f = QLaurent(args.k, poly, 0)
     kf = kelvin(f)
     defect = kelvin_intertwine_defect(f)

@@ -29,13 +29,14 @@ from .lie import LieElt
 from .poly import (Poly, TermMap, add_terms, default_names, dual, guard,
                    mdegree, mono_text, q_form, qdiv, reduce_mod, signed_text,
                    unit, unpack)
-from .weyl import NotDivisible, WeylOp, euler_op, laplacian_op, reorder
+from .weyl import (NotDivisible, WeylOp, euler_op, halves, laplacian_op,
+                   reorder)
 
 
 def grad_pair(k: int, vec) -> WeylOp:
     """Directional derivative sum c d_i over the entries (i, c) of vec."""
     n = 2 * k
-    return WeylOp._of(n, {(0, unit(n, i)): c for i, c in vec})
+    return WeylOp._of(n, {unit(n, i) << halves(n)[0]: c for i, c in vec})
 
 
 def grad_flip(k: int, vec) -> WeylOp:
@@ -62,7 +63,7 @@ def phi(xi: LieElt) -> WeylOp:
     op = WeylOp.zero(n)
     op = op - grad_pair(k, xi.mu)
     # -<Xv, grad> = -sum_{a,b} X[a][b] v_b d_a, each term x-left already
-    op = op - WeylOp._of(n, {(unit(n, b), unit(n, a)): c
+    op = op - WeylOp._of(n, {unit(n, a) << halves(n)[0] | unit(n, b): c
                              for (a, b), c in xi.X})
     if xi.alpha:
         op = op + weight.scale(xi.alpha)
@@ -82,8 +83,9 @@ def tau(a: WeylOp) -> WeylOp:
     isomorphism D_V -> D_{V*}.
     """
     n = a.nvars
-    dleft = {(beta, alpha): -c if mdegree(beta, n) % 2 else c
-             for (alpha, beta), c in a.terms.items()}
+    s, mask = halves(n)
+    dleft = {(key & mask) << s | key >> s: -c if mdegree(key >> s, n) % 2
+             else c for key, c in a.terms.items()}
     return WeylOp._of(n, reorder(dleft, n, 1))
 
 
@@ -111,7 +113,8 @@ def dual_field(k: int, X) -> WeylOp:
     ``phi`` for X in so(Q), whose trace term vanishes.  X is given by its
     nonzero entries ((a, b), X[a][b]), as ``LieElt.X`` stores it."""
     n = 2 * k
-    return WeylOp._of(n, {(unit(n, a), unit(n, b)): c for (a, b), c in X})
+    return WeylOp._of(n, {unit(n, b) << halves(n)[0] | unit(n, a): c
+                          for (a, b), c in X})
 
 
 @lru_cache(maxsize=1024)
@@ -166,19 +169,15 @@ class ConeOp:
 
     def canonical(self) -> WeylOp:
         """The canonical representative, computed once: ``op`` with each
-        x-left coefficient reduced mod Q*.  When no term has an x-part
-        divisible by x1*yk, the leading monomial of Q*, ``op`` is its own
-        representative."""
+        x-left coefficient reduced mod Q*, in one division of its term map.
+        When no term has an x-part divisible by x1*yk, the leading monomial
+        of Q*, ``op`` is its own representative."""
         if self._canonical is None:
             qs = q_form(self.k)
             lm, g = max(qs.terms), guard(qs.nvars)
             self._canonical = self.op
-            if any(not (a - lm) & g for a, _ in self.op.terms):
-                terms = {}
-                for beta, p in self.op.xleft().items():
-                    for a, c in reduce_mod(p, qs).terms.items():
-                        terms[a, beta] = c
-                self._canonical = WeylOp._of(qs.nvars, terms)
+            if any(not (key - lm) & g for key in self.op.terms):
+                self._canonical = reduce_mod(self.op, qs)
         return self._canonical
 
     def is_zero_class(self) -> bool:

@@ -32,7 +32,7 @@ from itertools import product
 from .lie import LieElt, mat_mul
 from .poly import (Poly, add_terms, b_pair, dual, q_of, qdiv, reduce_mod,
                    unit)
-from .weyl import WeylOp, permute_vars
+from .weyl import WeylOp, halves, permute_vars
 
 
 def block_var(k: int, block: int, i: int) -> Poly:
@@ -112,7 +112,7 @@ def check_descent(xi: LieElt) -> Poly:
     """
     k = xi.k
     n, nv = 2 * k, 4 * k
-    shear = WeylOp._of(nv, {(unit(nv, n + i), unit(nv, i)): 1
+    shear = WeylOp._of(nv, {unit(nv, i) << halves(nv)[0] | unit(nv, n + i): 1
                             for i in range(n)})
     return reduce_mod(shear.apply(moment(xi)), q_of(x_vector(k)))
 

@@ -52,7 +52,7 @@ exactly where its coefficient is integral, and so does the division
 ``subtract_row``), by scaling by an ``int`` (``scale`` and ``*``), by
 ``deriv``, and by the two ``weyl`` kernels that multiply a coefficient by
 an integer weight and sum: ``WeylOp.apply`` and ``weyl.reorder``, behind
-``WeylOp.from_dleft`` and ``dleft``.  The two types agree on ``==``
+``coneops.tau`` and ``divide_right_by_mult``.  The two types agree on ``==``
 and ``hash``, so equality, hashing, printing and the JSON ``num``/``den``
 fields do not depend on which one a coefficient carries.  Every true
 division in the package goes through ``qdiv``, because ``int / int`` is a
@@ -72,16 +72,18 @@ the type of each coefficient, never by summing them, which would cost a
 
 ``TermMap`` is the one home of the linear structure that ``Poly``,
 ``WeylOp`` and ``GenWord`` share: equality, hashing, sums, negation,
-scaling, products and powers of a map from key to coefficient.  Each
-subclass keeps only the key of 1, its key check, its product kernel and
-degree bound, and its own methods.  The public constructor, ``Poly(nvars,
-terms)``, ``WeylOp(nvars, terms)`` or ``GenWord(k, terms)``, is the one
-entry point for outside input: it checks every key and passes every
-coefficient through ``qcoef``.
-``_of(nvars, terms)`` is trusted: it stores a term map that the engine
-built, with valid keys and no zero coefficient, as it is.  Every sum of
-terms outside the product, division and elimination kernels goes through
-``add_terms``.
+scaling, products and powers of a map from key to coefficient.  A
+``WeylOp`` key is one ``int`` too, two packed monomials (see ``weyl``): so
+the term map of a ``Poly`` is that of its multiplication operator, and
+``normal_form_mod_single`` divides either.  Each subclass keeps only the
+key of 1, its key check, its product kernel and degree bound, and its own
+methods.  The public constructor, ``Poly(nvars, terms)``, ``WeylOp(nvars,
+terms)`` or ``GenWord(k, terms)``, is the one entry point for outside
+input: it checks every key, both halves of a ``WeylOp`` key, and passes
+every coefficient through ``qcoef``.  ``_of(nvars, terms)`` is trusted and
+checks nothing: it stores a term map that the engine built, with valid
+keys and no zero coefficient, as it is.  Every sum of terms outside the
+product, division and elimination kernels goes through ``add_terms``.
 
 Built term maps are read-only.  The engine memoizes its pure constructors
 in bounded LRU caches, ``q_form`` here and the standard operators, the
@@ -712,8 +714,8 @@ def q_form(k: int) -> Poly:
     return Poly._of(n, {unit(n, i) + unit(n, dual(n, i)): 1 for i in range(k)})
 
 
-def normal_form_mod_single(p: Poly, d: Poly):
-    """Divide p by the single polynomial d in graded lex order.
+def normal_form_mod_single(p, d: Poly, scale: int = 1):
+    """Divide the term map p by the single polynomial d in graded lex order.
 
     Returns (quotient, remainder) with p = quotient*d + remainder and no
     monomial of the remainder divisible by the leading monomial of d.  A
@@ -721,24 +723,31 @@ def normal_form_mod_single(p: Poly, d: Poly):
     remainder is the canonical representative of p modulo (d) and vanishes
     exactly when p lies in the ideal.
 
+    p may also be a ``weyl.WeylOp``, keyed beta * S + alpha with S =
+    2^(FIELD (nvars + 1)); d divides alpha at ``scale`` 1 or beta at S.  Its
+    offsets and guard bits are scaled, so a step keeps the other half, and
+    one pass divides each coefficient that it keeps apart as it would be
+    divided alone.  Quotient and remainder have the type of p.
+
     The division runs on the integer numerators of p over their common
     denominator e, which divides each output term once at the end; with a
     monic d, such as Q, a step divides nothing, and with int numerators and
     a monic d of int coefficients every value stays an int, so that last
-    pass is left out.  Every tail monomial of d is
-    below its leading one, so each step only adds monomials below the one
-    it takes, and the terms are taken largest first from a max-heap of
-    negated keys: a key whose term has cancelled is skipped when it comes
-    up, and a key whose term comes back is pushed again.
+    pass is left out.  Every tail monomial of d is below its leading one, so
+    each step only adds monomials below the one it takes, and the terms are
+    taken largest first from a max-heap of negated keys: a key whose term
+    has cancelled is skipped when it comes up, and a key whose term comes
+    back is pushed again.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     p._check(d)
-    g = guard(p.nvars)
+    g = guard(p.nvars) * scale
     lm = max(d.terms)
     lc = d.terms[lm]
     # q*lm + (m2 - lm) = q*m2: the offsets stay valid monomials once added
-    tail = [(m2 - lm, c2) for m2, c2 in d.terms.items() if m2 != lm]
+    tail = [((m2 - lm) * scale, c2) for m2, c2 in d.terms.items() if m2 != lm]
+    lm *= scale
     quotient: dict = {}
     remainder: dict = {}
     e, work = numerators(p.terms)
@@ -769,7 +778,7 @@ def normal_form_mod_single(p: Poly, d: Poly):
     if not exact:
         quotient = {m: qdiv(c, e) for m, c in quotient.items()}
         remainder = {m: qdiv(c, e) for m, c in remainder.items()}
-    return Poly._of(p.nvars, quotient), Poly._of(p.nvars, remainder)
+    return type(p)._of(p.nvars, quotient), type(p)._of(p.nvars, remainder)
 
 
 def reduce_mod(p: Poly, d: Poly) -> Poly:

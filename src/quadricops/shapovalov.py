@@ -116,8 +116,8 @@ def shapovalov_series(dmax: int, k: int) -> list:
         prev = series[-1].canonical() if series else WeylOp.identity(n)
         terms: dict = {}
         for shift, _, f in factors:
-            add_terms(terms, (((a + shift, b), c)
-                              for (a, b), c in (prev * f).terms.items()))
+            add_terms(terms, ((key + shift, c)
+                              for key, c in (prev * f).terms.items()))
         series.append(ConeOp(WeylOp._of(n, terms)))
     return series
 

@@ -1,18 +1,22 @@
 """The Weyl algebra of polynomial differential operators in 2k variables.
 
 Operators are stored in x-left normal order: each term is x^alpha d^beta with
-the multiplication part on the left.  The exchange rule d*x = x*d + 1 per
-conjugate pair produces the general reordering identities
+the multiplication part on the left, keyed by the one ``int`` beta << s |
+alpha of ``halves``, alpha and beta packed monomials of ``poly``.  So a
+``Poly`` has the term map of its multiplication operator, int order is the
+printed order, by beta, then alpha, and the kernels add and subtract whole
+keys.  The exchange rule d*x = x*d + 1 per conjugate pair produces the
+general reordering identities
 
     d^b x^a = sum_t  C(b,t) C(a,t) t!  x^(a-t) d^(b-t)        (x-left)
     x^a d^b = sum_t (-1)^|t| C(b,t) C(a,t) t!  d^(b-t) x^(a-t) (d-left)
 
 applied independently in each variable.  Both one-sided normal forms are
 unique, which is what makes the two right-division tests below decisive.
-``reorder`` applies either identity to a whole term map; ``WeylOp.dleft``,
-``WeylOp.from_dleft`` and ``coneops.tau`` all go through it.  ``_bucket``
-groups a term map by its multiplication or its derivative part, for
-``dleft``, ``xleft`` and ``xleft_coeffs``.
+``reorder`` applies either identity to a whole term map, for ``coneops.tau``
+and the right divisions, each one run of ``poly.normal_form_mod_single`` on
+the multiplication half of the d-left form or the derivative half of the
+x-left form.
 
 For terms u = x^a1 d^b1 and v = x^a2 d^b2 the first identity gives
 
@@ -32,23 +36,28 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb, factorial
-from operator import itemgetter
 
 from .poly import (EMAX, FIELD, Poly, TermMap, add_terms, check_degrees,
-                   default_names, divides_exactly, dual, falling, falling_spec,
-                   guard, mdegree, monomials, mono_text, pack, qcoef, restrict,
-                   signed_text, support, unit, unpack)
+                   default_names, dual, falling, falling_spec, guard, mdegree,
+                   monomials, mono_text, normal_form_mod_single, pack, qcoef,
+                   restrict, signed_text, support, unit, unpack)
 
 
 class NotDivisible(Exception):
     """Raised when a right-division has no exact quotient."""
 
 
+def halves(n: int) -> tuple:
+    """(s, mask) of the term key in n variables: the key of x^alpha d^beta
+    is beta << s | alpha, so beta = key >> s and alpha = key & mask."""
+    return FIELD * (n + 1), (1 << FIELD * (n + 1)) - 1
+
+
 @lru_cache(maxsize=1 << 12)
 def _exchange_terms(b: int, a: int, n: int) -> tuple:
     """Terms of d^b x^a in x-left order: (t, weight) over 0 <= t <= min(b, a)
-    with weight = prod C(b_i,t_i) C(a_i,t_i) t_i!, t packed; the caller
-    assembles x^(a-t) d^(b-t).  The first term is t = 0, of weight 1.
+    with weight = prod C(b_i,t_i) C(a_i,t_i) t_i!, t keyed in both halves, to
+    subtract from the key of x^a d^b.  The first term is t = 0, of weight 1.
 
     Only the variables that b and a share matter, so callers pass both
     restricted to them, which keeps the memo small.
@@ -62,62 +71,57 @@ def _exchange_terms(b: int, a: int, n: int) -> tuple:
         for i, ti in zip(hot, combo):
             t[i] = ti
             w *= comb(b[i], ti) * comb(a[i], ti) * factorial(ti)
-        out.append((pack(t), w))
+        out.append((pack(t) << halves(n)[0] | pack(t), w))
     return tuple(out)
 
 
 def reorder(terms: dict, n: int, sign: int) -> dict:
-    """The other normal order of a term map {(a, b): c}: with sign = 1 each
-    key stands for d^b x^a and the result is x-left, with sign = -1 each key
-    stands for x^a d^b and the result is d-left.  By the identities of the
-    module docstring the term of t has key (a - t, b - t) and weight
-    sign^|t| C(b,t) C(a,t) t! in either direction."""
+    """The other normal order of a term map: with sign = 1 the key of a and
+    b stands for d^b x^a and the result is x-left, with sign = -1 for x^a d^b
+    and the result is d-left.  By the identities of the module docstring the
+    term of t has the key less t and weight sign^|t| C(b,t) C(a,t) t! in
+    either direction; ``support`` and ``restrict`` read a key's a half."""
+    s = halves(n)[0]
     out: dict = {}
-    for (a, b), c in terms.items():
-        shared = support(b, n) & support(a, n)
-        add_terms(out, (((a - t, b - t), sign ** mdegree(t, n) * w * c)
+    for key, c in terms.items():
+        b = key >> s
+        shared = support(b, n) & support(key, n)
+        add_terms(out, ((key - t, sign ** mdegree(t >> s, n) * w * c)
                         for t, w in _exchange_terms(restrict(b, shared),
-                                                    restrict(a, shared), n)))
+                                                    restrict(key, shared), n)))
     return out
-
-
-def _bucket(terms: dict, n: int, side: int) -> dict:
-    """The term map {(alpha, beta): c} grouped by its part at index side (0
-    for alpha, 1 for beta), as {packed part: Poly in the other part}."""
-    out: dict = {}
-    for ab, c in terms.items():
-        out.setdefault(ab[side], {})[ab[1 - side]] = c
-    return {part: Poly._of(n, tm) for part, tm in out.items()}
 
 
 def _product_terms(t1: dict, t2: dict, n: int) -> dict:
     """The term map of the product of two term maps: for each pair of
     terms, d^b1 x^a2 reordered into x-left form."""
+    sh = halves(n)[0]
     terms: dict = {}
     get = terms.get
-    items = [(a2, b2, c2, support(a2, n)) for (a2, b2), c2 in t2.items()]
-    for (a1, b1), c1 in t1.items():
+    items = [(k2, c2, support(k2, n)) for k2, c2 in t2.items()]
+    for k1, c1 in t1.items():
+        b1 = k1 >> sh
         s1 = support(b1, n)
-        for a2, b2, c2, s2 in items:
+        for k2, c2, s2 in items:
             shared = s1 & s2
             if shared:
-                a12, b12, c12 = a1 + a2, b1 + b2, c1 * c2
+                k12, c12 = k1 + k2, c1 * c2
                 for t, w in _exchange_terms(restrict(b1, shared),
-                                            restrict(a2, shared), n):
-                    ab = (a12 - t, b12 - t)
-                    s = get(ab, 0) + c12 * w
+                                            restrict(k2, shared), n):
+                    key = k12 - t
+                    s = get(key, 0) + c12 * w
                     if s:
-                        terms[ab] = s
+                        terms[key] = s
                     else:
-                        del terms[ab]
+                        del terms[key]
             else:
                 # d^b1 and x^a2 share no variable: they commute
-                ab = (a1 + a2, b1 + b2)
-                s = get(ab, 0) + c1 * c2
+                key = k1 + k2
+                s = get(key, 0) + c1 * c2
                 if s:
-                    terms[ab] = s
+                    terms[key] = s
                 else:
-                    del terms[ab]
+                    del terms[key]
     return terms
 
 
@@ -126,48 +130,49 @@ def _commutator_terms(t1: dict, t2: dict, n: int) -> dict:
     terms, the t != 0 exchange terms of d^b1 x^a2 minus those of d^b2 x^a1.
     A pair whose derivative parts share no variable with the other's
     multiplication part commutes and is skipped."""
+    sh = halves(n)[0]
     terms: dict = {}
     get = terms.get
-    items = [(a2, b2, c2, support(a2, n), support(b2, n))
-             for (a2, b2), c2 in t2.items()]
-    for (a1, b1), c1 in t1.items():
-        sa1, sb1 = support(a1, n), support(b1, n)
-        for a2, b2, c2, sa2, sb2 in items:
+    items = [(k2, c2, k2 >> sh, support(k2, n), support(k2 >> sh, n))
+             for k2, c2 in t2.items()]
+    for k1, c1 in t1.items():
+        b1 = k1 >> sh
+        sa1, sb1 = support(k1, n), support(b1, n)
+        for k2, c2, b2, sa2, sb2 in items:
             fwd, bwd = sb1 & sa2, sb2 & sa1
             if not (fwd or bwd):
                 continue
-            a12, b12, c12 = a1 + a2, b1 + b2, c1 * c2
+            k12, c12 = k1 + k2, c1 * c2
             if fwd:
                 for t, w in _exchange_terms(restrict(b1, fwd),
-                                            restrict(a2, fwd), n)[1:]:
-                    ab = (a12 - t, b12 - t)
-                    s = get(ab, 0) + c12 * w
+                                            restrict(k2, fwd), n)[1:]:
+                    key = k12 - t
+                    s = get(key, 0) + c12 * w
                     if s:
-                        terms[ab] = s
+                        terms[key] = s
                     else:
-                        del terms[ab]
+                        del terms[key]
             if bwd:
                 for t, w in _exchange_terms(restrict(b2, bwd),
-                                            restrict(a1, bwd), n)[1:]:
-                    ab = (a12 - t, b12 - t)
-                    s = get(ab, 0) - c12 * w
+                                            restrict(k1, bwd), n)[1:]:
+                    key = k12 - t
+                    s = get(key, 0) - c12 * w
                     if s:
-                        terms[ab] = s
+                        terms[key] = s
                     else:
-                        del terms[ab]
+                        del terms[key]
     return terms
 
 
-
 class WeylOp(TermMap):
-    """Sparse normal-ordered operator: map (alpha, beta) -> coefficient.
+    """Sparse normal-ordered operator: map term key -> coefficient.
 
-    The key (alpha, beta) stands for the term x^alpha d^beta.  alpha and
-    beta are packed monomials in the ``Poly`` layout of nvars variables
-    (see ``poly``): so each is one ``int`` with the total degree in its top
+    The key beta << s | alpha of ``halves`` stands for the term x^alpha
+    d^beta.  alpha and beta are packed monomials in the ``Poly`` layout of
+    nvars variables (see ``poly``): so each has the total degree in its top
     field, every exponent and total degree at most ``poly.EMAX``, and a
     product or an action that would exceed it raises ``ExponentOverflow``.
-    ``WeylOp(nvars, terms)`` takes packed keys; ``from_exponents`` takes
+    ``WeylOp(nvars, terms)`` takes these keys; ``from_exponents`` takes
     exponent tuples, and ``sorted_terms`` and ``text`` give tuples back.
     Coefficients, sums, scaling and the frame of the product are those of
     ``poly.TermMap``; this class gives the product kernel
@@ -177,15 +182,14 @@ class WeylOp(TermMap):
 
     __slots__ = ()
 
-    ONE = (0, 0)
+    ONE = 0
 
-    @staticmethod
-    def _monomials(key):
-        """key for a pair of ints (alpha, beta), else None."""
-        if (isinstance(key, tuple) and len(key) == 2
-                and isinstance(key[0], int) and isinstance(key[1], int)):
-            return key
-        return None
+    def _monomials(self, key):
+        """(alpha, beta) for an int key, else None."""
+        if not isinstance(key, int):
+            return None
+        s, mask = halves(self.nvars)
+        return key & mask, key >> s
 
     # -- constructors --------------------------------------------------------
 
@@ -196,27 +200,20 @@ class WeylOp(TermMap):
     @classmethod
     def mult(cls, p: Poly) -> "WeylOp":
         """Multiplication by the polynomial p."""
-        return cls._of(p.nvars, {(m, 0): c for m, c in p.terms.items()})
+        return cls._of(p.nvars, p.terms)
 
     @classmethod
     def partial(cls, nvars: int, i: int, c=1) -> "WeylOp":
         c = qcoef(c)
-        return cls._of(nvars, {(0, unit(nvars, i)): c} if c else {})
+        return cls._of(nvars, {unit(nvars, i) << halves(nvars)[0]: c}
+                       if c else {})
 
     @classmethod
     def from_exponents(cls, nvars: int, terms: dict) -> "WeylOp":
         """Build from {(alpha tuple, beta tuple): coefficient}."""
-        return cls(nvars, {(pack(a, nvars), pack(b, nvars)): c
+        s = halves(nvars)[0]
+        return cls(nvars, {pack(b, nvars) << s | pack(a, nvars): c
                            for (a, b), c in terms.items()})
-
-    @classmethod
-    def from_dleft(cls, nvars: int, coeffs: dict) -> "WeylOp":
-        """Rebuild from a d-left form {packed beta: Poly coefficient}: each
-        term d^beta x^alpha is reordered into x-left form by ``reorder``."""
-        return cls._of(nvars, reorder({(alpha, beta): c
-                                       for beta, p in coeffs.items()
-                                       for alpha, c in p.terms.items()},
-                                      nvars, 1))
 
     # -- structure -----------------------------------------------------------
 
@@ -224,7 +221,7 @@ class WeylOp(TermMap):
         """Maximal |beta|; -1 for the zero operator."""
         if not self.terms:
             return -1
-        return mdegree(max(b for _, b in self.terms), self.nvars)
+        return mdegree(max(self.terms) >> halves(self.nvars)[0], self.nvars)
 
     # -- multiplication ------------------------------------------------------
 
@@ -234,12 +231,12 @@ class WeylOp(TermMap):
 
     @staticmethod
     def _bound(t1: dict, t2: dict, n: int) -> None:
-        """The degree bounds of the product, which bound every key of the
-        commutator too."""
-        # the largest key has the largest alpha
-        check_degrees(max(t1)[0], max(t2)[0], n)
-        check_degrees(max(map(itemgetter(1), t1)),
-                      max(map(itemgetter(1), t2)), n)
+        """The degree bounds of the product in both halves, which bound
+        every key of the commutator too."""
+        s, mask = halves(n)
+        check_degrees(max(k & mask for k in t1), max(k & mask for k in t2), n)
+        # the largest key has the largest beta
+        check_degrees(max(t1) >> s, max(t2) >> s, n)
 
     def commutator(self, other: "WeylOp") -> "WeylOp":
         """[self, other] from the exchange terms that do not cancel (see the
@@ -266,9 +263,11 @@ class WeylOp(TermMap):
         bounded by its largest a and the largest x^m it divides before any
         of its terms is stored, so a part that kills f cannot overflow."""
         n, g = self.nvars, guard(self.nvars)
+        s, mask = halves(n)
         buckets: dict = {}
-        for (a, b), c in self.terms.items():
-            buckets.setdefault(b, []).append((a - b, c))
+        for key, c in self.terms.items():
+            b = key >> s
+            buckets.setdefault(b, []).append(((key & mask) - b, c))
         terms: dict = {}
         get = terms.get
         for b, offsets in buckets.items():
@@ -291,59 +290,51 @@ class WeylOp(TermMap):
 
     # -- normal forms and division --------------------------------------------
 
-    def dleft(self) -> dict:
-        """The d-left normal form as a map {packed beta: Poly coefficient}."""
-        return _bucket(reorder(self.terms, self.nvars, -1), self.nvars, 1)
-
     def xleft(self) -> dict:
         """The stored x-left form grouped by derivative part, as
         {packed beta: Poly coefficient}; the coefficient acts after d^beta."""
-        return _bucket(self.terms, self.nvars, 1)
-
-    def xleft_coeffs(self) -> dict:
-        """The stored x-left form as {packed alpha: Poly in the d-symbols}."""
-        return _bucket(self.terms, self.nvars, 0)
+        s, mask = halves(self.nvars)
+        out: dict = {}
+        for key, c in self.terms.items():
+            out.setdefault(key >> s, {})[key & mask] = c
+        return {b: Poly._of(self.nvars, tm) for b, tm in out.items()}
 
     def divide_right_by_mult(self, q: Poly) -> "WeylOp":
         """Solve w = u * (mult by q); raise NotDivisible if impossible.
 
         In d-left form w = sum d^beta v_beta(x), right-composing with a
         multiplication operator multiplies each d-left coefficient by q, so
-        the quotient exists iff every v_beta is exactly divisible by q.
+        the quotient exists iff q divides the d-left form on its x half.
         """
-        if q.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        coeffs = self.dleft()
-        quo: dict = {}
-        for beta, v in coeffs.items():
-            u = divides_exactly(q, v)
-            if u is None:
-                raise NotDivisible("d-left coefficient at "
-                                   f"beta={unpack(beta, self.nvars)} not divisible")
-            quo[beta] = u
-        return WeylOp.from_dleft(self.nvars, quo)
+        n = self.nvars
+        s = halves(n)[0]
+        quo, rem = normal_form_mod_single(
+            WeylOp._of(n, reorder(self.terms, n, -1)), q)
+        if rem:
+            raise NotDivisible("d-left coefficient at beta="
+                               f"{unpack(max(rem.terms) >> s, n)} not divisible")
+        return WeylOp._of(n, reorder(quo.terms, n, 1))
 
     def divide_right_by_constcoef(self, d: "WeylOp") -> "WeylOp":
         """Solve w = u * d for a constant-coefficient d.
 
         In x-left form w = sum x^alpha q_alpha(d); right-multiplying by d(d)
         multiplies each q_alpha by the symbol polynomial of d, so the quotient
-        exists iff every q_alpha is divisible by that symbol.
+        exists iff that symbol divides the term map on its d half.
         """
-        if any(a for a, _ in d.terms):
+        n = self.nvars
+        s, mask = halves(n)
+        self._check(d)
+        if any(key & mask for key in d.terms):
             raise ValueError("divisor must have constant coefficients")
         if d.is_zero():
             raise ZeroDivisionError("division by the zero operator")
-        dsym = Poly._of(self.nvars, {b: c for (_, b), c in d.terms.items()})
-        quo: dict = {}
-        for alpha, qa in self.xleft_coeffs().items():
-            u = divides_exactly(dsym, qa)
-            if u is None:
-                raise NotDivisible("x-left coefficient at "
-                                   f"alpha={unpack(alpha, self.nvars)} not divisible")
-            # each alpha is its own set of keys: nothing collides
-            quo.update(((alpha, b), c) for b, c in u.terms.items())
-        return WeylOp._of(self.nvars, quo)
+        dsym = Poly._of(n, {key >> s: c for key, c in d.terms.items()})
+        quo, rem = normal_form_mod_single(self, dsym, 1 << s)
+        if rem:
+            raise NotDivisible("x-left coefficient at alpha="
+                               f"{unpack(max(rem.terms) & mask, n)} not divisible")
+        return quo
 
     def principal_symbol(self) -> Poly:
         """Top-order symbol in 4k variables: base point w, fiber point v.
@@ -355,18 +346,20 @@ class WeylOp(TermMap):
         """
         n = self.nvars
         r = self.order()
+        s, mask = halves(n)
         # d_j goes to the fiber coordinate dual(n, j): reverse the vector
         return Poly._of(2 * n, add_terms({}, (
-            (pack(unpack(a, n) + unpack(b, n)[::-1]), c)
-            for (a, b), c in self.terms.items() if mdegree(b, n) == r)))
+            (pack(unpack(key & mask, n) + unpack(key >> s, n)[::-1]), c)
+            for key, c in self.terms.items() if mdegree(key >> s, n) == r)))
 
     # -- printing --------------------------------------------------------------
 
     def sorted_terms(self):
-        """((alpha tuple, beta tuple), coefficient) by beta, then alpha."""
+        """((alpha tuple, beta tuple), coefficient) in key order."""
         n = self.nvars
-        return [((unpack(a, n), unpack(b, n)), c) for (b, a), c in
-                sorted(((b, a), c) for (a, b), c in self.terms.items())]
+        s, mask = halves(n)
+        return [((unpack(key & mask, n), unpack(key >> s, n)), self.terms[key])
+                for key in sorted(self.terms)]
 
     def text(self) -> str:
         names = default_names(self.nvars)
@@ -385,14 +378,16 @@ class WeylOp(TermMap):
 def euler_op(k: int) -> WeylOp:
     """E = sum x_i d_{x_i} + y_i d_{y_i}; one shared instance per k."""
     n = 2 * k
-    return WeylOp._of(n, {(unit(n, i), unit(n, i)): 1 for i in range(n)})
+    s = halves(n)[0]
+    return WeylOp._of(n, {unit(n, i) << s | unit(n, i): 1 for i in range(n)})
 
 
 @lru_cache(maxsize=64)
 def laplacian_op(k: int) -> WeylOp:
     """Delta = sum_i d_{x_i} d_{y_{k+1-i}}; one shared instance per k."""
     n = 2 * k
-    return WeylOp._of(n, {(0, unit(n, i) + unit(n, dual(n, i))): 1
+    s = halves(n)[0]
+    return WeylOp._of(n, {unit(n, i) + unit(n, dual(n, i)) << s: 1
                           for i in range(k)})
 
 
@@ -402,23 +397,21 @@ def permute_vars(f, perm):
     For an operator this is the conjugate sigma f sigma^-1 by the linear
     change of coordinates sigma, which renames x_i and d_i alike.  Renaming
     keeps the total degree, so each exponent field moves to the field of
-    its new variable and the degree field stays.
+    its new variable and the degree field stays, in both halves of a key.
     """
     n = f.nvars
-    top = FIELD * n
-    moves = [(FIELD * (n - 1 - i), FIELD * (n - 1 - j))
-             for i, j in enumerate(perm)]
+    starts = (0, halves(n)[0]) if isinstance(f, WeylOp) else (0,)
+    moves = [(h + FIELD * (n - 1 - i), h + FIELD * (n - 1 - j))
+             for i, j in enumerate(perm) for h in starts]
+    keep = sum(EMAX << h + FIELD * n for h in starts)
 
     def rename(m):
-        out = m >> top << top
+        out = m & keep
         for src, dst in moves:
             out |= (m >> src & EMAX) << dst
         return out
 
-    if isinstance(f, WeylOp):
-        return WeylOp._of(n, {(rename(a), rename(b)): c
-                              for (a, b), c in f.terms.items()})
-    return Poly._of(n, {rename(m): c for m, c in f.terms.items()})
+    return type(f)._of(n, {rename(m): c for m, c in f.terms.items()})
 
 
 def is_zero_extensional(op: WeylOp) -> bool:

@@ -49,6 +49,13 @@ with the one invariant matrix ``orbit_matrix``; ``moment_by_blocks`` and
 ``poly.normal_form_mod_single`` takes the terms of its dividend from a
 max-heap, on integer numerators; ``normal_form_by_max`` takes the largest
 remaining term by ``max`` at every step, on the rational coefficients.
+``ConeOp.canonical`` and the two right divisions of ``WeylOp`` divide a
+whole term map in one pass, on one half of its keys; ``canonical_by_buckets``,
+``divide_right_by_mult_by_buckets`` and
+``divide_right_by_constcoef_by_buckets`` split it into one ``Poly`` per
+derivative part (``dleft_by_buckets`` for the d-left form) or per
+multiplication part (``xleft_coeffs``), divide each alone and reassemble
+the result, ``from_dleft`` reordering a d-left form back.
 ``coneops.letter_op`` realizes a generator letter as ``rho_tilde`` of its
 Lie preimage; ``euler_weight_op``, ``xx_op``, ``yy_op``, ``d_op``, ``b_op``
 and ``c_op`` write the letters out by hand as operators on the dual space,
@@ -87,15 +94,16 @@ from quadricops.harmonic import _laplacian_shift
 from quadricops.lie import GroupElt, LieElt, mat_mul
 from quadricops.momentorbit import (block_var, orbit_matrix, v_vector,
                                     x_vector)
-from quadricops.poly import (Poly, QLaurent, add_terms, b_pair, dual, falling,
-                             falling_spec, guard, monomials,
-                             normal_form_mod_single, q_form, pack, q_of,
-                             qcoef, qdiv, reduce_mod, restrict, support, unit,
-                             unpack)
+from quadricops.poly import (Poly, QLaurent, add_terms, b_pair,
+                             divides_exactly, dual, falling, falling_spec,
+                             guard, monomials, normal_form_mod_single, q_form,
+                             pack, q_of, qcoef, qdiv, reduce_mod, restrict,
+                             support, unit, unpack)
 from quadricops.shapovalov import (FactorsDoNotCommute, euler_to_weyl,
                                    fourier_roots_bezout, shapovalov_closed,
                                    shapovalov_expand, shapovalov_factors)
-from quadricops.weyl import WeylOp, _exchange_terms, euler_op, laplacian_op
+from quadricops.weyl import (NotDivisible, WeylOp, _exchange_terms, euler_op,
+                             halves, laplacian_op, reorder)
 
 
 def det3(M, rows, cols) -> Poly:
@@ -236,8 +244,8 @@ def shapovalov_series_ambient(dmax: int, k: int) -> list:
     for _ in range(dmax):
         terms: dict = {}
         for shift, _, f in factors:
-            add_terms(terms, (((a + shift, b), c)
-                              for (a, b), c in (prev * f).terms.items()))
+            add_terms(terms, ((key + shift, c)
+                              for key, c in (prev * f).terms.items()))
         prev = WeylOp._of(n, terms)
         series.append(ConeOp(prev))
     return series
@@ -408,14 +416,88 @@ def laplacian_by_columns(d: int, k: int) -> list:
     return rows
 
 
+def dleft_by_buckets(op: WeylOp) -> dict:
+    """The d-left normal form of op as {packed beta: Poly coefficient}: the
+    term map that ``weyl.reorder`` gives, one ``Poly`` per derivative part,
+    as ``xleft`` groups it."""
+    return WeylOp._of(op.nvars, reorder(op.terms, op.nvars, -1)).xleft()
+
+
+def from_dleft(n: int, coeffs: dict) -> WeylOp:
+    """The operator of a d-left form {packed beta: Poly coefficient}: each
+    term d^beta x^alpha reordered into x-left form."""
+    s = halves(n)[0]
+    return WeylOp._of(n, reorder({beta << s | alpha: c
+                                  for beta, p in coeffs.items()
+                                  for alpha, c in p.terms.items()}, n, 1))
+
+
+def xleft_coeffs(op: WeylOp) -> dict:
+    """The x-left form of op as {packed alpha: Poly in the d-symbols}."""
+    s, mask = halves(op.nvars)
+    out: dict = {}
+    for key, c in op.terms.items():
+        out.setdefault(key & mask, {})[key >> s] = c
+    return {alpha: Poly._of(op.nvars, tm) for alpha, tm in out.items()}
+
+
+def canonical_by_buckets(op: WeylOp) -> WeylOp:
+    """The canonical representative of the cone class of op, one derivative
+    part at a time: each x-left coefficient reduced mod Q* as its own
+    ``Poly``, and op itself when no x-part is divisible by x1*yk."""
+    n = op.nvars
+    qs = q_form(n // 2)
+    lm, g = max(qs.terms), guard(n)
+    s, mask = halves(n)
+    if all((key & mask) - lm & g for key in op.terms):
+        return op
+    terms = {}
+    for beta, p in op.xleft().items():
+        for alpha, c in reduce_mod(p, qs).terms.items():
+            terms[beta << s | alpha] = c
+    return WeylOp._of(n, terms)
+
+
+def divide_right_by_mult_by_buckets(w: WeylOp, q: Poly) -> WeylOp:
+    """u with w = u * (mult by q), each d-left coefficient divided by q as
+    its own ``Poly``; raises NotDivisible at the first that q does not
+    divide."""
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    quo = {}
+    for beta, v in dleft_by_buckets(w).items():
+        u = divides_exactly(q, v)
+        if u is None:
+            raise NotDivisible(f"d-left coefficient at beta={beta}")
+        quo[beta] = u
+    return from_dleft(w.nvars, quo)
+
+
+def divide_right_by_constcoef_by_buckets(w: WeylOp, d: WeylOp) -> WeylOp:
+    """u with w = u * d for a constant-coefficient d, each x-left
+    coefficient divided by the symbol of d as its own ``Poly``; raises
+    NotDivisible at the first that the symbol does not divide."""
+    n = w.nvars
+    s, mask = halves(n)
+    if any(key & mask for key in d.terms):
+        raise ValueError("divisor must have constant coefficients")
+    dsym = Poly._of(n, {key >> s: c for key, c in d.terms.items()})
+    quo = {}
+    for alpha, qa in xleft_coeffs(w).items():
+        u = divides_exactly(dsym, qa)
+        if u is None:
+            raise NotDivisible(f"x-left coefficient at alpha={alpha}")
+        quo.update((b << s | alpha, c) for b, c in u.terms.items())
+    return WeylOp._of(n, quo)
+
+
 def tau_letterwise(a: WeylOp) -> WeylOp:
     """tau(a) letter by letter: each x-left term x^alpha d^beta becomes the
     product of d_i for every x_i, then of -x_i for every d_i, built from the
     identity by single products."""
     n = a.nvars
     out = WeylOp.zero(n)
-    for (alpha, beta), c in a.terms.items():
-        alpha, beta = unpack(alpha, n), unpack(beta, n)
+    for (alpha, beta), c in a.sorted_terms():
         word = WeylOp.const(n, c)
         for i in range(n):
             for _ in range(alpha[i]):
@@ -433,8 +515,7 @@ def apply_termwise(op: WeylOp, f: Poly) -> Poly:
     c c_m prod_i m_i! / (m_i - beta_i)! x^(m - beta + alpha)."""
     n = op.nvars
     terms: dict = {}
-    for (alpha, beta), c in op.terms.items():
-        alpha, beta = unpack(alpha, n), unpack(beta, n)
+    for (alpha, beta), c in op.sorted_terms():
         for m, cm in f.exponent_items():
             if any(mi < bi for mi, bi in zip(m, beta)):
                 continue
@@ -520,18 +601,20 @@ def weyl_mul_pairwise(a: WeylOp, b: WeylOp) -> WeylOp:
     """a * b with one rational product per pair of terms and per term of the
     exchange d^b1 x^a2 = sum_t w_t x^(a2-t) d^(b1-t)."""
     n = a.nvars
+    sh, mask = halves(n)
     terms: dict = {}
-    for (a1, b1), c1 in a.terms.items():
-        for (a2, b2), c2 in b.terms.items():
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            b1, a2 = k1 >> sh, k2 & mask
             shared = support(b1, n) & support(a2, n)
             for t, w in _exchange_terms(restrict(b1, shared),
                                         restrict(a2, shared), n):
-                ab = (a1 + a2 - t, b1 + b2 - t)
-                s = terms.get(ab, 0) + c1 * c2 * w
+                key = k1 + k2 - t
+                s = terms.get(key, 0) + c1 * c2 * w
                 if s:
-                    terms[ab] = s
+                    terms[key] = s
                 else:
-                    del terms[ab]
+                    del terms[key]
     return WeylOp(n, terms)
 
 

@@ -105,6 +105,25 @@ def test_k3_shapovalov_report_is_pinned(capsys):
         "18c88aba489a6cd53b865b72d92fe573a12831feb07a022b6c7d94171a20f88f")
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["reduce", "E^3*XX1+dx2*YY3"],
+     "6a35175c010111be3a173431c7cf434d121aed1a42666cca5a3fc1d191c778dd"),
+    (["fourier-transform", "(x1+XX2)^3"],
+     "1b27f1b38dd2c868bda4c32f14bad3eb1cd889e2ef3fa642777f66b51f99dee8"),
+    (["shapovalov", "--d", "2"],
+     "18d98b98ed69645554693f52c860d75410234da215a1146ec57a0c10df02ea08"),
+    (["kelvin", "x1*y2+x3^2"],
+     "d1677e51a695c459a4e9091e945250d0ec6d60206068a08d258b7727e44c41b6"),
+], ids=["reduce", "fourier-transform", "shapovalov", "kelvin"])
+def test_k3_operator_output_is_pinned(capsys, argv, digest):
+    # recorded while a Weyl term was keyed by a pair of packed monomials and
+    # a canonical class was reduced one derivative part at a time: the
+    # printed order of the terms and every quotient of the one-pass division
+    code, out = run_cli(capsys, argv + ["--k", "3", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_k3_moment_verify_report_is_pinned(capsys):
     # every orbit relation and every descent as its own check; recorded
     # before descent was proven by one fiber derivative and the Pluecker

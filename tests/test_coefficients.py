@@ -21,7 +21,7 @@ from quadricops.lie import GroupElt, LieElt
 from quadricops.poly import (Poly, QLaurent, normal_form_mod_single, pack,
                              q_form, qcoef, qdiv)
 from quadricops.suites import run_suite
-from quadricops.weyl import WeylOp
+from quadricops.weyl import WeylOp, halves
 
 SRC = Path(quadricops.__file__).parent
 
@@ -68,7 +68,7 @@ def test_floats_are_rejected():
     with pytest.raises(TypeError):
         Poly(4, {0: 0.5})
     with pytest.raises(TypeError):
-        WeylOp(4, {(0, 0): 0.5})
+        WeylOp(4, {0: 0.5})
     for op in _binary_ops(QLaurent.one_over_q(2), 0.5):
         with pytest.raises(TypeError):
             op()
@@ -173,7 +173,7 @@ def random_operand(rng, cls, dens, n=4):
             return tuple(rng.choice(LETTERS) for _ in range(rng.randint(0, 2)))
         mono = [pack(tuple(rng.randint(0, 2) for _ in range(n)))
                 for _ in range(2)]
-        return mono[0] if cls is Poly else tuple(mono)
+        return mono[0] if cls is Poly else mono[1] << halves(n)[0] | mono[0]
     if cls is GenWord:
         n //= 2
     out = cls(n, {key(): qdiv(rng.choice((-1, 1)) * rng.randint(1, 9),

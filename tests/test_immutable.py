@@ -18,11 +18,16 @@ bounded LRU caches of
 The caches outlive a test, so ``conftest.py`` empties them around each
 test here: their entries are built while the constructors are recorded,
 and no entry built then reaches a later test.
+
+The same records show that every key the engine stores is valid: the
+trusted ``_of`` checks no key, so a ``Poly`` key must be a packed monomial
+and a ``WeylOp`` key one in each half.
 """
 
 from quadricops import cli
-from quadricops.poly import TermMap
+from quadricops.poly import Poly, TermMap, is_packed, q_form
 from quadricops.suites import SUITES, run_suite
+from quadricops.weyl import WeylOp, euler_op, halves, laplacian_op
 
 # one run of each CLI subcommand other than verify, at k=2
 CLI_COMMANDS = [
@@ -62,12 +67,43 @@ def _changed(built) -> list:
             if obj.terms is not terms or obj.terms != copy]
 
 
+def _invalid_keys(built) -> list:
+    """(class name, nvars, key) for every key of a recorded ``Poly`` or
+    ``WeylOp`` that is not a packed monomial, in both halves of a
+    ``WeylOp`` key; each distinct key is checked once."""
+    keys = {(type(obj), obj.nvars, key) for obj, _, copy in built
+            if type(obj) in (Poly, WeylOp) for key in copy}
+    bad = []
+    for cls, n, key in keys:
+        s, mask = halves(n)
+        if type(key) is not int or not all(
+                is_packed(m, n)
+                for m in ((key,) if cls is Poly else (key & mask, key >> s))):
+            bad.append((cls.__name__, n, key))
+    return bad
+
+
+def test_invalid_keys_are_reported():
+    s = halves(4)[0]
+    good = [(f, None, dict(f.terms)) for f in (
+        WeylOp.partial(4, 0), euler_op(2), laplacian_op(2), q_form(2),
+        WeylOp.mult(q_form(2)), Poly.const(4, 1))]
+    # a guard bit in the low half, in the high half, a bit above both
+    # halves, an x1 without its degree, and a tuple key
+    bad = [(cls.zero(4), None, {key: 1}) for cls, key in (
+        (Poly, 1 << 63), (WeylOp, 1 << 63 << s), (WeylOp, 1 << 2 * s),
+        (Poly, 1 << 48), (WeylOp, 1 << 48 << s), (WeylOp, (0, 0)))]
+    assert _invalid_keys(good) == []
+    assert len(_invalid_keys(good + bad)) == len(bad)
+
+
 def test_no_suite_changes_a_built_term_map(monkeypatch):
     built = _record_builds(monkeypatch)
     for name in SUITES:
         assert run_suite(name, 2).exit_status == 0, name
     assert len(built) > 10000
     assert _changed(built) == []
+    assert _invalid_keys(built) == []
 
 
 def test_no_cli_command_changes_a_built_term_map(monkeypatch, capsys):
@@ -77,3 +113,4 @@ def test_no_cli_command_changes_a_built_term_map(monkeypatch, capsys):
     capsys.readouterr()
     assert len(built) > 1000
     assert _changed(built) == []
+    assert _invalid_keys(built) == []

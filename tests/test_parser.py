@@ -9,7 +9,7 @@ from quadricops import exprparse as ep
 from quadricops import suites
 from quadricops.coneops import ConeOp, index_text
 from quadricops.poly import mdegree, q_form
-from quadricops.weyl import WeylOp, euler_op
+from quadricops.weyl import WeylOp, euler_op, halves
 
 K = 2
 
@@ -39,7 +39,9 @@ def test_roundtrip_corpus():
 
 def measured(op):
     """(coefficient degree, order) of an evaluated operator."""
-    degree = max((mdegree(a, op.nvars) for a, _ in op.terms), default=0)
+    mask = halves(op.nvars)[1]
+    degree = max((mdegree(key & mask, op.nvars) for key in op.terms),
+                 default=0)
     return degree, max(op.order(), 0)
 
 

@@ -28,7 +28,7 @@ from oracles import monomials_up_to
 from quadricops.harmonic import harmonic_decompose, laplacian_qlaurent
 from quadricops.poly import (Poly, QLaurent, normal_form_mod_single, q_form,
                              rref, support)
-from quadricops.weyl import WeylOp
+from quadricops.weyl import WeylOp, halves
 
 COEFFS = st.one_of(
     st.integers(-9, 9),
@@ -151,8 +151,9 @@ def sympy_apply(op: WeylOp, f, k: int):
 
 def shares_variable(a: WeylOp, b: WeylOp) -> bool:
     n = a.nvars
-    return any(support(d, n) & support(x, n)
-               for (_, d) in a.terms for (x, _) in b.terms)
+    s, mask = halves(n)
+    return any(support(d >> s, n) & support(x & mask, n)
+               for d in a.terms for x in b.terms)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,12 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import apply_by_quotient_rule, apply_termwise
+from oracles import (apply_by_quotient_rule, apply_termwise,
+                     canonical_by_buckets, divide_right_by_constcoef_by_buckets,
+                     divide_right_by_mult_by_buckets, dleft_by_buckets,
+                     from_dleft)
+from quadricops.coneops import ConeOp, rho_tilde
 from quadricops.harmonic import laplacian_qlaurent
-from quadricops.poly import (EMAX, ExponentOverflow, Poly, QLaurent, pack,
-                             q_form, qdiv)
-from quadricops.weyl import (NotDivisible, WeylOp, euler_op,
-                             is_zero_extensional, laplacian_op)
+from quadricops.lie import basis
+from quadricops.poly import (EMAX, FIELD, ExponentOverflow, Poly, QLaurent,
+                             guard, pack, q_form, qdiv, unpack)
+from quadricops.weyl import (NotDivisible, WeylOp, euler_op, halves,
+                             is_zero_extensional, laplacian_op, reorder)
 
 K = 2
 N = 2 * K
@@ -88,6 +93,12 @@ def test_divide_right_by_constcoef():
     # a bare first-order derivative is not a right multiple of the Laplacian
     with pytest.raises(NotDivisible):
         WeylOp.partial(N, N - 1).divide_right_by_constcoef(lap)
+    # a divisor in another ring is refused, not read in the wrong layout
+    for w in (euler_op(K), WeylOp.zero(N)):
+        with pytest.raises(ValueError, match="different variable sets"):
+            w.divide_right_by_constcoef(laplacian_op(K + 1))
+        with pytest.raises(ValueError, match="different variable sets"):
+            w.divide_right_by_mult(q_form(K + 1))
 
 
 def test_local_operator_on_laurent():
@@ -218,7 +229,8 @@ def test_apply_bounds_degrees_by_the_divided_monomials_only():
 @settings(max_examples=20, deadline=None)
 @given(weyl_ops())
 def test_normal_order_roundtrip(a):
-    assert WeylOp.from_dleft(N, a.dleft()) == a
+    assert reorder(reorder(a.terms, N, -1), N, 1) == a.terms
+    assert from_dleft(N, dleft_by_buckets(a)) == a
 
 
 @settings(max_examples=20, deadline=None)
@@ -255,9 +267,126 @@ def test_constructor_rejects_tuple_keys():
     key = ((0, 0, 0, 0), (1, 0, 0, 0))
     with pytest.raises(TypeError, match="from_exponents"):
         WeylOp(4, {key: 1})
+    # d_x1 packed in 3 variables reads as x1 x2 of degree 0 in 4
     with pytest.raises(ValueError, match="from_exponents"):
-        WeylOp(4, {(0, pack((1, 0, 0))): 1})
+        WeylOp(4, {pack((1, 0, 0)) << halves(4)[0]: 1})
     assert WeylOp.from_exponents(4, {key: 1}) == WeylOp.partial(4, 0)
+
+
+def test_constructor_rejects_a_guard_bit_in_either_half():
+    s = halves(N)[0]
+    x1d1 = pack((1, 0, 0, 0)) << s | pack((1, 0, 0, 0))
+    assert WeylOp(N, {x1d1: 1}) == WeylOp.from_exponents(
+        N, {((1, 0, 0, 0), (1, 0, 0, 0)): 1})
+    # the guard bit of every field, the degree field among them, of the
+    # multiplication half and of the derivative half
+    bits = [1 << FIELD * i + FIELD - 1 for i in range(N + 1)]
+    assert sum(bits) == guard(N)
+    for bit in bits:
+        for key in (x1d1 | bit, x1d1 | bit << s):
+            with pytest.raises(ValueError, match="from_exponents"):
+                WeylOp(N, {key: 1})
+    for key in (-1, 1 << 2 * s, x1d1 | 1 << 2 * s):
+        with pytest.raises(ValueError, match="from_exponents"):
+            WeylOp(N, {key: 1})
+
+
+def test_a_multiplication_operator_has_the_terms_of_its_polynomial():
+    for p in (q_form(K), Poly.var(N, 2, Fraction(-1, 3)) + 5, Poly.zero(N),
+              Poly.monomial((EMAX, 0, 0, 0))):
+        assert WeylOp.mult(p).terms == p.terms
+        assert WeylOp.mult(p).order() == (0 if p else -1)
+
+
+def test_key_order_is_the_printed_order():
+    rng = random.Random(46)
+    for _ in range(50):
+        terms = {(random_exponents(rng, N, 3), random_exponents(rng, N, 3)):
+                 random_coef(rng) for _ in range(rng.randint(1, 8))}
+        op = WeylOp.from_exponents(N, terms)
+        # by beta, then alpha, each in graded lex order
+        want = sorted(terms, key=lambda ab: (pack(ab[1]), pack(ab[0])))
+        assert [ab for ab, _ in op.sorted_terms()] == want
+        s, mask = halves(N)
+        assert [(unpack(key & mask, N), unpack(key >> s, N))
+                for key in sorted(op.terms)] == want
+
+
+def test_products_overflow_at_the_exponent_bound():
+    x = [WeylOp.mult(Poly.var(N, i)) for i in range(N)]
+    d = [WeylOp.partial(N, i) for i in range(N)]
+    top = WeylOp.from_exponents(N, {((EMAX - 1, 0, 0, 0), (EMAX - 1, 0, 0, 0)): 1})
+    # degree EMAX in either half is stored, one more is refused
+    fits = top * x[1] * d[2]
+    assert fits.sorted_terms() == [(((EMAX - 1, 1, 0, 0), (EMAX - 1, 0, 1, 0)), 1)]
+    assert (x[0] * top).order() == EMAX - 1
+    for over in (x[0], x[3], d[0], d[1]):
+        with pytest.raises(ExponentOverflow):
+            fits * over
+    # the exchange term of d_x2 x^... lowers the degree, but the bound reads
+    # the factors
+    with pytest.raises(ExponentOverflow):
+        d[1] * fits * x[1]
+    with pytest.raises(ExponentOverflow):
+        fits.commutator(x[0])
+    with pytest.raises(ExponentOverflow):
+        WeylOp.from_exponents(N, {((EMAX + 1, 0, 0, 0), (0, 0, 0, 0)): 1})
+    with pytest.raises(ExponentOverflow):
+        WeylOp.from_exponents(N, {((0, 0, 0, 0), (EMAX, 1, 0, 0)): 1})
+
+
+def _same_terms(got, want):
+    assert got.terms == want.terms
+    assert ({key: type(c) for key, c in got.terms.items()}
+            == {key: type(c) for key, c in want.terms.items()})
+
+
+def _quotient_or_refusal(divide, w, divisor):
+    try:
+        return divide(w, divisor)
+    except NotDivisible:
+        return None
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_one_pass_divisions_match_the_bucket_oracles(k):
+    # the canonical class, both right divisions and the d-left round trip,
+    # each one pass over the whole term map, against one Poly per
+    # derivative or multiplication part
+    rng, n = random.Random(4600 + k), 2 * k
+    qs, lap, mq = q_form(k), laplacian_op(k), WeylOp.mult(q_form(k))
+
+    def rand_op(deg, nterms):
+        return WeylOp.from_exponents(n, {
+            (random_exponents(rng, n, deg), random_exponents(rng, n, deg)):
+            random_coef(rng) for _ in range(nterms)})
+
+    ops = []
+    for _ in range(40):
+        a = rand_op(3, rng.randint(1, 6))
+        ops += [a, a * mq, a * lap, mq * a + rand_op(2, 2),
+                a * mq + WeylOp.partial(n, rng.randrange(n))]
+    if k == 3:
+        ops += [rho_tilde(xi).op for xi in basis(k)]
+        ops += [rho_tilde(xi).op * mq for xi in basis(k)]
+    verdicts = set()
+    for op in ops:
+        _same_terms(ConeOp(op).canonical(), canonical_by_buckets(op))
+        back = WeylOp._of(n, reorder(reorder(op.terms, n, -1), n, 1))
+        assert back == op
+        _same_terms(back, from_dleft(n, dleft_by_buckets(op)))
+        for divide, want, divisor in (
+                (WeylOp.divide_right_by_mult,
+                 divide_right_by_mult_by_buckets, qs),
+                (WeylOp.divide_right_by_constcoef,
+                 divide_right_by_constcoef_by_buckets, lap)):
+            got = _quotient_or_refusal(divide, op, divisor)
+            ref = _quotient_or_refusal(want, op, divisor)
+            assert (got is None) == (ref is None), op
+            if got is not None:
+                _same_terms(got, ref)
+            verdicts.add((divide.__name__, got is None))
+    assert len(verdicts) == 4
 
 
 def test_apply_rejects_a_poly_in_other_variables():
