@@ -24,11 +24,12 @@ the Weyl inversion w0.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 
 from .lie import LieElt
-from .poly import (Poly, TermMap, add_terms, default_names, dual, guard,
-                   mdegree, mono_text, q_form, qdiv, reduce_mod, signed_text,
-                   unit, unpack)
+from .poly import (Poly, TermMap, add_terms, dual, fields, guard, mdegree,
+                   mono_text, q_form, qdiv, reduce_mod, signed_text, unit,
+                   unpack)
 from .weyl import (NotDivisible, WeylOp, euler_op, halves, laplacian_op,
                    reorder)
 
@@ -200,21 +201,25 @@ class ConeOp:
         return ConeOp(self.op.commutator(other.op))
 
     def canonical_text(self) -> str:
-        """The representative grouped by derivative part; "0" for none."""
+        """The representative grouped by derivative part, ascending, from one
+        walk of its keys in descending order; "0" for none."""
         n = 2 * self.k
-        dnames = ["d" + nm for nm in default_names(n)]
-        can = self.canonical().xleft()
-        parts = [(can[b].text(), mono_text(unpack(b, n), dnames))
-                 for b in sorted(can)]
-        return " + ".join(f"({c})*{d}" if d else f"({c})"
-                          for c, d in parts) or "0"
+        s = halves(n)[0]
+        terms, xs, ds = self.canonical().terms, fields(n), fields(n, "d")
+        parts = []
+        for b, keys in groupby(sorted(terms, reverse=True), lambda m: m >> s):
+            c = signed_text((terms[m], mono_text(m, xs)) for m in keys)
+            d = mono_text(b, ds)
+            parts.append(f"({c})*{d}" if d else f"({c})")
+        return " + ".join(reversed(parts)) or "0"
 
     def canonical_json(self) -> list:
-        can = self.canonical().xleft()
-        return [
-            {"d": list(unpack(beta, 2 * self.k)), "coefficient": can[beta].to_json()}
-            for beta in sorted(can)
-        ]
+        n = 2 * self.k
+        s, mask = halves(n)
+        terms = self.canonical().terms
+        return [{"d": list(unpack(b, n)), "coefficient": Poly._of(
+                    n, {m & mask: terms[m] for m in keys}).to_json()}
+                for b, keys in groupby(sorted(terms), lambda m: m >> s)]
 
     def __repr__(self):
         return f"ConeOp({self.canonical_text()})"
@@ -430,9 +435,6 @@ class GenWord(TermMap):
             return letter[0] + index_text(letter[1:])
         return signed_text((c, "*".join(map(letter_text, w)))
                            for w, c in self.sorted_terms())
-
-    def __repr__(self):
-        return f"GenWord({self.text()})"
 
 
 def grading(a: ConeOp):

@@ -22,18 +22,20 @@ product and each derivative action checks that bound before it stores a
 term and raises ``ExponentOverflow`` instead of wrapping; so does ``pack``.
 The layout is private to this module: other modules go through ``pack``,
 ``unpack``, ``is_packed``, ``mdegree``, ``unit``, ``support``, ``guard``,
-``monomials``, the one enumerator of a graded piece, and the helpers
-below.  Exponent tuples remain at the boundary: ``Poly.monomial``,
+``fields``, ``monomials``, the one enumerator of a graded piece, and the
+helpers below.  Exponent tuples remain at the boundary: ``Poly.monomial``,
 ``coeff``, ``leading``, ``from_exponents``, ``exponent_items``,
-``sorted_terms``, ``text`` and the JSON form take or return tuples.
+``sorted_terms`` and the JSON form take or return tuples.
 
 This module is also the single home of the split form and of term printing.
 ``dual`` names the index that the split form pairs with a coordinate,
 ``b_pair`` is the form on vectors of numbers or of polynomials, ``q_of``
 its quadratic form Q on such a vector, and ``q_form`` is Q as a polynomial.
-``mono_text`` prints a monomial and ``signed_text`` a signed sum of terms;
-every term printer of the package (polynomials, the Euler polynomials among
-them, operators, generator words) goes through them.
+``fields`` gives the (bit shift, name) pair of each variable, ``mono_text``
+prints a packed key from its nonzero fields, read in place, and
+``signed_text`` a signed sum of terms.  Every term printer of the package
+(polynomials, the Euler polynomials among them, operators, cone classes,
+generator words) goes through them in one walk of its sorted keys.
 
 It is also the one home of exact linear elimination: ``rref_add`` adds one
 sparse rational row to a reduced row echelon form and reports whether it
@@ -346,9 +348,9 @@ class TermMap:
     """A finite Q-linear combination: map from key to nonzero int or Fraction.
 
     A subclass sets ``ONE``, the key of 1, reads the packed monomials of a
-    key in ``_monomials``, and gives its product as the kernel ``_product``
-    with the degree bound ``_bound``; ``__mul__`` and ``_bilinear`` are the
-    one frame around every kernel.
+    key in ``_monomials``, gives its product as the kernel ``_product`` with
+    the degree bound ``_bound``, and its ``text``; ``__mul__`` and
+    ``_bilinear`` frame every kernel, and ``__repr__`` wraps ``text``.
     """
 
     __slots__ = ("nvars", "terms")
@@ -478,6 +480,9 @@ class TermMap:
         else:
             terms = {key: qcoef(c * v) for key, v in self.terms.items()}
         return type(self)._of(self.nvars, terms)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.text()})"
 
     def __pow__(self, n: int):
         if n < 0:
@@ -640,10 +645,14 @@ class Poly(TermMap):
                 for m in sorted(self.terms, reverse=True)]
 
     def text(self, names: list | None = None) -> str:
-        if names is None:
-            names = default_names(self.nvars)
-        return signed_text((c, mono_text(m, names))
-                           for m, c in self.sorted_terms())
+        """The terms, largest first, with the names of ``fields`` or names,
+        one per variable; ValueError for a names list of another length."""
+        n = self.nvars
+        if names is not None and len(names) != n:
+            raise ValueError(f"{len(names)} names for {n} variables")
+        f = fields(n) if names is None else list(zip(_layout(n)[0], names))
+        return signed_text((self.terms[m], mono_text(m, f))
+                           for m in sorted(self.terms, reverse=True))
 
     def to_json(self) -> list:
         return [
@@ -651,22 +660,21 @@ class Poly(TermMap):
             for m, c in self.sorted_terms()
         ]
 
-    def __repr__(self):
-        return f"Poly({self.text()})"
+
+def fields(n: int, prefix: str = "", shift: int = 0) -> list:
+    """(bit shift, name) of each variable of a packed monomial in n
+    variables, shifted up by shift, as ``mono_text`` reads them: x1..xk,
+    y1..yk when n = 2k, v1..vn when n is odd, each name after prefix."""
+    names = ([f"{v}{i + 1}" for v in "xy" for i in range(n // 2)]
+             if n % 2 == 0 else [f"v{i + 1}" for i in range(n)])
+    return [(s + shift, prefix + nm) for s, nm in zip(_layout(n)[0], names)]
 
 
-def default_names(nvars: int) -> list:
-    """x1..xk, y1..yk when nvars is even; generic v1.. otherwise."""
-    if nvars % 2 == 0:
-        k = nvars // 2
-        return [f"x{i+1}" for i in range(k)] + [f"y{i+1}" for i in range(k)]
-    return [f"v{i+1}" for i in range(nvars)]
-
-
-def mono_text(exps, names) -> str:
-    """The monomial with exponent tuple exps, as ``x1^2*y1``; "" for 1."""
+def mono_text(m: int, fields) -> str:
+    """The packed key m as ``x1^2*y1``, one factor per nonzero exponent
+    ``m >> s & EMAX`` of the (shift, name) pairs fields; "" for 1."""
     return "*".join(nm if e == 1 else f"{nm}^{e}"
-                    for nm, e in zip(names, exps) if e)
+                    for s, nm in fields if (e := m >> s & EMAX))
 
 
 def signed_text(terms) -> str:
@@ -905,5 +913,4 @@ class QLaurent:
             return self.num.text()
         return f"({self.num.text()}) / Q^{self.qexp}"
 
-    def __repr__(self):
-        return f"QLaurent({self.text()})"
+    __repr__ = TermMap.__repr__

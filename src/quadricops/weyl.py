@@ -37,10 +37,10 @@ import itertools
 from functools import lru_cache
 from math import comb, factorial
 
-from .poly import (EMAX, FIELD, Poly, TermMap, add_terms, check_degrees,
-                   default_names, dual, falling, falling_spec, guard, mdegree,
-                   monomials, mono_text, normal_form_mod_single, pack, qcoef,
-                   restrict, signed_text, support, unit, unpack)
+from .poly import (EMAX, FIELD, Poly, TermMap, add_terms, check_degrees, dual,
+                   falling, falling_spec, fields, guard, mdegree, monomials,
+                   mono_text, normal_form_mod_single, pack, qcoef, restrict,
+                   signed_text, support, unit, unpack)
 
 
 class NotDivisible(Exception):
@@ -173,7 +173,7 @@ class WeylOp(TermMap):
     field, every exponent and total degree at most ``poly.EMAX``, and a
     product or an action that would exceed it raises ``ExponentOverflow``.
     ``WeylOp(nvars, terms)`` takes these keys; ``from_exponents`` takes
-    exponent tuples, and ``sorted_terms`` and ``text`` give tuples back.
+    exponent tuples, and ``sorted_terms`` gives tuples back.
     Coefficients, sums, scaling and the frame of the product are those of
     ``poly.TermMap``; this class gives the product kernel
     ``_product_terms``, its degree bound, and the commutator, which runs
@@ -290,15 +290,6 @@ class WeylOp(TermMap):
 
     # -- normal forms and division --------------------------------------------
 
-    def xleft(self) -> dict:
-        """The stored x-left form grouped by derivative part, as
-        {packed beta: Poly coefficient}; the coefficient acts after d^beta."""
-        s, mask = halves(self.nvars)
-        out: dict = {}
-        for key, c in self.terms.items():
-            out.setdefault(key >> s, {})[key & mask] = c
-        return {b: Poly._of(self.nvars, tm) for b, tm in out.items()}
-
     def divide_right_by_mult(self, q: Poly) -> "WeylOp":
         """Solve w = u * (mult by q); raise NotDivisible if impossible.
 
@@ -362,13 +353,11 @@ class WeylOp(TermMap):
                 for key in sorted(self.terms)]
 
     def text(self) -> str:
-        names = default_names(self.nvars)
-        names += ["d" + nm for nm in names]
-        return signed_text((c, mono_text(a + b, names))
-                           for (a, b), c in self.sorted_terms())
-
-    def __repr__(self):
-        return f"WeylOp({self.text()})"
+        """The terms in key order, each x-part before its d-part."""
+        n = self.nvars
+        f = fields(n) + fields(n, "d", halves(n)[0])
+        return signed_text((self.terms[key], mono_text(key, f))
+                           for key in sorted(self.terms))
 
 
 # -- standard operators -------------------------------------------------------

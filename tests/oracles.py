@@ -78,6 +78,11 @@ to a bound recursively, in lex order, which within one degree is graded lex.
 each row of Sym^(d-2) at its k columns; ``laplacian_by_columns`` writes
 it column by column, testing every monomial of degree d against the k
 divisors x_i y_(k+1-i).
+The text printers of ``Poly``, ``WeylOp`` and ``ConeOp`` walk the sorted
+packed keys once and read each exponent in place; ``poly_text_by_tuples``,
+``weyl_text_by_tuples``, ``canonical_text_by_buckets`` and
+``canonical_json_by_buckets`` unpack every key into an exponent tuple and
+print a class one ``Poly`` per derivative part, grouped by ``xleft``.
 """
 
 import json
@@ -98,7 +103,7 @@ from quadricops.poly import (Poly, QLaurent, add_terms, b_pair,
                              divides_exactly, dual, falling, falling_spec,
                              guard, monomials, normal_form_mod_single, q_form,
                              pack, q_of, qcoef, qdiv, reduce_mod, restrict,
-                             support, unit, unpack)
+                             signed_text, support, unit, unpack)
 from quadricops.shapovalov import (FactorsDoNotCommute, euler_to_weyl,
                                    fourier_roots_bezout, shapovalov_closed,
                                    shapovalov_expand, shapovalov_factors)
@@ -379,7 +384,7 @@ def apply_by_quotient_rule(op: WeylOp, f: QLaurent) -> QLaurent:
     (``QLaurent.deriv``), then multiplies by p."""
     n = op.nvars
     total = QLaurent(f.k, Poly.zero(n), 0)
-    for beta, p in op.xleft().items():
+    for beta, p in xleft(op).items():
         g = f
         for i, e in enumerate(unpack(beta, n)):
             for _ in range(e):
@@ -416,11 +421,21 @@ def laplacian_by_columns(d: int, k: int) -> list:
     return rows
 
 
+def xleft(op: WeylOp) -> dict:
+    """The stored x-left form of op grouped by derivative part, as
+    {packed beta: Poly coefficient}; the coefficient acts after d^beta."""
+    s, mask = halves(op.nvars)
+    out: dict = {}
+    for key, c in op.terms.items():
+        out.setdefault(key >> s, {})[key & mask] = c
+    return {b: Poly._of(op.nvars, tm) for b, tm in out.items()}
+
+
 def dleft_by_buckets(op: WeylOp) -> dict:
     """The d-left normal form of op as {packed beta: Poly coefficient}: the
     term map that ``weyl.reorder`` gives, one ``Poly`` per derivative part,
     as ``xleft`` groups it."""
-    return WeylOp._of(op.nvars, reorder(op.terms, op.nvars, -1)).xleft()
+    return xleft(WeylOp._of(op.nvars, reorder(op.terms, op.nvars, -1)))
 
 
 def from_dleft(n: int, coeffs: dict) -> WeylOp:
@@ -452,7 +467,7 @@ def canonical_by_buckets(op: WeylOp) -> WeylOp:
     if all((key & mask) - lm & g for key in op.terms):
         return op
     terms = {}
-    for beta, p in op.xleft().items():
+    for beta, p in xleft(op).items():
         for alpha, c in reduce_mod(p, qs).terms.items():
             terms[beta << s | alpha] = c
     return WeylOp._of(n, terms)
@@ -791,3 +806,54 @@ def phase_euler_by_pairs(k: int) -> Poly:
     for j in range(n):
         out = out + block_var(k, 0, j) * block_var(k, 1, dual(n, j))
     return out
+
+
+def names_by_parity(nvars: int) -> list:
+    """x1..xk, y1..yk when nvars is even; generic v1.. otherwise."""
+    if nvars % 2 == 0:
+        k = nvars // 2
+        return [f"x{i+1}" for i in range(k)] + [f"y{i+1}" for i in range(k)]
+    return [f"v{i+1}" for i in range(nvars)]
+
+
+def mono_text_by_tuple(exps, names) -> str:
+    """The monomial with exponent tuple exps, as ``x1^2*y1``; "" for 1."""
+    return "*".join(nm if e == 1 else f"{nm}^{e}"
+                    for nm, e in zip(names, exps) if e)
+
+
+def poly_text_by_tuples(p: Poly, names=None) -> str:
+    """p as ``Poly.text`` prints it, from its exponent tuples."""
+    if names is None:
+        names = names_by_parity(p.nvars)
+    return signed_text((c, mono_text_by_tuple(m, names))
+                       for m, c in p.sorted_terms())
+
+
+def weyl_text_by_tuples(op: WeylOp) -> str:
+    """op as ``WeylOp.text`` prints it, from its pairs of exponent tuples."""
+    names = names_by_parity(op.nvars)
+    names += ["d" + nm for nm in names]
+    return signed_text((c, mono_text_by_tuple(a + b, names))
+                       for (a, b), c in op.sorted_terms())
+
+
+def canonical_text_by_buckets(c: ConeOp) -> str:
+    """The class of c as ``canonical_text`` prints it: one ``Poly`` per
+    derivative part of the representative, printed by
+    ``poly_text_by_tuples``, in ascending order of the part."""
+    n = 2 * c.k
+    dnames = ["d" + nm for nm in names_by_parity(n)]
+    can = xleft(c.canonical())
+    parts = [(poly_text_by_tuples(can[b]),
+              mono_text_by_tuple(unpack(b, n), dnames)) for b in sorted(can)]
+    return " + ".join(f"({p})*{d}" if d else f"({p})"
+                      for p, d in parts) or "0"
+
+
+def canonical_json_by_buckets(c: ConeOp) -> list:
+    """The class of c as ``canonical_json`` gives it, one ``Poly`` per
+    derivative part of the representative."""
+    can = xleft(c.canonical())
+    return [{"d": list(unpack(b, 2 * c.k)), "coefficient": can[b].to_json()}
+            for b in sorted(can)]

@@ -124,6 +124,20 @@ def test_k3_operator_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["shapovalov", "--d", "3", "--k", "4"],
+     "7a0edfcb44104adb861a91e019678ed8d60cfa00e892b111e5527ac739e9fdd0"),
+    (["reduce", "E^3*XX1+dx2*YY3", "--k", "3"],
+     "358ac7884998fd6e5676b37923d0e84079d1aff99009db32bc8ca4919b0cdbd9"),
+], ids=["shapovalov", "reduce"])
+def test_text_output_is_pinned(capsys, argv, digest):
+    # recorded while the text printers grouped a class into one Poly per
+    # derivative part and unpacked every key into an exponent tuple
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_k3_moment_verify_report_is_pinned(capsys):
     # every orbit relation and every descent as its own check; recorded
     # before descent was proven by one fiber derivative and the Pluecker

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import (d_op, euler_weight_op, genword_eval_by_words,
                      letter_by_formula, preserves_ideal_by_monomials,
-                     tau_letterwise, xx_op, yy_op)
+                     tau_letterwise, xleft, xx_op, yy_op)
 from quadricops import coneops
 from quadricops.coneops import (ConeOp, GenWord, NotNormalizing,
                                 a_correction, alphabet, fourier_letter,
@@ -271,11 +271,11 @@ def test_canonical_is_the_reduced_representative_of_the_class(k):
     for c in images + randoms:
         can = c.canonical()
         assert c.canonical() is can
-        for beta, p in can.xleft().items():
+        for beta, p in xleft(can).items():
             for m in p.terms:
                 e = unpack(m, n)
                 assert not (e[0] and e[-1]), (c, beta)
-        for p in (c.op - can).xleft().values():
+        for p in xleft(c.op - can).values():
             assert divides_exactly(qs, p) is not None, c
         back = ConeOp(can)
         assert back == c and c == back

@@ -1,13 +1,17 @@
 """The text format shared by every printer: one signed-sum rule, pinned by
 exact strings."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from quadricops.coneops import ConeOp, GenWord
+from oracles import (canonical_json_by_buckets, canonical_text_by_buckets,
+                     poly_text_by_tuples, weyl_text_by_tuples, xleft)
+from quadricops.coneops import ConeOp, GenWord, rho_tilde
 from quadricops.exprparse import genword_to_expr_text, parse, to_genword
-from quadricops.poly import Poly, mono_text, signed_text
+from quadricops.lie import basis
+from quadricops.poly import EMAX, Poly, fields, mono_text, pack, signed_text
 from quadricops.weyl import WeylOp
 
 
@@ -74,6 +78,14 @@ CASES = [
     ("expr-two-digit",
      lambda: genword_to_expr_text(to_genword(parse("Cop9_11", 12), 12), 12),
      "Cop9_11"),
+    ("poly-repr",
+     lambda: repr(poly({(0, 1, 0, 0): 2, (0, 0, 0, 0): -1})),
+     "Poly(2*x2 - 1)"),
+    ("weyl-repr",
+     lambda: repr(WeylOp.from_exponents(4, {
+         ((1, 0, 0, 0), (0, 0, 1, 0)): 1, ((0, 0, 0, 0), (0, 0, 0, 0)): -3})),
+     "WeylOp(-3 + x1*dy1)"),
+    ("genword-repr", lambda: repr(e_word(3)), "GenWord(-2 + (E+k-1))"),
 ]
 
 
@@ -87,5 +99,83 @@ def test_signed_text_and_mono_text():
     assert signed_text([]) == "0"
     assert signed_text([(-1, ""), (1, "a"), (Fraction(-2, 3), "b")]) \
         == "-1 + a - 2/3*b"
-    assert mono_text((2, 0, 1), ["x", "y", "z"]) == "x^2*z"
-    assert mono_text((0, 0), ["x", "y"]) == ""
+    assert mono_text(pack((2, 0, 1)), [(32, "x"), (16, "y"), (0, "z")]) \
+        == "x^2*z"
+    assert mono_text(pack((2, 0, 1)), fields(3)) == "v1^2*v3"
+    assert mono_text(0, fields(2)) == ""
+    assert fields(4) == [(48, "x1"), (32, "x2"), (16, "y1"), (0, "y2")]
+    assert fields(2, "d", 48) == [(64, "dx1"), (48, "dy1")]
+
+
+def test_poly_text_names_every_variable():
+    p = Poly.from_exponents(3, {(1, 2, 0): 1, (0, 0, 3): -2})
+    assert p.text(["a", "b", "c"]) == "a*b^2 - 2*c^3"
+    for names in (["a"], ["a", "b", "c", "d"]):
+        with pytest.raises(ValueError, match=f"{len(names)} names for 3 "):
+            p.text(names)
+
+
+def _random_weyl(rng, n, coef, big=3):
+    """A seeded operator of up to 12 terms, each exponent 0, 1 or big, save
+    that x1 and yk, whose product leads Q*, take 0 or 1 in the x-part: so
+    the class reduces in a few steps even when big is near the bound."""
+    terms = {}
+    for _ in range(rng.randint(1, 12)):
+        a, b = ([rng.choice((0, 0, 1, big)) for _ in range(n)]
+                for _ in range(2))
+        a[0], a[-1] = min(a[0], 1), min(a[-1], 1)
+        terms[tuple(a), tuple(b)] = coef(rng)
+    return WeylOp.from_exponents(n, terms)
+
+
+def _int(rng):
+    return rng.randint(-9, 9)
+
+
+def _fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def _same_printed(op):
+    """The key-walk printers of op, of its x-left coefficients and of its
+    class against the tuple and bucket printers of the oracles."""
+    assert op.text() == weyl_text_by_tuples(op)
+    assert repr(op) == f"WeylOp({weyl_text_by_tuples(op)})"
+    for p in xleft(op).values():
+        assert p.text() == poly_text_by_tuples(p)
+    c = ConeOp(op)
+    assert c.canonical_text() == canonical_text_by_buckets(c)
+    assert c.canonical_json() == canonical_json_by_buckets(c)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("coef", [_int, _fraction], ids=["int", "fraction"])
+def test_key_walk_printers_match_the_tuple_printers(k, coef):
+    rng = random.Random(4700 + k)
+    for _ in range(40):
+        _same_printed(_random_weyl(rng, 2 * k, coef))
+    # exponents and total degrees at the bound, in both halves
+    for _ in range(10):
+        _same_printed(_random_weyl(rng, 2 * k, coef, EMAX // (2 * k)))
+    top = (EMAX - 1, 0) + (0,) * (2 * k - 3) + (1,)
+    _same_printed(WeylOp.from_exponents(2 * k, {(top, top): coef(rng) or 1}))
+    _same_printed(WeylOp.zero(2 * k))
+    _same_printed(WeylOp.const(2 * k, Fraction(-7, 3)))
+
+
+def test_key_walk_printers_match_on_the_basis_images():
+    for xi in basis(3):
+        _same_printed(rho_tilde(xi).op)
+
+
+def test_two_digit_names_match_the_tuple_printer():
+    rng = random.Random(47)
+    n = 20
+    for coef in (_int, _fraction):
+        for _ in range(20):
+            p = Poly.from_exponents(n, {
+                tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(n)): coef(rng)
+                for _ in range(rng.randint(1, 8))})
+            assert p.text() == poly_text_by_tuples(p)
+            assert "x10" in Poly.var(n, 9).text()
+        _same_printed(_random_weyl(rng, n, coef))
