@@ -9,6 +9,7 @@ polynomial identities.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 from math import comb
 
 from .poly import (Poly, QLaurent, b_pair, dual, falling, falling_spec,
@@ -50,8 +51,10 @@ def is_higher_symmetry(xi: WeylOp):
 def kelvin(f: QLaurent) -> QLaurent:
     """The conformal Kelvin transform (Kf)(v) = (-Q(v))^{-(k-1)} f(-v/Q(v)).
 
-    Substituting v -> -v/Q sends a degree-d term p_d to (-1)^d p_d Q^{-d};
-    the result stays in the Q-Laurent class and K is an involution.
+    Substituting v -> -v/Q sends the degree-d part p_d to (-1)^d p_d Q^{-d};
+    the result stays in the Q-Laurent class and K is an involution.  The
+    parts come from the sorted keys grouped by degree, and their sum is
+    taken by Horner's rule in Q, from the lowest part up.
 
     As code, K commutes with every renaming of the variables that fixes Q
     (such a renaming lies in O(Q)): it reads a term only through its total
@@ -62,13 +65,13 @@ def kelvin(f: QLaurent) -> QLaurent:
     k = f.k
     n = 2 * k
     q = q_form(k)
-    deg = max(f.num.degree(), 0)
-    # numerator(-v/Q) * Q^deg, collected by total degree
-    num = Poly.zero(n)
-    for m, c in f.num.terms.items():
-        d = mdegree(m, n)
-        sign = -1 if d % 2 else 1
-        num = num + Poly._of(n, {m: c * sign}) * q ** (deg - d)
+    terms = f.num.terms
+    # numerator(-v/Q) * Q^deg = sum_d (-1)^d p_d Q^(deg - d)
+    num, deg = Poly.zero(n), 0
+    for d, part in groupby(sorted(terms), lambda m: mdegree(m, n)):
+        p = Poly._of(n, {m: -terms[m] if d % 2 else terms[m] for m in part})
+        num = num * q ** (d - deg) + p if num else p
+        deg = d
     # Q(-v/Q) = 1/Q, so the original denominator contributes Q^{+qexp}
     sign = -1 if (k - 1) % 2 else 1
     shift = (k - 1) + deg - f.qexp

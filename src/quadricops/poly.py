@@ -24,8 +24,9 @@ The layout is private to this module: other modules go through ``pack``,
 ``unpack``, ``is_packed``, ``mdegree``, ``unit``, ``support``, ``guard``,
 ``fields``, ``monomials``, the one enumerator of a graded piece, and the
 helpers below.  Exponent tuples remain at the boundary: ``Poly.monomial``,
-``coeff``, ``leading``, ``from_exponents``, ``exponent_items``,
-``sorted_terms`` and the JSON form take or return tuples.
+``coeff``, ``leading``, ``from_exponents`` and the JSON form take or return
+tuples.  Everything else reads a key in place, as ``m >> s & EMAX`` over
+the field shifts, and groups a term map by one walk of its sorted keys.
 
 This module is also the single home of the split form and of term printing.
 ``dual`` names the index that the split form pairs with a coordinate,
@@ -556,11 +557,6 @@ class Poly(TermMap):
     def is_constant(self) -> bool:
         return self.terms.keys() <= {0}
 
-    def exponent_items(self):
-        """The terms as (exponent tuple, coefficient) pairs."""
-        n = self.nvars
-        return ((unpack(m, n), c) for m, c in self.terms.items())
-
     # -- arithmetic ----------------------------------------------------------
 
     # bound in the class body, where the benchmark's tracer looks them up
@@ -609,11 +605,12 @@ class Poly(TermMap):
         if len(point) != self.nvars:
             raise ValueError(f"evaluation needs {self.nvars} coordinates, "
                              f"got {len(point)}")
+        shifts = _layout(self.nvars)[0]
         total = 0
-        for m, c in self.exponent_items():
+        for m, c in self.terms.items():
             v = c
-            for e, p in zip(m, point):
-                if e:
+            for s, p in zip(shifts, point):
+                if e := m >> s & EMAX:
                     v *= p ** e
             total += v
         return qcoef(total)
@@ -627,22 +624,17 @@ class Poly(TermMap):
                 f"substitution needs {self.nvars} images in one ring, got "
                 f"{len(images)} in {sorted(rings)} variables")
         (nv,) = rings
+        shifts = _layout(self.nvars)[0]
         total = Poly.zero(nv)
-        for m, c in self.exponent_items():
+        for m, c in self.terms.items():
             term = Poly.const(nv, c)
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    term = term * images[i]
+            for s, image in zip(shifts, images):
+                for _ in range(m >> s & EMAX):
+                    term = term * image
             total = total + term
         return total
 
     # -- printing ------------------------------------------------------------
-
-    def sorted_terms(self):
-        """(exponent tuple, coefficient) pairs, largest monomial first."""
-        n = self.nvars
-        return [(unpack(m, n), self.terms[m])
-                for m in sorted(self.terms, reverse=True)]
 
     def text(self, names: list | None = None) -> str:
         """The terms, largest first, with the names of ``fields`` or names,
@@ -655,9 +647,11 @@ class Poly(TermMap):
                            for m in sorted(self.terms, reverse=True))
 
     def to_json(self) -> list:
+        n = self.nvars
         return [
-            {"exponents": list(m), "num": c.numerator, "den": c.denominator}
-            for m, c in self.sorted_terms()
+            {"exponents": list(unpack(m, n)), "num": c.numerator,
+             "den": c.denominator}
+            for m, c in sorted(self.terms.items(), reverse=True)
         ]
 
 

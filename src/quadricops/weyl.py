@@ -173,7 +173,7 @@ class WeylOp(TermMap):
     field, every exponent and total degree at most ``poly.EMAX``, and a
     product or an action that would exceed it raises ``ExponentOverflow``.
     ``WeylOp(nvars, terms)`` takes these keys; ``from_exponents`` takes
-    exponent tuples, and ``sorted_terms`` gives tuples back.
+    exponent tuples.
     Coefficients, sums, scaling and the frame of the product are those of
     ``poly.TermMap``; this class gives the product kernel
     ``_product_terms``, its degree bound, and the commutator, which runs
@@ -258,22 +258,26 @@ class WeylOp(TermMap):
         raise TypeError(f"cannot apply operator to {type(f).__name__}")
 
     def _apply_poly(self, f: Poly) -> Poly:
-        """One derivative part b at a time: x^a d^b sends each monomial x^m
-        that b divides to x^(m + (a - b)), times a weight.  Each part is
-        bounded by its largest a and the largest x^m it divides before any
-        of its terms is stored, so a part that kills f cannot overflow."""
+        """One derivative part b at a time, in one walk of the sorted keys
+        grouped by b: x^a d^b sends each monomial x^m that b divides to
+        x^(m + (a - b)), times a weight.  A b above max(f) divides no
+        monomial of f, by degree or by key, and the parts ascend, so the
+        walk stops at the first.  Each part is bounded by its largest a and
+        the largest x^m it divides before any of its terms is stored, so a
+        part that kills f cannot overflow."""
         n, g = self.nvars, guard(self.nvars)
-        s, mask = halves(n)
-        buckets: dict = {}
-        for key, c in self.terms.items():
-            b = key >> s
-            buckets.setdefault(b, []).append(((key & mask) - b, c))
+        sh, mask = halves(n)
+        top = max(f.terms, default=-1)
         terms: dict = {}
         get = terms.get
-        for b, offsets in buckets.items():
+        for b, part in itertools.groupby(sorted(self.terms),
+                                         lambda key: key >> sh):
+            if b > top:
+                break  # b and every later part divide no monomial of f
             kept = [(m, cm) for m, cm in f.terms.items() if not (m - b) & g]
             if not kept:
                 continue  # d^b kills f
+            offsets = [((key & mask) - b, self.terms[key]) for key in part]
             # keys are unique, so max compares the monomials alone
             check_degrees(max(offsets)[0] + b, max(kept)[0] - b, n)
             spec = falling_spec(b, n)
@@ -344,13 +348,6 @@ class WeylOp(TermMap):
             for key, c in self.terms.items() if mdegree(key >> s, n) == r)))
 
     # -- printing --------------------------------------------------------------
-
-    def sorted_terms(self):
-        """((alpha tuple, beta tuple), coefficient) in key order."""
-        n = self.nvars
-        s, mask = halves(n)
-        return [((unpack(key & mask, n), unpack(key >> s, n)), self.terms[key])
-                for key in sorted(self.terms)]
 
     def text(self) -> str:
         """The terms in key order, each x-part before its d-part."""

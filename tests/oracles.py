@@ -56,6 +56,14 @@ whole term map in one pass, on one half of its keys; ``canonical_by_buckets``,
 derivative part (``dleft_by_buckets`` for the d-left form) or per
 multiplication part (``xleft_coeffs``), divide each alone and reassemble
 the result, ``from_dleft`` reordering a d-left form back.
+``WeylOp.apply`` walks the sorted keys of the operator grouped by
+derivative part and stops at the first part above every monomial of its
+argument; ``apply_by_buckets`` groups the parts in a dict and tests every
+one.  ``harmonic.kelvin`` takes the homogeneous parts of the numerator from
+one walk of its sorted keys and sums them by Horner's rule in Q;
+``kelvin_termwise`` raises Q to a fresh power for every term.  The engine
+reads exponents in place; ``exponent_items``, ``poly_sorted_terms`` and
+``weyl_sorted_terms`` give the exponent tuples that the tests compare.
 ``coneops.letter_op`` realizes a generator letter as ``rho_tilde`` of its
 Lie preimage; ``euler_weight_op``, ``xx_op``, ``yy_op``, ``d_op``, ``b_op``
 and ``c_op`` write the letters out by hand as operators on the dual space,
@@ -100,10 +108,11 @@ from quadricops.lie import GroupElt, LieElt, mat_mul
 from quadricops.momentorbit import (block_var, orbit_matrix, v_vector,
                                     x_vector)
 from quadricops.poly import (Poly, QLaurent, add_terms, b_pair,
-                             divides_exactly, dual, falling, falling_spec,
-                             guard, monomials, normal_form_mod_single, q_form,
-                             pack, q_of, qcoef, qdiv, reduce_mod, restrict,
-                             signed_text, support, unit, unpack)
+                             check_degrees, divides_exactly, dual, falling,
+                             falling_spec, guard, mdegree, monomials,
+                             normal_form_mod_single, q_form, pack, q_of,
+                             qcoef, qdiv, reduce_mod, restrict, signed_text,
+                             support, unit, unpack)
 from quadricops.shapovalov import (FactorsDoNotCommute, euler_to_weyl,
                                    fourier_roots_bezout, shapovalov_closed,
                                    shapovalov_expand, shapovalov_factors)
@@ -421,6 +430,26 @@ def laplacian_by_columns(d: int, k: int) -> list:
     return rows
 
 
+def exponent_items(p: Poly):
+    """The terms of p as (exponent tuple, coefficient) pairs, in the order
+    of its term map."""
+    return ((unpack(m, p.nvars), c) for m, c in p.terms.items())
+
+
+def poly_sorted_terms(p: Poly) -> list:
+    """(exponent tuple, coefficient) pairs of p, largest monomial first."""
+    return [(unpack(m, p.nvars), p.terms[m])
+            for m in sorted(p.terms, reverse=True)]
+
+
+def weyl_sorted_terms(op: WeylOp) -> list:
+    """((alpha tuple, beta tuple), coefficient) pairs of op in key order."""
+    n = op.nvars
+    s, mask = halves(n)
+    return [((unpack(key & mask, n), unpack(key >> s, n)), op.terms[key])
+            for key in sorted(op.terms)]
+
+
 def xleft(op: WeylOp) -> dict:
     """The stored x-left form of op grouped by derivative part, as
     {packed beta: Poly coefficient}; the coefficient acts after d^beta."""
@@ -512,7 +541,7 @@ def tau_letterwise(a: WeylOp) -> WeylOp:
     identity by single products."""
     n = a.nvars
     out = WeylOp.zero(n)
-    for (alpha, beta), c in a.sorted_terms():
+    for (alpha, beta), c in weyl_sorted_terms(a):
         word = WeylOp.const(n, c)
         for i in range(n):
             for _ in range(alpha[i]):
@@ -530,8 +559,8 @@ def apply_termwise(op: WeylOp, f: Poly) -> Poly:
     c c_m prod_i m_i! / (m_i - beta_i)! x^(m - beta + alpha)."""
     n = op.nvars
     terms: dict = {}
-    for (alpha, beta), c in op.sorted_terms():
-        for m, cm in f.exponent_items():
+    for (alpha, beta), c in weyl_sorted_terms(op):
+        for m, cm in exponent_items(f):
             if any(mi < bi for mi, bi in zip(m, beta)):
                 continue
             w = c * cm
@@ -540,6 +569,53 @@ def apply_termwise(op: WeylOp, f: Poly) -> Poly:
             key = pack([mi - bi + ai for mi, bi, ai in zip(m, beta, alpha)])
             terms[key] = terms.get(key, 0) + w
     return Poly(n, terms)
+
+
+def apply_by_buckets(op: WeylOp, f: Poly) -> Poly:
+    """op applied to f one derivative part b at a time, the parts kept in a
+    dict of buckets: every part, the parts above every monomial of f
+    included, is tested against every monomial of f."""
+    n, g = op.nvars, guard(op.nvars)
+    s, mask = halves(n)
+    buckets: dict = {}
+    for key, c in op.terms.items():
+        b = key >> s
+        buckets.setdefault(b, []).append(((key & mask) - b, c))
+    terms: dict = {}
+    for b, offsets in buckets.items():
+        kept = [(m, cm) for m, cm in f.terms.items() if not (m - b) & g]
+        if not kept:
+            continue  # d^b kills f
+        check_degrees(max(offsets)[0] + b, max(kept)[0] - b, n)
+        spec = falling_spec(b, n)
+        for m, cm in kept:
+            w = cm * falling(m, spec) if spec else cm
+            for off, c in offsets:
+                t = terms.get(m + off, 0) + c * w
+                if t:
+                    terms[m + off] = t
+                else:
+                    del terms[m + off]
+    return Poly._of(n, terms)
+
+
+def kelvin_termwise(f: QLaurent) -> QLaurent:
+    """The Kelvin transform of f one term at a time: each term c x^m of
+    degree d adds (-1)^d c x^m Q^(deg - d) to the numerator."""
+    k = f.k
+    n = 2 * k
+    q = q_form(k)
+    deg = max(f.num.degree(), 0)
+    num = Poly.zero(n)
+    for m, c in f.num.terms.items():
+        d = mdegree(m, n)
+        sign = -1 if d % 2 else 1
+        num = num + Poly._of(n, {m: c * sign}) * q ** (deg - d)
+    sign = -1 if (k - 1) % 2 else 1
+    shift = (k - 1) + deg - f.qexp
+    if shift >= 0:
+        return QLaurent(k, num.scale(sign), shift)
+    return QLaurent(k, num.scale(sign) * q ** (-shift), 0)
 
 
 def poly_mul_pairwise(a: Poly, b: Poly) -> Poly:
@@ -827,7 +903,7 @@ def poly_text_by_tuples(p: Poly, names=None) -> str:
     if names is None:
         names = names_by_parity(p.nvars)
     return signed_text((c, mono_text_by_tuple(m, names))
-                       for m, c in p.sorted_terms())
+                       for m, c in poly_sorted_terms(p))
 
 
 def weyl_text_by_tuples(op: WeylOp) -> str:
@@ -835,7 +911,7 @@ def weyl_text_by_tuples(op: WeylOp) -> str:
     names = names_by_parity(op.nvars)
     names += ["d" + nm for nm in names]
     return signed_text((c, mono_text_by_tuple(a + b, names))
-                       for (a, b), c in op.sorted_terms())
+                       for (a, b), c in weyl_sorted_terms(op))
 
 
 def canonical_text_by_buckets(c: ConeOp) -> str:

@@ -124,6 +124,21 @@ def test_k3_operator_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("fmt,digest", [
+    ("text",
+     "646ac644cdc2893f63e5977af670a273f3a4aa0435e5e3d9bfa45bfd7bac26c9"),
+    ("json",
+     "bba7a148d2bd3b33d9176c40d69d22fe99357de956b41a1e4ebb9c56bc5903cd"),
+])
+def test_mixed_degree_kelvin_output_is_pinned(capsys, fmt, digest):
+    # recorded while kelvin raised Q to a fresh power for every term: the
+    # numerator has parts of every degree from 0 to 6
+    code, out = run_cli(capsys, ["kelvin", "(x1+y2+3*x3+y1*x2+1)^3",
+                                 "--k", "3", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv,digest", [
     (["shapovalov", "--d", "3", "--k", "4"],
      "7a0edfcb44104adb861a91e019678ed8d60cfa00e892b111e5527ac739e9fdd0"),

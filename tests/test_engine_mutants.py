@@ -14,6 +14,10 @@ constructors and realization images in LRU caches that outlive a test;
 ``conftest.py`` empties them around every case, so no cached object hides
 a mutant and none a mutant built reaches a later test.  Some fakes reach
 their check only through a cached caller, so they prove that too.
+
+A fast path that only saves work has a work case instead: its fake keeps
+every value and redoes the saved work, and the pin on the products and
+powers of the suite at k=3 is what fails.
 """
 
 import pytest
@@ -21,7 +25,8 @@ import pytest
 from oracles import xx_op, yy_op
 from quadricops import (coneops, exprparse, harmonic, lie, momentorbit,
                         poly, shapovalov, suites, weyl)
-from quadricops.poly import QLaurent, dual, mdegree, q_form, q_of
+from quadricops.poly import (Poly, QLaurent, TermMap, dual, mdegree, q_form,
+                             q_of)
 from quadricops.suites import run_suite
 
 
@@ -311,6 +316,27 @@ def _one_term_quotient_unchecked(self, d):
     return ORIGINAL["divide_right_by_constcoef"](self, d)
 
 
+def _walk_stopped_one_part_soon(self, f):
+    # the walk of WeylOp.apply stops at the first part b >= max(f), not
+    # b > max(f), so the part of the top key of f, which divides only the top
+    # monomial, is lost
+    s = weyl.halves(self.nvars)[0]
+    top = max(f.terms, default=-1)
+    kept = {key: c for key, c in self.terms.items() if key >> s != top}
+    return ORIGINAL["_apply_poly"](weyl.WeylOp._of(self.nvars, kept), f)
+
+
+def _horner_from_q_power(f):
+    # kelvin's Horner sum started at 0 * Q^d0, d0 the least degree of f, not
+    # at the least part itself: the same value, for one more power of Q and
+    # one more product per call; kelvin_intertwine_defect looks kelvin up in
+    # harmonic
+    n = 2 * f.k
+    if f.num:
+        _ = Poly.zero(n) * q_form(f.k) ** mdegree(min(f.num.terms), n)
+    return ORIGINAL["kelvin"](f)
+
+
 def _residue_dropped(cls, obj):
     # every check parsed back with the empty residue
     out = ORIGINAL["from_json_obj"](obj)
@@ -343,7 +369,8 @@ ORIGINAL = {name: getattr(module, name) for module, name in [
     (harmonic, "comb"), (harmonic, "kelvin"), (harmonic, "letter_op"),
     (harmonic, "_laplacian_shift"), (harmonic, "b_pair"),
     (poly, "divides_exactly"), (poly.Poly, "deriv"),
-    (weyl.WeylOp, "principal_symbol"), (poly, "heapify"),
+    (weyl.WeylOp, "principal_symbol"), (weyl.WeylOp, "_apply_poly"),
+    (poly, "heapify"),
     (weyl.WeylOp, "divide_right_by_constcoef"),
     (suites.SuiteReport, "from_json_obj")]}
 # the polynomial kernel shares its name with the operator kernel
@@ -465,6 +492,9 @@ CASES = {
         weyl, "reorder", _from_dleft_without_exchange,
         "weyl", "weyl-normal-order-roundtrip",
         "round trip through derivative-left form failed"),
+    "apply-walk-stopped-one-part-soon": (
+        weyl.WeylOp, "_apply_poly", _walk_stopped_one_part_soon, "weyl",
+        "weyl-module-action", "module action failed: (ab)f != a(bf)"),
     "extensional-first-monomial-only": (
         weyl, "monomials", _first_monomial_only, "weyl",
         "weyl-extensional-determinacy",
@@ -534,6 +564,55 @@ def test_dropped_monomials_fail_kelvin_harmonicity(monkeypatch):
     [check] = [c for c in run_suite("harmonic-kelvin", 2).checks
                if c.check_id == "kelvin-preserves-harmonicity"]
     assert not check.ok and check.residue.startswith("d=2: "), check.residue
+
+
+# the work of a suite at k=3, as (TermMap._bilinear calls, TermMap.__pow__
+# calls); a count that rises means a fast path was lost, and a change that
+# lowers one lowers its pin
+WORK = {"harmonic-kelvin": (637, 238)}
+
+# case: (module, function, fake, suite); the fake keeps every value and
+# adds work, so the suite passes and test_suite_work_is_pinned fails
+WORK_CASES = {
+    "kelvin-horner-from-q-power": (
+        harmonic, "kelvin", _horner_from_q_power, "harmonic-kelvin"),
+}
+
+
+def _suite_work(monkeypatch, suite: str) -> tuple:
+    """(products, powers) of term maps in one passing run of suite at k=3."""
+    counts = [0, 0]
+    bilinear, power = TermMap._bilinear, TermMap.__pow__
+
+    def counted_bilinear(self, other, kernel):
+        counts[0] += 1
+        return bilinear(self, other, kernel)
+
+    def counted_power(self, n):
+        counts[1] += 1
+        return power(self, n)
+
+    monkeypatch.setattr(TermMap, "_bilinear", counted_bilinear)
+    monkeypatch.setattr(TermMap, "__pow__", counted_power)
+    assert run_suite(suite, 3).exit_status == 0
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("suite", sorted(WORK))
+def test_suite_work_is_pinned(suite, monkeypatch):
+    products, powers = _suite_work(monkeypatch, suite)
+    most_products, most_powers = WORK[suite]
+    assert products <= most_products, f"{products} products in {suite}"
+    assert powers <= most_powers, f"{powers} powers in {suite}"
+
+
+@pytest.mark.parametrize("case", sorted(WORK_CASES))
+def test_work_mutant_breaks_its_pin(case, monkeypatch):
+    module, name, fake, suite = WORK_CASES[case]
+    monkeypatch.setattr(module, name, fake)
+    products, powers = _suite_work(monkeypatch, suite)
+    most_products, most_powers = WORK[suite]
+    assert products > most_products and powers > most_powers
 
 
 @pytest.mark.parametrize("suite", ["shapovalov", "lie-hom", "cone-ops",

@@ -6,8 +6,8 @@ from math import comb
 
 import pytest
 
-from oracles import (apply_by_quotient_rule, laplacian_by_columns,
-                     monomials_up_to, shift_by_products)
+from oracles import (apply_by_quotient_rule, kelvin_termwise,
+                     laplacian_by_columns, monomials_up_to, shift_by_products)
 from quadricops import cli, harmonic, suites
 from quadricops.coneops import phi, b_form_poly
 from quadricops.harmonic import (bessel_check, bessel_series,
@@ -51,6 +51,45 @@ def test_kelvin_intertwine_on_samples():
     samples.append(QLaurent.one_over_q(K))
     for f in samples:
         assert kelvin_intertwine_defect(f).is_zero()
+
+
+def assert_kelvin_as_termwise(f):
+    """kelvin(f) equals the termwise oracle as a value and as text, with
+    every coefficient an int or a Fraction."""
+    got, want = kelvin(f), kelvin_termwise(f)
+    assert got == want and got.text() == want.text()
+    assert {type(c) for c in got.num.terms.values()} <= {int, Fraction}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_kelvin_by_parts_matches_the_termwise_oracle(k):
+    rng, n = random.Random(k), 2 * k
+    for _ in range(30):
+        # parts of one to three degrees up to 6, with gaps between them,
+        # int or Fraction coefficients, over Q^qexp for qexp up to 3
+        num = Poly.zero(n)
+        for d in rng.sample(range(7), rng.randint(1, 3)):
+            piece = monomials(n, d)
+            for m in rng.sample(piece, min(len(piece), rng.randint(1, 3))):
+                c = Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3)))
+                num = num + Poly._of(n, {m: c or 1})
+        assert_kelvin_as_termwise(QLaurent(k, num, rng.randint(0, 3)))
+    assert_kelvin_as_termwise(QLaurent(k, Poly.zero(n), 0))
+    assert_kelvin_as_termwise(QLaurent.one_over_q(k, 2))
+    assert_kelvin_as_termwise(QLaurent(k, Poly.const(n, Fraction(-3, 2)), 1))
+
+
+def test_kelvin_by_parts_matches_the_termwise_oracle_on_the_suite_values():
+    # the 63 values of kelvin-involution-intertwine at k=3, their Kelvin
+    # images and the Laplacians that the intertwining defect transforms
+    k = 3
+    tests = [QLaurent(k, Poly.monomial(m), 0)
+             for m in orbit_representatives(k, 6)]
+    tests.append(QLaurent.one_over_q(k))
+    assert len(tests) == 63
+    for f in tests:
+        for g in (f, kelvin(f), laplacian_qlaurent(f)):
+            assert_kelvin_as_termwise(g)
 
 
 def test_laplacian_closed_form_matches_the_generic_action():

@@ -101,7 +101,8 @@ def test_no_suite_changes_a_built_term_map(monkeypatch):
     built = _record_builds(monkeypatch)
     for name in SUITES:
         assert run_suite(name, 2).exit_status == 0, name
-    assert len(built) > 10000
+    # not vacuous: 9,477 term maps at k=2 once kelvin sums by degree part
+    assert len(built) > 9000
     assert _changed(built) == []
     assert _invalid_keys(built) == []
 

@@ -24,7 +24,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from oracles import monomials_up_to
+from oracles import exponent_items, monomials_up_to, weyl_sorted_terms
 from quadricops.harmonic import harmonic_decompose, laplacian_qlaurent
 from quadricops.poly import (Poly, QLaurent, normal_form_mod_single, q_form,
                              rref, support)
@@ -67,7 +67,7 @@ def gens(k):
 
 def to_sympy(p: Poly, k: int) -> sympy.Poly:
     terms = {m: sympy.Rational(c.numerator, c.denominator)
-             for m, c in p.exponent_items()}
+             for m, c in exponent_items(p)}
     return sympy.Poly.from_dict(terms, *gens(k), domain="QQ")
 
 
@@ -138,7 +138,7 @@ def sympy_apply(op: WeylOp, f, k: int):
     """sum c x^alpha d^beta f, with the derivatives taken by sympy.diff."""
     xs = gens(k)
     total = sympy.Integer(0)
-    for (alpha, beta), c in op.sorted_terms():
+    for (alpha, beta), c in weyl_sorted_terms(op):
         term = f
         for x, e in zip(xs, beta):
             if e:

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (apply_by_quotient_rule, apply_termwise,
+from oracles import (apply_by_buckets, apply_by_quotient_rule, apply_termwise,
                      canonical_by_buckets, divide_right_by_constcoef_by_buckets,
                      divide_right_by_mult_by_buckets, dleft_by_buckets,
-                     from_dleft)
+                     exponent_items, from_dleft, weyl_sorted_terms)
 from quadricops.coneops import ConeOp, rho_tilde
 from quadricops.harmonic import laplacian_qlaurent
 from quadricops.lie import basis
@@ -72,7 +72,7 @@ def test_principal_symbol_of_laplacian():
     # symbol variables: base block then fiber block; sigma(Delta) = Q(fiber)
     sym = laplacian_op(K).principal_symbol()
     fiber = Poly.from_exponents(4 * K, {(0,) * N + m: c for m, c
-                                        in q_form(K).exponent_items()})
+                                        in exponent_items(q_form(K))})
     assert sym == fiber
 
 
@@ -168,7 +168,7 @@ def test_apply_matches_termwise_oracle(k):
             random_exponents(rng, n, 5): random_coef(rng)
             for _ in range(rng.randint(1, 8))})
         assert_applies_as_termwise(op, f)
-        m, _ = next(f.exponent_items())
+        m, _ = next(exponent_items(f))
         assert_applies_as_termwise(op, Poly.monomial(m))
 
 
@@ -194,6 +194,63 @@ def test_apply_edge_cases():
                                       x1 * x2).is_zero()
     assert assert_applies_as_termwise(mult(x1 - x2) * d[2],
                                       (x1 + x2) * y1) == x1 ** 2 - x2 ** 2
+
+
+def assert_applies_as_buckets(op, f):
+    """op.apply(f) equals the bucket oracle as a value and as text, with
+    every coefficient an int or a Fraction, or both overflow."""
+    try:
+        want = apply_by_buckets(op, f)
+    except ExponentOverflow:
+        with pytest.raises(ExponentOverflow):
+            op.apply(f)
+        return None
+    got = op.apply(f)
+    assert got == want and got.text() == want.text()
+    assert {type(c) for c in got.terms.values()} <= {int, Fraction}
+    return got
+
+
+@pytest.mark.parametrize("coef", ["int", "fraction"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_sorted_walk_applies_as_the_bucket_oracle(k, coef):
+    rng, n = random.Random(f"{k}-{coef}"), 2 * k
+    draw = (random_coef if coef == "fraction"
+            else lambda rng: rng.randint(-4, 4) or 1)
+    for _ in range(60):
+        betas = [random_exponents(rng, n, 3) for _ in range(rng.randint(1, 5))]
+        op = WeylOp.from_exponents(n, {
+            (random_exponents(rng, n, 2), rng.choice(betas)): draw(rng)
+            for _ in range(rng.randint(1, 10))})
+        f = Poly.from_exponents(n, {
+            random_exponents(rng, n, 4): draw(rng)
+            for _ in range(rng.randint(0, 6))})
+        assert_applies_as_buckets(op, f)
+        # f raised near the exponent bound in one variable: some parts fit,
+        # some overflow, and both kernels must agree on which
+        i, r = rng.randrange(n), rng.randint(0, 2)
+        top = Poly.monomial(tuple(EMAX - 6 + r if j == i else 0
+                                  for j in range(n)))
+        assert_applies_as_buckets(op, f * top)
+
+
+def test_sorted_walk_stops_above_the_top_key():
+    x1, x2, y1, y2 = (Poly.var(N, i) for i in range(N))
+    d = [WeylOp.partial(N, i) for i in range(N)]
+    mult = WeylOp.mult
+    f = x1 * y1 + x2.scale(3)
+    # parts above the top key x1*y1 of f: d_x1^2 has its degree and a larger
+    # key, d_x1^3 a larger degree; d_x1 d_y1 and d_x2 divide a monomial
+    op = (mult(x2) * d[0] * d[0] + d[0] * d[0] * d[0]
+          + mult(y2) * d[0] * d[2] + mult(x1) * d[1])
+    assert assert_applies_as_buckets(op, f) == y2 + x1.scale(3)
+    # the part of the top key itself, alone
+    assert assert_applies_as_buckets(d[0] * d[2], f) == Poly.const(N, 1)
+    # the zero f and a constant f: only the part of beta = 0 acts on 1
+    assert assert_applies_as_buckets(op + mult(y1), Poly.zero(N)).is_zero()
+    got = assert_applies_as_buckets(op + mult(y1 - 2),
+                                    Poly.const(N, Fraction(1, 2)))
+    assert got == y1.scale(Fraction(1, 2)) - 1
 
 
 def test_apply_bounds_degrees_by_the_kept_terms_only():
@@ -306,7 +363,7 @@ def test_key_order_is_the_printed_order():
         op = WeylOp.from_exponents(N, terms)
         # by beta, then alpha, each in graded lex order
         want = sorted(terms, key=lambda ab: (pack(ab[1]), pack(ab[0])))
-        assert [ab for ab, _ in op.sorted_terms()] == want
+        assert [ab for ab, _ in weyl_sorted_terms(op)] == want
         s, mask = halves(N)
         assert [(unpack(key & mask, N), unpack(key >> s, N))
                 for key in sorted(op.terms)] == want
@@ -318,7 +375,8 @@ def test_products_overflow_at_the_exponent_bound():
     top = WeylOp.from_exponents(N, {((EMAX - 1, 0, 0, 0), (EMAX - 1, 0, 0, 0)): 1})
     # degree EMAX in either half is stored, one more is refused
     fits = top * x[1] * d[2]
-    assert fits.sorted_terms() == [(((EMAX - 1, 1, 0, 0), (EMAX - 1, 0, 1, 0)), 1)]
+    assert weyl_sorted_terms(fits) == [
+        (((EMAX - 1, 1, 0, 0), (EMAX - 1, 0, 1, 0)), 1)]
     assert (x[0] * top).order() == EMAX - 1
     for over in (x[0], x[3], d[0], d[1]):
         with pytest.raises(ExponentOverflow):
