@@ -68,8 +68,10 @@ bound of the product, then ``numerators`` writes the coefficients of a
 factor as integer numerators over their least common denominator (as
 FLINT's ``fmpq_poly`` does), the kernel sums integer products per term
 pair, and each output coefficient is divided once by the product of the
-two denominators when that is not 1.  Factors whose coefficients are all
-``int`` are used as they are.  ``numerators`` tells the two cases apart by
+two denominators when that is not 1.  A ``WeylOp`` key adds as a monomial
+does, so the ``WeylOp`` product is the ``Poly`` kernel on its keys plus the
+exchange terms of ``weyl``.  Factors whose coefficients are all ``int`` are
+used as they are.  ``numerators`` tells the two cases apart by
 the type of each coefficient, never by summing them, which would cost a
 ``Fraction`` addition per coefficient.
 
@@ -277,11 +279,11 @@ def add_terms(terms: dict, items) -> dict:
     place, dropping each key whose coefficient cancels; returns terms.
 
     The product, division and elimination kernels (``Poly._product``,
-    ``normal_form_mod_single``, ``subtract_row``, ``WeylOp._apply_poly``,
-    ``weyl._product_terms`` and ``weyl._commutator_terms``) keep this loop
-    inline: they run it once per term pair, where a generator of pairs and a
-    call would cost more than the addition itself.  The word product,
-    ``GenWord._product``, calls it.
+    ``normal_form_mod_single``, ``subtract_row``, ``WeylOp._apply_poly``
+    and ``weyl._exchange_sum``, the exchange terms of the ``WeylOp``
+    product and commutator) keep this loop inline: they run it once per
+    term pair, where a generator of pairs and a call would cost more than
+    the addition itself.  The word product, ``GenWord._product``, calls it.
     """
     get = terms.get
     for key, c in items:
@@ -571,7 +573,8 @@ class Poly(TermMap):
     def _product(t1: dict, t2: dict, n: int) -> dict:
         """The term map of the product of two term maps: a sum of products
         per pair of terms, or, for a monomial factor, one product per term
-        of the other factor."""
+        of the other factor.  On ``WeylOp`` keys it is the product of the
+        keys, to which ``weyl`` adds the exchange terms."""
         if len(t1) > len(t2):
             t1, t2 = t2, t1
         if len(t1) == 1:

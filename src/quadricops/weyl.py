@@ -20,15 +20,18 @@ x-left form.
 
 For terms u = x^a1 d^b1 and v = x^a2 d^b2 the first identity gives
 
-    [u, v] = sum_(t != 0)  C(b1,t) C(a2,t) t!  x^(a1+a2-t) d^(b1+b2-t)
-           - sum_(t != 0)  C(b2,t) C(a1,t) t!  x^(a1+a2-t) d^(b1+b2-t):
+    u v = x^(a1+a2) d^(b1+b2)
+        + sum_(t != 0)  C(b1,t) C(a2,t) t!  x^(a1+a2-t) d^(b1+b2-t):
 
-the t = 0 term of u v and that of v u are both x^(a1+a2) d^(b1+b2) with
-weight 1, so they cancel, and a pair with d^b1 prime to x^a2 and d^b2 prime
-to x^a1 commutes.  ``WeylOp.commutator`` sums the identity over pairs of
-terms and never forms the two products.  The product kernel
-``_product_terms`` and the commutator kernel ``_commutator_terms`` both run
-in the product frame of ``poly.TermMap``, on integer numerators.
+the t = 0 term is the product of the keys, which add as monomials do, and
+the rest are the exchange terms of d^b1 x^a2, none unless d^b1 and x^a2
+share a variable.  The key products of u v and v u are equal, so [u, v] is
+the exchange terms of u v less those of v u.  ``_exchange_sum`` is the one
+kernel of exchange terms: the product kernel ``_product_terms`` adds them
+to the key product ``Poly._product``, and the commutator kernel
+``_commutator_terms`` sums those of both orders and never forms the two
+products.  Both run in the product frame of ``poly.TermMap``, on integer
+numerators.
 """
 
 from __future__ import annotations
@@ -55,9 +58,10 @@ def halves(n: int) -> tuple:
 
 @lru_cache(maxsize=1 << 12)
 def _exchange_terms(b: int, a: int, n: int) -> tuple:
-    """Terms of d^b x^a in x-left order: (t, weight) over 0 <= t <= min(b, a)
-    with weight = prod C(b_i,t_i) C(a_i,t_i) t_i!, t keyed in both halves, to
-    subtract from the key of x^a d^b.  The first term is t = 0, of weight 1.
+    """The exchange terms of d^b x^a in x-left order: (t, weight) over
+    0 < t <= min(b, a) with weight = prod C(b_i,t_i) C(a_i,t_i) t_i!, t
+    keyed in both halves, to subtract from the key of x^a d^b.  The t = 0
+    term, x^a d^b of weight 1, is left out: it is the product of the keys.
 
     Only the variables that b and a share matter, so callers pass both
     restricted to them, which keeps the memo small.
@@ -65,7 +69,9 @@ def _exchange_terms(b: int, a: int, n: int) -> tuple:
     b, a = unpack(b, n), unpack(a, n)
     hot = [i for i in range(n) if b[i] and a[i]]
     out = []
-    for combo in itertools.product(*(range(min(b[i], a[i]) + 1) for i in hot)):
+    combos = itertools.product(*(range(min(b[i], a[i]) + 1) for i in hot))
+    next(combos)  # t = 0
+    for combo in combos:
         t = [0] * n
         w = 1
         for i, ti in zip(hot, combo):
@@ -78,29 +84,35 @@ def _exchange_terms(b: int, a: int, n: int) -> tuple:
 def reorder(terms: dict, n: int, sign: int) -> dict:
     """The other normal order of a term map: with sign = 1 the key of a and
     b stands for d^b x^a and the result is x-left, with sign = -1 for x^a d^b
-    and the result is d-left.  By the identities of the module docstring the
-    term of t has the key less t and weight sign^|t| C(b,t) C(a,t) t! in
-    either direction; ``support`` and ``restrict`` read a key's a half."""
+    and the result is d-left.  By the identities of the module docstring
+    each term keeps its key and coefficient (t = 0), and its exchange term
+    of t has the key less t and weight sign^|t| C(b,t) C(a,t) t! in either
+    direction; ``support`` and ``restrict`` read a key's a half."""
     s = halves(n)[0]
     out: dict = {}
     for key, c in terms.items():
         b = key >> s
         shared = support(b, n) & support(key, n)
-        add_terms(out, ((key - t, sign ** mdegree(t >> s, n) * w * c)
-                        for t, w in _exchange_terms(restrict(b, shared),
-                                                    restrict(key, shared), n)))
+        add_terms(out, itertools.chain(
+            ((key, c),),
+            ((key - t, sign ** mdegree(t >> s, n) * w * c)
+             for t, w in _exchange_terms(restrict(b, shared),
+                                         restrict(key, shared), n))))
     return out
 
 
-def _product_terms(t1: dict, t2: dict, n: int) -> dict:
-    """The term map of the product of two term maps: for each pair of
-    terms, d^b1 x^a2 reordered into x-left form."""
+def _exchange_sum(t1: dict, t2: dict, n: int, sign: int, terms: dict) -> dict:
+    """Add sign times the exchange terms of d^b1 x^a2, for each pair of
+    terms x^a1 d^b1 of t1 and x^a2 d^b2 of t2, into terms; returns terms.
+    A row of t1 with no derivative part, or a pair whose d^b1 and x^a2
+    share no variable, has none."""
     sh = halves(n)[0]
-    terms: dict = {}
     get = terms.get
-    items = [(k2, c2, support(k2, n)) for k2, c2 in t2.items()]
+    items = [(k2, sign * c2, support(k2, n)) for k2, c2 in t2.items()]
     for k1, c1 in t1.items():
         b1 = k1 >> sh
+        if not b1:
+            continue
         s1 = support(b1, n)
         for k2, c2, s2 in items:
             shared = s1 & s2
@@ -114,54 +126,19 @@ def _product_terms(t1: dict, t2: dict, n: int) -> dict:
                         terms[key] = s
                     else:
                         del terms[key]
-            else:
-                # d^b1 and x^a2 share no variable: they commute
-                key = k1 + k2
-                s = get(key, 0) + c1 * c2
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
     return terms
+
+
+def _product_terms(t1: dict, t2: dict, n: int) -> dict:
+    """The term map of the product of two term maps: the product of the
+    keys, which add as monomials do, plus the exchange terms."""
+    return _exchange_sum(t1, t2, n, 1, Poly._product(t1, t2, n))
 
 
 def _commutator_terms(t1: dict, t2: dict, n: int) -> dict:
-    """The term map of the commutator of two term maps: for each pair of
-    terms, the t != 0 exchange terms of d^b1 x^a2 minus those of d^b2 x^a1.
-    A pair whose derivative parts share no variable with the other's
-    multiplication part commutes and is skipped."""
-    sh = halves(n)[0]
-    terms: dict = {}
-    get = terms.get
-    items = [(k2, c2, k2 >> sh, support(k2, n), support(k2 >> sh, n))
-             for k2, c2 in t2.items()]
-    for k1, c1 in t1.items():
-        b1 = k1 >> sh
-        sa1, sb1 = support(k1, n), support(b1, n)
-        for k2, c2, b2, sa2, sb2 in items:
-            fwd, bwd = sb1 & sa2, sb2 & sa1
-            if not (fwd or bwd):
-                continue
-            k12, c12 = k1 + k2, c1 * c2
-            if fwd:
-                for t, w in _exchange_terms(restrict(b1, fwd),
-                                            restrict(k2, fwd), n)[1:]:
-                    key = k12 - t
-                    s = get(key, 0) + c12 * w
-                    if s:
-                        terms[key] = s
-                    else:
-                        del terms[key]
-            if bwd:
-                for t, w in _exchange_terms(restrict(b2, bwd),
-                                            restrict(k1, bwd), n)[1:]:
-                    key = k12 - t
-                    s = get(key, 0) - c12 * w
-                    if s:
-                        terms[key] = s
-                    else:
-                        del terms[key]
-    return terms
+    """The term map of the commutator of two term maps: the exchange terms
+    of t1 t2 less those of t2 t1, whose key products cancel."""
+    return _exchange_sum(t2, t1, n, -1, _exchange_sum(t1, t2, n, 1, {}))
 
 
 class WeylOp(TermMap):

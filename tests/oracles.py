@@ -94,8 +94,8 @@ print a class one ``Poly`` per derivative part, grouped by ``xleft``.
 """
 
 import json
-from itertools import combinations
-from math import factorial, perm
+from itertools import combinations, product
+from math import comb, factorial, perm
 
 import sympy
 
@@ -111,13 +111,13 @@ from quadricops.poly import (Poly, QLaurent, add_terms, b_pair,
                              check_degrees, divides_exactly, dual, falling,
                              falling_spec, guard, mdegree, monomials,
                              normal_form_mod_single, q_form, pack, q_of,
-                             qcoef, qdiv, reduce_mod, restrict, signed_text,
-                             support, unit, unpack)
+                             qcoef, qdiv, reduce_mod, signed_text, unit,
+                             unpack)
 from quadricops.shapovalov import (FactorsDoNotCommute, euler_to_weyl,
                                    fourier_roots_bezout, shapovalov_closed,
                                    shapovalov_expand, shapovalov_factors)
-from quadricops.weyl import (NotDivisible, WeylOp, _exchange_terms, euler_op,
-                             halves, laplacian_op, reorder)
+from quadricops.weyl import (NotDivisible, WeylOp, euler_op, halves,
+                             laplacian_op, reorder)
 
 
 def det3(M, rows, cols) -> Poly:
@@ -690,23 +690,20 @@ def genword_eval_by_words(w: GenWord) -> WeylOp:
 
 def weyl_mul_pairwise(a: WeylOp, b: WeylOp) -> WeylOp:
     """a * b with one rational product per pair of terms and per term of the
-    exchange d^b1 x^a2 = sum_t w_t x^(a2-t) d^(b1-t)."""
-    n = a.nvars
-    sh, mask = halves(n)
+    exchange d^b1 x^a2 = sum_t w_t x^(a2-t) d^(b1-t), on exponent tuples:
+    w_t = prod C(b1_i,t_i) C(a2_i,t_i) t_i! over every t <= min(b1, a2),
+    t = 0 included."""
     terms: dict = {}
-    for k1, c1 in a.terms.items():
-        for k2, c2 in b.terms.items():
-            b1, a2 = k1 >> sh, k2 & mask
-            shared = support(b1, n) & support(a2, n)
-            for t, w in _exchange_terms(restrict(b1, shared),
-                                        restrict(a2, shared), n):
-                key = k1 + k2 - t
-                s = terms.get(key, 0) + c1 * c2 * w
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
-    return WeylOp(n, terms)
+    for (a1, b1), c1 in weyl_sorted_terms(a):
+        for (a2, b2), c2 in weyl_sorted_terms(b):
+            for t in product(*(range(min(p, q) + 1) for p, q in zip(b1, a2))):
+                w = 1
+                for p, q, ti in zip(b1, a2, t):
+                    w *= comb(p, ti) * comb(q, ti) * factorial(ti)
+                key = (tuple(p + q - ti for p, q, ti in zip(a1, a2, t)),
+                       tuple(p + q - ti for p, q, ti in zip(b1, b2, t)))
+                terms[key] = terms.get(key, 0) + c1 * c2 * w
+    return WeylOp.from_exponents(a.nvars, terms)
 
 
 def commutator_by_products(a: WeylOp, b: WeylOp) -> WeylOp:

@@ -18,8 +18,8 @@ from oracles import (blocks_are_canonical, commutator_by_products,
                      poly_mul_pairwise, weyl_mul_pairwise)
 from quadricops.coneops import GenWord, alphabet
 from quadricops.lie import GroupElt, LieElt
-from quadricops.poly import (Poly, QLaurent, normal_form_mod_single, pack,
-                             q_form, qcoef, qdiv)
+from quadricops.poly import (EMAX, ExponentOverflow, Poly, QLaurent,
+                             normal_form_mod_single, pack, q_form, qcoef, qdiv)
 from quadricops.suites import run_suite
 from quadricops.weyl import WeylOp, halves
 
@@ -203,6 +203,37 @@ def cancelling_products(cls):
             (cls.zero(n), cls.zero(n))]
 
 
+def exchange_boundaries():
+    """WeylOp pairs at the boundaries of the exchange kernel, and pairs at
+    the exponent bound whose product and commutator overflow.
+
+    The pairs that multiply: a left factor whose rows are all
+    derivative-free and one where only some are; a one-term factor on
+    either side; exchange terms that cancel a t = 0 term, the 1 of
+    dx1 x1 against that of 1 * -1 in (dx1 + 1)(x1 - 1), and the dx1 of
+    dx1 x1 dx1 against -dx1 in dx1 (x1 dx1 - 1); and the right factor
+    x1^EMAX, whose products with dx1 and dx2 stay at the bound (a left
+    factor at the bound would overflow its own commutator).  The kernels
+    do not check degrees, so only the bound that ``_bilinear`` checks
+    first can raise."""
+    n = 4
+    x = [WeylOp.mult(Poly.var(n, i)) for i in range(n)]
+    d = [WeylOp.partial(n, i) for i in range(n)]
+    third = Fraction(1, 3)
+    mixed = x[0] * d[0] + x[1] * d[0] * d[2] - d[1] * d[3].scale(third)
+    free = x[0] * x[0].scale(third) + x[1] * x[2] + 1
+    partly = free + x[0] * d[0] * d[1] + d[2].scale(third)
+    one = (x[1] * d[0] * d[0]).scale(Fraction(-2, 5))
+    top = WeylOp.mult(Poly.monomial((EMAX, 0, 0, 0)))
+    dtop = WeylOp.from_exponents(n, {((0,) * n, (0, 0, EMAX, 0)): 1})
+    exact = [(free, mixed), (partly, mixed), (mixed, partly), (one, mixed),
+             (mixed, one), (one, free), (free, one), (d[0] + 1, x[0] - 1),
+             (d[0], x[0] * d[0] - 1), (d[0], top), (d[1], top)]
+    overflowing = [(top, x[1]), (x[1], top), (top, free), (dtop, d[2]),
+                   (d[0], dtop), (dtop, mixed)]
+    return exact, overflowing
+
+
 @pytest.mark.parametrize("cls,oracle", [(Poly, poly_mul_pairwise),
                                         (WeylOp, weyl_mul_pairwise),
                                         (GenWord, genword_mul_pairwise)],
@@ -210,6 +241,12 @@ def cancelling_products(cls):
 def test_product_matches_pairwise_oracle(cls, oracle):
     rng = random.Random(1901)
     pairs = cancelling_products(cls)
+    if cls is WeylOp:
+        exact, overflowing = exchange_boundaries()
+        pairs += exact
+        for a, b in overflowing:
+            with pytest.raises(ExponentOverflow):
+                a * b
     for i in range(320):
         # every pair of denominator sets, int x Fraction among them
         da, db = DENOMINATORS[i % 4], DENOMINATORS[i // 4 % 4]
@@ -271,6 +308,11 @@ def test_commutator_matches_product_oracle():
         apart, (x[0], d[0]), (d[0], x[0]), (x[0], WeylOp.zero(4)),
         (WeylOp.zero(4), d[0]),
         (WeylOp.const(4, Fraction(1, 3)), x[0] * d[0] + d[3])]
+    exact, overflowing = exchange_boundaries()
+    pairs += exact
+    for a, b in overflowing:
+        with pytest.raises(ExponentOverflow):
+            a.commutator(b)
     for i in range(320):
         # every pair of denominator sets, int x Fraction among them
         da, db = DENOMINATORS[i % 4], DENOMINATORS[i // 4 % 4]
