@@ -136,7 +136,8 @@ class CertificateError(ArithmeticError):
 
 @lru_cache(maxsize=16)
 def _shift_generators(q: Poly) -> tuple:
-    """(Q Delta, E), returned once [Delta, Q] = E + k and [E, Q] = 2Q hold.
+    """(Delta, E, Q) as operators, returned once [Delta, Q] = E + k and
+    [E, Q] = 2Q hold.
 
     Both are checked as exact Weyl identities, once per Q; CertificateError
     when either fails.  With c_m = m(m+1-k) and R_m = Q Delta - m E + c_m
@@ -153,27 +154,23 @@ def _shift_generators(q: Poly) -> tuple:
         raise CertificateError(f"[Delta, Q] != E + {k} for k={k}")
     if e.commutator(mq) != mq.scale(2):
         raise CertificateError(f"[E, Q] != 2Q for k={k}")
-    return mq * lap, e
-
-
-def _laplacian_shift(q: Poly, m: int) -> WeylOp:
-    """R_m = Q Delta - m E + m(m+1-k), with Q^(m+1) Delta = R_m Q^m proven
-    for all m by ``_shift_generators``."""
-    qlap, e = _shift_generators(q)
-    return qlap - e.scale(m) + m * (m + 1 - q.nvars // 2)
+    return lap, e, mq
 
 
 def laplacian_qlaurent(f: QLaurent) -> QLaurent:
     """Delta(n/Q^m) = (Q Delta n - m E n + m(m+1-k) n) / Q^(m+1), exactly.
 
     Applying the Weyl identity Q^(m+1) Delta = R_m Q^m to n/Q^m gives
-    Delta(n/Q^m) = R_m(n) / Q^(m+1).  R_m is applied only after the two
-    commutators it rests on are proven; m = 0 is the polynomial Laplacian.
+    Delta(n/Q^m) = R_m(n) / Q^(m+1).  R_m is applied factor by factor, and
+    only after the two commutators it rests on are proven; m = 0 is the
+    polynomial Laplacian.
     """
-    k, m = f.k, f.qexp
+    k, m, n = f.k, f.qexp, f.num
     if m == 0:
-        return QLaurent(k, laplacian_op(k).apply(f.num), 0)
-    return QLaurent(k, _laplacian_shift(q_form(k), m).apply(f.num), m + 1)
+        return QLaurent(k, laplacian_op(k).apply(n), 0)
+    lap, e, mq = _shift_generators(q_form(k))
+    return QLaurent(k, mq.apply(lap.apply(n)) - e.apply(n).scale(m)
+                    + n.scale(m * (m + 1 - k)), m + 1)
 
 
 def kelvin_intertwine_defect(f: QLaurent) -> QLaurent:

@@ -279,7 +279,7 @@ def add_terms(terms: dict, items) -> dict:
     place, dropping each key whose coefficient cancels; returns terms.
 
     The product, division and elimination kernels (``Poly._product``,
-    ``normal_form_mod_single``, ``subtract_row``, ``WeylOp._apply_poly``
+    ``normal_form_mod_single``, ``subtract_row``, ``WeylOp.apply``
     and ``weyl._exchange_sum``, the exchange terms of the ``WeylOp``
     product and commutator) keep this loop inline: they run it once per
     term pair, where a generator of pairs and a call would cost more than

@@ -105,8 +105,11 @@ def _exchange_sum(t1: dict, t2: dict, n: int, sign: int, terms: dict) -> dict:
     """Add sign times the exchange terms of d^b1 x^a2, for each pair of
     terms x^a1 d^b1 of t1 and x^a2 d^b2 of t2, into terms; returns terms.
     A row of t1 with no derivative part, or a pair whose d^b1 and x^a2
-    share no variable, has none."""
+    share no variable, has none; the largest key has the largest b1, so
+    when it has none, no row has any."""
     sh = halves(n)[0]
+    if not max(t1, default=0) >> sh:
+        return terms
     get = terms.get
     items = [(k2, sign * c2, support(k2, n)) for k2, c2 in t2.items()]
     for k1, c1 in t1.items():
@@ -226,47 +229,39 @@ class WeylOp(TermMap):
         """Apply to a Poly in the same variables, exactly; raises ValueError
         for a Poly in another number of variables.
 
-        On the Q-Laurent class the Laplacian acts by
+        One pass per term x^a d^b: each monomial x^m of f that b divides
+        goes to x^(m + a - b) with weight falling(m, b).  A b above max(f)
+        divides no monomial of f, by degree or by key, so its term is
+        skipped, and a term that kills f is never bounded, so it cannot
+        overflow.  On the Q-Laurent class the Laplacian acts by
         ``harmonic.laplacian_qlaurent``.
         """
-        if isinstance(f, Poly):
-            self._check(f)
-            return self._apply_poly(f)
-        raise TypeError(f"cannot apply operator to {type(f).__name__}")
-
-    def _apply_poly(self, f: Poly) -> Poly:
-        """One derivative part b at a time, in one walk of the sorted keys
-        grouped by b: x^a d^b sends each monomial x^m that b divides to
-        x^(m + (a - b)), times a weight.  A b above max(f) divides no
-        monomial of f, by degree or by key, and the parts ascend, so the
-        walk stops at the first.  Each part is bounded by its largest a and
-        the largest x^m it divides before any of its terms is stored, so a
-        part that kills f cannot overflow."""
+        if not isinstance(f, Poly):
+            raise TypeError(f"cannot apply operator to {type(f).__name__}")
+        self._check(f)
         n, g = self.nvars, guard(self.nvars)
         sh, mask = halves(n)
         top = max(f.terms, default=-1)
         terms: dict = {}
         get = terms.get
-        for b, part in itertools.groupby(sorted(self.terms),
-                                         lambda key: key >> sh):
+        for key, c in self.terms.items():
+            b = key >> sh
             if b > top:
-                break  # b and every later part divide no monomial of f
+                continue  # d^b divides no monomial of f
             kept = [(m, cm) for m, cm in f.terms.items() if not (m - b) & g]
             if not kept:
                 continue  # d^b kills f
-            offsets = [((key & mask) - b, self.terms[key]) for key in part]
-            # keys are unique, so max compares the monomials alone
-            check_degrees(max(offsets)[0] + b, max(kept)[0] - b, n)
-            spec = falling_spec(b, n)
+            a = key & mask
+            check_degrees(a, max(kept)[0] - b, n)
+            spec, off = falling_spec(b, n), a - b
             for m, cm in kept:
-                w = cm * falling(m, spec) if spec else cm
-                for off, c in offsets:
-                    mono = m + off
-                    s = get(mono, 0) + c * w
-                    if s:
-                        terms[mono] = s
-                    else:
-                        del terms[mono]
+                mono = m + off
+                s = get(mono, 0) + (c * cm * falling(m, spec) if spec
+                                    else c * cm)
+                if s:
+                    terms[mono] = s
+                else:
+                    del terms[mono]
         return Poly._of(n, terms)
 
     # -- normal forms and division --------------------------------------------

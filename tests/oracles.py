@@ -28,9 +28,9 @@ and ``shift_by_products`` checks each step of the induction by full
 operator products.  The linear Fourier transform ``tau`` reads each x-left
 term as a d-left one and normal-orders it once; ``tau_letterwise``
 multiplies the images of the letters one by one.  ``WeylOp.apply`` works
-one derivative part at a time and skips the parts that divide no monomial
-of its argument; ``apply_termwise`` applies every term to every monomial on
-exponent tuples.
+one term at a time and skips the terms whose derivative part lies above
+every monomial of its argument; ``apply_termwise`` applies every term to
+every monomial on exponent tuples.
 ``exprparse.tokenize`` reads a token's kind and index fields straight from
 the group that matched; ``tokenize_groupwise`` filters the tuple of all
 groups of the match for every token.  ``coneops.is_ideal_preserving``
@@ -56,10 +56,10 @@ whole term map in one pass, on one half of its keys; ``canonical_by_buckets``,
 derivative part (``dleft_by_buckets`` for the d-left form) or per
 multiplication part (``xleft_coeffs``), divide each alone and reassemble
 the result, ``from_dleft`` reordering a d-left form back.
-``WeylOp.apply`` walks the sorted keys of the operator grouped by
-derivative part and stops at the first part above every monomial of its
-argument; ``apply_by_buckets`` groups the parts in a dict and tests every
-one.  ``harmonic.kelvin`` takes the homogeneous parts of the numerator from
+``WeylOp.apply`` makes one pass per term of the operator and skips the
+terms above every monomial of its argument; ``apply_by_buckets`` groups the
+terms by derivative part in a dict and tests every part.
+``harmonic.kelvin`` takes the homogeneous parts of the numerator from
 one walk of its sorted keys and sums them by Horner's rule in Q;
 ``kelvin_termwise`` raises Q to a fresh power for every term.  The engine
 reads exponents in place; ``exponent_items``, ``poly_sorted_terms`` and
@@ -103,7 +103,6 @@ from quadricops import momentorbit
 from quadricops.coneops import ConeOp, GenWord, letter_op
 from quadricops.exprparse import (MAX_TOKENS, _TOKEN_RE, IndexOutOfRange,
                                   ParseError)
-from quadricops.harmonic import _laplacian_shift
 from quadricops.lie import GroupElt, LieElt, mat_mul
 from quadricops.momentorbit import (block_var, orbit_matrix, v_vector,
                                     x_vector)
@@ -403,12 +402,13 @@ def apply_by_quotient_rule(op: WeylOp, f: QLaurent) -> QLaurent:
 
 
 def shift_by_products(k: int, m: int):
-    """(Q^(m+1) Delta, R_m Q^m) by full Weyl products, with R_m the engine's
-    ``harmonic._laplacian_shift``; the two are equal when the shift holds."""
+    """(Q^(m+1) Delta, R_m Q^m) by full Weyl products, with R_m = Q Delta
+    - m E + m(m+1-k), the operator that ``harmonic.laplacian_qlaurent``
+    applies factor by factor; the two are equal when the shift holds."""
     q, lap = q_form(k), laplacian_op(k)
     qm = q ** m
-    return (WeylOp.mult(q * qm) * lap,
-            _laplacian_shift(q, m) * WeylOp.mult(qm))
+    rm = WeylOp.mult(q) * lap - euler_op(k).scale(m) + m * (m + 1 - k)
+    return WeylOp.mult(q * qm) * lap, rm * WeylOp.mult(qm)
 
 
 def laplacian_by_columns(d: int, k: int) -> list:

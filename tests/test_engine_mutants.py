@@ -17,7 +17,9 @@ their check only through a cached caller, so they prove that too.
 
 A fast path that only saves work has a work case instead: its fake keeps
 every value and redoes the saved work, and the pin on the products and
-powers of the suite at k=3 is what fails.
+powers of the suite at k=3 is what fails.  ``GUARDS`` lists the fast paths
+of the engine, ``FAST_PATHS`` names the row that forces the guard of each
+one wrong, and ``UNGUARDED`` the paths that have no row yet.
 """
 
 import pytest
@@ -106,6 +108,16 @@ def _least_term_dropped(t1, t2, n):
     if len(t1) >= 2 and len(t2) >= 2 and out:
         del out[min(out)]
     return out
+
+
+def _monomial_path_for_two_terms(t1, t2, n):
+    # the monomial path of the product taken for a factor of two terms too:
+    # products that meet at one key overwrite each other instead of adding,
+    # so Q p, Q of two terms at k=2, leaves a remainder modulo Q
+    if min(len(t1), len(t2)) == 2:
+        return {m1 + m2: c1 * c2 for m1, c1 in t1.items()
+                for m2, c2 in t2.items()}
+    return ORIGINAL["Poly._product"](t1, t2, n)
 
 
 def _product_swapped(t1, t2, n):
@@ -299,11 +311,12 @@ def _least_monomial_dropped(n, d):
     return poly.monomials(n, d)[1:]
 
 
-def _laplacian_shift_plus_m(q, m):
-    # R_m + m: Delta(n/Q^m) gains m n/Q^(m+1), so the Kelvin image 1/Q^(k-1)
-    # of 1 is no longer harmonic; laplacian_qlaurent looks the name up in
-    # harmonic
-    return ORIGINAL["_laplacian_shift"](q, m) + m
+def _euler_minus_one(q):
+    # E - 1 for E: Delta(n/Q^m) gains m n/Q^(m+1), as R_m + m would give, so
+    # the Kelvin image 1/Q^(k-1) of 1 is no longer harmonic;
+    # laplacian_qlaurent looks the name up in harmonic
+    lap, e, mq = ORIGINAL["_shift_generators"](q)
+    return lap, e - 1, mq
 
 
 def _leading_term_lost(heap):
@@ -325,14 +338,44 @@ def _one_term_quotient_unchecked(self, d):
     return ORIGINAL["divide_right_by_constcoef"](self, d)
 
 
-def _walk_stopped_one_part_soon(self, f):
-    # the walk of WeylOp.apply stops at the first part b >= max(f), not
-    # b > max(f), so the part of the top key of f, which divides only the top
-    # monomial, is lost
+def _top_key_terms_skipped(self, f):
+    # WeylOp.apply skips each term whose derivative part b >= max(f), not
+    # b > max(f), so the terms whose b is the top key of f, which divides
+    # the top monomial of f, are lost
     s = weyl.halves(self.nvars)[0]
     top = max(f.terms, default=-1)
     kept = {key: c for key, c in self.terms.items() if key >> s != top}
-    return ORIGINAL["_apply_poly"](weyl.WeylOp._of(self.nvars, kept), f)
+    return ORIGINAL["apply"](weyl.WeylOp._of(self.nvars, kept), f)
+
+
+def _canonical_shortcut_on_the_top_key(self):
+    # the own-representative shortcut of ConeOp.canonical tested on the
+    # largest key alone: when x1*yk does not divide its x-part, the operator
+    # passes for its own representative, whatever its other terms, so the
+    # class of B_1 no longer equals that of p_1(E)
+    lm, g = max(q_form(self.k).terms), poly.guard(2 * self.k)
+    if self._canonical is None and (max(self.op.terms, default=0) - lm) & g:
+        self._canonical = self.op
+    return ORIGINAL["canonical"](self)
+
+
+def _exchange_return_on_least_row(t1, t2, n, sign, terms):
+    # the early return of the exchange kernel tested on the least row of t1,
+    # not the greatest: an operator with one derivative-free term loses the
+    # exchange terms of all its rows
+    if t1 and not min(t1) >> weyl.halves(n)[0]:
+        return terms
+    return ORIGINAL["_exchange_sum"](t1, t2, n, sign, terms)
+
+
+def _last_pass_always_skipped(p, d, scale=1):
+    # the division leaves out its last pass whatever the denominator: the
+    # quotient and remainder come back times the common denominator of the
+    # dividend; the QLaurent constructor reaches it through divides_exactly,
+    # which looks the name up in poly
+    e = poly.numerators(p.terms)[0]
+    quo, rem = ORIGINAL["normal_form_mod_single"](p, d, scale)
+    return quo.scale(e), rem.scale(e)
 
 
 def _horner_from_q_power(f):
@@ -368,7 +411,8 @@ ORIGINAL = {name: getattr(module, name) for module, name in [
     (shapovalov, "shapovalov_factors"), (shapovalov, "shapovalov_closed"),
     (shapovalov, "euler_shift"), (shapovalov, "xgcd"), (coneops, "rho_amb"),
     (lie, "generators"),
-    (coneops, "dual_field"), (lie.LieElt, "bracket"), (poly, "numerators"),
+    (coneops, "dual_field"), (coneops.ConeOp, "canonical"),
+    (lie.LieElt, "bracket"), (poly, "numerators"),
     (lie, "_point_column"), (weyl.WeylOp, "_product"), (weyl, "reorder"),
     (weyl.WeylOp, "commutator"), (weyl, "_exchange_sum"), (weyl, "falling"),
     (coneops, "fourier_letter"), (coneops, "letter_preimage"),
@@ -376,10 +420,10 @@ ORIGINAL = {name: getattr(module, name) for module, name in [
     (momentorbit, "orbit_matrix"),
     (lie, "_q_power_inverse"), (exprparse, "_fold"),
     (harmonic, "comb"), (harmonic, "kelvin"), (harmonic, "letter_op"),
-    (harmonic, "_laplacian_shift"), (harmonic, "b_pair"),
+    (harmonic, "_shift_generators"), (harmonic, "b_pair"),
     (poly, "divides_exactly"), (poly.Poly, "deriv"),
-    (weyl.WeylOp, "principal_symbol"), (weyl.WeylOp, "_apply_poly"),
-    (poly, "heapify"),
+    (weyl.WeylOp, "principal_symbol"), (weyl.WeylOp, "apply"),
+    (poly, "heapify"), (poly, "normal_form_mod_single"),
     (weyl.WeylOp, "divide_right_by_constcoef"),
     (suites.SuiteReport, "from_json_obj")]}
 # the polynomial kernel shares its name with the operator kernel
@@ -424,6 +468,10 @@ CASES = {
     "poly-product-least-term-dropped": (
         poly.Poly, "_product", staticmethod(_least_term_dropped),
         "algebra-core", "exact-divisibility", "p="),
+    "poly-product-monomial-path-for-two-terms": (
+        poly.Poly, "_product", staticmethod(_monomial_path_for_two_terms),
+        "algebra-core", "exact-divisibility",
+        "p=-1/2*x1^2*x2*y1*y2^2 + 3/4*x1*x2^2*y1^2*y2"),
     "point-scale": (
         lie, "_point_column", _point_scale_doubled, "lie-orthogonal",
         "lie-cocycle", "g1,g2 sample with v="),
@@ -438,6 +486,9 @@ CASES = {
         "weyl-associativity", "associativity failed on a random triple"),
     "exchange-order-one-rows-skipped": (
         weyl, "_exchange_sum", _order_one_rows_skipped, "weyl",
+        "weyl-module-action", "module action failed: (ab)f != a(bf)"),
+    "exchange-return-on-the-least-row": (
+        weyl, "_exchange_sum", _exchange_return_on_least_row, "weyl",
         "weyl-module-action", "module action failed: (ab)f != a(bf)"),
     "commutator-reversed": (
         weyl.WeylOp, "commutator", _commutator_reversed, "lie-hom",
@@ -463,6 +514,9 @@ CASES = {
     "fourier-x-to-y": (
         coneops, "fourier_letter", _x_to_y, "cone-ops",
         "cone-grading-negation", "letter ('x', 1)"),
+    "canonical-shortcut-on-the-top-key": (
+        coneops.ConeOp, "canonical", _canonical_shortcut_on_the_top_key,
+        "shapovalov", "shapovalov-expand-vs-closed", "d=1"),
     "yy-rotated-fundamental-relation": (
         coneops, "letter_preimage", _yy_rotated, "cone-ops",
         "cone-fundamental-relation", "(2)*dx2*dy2"),
@@ -504,8 +558,8 @@ CASES = {
         weyl, "reorder", _from_dleft_without_exchange,
         "weyl", "weyl-normal-order-roundtrip",
         "round trip through derivative-left form failed"),
-    "apply-walk-stopped-one-part-soon": (
-        weyl.WeylOp, "_apply_poly", _walk_stopped_one_part_soon, "weyl",
+    "apply-skip-taken-at-the-top-key": (
+        weyl.WeylOp, "apply", _top_key_terms_skipped, "weyl",
         "weyl-module-action", "module action failed: (ab)f != a(bf)"),
     "extensional-first-monomial-only": (
         weyl, "monomials", _first_monomial_only, "weyl",
@@ -531,7 +585,7 @@ CASES = {
         harmonic, "monomials", _least_monomial_dropped, "harmonic-kelvin",
         "harmonic-dimensions", "d=0: got 0, expected 1"),
     "laplacian-shift-plus-m-fundamental-solution": (
-        harmonic, "_laplacian_shift", _laplacian_shift_plus_m,
+        harmonic, "_shift_generators", _euler_minus_one,
         "harmonic-kelvin", "kelvin-fundamental-solution", "(-1) / Q^1"),
     "b-form-unflipped": (
         coneops, "b_form_poly", _b_form_unflipped, "harmonic-kelvin",
@@ -539,6 +593,10 @@ CASES = {
     "division-leading-term-lost": (
         poly, "heapify", _leading_term_lost, "algebra-core",
         "normal-form-idempotent", "p="),
+    "division-last-pass-always-skipped": (
+        poly, "normal_form_mod_single", _last_pass_always_skipped,
+        "algebra-core", "qlaurent-normalization",
+        "p=7/2*x1^2*y1*y2^2 - 4*x2^2*y2^2"),
     "one-term-quotient-unchecked": (
         weyl.WeylOp, "divide_right_by_constcoef",
         _one_term_quotient_unchecked, "harmonic-kelvin",
@@ -581,7 +639,7 @@ def test_dropped_monomials_fail_kelvin_harmonicity(monkeypatch):
 # the work of a suite at k=3, as (TermMap._bilinear calls, TermMap.__pow__
 # calls); a count that rises means a fast path was lost, and a change that
 # lowers one lowers its pin
-WORK = {"harmonic-kelvin": (637, 238)}
+WORK = {"harmonic-kelvin": (635, 238)}
 
 # case: (module, function, fake, suite); the fake keeps every value and
 # adds work, so the suite passes and test_suite_work_is_pinned fails
@@ -643,3 +701,52 @@ def test_every_check_but_the_listed_has_a_mutant():
     covered = {case[4] for case in CASES.values()}
     ids = [c.check_id for c in run_suite("all", 2).checks]
     assert sorted(set(ids) - covered) == UNCOVERED
+
+
+# every fast path of the engine that skips work behind a guard, with the
+# function that holds it; a guard taken wrongly changes a value, or, in a
+# work case, the work
+GUARDS = {
+    "apply-skips-terms-above-the-top-key": (weyl.WeylOp, "apply"),
+    "canonical-own-representative": (coneops.ConeOp, "canonical"),
+    "division-last-pass-skipped": (poly, "normal_form_mod_single"),
+    "exchange-returns-without-derivative-rows": (weyl, "_exchange_sum"),
+    "exchange-skips-derivative-free-rows": (weyl, "_exchange_sum"),
+    "harmonic-count-in-place-of-the-basis": (harmonic, "harmonic_count"),
+    "ideal-preserving-by-one-commutator": (coneops, "is_ideal_preserving"),
+    "induction-builds-no-b-past-b1": (shapovalov, "closed_form_induction"),
+    "kelvin-horner-from-the-least-part": (harmonic, "kelvin"),
+    "orbit-square-read-off-the-factorization": (
+        momentorbit, "verify_orbit_relations"),
+    "poly-product-monomial-path": (poly.Poly, "_product"),
+}
+
+# guard: the row of CASES or WORK_CASES that forces it wrong
+FAST_PATHS = {
+    "apply-skips-terms-above-the-top-key": "apply-skip-taken-at-the-top-key",
+    "canonical-own-representative": "canonical-shortcut-on-the-top-key",
+    "division-last-pass-skipped": "division-last-pass-always-skipped",
+    "exchange-returns-without-derivative-rows":
+        "exchange-return-on-the-least-row",
+    "exchange-skips-derivative-free-rows": "exchange-order-one-rows-skipped",
+    "harmonic-count-in-place-of-the-basis":
+        "least-monomial-dropped-dimensions",
+    "kelvin-horner-from-the-least-part": "kelvin-horner-from-q-power",
+    "poly-product-monomial-path": "poly-product-monomial-path-for-two-terms",
+}
+
+# the guards that no row forces wrong yet; a new row takes its guard off
+# this list
+UNGUARDED = [
+    "ideal-preserving-by-one-commutator",
+    "induction-builds-no-b-past-b1",
+    "orbit-square-read-off-the-factorization",
+]
+
+
+def test_every_fast_path_but_the_listed_has_a_row():
+    for owner, name in GUARDS.values():
+        assert callable(getattr(owner, name)), name
+    assert set(FAST_PATHS.values()) <= CASES.keys() | WORK_CASES.keys()
+    assert set(FAST_PATHS) <= set(GUARDS)
+    assert sorted(set(GUARDS) - set(FAST_PATHS)) == UNGUARDED

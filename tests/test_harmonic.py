@@ -102,6 +102,17 @@ def test_laplacian_closed_form_matches_the_generic_action():
         for f in tests + [kelvin(f) for f in tests]:
             assert laplacian_qlaurent(f) == apply_by_quotient_rule(lap, f), \
                 (k, f.text())
+    # the values of kelvin-involution-intertwine at k=2..4, one monomial per
+    # orbit and 1/Q, their Kelvin images, and 1/Q^m for m = 1..4
+    for k in (2, 3, 4):
+        tests = [QLaurent(k, Poly.monomial(m), 0)
+                 for m in orbit_representatives(k, 6)]
+        tests.append(QLaurent.one_over_q(k))
+        lap = laplacian_op(k)
+        for f in (tests + [kelvin(f) for f in tests]
+                  + [QLaurent.one_over_q(k, m) for m in range(1, 5)]):
+            assert laplacian_qlaurent(f) == apply_by_quotient_rule(lap, f), \
+                (k, f.text())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

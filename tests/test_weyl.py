@@ -213,7 +213,7 @@ def assert_applies_as_buckets(op, f):
 
 @pytest.mark.parametrize("coef", ["int", "fraction"])
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_sorted_walk_applies_as_the_bucket_oracle(k, coef):
+def test_apply_matches_the_bucket_oracle(k, coef):
     rng, n = random.Random(f"{k}-{coef}"), 2 * k
     draw = (random_coef if coef == "fraction"
             else lambda rng: rng.randint(-4, 4) or 1)
@@ -226,27 +226,37 @@ def test_sorted_walk_applies_as_the_bucket_oracle(k, coef):
             random_exponents(rng, n, 4): draw(rng)
             for _ in range(rng.randint(0, 6))})
         assert_applies_as_buckets(op, f)
-        # f raised near the exponent bound in one variable: some parts fit,
+        # f raised near the exponent bound in one variable: some terms fit,
         # some overflow, and both kernels must agree on which
         i, r = rng.randrange(n), rng.randint(0, 2)
         top = Poly.monomial(tuple(EMAX - 6 + r if j == i else 0
                                   for j in range(n)))
         assert_applies_as_buckets(op, f * top)
+    # R_m = Q Delta - m E + m(m+1-k), whose derivative parts of order two
+    # hold k terms each, on f of many terms and on a constant f, which every
+    # term of order one or two skips
+    qlap = WeylOp.mult(q_form(k)) * laplacian_op(k)
+    for m in range(1, 5):
+        rm = qlap - euler_op(k).scale(m) + m * (m + 1 - k)
+        f = Poly.from_exponents(n, {random_exponents(rng, n, 5): draw(rng)
+                                    for _ in range(24)})
+        assert_applies_as_buckets(rm, f)
+        assert_applies_as_buckets(rm, Poly.const(n, draw(rng)))
 
 
-def test_sorted_walk_stops_above_the_top_key():
+def test_apply_skips_the_terms_above_the_top_key():
     x1, x2, y1, y2 = (Poly.var(N, i) for i in range(N))
     d = [WeylOp.partial(N, i) for i in range(N)]
     mult = WeylOp.mult
     f = x1 * y1 + x2.scale(3)
-    # parts above the top key x1*y1 of f: d_x1^2 has its degree and a larger
+    # terms above the top key x1*y1 of f: d_x1^2 has its degree and a larger
     # key, d_x1^3 a larger degree; d_x1 d_y1 and d_x2 divide a monomial
     op = (mult(x2) * d[0] * d[0] + d[0] * d[0] * d[0]
           + mult(y2) * d[0] * d[2] + mult(x1) * d[1])
     assert assert_applies_as_buckets(op, f) == y2 + x1.scale(3)
-    # the part of the top key itself, alone
+    # the term of the top key itself, alone
     assert assert_applies_as_buckets(d[0] * d[2], f) == Poly.const(N, 1)
-    # the zero f and a constant f: only the part of beta = 0 acts on 1
+    # the zero f and a constant f: only the terms of beta = 0 act on 1
     assert assert_applies_as_buckets(op + mult(y1), Poly.zero(N)).is_zero()
     got = assert_applies_as_buckets(op + mult(y1 - 2),
                                     Poly.const(N, Fraction(1, 2)))
