@@ -47,33 +47,46 @@ homomorphism check grows its form one bracket at a time with ``rref_add``.
 
 Coefficients are exact rationals of type ``int`` or ``fractions.Fraction``,
 never ``float``; nothing is ever rounded.  Constructors store an integral
-value as an ``int`` (``qcoef``), and so do scaling by a ``Fraction`` and the
-products of ``Poly`` and ``weyl.WeylOp``: a product stores an ``int``
-exactly where its coefficient is integral, and so does the division
-``normal_form_mod_single``, quotient and remainder.  An integral
-``Fraction`` may still be left by a sum (``+``, ``-``, ``add_terms``,
-``subtract_row``), by scaling by an ``int`` (``scale`` and ``*``), by
-``deriv``, and by the two ``weyl`` kernels that multiply a coefficient by
-an integer weight and sum: ``WeylOp.apply`` and ``weyl.reorder``, behind
-``coneops.tau`` and ``divide_right_by_mult``.  The two types agree on ``==``
-and ``hash``, so equality, hashing, printing and the JSON ``num``/``den``
-fields do not depend on which one a coefficient carries.  Every true
-division in the package goes through ``qdiv``, because ``int / int`` is a
-``float``.
+value as an ``int`` (``qcoef``), and so does scaling by a ``Fraction``.  The
+products of ``Poly`` and ``weyl.WeylOp`` and the division
+``normal_form_mod_single`` give an ``int`` exactly where a coefficient is
+integral; they build no ``Fraction`` themselves, which happens only when
+the values of a map kept in numerator form are read (below).  An integral
+``Fraction`` may still be left by a sum of two maps stored by their values
+(``+``, ``-``, ``add_terms``, ``subtract_row``), by scaling such a map by
+an ``int`` (``scale`` and ``*``), by ``deriv``, and by the two ``weyl``
+kernels that multiply a coefficient by an integer weight and sum:
+``WeylOp.apply`` and ``weyl.reorder``, behind ``coneops.tau`` and
+``divide_right_by_mult``.  The two types agree on ``==`` and ``hash``, so
+equality, hashing, printing and the JSON ``num``/``den`` fields do not
+depend on which one a coefficient carries.  Every true division in the
+package goes through ``qdiv``, because ``int / int`` is a ``float``.
 
 Products run on integers, in one frame, ``TermMap._bilinear``, that the
 products of ``Poly``, ``weyl.WeylOp`` and ``coneops.GenWord`` and the
 commutator of ``WeylOp`` share.  It checks the operands and the degree
 bound of the product, then ``numerators`` writes the coefficients of a
 factor as integer numerators over their least common denominator (as
-FLINT's ``fmpq_poly`` does), the kernel sums integer products per term
-pair, and each output coefficient is divided once by the product of the
-two denominators when that is not 1.  A ``WeylOp`` key adds as a monomial
-does, so the ``WeylOp`` product is the ``Poly`` kernel on its keys plus the
-exchange terms of ``weyl``.  Factors whose coefficients are all ``int`` are
-used as they are.  ``numerators`` tells the two cases apart by
-the type of each coefficient, never by summing them, which would cost a
-``Fraction`` addition per coefficient.
+FLINT's ``fmpq_poly`` does), and the kernel sums integer products per term
+pair.  A ``WeylOp`` key adds as a monomial does, so the ``WeylOp`` product
+is the ``Poly`` kernel on its keys plus the exchange terms of ``weyl``.
+Factors whose coefficients are all ``int`` are used as they are.
+``numerators`` tells the two cases apart by the type of each coefficient,
+never by summing them, which would cost a ``Fraction`` addition per
+coefficient.
+
+The frame does not divide the sums back: over the product d > 1 of the two
+denominators, ``TermMap._over`` keeps them as the pair (d, integer
+numerators) in lowest terms, the numerator form, and the property
+``terms`` builds each value from it by ``qdiv`` on its first read only, so
+that is where a product's ``Fraction`` is made.  ``numerators`` reads the
+pair as it is, ``==`` compares pairs, ``+``, ``-`` and negation of a map
+in numerator form, and ``scale`` of one or by a ``Fraction``, sum and
+scale numerators, and
+``normal_form_mod_single`` by a monic divisor of ``int`` coefficients,
+such as Q, keeps its quotient and remainder over the dividend's
+denominator.  A map that is only compared, summed, multiplied or divided
+builds no ``Fraction``.
 
 ``TermMap`` is the one home of the linear structure that ``Poly``,
 ``WeylOp`` and ``GenWord`` share: equality, hashing, sums, negation,
@@ -87,7 +100,8 @@ terms)`` or ``GenWord(k, terms)``, is the one entry point for outside
 input: it checks every key, both halves of a ``WeylOp`` key, and passes
 every coefficient through ``qcoef``.  ``_of(nvars, terms)`` is trusted and
 checks nothing: it stores a term map that the engine built, with valid
-keys and no zero coefficient, as it is.  Every sum of terms outside the
+keys and no zero coefficient, as it is; ``_of_num(nvars, d, nums)``
+stores a numerator form so.  Every sum of terms outside the
 product, division and elimination kernels goes through ``add_terms``.
 
 Built term maps are read-only.  The engine memoizes its pure constructors
@@ -95,8 +109,8 @@ in bounded LRU caches, ``q_form`` here and the standard operators, the
 letters, the realizations and the invariant matrix of ``weyl``,
 ``coneops``, ``momentorbit`` and ``lie``, so one instance per argument is
 handed to every caller.  No caller may change a cached result, nor any dict
-kept by ``_of``; ``tests/test_immutable.py`` checks this over every suite
-and the CLI.
+kept by ``_of`` or ``_of_num`` or built by ``terms``;
+``tests/test_immutable.py`` checks this over every suite and the CLI.
 """
 
 from __future__ import annotations
@@ -105,7 +119,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, repeat
-from math import lcm, perm
+from math import gcd, lcm, perm
 from operator import add, mul
 
 FIELD = 16                      # bits per field: 15 value bits, 1 guard bit
@@ -132,11 +146,16 @@ def qcoef(c):
 _INT = frozenset((int,))
 
 
-def numerators(terms: dict):
-    """(d, nums): the least common denominator d of the coefficients of a
-    term map and the map of integer numerators c * d.  For a map of ``int``
-    coefficients only, (1, terms) itself, not copied; that case is told by
-    one type test per coefficient, stopping at the first ``Fraction``."""
+def numerators(p):
+    """(d, nums): the least common denominator d of the coefficients of the
+    term map p and the map of integer numerators c * d, in lowest terms.
+    For a map in numerator form, its own pair; for a map of ``int``
+    coefficients only, (1, p.terms) itself, not copied; that case is told by
+    one type test per coefficient, stopping at the first ``Fraction``.
+    Either way the caller must not change nums."""
+    if p._num is not None:
+        return p._num
+    terms = p._terms
     if _INT.issuperset(map(type, terms.values())):
         return 1, terms
     d = lcm(*(c.denominator for c in terms.values()))
@@ -354,15 +373,23 @@ class TermMap:
     key in ``_monomials``, gives its product as the kernel ``_product`` with
     the degree bound ``_bound``, and its ``text``; ``__mul__`` and
     ``_bilinear`` frame every kernel, and ``__repr__`` wraps ``text``.
+
+    A map is stored by its values, ``_terms``, with ``_num`` None, or in
+    numerator form: ``_num`` is the pair (d, nums) of a denominator d > 1
+    and a map of nonzero ``int`` numerators with gcd(d, *nums) = 1, so each
+    map has one such pair, and ``_terms`` is None until the property
+    ``terms`` builds the values on the first read.  The pair is kept after
+    that, so sums and products of the map stay on its numerators.  The
+    methods of this module read the slots; readers that need only the keys
+    or whether the map is zero never build the values.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_terms", "_num")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         """Build from outside input: every key is checked, every coefficient
         goes through ``qcoef``, and zero coefficients are dropped."""
-        self.nvars = nvars
-        self.terms = {}
+        self.nvars, self._terms, self._num = nvars, {}, None
         for key, c in (terms or {}).items():
             monos = self._monomials(key)
             if monos is None or monos and not all(
@@ -375,15 +402,52 @@ class TermMap:
                     f"{key!r} is not a {name} key{hint}")
             c = qcoef(c)
             if c:
-                self.terms[key] = c
+                self._terms[key] = c
 
     @classmethod
     def _of(cls, nvars: int, terms: dict):
         """The trusted constructor, for a term map the engine built: valid
         keys and nonzero coefficients only.  The dict is kept, not copied."""
         out = cls.__new__(cls)
-        out.nvars, out.terms = nvars, terms
+        out.nvars, out._terms, out._num = nvars, terms, None
         return out
+
+    @classmethod
+    def _of_num(cls, nvars: int, d: int, nums: dict):
+        """The trusted constructor of a map in numerator form, nums / d, for
+        a pair already in lowest terms with d > 1.  The dict is kept."""
+        out = cls.__new__(cls)
+        out.nvars, out._terms, out._num = nvars, None, (d, nums)
+        return out
+
+    @classmethod
+    def _over(cls, nvars: int, d: int, nums: dict):
+        """The map nums / d, for integer numerators the engine summed over a
+        denominator d >= 1, with no zero: in numerator form after dividing
+        out gcd(d, *nums), or stored by its ``int`` values when that leaves
+        d = 1."""
+        if d != 1:
+            g = gcd(d, *nums.values())
+            if g != 1:
+                d //= g
+                nums = {key: c // g for key, c in nums.items()}
+            if d != 1:
+                return cls._of_num(nvars, d, nums)
+        return cls._of(nvars, nums)
+
+    @property
+    def terms(self) -> dict:
+        """The map from key to coefficient; for a map in numerator form,
+        built by ``qdiv`` on the first read and kept."""
+        terms = self._terms
+        if terms is None:
+            d, nums = self._num
+            terms = self._terms = {key: qdiv(c, d) for key, c in nums.items()}
+        return terms
+
+    def _keys(self) -> dict:
+        """A dict with the keys of the map, read without building values."""
+        return self._terms if self._num is None else self._num[1]
 
     @classmethod
     def zero(cls, nvars: int):
@@ -395,15 +459,22 @@ class TermMap:
         return cls._of(nvars, {cls.ONE: c} if c else {})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._terms or self._num)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms or self._num)
 
     def __eq__(self, other):
+        """Equal values.  When either side is in numerator form the pairs
+        of ``numerators`` are compared: both are in lowest terms, so equal
+        values give equal pairs."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        if self.nvars != other.nvars:
+            return False
+        if self._num is None and other._num is None:
+            return self._terms == other._terms
+        return numerators(self) == numerators(other)
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
@@ -420,14 +491,25 @@ class TermMap:
                 return NotImplemented
             other = cls.const(self.nvars, other)
         self._check(other)
-        return cls._of(self.nvars,
-                       add_terms(dict(self.terms), other.terms.items()))
+        if self._num is None and other._num is None:
+            return cls._of(self.nvars,
+                           add_terms(dict(self._terms), other._terms.items()))
+        (d1, t1), (d2, t2) = numerators(self), numerators(other)
+        d = lcm(d1, d2)
+        f1, f2 = d // d1, d // d2
+        terms = {key: c * f1 for key, c in t1.items()}
+        add_terms(terms, ((key, c * f2) for key, c in t2.items()))
+        return cls._over(self.nvars, d, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if self._num is not None:
+            d, nums = self._num
+            return type(self)._of_num(self.nvars, d,
+                                      {key: -c for key, c in nums.items()})
         return type(self)._of(self.nvars,
-                              {key: -c for key, c in self.terms.items()})
+                              {key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, (type(self), int, Fraction)):
@@ -453,21 +535,19 @@ class TermMap:
 
     def _bilinear(self, other, kernel):
         """kernel(t1, t2, n) on the integer numerators of the two term maps
-        over one common denominator d, then, when d is not 1, one division
-        by d per output term.  ``_bound`` checks the degrees of the product
-        before the kernel runs."""
+        over one common denominator d, stored over d by ``_over``.
+        ``_bound`` checks the degrees of the product before the kernel
+        runs."""
         n = self.nvars
         if other.nvars != n:
             self._check(other)  # raises
-        t1, t2 = self.terms, other.terms
+        (d1, t1), (d2, t2) = numerators(self), numerators(other)
         if not (t1 and t2):
             return self._of(n, {})
         self._bound(t1, t2, n)
-        (d1, t1), (d2, t2) = numerators(t1), numerators(t2)
         terms, d = kernel(t1, t2, n), d1 * d2
-        if d != 1:
-            terms = {key: qdiv(c, d) for key, c in terms.items()}
-        return self._of(n, terms)
+        # most products are of int maps: store them without a call
+        return self._of(n, terms) if d == 1 else self._over(n, d, terms)
 
     @staticmethod
     def _bound(t1: dict, t2: dict, n: int) -> None:
@@ -475,14 +555,20 @@ class TermMap:
         exceed ``EMAX``; keys that hold no monomial have no bound."""
 
     def scale(self, c):
+        """c times the map: a map stored by its values times an ``int``
+        term by term, any other product on the integer numerators, as a
+        product of term maps is."""
         c = qcoef(c)
+        cls = type(self)
         if c == 0:
-            terms = {}
-        elif type(c) is int:
-            terms = {key: c * v for key, v in self.terms.items()}
-        else:
-            terms = {key: qcoef(c * v) for key, v in self.terms.items()}
-        return type(self)._of(self.nvars, terms)
+            return cls._of(self.nvars, {})
+        if type(c) is int and self._num is None:
+            return cls._of(self.nvars,
+                           {key: c * v for key, v in self._terms.items()})
+        d, nums = numerators(self)
+        a = c.numerator
+        return cls._over(self.nvars, d * c.denominator,
+                         {key: a * v for key, v in nums.items()})
 
     def __repr__(self):
         return f"{type(self).__name__}({self.text()})"
@@ -538,9 +624,10 @@ class Poly(TermMap):
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        keys = self._keys()
+        if not keys:
             return -1
-        return mdegree(max(self.terms), self.nvars)
+        return mdegree(max(keys), self.nvars)
 
     def leading(self):
         """(exponent tuple, coefficient) maximal in graded lex."""
@@ -557,7 +644,7 @@ class Poly(TermMap):
         return self.terms.get(0, 0)
 
     def is_constant(self) -> bool:
-        return self.terms.keys() <= {0}
+        return self._keys().keys() <= {0}
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -735,30 +822,31 @@ def normal_form_mod_single(p, d: Poly, scale: int = 1):
     divided alone.  Quotient and remainder have the type of p.
 
     The division runs on the integer numerators of p over their common
-    denominator e, which divides each output term once at the end; with a
-    monic d, such as Q, a step divides nothing, and with int numerators and
-    a monic d of int coefficients every value stays an int, so that last
-    pass is left out.  Every tail monomial of d is below its leading one, so
-    each step only adds monomials below the one it takes, and the terms are
-    taken largest first from a max-heap of negated keys: a key whose term
-    has cancelled is skipped when it comes up, and a key whose term comes
-    back is pushed again.
+    denominator e.  With a monic d of ``int`` coefficients, such as Q, a
+    step divides nothing and every value stays an integer numerator, so
+    quotient and remainder are stored over e by ``TermMap._over``, and with
+    e = 1 by their ``int`` values; any other d divides each output term by
+    e once at the end.  Every tail monomial of d is below its leading one,
+    so each step only adds monomials below the one it takes, and the terms
+    are taken largest first from a max-heap of negated keys: a key whose
+    term has cancelled is skipped when it comes up, and a key whose term
+    comes back is pushed again.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     p._check(d)
     g = guard(p.nvars) * scale
-    lm = max(d.terms)
-    lc = d.terms[lm]
+    dterms = d.terms
+    lm = max(dterms)
+    lc = dterms[lm]
     # q*lm + (m2 - lm) = q*m2: the offsets stay valid monomials once added
-    tail = [((m2 - lm) * scale, c2) for m2, c2 in d.terms.items() if m2 != lm]
+    tail = [((m2 - lm) * scale, c2) for m2, c2 in dterms.items() if m2 != lm]
     lm *= scale
     quotient: dict = {}
     remainder: dict = {}
-    e, work = numerators(p.terms)
-    exact = e == 1 and lc == 1 and numerators(d.terms)[0] == 1
-    if e == 1:
-        work = dict(work)  # p's own terms, which the loop must not change
+    e, work = numerators(p)
+    if e == 1 or p._num is not None:
+        work = dict(work)  # p's own map, which the loop must not change
     heap = [-m for m in work]
     heapify(heap)
     while heap:
@@ -780,10 +868,13 @@ def normal_form_mod_single(p, d: Poly, scale: int = 1):
                 work[m2] = s
             else:
                 del work[m2]
-    if not exact:
+    cls, n = type(p), p.nvars
+    if lc != 1 or numerators(d)[0] != 1:
         quotient = {m: qdiv(c, e) for m, c in quotient.items()}
         remainder = {m: qdiv(c, e) for m, c in remainder.items()}
-    return type(p)._of(p.nvars, quotient), type(p)._of(p.nvars, remainder)
+    elif e != 1:
+        return cls._over(n, e, quotient), cls._over(n, e, remainder)
+    return cls._of(n, quotient), cls._of(n, remainder)
 
 
 def reduce_mod(p: Poly, d: Poly) -> Poly:

@@ -38,9 +38,11 @@ decides whether an operator a normalizes (Q*) from the one commutator
 [a, Q*]; ``preserves_ideal_by_monomials`` applies a to Q* m for every
 monomial m up to the order of a instead.  The products of ``Poly``, ``WeylOp`` and
 ``GenWord`` run in the one frame of ``poly.TermMap``, which sums integer
-numerators over one common denominator and divides once per output term;
+numerators over one common denominator and keeps them over it, in
+numerator form, until the values are read;
 ``poly_mul_pairwise``, ``weyl_mul_pairwise`` and ``genword_mul_pairwise``
-sum one exact rational product per pair of terms.  ``WeylOp.commutator`` sums only the exchange
+sum one exact rational product per pair of terms, and ``bilinear_eager``
+runs a kernel in the same frame but divides every output term at once.  ``WeylOp.commutator`` sums only the exchange
 terms that do not cancel; ``commutator_by_products`` subtracts the two full
 products.  ``momentorbit.moment`` and ``symbol_invariant`` pair an element
 with the one invariant matrix ``orbit_matrix``; ``moment_by_blocks`` and
@@ -48,7 +50,9 @@ with the one invariant matrix ``orbit_matrix``; ``moment_by_blocks`` and
 ``phase_euler_by_pairs`` sums the conjugate pairs one by one.
 ``poly.normal_form_mod_single`` takes the terms of its dividend from a
 max-heap, on integer numerators; ``normal_form_by_max`` takes the largest
-remaining term by ``max`` at every step, on the rational coefficients.
+remaining term by ``max`` at every step, on the rational coefficients, and
+``normal_form_eager`` is the heap division with its last pass, which
+divides every output term by the dividend's denominator.
 ``ConeOp.canonical`` and the two right divisions of ``WeylOp`` divide a
 whole term map in one pass, on one half of its keys; ``canonical_by_buckets``,
 ``divide_right_by_mult_by_buckets`` and
@@ -94,8 +98,9 @@ print a class one ``Poly`` per derivative part, grouped by ``xleft``.
 """
 
 import json
+from heapq import heapify, heappop, heappush
 from itertools import combinations, product
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
 
 import sympy
 
@@ -630,6 +635,60 @@ def poly_mul_pairwise(a: Poly, b: Poly) -> Poly:
             else:
                 del terms[m]
     return Poly(a.nvars, terms)
+
+
+def _numerators_of(terms: dict):
+    """(d, nums) of a map of values: their least common denominator and the
+    integer numerators over it."""
+    d = lcm(*(qcoef(c).denominator for c in terms.values()))
+    return d, {key: c.numerator * (d // c.denominator)
+               for key, c in terms.items()}
+
+
+def bilinear_eager(a, b, kernel):
+    """kernel(t1, t2, n) on the integer numerators of the values of a and b
+    over one common denominator d, then one division by d per output term:
+    every coefficient a product reads, as an ``int`` exactly where it is
+    integral."""
+    n = a.nvars
+    if not (a.terms and b.terms):
+        return type(a)._of(n, {})
+    (d1, t1), (d2, t2) = _numerators_of(a.terms), _numerators_of(b.terms)
+    terms, d = kernel(t1, t2, n), d1 * d2
+    return type(a)._of(n, {key: qdiv(c, d) for key, c in terms.items()})
+
+
+def normal_form_eager(p, d, scale: int = 1):
+    """(quotient, remainder) of p by d by the heap division of
+    ``normal_form_mod_single``, on the integer numerators of the values of p
+    over their denominator e, with a last pass that divides every output
+    term by e, whatever d is."""
+    g = guard(p.nvars) * scale
+    lm = max(d.terms)
+    lc = d.terms[lm]
+    tail = [((m2 - lm) * scale, c2) for m2, c2 in d.terms.items() if m2 != lm]
+    lm *= scale
+    quotient: dict = {}
+    remainder: dict = {}
+    e, work = _numerators_of(p.terms)
+    heap = [-m for m in work]
+    heapify(heap)
+    while heap:
+        m = -heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        if (m - lm) & g:
+            remainder[m] = c
+            continue
+        f = qdiv(c, lc)
+        quotient[m - lm] = f
+        for off, c2 in tail:
+            if m + off not in work:
+                heappush(heap, -(m + off))
+            add_terms(work, [(m + off, -f * c2)])
+    return tuple(type(p)._of(p.nvars, {m: qdiv(c, e) for m, c in part.items()})
+                 for part in (quotient, remainder))
 
 
 def normal_form_by_max(p: Poly, d: Poly):

@@ -8,18 +8,22 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 import quadricops
-from oracles import (blocks_are_canonical, commutator_by_products,
-                     exponent_items, genword_mul_pairwise, normal_form_by_max,
-                     poly_mul_pairwise, weyl_mul_pairwise)
+from oracles import (bilinear_eager, blocks_are_canonical,
+                     commutator_by_products, exponent_items,
+                     genword_mul_pairwise, normal_form_by_max,
+                     normal_form_eager, poly_mul_pairwise, weyl_mul_pairwise)
+from quadricops import weyl
 from quadricops.coneops import GenWord, alphabet
 from quadricops.lie import GroupElt, LieElt
 from quadricops.poly import (EMAX, ExponentOverflow, Poly, QLaurent,
-                             normal_form_mod_single, pack, q_form, qcoef, qdiv)
+                             add_terms, normal_form_mod_single, numerators,
+                             pack, q_form, qcoef, qdiv)
 from quadricops.suites import run_suite
 from quadricops.weyl import WeylOp, halves
 
@@ -331,6 +335,90 @@ def test_commutator_matches_product_oracle():
         d[0].commutator(WeylOp.partial(2, 0))
 
 
+def numerator_form_faults(num) -> list:
+    """What is wrong with the numerator form (d, nums) of a term map: it
+    must have nonzero int numerators and an int denominator d > 1, and be
+    in lowest terms, so that it is the one such pair of its values."""
+    d, nums = num
+    return [fault for fault, ok in (
+        ("a numerator that is not a nonzero int",
+         all(type(c) is int and c for c in nums.values())),
+        ("a denominator that is not an int above 1", type(d) is int and d > 1),
+        ("not in lowest terms", gcd(d, *nums.values()) == 1)) if not ok]
+
+
+@pytest.mark.parametrize("cls", [Poly, WeylOp, GenWord],
+                         ids=["Poly", "WeylOp", "GenWord"])
+def test_numerator_form_matches_the_eager_oracle(cls):
+    """Products kept in numerator form, and the sums, differences,
+    negations, scalings, commutators, quotients and remainders of them,
+    against the same operations on the values of the eager oracle: equal
+    values, and each coefficient of the oracle's type, an int exactly
+    where it is integral."""
+    rng = random.Random(5107)
+    dens = tuple(range(1, 13))
+    n = 4
+    divisors = []
+    if cls is not GenWord:
+        rational = Poly.from_exponents(n, {(1, 0, 0, 1): Fraction(3, 2),
+                                           (0, 1, 1, 0): Fraction(-2, 5)})
+        divisors = [(q_form(2), 1), (rational, 1)]
+        if cls is WeylOp:
+            divisors.append((q_form(2), 1 << halves(n)[0]))
+    forms = 0
+
+    def check(got, want):
+        nonlocal forms
+        if got._num is not None:
+            # the pair, compared with maps of values before its own are read
+            forms += 1
+            assert numerator_form_faults(got._num) == [], got._num
+            d, nums = got._num
+            values = cls(got.nvars, {key: Fraction(c, d)
+                                     for key, c in nums.items()})
+            assert got == values and values == got
+            # twice the map, over half the denominator when d is even
+            assert got.scale(2) != got and got != values.scale(2)
+            assert hash(got) == hash(values)
+            assert got == cls(got.nvars, got.terms)
+        assert got == want and want == got
+        assert got.terms == want.terms
+        assert ([type(c) for c in got.terms.values()]
+                == [type(want.terms[key]) for key in got.terms])
+        assert all(type(c) is int or c.denominator != 1
+                   for c in got.terms.values()), got.terms
+
+    kernel = cls._product
+    for i in range(40):
+        a, b, c = (random_operand(rng, cls, dens) for _ in range(3))
+        if i % 4 == 0:
+            # a scaled by both denominators: a * b comes out integral
+            a = a.scale(numerators(b)[0] * numerators(a)[0])
+        m = a.nvars
+        p, r = a * b, c * a
+        ep, er = bilinear_eager(a, b, kernel), bilinear_eager(c, a, kernel)
+        check(p, ep)
+        check(r, er)
+        check(p * c, bilinear_eager(ep, c, kernel))
+        if cls is WeylOp:
+            check(p.commutator(c), bilinear_eager(ep, c, weyl._commutator_terms))
+        check(p + r, cls(m, add_terms(dict(ep.terms), er.terms.items())))
+        check(p - r, cls(m, add_terms(dict(ep.terms),
+                                      ((k, -v) for k, v in er.terms.items()))))
+        check(p - p, cls.zero(m))
+        check(-p, cls(m, {k: -v for k, v in ep.terms.items()}))
+        s = Fraction(rng.choice((-1, 1)) * rng.randint(0, 12), rng.choice(dens))
+        check(p.scale(s), cls(m, {k: s * v for k, v in ep.terms.items()}))
+        den = numerators(p)[0]
+        check(p.scale(den), cls(m, {k: den * v for k, v in ep.terms.items()}))
+        check(p * cls.zero(m), cls.zero(m))
+        for d, scale in divisors:
+            for got, want in zip(normal_form_mod_single(p, d, scale),
+                                 normal_form_eager(ep, d, scale)):
+                check(got, want)
+    assert forms > 100
+
+
 # where each class keeps its coefficients
 COEFFICIENTS = {
     Poly: lambda p: p.terms.values(),
@@ -344,7 +432,8 @@ COEFFICIENTS = {
 
 def walk_suite_objects() -> dict:
     """Inspect every coefficient-holding object that run_suite("all", 2) builds,
-    and the blocks of every Lie element.
+    and the blocks of every Lie element; a term map in numerator form has
+    that form checked before its values are read.
 
     Each class's ``__new__`` is hooked so that building an object first
     inspects the previous object of that class, which is complete by then:
@@ -354,10 +443,17 @@ def walk_suite_objects() -> dict:
     """
     last: dict = {}
     seen = dict.fromkeys(COEFFICIENTS, 0)
+    forms = 0
     bad = []
 
     def inspect(cls, obj):
+        nonlocal forms
         try:
+            num = obj._num if cls in (Poly, WeylOp, GenWord) else None
+            if num is not None:
+                forms += 1
+                bad.extend(f"{cls.__name__} numerator form {num!r}: {fault}"
+                           for fault in numerator_form_faults(num))
             coeffs = list(COEFFICIENTS[cls](obj))
         except AttributeError:
             return  # its constructor raised before the object was complete
@@ -382,7 +478,8 @@ def walk_suite_objects() -> dict:
     for cls, obj in last.items():
         inspect(cls, obj)
     return {"exit_status": report.exit_status, "bad": bad[:20],
-            "seen": {cls.__name__: count for cls, count in seen.items()}}
+            "seen": {cls.__name__: count for cls, count in seen.items()},
+            "numerator forms": forms}
 
 
 def test_suite_objects_hold_only_int_or_fraction():
@@ -393,6 +490,7 @@ def test_suite_objects_hold_only_int_or_fraction():
     assert result["exit_status"] == 0
     assert result["bad"] == []
     assert all(result["seen"].values()), result["seen"]
+    assert result["numerator forms"] > 0
 
 
 if __name__ == "__main__":

@@ -17,9 +17,11 @@ their check only through a cached caller, so they prove that too.
 
 A fast path that only saves work has a work case instead: its fake keeps
 every value and redoes the saved work, and the pin on the products and
-powers of the suite at k=3 is what fails.  ``GUARDS`` lists the fast paths
-of the engine, ``FAST_PATHS`` names the row that forces the guard of each
-one wrong, and ``UNGUARDED`` the paths that have no row yet.
+powers of the suite at k=3 is what fails.  ``VALUE_BUILDS`` pins, the same
+way, the maps in numerator form whose values a suite reads.  ``GUARDS``
+lists the fast paths of the engine, ``FAST_PATHS`` names the row that
+forces the guard of each one wrong, and ``UNGUARDED`` the paths that have
+no row yet.
 """
 
 import pytest
@@ -83,9 +85,9 @@ def _levi_bracket_negated(xi, eta):
     return out.scale(-1) if _is_levi(xi) and _is_levi(eta) else out
 
 
-def _denominator_dropped(terms):
+def _denominator_dropped(p):
     # products keep the integer numerators and never divide them back
-    return 1, ORIGINAL["numerators"](terms)[1]
+    return 1, ORIGINAL["numerators"](p)[1]
 
 
 def _point_scale_doubled(point):
@@ -369,13 +371,26 @@ def _exchange_return_on_least_row(t1, t2, n, sign, terms):
 
 
 def _last_pass_always_skipped(p, d, scale=1):
-    # the division leaves out its last pass whatever the denominator: the
-    # quotient and remainder come back times the common denominator of the
-    # dividend; the QLaurent constructor reaches it through divides_exactly,
-    # which looks the name up in poly
-    e = poly.numerators(p.terms)[0]
+    # the division leaves out its last pass whatever the denominator, and
+    # stores the numerators as values: the quotient and remainder come back
+    # times the common denominator of the dividend; the QLaurent
+    # constructor reaches it through divides_exactly, which looks the name
+    # up in poly
+    e = poly.numerators(p)[0]
     quo, rem = ORIGINAL["normal_form_mod_single"](p, d, scale)
     return quo.scale(e), rem.scale(e)
+
+
+def _lowest_terms_skipped(cls, nvars, d, nums):
+    # the numerators kept over the denominator they were summed over, with
+    # no common factor divided out, so equal values over two denominators
+    # no longer compare equal: the product of two principal symbols is kept
+    # over the product of their denominators, the symbol of the product is
+    # read from its values.  a(b + c) and ab + ac reach one denominator, so
+    # ring-axioms still holds
+    if d == 1 or not nums:
+        return cls._of(nvars, nums)
+    return cls._of_num(nvars, d, nums)
 
 
 def _horner_from_q_power(f):
@@ -425,7 +440,7 @@ ORIGINAL = {name: getattr(module, name) for module, name in [
     (weyl.WeylOp, "principal_symbol"), (weyl.WeylOp, "apply"),
     (poly, "heapify"), (poly, "normal_form_mod_single"),
     (weyl.WeylOp, "divide_right_by_constcoef"),
-    (suites.SuiteReport, "from_json_obj")]}
+    (suites.SuiteReport, "from_json_obj"), (TermMap, "_bilinear")]}
 # the polynomial kernel shares its name with the operator kernel
 ORIGINAL["Poly._product"] = poly.Poly._product
 
@@ -593,6 +608,10 @@ CASES = {
     "division-leading-term-lost": (
         poly, "heapify", _leading_term_lost, "algebra-core",
         "normal-form-idempotent", "p="),
+    "numerator-form-lowest-terms-skipped": (
+        poly.TermMap, "_over", classmethod(_lowest_terms_skipped), "weyl",
+        "weyl-symbol-multiplicative",
+        "symbol of a product is not the product of symbols"),
     "division-last-pass-always-skipped": (
         poly, "normal_form_mod_single", _last_pass_always_skipped,
         "algebra-core", "qlaurent-normalization",
@@ -685,6 +704,49 @@ def test_work_mutant_breaks_its_pin(case, monkeypatch):
     assert products > most_products and powers > most_powers
 
 
+# the term maps that build their values from numerators in one run of a
+# suite at k=3: a product or division over a denominator keeps its
+# numerators until its values are read, so a count that rises means a
+# reader of values that needs none; a change that lowers one lowers its pin
+VALUE_BUILDS = {"algebra-core": 0, "weyl": 36}
+
+
+def _value_builds(monkeypatch, suite: str) -> int:
+    """Term maps in numerator form whose values one passing run of suite
+    at k=3 builds."""
+    count = 0
+    terms = TermMap.terms.fget
+
+    def counted_terms(self):
+        nonlocal count
+        count += self._terms is None
+        return terms(self)
+
+    monkeypatch.setattr(TermMap, "terms", property(counted_terms))
+    assert run_suite(suite, 3).exit_status == 0
+    return count
+
+
+@pytest.mark.parametrize("suite", sorted(VALUE_BUILDS))
+def test_value_builds_are_pinned(suite, monkeypatch):
+    builds = _value_builds(monkeypatch, suite)
+    assert builds <= VALUE_BUILDS[suite], f"{builds} value builds in {suite}"
+
+
+def _product_values_read(self, other, kernel):
+    # every product reads its values as soon as it is built, one division
+    # per output term, as an eager frame would
+    out = ORIGINAL["_bilinear"](self, other, kernel)
+    out.terms
+    return out
+
+
+def test_eager_reads_break_the_value_pin(monkeypatch):
+    monkeypatch.setattr(TermMap, "_bilinear", _product_values_read)
+    for suite, most in VALUE_BUILDS.items():
+        assert _value_builds(monkeypatch, suite) > most, suite
+
+
 @pytest.mark.parametrize("suite", ["shapovalov", "lie-hom", "cone-ops",
                                    "lie-orthogonal", "algebra-core",
                                    "moment-orbit", "weyl", "cli"])
@@ -716,6 +778,7 @@ GUARDS = {
     "ideal-preserving-by-one-commutator": (coneops, "is_ideal_preserving"),
     "induction-builds-no-b-past-b1": (shapovalov, "closed_form_induction"),
     "kelvin-horner-from-the-least-part": (harmonic, "kelvin"),
+    "numerator-form-equality": (poly.TermMap, "__eq__"),
     "orbit-square-read-off-the-factorization": (
         momentorbit, "verify_orbit_relations"),
     "poly-product-monomial-path": (poly.Poly, "_product"),
@@ -732,6 +795,7 @@ FAST_PATHS = {
     "harmonic-count-in-place-of-the-basis":
         "least-monomial-dropped-dimensions",
     "kelvin-horner-from-the-least-part": "kelvin-horner-from-q-power",
+    "numerator-form-equality": "numerator-form-lowest-terms-skipped",
     "poly-product-monomial-path": "poly-product-monomial-path-for-two-terms",
 }
 

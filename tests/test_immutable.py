@@ -1,7 +1,9 @@
 """Term maps are not changed once built.
 
-``TermMap._of`` keeps the dict it is given, and shared objects rely on no
-caller changing that dict, or the map of a built ``Poly`` or ``WeylOp``,
+``TermMap._of`` keeps the dict it is given, and ``TermMap._of_num`` the
+dict of integer numerators of a map in numerator form, whose values
+``terms`` builds on the first read.  Shared objects rely on no caller
+changing either dict, or the map of a built ``Poly`` or ``WeylOp``,
 afterwards.  The engine hands one cached instance to every caller from the
 bounded LRU caches of
 
@@ -20,12 +22,14 @@ test here: their entries are built while the constructors are recorded,
 and no entry built then reaches a later test.
 
 The same records show that every key the engine stores is valid: the
-trusted ``_of`` checks no key, so a ``Poly`` key must be a packed monomial
-and a ``WeylOp`` key one in each half.
+trusted ``_of`` and ``_of_num`` check no key, so a ``Poly`` key must be a
+packed monomial and a ``WeylOp`` key one in each half.
 """
 
+from fractions import Fraction
+
 from quadricops import cli
-from quadricops.poly import Poly, TermMap, is_packed, q_form
+from quadricops.poly import Poly, TermMap, is_packed, q_form, qdiv, unit
 from quadricops.suites import SUITES, run_suite
 from quadricops.weyl import WeylOp, euler_op, halves, laplacian_op
 
@@ -44,34 +48,57 @@ CLI_COMMANDS = [
 
 
 def _record_builds(monkeypatch) -> list:
-    """Record every term map built from now on, with a copy of its dict."""
+    """Record every term map built from now on, as (map, denominator, dict,
+    copy of the dict): the denominator is None for a map built by its
+    values, and the dict that of its numerators for a map in numerator
+    form."""
     built = []
-    of, init = TermMap._of.__func__, TermMap.__init__
+    of, of_num = TermMap._of.__func__, TermMap._of_num.__func__
+    init = TermMap.__init__
 
     def recording_of(cls, nvars, terms):
         out = of(cls, nvars, terms)
-        built.append((out, terms, dict(terms)))
+        built.append((out, None, terms, dict(terms)))
+        return out
+
+    def recording_of_num(cls, nvars, d, nums):
+        out = of_num(cls, nvars, d, nums)
+        built.append((out, d, nums, dict(nums)))
         return out
 
     def recording_init(self, nvars, terms=None):
         init(self, nvars, terms)
-        built.append((self, self.terms, dict(self.terms)))
+        built.append((self, None, self.terms, dict(self.terms)))
 
     monkeypatch.setattr(TermMap, "_of", classmethod(recording_of))
+    monkeypatch.setattr(TermMap, "_of_num", classmethod(recording_of_num))
     monkeypatch.setattr(TermMap, "__init__", recording_init)
     return built
 
 
 def _changed(built) -> list:
-    return [(type(obj).__name__, len(copy)) for obj, terms, copy in built
-            if obj.terms is not terms or obj.terms != copy]
+    """(class name, term count) of every recorded map whose dict changed:
+    its values for a map built by them; for a map in numerator form, its
+    numerators, or the values ``terms`` builds from them, read here if no
+    caller read them."""
+    bad = []
+    for obj, d, terms, copy in built:
+        if d is None:
+            ok = obj.terms is terms and terms == copy
+        else:
+            ok = (obj._num == (d, terms) and obj._num[1] is terms
+                  and terms == copy
+                  and obj.terms == {key: qdiv(c, d) for key, c in copy.items()})
+        if not ok:
+            bad.append((type(obj).__name__, len(copy)))
+    return bad
 
 
 def _invalid_keys(built) -> list:
     """(class name, nvars, key) for every key of a recorded ``Poly`` or
     ``WeylOp`` that is not a packed monomial, in both halves of a
     ``WeylOp`` key; each distinct key is checked once."""
-    keys = {(type(obj), obj.nvars, key) for obj, _, copy in built
+    keys = {(type(obj), obj.nvars, key) for obj, _, _, copy in built
             if type(obj) in (Poly, WeylOp) for key in copy}
     bad = []
     for cls, n, key in keys:
@@ -85,16 +112,32 @@ def _invalid_keys(built) -> list:
 
 def test_invalid_keys_are_reported():
     s = halves(4)[0]
-    good = [(f, None, dict(f.terms)) for f in (
+    good = [(f, None, None, dict(f.terms)) for f in (
         WeylOp.partial(4, 0), euler_op(2), laplacian_op(2), q_form(2),
         WeylOp.mult(q_form(2)), Poly.const(4, 1))]
     # a guard bit in the low half, in the high half, a bit above both
     # halves, an x1 without its degree, and a tuple key
-    bad = [(cls.zero(4), None, {key: 1}) for cls, key in (
+    bad = [(cls.zero(4), None, None, {key: 1}) for cls, key in (
         (Poly, 1 << 63), (WeylOp, 1 << 63 << s), (WeylOp, 1 << 2 * s),
         (Poly, 1 << 48), (WeylOp, 1 << 48 << s), (WeylOp, (0, 0)))]
     assert _invalid_keys(good) == []
     assert len(_invalid_keys(good + bad)) == len(bad)
+
+
+def test_changed_maps_are_reported(monkeypatch):
+    # a map by its values, then two products over the denominator 2 in
+    # numerator form: one changes its numerators, one the values built
+    # from them
+    x, x3 = Poly.var(4, 0), Poly.var(4, 0, 3)
+    built = _record_builds(monkeypatch)
+    half = Poly.const(4, Fraction(1, 2))
+    one, two = half * x, half * x3
+    assert [d for _, d, _, _ in built] == [None, 2, 2]
+    assert _changed(built) == []
+    half.terms[0] = 1
+    one._num[1][unit(4, 0)] = 3
+    two.terms[unit(4, 0)] = 7
+    assert _changed(built) == [("Poly", 1)] * 3
 
 
 # not vacuous: the least number of term maps each suite builds at k=2, run
