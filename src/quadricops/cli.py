@@ -9,20 +9,24 @@ bound exceeds ``MAX_DEGREE``, whose constants' bit bound exceeds
 that no other code covers, a ``ValueError`` included, reported as one
 ``internal error:`` line on stderr.
 
-A process pays only for the command it runs.  When the first argument
-names a subcommand, ``main`` builds that subcommand's parser alone; any
-other argument list (none, ``-h``, an unknown command, or arguments the
-subcommand leaves unread) goes to ``build_parser``, the one description of
-the whole CLI, which prints the usage or the error.  ``suites`` loads only
-when ``moment`` or ``verify`` runs or the ``verify`` parser is built, and
+A process pays only for the command it runs.  ``COMMANDS`` is the one
+description of the CLI.  A plain argument list, a subcommand then its
+positionals, then each of its flags at most once, spelled out, with a
+separate value of ASCII digits or a ``--format`` choice, is read straight
+from the subcommand's row, and no parser is built.  Any other list (none,
+``-h``, an unknown command, an abbreviated, repeated or ``=`` flag, a word
+starting with ``-`` among the positionals, a missing argument) goes to
+``build_parser``, which reads it as it reads every list and prints the help,
+the usage or the error; ``argparse`` loads only then.  ``suites`` loads only
+when ``moment`` or ``verify`` runs or the ``verify`` arguments are read, and
 ``json`` only when a command emits JSON.  Every other engine module loads
 with this one, as the benchmark's tracer expects.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import exprparse
 from .coneops import ConeOp
@@ -316,7 +320,7 @@ _EXPR = {"expr": {}}
 
 # the subcommands, in the order of the help text: (name, handler, help, own
 # arguments as {name or flag: add_argument keywords}, or a function that
-# returns them when the parser is built, takes --k)
+# returns them when they are read, takes --k)
 COMMANDS = (
     ("reduce", cmd_reduce, "canonical cone class of an expression", _EXPR,
      True),
@@ -339,41 +343,86 @@ COMMANDS = (
      True),
 )
 _COMMAND_ROWS = {row[0]: row for row in COMMANDS}
+_K = {"--k": dict(type=int, default=2,
+                  help="number of hyperbolic planes (default 2, min 2)")}
+_FORMAT = {"--format": dict(choices=["text", "json"], default="text")}
 
 
-def _add_arguments(p: argparse.ArgumentParser, func, own, with_k) -> None:
-    for arg, kwargs in (own() if callable(own) else own).items():
-        p.add_argument(arg, **kwargs)
-    if with_k:
-        p.add_argument("--k", type=int, default=2,
-                       help="number of hyperbolic planes (default 2, min 2)")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=func)
+def _arguments(own, with_k) -> dict:
+    """Every argument of a row, in the order of its help text."""
+    return {**(own() if callable(own) else own), **(_K if with_k else {}),
+            **_FORMAT}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="quadricops",
         description="Exact symbolic engine for differential operators on the "
                     "quadric cone.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text, own, with_k in COMMANDS:
-        _add_arguments(sub.add_parser(name, help=help_text), func, own, with_k)
+        p = sub.add_parser(name, help=help_text)
+        for arg, kwargs in _arguments(own, with_k).items():
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
-def _read_args(argv: list) -> argparse.Namespace:
-    """The arguments of ``argv`` as ``build_parser`` reads them (without
-    ``command``), building only the named subcommand's parser when that
-    parser reads all of them."""
-    if argv and argv[0] in _COMMAND_ROWS:
-        name, func, _, own, with_k = _COMMAND_ROWS[argv[0]]
-        parser = argparse.ArgumentParser(prog=f"quadricops {name}")
-        _add_arguments(parser, func, own, with_k)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+def _plain(argv: list):
+    """The arguments of a plain ``argv`` (see the module docstring) read
+    from its row as ``build_parser`` reads them, without ``command``; None
+    for any other ``argv``."""
+    if not argv or argv[0] not in _COMMAND_ROWS:
+        return None
+    _, func, _, own, with_k = _COMMAND_ROWS[argv[0]]
+    spec = _arguments(own, with_k)
+    words = argv[1:]
+    cut = next((i for i, w in enumerate(words) if w.startswith("-")),
+               len(words))
+    given, flags, values = words[:cut], words[cut::2], words[cut + 1::2]
+    positionals = [(arg, kw) for arg, kw in spec.items() if arg[0] != "-"]
+    if (len(given) > len(positionals) or len(flags) != len(values)
+            or len(set(flags)) < len(flags)):
+        return None
+    out = {}
+    for i, (arg, kw) in enumerate(positionals):
+        if i < len(given):
+            if "choices" in kw and given[i] not in kw["choices"]:
+                return None
+            out[arg] = given[i]
+        elif kw.get("nargs") == "?":
+            out[arg] = kw["default"]
+        else:
+            return None  # a required positional is missing
+    for flag, value in zip(flags, values):
+        kw = spec.get(flag) if flag.startswith("--") else None
+        if kw is None:
+            return None
+        if kw.get("type") is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # over the int string conversion limit
+                return None
+        elif value not in kw.get("choices", ()):
+            return None
+        out[flag[2:]] = value
+    for flag, kw in spec.items():
+        if flag[0] == "-" and flag[2:] not in out:
+            if kw.get("required"):
+                return None
+            out[flag[2:]] = kw.get("default")
+    return SimpleNamespace(**out, func=func)
+
+
+def _read_args(argv: list):
+    """The arguments of ``argv`` as ``build_parser`` reads them: a plain
+    ``argv`` read by ``_plain``, any other by the parser, which exits with
+    the help, the usage or the error."""
+    args = _plain(argv)
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -241,14 +241,15 @@ class WeylOp(TermMap):
         self._check(f)
         n, g = self.nvars, guard(self.nvars)
         sh, mask = halves(n)
-        top = max(f.terms, default=-1)
+        fterms = f.terms
+        top = max(fterms, default=-1)
         terms: dict = {}
         get = terms.get
         for key, c in self.terms.items():
             b = key >> sh
             if b > top:
                 continue  # d^b divides no monomial of f
-            kept = [(m, cm) for m, cm in f.terms.items() if not (m - b) & g]
+            kept = [(m, cm) for m, cm in fterms.items() if not (m - b) & g]
             if not kept:
                 continue  # d^b kills f
             a = key & mask

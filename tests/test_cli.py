@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quadricops import cli, exprparse, harmonic, shapovalov, suites
 from quadricops.coneops import NotNormalizing
@@ -379,6 +380,47 @@ def _parse_outcome(capsys, parse, argv):
                      if key != "command"})
 
 
+@pytest.fixture
+def read_by_main(monkeypatch, capsys):
+    """A reader of argv through ``main`` whose handlers record their
+    arguments instead of running: the namespace of the one handler call.
+    Each row's handler becomes its own recorder, for ``main`` and for the
+    full parser alike.  main stops before the handler only at a ``--k``
+    below 2; the reader then gives ``k`` alone."""
+    seen = []
+
+    def recorder():
+        def record(args):
+            seen.append(vars(args))
+            return 0
+        return record
+
+    rows = tuple((name, recorder(), *rest) for name, _, *rest in cli.COMMANDS)
+    monkeypatch.setattr(cli, "COMMANDS", rows)
+    monkeypatch.setattr(cli, "_COMMAND_ROWS", {row[0]: row for row in rows})
+
+    def through_main(argv):
+        code = cli.main(argv)
+        if not seen:
+            assert (code, *capsys.readouterr()) == (
+                2, "", "error: --k must be at least 2\n")
+            return argparse.Namespace(k=1)
+        assert code == 0
+        return argparse.Namespace(**seen.pop())
+
+    return through_main
+
+
+def _full_outcome(capsys, argv):
+    """The outcome of argv read by the full parser, as ``read_by_main``
+    gives it."""
+    full = _parse_outcome(capsys, lambda a: cli.build_parser().parse_args(a),
+                          argv)
+    if full[0] == "args" and full[1].get("k", 2) < 2:
+        return ("args", {"k": 1})
+    return full
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "--", "-x1"], ["reduce", "x1", "--bogus"],
     ["reduce", "x1", "extra"], ["counterexample-n2", "--k", "3"],
@@ -389,32 +431,54 @@ def _parse_outcome(capsys, parse, argv):
     ["verify", "no-such-suite", "--k", "3", "--format", "json"],
     ["shapovalov", "--d", "2", "--k", "3"], ["counterexample-n2"],
     ["fourier-transform", "x1", "--k=3"], ["reduce", "x1", "--k", "3", "--k", "4"],
+    # a positional after a flag is left to the parser: how argparse fills
+    # an optional positional around flags has changed between releases
+    ["moment", "--k", "3", "verify"], ["reduce", "x1", "--k", "03"],
+    ["bessel", "--order", "\u0663"], ["reduce", "x1", "--k", " 3"],
+    ["reduce", ""], ["reduce", "-1"], ["harmonic", "--k", "3"],
+    ["verify", "all", "--k", "2"],
+    ["reduce", "x1", "--format", "json", "--format", "text"],
 ], ids=repr)
-def test_a_subcommand_parser_reads_as_the_full_parser(capsys, monkeypatch,
+def test_a_subcommand_parser_reads_as_the_full_parser(capsys, read_by_main,
                                                       argv):
-    full = _parse_outcome(capsys, lambda a: cli.build_parser().parse_args(a),
-                          argv)
-    # main's handlers record their namespace instead of running
-    seen = []
+    full = _full_outcome(capsys, argv)
+    assert _parse_outcome(capsys, read_by_main, argv) == full
 
-    def recorder(func):
-        def record(args):
-            seen.append(argparse.Namespace(**{**vars(args), "func": func}))
-            return 0
-        return record
 
-    add_arguments = cli._add_arguments
-    monkeypatch.setattr(cli, "_add_arguments", lambda p, func, own, with_k: (
-        add_arguments(p, recorder(func), own, with_k)))
+_WORDS = ["x1", "-1", "", "verify", "all", "weyl"]
+_FLAGS = ["--k", "--d", "--order", "--format", "--k=3", "--fo", "--",
+          "--bogus"]
+_VALUES = ["2", "03", "12", "0", "\u0663", "json", "text", "xml"]
 
-    def through_main(argv):
-        assert cli.main(argv) == 0
-        return seen.pop()
 
-    assert _parse_outcome(capsys, through_main, argv) == full
+@st.composite
+def _argvs(draw):
+    """A command, a few positionals, then flags with values, sometimes
+    shuffled or cut short."""
+    argv = [draw(st.sampled_from([name for name, *_ in cli.COMMANDS]
+                                 + ["red"]))]
+    argv += draw(st.lists(st.sampled_from(_WORDS), max_size=2))
+    for flag, value in draw(st.lists(st.tuples(st.sampled_from(_FLAGS),
+                                               st.sampled_from(_VALUES)),
+                                     max_size=3)):
+        argv += [flag, value]
+    if draw(st.booleans()):
+        argv[1:] = draw(st.permutations(argv[1:]))[
+            :draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs())
+def test_main_reads_every_argv_as_the_full_parser(capsys, read_by_main,
+                                                  argv):
+    full = _full_outcome(capsys, argv)
+    assert _parse_outcome(capsys, read_by_main, argv) == full
 
 
 def test_a_command_builds_one_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -423,17 +487,23 @@ def test_a_command_builds_one_parser(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    # a plain command is read from its row
     assert cli.main(["boundary", "--k", "2"]) == 0
-    assert built == ["quadricops boundary"]
-    built.clear()
-    # the subcommand's parser leaves --bogus, so the full parser reports it
+    assert built == []
+    capsys.readouterr()
+    # --bogus is not plain, so the full parser reads and reports it
     with pytest.raises(SystemExit) as exc:
         cli.main(["reduce", "x1", "--bogus"])
     assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith(
+    assert capsys.readouterr().err == (
+        "usage: quadricops [-h]\n"
+        "                  {reduce,fourier-transform,shapovalov,moment,kelvin,"
+        "harmonic,bessel,boundary,counterexample-n2,verify}\n"
+        "                  ...\n"
         "quadricops: error: unrecognized arguments: --bogus\n")
-    assert len(built) == 12
-    assert built[:2] == ["quadricops reduce", "quadricops"]
+    # the program's parser and one parser per subcommand
+    assert built == ["quadricops"] + [f"quadricops {name}"
+                                      for name, *_ in cli.COMMANDS]
 
 
 def test_degree_caps_are_fixed(capsys):

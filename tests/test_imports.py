@@ -4,7 +4,8 @@ module-level name the package never reads, no module-level function or class
 that neither the package, the benchmark nor the public API names, no engine
 module reaching into another one's private names, and no heavy standard
 modules at CLI start-up: neither the suites, ``json`` nor ``random`` until a
-command asks for them."""
+command asks for them, and neither ``argparse`` nor ``gettext`` for a plain
+command."""
 
 import ast
 import importlib.util
@@ -272,12 +273,16 @@ def test_cli_import_skips_dataclasses_and_inspect():
 # the modules whose functions perfbench/tracer.py wraps, read from that file
 TRACER = ROOTS[1].parent / "perfbench" / "tracer.py"
 STARTUP = """
-import sys
-lazy = ("quadricops.suites", "json", "random")
+import io, sys
+lazy = ("quadricops.suites", "json", "random", "argparse", "gettext")
 import quadricops
 print(sorted(set(lazy) & set(sys.modules)))
 import quadricops.cli
 print(sorted(set(lazy) & set(sys.modules)))
+out, sys.stdout = sys.stdout, io.StringIO()
+code = quadricops.cli.main(["boundary", "--k", "2"])
+sys.stdout = out
+print(code, sorted(set(lazy) & set(sys.modules)))
 print(sorted(m for m in {layers!r} if "quadricops." + m not in sys.modules))
 names = {{}}
 exec("from quadricops import *", names)
@@ -288,8 +293,9 @@ print(sorted(set(quadricops.__all__) - set(names)),
 
 
 def test_start_up_loads_neither_the_suites_json_nor_random():
-    # every CLI process pays for what `import quadricops.cli` loads, but the
-    # tracer wraps its layers right after that import, so they must be there
+    # every CLI process pays for what `import quadricops.cli` and a plain
+    # command load, but the tracer wraps its layers right after that import,
+    # so they must be there
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -298,4 +304,4 @@ def test_start_up_loads_neither_the_suites_json_nor_random():
     proc = subprocess.run([sys.executable, "-S", "-c",
                            STARTUP.format(layers=layers)],
                           env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n[]\n[]\n[] True True\n"
+    assert proc.stdout == "[]\n[]\n0 []\n[]\n[] True True\n"
