@@ -37,7 +37,8 @@ from .weyl import (NotDivisible, WeylOp, euler_op, halves, laplacian_op,
 def grad_pair(k: int, vec) -> WeylOp:
     """Directional derivative sum c d_i over the entries (i, c) of vec."""
     n = 2 * k
-    return WeylOp._of(n, {unit(n, i) << halves(n)[0]: c for i, c in vec})
+    return WeylOp._of_values(n, {unit(n, i) << halves(n)[0]: c
+                                 for i, c in vec})
 
 
 def grad_flip(k: int, vec) -> WeylOp:
@@ -64,8 +65,8 @@ def phi(xi: LieElt) -> WeylOp:
     op = WeylOp.zero(n)
     op = op - grad_pair(k, xi.mu)
     # -<Xv, grad> = -sum_{a,b} X[a][b] v_b d_a, each term x-left already
-    op = op - WeylOp._of(n, {unit(n, a) << halves(n)[0] | unit(n, b): c
-                             for (a, b), c in xi.X})
+    op = op - WeylOp._of_values(
+        n, {unit(n, a) << halves(n)[0] | unit(n, b): c for (a, b), c in xi.X})
     if xi.alpha:
         op = op + weight.scale(xi.alpha)
     blam = b_form_poly(k, xi.lam)
@@ -86,8 +87,8 @@ def tau(a: WeylOp) -> WeylOp:
     n = a.nvars
     s, mask = halves(n)
     dleft = {(key & mask) << s | key >> s: -c if mdegree(key >> s, n) % 2
-             else c for key, c in a.terms.items()}
-    return WeylOp._of(n, reorder(dleft, n, 1))
+             else c for key, c in a.nums.items()}
+    return WeylOp._over(n, reorder(dleft, n, 1), a.den)
 
 
 def a_correction(xi: LieElt) -> WeylOp:
@@ -100,7 +101,7 @@ def linear_form(k: int, vec) -> Poly:
     """<vec, v> = sum c v_i over the entries (i, c) of vec, as ``LieElt``
     stores its vectors: a linear polynomial."""
     n = 2 * k
-    return Poly._of(n, {unit(n, i): c for i, c in vec})
+    return Poly._of_values(n, {unit(n, i): c for i, c in vec})
 
 
 def b_form_poly(k: int, vec) -> Poly:
@@ -114,8 +115,8 @@ def dual_field(k: int, X) -> WeylOp:
     ``phi`` for X in so(Q), whose trace term vanishes.  X is given by its
     nonzero entries ((a, b), X[a][b]), as ``LieElt.X`` stores it."""
     n = 2 * k
-    return WeylOp._of(n, {unit(n, b) << halves(n)[0] | unit(n, a): c
-                          for (a, b), c in X})
+    return WeylOp._of_values(n, {unit(n, b) << halves(n)[0] | unit(n, a): c
+                                 for (a, b), c in X})
 
 
 @lru_cache(maxsize=1024)
@@ -177,7 +178,7 @@ class ConeOp:
             qs = q_form(self.k)
             lm, g = max(qs.terms), guard(qs.nvars)
             self._canonical = self.op
-            if any(not (key - lm) & g for key in self.op.terms):
+            if any(not (key - lm) & g for key in self.op.nums):
                 self._canonical = reduce_mod(self.op, qs)
         return self._canonical
 
@@ -216,10 +217,11 @@ class ConeOp:
     def canonical_json(self) -> list:
         n = 2 * self.k
         s, mask = halves(n)
-        terms = self.canonical().terms
-        return [{"d": list(unpack(b, n)), "coefficient": Poly._of(
-                    n, {m & mask: terms[m] for m in keys}).to_json()}
-                for b, keys in groupby(sorted(terms), lambda m: m >> s)]
+        can = self.canonical()
+        nums = can.nums
+        return [{"d": list(unpack(b, n)), "coefficient": Poly._over(
+                    n, {m & mask: nums[m] for m in keys}, can.den).to_json()}
+                for b, keys in groupby(sorted(nums), lambda m: m >> s)]
 
     def __repr__(self):
         return f"ConeOp({self.canonical_text()})"
@@ -413,16 +415,18 @@ class GenWord(TermMap):
                               for w1, c1 in t1.items() for w2, c2 in items))
 
     def fourier(self) -> "GenWord":
-        """Letterwise quadric Fourier transform; an involution."""
+        """Letterwise quadric Fourier transform; an involution.  It sends
+        distinct words to distinct words and changes a coefficient by its
+        sign only, so the image keeps the pair's denominator."""
         items = []
-        for word, c in self.terms.items():
+        for word, c in self.nums.items():
             image = []
             for letter in word:
                 img, s = fourier_letter(letter)
                 image.append(img)
                 c *= s
             items.append((tuple(image), c))
-        return GenWord._of(self.nvars, add_terms({}, items))
+        return GenWord._of(self.nvars, add_terms({}, items), self.den)
 
     def sorted_terms(self):
         """(word, coefficient) pairs, shorter words first."""

@@ -13,7 +13,7 @@ from itertools import groupby
 from math import comb
 
 from .poly import (Poly, QLaurent, b_pair, dual, falling, falling_spec,
-                   mdegree, monomials, q_form, q_of, qcoef, qdiv, reduce_mod,
+                   mdegree, monomials, q_form, q_of, qdiv, reduce_mod,
                    rref, subtract_row, unit)
 from .weyl import NotDivisible, WeylOp, euler_op, laplacian_op
 from .coneops import letter_op
@@ -65,15 +65,16 @@ def kelvin(f: QLaurent) -> QLaurent:
     k = f.k
     n = 2 * k
     q = q_form(k)
-    terms = f.num.terms
-    # numerator(-v/Q) * Q^deg = sum_d (-1)^d p_d Q^(deg - d)
+    terms = f.num.nums
+    # numerator(-v/Q) * Q^deg = sum_d (-1)^d p_d Q^(deg - d), on the
+    # integer numerators of f, divided by their denominator once at the end
     num, deg = Poly.zero(n), 0
     for d, part in groupby(sorted(terms), lambda m: mdegree(m, n)):
         p = Poly._of(n, {m: -terms[m] if d % 2 else terms[m] for m in part})
         num = num * q ** (d - deg) + p if num else p
         deg = d
     # Q(-v/Q) = 1/Q, so the original denominator contributes Q^{+qexp}
-    sign = -1 if (k - 1) % 2 else 1
+    sign = qdiv(-1 if (k - 1) % 2 else 1, f.num.den)
     shift = (k - 1) + deg - f.qexp
     if shift >= 0:
         return QLaurent(k, num.scale(sign), shift)
@@ -246,9 +247,9 @@ def harmonic_decompose(d: int, k: int):
     harm = []
     for f, m in enumerate(monos):
         if f not in form:
-            vec = {monos[p]: qcoef(-v) for p, v in rcols.get(f, {}).items()}
+            vec = {monos[p]: -v for p, v in rcols.get(f, {}).items()}
             vec[m] = 1
-            harm.append(Poly._of(2 * k, vec))
+            harm.append(Poly._of_values(2 * k, vec))
     lap = laplacian_op(k)
     for h in harm:
         if not lap.apply(h).is_zero():

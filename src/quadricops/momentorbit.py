@@ -96,7 +96,7 @@ def moment(xi: LieElt) -> Poly:
     for (r, c), a in xi.entries():
         add_terms(terms, ((m, a * e) for m, e in
                           M[dual(n, r)][dual(n, c)].terms.items()))
-    return Poly._of(4 * k, terms).scale(qdiv(1, 2))
+    return Poly._of_values(4 * k, terms).scale(qdiv(1, 2))
 
 
 def check_descent(xi: LieElt) -> Poly:

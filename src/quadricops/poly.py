@@ -45,48 +45,32 @@ per row, and ``subtract_row`` is the row step of both.  The harmonic
 splitting and ``lie.mat_inv`` take ``rref``; the rank proof of the Lie
 homomorphism check grows its form one bracket at a time with ``rref_add``.
 
-Coefficients are exact rationals of type ``int`` or ``fractions.Fraction``,
-never ``float``; nothing is ever rounded.  Constructors store an integral
-value as an ``int`` (``qcoef``), and so does scaling by a ``Fraction``.  The
-products of ``Poly`` and ``weyl.WeylOp`` and the division
-``normal_form_mod_single`` give an ``int`` exactly where a coefficient is
-integral; they build no ``Fraction`` themselves, which happens only when
-the values of a map kept in numerator form are read (below).  An integral
-``Fraction`` may still be left by a sum of two maps stored by their values
-(``+``, ``-``, ``add_terms``, ``subtract_row``), by scaling such a map by
-an ``int`` (``scale`` and ``*``), by ``deriv``, and by the two ``weyl``
-kernels that multiply a coefficient by an integer weight and sum:
-``WeylOp.apply`` and ``weyl.reorder``, behind ``coneops.tau`` and
-``divide_right_by_mult``.  The two types agree on ``==`` and ``hash``, so
-equality, hashing, printing and the JSON ``num``/``den`` fields do not
-depend on which one a coefficient carries.  Every true division in the
-package goes through ``qdiv``, because ``int / int`` is a ``float``.
+Coefficients are exact rationals, never ``float``; nothing is ever
+rounded.  A term map stores them as one pair, as FLINT's ``fmpq_poly``
+does: a denominator d >= 1 and a map of nonzero integer numerators with
+gcd(d, *nums) = 1.  So each map has one pair, which ``==`` and ``hash``
+read.  Its values, an ``int`` exactly where a coefficient is integral and
+a ``fractions.Fraction`` otherwise, are only a cache: ``terms`` is the
+numerators themselves over d = 1, and over d > 1 it builds the values by
+``qdiv`` on its first read.  The public constructor passes every
+coefficient through ``qcoef`` and keeps those values as the cache.  Every
+true division in the package goes through ``qdiv``, because ``int / int``
+is a ``float``.
 
-Products run on integers, in one frame, ``TermMap._bilinear``, that the
-products of ``Poly``, ``weyl.WeylOp`` and ``coneops.GenWord`` and the
-commutator of ``WeylOp`` share.  It checks the operands and the degree
-bound of the product, then ``numerators`` writes the coefficients of a
-factor as integer numerators over their least common denominator (as
-FLINT's ``fmpq_poly`` does), and the kernel sums integer products per term
-pair.  A ``WeylOp`` key adds as a monomial does, so the ``WeylOp`` product
-is the ``Poly`` kernel on its keys plus the exchange terms of ``weyl``.
-Factors whose coefficients are all ``int`` are used as they are.
-``numerators`` tells the two cases apart by the type of each coefficient,
-never by summing them, which would cost a ``Fraction`` addition per
-coefficient.
-
-The frame does not divide the sums back: over the product d > 1 of the two
-denominators, ``TermMap._over`` keeps them as the pair (d, integer
-numerators) in lowest terms, the numerator form, and the property
-``terms`` builds each value from it by ``qdiv`` on its first read only, so
-that is where a product's ``Fraction`` is made.  ``numerators`` reads the
-pair as it is, ``==`` compares pairs, ``+``, ``-`` and negation of a map
-in numerator form, and ``scale`` of one or by a ``Fraction``, sum and
-scale numerators, and
-``normal_form_mod_single`` by a monic divisor of ``int`` coefficients,
-such as Q, keeps its quotient and remainder over the dividend's
-denominator.  A map that is only compared, summed, multiplied or divided
-builds no ``Fraction``.
+The kernels run on the numerators.  Products run in one frame,
+``TermMap._bilinear``, that the products of ``Poly``, ``weyl.WeylOp`` and
+``coneops.GenWord`` and the commutator of ``WeylOp`` share: it checks the
+operands and the degree bound of the product, the kernel sums integer
+products per term pair, and ``TermMap._over`` stores the sums over the
+product of the two denominators once their common factor is divided out.
+A ``WeylOp`` key adds as a monomial does, so the ``WeylOp`` product is the
+``Poly`` kernel on its keys plus the exchange terms of ``weyl``.  A sum
+takes the least common multiple of the two denominators and scales a side
+only when its factor is not 1, ``scale`` multiplies numerators and
+denominator, and ``normal_form_mod_single`` by a monic divisor of ``int``
+coefficients, such as Q, keeps its quotient and remainder over the
+dividend's denominator.  A map that is only compared, hashed, summed,
+multiplied or divided builds no ``Fraction``.
 
 ``TermMap`` is the one home of the linear structure that ``Poly``,
 ``WeylOp`` and ``GenWord`` share: equality, hashing, sums, negation,
@@ -98,18 +82,22 @@ key of 1, its key check, its product kernel and degree bound, and its own
 methods.  The public constructor, ``Poly(nvars, terms)``, ``WeylOp(nvars,
 terms)`` or ``GenWord(k, terms)``, is the one entry point for outside
 input: it checks every key, both halves of a ``WeylOp`` key, and passes
-every coefficient through ``qcoef``.  ``_of(nvars, terms)`` is trusted and
-checks nothing: it stores a term map that the engine built, with valid
-keys and no zero coefficient, as it is; ``_of_num(nvars, d, nums)``
-stores a numerator form so.  Every sum of terms outside the
-product, division and elimination kernels goes through ``add_terms``.
+every coefficient through ``qcoef``.  ``_of(nvars, nums, d=1)`` is
+trusted and checks nothing: it stores a pair that the engine built in
+lowest terms, with valid keys and no zero numerator, as it is, and
+``_over(nvars, nums, d)`` stores integer sums over d once their common
+factor is divided out.  Where the engine holds values, such as the
+entries of a Lie element or the rows of ``rref``, ``_of_values`` stores
+them as their pair, as the public constructor does, without the checks.
+Every sum of terms outside the product, division and elimination kernels
+goes through ``add_terms``.
 
 Built term maps are read-only.  The engine memoizes its pure constructors
 in bounded LRU caches, ``q_form`` here and the standard operators, the
 letters, the realizations and the invariant matrix of ``weyl``,
 ``coneops``, ``momentorbit`` and ``lie``, so one instance per argument is
 handed to every caller.  No caller may change a cached result, nor any dict
-kept by ``_of`` or ``_of_num`` or built by ``terms``;
+kept by ``_of`` or the public constructor or built by ``terms``;
 ``tests/test_immutable.py`` checks this over every suite and the CLI.
 """
 
@@ -120,10 +108,11 @@ from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, repeat
 from math import gcd, lcm, perm
-from operator import add, mul
+from operator import add, attrgetter, mul
 
 FIELD = 16                      # bits per field: 15 value bits, 1 guard bit
 EMAX = (1 << (FIELD - 1)) - 1   # largest exponent and total degree: 32767
+_DEN = attrgetter("denominator")  # of an int or a Fraction
 
 
 class ExponentOverflow(OverflowError):
@@ -141,26 +130,6 @@ def qcoef(c):
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     raise TypeError(f"coefficient must be int or Fraction, not {type(c).__name__}")
-
-
-_INT = frozenset((int,))
-
-
-def numerators(p):
-    """(d, nums): the least common denominator d of the coefficients of the
-    term map p and the map of integer numerators c * d, in lowest terms.
-    For a map in numerator form, its own pair; for a map of ``int``
-    coefficients only, (1, p.terms) itself, not copied; that case is told by
-    one type test per coefficient, stopping at the first ``Fraction``.
-    Either way the caller must not change nums."""
-    if p._num is not None:
-        return p._num
-    terms = p._terms
-    if _INT.issuperset(map(type, terms.values())):
-        return 1, terms
-    d = lcm(*(c.denominator for c in terms.values()))
-    return d, {key: c.numerator * (d // c.denominator)
-               for key, c in terms.items()}
 
 
 def qdiv(a, b):
@@ -374,22 +343,22 @@ class TermMap:
     the degree bound ``_bound``, and its ``text``; ``__mul__`` and
     ``_bilinear`` frame every kernel, and ``__repr__`` wraps ``text``.
 
-    A map is stored by its values, ``_terms``, with ``_num`` None, or in
-    numerator form: ``_num`` is the pair (d, nums) of a denominator d > 1
-    and a map of nonzero ``int`` numerators with gcd(d, *nums) = 1, so each
-    map has one such pair, and ``_terms`` is None until the property
-    ``terms`` builds the values on the first read.  The pair is kept after
-    that, so sums and products of the map stay on its numerators.  The
-    methods of this module read the slots; readers that need only the keys
-    or whether the map is zero never build the values.
+    A map is stored as one pair: ``den``, a denominator d >= 1, and
+    ``nums``, a map of nonzero ``int`` numerators with gcd(d, *nums) = 1,
+    so each map has one such pair and its values are nums / d.  The values
+    are only a cache: ``terms`` is ``nums`` itself when d = 1, and builds
+    the values on its first read otherwise.  The methods of this module
+    read the pair; readers that need only the keys or whether the map is
+    zero never build the values.
     """
 
-    __slots__ = ("nvars", "_terms", "_num")
+    __slots__ = ("nvars", "den", "nums", "_values")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         """Build from outside input: every key is checked, every coefficient
-        goes through ``qcoef``, and zero coefficients are dropped."""
-        self.nvars, self._terms, self._num = nvars, {}, None
+        goes through ``qcoef``, and zero coefficients are dropped.  The
+        values are kept as the cache of ``terms``."""
+        self.nvars, values = nvars, {}
         for key, c in (terms or {}).items():
             monos = self._monomials(key)
             if monos is None or monos and not all(
@@ -402,52 +371,56 @@ class TermMap:
                     f"{key!r} is not a {name} key{hint}")
             c = qcoef(c)
             if c:
-                self._terms[key] = c
+                values[key] = c
+        d = lcm(*map(_DEN, values.values()))
+        self.den, self._values = d, values
+        self.nums = values if d == 1 else {
+            key: c.numerator * (d // c.denominator)
+            for key, c in values.items()}
 
     @classmethod
-    def _of(cls, nvars: int, terms: dict):
+    def _of(cls, nvars: int, nums: dict, d: int = 1):
         """The trusted constructor, for a term map the engine built: valid
-        keys and nonzero coefficients only.  The dict is kept, not copied."""
+        keys, nonzero int numerators and a pair (d, nums) in lowest terms.
+        The dict is kept, not copied."""
         out = cls.__new__(cls)
-        out.nvars, out._terms, out._num = nvars, terms, None
+        out.nvars, out.den, out.nums, out._values = nvars, d, nums, None
         return out
 
     @classmethod
-    def _of_num(cls, nvars: int, d: int, nums: dict):
-        """The trusted constructor of a map in numerator form, nums / d, for
-        a pair already in lowest terms with d > 1.  The dict is kept."""
-        out = cls.__new__(cls)
-        out.nvars, out._terms, out._num = nvars, None, (d, nums)
-        return out
+    def _of_values(cls, nvars: int, values: dict):
+        """The map of values that the engine holds, with valid keys and
+        nonzero int or Fraction values: stored as the integer numerators
+        over the least common denominator d of the values, a pair in
+        lowest terms."""
+        d = lcm(*map(_DEN, values.values()))
+        return cls._of(nvars, {key: c.numerator * (d // c.denominator)
+                               for key, c in values.items()}, d)
 
     @classmethod
-    def _over(cls, nvars: int, d: int, nums: dict):
+    def _over(cls, nvars: int, nums: dict, d: int):
         """The map nums / d, for integer numerators the engine summed over a
-        denominator d >= 1, with no zero: in numerator form after dividing
-        out gcd(d, *nums), or stored by its ``int`` values when that leaves
-        d = 1."""
+        denominator d >= 1, with no zero: stored by ``_of`` after dividing
+        out gcd(d, *nums)."""
         if d != 1:
             g = gcd(d, *nums.values())
             if g != 1:
                 d //= g
                 nums = {key: c // g for key, c in nums.items()}
-            if d != 1:
-                return cls._of_num(nvars, d, nums)
-        return cls._of(nvars, nums)
+        return cls._of(nvars, nums, d)
 
     @property
     def terms(self) -> dict:
-        """The map from key to coefficient; for a map in numerator form,
-        built by ``qdiv`` on the first read and kept."""
-        terms = self._terms
-        if terms is None:
-            d, nums = self._num
-            terms = self._terms = {key: qdiv(c, d) for key, c in nums.items()}
-        return terms
-
-    def _keys(self) -> dict:
-        """A dict with the keys of the map, read without building values."""
-        return self._terms if self._num is None else self._num[1]
+        """The map from key to coefficient: ``nums`` over d = 1, otherwise
+        the values built by ``qdiv`` on the first read and kept."""
+        if self.den == 1:
+            return self.nums
+        values = self._values
+        if values is None:
+            d = self.den
+            values = self._values = {key: qdiv(c, d)
+                                     for key, c in self.nums.items()}
+        return values
 
     @classmethod
     def zero(cls, nvars: int):
@@ -456,28 +429,25 @@ class TermMap:
     @classmethod
     def const(cls, nvars: int, c):
         c = qcoef(c)
-        return cls._of(nvars, {cls.ONE: c} if c else {})
+        return cls._of(nvars, {cls.ONE: c.numerator} if c else {},
+                       c.denominator)
 
     def is_zero(self) -> bool:
-        return not (self._terms or self._num)
+        return not self.nums
 
     def __bool__(self):
-        return bool(self._terms or self._num)
+        return bool(self.nums)
 
     def __eq__(self, other):
-        """Equal values.  When either side is in numerator form the pairs
-        of ``numerators`` are compared: both are in lowest terms, so equal
-        values give equal pairs."""
+        """Equal values: both pairs are in lowest terms, so equal values
+        give equal pairs."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        if self.nvars != other.nvars:
-            return False
-        if self._num is None and other._num is None:
-            return self._terms == other._terms
-        return numerators(self) == numerators(other)
+        return (self.nvars == other.nvars and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.nums.items())))
 
     def _check(self, other):
         if self.nvars != other.nvars:
@@ -485,31 +455,31 @@ class TermMap:
                 f"{type(self).__name__} operands live in different variable sets")
 
     def __add__(self, other):
+        """The sum over the least common denominator of the two pairs; a
+        side is scaled only when its factor is not 1."""
         cls = type(self)
         if not isinstance(other, cls):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = cls.const(self.nvars, other)
         self._check(other)
-        if self._num is None and other._num is None:
-            return cls._of(self.nvars,
-                           add_terms(dict(self._terms), other._terms.items()))
-        (d1, t1), (d2, t2) = numerators(self), numerators(other)
+        d1, d2 = self.den, other.den
         d = lcm(d1, d2)
-        f1, f2 = d // d1, d // d2
-        terms = {key: c * f1 for key, c in t1.items()}
-        add_terms(terms, ((key, c * f2) for key, c in t2.items()))
-        return cls._over(self.nvars, d, terms)
+        t1, t2 = self.nums, other.nums
+        terms = dict(t1) if d == d1 else {key: c * (d // d1)
+                                          for key, c in t1.items()}
+        add_terms(terms, t2.items() if d == d2
+                  else ((key, c * (d // d2)) for key, c in t2.items()))
+        # most sums are of int maps: store them without a call
+        return (cls._of(self.nvars, terms) if d == 1
+                else cls._over(self.nvars, terms, d))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._num is not None:
-            d, nums = self._num
-            return type(self)._of_num(self.nvars, d,
-                                      {key: -c for key, c in nums.items()})
         return type(self)._of(self.nvars,
-                              {key: -c for key, c in self._terms.items()})
+                              {key: -c for key, c in self.nums.items()},
+                              self.den)
 
     def __sub__(self, other):
         if not isinstance(other, (type(self), int, Fraction)):
@@ -534,20 +504,20 @@ class TermMap:
         return self._bilinear(other, self._product)
 
     def _bilinear(self, other, kernel):
-        """kernel(t1, t2, n) on the integer numerators of the two term maps
-        over one common denominator d, stored over d by ``_over``.
+        """kernel(t1, t2, n) on the integer numerators of the two term maps,
+        stored over the product of their denominators by ``_over``.
         ``_bound`` checks the degrees of the product before the kernel
         runs."""
         n = self.nvars
         if other.nvars != n:
             self._check(other)  # raises
-        (d1, t1), (d2, t2) = numerators(self), numerators(other)
+        t1, t2 = self.nums, other.nums
         if not (t1 and t2):
             return self._of(n, {})
         self._bound(t1, t2, n)
-        terms, d = kernel(t1, t2, n), d1 * d2
+        terms, d = kernel(t1, t2, n), self.den * other.den
         # most products are of int maps: store them without a call
-        return self._of(n, terms) if d == 1 else self._over(n, d, terms)
+        return self._of(n, terms) if d == 1 else self._over(n, terms, d)
 
     @staticmethod
     def _bound(t1: dict, t2: dict, n: int) -> None:
@@ -555,20 +525,11 @@ class TermMap:
         exceed ``EMAX``; keys that hold no monomial have no bound."""
 
     def scale(self, c):
-        """c times the map: a map stored by its values times an ``int``
-        term by term, any other product on the integer numerators, as a
-        product of term maps is."""
+        """c times the map, on its numerators."""
         c = qcoef(c)
-        cls = type(self)
-        if c == 0:
-            return cls._of(self.nvars, {})
-        if type(c) is int and self._num is None:
-            return cls._of(self.nvars,
-                           {key: c * v for key, v in self._terms.items()})
-        d, nums = numerators(self)
         a = c.numerator
-        return cls._over(self.nvars, d * c.denominator,
-                         {key: a * v for key, v in nums.items()})
+        nums = {key: a * v for key, v in self.nums.items()} if a else {}
+        return type(self)._over(self.nvars, nums, self.den * c.denominator)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.text()})"
@@ -608,12 +569,14 @@ class Poly(TermMap):
     @classmethod
     def var(cls, nvars: int, i: int, c=1) -> "Poly":
         c = qcoef(c)
-        return cls._of(nvars, {unit(nvars, i): c} if c else {})
+        return cls._of(nvars, {unit(nvars, i): c.numerator} if c else {},
+                       c.denominator)
 
     @classmethod
     def monomial(cls, m, c=1) -> "Poly":
         c = qcoef(c)
-        return cls._of(len(m), {pack(m): c} if c else {})
+        return cls._of(len(m), {pack(m): c.numerator} if c else {},
+                       c.denominator)
 
     @classmethod
     def from_exponents(cls, nvars: int, terms: dict) -> "Poly":
@@ -624,10 +587,9 @@ class Poly(TermMap):
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        keys = self._keys()
-        if not keys:
+        if not self.nums:
             return -1
-        return mdegree(max(keys), self.nvars)
+        return mdegree(max(self.nums), self.nvars)
 
     def leading(self):
         """(exponent tuple, coefficient) maximal in graded lex."""
@@ -644,7 +606,7 @@ class Poly(TermMap):
         return self.terms.get(0, 0)
 
     def is_constant(self) -> bool:
-        return self._keys().keys() <= {0}
+        return self.nums.keys() <= {0}
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -685,8 +647,9 @@ class Poly(TermMap):
         """Partial derivative with respect to variable index i."""
         n = self.nvars
         s, u = FIELD * (n - 1 - i), unit(n, i)
-        return Poly._of(n, {m - u: c * (m >> s & EMAX)
-                            for m, c in self.terms.items() if m >> s & EMAX})
+        return Poly._over(n, {m - u: c * (m >> s & EMAX)
+                              for m, c in self.nums.items() if m >> s & EMAX},
+                          self.den)
 
     def eval(self, point):
         """Evaluate at a tuple of rationals; raises ValueError unless it has
@@ -821,12 +784,12 @@ def normal_form_mod_single(p, d: Poly, scale: int = 1):
     one pass divides each coefficient that it keeps apart as it would be
     divided alone.  Quotient and remainder have the type of p.
 
-    The division runs on the integer numerators of p over their common
-    denominator e.  With a monic d of ``int`` coefficients, such as Q, a
-    step divides nothing and every value stays an integer numerator, so
-    quotient and remainder are stored over e by ``TermMap._over``, and with
-    e = 1 by their ``int`` values; any other d divides each output term by
-    e once at the end.  Every tail monomial of d is below its leading one,
+    The division runs on the integer numerators of p over its denominator
+    e.  With a monic d of ``int`` coefficients, such as Q, a step divides
+    nothing and every value stays an integer numerator, so quotient and
+    remainder are stored over e by ``TermMap._over``; any other d divides
+    each output term by e once at the end, and ``TermMap._of_values``
+    stores those values.  Every tail monomial of d is below its leading one,
     so each step only adds monomials below the one it takes, and the terms
     are taken largest first from a max-heap of negated keys: a key whose
     term has cancelled is skipped when it comes up, and a key whose term
@@ -844,9 +807,7 @@ def normal_form_mod_single(p, d: Poly, scale: int = 1):
     lm *= scale
     quotient: dict = {}
     remainder: dict = {}
-    e, work = numerators(p)
-    if e == 1 or p._num is not None:
-        work = dict(work)  # p's own map, which the loop must not change
+    e, work = p.den, dict(p.nums)  # a copy: the loop changes it
     heap = [-m for m in work]
     heapify(heap)
     while heap:
@@ -869,12 +830,11 @@ def normal_form_mod_single(p, d: Poly, scale: int = 1):
             else:
                 del work[m2]
     cls, n = type(p), p.nvars
-    if lc != 1 or numerators(d)[0] != 1:
-        quotient = {m: qdiv(c, e) for m, c in quotient.items()}
-        remainder = {m: qdiv(c, e) for m, c in remainder.items()}
-    elif e != 1:
-        return cls._over(n, e, quotient), cls._over(n, e, remainder)
-    return cls._of(n, quotient), cls._of(n, remainder)
+    if lc != 1 or d.den != 1:
+        return tuple(cls._of_values(n, {m: qdiv(c, e)
+                                        for m, c in part.items()})
+                     for part in (quotient, remainder))
+    return cls._over(n, quotient, e), cls._over(n, remainder, e)
 
 
 def reduce_mod(p: Poly, d: Poly) -> Poly:

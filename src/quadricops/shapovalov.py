@@ -25,8 +25,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .coneops import ConeOp, letter_op
-from .poly import (Poly, add_terms, normal_form_mod_single, q_form, qdiv,
-                   reduce_mod, unit)
+from .poly import (Poly, normal_form_mod_single, q_form, qdiv, reduce_mod,
+                   unit)
 from .weyl import WeylOp, euler_op
 
 
@@ -114,11 +114,12 @@ def shapovalov_series(dmax: int, k: int) -> list:
     series = []
     for _ in range(dmax):
         prev = series[-1].canonical() if series else WeylOp.identity(n)
-        terms: dict = {}
+        op = WeylOp.zero(n)
         for shift, _, f in factors:
-            add_terms(terms, ((key + shift, c)
-                              for key, c in (prev * f).terms.items()))
-        series.append(ConeOp(WeylOp._of(n, terms)))
+            term = prev * f
+            op = op + WeylOp._of(
+                n, {key + shift: c for key, c in term.nums.items()}, term.den)
+        series.append(ConeOp(op))
     return series
 
 

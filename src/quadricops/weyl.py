@@ -180,13 +180,13 @@ class WeylOp(TermMap):
     @classmethod
     def mult(cls, p: Poly) -> "WeylOp":
         """Multiplication by the polynomial p."""
-        return cls._of(p.nvars, p.terms)
+        return cls._of(p.nvars, p.nums, p.den)
 
     @classmethod
     def partial(cls, nvars: int, i: int, c=1) -> "WeylOp":
         c = qcoef(c)
-        return cls._of(nvars, {unit(nvars, i) << halves(nvars)[0]: c}
-                       if c else {})
+        key = unit(nvars, i) << halves(nvars)[0]
+        return cls._of(nvars, {key: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def from_exponents(cls, nvars: int, terms: dict) -> "WeylOp":
@@ -199,9 +199,9 @@ class WeylOp(TermMap):
 
     def order(self) -> int:
         """Maximal |beta|; -1 for the zero operator."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return mdegree(max(self.terms) >> halves(self.nvars)[0], self.nvars)
+        return mdegree(max(self.nums) >> halves(self.nvars)[0], self.nvars)
 
     # -- multiplication ------------------------------------------------------
 
@@ -233,19 +233,20 @@ class WeylOp(TermMap):
         goes to x^(m + a - b) with weight falling(m, b).  A b above max(f)
         divides no monomial of f, by degree or by key, so its term is
         skipped, and a term that kills f is never bounded, so it cannot
-        overflow.  On the Q-Laurent class the Laplacian acts by
-        ``harmonic.laplacian_qlaurent``.
+        overflow.  It runs on the integer numerators of both, over the
+        product of their denominators.  On the Q-Laurent class the
+        Laplacian acts by ``harmonic.laplacian_qlaurent``.
         """
         if not isinstance(f, Poly):
             raise TypeError(f"cannot apply operator to {type(f).__name__}")
         self._check(f)
         n, g = self.nvars, guard(self.nvars)
         sh, mask = halves(n)
-        fterms = f.terms
+        fterms = f.nums
         top = max(fterms, default=-1)
         terms: dict = {}
         get = terms.get
-        for key, c in self.terms.items():
+        for key, c in self.nums.items():
             b = key >> sh
             if b > top:
                 continue  # d^b divides no monomial of f
@@ -263,7 +264,7 @@ class WeylOp(TermMap):
                     terms[mono] = s
                 else:
                     del terms[mono]
-        return Poly._of(n, terms)
+        return Poly._over(n, terms, self.den * f.den)
 
     # -- normal forms and division --------------------------------------------
 
@@ -277,11 +278,11 @@ class WeylOp(TermMap):
         n = self.nvars
         s = halves(n)[0]
         quo, rem = normal_form_mod_single(
-            WeylOp._of(n, reorder(self.terms, n, -1)), q)
+            WeylOp._over(n, reorder(self.nums, n, -1), self.den), q)
         if rem:
             raise NotDivisible("d-left coefficient at beta="
-                               f"{unpack(max(rem.terms) >> s, n)} not divisible")
-        return WeylOp._of(n, reorder(quo.terms, n, 1))
+                               f"{unpack(max(rem.nums) >> s, n)} not divisible")
+        return WeylOp._over(n, reorder(quo.nums, n, 1), quo.den)
 
     def divide_right_by_constcoef(self, d: "WeylOp") -> "WeylOp":
         """Solve w = u * d for a constant-coefficient d.
@@ -293,15 +294,15 @@ class WeylOp(TermMap):
         n = self.nvars
         s, mask = halves(n)
         self._check(d)
-        if any(key & mask for key in d.terms):
+        if any(key & mask for key in d.nums):
             raise ValueError("divisor must have constant coefficients")
         if d.is_zero():
             raise ZeroDivisionError("division by the zero operator")
-        dsym = Poly._of(n, {key >> s: c for key, c in d.terms.items()})
+        dsym = Poly._of(n, {key >> s: c for key, c in d.nums.items()}, d.den)
         quo, rem = normal_form_mod_single(self, dsym, 1 << s)
         if rem:
             raise NotDivisible("x-left coefficient at alpha="
-                               f"{unpack(max(rem.terms) & mask, n)} not divisible")
+                               f"{unpack(max(rem.nums) & mask, n)} not divisible")
         return quo
 
     def principal_symbol(self) -> Poly:
@@ -316,9 +317,10 @@ class WeylOp(TermMap):
         r = self.order()
         s, mask = halves(n)
         # d_j goes to the fiber coordinate dual(n, j): reverse the vector
-        return Poly._of(2 * n, add_terms({}, (
+        return Poly._over(2 * n, add_terms({}, (
             (pack(unpack(key & mask, n) + unpack(key >> s, n)[::-1]), c)
-            for key, c in self.terms.items() if mdegree(key >> s, n) == r)))
+            for key, c in self.nums.items() if mdegree(key >> s, n) == r)),
+            self.den)
 
     # -- printing --------------------------------------------------------------
 
@@ -370,7 +372,7 @@ def permute_vars(f, perm):
             out |= (m >> src & EMAX) << dst
         return out
 
-    return type(f)._of(n, {rename(m): c for m, c in f.terms.items()})
+    return type(f)._of(n, {rename(m): c for m, c in f.nums.items()}, f.den)
 
 
 def is_zero_extensional(op: WeylOp) -> bool:

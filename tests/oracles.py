@@ -37,9 +37,9 @@ groups of the match for every token.  ``coneops.is_ideal_preserving``
 decides whether an operator a normalizes (Q*) from the one commutator
 [a, Q*]; ``preserves_ideal_by_monomials`` applies a to Q* m for every
 monomial m up to the order of a instead.  The products of ``Poly``, ``WeylOp`` and
-``GenWord`` run in the one frame of ``poly.TermMap``, which sums integer
-numerators over one common denominator and keeps them over it, in
-numerator form, until the values are read;
+``GenWord`` run in the one frame of ``poly.TermMap``, which sums the
+integer numerators of the factors and keeps the sums over the product of
+their denominators, in lowest terms, until the values are read;
 ``poly_mul_pairwise``, ``weyl_mul_pairwise`` and ``genword_mul_pairwise``
 sum one exact rational product per pair of terms, and ``bilinear_eager``
 runs a kernel in the same frame but divides every output term at once.  ``WeylOp.commutator`` sums only the exchange
@@ -264,7 +264,7 @@ def shapovalov_series_ambient(dmax: int, k: int) -> list:
         for shift, _, f in factors:
             add_terms(terms, ((key + shift, c)
                               for key, c in (prev * f).terms.items()))
-        prev = WeylOp._of(n, terms)
+        prev = WeylOp(n, terms)
         series.append(ConeOp(prev))
     return series
 
@@ -462,23 +462,23 @@ def xleft(op: WeylOp) -> dict:
     out: dict = {}
     for key, c in op.terms.items():
         out.setdefault(key >> s, {})[key & mask] = c
-    return {b: Poly._of(op.nvars, tm) for b, tm in out.items()}
+    return {b: Poly(op.nvars, tm) for b, tm in out.items()}
 
 
 def dleft_by_buckets(op: WeylOp) -> dict:
     """The d-left normal form of op as {packed beta: Poly coefficient}: the
     term map that ``weyl.reorder`` gives, one ``Poly`` per derivative part,
     as ``xleft`` groups it."""
-    return xleft(WeylOp._of(op.nvars, reorder(op.terms, op.nvars, -1)))
+    return xleft(WeylOp(op.nvars, reorder(op.terms, op.nvars, -1)))
 
 
 def from_dleft(n: int, coeffs: dict) -> WeylOp:
     """The operator of a d-left form {packed beta: Poly coefficient}: each
     term d^beta x^alpha reordered into x-left form."""
     s = halves(n)[0]
-    return WeylOp._of(n, reorder({beta << s | alpha: c
-                                  for beta, p in coeffs.items()
-                                  for alpha, c in p.terms.items()}, n, 1))
+    return WeylOp(n, reorder({beta << s | alpha: c
+                              for beta, p in coeffs.items()
+                              for alpha, c in p.terms.items()}, n, 1))
 
 
 def xleft_coeffs(op: WeylOp) -> dict:
@@ -487,7 +487,7 @@ def xleft_coeffs(op: WeylOp) -> dict:
     out: dict = {}
     for key, c in op.terms.items():
         out.setdefault(key & mask, {})[key >> s] = c
-    return {alpha: Poly._of(op.nvars, tm) for alpha, tm in out.items()}
+    return {alpha: Poly(op.nvars, tm) for alpha, tm in out.items()}
 
 
 def canonical_by_buckets(op: WeylOp) -> WeylOp:
@@ -504,7 +504,7 @@ def canonical_by_buckets(op: WeylOp) -> WeylOp:
     for beta, p in xleft(op).items():
         for alpha, c in reduce_mod(p, qs).terms.items():
             terms[beta << s | alpha] = c
-    return WeylOp._of(n, terms)
+    return WeylOp(n, terms)
 
 
 def divide_right_by_mult_by_buckets(w: WeylOp, q: Poly) -> WeylOp:
@@ -530,14 +530,14 @@ def divide_right_by_constcoef_by_buckets(w: WeylOp, d: WeylOp) -> WeylOp:
     s, mask = halves(n)
     if any(key & mask for key in d.terms):
         raise ValueError("divisor must have constant coefficients")
-    dsym = Poly._of(n, {key >> s: c for key, c in d.terms.items()})
+    dsym = Poly(n, {key >> s: c for key, c in d.terms.items()})
     quo = {}
     for alpha, qa in xleft_coeffs(w).items():
         u = divides_exactly(dsym, qa)
         if u is None:
             raise NotDivisible(f"x-left coefficient at alpha={alpha}")
         quo.update((b << s | alpha, c) for b, c in u.terms.items())
-    return WeylOp._of(n, quo)
+    return WeylOp(n, quo)
 
 
 def tau_letterwise(a: WeylOp) -> WeylOp:
@@ -601,7 +601,7 @@ def apply_by_buckets(op: WeylOp, f: Poly) -> Poly:
                     terms[m + off] = t
                 else:
                     del terms[m + off]
-    return Poly._of(n, terms)
+    return Poly(n, terms)
 
 
 def kelvin_termwise(f: QLaurent) -> QLaurent:
@@ -615,7 +615,7 @@ def kelvin_termwise(f: QLaurent) -> QLaurent:
     for m, c in f.num.terms.items():
         d = mdegree(m, n)
         sign = -1 if d % 2 else 1
-        num = num + Poly._of(n, {m: c * sign}) * q ** (deg - d)
+        num = num + Poly(n, {m: c * sign}) * q ** (deg - d)
     sign = -1 if (k - 1) % 2 else 1
     shift = (k - 1) + deg - f.qexp
     if shift >= 0:
@@ -652,10 +652,10 @@ def bilinear_eager(a, b, kernel):
     integral."""
     n = a.nvars
     if not (a.terms and b.terms):
-        return type(a)._of(n, {})
+        return type(a)(n, {})
     (d1, t1), (d2, t2) = _numerators_of(a.terms), _numerators_of(b.terms)
     terms, d = kernel(t1, t2, n), d1 * d2
-    return type(a)._of(n, {key: qdiv(c, d) for key, c in terms.items()})
+    return type(a)(n, {key: qdiv(c, d) for key, c in terms.items()})
 
 
 def normal_form_eager(p, d, scale: int = 1):
@@ -687,7 +687,7 @@ def normal_form_eager(p, d, scale: int = 1):
             if m + off not in work:
                 heappush(heap, -(m + off))
             add_terms(work, [(m + off, -f * c2)])
-    return tuple(type(p)._of(p.nvars, {m: qdiv(c, e) for m, c in part.items()})
+    return tuple(type(p)(p.nvars, {m: qdiv(c, e) for m, c in part.items()})
                  for part in (quotient, remainder))
 
 
@@ -711,7 +711,7 @@ def normal_form_by_max(p: Poly, d: Poly):
         f = qdiv(c, lc)
         quotient[m - lm] = f
         add_terms(work, ((m + off, -f * c2) for off, c2 in tail))
-    return Poly._of(p.nvars, quotient), Poly._of(p.nvars, remainder)
+    return Poly(p.nvars, quotient), Poly(p.nvars, remainder)
 
 
 def genword_mul_pairwise(a: GenWord, b: GenWord) -> GenWord:
@@ -744,7 +744,7 @@ def genword_eval_by_words(w: GenWord) -> WeylOp:
         last = word
         c = w.terms[word]
         add_terms(total, ((key, c * v) for key, v in prefix[-1].terms.items()))
-    return WeylOp._of(n, total)
+    return WeylOp(n, total)
 
 
 def weyl_mul_pairwise(a: WeylOp, b: WeylOp) -> WeylOp:

@@ -18,12 +18,12 @@ from oracles import (bilinear_eager, blocks_are_canonical,
                      commutator_by_products, exponent_items,
                      genword_mul_pairwise, normal_form_by_max,
                      normal_form_eager, poly_mul_pairwise, weyl_mul_pairwise)
-from quadricops import weyl
+from quadricops import poly, weyl
 from quadricops.coneops import GenWord, alphabet
 from quadricops.lie import GroupElt, LieElt
 from quadricops.poly import (EMAX, ExponentOverflow, Poly, QLaurent,
-                             add_terms, normal_form_mod_single, numerators,
-                             pack, q_form, qcoef, qdiv)
+                             add_terms, normal_form_mod_single, pack, q_form,
+                             qcoef, qdiv)
 from quadricops.suites import run_suite
 from quadricops.weyl import WeylOp, halves
 
@@ -170,8 +170,9 @@ def test_division_matches_the_max_loop(dens):
 
 def random_operand(rng, cls, dens, n=4):
     """Up to six terms, each coefficient +-1..9 over a denominator drawn
-    from dens; one time in three a sum adds a term whose coefficient is an
-    integral Fraction.  A word has up to two letters, at k = n // 2."""
+    from dens; one time in three a sum adds a term twice as half of an odd
+    integer, whose sum is an integer.  A word has up to two letters, at
+    k = n // 2."""
     def key():
         if cls is GenWord:
             return tuple(rng.choice(LETTERS) for _ in range(rng.randint(0, 2)))
@@ -266,7 +267,9 @@ def test_product_matches_pairwise_oracle(cls, oracle):
         integral_fractions += any(type(c) is Fraction and c.denominator == 1
                                   for c in chain(a.terms.values(),
                                                  b.terms.values()))
-    assert integral_fractions >= 50
+    # half + half of random_operand is an int: no operand, however built,
+    # reads an integral Fraction
+    assert integral_fractions == 0
     # the cross terms cancel: u^2/4 - v^2/9, and 1/6 from the exchange
     (a, b), *_ = cancelling_products(cls)
     assert len((a * b).terms) == (3 if cls is WeylOp else 2)
@@ -335,26 +338,26 @@ def test_commutator_matches_product_oracle():
         d[0].commutator(WeylOp.partial(2, 0))
 
 
-def numerator_form_faults(num) -> list:
-    """What is wrong with the numerator form (d, nums) of a term map: it
-    must have nonzero int numerators and an int denominator d > 1, and be
-    in lowest terms, so that it is the one such pair of its values."""
-    d, nums = num
+def pair_faults(p) -> list:
+    """What is wrong with the pair (d, nums) of the term map p: it must have
+    nonzero int numerators and an int denominator d >= 1, and be in lowest
+    terms, so that it is the one such pair of its values."""
+    d, nums = p.den, p.nums
     return [fault for fault, ok in (
         ("a numerator that is not a nonzero int",
          all(type(c) is int and c for c in nums.values())),
-        ("a denominator that is not an int above 1", type(d) is int and d > 1),
+        ("a denominator that is not an int d >= 1", type(d) is int and d >= 1),
         ("not in lowest terms", gcd(d, *nums.values()) == 1)) if not ok]
 
 
 @pytest.mark.parametrize("cls", [Poly, WeylOp, GenWord],
                          ids=["Poly", "WeylOp", "GenWord"])
 def test_numerator_form_matches_the_eager_oracle(cls):
-    """Products kept in numerator form, and the sums, differences,
+    """Products kept over a denominator, and the sums, differences,
     negations, scalings, commutators, quotients and remainders of them,
-    against the same operations on the values of the eager oracle: equal
-    values, and each coefficient of the oracle's type, an int exactly
-    where it is integral."""
+    against the same operations on the values of the eager oracle: a pair
+    in lowest terms, equal values, and each coefficient of the oracle's
+    type, an int exactly where it is integral."""
     rng = random.Random(5107)
     dens = tuple(range(1, 13))
     n = 4
@@ -369,11 +372,11 @@ def test_numerator_form_matches_the_eager_oracle(cls):
 
     def check(got, want):
         nonlocal forms
-        if got._num is not None:
+        assert pair_faults(got) == [], (got.den, got.nums)
+        if got.den > 1:
             # the pair, compared with maps of values before its own are read
             forms += 1
-            assert numerator_form_faults(got._num) == [], got._num
-            d, nums = got._num
+            d, nums = got.den, got.nums
             values = cls(got.nvars, {key: Fraction(c, d)
                                      for key, c in nums.items()})
             assert got == values and values == got
@@ -393,7 +396,7 @@ def test_numerator_form_matches_the_eager_oracle(cls):
         a, b, c = (random_operand(rng, cls, dens) for _ in range(3))
         if i % 4 == 0:
             # a scaled by both denominators: a * b comes out integral
-            a = a.scale(numerators(b)[0] * numerators(a)[0])
+            a = a.scale(b.den * a.den)
         m = a.nvars
         p, r = a * b, c * a
         ep, er = bilinear_eager(a, b, kernel), bilinear_eager(c, a, kernel)
@@ -409,7 +412,7 @@ def test_numerator_form_matches_the_eager_oracle(cls):
         check(-p, cls(m, {k: -v for k, v in ep.terms.items()}))
         s = Fraction(rng.choice((-1, 1)) * rng.randint(0, 12), rng.choice(dens))
         check(p.scale(s), cls(m, {k: s * v for k, v in ep.terms.items()}))
-        den = numerators(p)[0]
+        den = p.den
         check(p.scale(den), cls(m, {k: den * v for k, v in ep.terms.items()}))
         check(p * cls.zero(m), cls.zero(m))
         for d, scale in divisors:
@@ -417,6 +420,43 @@ def test_numerator_form_matches_the_eager_oracle(cls):
                                  normal_form_eager(ep, d, scale)):
                 check(got, want)
     assert forms > 100
+
+
+@pytest.mark.parametrize("cls,oracle", [(Poly, poly_mul_pairwise),
+                                        (WeylOp, weyl_mul_pairwise),
+                                        (GenWord, genword_mul_pairwise)],
+                         ids=["Poly", "WeylOp", "GenWord"])
+def test_hash_reads_the_pair(cls, oracle, monkeypatch):
+    """Hashing a product with a coefficient that is not integral builds
+    none of its values, and the equal maps built from it by products, sums,
+    scalings and the public constructor hash alike."""
+    rng = random.Random(6221)
+    divisions = []
+
+    def counting_qdiv(a, b):
+        divisions.append((a, b))
+        return qdiv(a, b)
+
+    hashed = 0
+    for _ in range(80):
+        a, b = (random_operand(rng, cls, DENOMINATORS[1]) for _ in range(2))
+        want = oracle(a, b)
+        if all(type(c) is int for c in want.terms.values()):
+            continue
+        p = a * b
+        monkeypatch.setattr(poly, "qdiv", counting_qdiv)
+        h = hash(p)
+        monkeypatch.setattr(poly, "qdiv", qdiv)
+        assert divisions == [], p
+        hashed += 1
+        s = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        paths = [a.scale(s) * b.scale(Fraction(s.denominator, s.numerator)),
+                 (p - a) + a, p.scale(3) - p.scale(2),
+                 p.scale(s).scale(Fraction(s.denominator, s.numerator)),
+                 cls(p.nvars, want.terms)]
+        assert all(q == p for q in paths), p
+        assert {hash(q) for q in paths} == {h}, p
+    assert hashed > 40
 
 
 # where each class keeps its coefficients
@@ -432,8 +472,9 @@ COEFFICIENTS = {
 
 def walk_suite_objects() -> dict:
     """Inspect every coefficient-holding object that run_suite("all", 2) builds,
-    and the blocks of every Lie element; a term map in numerator form has
-    that form checked before its values are read.
+    and the blocks of every Lie element; a term map has its pair checked
+    before its values are read, and no value it reads may be an integral
+    ``Fraction``.
 
     Each class's ``__new__`` is hooked so that building an object first
     inspects the previous object of that class, which is complete by then:
@@ -448,18 +489,21 @@ def walk_suite_objects() -> dict:
 
     def inspect(cls, obj):
         nonlocal forms
+        term_map = cls in (Poly, WeylOp, GenWord)
         try:
-            num = obj._num if cls in (Poly, WeylOp, GenWord) else None
-            if num is not None:
-                forms += 1
-                bad.extend(f"{cls.__name__} numerator form {num!r}: {fault}"
-                           for fault in numerator_form_faults(num))
+            if term_map:
+                forms += obj.den > 1
+                bad.extend(f"{cls.__name__} pair {(obj.den, obj.nums)!r}: "
+                           f"{fault}" for fault in pair_faults(obj))
             coeffs = list(COEFFICIENTS[cls](obj))
         except AttributeError:
             return  # its constructor raised before the object was complete
         seen[cls] += len(coeffs)
         bad.extend(f"{cls.__name__}: {c!r}" for c in coeffs
                    if type(c) not in (int, Fraction))
+        if term_map:
+            bad.extend(f"{cls.__name__}: integral {c!r}" for c in coeffs
+                       if type(c) is Fraction and c.denominator == 1)
         if cls is LieElt and not blocks_are_canonical(obj):
             bad.append(f"LieElt: {obj!r}")
 
@@ -479,7 +523,7 @@ def walk_suite_objects() -> dict:
         inspect(cls, obj)
     return {"exit_status": report.exit_status, "bad": bad[:20],
             "seen": {cls.__name__: count for cls, count in seen.items()},
-            "numerator forms": forms}
+            "pairs over d > 1": forms}
 
 
 def test_suite_objects_hold_only_int_or_fraction():
@@ -490,7 +534,7 @@ def test_suite_objects_hold_only_int_or_fraction():
     assert result["exit_status"] == 0
     assert result["bad"] == []
     assert all(result["seen"].values()), result["seen"]
-    assert result["numerator forms"] > 0
+    assert result["pairs over d > 1"] > 0
 
 
 if __name__ == "__main__":

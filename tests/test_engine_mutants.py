@@ -18,7 +18,7 @@ their check only through a cached caller, so they prove that too.
 A fast path that only saves work has a work case instead: its fake keeps
 every value and redoes the saved work, and the pin on the products and
 powers of the suite at k=3 is what fails.  ``VALUE_BUILDS`` pins, the same
-way, the maps in numerator form whose values a suite reads.  ``GUARDS``
+way, the maps over a denominator d > 1 whose values a suite reads.  ``GUARDS``
 lists the fast paths of the engine, ``FAST_PATHS`` names the row that
 forces the guard of each one wrong, and ``UNGUARDED`` the paths that have
 no row yet.
@@ -85,9 +85,12 @@ def _levi_bracket_negated(xi, eta):
     return out.scale(-1) if _is_levi(xi) and _is_levi(eta) else out
 
 
-def _denominator_dropped(p):
-    # products keep the integer numerators and never divide them back
-    return 1, ORIGINAL["numerators"](p)[1]
+def _denominator_dropped(self, other, kernel):
+    # products read the integer numerators of their factors and never
+    # divide them back: each factor is taken over the denominator 1
+    return ORIGINAL["_bilinear"](type(self)._of(self.nvars, self.nums),
+                                 type(other)._of(other.nvars, other.nums),
+                                 kernel)
 
 
 def _point_scale_doubled(point):
@@ -345,9 +348,9 @@ def _top_key_terms_skipped(self, f):
     # b > max(f), so the terms whose b is the top key of f, which divides
     # the top monomial of f, are lost
     s = weyl.halves(self.nvars)[0]
-    top = max(f.terms, default=-1)
-    kept = {key: c for key, c in self.terms.items() if key >> s != top}
-    return ORIGINAL["apply"](weyl.WeylOp._of(self.nvars, kept), f)
+    top = max(f.nums, default=-1)
+    kept = {key: c for key, c in self.nums.items() if key >> s != top}
+    return ORIGINAL["apply"](weyl.WeylOp._over(self.nvars, kept, self.den), f)
 
 
 def _canonical_shortcut_on_the_top_key(self):
@@ -376,21 +379,20 @@ def _last_pass_always_skipped(p, d, scale=1):
     # times the common denominator of the dividend; the QLaurent
     # constructor reaches it through divides_exactly, which looks the name
     # up in poly
-    e = poly.numerators(p)[0]
+    e = p.den
     quo, rem = ORIGINAL["normal_form_mod_single"](p, d, scale)
     return quo.scale(e), rem.scale(e)
 
 
-def _lowest_terms_skipped(cls, nvars, d, nums):
+def _lowest_terms_skipped(cls, nvars, nums, d):
     # the numerators kept over the denominator they were summed over, with
     # no common factor divided out, so equal values over two denominators
-    # no longer compare equal: the product of two principal symbols is kept
-    # over the product of their denominators, the symbol of the product is
-    # read from its values.  a(b + c) and ab + ac reach one denominator, so
-    # ring-axioms still holds
-    if d == 1 or not nums:
-        return cls._of(nvars, nums)
-    return cls._of_num(nvars, d, nums)
+    # no longer compare equal: the invariant function of alpha, a moment
+    # map of even numerators scaled by 1/2, is kept over 2, and the
+    # principal symbol it equals over 1.  Products of maps kept so stay
+    # over the product of their denominators on both sides of an identity,
+    # so the Weyl symbol check and ring-axioms still hold
+    return cls._of(nvars, nums, d if nums else 1)
 
 
 def _horner_from_q_power(f):
@@ -427,7 +429,7 @@ ORIGINAL = {name: getattr(module, name) for module, name in [
     (shapovalov, "euler_shift"), (shapovalov, "xgcd"), (coneops, "rho_amb"),
     (lie, "generators"),
     (coneops, "dual_field"), (coneops.ConeOp, "canonical"),
-    (lie.LieElt, "bracket"), (poly, "numerators"),
+    (lie.LieElt, "bracket"),
     (lie, "_point_column"), (weyl.WeylOp, "_product"), (weyl, "reorder"),
     (weyl.WeylOp, "commutator"), (weyl, "_exchange_sum"), (weyl, "falling"),
     (coneops, "fourier_letter"), (coneops, "letter_preimage"),
@@ -475,7 +477,7 @@ CASES = {
         lie.LieElt, "bracket", _levi_bracket_negated, "lie-orthogonal",
         "lie-block-bracket", "pair ('levi', "),
     "denominator-dropped": (
-        poly, "numerators", _denominator_dropped, "algebra-core",
+        poly.TermMap, "_bilinear", _denominator_dropped, "algebra-core",
         "ring-axioms", "a="),
     "divisibility-refused-from-degree-8": (
         poly, "divides_exactly", _refuses_degree_8, "algebra-core",
@@ -609,9 +611,8 @@ CASES = {
         poly, "heapify", _leading_term_lost, "algebra-core",
         "normal-form-idempotent", "p="),
     "numerator-form-lowest-terms-skipped": (
-        poly.TermMap, "_over", classmethod(_lowest_terms_skipped), "weyl",
-        "weyl-symbol-multiplicative",
-        "symbol of a product is not the product of symbols"),
+        poly.TermMap, "_over", classmethod(_lowest_terms_skipped),
+        "cone-ops", "cone-symbol-match", "element ('alpha',)"),
     "division-last-pass-always-skipped": (
         poly, "normal_form_mod_single", _last_pass_always_skipped,
         "algebra-core", "qlaurent-normalization",
@@ -704,22 +705,22 @@ def test_work_mutant_breaks_its_pin(case, monkeypatch):
     assert products > most_products and powers > most_powers
 
 
-# the term maps that build their values from numerators in one run of a
-# suite at k=3: a product or division over a denominator keeps its
+# the term maps that build their value cache from their numerators in one
+# run of a suite at k=3: a map over a denominator d > 1 keeps only its
 # numerators until its values are read, so a count that rises means a
 # reader of values that needs none; a change that lowers one lowers its pin
-VALUE_BUILDS = {"algebra-core": 0, "weyl": 36}
+VALUE_BUILDS = {"algebra-core": 0, "weyl": 0}
 
 
 def _value_builds(monkeypatch, suite: str) -> int:
-    """Term maps in numerator form whose values one passing run of suite
-    at k=3 builds."""
+    """Term maps over d > 1 whose value cache one passing run of suite at
+    k=3 builds."""
     count = 0
     terms = TermMap.terms.fget
 
     def counted_terms(self):
         nonlocal count
-        count += self._terms is None
+        count += self.den != 1 and self._values is None
         return terms(self)
 
     monkeypatch.setattr(TermMap, "terms", property(counted_terms))

@@ -1,10 +1,11 @@
 """Term maps are not changed once built.
 
-``TermMap._of`` keeps the dict it is given, and ``TermMap._of_num`` the
-dict of integer numerators of a map in numerator form, whose values
-``terms`` builds on the first read.  Shared objects rely on no caller
-changing either dict, or the map of a built ``Poly`` or ``WeylOp``,
-afterwards.  The engine hands one cached instance to every caller from the
+A term map is stored as its pair: a denominator and a dict of integer
+numerators.  ``TermMap._of`` keeps the dict it is given, and the public
+constructor keeps the values it was given as the cache of ``terms``, which
+otherwise builds the values on the first read over a denominator above 1.
+Shared objects rely on no caller changing the numerators or the values of
+a built ``Poly`` or ``WeylOp`` afterwards.  The engine hands one cached instance to every caller from the
 bounded LRU caches of
 
 - ``poly.q_form``;
@@ -22,8 +23,8 @@ test here: their entries are built while the constructors are recorded,
 and no entry built then reaches a later test.
 
 The same records show that every key the engine stores is valid: the
-trusted ``_of`` and ``_of_num`` check no key, so a ``Poly`` key must be a
-packed monomial and a ``WeylOp`` key one in each half.
+trusted ``_of`` checks no key, so a ``Poly`` key must be a packed monomial
+and a ``WeylOp`` key one in each half.
 """
 
 from fractions import Fraction
@@ -48,47 +49,35 @@ CLI_COMMANDS = [
 
 
 def _record_builds(monkeypatch) -> list:
-    """Record every term map built from now on, as (map, denominator, dict,
-    copy of the dict): the denominator is None for a map built by its
-    values, and the dict that of its numerators for a map in numerator
-    form."""
+    """Record every term map stored from now on, once, with its pair, as
+    (map, denominator, numerators, copy of the numerators): ``_of`` stores
+    every map the engine builds, through ``_over`` too, and the public
+    constructor every map built from values."""
     built = []
-    of, of_num = TermMap._of.__func__, TermMap._of_num.__func__
-    init = TermMap.__init__
+    of, init = TermMap._of.__func__, TermMap.__init__
 
-    def recording_of(cls, nvars, terms):
-        out = of(cls, nvars, terms)
-        built.append((out, None, terms, dict(terms)))
-        return out
-
-    def recording_of_num(cls, nvars, d, nums):
-        out = of_num(cls, nvars, d, nums)
+    def recording_of(cls, nvars, nums, d=1):
+        out = of(cls, nvars, nums, d)
         built.append((out, d, nums, dict(nums)))
         return out
 
     def recording_init(self, nvars, terms=None):
         init(self, nvars, terms)
-        built.append((self, None, self.terms, dict(self.terms)))
+        built.append((self, self.den, self.nums, dict(self.nums)))
 
     monkeypatch.setattr(TermMap, "_of", classmethod(recording_of))
-    monkeypatch.setattr(TermMap, "_of_num", classmethod(recording_of_num))
     monkeypatch.setattr(TermMap, "__init__", recording_init)
     return built
 
 
 def _changed(built) -> list:
-    """(class name, term count) of every recorded map whose dict changed:
-    its values for a map built by them; for a map in numerator form, its
-    numerators, or the values ``terms`` builds from them, read here if no
-    caller read them."""
+    """(class name, term count) of every recorded map whose pair changed,
+    or whose values, read here if no caller read them, are not its
+    numerators over its denominator."""
     bad = []
-    for obj, d, terms, copy in built:
-        if d is None:
-            ok = obj.terms is terms and terms == copy
-        else:
-            ok = (obj._num == (d, terms) and obj._num[1] is terms
-                  and terms == copy
-                  and obj.terms == {key: qdiv(c, d) for key, c in copy.items()})
+    for obj, d, nums, copy in built:
+        ok = (obj.den == d and obj.nums is nums and nums == copy
+              and obj.terms == {key: qdiv(c, d) for key, c in copy.items()})
         if not ok:
             bad.append((type(obj).__name__, len(copy)))
     return bad
@@ -125,17 +114,17 @@ def test_invalid_keys_are_reported():
 
 
 def test_changed_maps_are_reported(monkeypatch):
-    # a map by its values, then two products over the denominator 2 in
-    # numerator form: one changes its numerators, one the values built
+    # a map built from its values, which it keeps, then two products over
+    # the denominator 2: one changes its numerators, one the values built
     # from them
     x, x3 = Poly.var(4, 0), Poly.var(4, 0, 3)
     built = _record_builds(monkeypatch)
-    half = Poly.const(4, Fraction(1, 2))
+    half = Poly(4, {0: Fraction(1, 2)})
     one, two = half * x, half * x3
-    assert [d for _, d, _, _ in built] == [None, 2, 2]
+    assert [d for _, d, _, _ in built] == [2, 2, 2]
     assert _changed(built) == []
     half.terms[0] = 1
-    one._num[1][unit(4, 0)] = 3
+    one.nums[unit(4, 0)] = 3
     two.terms[unit(4, 0)] = 7
     assert _changed(built) == [("Poly", 1)] * 3
 

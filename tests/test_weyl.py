@@ -439,7 +439,7 @@ def test_one_pass_divisions_match_the_bucket_oracles(k):
     verdicts = set()
     for op in ops:
         _same_terms(ConeOp(op).canonical(), canonical_by_buckets(op))
-        back = WeylOp._of(n, reorder(reorder(op.terms, n, -1), n, 1))
+        back = WeylOp(n, reorder(reorder(op.terms, n, -1), n, 1))
         assert back == op
         _same_terms(back, from_dleft(n, dleft_by_buckets(op)))
         for divide, want, divisor in (
