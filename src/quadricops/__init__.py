@@ -20,7 +20,10 @@ Modules:
 Importing the package loads every engine module but ``suites``: its public
 names (``SuiteReport``, ``UnknownSuite``, ``emit``, ``run_suite``) load it
 on first access through the module ``__getattr__`` (PEP 562), so a process
-that never verifies a suite does not pay for it.
+that never verifies a suite does not pay for it.  Nor does it load
+``fractions``, ``decimal`` or ``re``: ``poly`` imports the rational type on
+the first non-integral value and ``exprparse`` compiles its grammar on the
+first parse.
 """
 
 from .poly import (ExponentOverflow, Poly, QLaurent, divides_exactly,

@@ -18,9 +18,11 @@ from the subcommand's row, and no parser is built.  Any other list (none,
 starting with ``-`` among the positionals, a missing argument) goes to
 ``build_parser``, which reads it as it reads every list and prints the help,
 the usage or the error; ``argparse`` loads only then.  ``suites`` loads only
-when ``moment`` or ``verify`` runs or the ``verify`` arguments are read, and
-``json`` only when a command emits JSON.  Every other engine module loads
-with this one, as the benchmark's tracer expects.
+when ``moment`` or ``verify`` runs or the ``verify`` arguments are read,
+``json`` only when a command emits JSON, ``fractions`` (with ``decimal``)
+only when a command meets a non-integral value, and ``re`` only when a
+command parses an expression.  Every other engine module loads with this
+one, as the benchmark's tracer expects.
 """
 
 from __future__ import annotations

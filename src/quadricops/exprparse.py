@@ -27,7 +27,9 @@ by group number (``lastindex``).  An atom's kind is ``lastgroup``, its row
 gives its number of indices, and the index fields are the groups that
 follow group ``lastindex``, so every alternative keeps its index groups
 right after its named group.  ``atom_texts(k)`` lists every named atom at k
-from the same rows.  Bad input raises ParseError (with ``pos`` and
+from the same rows.  The patterns are kept as text and compiled by
+``_regex`` on first use, so a process that parses nothing loads no ``re``.
+Bad input raises ParseError (with ``pos`` and
 ``expected``) or IndexOutOfRange.  Text that no token matches is blamed on
 its first character, unless it begins with an atom name: then the error
 names the first character after the name that no index can take (x١ names
@@ -47,8 +49,7 @@ targets, and the CLI rejects an input over its fixed caps before evaluating.
 
 from __future__ import annotations
 
-import re
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add, mul, neg, sub
 
 from .coneops import ConeOp, GenWord, fourier_letter, index_text, letter_op
@@ -102,13 +103,22 @@ _ATOMS = {
 # str pattern's \d takes every Unicode digit); no atom name is a prefix of
 # another, so at most one atom alternative matches at any position
 _INDICES = ("", r"([0-9]+)", r"(?:([0-9]+)_([0-9]+)|([0-9])([0-9]))")
-_TOKEN_RE = re.compile(r"\s*(?:(?P<op>[+\-*^()])|(?P<int>[0-9]+)" + "".join(
+_TOKEN = (r"\s*(?:(?P<op>[+\-*^()])|(?P<int>[0-9]+)" + "".join(
     f"|(?P<{name}>{name}{_INDICES[row[0]]})" for name, row in _ATOMS.items())
     + ")")
 # the longest prefix of the index groups of each arity: where it stops is
 # the first character that no index can take
-_INDEX_PREFIX = tuple(map(re.compile, ("", "[0-9]*",
-                                       "(?:[0-9]+(?:_[0-9]*)?)?")))
+_INDEX_PREFIX = ("", "[0-9]*", "(?:[0-9]+(?:_[0-9]*)?)?")
+
+
+@lru_cache(maxsize=None)
+def _regex(pattern: str):
+    """The compiled pattern, one per pattern: ``re`` loads on the first
+    call, the token pattern compiles on the first ``tokenize`` and an index
+    pattern on the first error that reads it, so importing this module
+    loads and compiles neither."""
+    import re
+    return re.compile(pattern)
 
 
 def _no_token(src: str, pos: int) -> ParseError:
@@ -120,7 +130,7 @@ def _no_token(src: str, pos: int) -> ParseError:
     for name, row in _ATOMS.items():
         if stripped.startswith(name):
             at = len(src) - len(stripped) + len(name)
-            at = _INDEX_PREFIX[row[0]].match(src, at).end()
+            at = _regex(_INDEX_PREFIX[row[0]]).match(src, at).end()
             if at == len(src):
                 return ParseError(f"missing index after {name!r}", at,
                                   expected=("index",))
@@ -133,8 +143,9 @@ def _no_token(src: str, pos: int) -> ParseError:
 def tokenize(src: str, k: int):
     pos, end = 0, len(src)
     out = []
+    match = _regex(_TOKEN).match
     while pos < end:
-        m = _TOKEN_RE.match(src, pos)
+        m = match(src, pos)
         if m is None:
             if src[pos:].isspace():
                 break

@@ -55,7 +55,11 @@ numerators themselves over d = 1, and over d > 1 it builds the values by
 ``qdiv`` on its first read.  The public constructor passes every
 coefficient through ``qcoef`` and keeps those values as the cache.  Every
 true division in the package goes through ``qdiv``, because ``int / int``
-is a ``float``.
+is a ``float``.  The module ``fractions`` (and ``decimal``, which it
+imports) loads on the first non-integral value, a quotient that ``qdiv``
+cannot keep as an ``int``: until then no ``Fraction`` can exist, so the
+checks of ``qcoef`` and of the operands of term-map and ``QLaurent``
+arithmetic read the type only once ``fractions`` is in ``sys.modules``.
 
 The kernels run on the numerators.  Products run in one frame,
 ``TermMap._bilinear``, that the products of ``Poly``, ``weyl.WeylOp`` and
@@ -103,7 +107,7 @@ kept by ``_of`` or the public constructor or built by ``terms``;
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, repeat
@@ -119,6 +123,26 @@ class ExponentOverflow(OverflowError):
     """An exponent or a total degree would exceed EMAX."""
 
 
+_Fraction = None  # fractions.Fraction once _fraction has bound it
+
+
+def _fraction():
+    """The class ``fractions.Fraction``, imported and bound to ``_Fraction``
+    on the first call; callers read ``_Fraction or _fraction()``."""
+    global _Fraction
+    from fractions import Fraction
+    _Fraction = Fraction
+    return Fraction
+
+
+def _rational(c) -> bool:
+    """Whether c is an int or a Fraction.  No Fraction exists before
+    ``fractions`` is imported, so until then only an int is one, and the
+    check imports nothing."""
+    return isinstance(c, int) or ("fractions" in sys.modules and isinstance(
+        c, _Fraction or _fraction()))
+
+
 def qcoef(c):
     """c as a coefficient: an ``int`` when integral, a ``Fraction`` otherwise.
 
@@ -127,7 +151,7 @@ def qcoef(c):
     """
     if isinstance(c, int):
         return int(c)
-    if isinstance(c, Fraction):
+    if _rational(c):
         return c.numerator if c.denominator == 1 else c
     raise TypeError(f"coefficient must be int or Fraction, not {type(c).__name__}")
 
@@ -141,8 +165,9 @@ def qdiv(a, b):
     """
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    q = Fraction(a, b)  # TypeError unless both operands are rational
+        return (_Fraction or _fraction())(a, b) if r else q
+    a, b = qcoef(a), qcoef(b)  # TypeError unless both operands are rational
+    q = (_Fraction or _fraction())(a, b)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -459,7 +484,7 @@ class TermMap:
         side is scaled only when its factor is not 1."""
         cls = type(self)
         if not isinstance(other, cls):
-            if not isinstance(other, (int, Fraction)):
+            if not _rational(other):
                 return NotImplemented
             other = cls.const(self.nvars, other)
         self._check(other)
@@ -482,23 +507,23 @@ class TermMap:
                               self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, (type(self), int, Fraction)):
+        if not (isinstance(other, type(self)) or _rational(other)):
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction)):
+        if not _rational(other):
             return NotImplemented
         return (-self) + other
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _rational(other):
             return self.scale(other)
         return NotImplemented
 
     def __mul__(self, other):
         if not isinstance(other, type(self)):
-            if not isinstance(other, (int, Fraction)):
+            if not _rational(other):
                 return NotImplemented
             return self.scale(other)
         return self._bilinear(other, self._product)
@@ -904,7 +929,7 @@ class QLaurent:
             return other
         if isinstance(other, Poly):
             return QLaurent.from_poly(other)
-        if isinstance(other, (int, Fraction)):
+        if _rational(other):
             return QLaurent(self.k, Poly.const(2 * self.k, other), 0)
         return NotImplemented
 

@@ -106,8 +106,8 @@ import sympy
 
 from quadricops import momentorbit
 from quadricops.coneops import ConeOp, GenWord, letter_op
-from quadricops.exprparse import (MAX_TOKENS, _TOKEN_RE, IndexOutOfRange,
-                                  ParseError)
+from quadricops.exprparse import (MAX_TOKENS, _TOKEN, IndexOutOfRange,
+                                  ParseError, _regex)
 from quadricops.lie import GroupElt, LieElt, mat_mul
 from quadricops.momentorbit import (block_var, orbit_matrix, v_vector,
                                     x_vector)
@@ -777,7 +777,8 @@ def _no_token_by_completion(src: str, start: int, pos: int) -> ParseError:
     whole token of that atom; the error names the character that ends the
     longest viable prefix, or the missing index at the end of the input."""
     def viable(text, name):
-        return any((m := _TOKEN_RE.fullmatch(text + c)) and m.lastgroup == name
+        return any((m := _regex(_TOKEN).fullmatch(text + c))
+                   and m.lastgroup == name
                    for c in ("", "0", "00", "_0"))
 
     for name in ("x", "y", "dx", "dy", "XX", "YY", "Dop", "Bop", "Cop"):
@@ -800,7 +801,7 @@ def tokenize_groupwise(src: str, k: int):
     pos = 0
     out = []
     while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
+        m = _regex(_TOKEN).match(src, pos)
         if m is None:
             stripped = src[pos:].lstrip()
             if not stripped:

@@ -3,6 +3,7 @@ float, and every true division goes through ``poly.qdiv``."""
 
 import ast
 import json
+import os
 import random
 import subprocess
 import sys
@@ -76,6 +77,48 @@ def test_floats_are_rejected():
     for op in _binary_ops(QLaurent.one_over_q(2), 0.5):
         with pytest.raises(TypeError):
             op()
+
+
+# run under -S, where nothing has imported fractions before the engine
+BEFORE_FRACTIONS = """
+import sys
+from quadricops.poly import Poly, QLaurent, qcoef, qdiv
+
+def rejected(op):
+    try:
+        op()
+    except TypeError:
+        return True
+    return False
+
+print([rejected(op) for op in (
+    lambda: qcoef(0.5), lambda: qdiv(1.5, 2), lambda: Poly.var(4, 0) + 0.5,
+    lambda: QLaurent.one_over_q(2) * 0.5)], "fractions" in sys.modules)
+third = qdiv(1, 3) if {by_qdiv} else None
+print("fractions" in sys.modules)
+from fractions import Fraction
+half = Fraction(1, 2)
+p, x = Poly.const(4, half), Poly.var(4, 0)
+print(third in (None, Fraction(1, 3)), qcoef(half) is half,
+      p.constant() == half, (p + half).constant() == 1,
+      half + x == x + p == x - (-half), x * half == half * x == x.scale(half),
+      QLaurent.one_over_q(2) * half == half * QLaurent.one_over_q(2)
+      == QLaurent(2, p, 1))
+"""
+
+
+@pytest.mark.parametrize("by_qdiv", [True, False],
+                         ids=["qdiv-loads-it", "caller-loads-it"])
+def test_coefficient_rule_before_fractions_loads(by_qdiv):
+    # no Fraction exists before fractions loads, so a float is rejected
+    # without loading it; qdiv loads it on the first non-integral quotient,
+    # and a Fraction built after the import is accepted either way
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", BEFORE_FRACTIONS.format(by_qdiv=by_qdiv)],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == (f"[True, True, True, True] False\n{by_qdiv}\n"
+                           "True True True True True True True\n")
 
 
 def _binary_ops(a, b):

@@ -4,8 +4,9 @@ module-level name the package never reads, no module-level function or class
 that neither the package, the benchmark nor the public API names, no engine
 module reaching into another one's private names, and no heavy standard
 modules at CLI start-up: neither the suites, ``json`` nor ``random`` until a
-command asks for them, and neither ``argparse`` nor ``gettext`` for a plain
-command."""
+command asks for them, neither ``argparse`` nor ``gettext`` for a plain
+command, and neither ``fractions``, ``decimal`` nor ``re`` for a command
+that builds no Fraction and parses nothing."""
 
 import ast
 import importlib.util
@@ -274,7 +275,8 @@ def test_cli_import_skips_dataclasses_and_inspect():
 TRACER = ROOTS[1].parent / "perfbench" / "tracer.py"
 STARTUP = """
 import io, sys
-lazy = ("quadricops.suites", "json", "random", "argparse", "gettext")
+lazy = ("quadricops.suites", "json", "random", "argparse", "gettext",
+        "fractions", "decimal", "re")
 import quadricops
 print(sorted(set(lazy) & set(sys.modules)))
 import quadricops.cli
